@@ -314,19 +314,6 @@ pub fn avg(v: &Value) -> AdtResult<Value> {
     Ok(Value::real(total.as_f64()? / usable.len() as f64))
 }
 
-/// Positional tuple projection (0-based); the engine maps attribute names
-/// to positions via the schema before calling this.
-pub fn tuple_get(tuple: &Value, index: usize) -> AdtResult<Value> {
-    let fields = tuple.as_tuple()?;
-    fields
-        .get(index)
-        .cloned()
-        .ok_or(AdtError::IndexOutOfBounds {
-            index: index as i64,
-            len: fields.len(),
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,11 +43,6 @@ impl CollKind {
     pub fn ordered(self) -> bool {
         matches!(self, CollKind::List | CollKind::Array)
     }
-
-    /// Whether duplicates are retained.
-    pub fn keeps_duplicates(self) -> bool {
-        !matches!(self, CollKind::Set)
-    }
 }
 
 impl fmt::Display for CollKind {

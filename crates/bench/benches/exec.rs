@@ -5,16 +5,13 @@
 //! hash), merged view stacks, union pushdown output, recursive
 //! fixpoints, and duplicate elimination — plus million-row columnar
 //! scans exercising the morsel scheduler end to end. Every workload
-//! runs at `parallelism` 1 and 4 (`<id>/p1`, `<id>/p4`); the committed
+//! runs at `parallelism` 1 (`<id>/p1`); the committed
 //! `crates/bench/baselines/before/exec.tsv` holds the same plans
 //! measured on the seed tree-walking executor (`<id>/seq`; the scan
 //! workloads baseline against the sequential row-at-a-time path
-//! instead — re-record with `EDS_EXEC_BASELINE=1`). The two
-//! parallelism configurations are always measured independently — even
-//! on hosts whose core count clamps the worker policy to one worker,
-//! where they run the same code — so every committed number is a real
-//! measurement; the report's scan-scaling gate applies a small
-//! tolerance to absorb the resulting same-code noise.
+//! instead — re-record with `EDS_EXEC_BASELINE=1`). Parallel speed-up
+//! is not measured here: the bench host's core count clamps the worker
+//! policy, so `e2e/`'s `engine.p2_speedup` is the one reading.
 //!
 //! Before timing, each configuration asserts that the overhauled
 //! executor returns *byte-identical* rows — values and order — to the
@@ -43,27 +40,18 @@ fn assert_matches_reference(dbms: &Dbms, expr: &Expr, opts: EvalOptions) {
     );
 }
 
-fn bench_both(
+fn bench_plan(
     group: &mut BenchmarkGroup<'_>,
     id: &str,
     dbms: &Dbms,
     expr: &Expr,
-    base: EvalOptions,
+    opts: EvalOptions,
 ) {
-    for parallelism in [1usize, 4] {
-        let opts = EvalOptions {
-            parallelism,
-            ..base
-        };
-        assert_matches_reference(dbms, expr, opts);
-        group.bench_with_input(
-            BenchmarkId::new(id, format!("p{parallelism}")),
-            expr,
-            |b, e| {
-                b.iter(|| eds_engine::eval_with(e, &dbms.db, opts).unwrap());
-            },
-        );
-    }
+    assert_eq!(opts.parallelism, 1, "{id}/p1 is the sequential reading");
+    assert_matches_reference(dbms, expr, opts);
+    group.bench_with_input(BenchmarkId::new(id, "p1"), expr, |b, e| {
+        b.iter(|| eds_engine::eval_with(e, &dbms.db, opts).unwrap());
+    });
 }
 
 fn bench(c: &mut Criterion) {
@@ -91,7 +79,7 @@ fn exec_suite(group: &mut BenchmarkGroup<'_>) {
     for (id, dbms, sql) in exec_workloads() {
         let prepared = dbms.prepare(&sql).unwrap();
         let rewritten = dbms.rewrite(&prepared).unwrap();
-        bench_both(group, id, &dbms, &rewritten.expr, EvalOptions::default());
+        bench_plan(group, id, &dbms, &rewritten.expr, EvalOptions::default());
     }
 
     // The film join again under the hash physical strategy.
@@ -103,7 +91,7 @@ fn exec_suite(group: &mut BenchmarkGroup<'_>) {
         };
         let prepared = dbms.prepare(&sql).unwrap();
         let rewritten = dbms.rewrite(&prepared).unwrap();
-        bench_both(group, "film_join_hash", &dbms, &rewritten.expr, opts);
+        bench_plan(group, "film_join_hash", &dbms, &rewritten.expr, opts);
     }
 
     // Million-row scans — the morsel scheduler's target workloads (489
@@ -133,7 +121,7 @@ fn exec_suite(group: &mut BenchmarkGroup<'_>) {
                     b.iter(|| eds_engine::eval_with(e, &dbms.db, opts).unwrap());
                 });
             }
-            bench_both(group, id, &dbms, &rewritten.expr, EvalOptions::default());
+            bench_plan(group, id, &dbms, &rewritten.expr, EvalOptions::default());
         }
         group.sample_size(15);
     }
@@ -144,7 +132,7 @@ fn exec_suite(group: &mut BenchmarkGroup<'_>) {
 /// exploration picks a different (cheaper) plan than `Simple`'s pure
 /// saturation. The committed `<id>/seq` baseline is the **Simple** plan
 /// on the default engine configuration (re-record with
-/// `EDS_EXEC_BASELINE=1`); `<id>/p1`/`<id>/p4` measure the **Full**
+/// `EDS_EXEC_BASELINE=1`); `<id>/p1` measures the **Full**
 /// plan — the before/after pair the `opt_level` kind reports, gated by
 /// `crates/bench/baselines/opt_level_floors.tsv`. Both plans are
 /// asserted row-equivalent before timing.
@@ -177,7 +165,7 @@ fn opt_level_suite(group: &mut BenchmarkGroup<'_>) {
                 b.iter(|| eds_engine::eval_with(e, &dbms.db, opts).unwrap());
             });
         }
-        bench_both(group, id, &dbms, &full.expr, opts);
+        bench_plan(group, id, &dbms, &full.expr, opts);
     }
 }
 

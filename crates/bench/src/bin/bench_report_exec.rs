@@ -7,25 +7,17 @@
 //!   `scan_*` workloads arrived with the columnar layer, so their
 //!   baseline is the row-at-a-time path (`EDS_COLUMNAR=0`) instead;
 //! * `target/bench-tsv/exec.tsv` — medians from the current tree, written
-//!   by `cargo bench -p eds-bench --bench exec` (ids `<workload>/p1` and
-//!   `<workload>/p4` for `EvalOptions::parallelism` 1 and 4).
+//!   by `cargo bench -p eds-bench --bench exec` (ids `<workload>/p1`,
+//!   `EvalOptions::parallelism` 1).
 //!
 //! Output: `BENCH_exec.json` at the workspace root with per-workload
-//! before/after medians and speedups at both parallelism levels, plus
-//! median speedups over the exec entries. The `repeat_rewrite` workload
-//! measures the rewrite-output plan cache (kind `rewrite`) and is excluded
-//! from the exec medians.
+//! before/after medians and speedups, plus the median speedup over the
+//! exec entries. The `repeat_rewrite` workload measures the
+//! rewrite-output plan cache (kind `rewrite`) and is excluded from the
+//! exec median.
 //!
 //! Usage: `cargo bench -p eds-bench --bench exec && cargo run -p eds-bench
-//! --bin bench_report_exec`. With `--check-scan-scaling` the run also
-//! fails (exit 1) if any `scan*` workload scales *backwards* — a
-//! `speedup_p4` meaningfully below its `speedup_p1` means adding
-//! workers made the scan slower, which the morsel scheduler's worker
-//! policy is supposed to make impossible (it falls back to one worker
-//! rather than over-partitioning). Since p1 and p4 are measured
-//! independently even on hosts whose worker policy clamps both to the
-//! same single-worker code path, the check applies a 10% tolerance so
-//! same-code timing noise cannot fail it.
+//! --bin bench_report_exec`.
 //!
 //! The `em_*` workloads measure prepared-statement amortization
 //! (kind `execute_many`): `<id>/seq` is the unprepared per-query path
@@ -43,7 +35,7 @@
 //!
 //! The `ol_*` workloads measure cost-guided plan choice (kind
 //! `opt_level`): `<id>/seq` is the `OptLevel::Simple` plan (pure
-//! saturation) and `<id>/p1`/`<id>/p4` the `OptLevel::Full` plan the
+//! saturation) and `<id>/p1` the `OptLevel::Full` plan the
 //! statistics-backed exploration picked, both on the same engine
 //! configuration. They are excluded from the exec medians and
 //! summarized under `median_speedup_opt_level`. With
@@ -98,19 +90,12 @@ fn median(mut xs: Vec<f64>) -> f64 {
     }
 }
 
-/// Same-code noise allowance for the scan-scaling check: p1 and p4 are
-/// independent measurements, and on a single-worker host they time the
-/// identical computation, so only a >10% regression counts.
-const SCAN_SCALING_TOLERANCE: f64 = 0.9;
-
 fn main() {
-    let check_scan_scaling = std::env::args().any(|a| a == "--check-scan-scaling");
     let check_prepared_floor = std::env::args().any(|a| a == "--check-prepared-floor");
     let check_opt_level_floor = std::env::args().any(|a| a == "--check-opt-level-floor");
     let root = workspace_root();
     let before = read_tsv(&root.join("crates/bench/baselines/before/exec.tsv"));
     let after = read_tsv(&root.join("target/bench-tsv/exec.tsv"));
-    let mut scan_violations: Vec<String> = Vec::new();
     let mut prepared_speedups: BTreeMap<String, f64> = BTreeMap::new();
     let mut opt_level_speedups: BTreeMap<String, f64> = BTreeMap::new();
 
@@ -122,7 +107,6 @@ fn main() {
 
     let mut entries = String::new();
     let mut speedups_p1: Vec<f64> = Vec::new();
-    let mut speedups_p4: Vec<f64> = Vec::new();
     let mut first = true;
     for w in &workloads {
         // For the em_* workloads an `EDS_EXEC_BASELINE=1` run records a
@@ -160,39 +144,14 @@ fn main() {
             entries.push_str(",\n");
         }
         first = false;
-        match after.get(&format!("{w}/p4")) {
-            Some(&p4) => {
-                let s4 = before_ns / p4;
-                if kind == "exec" {
-                    speedups_p1.push(s1);
-                    speedups_p4.push(s4);
-                }
-                if w.starts_with("scan") && s4 < s1 * SCAN_SCALING_TOLERANCE {
-                    scan_violations.push(format!(
-                        "{w}: speedup_p4 {s4:.2} < {:.0}% of speedup_p1 {s1:.2}",
-                        SCAN_SCALING_TOLERANCE * 100.0
-                    ));
-                }
-                let _ = write!(
-                    entries,
-                    "    {{\"id\": \"{w}\", \"kind\": \"{kind}\", \"before_ns\": {before_ns:.1}, \
-                     \"after_p1_ns\": {p1:.1}, \"after_p4_ns\": {p4:.1}, \
-                     \"speedup_p1\": {s1:.2}, \"speedup_p4\": {s4:.2}}}"
-                );
-            }
-            None => {
-                // The plan-cache and prepared-statement workloads are
-                // parallelism-independent and only measured once.
-                if kind == "exec" {
-                    speedups_p1.push(s1);
-                }
-                let _ = write!(
-                    entries,
-                    "    {{\"id\": \"{w}\", \"kind\": \"{kind}\", \"before_ns\": {before_ns:.1}, \
-                     \"after_p1_ns\": {p1:.1}, \"speedup_p1\": {s1:.2}}}"
-                );
-            }
+        if kind == "exec" {
+            speedups_p1.push(s1);
         }
+        let _ = write!(
+            entries,
+            "    {{\"id\": \"{w}\", \"kind\": \"{kind}\", \"before_ns\": {before_ns:.1}, \
+             \"after_p1_ns\": {p1:.1}, \"speedup_p1\": {s1:.2}}}"
+        );
     }
 
     let mut json = String::from("{\n");
@@ -201,7 +160,7 @@ fn main() {
         "  \"note\": \"before = seed tree-walking executor (committed baseline, sequential), \
          except the scan_* workloads, introduced with the columnar layer, whose baseline is the \
          row-at-a-time executor (EDS_COLUMNAR=0) on the same tree; after = overhauled executor \
-         at EvalOptions.parallelism 1 and 4. Every configuration is asserted byte-identical to \
+         at EvalOptions.parallelism 1. Every configuration is asserted byte-identical to \
          the reference executor before timing. repeat_rewrite measures the rewrite-output plan \
          cache and the em_* workloads measure prepared-statement amortization (before = \
          unprepared per-query path on the same tree, after = PreparedStmt::execute cycling the \
@@ -217,13 +176,6 @@ fn main() {
             json,
             ",\n  \"median_speedup_exec_p1\": {:.2}",
             median(speedups_p1)
-        );
-    }
-    if !speedups_p4.is_empty() {
-        let _ = write!(
-            json,
-            ",\n  \"median_speedup_exec_p4\": {:.2}",
-            median(speedups_p4)
         );
     }
     if !prepared_speedups.is_empty() {
@@ -246,14 +198,6 @@ fn main() {
     fs::write(&out, &json).unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
     println!("wrote {}", out.display());
     print!("{json}");
-
-    if check_scan_scaling && !scan_violations.is_empty() {
-        eprintln!("scan workloads scaled backwards with more workers:");
-        for v in &scan_violations {
-            eprintln!("  {v}");
-        }
-        std::process::exit(1);
-    }
 
     if check_prepared_floor {
         let mut floor_violations: Vec<String> = Vec::new();

@@ -136,39 +136,3 @@ fn bench_rewrite_report_is_sane() {
 fn bench_exec_report_is_sane() {
     check_report("BENCH_exec.json");
 }
-
-/// The morsel scheduler's worker policy (fall back to one worker rather
-/// than over-partition) must make "more workers made the scan slower"
-/// impossible: every committed `scan*` entry needs `speedup_p4 >=
-/// speedup_p1` up to a 10% tolerance — p1 and p4 are always measured
-/// independently, so on a clamped host where they run the same code the
-/// two medians differ by ordinary run-to-run jitter (same tolerance as
-/// `bench_report_exec --check-scan-scaling`). Each entry is one line in
-/// the report, so the per-line numeric scan pairs the right columns
-/// together.
-#[test]
-fn scan_workloads_never_scale_backwards() {
-    let path = repo_root().join("BENCH_exec.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{} unreadable: {e}", path.display()));
-    let mut checked = 0;
-    for line in text.lines() {
-        if !line.contains("\"id\": \"scan") {
-            continue;
-        }
-        let pairs = numeric_pairs(line);
-        let get = |name: &str| pairs.iter().find(|(k, _)| k == name).map(|&(_, v)| v);
-        let (Some(p1), Some(p4)) = (get("speedup_p1"), get("speedup_p4")) else {
-            panic!("scan entry missing speedup columns: {line}");
-        };
-        assert!(
-            p4 >= p1 * 0.9,
-            "scan entry scales backwards (speedup_p4 {p4} < 90% of speedup_p1 {p1}): {line}"
-        );
-        checked += 1;
-    }
-    assert!(
-        checked >= 3,
-        "expected at least the three scan workloads in BENCH_exec.json, found {checked}"
-    );
-}

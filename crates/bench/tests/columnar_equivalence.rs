@@ -30,9 +30,6 @@ fn all_configs() -> Vec<EvalOptions> {
                         join,
                         parallelism,
                         columnar,
-                        // Exercise derived/local mirrors on every
-                        // intermediate, however small.
-                        derived_mirror_min: 0,
                         opt_level: Default::default(),
                     });
                 }

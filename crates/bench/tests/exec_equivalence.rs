@@ -5,9 +5,9 @@
 //! parallelism 1 and 4.
 
 use eds_bench::exec_workloads;
-use eds_core::Dbms;
-use eds_engine::{eval_reference, EvalOptions, FixMode, FixOptions, JoinMode};
-use eds_lera::Expr;
+use eds_core::{Dbms, LintPolicy};
+use eds_engine::{eval_reference, EvalOptions, EvalStats, FixMode, FixOptions, JoinMode};
+use eds_lera::{infer_schema, Expr, Scalar, SchemaCtx};
 
 fn all_configs() -> Vec<EvalOptions> {
     let mut out = Vec::new();
@@ -23,9 +23,6 @@ fn all_configs() -> Vec<EvalOptions> {
                         join,
                         parallelism,
                         columnar,
-                        // Exercise derived/local mirrors on every
-                        // intermediate, however small.
-                        derived_mirror_min: 0,
                         opt_level: Default::default(),
                     });
                 }
@@ -83,5 +80,173 @@ fn rewritten_plans_preserve_results() {
         raw_rows.sort();
         opt_rows.sort();
         assert_eq!(raw_rows, opt_rows, "{id}: rewrite changed the result set");
+    }
+}
+
+/// `expr` with every one- and two-input `SEARCH` spelled in the Codd
+/// primitives the `normalize` block rewrites *into* it: `Project` over
+/// `Filter`, or `Project` over `Join` (the target list re-addressed to
+/// the join's concatenated scheme). Wider searches stay as they are.
+fn codd_primitives(expr: &Expr, sc: &SchemaCtx<'_>) -> Expr {
+    let go = |e: &Expr| Box::new(codd_primitives(e, sc));
+    match expr {
+        Expr::Search { inputs, pred, proj } => match &inputs[..] {
+            [one] => Expr::Project {
+                input: Box::new(Expr::Filter {
+                    input: go(one),
+                    pred: pred.clone(),
+                }),
+                exprs: proj.clone(),
+            },
+            [left, right] => {
+                let shift = infer_schema(left, sc).unwrap().arity();
+                let readdress = |rel: usize, attr: usize| Scalar::attr(1, attr + shift * (rel - 1));
+                Expr::Project {
+                    input: Box::new(Expr::Join {
+                        left: go(left),
+                        right: go(right),
+                        pred: pred.clone(),
+                    }),
+                    exprs: proj.iter().map(|e| e.map_attrs(&readdress)).collect(),
+                }
+            }
+            _ => Expr::Search {
+                inputs: inputs.iter().map(|i| *go(i)).collect(),
+                pred: pred.clone(),
+                proj: proj.clone(),
+            },
+        },
+        Expr::Fix { name, body } => {
+            let inner = sc.with_local(name, infer_schema(expr, sc).unwrap());
+            Expr::Fix {
+                name: name.clone(),
+                body: Box::new(codd_primitives(body, &inner)),
+            }
+        }
+        Expr::Union(items) => Expr::Union(items.iter().map(|i| *go(i)).collect()),
+        Expr::Difference(a, b) => Expr::Difference(go(a), go(b)),
+        Expr::Intersect(a, b) => Expr::Intersect(go(a), go(b)),
+        Expr::Dedup(input) => Expr::Dedup(go(input)),
+        Expr::Nest {
+            input,
+            group,
+            nested,
+            kind,
+        } => Expr::Nest {
+            input: go(input),
+            group: group.clone(),
+            nested: nested.clone(),
+            kind: *kind,
+        },
+        Expr::Unnest { input, attr } => Expr::Unnest {
+            input: go(input),
+            attr: *attr,
+        },
+        other => other.clone(),
+    }
+}
+
+fn primitive_ops(expr: &Expr) -> usize {
+    let own = matches!(
+        expr,
+        Expr::Filter { .. } | Expr::Project { .. } | Expr::Join { .. }
+    );
+    usize::from(own)
+        + expr
+            .children()
+            .into_iter()
+            .map(primitive_ops)
+            .sum::<usize>()
+}
+
+/// `filter`, `project` and `join` evaluate through the compound
+/// `search` they normalize into: every workload spelled in the Codd
+/// primitives returns the same rows in the same order as the `SEARCH`
+/// form the `normalize` block (alone) rewrites that spelling to, and
+/// both agree with the reference interpreter.
+#[test]
+fn codd_primitives_match_the_search_they_normalize_into() {
+    for (id, dbms, sql) in exec_workloads() {
+        let canonical = dbms.prepare(&sql).unwrap().expr;
+        let primitive = codd_primitives(&canonical, &SchemaCtx::new(&dbms.db.catalog));
+        assert!(primitive_ops(&primitive) > 0, "{id}: nothing to spell out");
+        let mut normalizer = dbms.rewriter.clone();
+        normalizer
+            .add_source_checked("seq((normalize), 1) ;", LintPolicy::Off, None)
+            .unwrap();
+        let level = dbms.opt_level();
+        let normalized = normalizer
+            .rewrite_leveled(&primitive, &dbms.db, &dbms.constraints, level, false)
+            .unwrap()
+            .expr;
+        assert_eq!(
+            primitive_ops(&normalized),
+            0,
+            "{id}: normalize left {normalized:?}"
+        );
+        for columnar in [false, true] {
+            for join in [JoinMode::NestedLoop, JoinMode::Hash] {
+                for parallelism in [1usize, 2] {
+                    let opts = EvalOptions {
+                        join,
+                        parallelism,
+                        columnar,
+                        ..Default::default()
+                    };
+                    let run = |e: &Expr| eds_engine::eval_with(e, &dbms.db, opts).unwrap().0;
+                    let (as_primitives, as_search) = (run(&primitive), run(&normalized));
+                    assert_eq!(
+                        as_primitives.rows, as_search.rows,
+                        "{id}: primitive and SEARCH forms diverge under {opts:?}"
+                    );
+                    for (form, plan, got) in [
+                        ("primitive", &primitive, &as_primitives),
+                        ("SEARCH", &normalized, &as_search),
+                    ] {
+                        let reference = eval_reference(plan, &dbms.db, opts).unwrap();
+                        assert!(
+                            got.bag_eq(&reference),
+                            "{id}: {form} form diverges from the reference under {opts:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Work counters are part of the contract: a `filter` emits rows but
+/// tries no combinations, the `search` it normalizes into counts one
+/// combination per input row — in every physical configuration, and
+/// exactly as before `filter` became an adapter onto `search`.
+#[test]
+fn filter_and_search_work_counters_are_pinned() {
+    let workloads = exec_workloads();
+    let (_, dbms, sql) = workloads
+        .iter()
+        .find(|(id, ..)| *id == "scan_int_filter")
+        .unwrap();
+    let search = dbms.prepare(sql).unwrap().expr;
+    let Expr::Search { inputs, pred, .. } = &search else {
+        panic!("canonical scan is a SEARCH: {search:?}")
+    };
+    let filter = Expr::Filter {
+        input: Box::new(inputs[0].clone()),
+        pred: pred.clone(),
+    };
+    for opts in all_configs() {
+        let stats = |e: &Expr| eds_engine::eval_with(e, &dbms.db, opts).unwrap().1;
+        let filter_stats = EvalStats {
+            rows_emitted: 905,
+            combinations_tried: 0,
+            fix_iterations: 0,
+        };
+        assert_eq!(stats(&filter), filter_stats, "filter under {opts:?}");
+        let search_stats = EvalStats {
+            rows_emitted: 905,
+            combinations_tried: 16_000,
+            fix_iterations: 0,
+        };
+        assert_eq!(stats(&search), search_stats, "search under {opts:?}");
     }
 }

@@ -26,9 +26,6 @@ fn morsel_configs() -> Vec<EvalOptions> {
                     parallelism,
                     columnar,
                     join,
-                    // Mirror every derived input, however small, so the
-                    // transient-mirror path runs under contention too.
-                    derived_mirror_min: 0,
                     opt_level: Default::default(),
                     ..Default::default()
                 });

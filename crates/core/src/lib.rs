@@ -209,13 +209,16 @@ pub struct Dbms {
     pub rewriter: QueryRewriter,
     /// Declared integrity constraints.
     pub constraints: ConstraintStore,
-    /// Engine options (fixpoint strategy).
+    /// Session options: the engine's physical knobs (fixpoint and join
+    /// strategy, parallelism, columnar) plus the rewriter's
+    /// optimization level.
     pub eval_options: EvalOptions,
 }
 
 impl Dbms {
-    /// A DBMS with the built-in optimization knowledge base. Engine
-    /// options honor the `EDS_PARALLELISM` environment variable.
+    /// A DBMS with the built-in optimization knowledge base. Options
+    /// honor `EDS_PARALLELISM`, `EDS_OPT_LEVEL` and `EDS_COLUMNAR`
+    /// ([`EvalOptions::from_env`]).
     pub fn new() -> CoreResult<Self> {
         Ok(Dbms {
             db: Database::new(),
@@ -223,16 +226,6 @@ impl Dbms {
             constraints: ConstraintStore::new(),
             eval_options: EvalOptions::from_env(),
         })
-    }
-
-    /// A DBMS whose rewriter has no rules (queries run as translated).
-    pub fn without_rules() -> Self {
-        Dbms {
-            db: Database::new(),
-            rewriter: QueryRewriter::empty(),
-            constraints: ConstraintStore::new(),
-            eval_options: EvalOptions::from_env(),
-        }
     }
 
     /// Install DDL (types, tables, views). Invalidates cached rewrites:
@@ -249,17 +242,7 @@ impl Dbms {
         let mut out = Vec::with_capacity(stmts.len());
         for stmt in stmts {
             match stmt {
-                Stmt::Query(q) => {
-                    let ctx = SchemaCtx::new(&self.db.catalog);
-                    let (expr, schema) = translate_query(&q, &ctx)?;
-                    let prepared = Prepared {
-                        expr,
-                        schema,
-                        sql: src.to_owned(),
-                    };
-                    let rewritten = self.rewrite(&prepared)?;
-                    out.push(Executed::Rows(self.run_expr(&rewritten.expr)?));
-                }
+                Stmt::Query(q) => out.push(Executed::Rows(self.run_query(&q)?)),
                 Stmt::Insert(ins) => {
                     out.push(Executed::Inserted(self.db.execute_insert(&ins)?));
                 }
@@ -392,24 +375,29 @@ impl Dbms {
     /// output) at the DBMS's current optimization level
     /// ([`EvalOptions::opt_level`], the `EDS_OPT_LEVEL` knob).
     pub fn rewrite(&self, prepared: &Prepared) -> CoreResult<RewriteOutcome> {
-        self.rewriter.rewrite_leveled(
-            &prepared.expr,
-            &self.db,
-            &self.constraints,
-            self.eval_options.opt_level,
-        )
+        self.rewrite_expr(&prepared.expr, true)
     }
 
     /// Run the rewriter over a prepared plan, bypassing the plan cache —
     /// for benchmarking the rewriter itself. Honors the current
     /// optimization level.
     pub fn rewrite_uncached(&self, prepared: &Prepared) -> CoreResult<RewriteOutcome> {
-        self.rewriter.rewrite_uncached_leveled(
-            &prepared.expr,
-            &self.db,
-            &self.constraints,
-            self.eval_options.opt_level,
-        )
+        self.rewrite_expr(&prepared.expr, false)
+    }
+
+    /// Rewrite a plan at the current optimization level, through the
+    /// plan cache or past it.
+    fn rewrite_expr(&self, expr: &Expr, cached: bool) -> CoreResult<RewriteOutcome> {
+        let level = self.eval_options.opt_level;
+        self.rewriter
+            .rewrite_leveled(expr, &self.db, &self.constraints, level, cached)
+    }
+
+    /// Translate → rewrite → run one parsed query: everything
+    /// [`Dbms::query`] and [`Dbms::execute`] do after parsing.
+    fn run_query(&self, query: &eds_esql::Query) -> CoreResult<Relation> {
+        let (expr, _) = translate_query(query, &SchemaCtx::new(&self.db.catalog))?;
+        self.run_expr(&self.rewrite_expr(&expr, true)?.expr)
     }
 
     /// Evaluate a plan.
@@ -432,9 +420,7 @@ impl Dbms {
 
     /// Full pipeline: parse → translate → rewrite → execute.
     pub fn query(&self, sql: &str) -> CoreResult<Relation> {
-        let prepared = self.prepare(sql)?;
-        let rewritten = self.rewrite(&prepared)?;
-        self.run_expr(&rewritten.expr)
+        self.run_query(&parse_query(sql)?)
     }
 
     /// Execute the canonical (unrewritten) plan — the baseline.
@@ -484,7 +470,7 @@ impl Dbms {
         let mut tracing = self.rewriter.clone();
         tracing.collect_trace = true;
         let rewritten =
-            tracing.rewrite_leveled(&prepared.expr, &self.db, &self.constraints, level)?;
+            tracing.rewrite_leveled(&prepared.expr, &self.db, &self.constraints, level, false)?;
         let mut out = String::new();
         out.push_str(&format!("-- opt level: {level} --\n"));
         out.push_str("-- canonical plan --\n");

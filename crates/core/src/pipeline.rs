@@ -9,14 +9,14 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use eds_engine::{Database, OptLevel};
-use eds_lera::{expr_from_term, expr_to_term, ColumnStats, CostModel, Expr, RelationStats};
+use eds_lera::{expr_from_term, expr_to_term, CostModel, Expr};
 use eds_rewrite::{
     analyze, analyze::duplicate_rule, parse_source, run_strategy, run_strategy_explore, Diagnostic,
-    Exploration, ExploreOptions, Limit, MethodRegistry, RewriteStats, RuleSet, SchemaProvider,
-    Sequence, SourceItem, Strategy, Term, Trace,
+    Exploration, ExploreOptions, Limit, MethodRegistry, RewriteStats, RuleSet, RunOutcome,
+    SchemaProvider, Sequence, SourceItem, Strategy, Term, Trace,
 };
 
 use crate::env::CoreEnv;
@@ -96,39 +96,82 @@ pub struct RewriteOutcome {
     pub exploration: Option<Exploration>,
 }
 
-/// Result of one term-level rewrite (the leveled API's return shape).
-#[derive(Debug, Clone)]
-pub struct TermRewrite {
-    /// The rewritten term.
-    pub term: Term,
-    /// Rule-application counters.
-    pub stats: RewriteStats,
-    /// Per-application trace (when requested).
-    pub trace: Trace,
-    /// Whether some block hit its limit.
-    pub budget_exhausted: bool,
-    /// Candidate-exploration summary ([`OptLevel::Full`] only).
-    pub exploration: Option<Exploration>,
+/// Result of one term-level rewrite: the strategy run's outcome as is.
+pub type TermRewrite = RunOutcome;
+
+/// A prepared-statement shape's rewrite: the rewritten **and lowered**
+/// plan — shared (`Arc`) by every prepared statement with the same
+/// fingerprint, so a shape hit skips the term→algebra conversion too —
+/// its counters, and whether some block hit its limit.
+type ShapeRewrite = (Arc<Expr>, RewriteStats, bool);
+
+/// The cache key of both tiers: the optimization level plus the
+/// canonical input term. Terms carry their hash from interning, so
+/// lookups cost one table probe, not a plan traversal; the level is
+/// part of the key because levels produce different plans for the same
+/// canonical term.
+type PlanKey = (OptLevel, Term);
+
+/// One plan-cache tier, with its effectiveness counters beside the map
+/// they describe (both are only touched under the rewriter's cache
+/// lock). Traces are never cached: tracing rewrites bypass the cache.
+struct Tier<V> {
+    map: HashMap<PlanKey, V>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
-/// One cached rewrite result. Traces are never cached: tracing rewrites
-/// bypass the cache entirely.
-#[derive(Clone)]
-struct CachedPlan {
-    term: Term,
-    stats: RewriteStats,
-    budget_exhausted: bool,
-    exploration: Option<Exploration>,
+impl<V> Default for Tier<V> {
+    fn default() -> Self {
+        Tier {
+            map: HashMap::new(),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
+    }
 }
 
-/// One cached prepared-statement shape: the rewritten **and lowered**
-/// plan, shared (`Arc`) by every prepared statement with the same
-/// fingerprint so a shape hit skips the term→algebra conversion too.
-#[derive(Clone)]
-struct ShapedPlan {
-    expr: std::sync::Arc<Expr>,
-    stats: RewriteStats,
-    budget_exhausted: bool,
+impl<V: Clone> Tier<V> {
+    /// The cached value for `key`, counting a hit or a miss.
+    fn lookup(&mut self, key: &PlanKey) -> Option<V> {
+        let hit = self.map.get(key).cloned();
+        match hit {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        hit
+    }
+
+    /// Cache `value`, first making room under `cap`.
+    fn fill(&mut self, key: PlanKey, value: V, cap: usize) {
+        self.evict_above(cap.saturating_sub(1));
+        self.map.insert(key, value);
+    }
+
+    /// Drop the whole tier (counted as evictions) when it holds more
+    /// than `limit` entries.
+    fn evict_above(&mut self, limit: usize) {
+        if self.map.len() > limit {
+            self.evictions += self.map.len() as u64;
+            self.map.clear();
+        }
+    }
+}
+
+/// Everything behind the rewriter's cache lock.
+#[derive(Default)]
+struct PlanCache {
+    /// Rewrite outputs of canonical terms.
+    terms: Tier<TermRewrite>,
+    /// Second tier for prepared statements, keyed on the
+    /// *parameterized* canonical term (the statement fingerprint: `?`
+    /// placeholders appear as `PARAM(i)` leaves, so statements
+    /// differing only in bind values share one entry).
+    shapes: Tier<ShapeRewrite>,
+    /// Cumulative candidate-exploration counters.
+    explore: ExploreStats,
 }
 
 /// Default plan-cache capacity: cached rewrites above this count evict
@@ -174,31 +217,6 @@ pub struct PlanCacheStats {
     pub invalidations: u64,
 }
 
-/// Interior-mutable counter cell backing [`PlanCacheStats`] (atomics so
-/// `rewrite(&self)` can count from shared references).
-#[derive(Default)]
-struct PlanCacheCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    shape_hits: AtomicU64,
-    shape_misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-}
-
-impl PlanCacheCounters {
-    fn snapshot(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            shape_hits: self.shape_hits.load(Ordering::Relaxed),
-            shape_misses: self.shape_misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Cumulative candidate-exploration counters across every
 /// [`OptLevel::Full`] rewrite this rewriter ran (cache hits replay a
 /// stored result and do not re-count). The per-rewrite values live in
@@ -218,65 +236,24 @@ pub struct ExploreStats {
     pub wins: u64,
 }
 
-/// Interior-mutable counter cell backing [`ExploreStats`].
-#[derive(Default)]
-struct ExploreCounters {
-    candidates: AtomicU64,
-    checks: AtomicU64,
-    budget_stops: AtomicU64,
-    wins: AtomicU64,
-}
-
-impl ExploreCounters {
-    fn absorb(&self, stats: &RewriteStats) {
-        self.candidates
-            .fetch_add(stats.explore_candidates, Ordering::Relaxed);
-        self.checks
-            .fetch_add(stats.explore_checks, Ordering::Relaxed);
-        self.budget_stops
-            .fetch_add(stats.explore_budget_stops, Ordering::Relaxed);
-        self.wins.fetch_add(stats.explore_wins, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> ExploreStats {
-        ExploreStats {
-            candidates: self.candidates.load(Ordering::Relaxed),
-            checks: self.checks.load(Ordering::Relaxed),
-            budget_stops: self.budget_stops.load(Ordering::Relaxed),
-            wins: self.wins.load(Ordering::Relaxed),
-        }
+impl ExploreStats {
+    fn absorb(&mut self, stats: &RewriteStats) {
+        self.candidates += stats.explore_candidates;
+        self.checks += stats.explore_checks;
+        self.budget_stops += stats.explore_budget_stops;
+        self.wins += stats.explore_wins;
     }
 }
 
 /// A [`CostModel`] whose base-relation statistics reflect the currently
 /// stored data: exact cardinalities plus the engine's per-attribute
-/// distinct-count/min-max sketches, converted into the estimator's
-/// [`RelationStats`]. Views and unknown names are left to the model's
-/// defaults.
+/// distinct-count/min-max sketches. Views and unknown names are left to
+/// the model's defaults.
 pub fn stats_cost_model(db: &Database) -> CostModel {
     let mut model = CostModel::new();
     for name in db.catalog.table_names() {
         if let Some(ts) = db.table_stats(name) {
-            let columns = ts
-                .columns
-                .iter()
-                .enumerate()
-                .map(|(i, c)| ColumnStats {
-                    distinct: c.distinct(),
-                    min: c.min,
-                    max: c.max,
-                    null_frac: ts.null_frac(i),
-                })
-                .collect();
-            model.set_stats(
-                name,
-                RelationStats {
-                    card: ts.card as f64,
-                    columns,
-                },
-            );
-        } else if let Some(card) = db.cardinality(name) {
-            model.set_card(name, card as f64);
+            model.set_stats(name, ts.relation_stats());
         }
     }
     model
@@ -289,27 +266,17 @@ pub struct QueryRewriter {
     methods: MethodRegistry,
     /// Collect a rule-application trace on every rewrite.
     pub collect_trace: bool,
-    /// Rewrite-output cache, keyed on the optimization level and the
-    /// canonical input term (terms carry their hash from interning, so
-    /// lookups cost one table probe, not a plan traversal). The level is
-    /// part of the key because levels produce different plans for the
-    /// same canonical term. Interior-mutable so `rewrite(&self)` can
-    /// fill it; invalidated by every knowledge-base mutation and, via
+    /// The two plan-cache tiers and the cumulative counters, behind one
+    /// lock. Interior-mutable so `rewrite*(&self)` can fill it;
+    /// invalidated by every knowledge-base mutation and, via
     /// [`QueryRewriter::invalidate_plan_cache`], by catalog/constraint
     /// changes in the embedding DBMS.
-    plan_cache: Mutex<HashMap<(OptLevel, Term), CachedPlan>>,
-    /// Second cache tier for prepared statements, keyed on the level and
-    /// the *parameterized* canonical term (the statement fingerprint: `?`
-    /// placeholders appear as `PARAM(i)` leaves, so statements differing
-    /// only in bind values share one entry). Stores the rewritten and
-    /// lowered plan; invalidated together with the term tier.
-    shape_cache: Mutex<HashMap<(OptLevel, Term), ShapedPlan>>,
+    cache: Mutex<PlanCache>,
     /// Capacity of each cache tier (0 disables caching entirely).
     plan_cache_cap: usize,
-    /// Hit/miss/eviction/invalidation counters.
-    counters: PlanCacheCounters,
-    /// Cumulative candidate-exploration counters.
-    explore_counters: ExploreCounters,
+    /// Invalidation events so far. The one counter outside the lock:
+    /// `PreparedStmt::execute` reads it on every call.
+    epoch: AtomicU64,
 }
 
 impl fmt::Debug for QueryRewriter {
@@ -338,11 +305,9 @@ impl Clone for QueryRewriter {
             // and sharing them would couple invalidation across copies.
             // Counters start at zero with it — they describe this
             // instance's cache, not its lineage.
-            plan_cache: Mutex::new(HashMap::new()),
-            shape_cache: Mutex::new(HashMap::new()),
+            cache: Mutex::default(),
             plan_cache_cap: self.plan_cache_cap,
-            counters: PlanCacheCounters::default(),
-            explore_counters: ExploreCounters::default(),
+            epoch: AtomicU64::new(0),
         }
     }
 }
@@ -357,11 +322,9 @@ impl QueryRewriter {
             strategy: Strategy::new(),
             methods,
             collect_trace: false,
-            plan_cache: Mutex::new(HashMap::new()),
-            shape_cache: Mutex::new(HashMap::new()),
+            cache: Mutex::default(),
             plan_cache_cap: plan_cache_cap_from_env(),
-            counters: PlanCacheCounters::default(),
-            explore_counters: ExploreCounters::default(),
+            epoch: AtomicU64::new(0),
         }
     }
 
@@ -589,26 +552,28 @@ impl QueryRewriter {
         self.set_all_limits(limit);
     }
 
+    fn cache(&self) -> MutexGuard<'_, PlanCache> {
+        self.cache.lock().expect("plan cache poisoned")
+    }
+
     /// Drop every cached rewrite. Called automatically on knowledge-base
     /// mutations; the embedding DBMS calls it when the catalog or the
     /// constraint store changes (rewrites consult both).
     pub fn invalidate_plan_cache(&self) {
-        self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
-        self.plan_cache.lock().expect("plan cache poisoned").clear();
-        self.shape_cache
-            .lock()
-            .expect("shape cache poisoned")
-            .clear();
+        self.epoch.fetch_add(1, Ordering::Relaxed);
+        let mut cache = self.cache();
+        cache.terms.map.clear();
+        cache.shapes.map.clear();
     }
 
     /// Number of cached rewrites in the term tier.
     pub fn plan_cache_len(&self) -> usize {
-        self.plan_cache.lock().expect("plan cache poisoned").len()
+        self.cache().terms.map.len()
     }
 
     /// Number of cached prepared shapes in the shape tier.
     pub fn shape_cache_len(&self) -> usize {
-        self.shape_cache.lock().expect("shape cache poisoned").len()
+        self.cache().shapes.map.len()
     }
 
     /// Monotonic invalidation epoch: the count of invalidation events so
@@ -616,7 +581,7 @@ impl QueryRewriter {
     /// and re-rewrites when the counter has moved — the same hooks that
     /// clear the caches (rule/DDL/constraint changes) advance it.
     pub fn invalidation_epoch(&self) -> u64 {
-        self.counters.invalidations.load(Ordering::Relaxed)
+        self.epoch.load(Ordering::Relaxed)
     }
 
     /// The plan cache's capacity (entries; 0 = caching disabled).
@@ -629,42 +594,27 @@ impl QueryRewriter {
     /// next insert would do.
     pub fn set_plan_cache_cap(&mut self, cap: usize) {
         self.plan_cache_cap = cap;
-        let mut cache = self.plan_cache.lock().expect("plan cache poisoned");
-        if cache.len() > cap {
-            self.counters
-                .evictions
-                .fetch_add(cache.len() as u64, Ordering::Relaxed);
-            cache.clear();
-        }
-        let mut shapes = self.shape_cache.lock().expect("shape cache poisoned");
-        if shapes.len() > cap {
-            self.counters
-                .evictions
-                .fetch_add(shapes.len() as u64, Ordering::Relaxed);
-            shapes.clear();
-        }
+        let mut cache = self.cache();
+        cache.terms.evict_above(cap);
+        cache.shapes.evict_above(cap);
     }
 
     /// Snapshot of the hit/miss/eviction/invalidation counters.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.counters.snapshot()
+        let cache = self.cache();
+        PlanCacheStats {
+            hits: cache.terms.hits,
+            misses: cache.terms.misses,
+            shape_hits: cache.shapes.hits,
+            shape_misses: cache.shapes.misses,
+            evictions: cache.terms.evictions + cache.shapes.evictions,
+            invalidations: self.invalidation_epoch(),
+        }
     }
 
     /// Cumulative candidate-exploration counters.
     pub fn explore_stats(&self) -> ExploreStats {
-        self.explore_counters.snapshot()
-    }
-
-    /// Rewrite a term directly, consulting the plan cache, at
-    /// [`OptLevel::Simple`]. See [`QueryRewriter::rewrite_term_leveled`].
-    pub fn rewrite_term(
-        &self,
-        term: Term,
-        db: &Database,
-        constraints: &ConstraintStore,
-    ) -> CoreResult<(Term, RewriteStats, Trace, bool)> {
-        self.rewrite_term_leveled(term, db, constraints, OptLevel::Simple)
-            .map(|r| (r.term, r.stats, r.trace, r.budget_exhausted))
+        self.cache().explore
     }
 
     /// Rewrite a term directly at an optimization level, consulting the
@@ -679,60 +629,21 @@ impl QueryRewriter {
         level: OptLevel,
     ) -> CoreResult<TermRewrite> {
         if self.collect_trace || self.plan_cache_cap == 0 {
-            return self.rewrite_term_uncached_leveled(term, db, constraints, level);
+            return self.run(term, db, constraints, level);
         }
         let key = (level, term);
-        if let Some(hit) = self
-            .plan_cache
-            .lock()
-            .expect("plan cache poisoned")
-            .get(&key)
-        {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(TermRewrite {
-                term: hit.term.clone(),
-                stats: hit.stats,
-                trace: Trace::default(),
-                budget_exhausted: hit.budget_exhausted,
-                exploration: hit.exploration,
-            });
+        if let Some(hit) = self.cache().terms.lookup(&key) {
+            return Ok(hit);
         }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let out = self.rewrite_term_uncached_leveled(key.1.clone(), db, constraints, level)?;
-        let mut cache = self.plan_cache.lock().expect("plan cache poisoned");
-        if cache.len() >= self.plan_cache_cap {
-            self.counters
-                .evictions
-                .fetch_add(cache.len() as u64, Ordering::Relaxed);
-            cache.clear();
-        }
-        cache.insert(
-            key,
-            CachedPlan {
-                term: out.term.clone(),
-                stats: out.stats,
-                budget_exhausted: out.budget_exhausted,
-                exploration: out.exploration,
-            },
-        );
+        let out = self.run(key.1.clone(), db, constraints, level)?;
+        self.cache()
+            .terms
+            .fill(key, out.clone(), self.plan_cache_cap);
         Ok(out)
     }
 
-    /// Rewrite a term without touching the plan cache (neither lookup
-    /// nor fill), at [`OptLevel::Simple`] — for benchmarking the
-    /// rewriter itself.
-    pub fn rewrite_term_uncached(
-        &self,
-        term: Term,
-        db: &Database,
-        constraints: &ConstraintStore,
-    ) -> CoreResult<(Term, RewriteStats, Trace, bool)> {
-        self.rewrite_term_uncached_leveled(term, db, constraints, OptLevel::Simple)
-            .map(|r| (r.term, r.stats, r.trace, r.budget_exhausted))
-    }
-
-    /// Rewrite a term without touching the plan cache, at an
-    /// optimization level:
+    /// The one rewrite path: run the strategy over a term at an
+    /// optimization level, touching no cache tier.
     ///
     /// * [`OptLevel::None`] — a *trivial statement* (a point scan over
     ///   one stored relation, [`Expr::is_trivial_scan`]) skips rewriting
@@ -740,78 +651,50 @@ impl QueryRewriter {
     ///   to `Simple` (skipping rewrites that restructure joins or
     ///   recursion would be a correctness-neutral but large performance
     ///   trap).
-    /// * [`OptLevel::Simple`] — bounded syntactic saturation, today's
-    ///   behavior.
+    /// * [`OptLevel::Simple`] — bounded syntactic saturation.
     /// * [`OptLevel::Full`] — `Simple` plus candidate exploration at the
     ///   declared choice-point blocks, scored with a statistics-backed
     ///   cost model built from the engine's sketches.
-    pub fn rewrite_term_uncached_leveled(
+    fn run(
         &self,
         term: Term,
         db: &Database,
         constraints: &ConstraintStore,
         level: OptLevel,
     ) -> CoreResult<TermRewrite> {
-        if level == OptLevel::None {
-            let trivial = expr_from_term(&term).is_ok_and(|e| e.is_trivial_scan());
-            if trivial {
-                return Ok(TermRewrite {
-                    term,
-                    stats: RewriteStats::default(),
-                    trace: Trace::default(),
-                    budget_exhausted: false,
-                    exploration: None,
-                });
-            }
+        if level == OptLevel::None && expr_from_term(&term).is_ok_and(|e| e.is_trivial_scan()) {
+            return Ok(TermRewrite {
+                term,
+                stats: RewriteStats::default(),
+                trace: Trace::default(),
+                budget_exhausted: false,
+                exploration: None,
+            });
         }
         let env = CoreEnv { db, constraints };
-        let outcome = if level == OptLevel::Full {
-            let model = stats_cost_model(db);
-            let score = |t: &Term| expr_from_term(t).ok().map(|e| model.estimate(&e).cost);
-            let opts = ExploreOptions {
-                k: EXPLORE_K,
-                max_checks: EXPLORE_MAX_CHECKS,
-                check_cost: EXPLORE_CHECK_COST,
-                score: &score,
-            };
-            let outcome = run_strategy_explore(
-                &self.rules,
-                &self.strategy,
-                &self.methods,
+        let (rules, strategy, methods) = (&self.rules, &self.strategy, &self.methods);
+        if level != OptLevel::Full {
+            return Ok(run_strategy(
+                rules,
+                strategy,
+                methods,
                 &env,
                 term,
                 self.collect_trace,
-                &opts,
-            )?;
-            self.explore_counters.absorb(&outcome.stats);
-            outcome
-        } else {
-            run_strategy(
-                &self.rules,
-                &self.strategy,
-                &self.methods,
-                &env,
-                term,
-                self.collect_trace,
-            )?
+            )?);
+        }
+        let model = stats_cost_model(db);
+        let score = |t: &Term| expr_from_term(t).ok().map(|e| model.estimate(&e).cost);
+        let opts = ExploreOptions {
+            k: EXPLORE_K,
+            max_checks: EXPLORE_MAX_CHECKS,
+            check_cost: EXPLORE_CHECK_COST,
+            score: &score,
         };
-        Ok(TermRewrite {
-            term: outcome.term,
-            stats: outcome.stats,
-            trace: outcome.trace,
-            budget_exhausted: outcome.budget_exhausted,
-            exploration: outcome.exploration,
-        })
-    }
-
-    /// [`QueryRewriter::rewrite_shape_leveled`] at [`OptLevel::Simple`].
-    pub fn rewrite_shape(
-        &self,
-        expr: &Expr,
-        db: &Database,
-        constraints: &ConstraintStore,
-    ) -> CoreResult<(std::sync::Arc<Expr>, RewriteStats, bool)> {
-        self.rewrite_shape_leveled(expr, db, constraints, OptLevel::Simple)
+        let trace = self.collect_trace;
+        let out = run_strategy_explore(rules, strategy, methods, &env, term, trace, &opts)?;
+        self.cache().explore.absorb(&out.stats);
+        Ok(out)
     }
 
     /// Rewrite a parameterized canonical plan through the **shape
@@ -829,106 +712,44 @@ impl QueryRewriter {
         db: &Database,
         constraints: &ConstraintStore,
         level: OptLevel,
-    ) -> CoreResult<(std::sync::Arc<Expr>, RewriteStats, bool)> {
-        use std::sync::Arc;
-        let term = expr_to_term(expr);
-        if self.plan_cache_cap == 0 {
-            let out = self.rewrite_term_uncached_leveled(term, db, constraints, level)?;
-            return Ok((
-                Arc::new(expr_from_term(&out.term)?),
-                out.stats,
-                out.budget_exhausted,
-            ));
+    ) -> CoreResult<(Arc<Expr>, RewriteStats, bool)> {
+        let caching = self.plan_cache_cap > 0;
+        let key = (level, expr_to_term(expr));
+        if caching {
+            if let Some(hit) = self.cache().shapes.lookup(&key) {
+                return Ok(hit);
+            }
         }
-        let key = (level, term);
-        if let Some(hit) = self
-            .shape_cache
-            .lock()
-            .expect("shape cache poisoned")
-            .get(&key)
-        {
-            self.counters.shape_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(&hit.expr), hit.stats, hit.budget_exhausted));
-        }
-        self.counters.shape_misses.fetch_add(1, Ordering::Relaxed);
         let out = self.rewrite_term_leveled(key.1.clone(), db, constraints, level)?;
         let lowered = Arc::new(expr_from_term(&out.term)?);
-        let mut cache = self.shape_cache.lock().expect("shape cache poisoned");
-        if cache.len() >= self.plan_cache_cap {
-            self.counters
-                .evictions
-                .fetch_add(cache.len() as u64, Ordering::Relaxed);
-            cache.clear();
+        let shaped = (lowered, out.stats, out.budget_exhausted);
+        if caching {
+            self.cache()
+                .shapes
+                .fill(key, shaped.clone(), self.plan_cache_cap);
         }
-        cache.insert(
-            key,
-            ShapedPlan {
-                expr: Arc::clone(&lowered),
-                stats: out.stats,
-                budget_exhausted: out.budget_exhausted,
-            },
-        );
-        Ok((lowered, out.stats, out.budget_exhausted))
+        Ok(shaped)
     }
 
-    /// Rewrite a LERA plan (through the plan cache) at
-    /// [`OptLevel::Simple`].
-    pub fn rewrite(
-        &self,
-        expr: &Expr,
-        db: &Database,
-        constraints: &ConstraintStore,
-    ) -> CoreResult<RewriteOutcome> {
-        self.rewrite_leveled(expr, db, constraints, OptLevel::Simple)
-    }
-
-    /// Rewrite a LERA plan (through the plan cache) at an optimization
-    /// level.
+    /// Rewrite a LERA plan at an optimization level: through the plan
+    /// cache, or — `cached: false`, for benchmarking the rewriter
+    /// itself — touching it neither for lookup nor for fill.
     pub fn rewrite_leveled(
         &self,
         expr: &Expr,
         db: &Database,
         constraints: &ConstraintStore,
         level: OptLevel,
+        cached: bool,
     ) -> CoreResult<RewriteOutcome> {
         let term = expr_to_term(expr);
-        let out = self.rewrite_term_leveled(term, db, constraints, level)?;
-        let expr = expr_from_term(&out.term)?;
+        let out = if cached {
+            self.rewrite_term_leveled(term, db, constraints, level)?
+        } else {
+            self.run(term, db, constraints, level)?
+        };
         Ok(RewriteOutcome {
-            expr,
-            term: out.term,
-            stats: out.stats,
-            trace: out.trace,
-            budget_exhausted: out.budget_exhausted,
-            exploration: out.exploration,
-        })
-    }
-
-    /// Rewrite a LERA plan, bypassing the plan cache, at
-    /// [`OptLevel::Simple`] — for benchmarking the rewriter itself.
-    pub fn rewrite_uncached(
-        &self,
-        expr: &Expr,
-        db: &Database,
-        constraints: &ConstraintStore,
-    ) -> CoreResult<RewriteOutcome> {
-        self.rewrite_uncached_leveled(expr, db, constraints, OptLevel::Simple)
-    }
-
-    /// Rewrite a LERA plan, bypassing the plan cache, at an optimization
-    /// level.
-    pub fn rewrite_uncached_leveled(
-        &self,
-        expr: &Expr,
-        db: &Database,
-        constraints: &ConstraintStore,
-        level: OptLevel,
-    ) -> CoreResult<RewriteOutcome> {
-        let term = expr_to_term(expr);
-        let out = self.rewrite_term_uncached_leveled(term, db, constraints, level)?;
-        let expr = expr_from_term(&out.term)?;
-        Ok(RewriteOutcome {
-            expr,
+            expr: expr_from_term(&out.term)?,
             term: out.term,
             stats: out.stats,
             trace: out.trace,

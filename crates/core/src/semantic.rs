@@ -17,7 +17,7 @@
 
 use eds_adt::{Type, TypeRegistry};
 use eds_rewrite::methods::parse_type_spec;
-use eds_rewrite::{parse_source, RwResult, SourceItem, Term};
+use eds_rewrite::{parse_source, SourceItem, Term};
 
 use crate::error::{CoreError, CoreResult};
 
@@ -159,11 +159,6 @@ pub fn figure10_constraints() -> &'static str {
      PointOrdPositive : F(x) / ISA(x, Point) --> F(x) AND PROJECT(x, ORD) > 0 / ;\n\
      CategoryDomain : F(x) / ISA(x, Category) --> \
        F(x) AND MEMBER(x, {'Comedy', 'Adventure', 'Science Fiction', 'Western'}) / ;"
-}
-
-/// Parse helper used by tests.
-pub fn parse_constraint(src: &str) -> RwResult<Vec<SourceItem>> {
-    parse_source(src)
 }
 
 #[cfg(test)]

@@ -281,7 +281,6 @@ fn differential_binds_vs_literal_substitution() {
         for &columnar in &[false, true] {
             dbms.eval_options.parallelism = parallelism;
             dbms.eval_options.columnar = columnar;
-            dbms.eval_options.derived_mirror_min = 0;
             for (sql, bind_sets) in cases {
                 let stmt = dbms.prepare_stmt(sql).unwrap();
                 for binds in *bind_sets {

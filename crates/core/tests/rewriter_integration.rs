@@ -391,7 +391,7 @@ fn rewriter_is_extensible_with_user_rules() {
     };
     let rewritten = dbms
         .rewriter
-        .rewrite(&custom, &dbms.db, &dbms.constraints)
+        .rewrite_leveled(&custom, &dbms.db, &dbms.constraints, dbms.opt_level(), true)
         .unwrap();
     let Expr::Search { pred, .. } = &rewritten.expr else {
         panic!()
@@ -563,7 +563,7 @@ fn codd_primitives_normalize_into_search() {
     };
     let rewritten = dbms
         .rewriter
-        .rewrite(&plan, &dbms.db, &dbms.constraints)
+        .rewrite_leveled(&plan, &dbms.db, &dbms.constraints, dbms.opt_level(), true)
         .unwrap();
     // Everything collapses into one compound search over the bases.
     let Expr::Search { inputs, .. } = &rewritten.expr else {

@@ -1152,29 +1152,6 @@ impl CompiledPred {
         }
         Some(ColumnarPred { kernels })
     }
-
-    /// Whether every conjunct has the *shape* the columnar lowering
-    /// accepts — first-input slot references and constants under a
-    /// plain comparison (or a constant `TRUE`). Used to decide whether
-    /// building a columnar mirror of a **derived** relation could pay
-    /// off before spending the build; a `true` here does not guarantee
-    /// [`CompiledPred::columnar`] succeeds (spill columns still veto),
-    /// only that the predicate shape cannot be the reason it fails.
-    pub fn columnar_eligible(&self) -> bool {
-        self.conjuncts.iter().all(|c| match c.fast.as_ref() {
-            Some(FastQual::True) => true,
-            Some(FastQual::Cmp { left, right, .. }) => {
-                let slot_or_const = |r: &FastRef| {
-                    matches!(
-                        r,
-                        FastRef::Slot { rel0: 0, .. } | FastRef::Konst(_) | FastRef::Param(_)
-                    )
-                };
-                slot_or_const(left) && slot_or_const(right)
-            }
-            None => false,
-        })
-    }
 }
 
 /// A comparison operand after bind-time resolution: a first-input

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use eds_adt::{EvalContext, Value};
+use eds_adt::{CollKind, EvalContext, Value};
 use eds_lera::{infer_scalar_type, infer_schema, Expr, LeraError, Scalar, Schema, SchemaCtx};
 
 use crate::columnar::{Column, ColumnarRelation, NullBitmap};
@@ -117,23 +117,14 @@ pub struct EvalOptions {
     /// exactly.
     pub parallelism: usize,
     /// Use columnar mirrors of stored base tables where the operator
-    /// and predicate shapes allow it: Filter/Search qualifications whose
-    /// conjuncts all lower to typed kernels run over contiguous columns
-    /// and gather surviving rows from the shared row store, and
+    /// and predicate shapes allow it: one-input `search` qualifications
+    /// whose conjuncts all lower to typed kernels run over contiguous
+    /// columns and gather surviving rows from the shared row store, and
     /// single-attribute hash-join keys on integer columns build typed
     /// hash tables. Results, result order, work counters and errors are
     /// identical to the row path (differential-tested); defaults to on,
     /// `EDS_COLUMNAR=0` turns it off process-wide.
     pub columnar: bool,
-    /// Minimum rows before a **derived** relation — a fixpoint
-    /// local/delta binding or any non-base operator input — gets a
-    /// columnar mirror of its own. Mirror construction is `O(rows)`, so
-    /// the gate keeps small intermediates on the row path where the
-    /// build could never pay for itself; `0` mirrors every eligible
-    /// derived input (what the differential suites use), `usize::MAX`
-    /// restricts columnar evaluation to stored base tables. Only
-    /// consulted when [`EvalOptions::columnar`] is on.
-    pub derived_mirror_min: usize,
     /// Rewriter effort for statements evaluated through this option bag
     /// (see [`OptLevel`]); read by the `Dbms` facade, not the executor.
     pub opt_level: OptLevel,
@@ -153,7 +144,6 @@ impl Default for EvalOptions {
             join: JoinMode::default(),
             parallelism: 1,
             columnar: env_columnar_default(),
-            derived_mirror_min: 4096,
             opt_level: OptLevel::default(),
         }
     }
@@ -244,11 +234,6 @@ pub struct Ctx<'a> {
     pub locals: HashMap<String, Relation>,
     /// Work counters.
     pub stats: EvalStats,
-    /// Columnar mirrors of fixpoint-local bindings, built lazily per
-    /// binding (`None` caches "not column-friendly") and dropped on
-    /// rebind via [`Ctx::bind_local`], so a stale mirror can never be
-    /// consulted.
-    pub local_mirrors: HashMap<String, Option<Arc<ColumnarRelation>>>,
     /// Bind array for `?` statement parameters (empty for ad-hoc
     /// queries).
     pub params: &'a [Value],
@@ -262,25 +247,13 @@ impl Ctx<'_> {
             opts,
             locals: HashMap::new(),
             stats: EvalStats::default(),
-            local_mirrors: HashMap::new(),
             params: &[],
         }
     }
 
-    /// Bind (or rebind) a fixpoint local, invalidating any columnar
-    /// mirror of the previous binding. Returns the previous binding.
-    pub(crate) fn bind_local(&mut self, key: String, rel: Relation) -> Option<Relation> {
-        self.local_mirrors.remove(&key);
-        self.locals.insert(key, rel)
-    }
-
-    /// Remove a fixpoint local together with its mirror.
-    pub(crate) fn unbind_local(&mut self, key: &str) {
-        self.local_mirrors.remove(key);
-        self.locals.remove(key);
-    }
-
-    fn schema_ctx(&self) -> SchemaCtx<'_> {
+    /// Schema context over the catalog plus the fixpoint locals bound
+    /// right now.
+    pub(crate) fn schema_ctx_for_fix(&self) -> SchemaCtx<'_> {
         let mut sc = SchemaCtx::new(&self.db.catalog);
         for (name, rel) in &self.locals {
             sc = sc.with_local(name, (*rel.schema).clone());
@@ -303,12 +276,13 @@ where
     crate::parallel::run_morsels(items, workers, f)
 }
 
-/// Columnar mirror backing `input`, when the columnar path may be used:
-/// the option is on, the input is a stored base table scan (fixpoint
-/// locals shadow stored tables and never columnarize — their rows change
-/// every iteration), the table is column-friendly, and the mirror's row
-/// count matches the relation the caller just evaluated (defense in
-/// depth: a stale mirror must never be consulted).
+/// Columnar mirror backing `input` — the one mirror source: the
+/// database-cached mirror of a stored base table. `None` when the
+/// option is off, the input is anything but a stored table scan
+/// (fixpoint locals shadow stored tables and never columnarize — their
+/// rows change every iteration), the table is not column-friendly, or
+/// the mirror's row count does not match the relation the caller just
+/// evaluated (defense in depth: a stale mirror must never be consulted).
 fn base_columnar(input: &Expr, ctx: &Ctx<'_>, expect_len: usize) -> Option<Arc<ColumnarRelation>> {
     if !ctx.opts.columnar {
         return None;
@@ -319,71 +293,6 @@ fn base_columnar(input: &Expr, ctx: &Ctx<'_>, expect_len: usize) -> Option<Arc<C
     }
     let cols = ctx.db.columnar(name)?;
     (cols.len() == expect_len).then_some(cols)
-}
-
-/// Whether a derived relation of `len` rows is large enough to be worth
-/// mirroring under the options' [`EvalOptions::derived_mirror_min`]
-/// gate (empty relations never are — there is nothing to scan).
-fn derived_mirror_worthwhile(ctx: &Ctx<'_>, len: usize) -> bool {
-    len >= ctx.opts.derived_mirror_min.max(1)
-}
-
-/// Columnar mirror for a `Base` input that may be a fixpoint local:
-/// stored tables use the database's cached mirror ([`base_columnar`]);
-/// locals — the recursion variable and its semi-naive `#DELTA` — build
-/// a mirror of the *current* binding, cached in the context and
-/// invalidated on every rebind ([`Ctx::bind_local`]), so chained
-/// operators inside a fixpoint round stay on the typed path.
-fn local_or_base_mirror(
-    input: &Expr,
-    ctx: &mut Ctx<'_>,
-    rel: &Relation,
-) -> Option<Arc<ColumnarRelation>> {
-    if !ctx.opts.columnar {
-        return None;
-    }
-    let Expr::Base(name) = input else { return None };
-    let key = name.to_ascii_uppercase();
-    if !ctx.locals.contains_key(&key) {
-        return base_columnar(input, ctx, rel.len());
-    }
-    if !derived_mirror_worthwhile(ctx, rel.len()) {
-        return None;
-    }
-    let mirror = ctx
-        .local_mirrors
-        .entry(key)
-        .or_insert_with(|| ColumnarRelation::build(rel).map(Arc::new))
-        .clone()?;
-    // Defense in depth, as for stored tables: a mirror that does not
-    // match the relation just evaluated must never be consulted.
-    (mirror.len() == rel.len()).then_some(mirror)
-}
-
-/// Columnar mirror backing `input` for qualification `pred`, covering
-/// all three input classes: stored base tables (database-cached),
-/// fixpoint locals (context-cached per binding), and arbitrary derived
-/// relations — view outputs and other operator results — which get a
-/// **transient** mirror built on the spot. Transient builds are gated
-/// on [`EvalOptions::derived_mirror_min`] *and* on the predicate shape
-/// being columnar-eligible, so the `O(rows)` build is only paid when
-/// the kernel scan it enables can actually run.
-fn input_mirror(
-    input: &Expr,
-    ctx: &mut Ctx<'_>,
-    rel: &Relation,
-    pred: &CompiledPred,
-) -> Option<Arc<ColumnarRelation>> {
-    if !ctx.opts.columnar {
-        return None;
-    }
-    if matches!(input, Expr::Base(_)) {
-        return local_or_base_mirror(input, ctx, rel);
-    }
-    if !derived_mirror_worthwhile(ctx, rel.len()) || !pred.columnar_eligible() {
-        return None;
-    }
-    ColumnarRelation::build(rel).map(Arc::new)
 }
 
 /// Run a lowered predicate over `[0, len)`, morsel-partitioned into
@@ -430,137 +339,25 @@ pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
             }
             Err(EngineError::UnknownRelation(name.to_owned()))
         }
-        Expr::Filter { input, pred } => {
-            let rel = eval_input(input, ctx)?;
-            let bound = bind_fields(pred, std::slice::from_ref(&*rel.schema), ctx)?;
-            let env = EvalEnv::with_params(ctx.db, ctx.params);
-            let prog = CompiledPred::compile(&bound, &env);
-            // Columnar path: a scan — of a stored table, a fixpoint
-            // local, or a derived input worth a transient mirror —
-            // whose qualification lowers fully to typed kernels. The
-            // kernels compute a selection vector over the columns;
-            // surviving rows are gathered from the shared row store, so
-            // output rows are the *same* allocations the row path would
-            // keep.
-            if let Some(cols) = input_mirror(input, ctx, &rel, &prog) {
-                if let Some(cpred) = prog.columnar(&cols, ctx.params) {
-                    let sel = select_partitioned(&cpred, cols.len(), ctx.opts.parallelism)?;
-                    let mut out = Relation::empty(rel.schema.clone());
-                    out.rows.reserve(sel.len());
-                    for &i in &sel {
-                        out.rows.push(rel.rows[i as usize].clone());
-                    }
-                    ctx.stats.rows_emitted += sel.len() as u64;
-                    return Ok(out);
-                }
-            }
-            let parts = run_partitioned(&rel.rows, ctx.opts.parallelism, |rows| {
-                let mut kept: Vec<SharedRow> = Vec::new();
-                for row in rows {
-                    if prog.eval_bool(&[&row[..]], &env)? {
-                        kept.push(row.clone());
-                    }
-                }
-                Ok(kept)
-            })?;
-            let mut out = Relation::empty(rel.schema.clone());
-            for mut part in parts {
-                ctx.stats.rows_emitted += part.len() as u64;
-                out.rows.append(&mut part);
-            }
-            Ok(out)
-        }
+        // `filter`, `project` and `join` are `search` restricted to an
+        // identity target list, a TRUE qualification, or two inputs —
+        // the `normalize` block rewrites all three into it — so they
+        // evaluate through it. Only `search` (and `join`, which is one)
+        // reports the combinations it examined as work.
+        Expr::Filter { input, pred } => Ok(eval_search(expr, &[input], pred, None, ctx)?.0),
         Expr::Project { input, exprs } => {
-            let rel = eval_input(input, ctx)?;
-            let schema = infer_schema(expr, &ctx.schema_ctx())?;
-            let env = EvalEnv::with_params(ctx.db, ctx.params);
-            let progs = exprs
-                .iter()
-                .map(|e| {
-                    bind_fields(e, std::slice::from_ref(&*rel.schema), ctx)
-                        .map(|b| CompiledProj::compile(&b, &env))
-                })
-                .collect::<EngineResult<Vec<_>>>()?;
-            // Identity short-circuit: every target copies the input row's
-            // attributes in order, so the output rows *are* the input
-            // rows — forward the shared allocations by refcount. (The
-            // per-row arity check is a fat-pointer read and guarantees
-            // slot copies cannot have fallen back to the general
-            // program.)
-            let in_arity = rel.schema.arity();
-            if progs.len() == in_arity
-                && progs.iter().enumerate().all(|(i, p)| p.slot0() == Some(i))
-                && rel.rows.iter().all(|r| r.len() == in_arity)
-            {
-                ctx.stats.rows_emitted += rel.rows.len() as u64;
-                return Ok(Relation::from_shared(schema, rel.into_owned().rows));
-            }
-            // Columnar gather: a base-table scan where every target is a
-            // first-input slot reference builds output rows straight from
-            // the columns (no per-row Arc chase through the row store).
-            if let Some(cols) = base_columnar(input, ctx, rel.len()) {
-                let slots: Option<Vec<usize>> = progs
-                    .iter()
-                    .map(|p| p.slot0().filter(|&a| a < cols.arity()))
-                    .collect();
-                if let Some(slots) = slots {
-                    let indices: Vec<u32> = (0..cols.len() as u32).collect();
-                    let parts = run_partitioned(&indices, ctx.opts.parallelism, |idxs| {
-                        let mut built: Vec<SharedRow> = Vec::with_capacity(idxs.len());
-                        let mut scratch: Row = Vec::with_capacity(slots.len());
-                        for &i in idxs {
-                            for &a in &slots {
-                                scratch.push(cols.value_at(i as usize, a));
-                            }
-                            built.push(shared_row(&mut scratch));
-                        }
-                        Ok(built)
-                    })?;
-                    let mut out = Relation::empty(schema);
-                    for mut part in parts {
-                        ctx.stats.rows_emitted += part.len() as u64;
-                        out.rows.append(&mut part);
-                    }
-                    return Ok(out);
-                }
-            }
-            let parts = run_partitioned(&rel.rows, ctx.opts.parallelism, |rows| {
-                let mut built: Vec<SharedRow> = Vec::with_capacity(rows.len());
-                let mut scratch: Row = Vec::with_capacity(progs.len());
-                for row in rows {
-                    let tuple = [&row[..]];
-                    scratch.clear();
-                    for p in &progs {
-                        scratch.push(p.eval_owned(&tuple, &env)?);
-                    }
-                    built.push(shared_row(&mut scratch));
-                }
-                Ok(built)
-            })?;
-            let mut out = Relation::empty(schema);
-            for mut part in parts {
-                ctx.stats.rows_emitted += part.len() as u64;
-                out.rows.append(&mut part);
-            }
-            Ok(out)
+            Ok(eval_search(expr, &[input], &Scalar::true_(), Some(exprs), ctx)?.0)
         }
         Expr::Join { left, right, pred } => {
-            // join = search over two inputs projecting all attributes.
-            let l_arity = infer_schema(left, &ctx.schema_ctx())?.arity();
-            let r_arity = infer_schema(right, &ctx.schema_ctx())?.arity();
-            let mut proj = Vec::new();
-            for a in 1..=l_arity {
-                proj.push(Scalar::attr(1, a));
-            }
-            for a in 1..=r_arity {
-                proj.push(Scalar::attr(2, a));
-            }
-            let as_search = Expr::Search {
-                inputs: vec![(**left).clone(), (**right).clone()],
-                pred: pred.clone(),
-                proj,
-            };
-            eval_expr(&as_search, ctx)
+            let (rel, examined) = eval_search(expr, &[left, right], pred, None, ctx)?;
+            ctx.stats.combinations_tried += examined;
+            Ok(rel)
+        }
+        Expr::Search { inputs, pred, proj } => {
+            let inputs: Vec<&Expr> = inputs.iter().collect();
+            let (rel, examined) = eval_search(expr, &inputs, pred, Some(proj), ctx)?;
+            ctx.stats.combinations_tried += examined;
+            Ok(rel)
         }
         Expr::Union(items) => {
             let mut out: Option<Relation> = None;
@@ -602,200 +399,6 @@ pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
                 .collect();
             Ok(Relation::from_shared(ra.schema, rows))
         }
-        Expr::Search { inputs, pred, proj } => {
-            let rels = inputs
-                .iter()
-                .map(|i| eval_input(i, ctx))
-                .collect::<EngineResult<Vec<_>>>()?;
-            let schemas: Vec<Schema> = rels.iter().map(|r| (*r.schema).clone()).collect();
-            let bound_pred = bind_fields(pred, &schemas, ctx)?;
-            let env = EvalEnv::with_params(ctx.db, ctx.params);
-            let cpred = CompiledPred::compile(&bound_pred, &env);
-            let cproj = proj
-                .iter()
-                .map(|e| bind_fields(e, &schemas, ctx).map(|b| CompiledProj::compile(&b, &env)))
-                .collect::<EngineResult<Vec<_>>>()?;
-            let out_schema = infer_schema(expr, &ctx.schema_ctx())?;
-            let mut out = Relation::empty(out_schema);
-
-            // Short-circuit: a FALSE qualification or an empty input
-            // produces no tuples without touching the cross product.
-            if bound_pred.is_false() || rels.iter().any(|r| r.is_empty()) {
-                return Ok(out);
-            }
-            // Columnar path for the single-input select-project shape
-            // (what filter pushdown + projection merging produce): the
-            // lowered qualification scans the columns; projection runs
-            // only over the selected rows. Both join modes enumerate a
-            // single input in identical row order, so one path serves
-            // nested-loop and hash alike.
-            if rels.len() == 1 {
-                if let Some(cols) = input_mirror(&inputs[0], ctx, &rels[0], &cpred) {
-                    if let Some(colpred) = cpred.columnar(&cols, ctx.params) {
-                        let sel = select_partitioned(&colpred, cols.len(), ctx.opts.parallelism)?;
-                        ctx.stats.combinations_tried += rels[0].len() as u64;
-                        let rows = &rels[0].rows;
-                        // Slot-only projections gather straight from the
-                        // columns (contiguous reads, no per-row compiled-
-                        // program dispatch); anything fancier evaluates
-                        // the compiled projection over the selected rows.
-                        let slots: Option<Vec<usize>> = cproj
-                            .iter()
-                            .map(|p| p.slot0().filter(|&a| a < cols.arity()))
-                            .collect();
-                        let parts = run_partitioned(&sel, ctx.opts.parallelism, |idxs| {
-                            let mut built: Vec<SharedRow> = Vec::with_capacity(idxs.len());
-                            let mut scratch: Row = Vec::with_capacity(cproj.len());
-                            if let Some(slots) = &slots {
-                                for &i in idxs {
-                                    for &a in slots {
-                                        scratch.push(cols.value_at(i as usize, a));
-                                    }
-                                    built.push(shared_row(&mut scratch));
-                                }
-                            } else {
-                                for &i in idxs {
-                                    let tuple = [&rows[i as usize][..]];
-                                    for p in &cproj {
-                                        scratch.push(p.eval_owned(&tuple, &env)?);
-                                    }
-                                    built.push(shared_row(&mut scratch));
-                                }
-                            }
-                            Ok(built)
-                        })?;
-                        for mut part in parts {
-                            ctx.stats.rows_emitted += part.len() as u64;
-                            out.rows.append(&mut part);
-                        }
-                        return Ok(out);
-                    }
-                }
-            }
-            match ctx.opts.join {
-                JoinMode::NestedLoop => {
-                    // Nested-loop over the cross product, partitioned on
-                    // the first input: each chunk enumerates
-                    // chunk × rels[1..], and chunks merge in order —
-                    // the exact sequential enumeration order.
-                    let parts = run_partitioned(&rels[0].rows, ctx.opts.parallelism, |first| {
-                        let mut kept: Vec<SharedRow> = Vec::new();
-                        let mut tried = 0u64;
-                        let mut scratch: Row = Vec::with_capacity(cproj.len());
-                        let mut emit =
-                            |tuple: &[&[Value]], kept: &mut Vec<SharedRow>| -> EngineResult<()> {
-                                for p in &cproj {
-                                    scratch.push(p.eval_owned(tuple, &env)?);
-                                }
-                                kept.push(shared_row(&mut scratch));
-                                Ok(())
-                            };
-                        // Dedicated loops for the dominant one- and
-                        // two-input shapes; a generic odometer for
-                        // wider products. Enumeration order is the
-                        // same row-major order in every case.
-                        match rels.len() {
-                            1 => {
-                                for row in first {
-                                    tried += 1;
-                                    let tuple = [&row[..]];
-                                    if cpred.eval_bool(&tuple, &env)? {
-                                        emit(&tuple, &mut kept)?;
-                                    }
-                                }
-                            }
-                            2 => {
-                                let inner = &rels[1].rows;
-                                for l in first {
-                                    let mut tuple = [&l[..], &l[..]];
-                                    for r in inner {
-                                        tried += 1;
-                                        tuple[1] = &r[..];
-                                        if cpred.eval_bool(&tuple, &env)? {
-                                            emit(&tuple, &mut kept)?;
-                                        }
-                                    }
-                                }
-                            }
-                            _ => {
-                                let mut idx = vec![0usize; rels.len()];
-                                // Tuple buffer maintained incrementally:
-                                // only odometer positions that change
-                                // are rewritten.
-                                let mut tuple: Vec<&[Value]> = Vec::with_capacity(rels.len());
-                                tuple.push(&first[0][..]);
-                                for rel in rels.iter().skip(1) {
-                                    tuple.push(&rel.rows[0][..]);
-                                }
-                                'outer: loop {
-                                    tried += 1;
-                                    if cpred.eval_bool(&tuple, &env)? {
-                                        emit(&tuple, &mut kept)?;
-                                    }
-                                    // Advance the odometer.
-                                    for k in (0..idx.len()).rev() {
-                                        let rows: &[SharedRow] =
-                                            if k == 0 { first } else { &rels[k].rows };
-                                        idx[k] += 1;
-                                        if idx[k] < rows.len() {
-                                            tuple[k] = &rows[idx[k]][..];
-                                            continue 'outer;
-                                        }
-                                        idx[k] = 0;
-                                        tuple[k] = &rows[0][..];
-                                        if k == 0 {
-                                            break 'outer;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        Ok((kept, tried))
-                    })?;
-                    for (mut part, tried) in parts {
-                        ctx.stats.combinations_tried += tried;
-                        ctx.stats.rows_emitted += part.len() as u64;
-                        out.rows.append(&mut part);
-                    }
-                }
-                JoinMode::Hash => {
-                    // Candidate enumeration is sequential (it builds
-                    // per-input hash tables); the per-combination
-                    // re-check and projection are partitioned. Columnar
-                    // mirrors of base inputs — stored tables and
-                    // fixpoint locals/deltas alike — let
-                    // single-attribute integer join keys build typed
-                    // `i64` hash tables.
-                    let mirrors: Vec<Option<Arc<ColumnarRelation>>> = inputs
-                        .iter()
-                        .zip(&rels)
-                        .map(|(i, r)| local_or_base_mirror(i, ctx, r))
-                        .collect();
-                    let combos = hash_search(&rels, &bound_pred, &mirrors, ctx)?;
-                    let parts = run_partitioned(&combos, ctx.opts.parallelism, |part| {
-                        let mut kept: Vec<SharedRow> = Vec::new();
-                        let mut tuple: Vec<&[Value]> = Vec::with_capacity(rels.len());
-                        let mut scratch: Row = Vec::with_capacity(cproj.len());
-                        for combo in part {
-                            tuple.clear();
-                            tuple.extend(combo.iter().copied());
-                            if cpred.eval_bool(&tuple, &env)? {
-                                for p in &cproj {
-                                    scratch.push(p.eval_owned(&tuple, &env)?);
-                                }
-                                kept.push(shared_row(&mut scratch));
-                            }
-                        }
-                        Ok(kept)
-                    })?;
-                    for mut part in parts {
-                        ctx.stats.rows_emitted += part.len() as u64;
-                        out.rows.append(&mut part);
-                    }
-                }
-            }
-            Ok(out)
-        }
         Expr::Fix { name, body } => eval_fix(name, body, ctx),
         Expr::Nest {
             input,
@@ -807,7 +410,7 @@ pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
                 return Ok(out);
             }
             let rel = eval_input(input, ctx)?;
-            let out_schema = infer_schema(expr, &ctx.schema_ctx())?;
+            let mut out = Relation::empty(infer_schema(expr, &ctx.schema_ctx_for_fix())?);
             let item_of = |row: &SharedRow| {
                 if nested.len() == 1 {
                     row[nested[0] - 1].clone()
@@ -815,44 +418,25 @@ pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
                     Value::Tuple(nested.iter().map(|&n| row[n - 1].clone()).collect())
                 }
             };
-            // Group in one hash pass over *borrowed* keys (no per-row
-            // key allocation or deep clone), then sort the groups once —
-            // `OrderedF64`'s Eq/Hash agree with its total order, so this
-            // emits the exact lexicographic key order the previous
-            // BTreeMap produced. The dominant single-attribute GROUP BY
-            // hashes the bare value.
-            let mut out = Relation::empty(out_schema);
+            // Keys are *borrowed* from the input rows (no per-row key
+            // allocation or deep clone); the dominant single-attribute
+            // GROUP BY hashes the bare value.
             if let [g] = group[..] {
-                let mut groups: HashMap<&Value, Vec<Value>> = HashMap::new();
-                for row in &rel.rows {
-                    groups.entry(&row[g - 1]).or_default().push(item_of(row));
-                }
-                let mut entries: Vec<(&Value, Vec<Value>)> = groups.into_iter().collect();
-                entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-                for (key, items) in entries {
-                    out.push(vec![key.clone(), Value::coll(*kind, items)]);
-                    ctx.stats.rows_emitted += 1;
-                }
+                let pairs = rel.rows.iter().map(|row| (&row[g - 1], item_of(row)));
+                emit_groups(pairs, |k| vec![k.clone()], *kind, &mut out, &mut ctx.stats);
             } else {
-                let mut groups: HashMap<Vec<&Value>, Vec<Value>> = HashMap::new();
-                for row in &rel.rows {
+                let pairs = rel.rows.iter().map(|row| {
                     let key: Vec<&Value> = group.iter().map(|&g| &row[g - 1]).collect();
-                    groups.entry(key).or_default().push(item_of(row));
-                }
-                let mut entries: Vec<(Vec<&Value>, Vec<Value>)> = groups.into_iter().collect();
-                entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                for (key, items) in entries {
-                    let mut row: Row = key.into_iter().cloned().collect();
-                    row.push(Value::coll(*kind, items));
-                    out.push(row);
-                    ctx.stats.rows_emitted += 1;
-                }
+                    (key, item_of(row))
+                });
+                let key_row = |k: Vec<&Value>| k.into_iter().cloned().collect();
+                emit_groups(pairs, key_row, *kind, &mut out, &mut ctx.stats);
             }
             Ok(out)
         }
         Expr::Unnest { input, attr } => {
             let rel = eval_input(input, ctx)?;
-            let out_schema = infer_schema(expr, &ctx.schema_ctx())?;
+            let out_schema = infer_schema(expr, &ctx.schema_ctx_for_fix())?;
             let mut out = Relation::empty(out_schema);
             for row in &rel.rows {
                 let (_, elems) = row[attr - 1].as_coll().map_err(EngineError::Adt)?;
@@ -869,18 +453,293 @@ pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
     }
 }
 
+/// The compound `search` operator — the one select/project/join
+/// implementation. `proj: None` emits every attribute of every input in
+/// input order (`filter`, `join`). Returns the result together with the
+/// number of input combinations examined; `rows_emitted` is counted
+/// here, whether the examined count is `combinations_tried` is the
+/// calling operator's decision.
+fn eval_search(
+    expr: &Expr,
+    inputs: &[&Expr],
+    pred: &Scalar,
+    proj: Option<&[Scalar]>,
+    ctx: &mut Ctx<'_>,
+) -> EngineResult<(Relation, u64)> {
+    let rels = inputs
+        .iter()
+        .map(|i| eval_input(i, ctx))
+        .collect::<EngineResult<Vec<_>>>()?;
+    let schemas: Vec<Schema> = rels.iter().map(|r| (*r.schema).clone()).collect();
+    let bound_pred = bind_fields(pred, &schemas, ctx)?;
+    let env = EvalEnv::with_params(ctx.db, ctx.params);
+    let cpred = CompiledPred::compile(&bound_pred, &env);
+    let every_attr: Vec<Scalar>;
+    let proj = match proj {
+        Some(proj) => proj,
+        None => {
+            every_attr = (schemas.iter().zip(1..))
+                .flat_map(|(s, rel)| (1..=s.arity()).map(move |attr| Scalar::attr(rel, attr)))
+                .collect();
+            &every_attr
+        }
+    };
+    let cproj = proj
+        .iter()
+        .map(|e| bind_fields(e, &schemas, ctx).map(|b| CompiledProj::compile(&b, &env)))
+        .collect::<EngineResult<Vec<_>>>()?;
+    let mut out = Relation::empty(infer_schema(expr, &ctx.schema_ctx_for_fix())?);
+
+    // Short-circuit: a FALSE qualification or an empty input produces
+    // no tuples without touching the cross product.
+    if bound_pred.is_false() || rels.iter().any(|r| r.is_empty()) {
+        return Ok((out, 0));
+    }
+    let parallelism = ctx.opts.parallelism;
+    let (parts, examined) = if let [rel] = &rels[..] {
+        let parts = select_project(inputs[0], rel, &cpred, &cproj, &env, ctx)?;
+        (parts, rel.len() as u64)
+    } else {
+        match ctx.opts.join {
+            JoinMode::NestedLoop => nested_loop(&rels, &cpred, &cproj, &env, parallelism)?,
+            JoinMode::Hash => {
+                // Candidate enumeration is sequential (it builds
+                // per-input hash tables); the per-combination re-check
+                // and projection are partitioned. Columnar mirrors of
+                // stored-table inputs let single-attribute integer join
+                // keys build typed `i64` hash tables.
+                let mirrors: Vec<Option<Arc<ColumnarRelation>>> = inputs
+                    .iter()
+                    .zip(&rels)
+                    .map(|(i, r)| base_columnar(i, ctx, r.len()))
+                    .collect();
+                let (combos, tried) = hash_search(&rels, &bound_pred, &mirrors);
+                let parts = run_partitioned(&combos, parallelism, |part| {
+                    let mut kept: Vec<SharedRow> = Vec::new();
+                    let mut tuple: Vec<&[Value]> = Vec::with_capacity(rels.len());
+                    let mut scratch: Row = Vec::with_capacity(cproj.len());
+                    for combo in part {
+                        tuple.clear();
+                        tuple.extend(combo.iter().copied());
+                        if cpred.eval_bool(&tuple, &env)? {
+                            kept.push(project_tuple(&cproj, &tuple, &env, &mut scratch)?);
+                        }
+                    }
+                    Ok(kept)
+                })?;
+                (parts, tried)
+            }
+        }
+    };
+    for mut part in parts {
+        ctx.stats.rows_emitted += part.len() as u64;
+        out.rows.append(&mut part);
+    }
+    Ok((out, examined))
+}
+
+/// Evaluate the target list over one qualifying combination.
+#[inline]
+fn project_tuple(
+    cproj: &[CompiledProj],
+    tuple: &[&[Value]],
+    env: &EvalEnv<'_>,
+    scratch: &mut Row,
+) -> EngineResult<SharedRow> {
+    for p in cproj {
+        scratch.push(p.eval_owned(tuple, env)?);
+    }
+    Ok(shared_row(scratch))
+}
+
+/// The one-input select-project kernel — every `filter`, `project` and
+/// single-input `search` (what filter pushdown + projection merging
+/// produce) runs here; both join modes enumerate a single input in
+/// identical row order, so it serves nested-loop and hash alike.
+/// Returns the qualifying rows' output rows as morsel parts in input
+/// order.
+///
+/// Columnar path: over a stored table whose qualification lowers fully
+/// to typed kernels, the kernels compute a selection vector over the
+/// columns and projection runs only over the selected rows. Otherwise
+/// the compiled qualification runs row by row.
+fn select_project(
+    input: &Expr,
+    rel: &Relation,
+    cpred: &CompiledPred,
+    cproj: &[CompiledProj],
+    env: &EvalEnv<'_>,
+    ctx: &Ctx<'_>,
+) -> EngineResult<Vec<Vec<SharedRow>>> {
+    let rows = &rel.rows;
+    let parallelism = ctx.opts.parallelism;
+    // Identity target list: every target copies the input row's
+    // attributes in order, so the output rows *are* the qualifying
+    // input rows — forward the shared allocations by refcount. (The
+    // per-row arity check is a fat-pointer read and guarantees slot
+    // copies cannot have fallen back to the general program.)
+    let arity = rel.schema.arity();
+    let identity = cproj.len() == arity
+        && cproj.iter().enumerate().all(|(i, p)| p.slot0() == Some(i))
+        && rows.iter().all(|r| r.len() == arity);
+    let project = |row: &SharedRow, scratch: &mut Row| -> EngineResult<SharedRow> {
+        if identity {
+            return Ok(row.clone());
+        }
+        project_tuple(cproj, &[&row[..]], env, scratch)
+    };
+    let mirror = base_columnar(input, ctx, rows.len());
+    let lowered = mirror
+        .as_deref()
+        .and_then(|cols| Some((cols, cpred.columnar(cols, ctx.params)?)));
+    let Some((cols, colpred)) = lowered else {
+        return run_partitioned(rows, parallelism, |part| {
+            let mut kept: Vec<SharedRow> = Vec::new();
+            let mut scratch: Row = Vec::with_capacity(cproj.len());
+            for row in part {
+                if cpred.eval_bool(&[&row[..]], env)? {
+                    kept.push(project(row, &mut scratch)?);
+                }
+            }
+            Ok(kept)
+        });
+    };
+    let sel = select_partitioned(&colpred, cols.len(), parallelism)?;
+    if identity {
+        return Ok(vec![sel
+            .iter()
+            .map(|&i| rows[i as usize].clone())
+            .collect()]);
+    }
+    // Slot-only targets gather straight from the columns (contiguous
+    // reads, no per-row compiled-program dispatch); anything fancier
+    // evaluates the compiled projection over the selected rows.
+    let slots: Option<Vec<usize>> = cproj
+        .iter()
+        .map(|p| p.slot0().filter(|&a| a < cols.arity()))
+        .collect();
+    run_partitioned(&sel, parallelism, |idxs| {
+        let mut built: Vec<SharedRow> = Vec::with_capacity(idxs.len());
+        let mut scratch: Row = Vec::with_capacity(cproj.len());
+        if let Some(slots) = &slots {
+            for &i in idxs {
+                for &a in slots {
+                    scratch.push(cols.value_at(i as usize, a));
+                }
+                built.push(shared_row(&mut scratch));
+            }
+        } else {
+            for &i in idxs {
+                built.push(project(&rows[i as usize], &mut scratch)?);
+            }
+        }
+        Ok(built)
+    })
+}
+
+/// Nested-loop `search` over two or more inputs: the cross product,
+/// partitioned on the first input — each chunk enumerates
+/// chunk × rels[1..], and chunks merge in order, the exact sequential
+/// enumeration order. Returns the output parts and the number of
+/// combinations tried.
+fn nested_loop(
+    rels: &[Cow<'_, Relation>],
+    cpred: &CompiledPred,
+    cproj: &[CompiledProj],
+    env: &EvalEnv<'_>,
+    parallelism: usize,
+) -> EngineResult<(Vec<Vec<SharedRow>>, u64)> {
+    let parts = run_partitioned(&rels[0].rows, parallelism, |first| {
+        let mut kept: Vec<SharedRow> = Vec::new();
+        let mut tried = 0u64;
+        let mut scratch: Row = Vec::with_capacity(cproj.len());
+        // A dedicated loop for the dominant two-input shape; a generic
+        // odometer for wider products. Enumeration order is the same
+        // row-major order in both.
+        if let [_, inner] = rels {
+            for l in first {
+                let mut tuple = [&l[..], &l[..]];
+                for r in &inner.rows {
+                    tried += 1;
+                    tuple[1] = &r[..];
+                    if cpred.eval_bool(&tuple, env)? {
+                        kept.push(project_tuple(cproj, &tuple, env, &mut scratch)?);
+                    }
+                }
+            }
+        } else {
+            let mut idx = vec![0usize; rels.len()];
+            // Tuple buffer maintained incrementally: only odometer
+            // positions that change are rewritten.
+            let mut tuple: Vec<&[Value]> = Vec::with_capacity(rels.len());
+            tuple.push(&first[0][..]);
+            for rel in rels.iter().skip(1) {
+                tuple.push(&rel.rows[0][..]);
+            }
+            'outer: loop {
+                tried += 1;
+                if cpred.eval_bool(&tuple, env)? {
+                    kept.push(project_tuple(cproj, &tuple, env, &mut scratch)?);
+                }
+                // Advance the odometer.
+                for k in (0..idx.len()).rev() {
+                    let rows: &[SharedRow] = if k == 0 { first } else { &rels[k].rows };
+                    idx[k] += 1;
+                    if idx[k] < rows.len() {
+                        tuple[k] = &rows[idx[k]][..];
+                        continue 'outer;
+                    }
+                    idx[k] = 0;
+                    tuple[k] = &rows[0][..];
+                    if k == 0 {
+                        break 'outer;
+                    }
+                }
+            }
+        }
+        Ok((kept, tried))
+    })?;
+    let tried = parts.iter().map(|(_, tried)| tried).sum();
+    Ok((parts.into_iter().map(|(kept, _)| kept).collect(), tried))
+}
+
+/// Group `(key, item)` pairs in one hash pass, sort the groups once —
+/// `OrderedF64`'s Eq/Hash agree with its total order, so this emits the
+/// exact lexicographic key order a `BTreeMap` would — and append one
+/// `key attributes ++ [collection of items]` row per group.
+fn emit_groups<K: Ord + std::hash::Hash>(
+    pairs: impl Iterator<Item = (K, Value)>,
+    key_row: impl Fn(K) -> Row,
+    kind: CollKind,
+    out: &mut Relation,
+    stats: &mut EvalStats,
+) {
+    let mut groups: HashMap<K, Vec<Value>> = HashMap::new();
+    for (key, item) in pairs {
+        groups.entry(key).or_default().push(item);
+    }
+    let mut entries: Vec<(K, Vec<Value>)> = groups.into_iter().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    for (key, items) in entries {
+        let mut row = key_row(key);
+        row.push(Value::coll(kind, items));
+        out.push(row);
+        stats.rows_emitted += 1;
+    }
+}
+
 /// Fused scan+nest: when `Nest` consumes a single-base select-project
-/// (`Search` with one `Base` input, or `Filter` over `Base`) whose
-/// qualification lowers fully to columnar kernels and whose projected
-/// columns are plain slot references, group straight from the columns
-/// over the selection vector — the intermediate filtered/projected rows
-/// are never materialized. Results, result order and work counters are
-/// identical to the unfused pipeline: the skipped intermediate still
-/// counts its `rows_emitted` (and `combinations_tried` for `Search`),
-/// groups sort by key exactly as the row-path `Nest` sorts them, and
-/// any shape the fusion does not cover returns `None` to fall back
-/// untouched — re-evaluating the inner `Base` on fallback is a borrow,
-/// so a failed attempt costs nothing and cannot double-count work.
+/// (`Search` with one `Base` input) whose qualification lowers fully to
+/// columnar kernels and whose projected columns are plain slot
+/// references, group straight from the columns over the selection
+/// vector — the intermediate filtered/projected rows are never
+/// materialized. Results, result order and work counters are identical
+/// to the unfused pipeline: the skipped `Search` still counts its
+/// `rows_emitted` and `combinations_tried`, groups sort by key exactly
+/// as the row-path `Nest` sorts them, and any shape the fusion does not
+/// cover returns `None` to fall back untouched — re-evaluating the
+/// inner `Base` on fallback is a borrow, so a failed attempt costs
+/// nothing and cannot double-count work.
 fn fused_scan_nest(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Option<Relation>> {
     let Expr::Nest {
         input,
@@ -895,62 +754,47 @@ fn fused_scan_nest(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Option<Relati
         return Ok(None);
     }
     let (base, pred, proj) = match &**input {
-        Expr::Search { inputs, pred, proj }
-            if inputs.len() == 1 && matches!(inputs[0], Expr::Base(_)) =>
-        {
-            (&inputs[0], pred, Some(&proj[..]))
+        Expr::Search { inputs, pred, proj } if matches!(inputs[..], [Expr::Base(_)]) => {
+            (&inputs[0], pred, proj)
         }
-        Expr::Filter { input: fi, pred } if matches!(&**fi, Expr::Base(_)) => (&**fi, pred, None),
         _ => return Ok(None),
     };
     let rel = eval_input(base, ctx)?;
-    let out_schema = infer_schema(expr, &ctx.schema_ctx())?;
-    let is_search = proj.is_some();
+    let mut out = Relation::empty(infer_schema(expr, &ctx.schema_ctx_for_fix())?);
     let bound = bind_fields(pred, std::slice::from_ref(&*rel.schema), ctx)?;
-    // `Search` short-circuits FALSE/empty before counting any work; an
-    // empty `Filter` input reaches the same empty output with zero
-    // counters through either pipeline.
-    if rel.is_empty() || (is_search && bound.is_false()) {
-        return Ok(Some(Relation::empty(out_schema)));
+    // `Search` short-circuits FALSE/empty before counting any work.
+    if rel.is_empty() || bound.is_false() {
+        return Ok(Some(out));
     }
     let env = EvalEnv::with_params(ctx.db, ctx.params);
     let cpred = CompiledPred::compile(&bound, &env);
-    let Some(cols) = input_mirror(base, ctx, &rel, &cpred) else {
+    let Some(cols) = base_columnar(base, ctx, rel.len()) else {
         return Ok(None);
     };
     let Some(colpred) = cpred.columnar(&cols, ctx.params) else {
         return Ok(None);
     };
     // Map `Nest` attributes (1-based into the intermediate schema) to
-    // base columns: through the projection for `Search` — every target
-    // must be an infallible in-bounds slot copy — or identity for
-    // `Filter`.
-    let col_of: Vec<usize> = match proj {
-        Some(proj) => {
-            let mut slots = Vec::with_capacity(proj.len());
-            for e in proj {
-                let b = bind_fields(e, std::slice::from_ref(&*rel.schema), ctx)?;
-                match CompiledProj::compile(&b, &env)
-                    .slot0()
-                    .filter(|&a| a < cols.arity())
-                {
-                    Some(a) => slots.push(a),
-                    None => return Ok(None),
-                }
-            }
-            slots
+    // base columns through the projection: every target must be an
+    // infallible in-bounds slot copy.
+    let mut col_of = Vec::with_capacity(proj.len());
+    for e in proj {
+        let b = bind_fields(e, std::slice::from_ref(&*rel.schema), ctx)?;
+        match CompiledProj::compile(&b, &env)
+            .slot0()
+            .filter(|&a| a < cols.arity())
+        {
+            Some(a) => col_of.push(a),
+            None => return Ok(None),
         }
-        None => (0..cols.arity()).collect(),
-    };
+    }
     let width = col_of.len();
     if group.iter().chain(nested).any(|&a| a == 0 || a > width) {
         return Ok(None);
     }
 
     let sel = select_partitioned(&colpred, cols.len(), ctx.opts.parallelism)?;
-    if is_search {
-        ctx.stats.combinations_tried += rel.len() as u64;
-    }
+    ctx.stats.combinations_tried += rel.len() as u64;
     // The intermediate select-project rows are never built, but the
     // unfused pipeline would have emitted them.
     ctx.stats.rows_emitted += sel.len() as u64;
@@ -963,59 +807,37 @@ fn fused_scan_nest(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Option<Relati
             Value::Tuple(item_cols.iter().map(|&c| cols.value_at(i, c)).collect())
         }
     };
-    let mut out = Relation::empty(out_schema);
+    let selected = sel.iter().map(|&i| i as usize);
     if let [g] = group[..] {
         let gcol = col_of[g - 1];
-        let mut groups: HashMap<Value, Vec<Value>> = HashMap::new();
-        for &i in &sel {
-            let i = i as usize;
-            groups
-                .entry(cols.value_at(i, gcol))
-                .or_default()
-                .push(item_of(i));
-        }
-        let mut entries: Vec<(Value, Vec<Value>)> = groups.into_iter().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (key, items) in entries {
-            out.push(vec![key, Value::coll(*kind, items)]);
-            ctx.stats.rows_emitted += 1;
-        }
+        let pairs = selected.map(|i| (cols.value_at(i, gcol), item_of(i)));
+        emit_groups(pairs, |k| vec![k], *kind, &mut out, &mut ctx.stats);
     } else {
-        let mut groups: HashMap<Vec<Value>, Vec<Value>> = HashMap::new();
-        for &i in &sel {
-            let i = i as usize;
-            let key: Vec<Value> = group
+        let pairs = selected.map(|i| {
+            let key: Row = group
                 .iter()
                 .map(|&g| cols.value_at(i, col_of[g - 1]))
                 .collect();
-            groups.entry(key).or_default().push(item_of(i));
-        }
-        let mut entries: Vec<(Vec<Value>, Vec<Value>)> = groups.into_iter().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (key, items) in entries {
-            let mut row: Row = key;
-            row.push(Value::coll(*kind, items));
-            out.push(row);
-            ctx.stats.rows_emitted += 1;
-        }
+            (key, item_of(i))
+        });
+        emit_groups(pairs, |k| k, *kind, &mut out, &mut ctx.stats);
     }
     Ok(Some(out))
 }
 
-/// Left-deep hash-join enumeration of candidate input combinations. Each
-/// equality conjunct `i.a = j.b` between an already-joined input and the
-/// next one becomes a hash key; inputs with no linking equi-conjunct fall
-/// back to a cross product against the accumulator. The caller re-checks
-/// the full qualification (hash equality is stricter than SQL equality:
-/// NULL keys never probe-match, which the re-check also rejects), so
-/// this only has to be an over-approximation of the satisfying
-/// combinations.
+/// Left-deep hash-join enumeration of candidate input combinations,
+/// with the number of combinations tried. Each equality conjunct
+/// `i.a = j.b` between an already-joined input and the next one becomes
+/// a hash key; inputs with no linking equi-conjunct fall back to a
+/// cross product against the accumulator. The caller re-checks the full
+/// qualification (hash equality is stricter than SQL equality: NULL
+/// keys never probe-match, which the re-check also rejects), so this
+/// only has to be an over-approximation of the satisfying combinations.
 fn hash_search<'a>(
     rels: &'a [Cow<'_, Relation>],
     pred: &Scalar,
     mirrors: &[Option<Arc<ColumnarRelation>>],
-    ctx: &mut Ctx<'_>,
-) -> EngineResult<Vec<Vec<&'a [Value]>>> {
+) -> (Vec<Vec<&'a [Value]>>, u64) {
     // Equality conjuncts between plain attribute references.
     let mut equi: Vec<(usize, usize, usize, usize)> = Vec::new(); // (rel_a, attr_a, rel_b, attr_b)
     for c in pred.conjuncts() {
@@ -1034,7 +856,7 @@ fn hash_search<'a>(
     }
 
     let mut acc: Vec<Vec<&[Value]>> = rels[0].rows.iter().map(|r| vec![&**r]).collect();
-    ctx.stats.combinations_tried += acc.len() as u64;
+    let mut tried = acc.len() as u64;
 
     for (next_idx, next_rel) in rels.iter().enumerate().skip(1) {
         let next_rel_no = next_idx + 1; // 1-based
@@ -1054,14 +876,17 @@ fn hash_search<'a>(
             .collect();
 
         let mut new_acc: Vec<Vec<&[Value]>> = Vec::new();
+        let mut extend = |combo: &Vec<&'a [Value]>, row: &'a [Value]| {
+            let mut extended = combo.clone();
+            extended.push(row);
+            tried += 1;
+            new_acc.push(extended);
+        };
         if keys.is_empty() {
             // Cross product against the accumulator.
             for combo in &acc {
                 for row in &next_rel.rows {
-                    let mut extended = combo.clone();
-                    extended.push(&**row);
-                    ctx.stats.combinations_tried += 1;
-                    new_acc.push(extended);
+                    extend(combo, row);
                 }
             }
         } else if let Some((values, nulls)) = single_int_key(&keys, mirrors.get(next_idx), next_rel)
@@ -1092,13 +917,8 @@ fn hash_search<'a>(
                     Value::Null => (!null_rows.is_empty()).then_some(&null_rows[..]),
                     _ => None,
                 };
-                if let Some(matches) = matches {
-                    for &i in matches {
-                        let mut extended = combo.clone();
-                        extended.push(&*next_rel.rows[i as usize]);
-                        ctx.stats.combinations_tried += 1;
-                        new_acc.push(extended);
-                    }
+                for &i in matches.unwrap_or_default() {
+                    extend(combo, &next_rel.rows[i as usize]);
                 }
             }
         } else {
@@ -1114,13 +934,8 @@ fn hash_search<'a>(
                     .iter()
                     .map(|&((r, a), _)| &combo[r - 1][a - 1])
                     .collect();
-                if let Some(matches) = table.get(&key) {
-                    for row in matches {
-                        let mut extended = combo.clone();
-                        extended.push(row);
-                        ctx.stats.combinations_tried += 1;
-                        new_acc.push(extended);
-                    }
+                for &row in table.get(&key).into_iter().flatten() {
+                    extend(combo, row);
                 }
             }
         }
@@ -1129,7 +944,7 @@ fn hash_search<'a>(
             break;
         }
     }
-    Ok(acc)
+    (acc, tried)
 }
 
 /// The `(values, nulls)` of the next input's join-key column, when the
@@ -1158,7 +973,7 @@ fn single_int_key<'m>(
 /// `GETFIELD(e, idx)` using static types — done once per operator, not
 /// per row.
 pub(crate) fn bind_fields(s: &Scalar, inputs: &[Schema], ctx: &Ctx<'_>) -> EngineResult<Scalar> {
-    let sc = ctx.schema_ctx();
+    let sc = ctx.schema_ctx_for_fix();
     bind_fields_inner(s, inputs, &sc).map_err(EngineError::Lera)
 }
 

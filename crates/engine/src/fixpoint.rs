@@ -91,12 +91,12 @@ fn eval_fix_naive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Re
         )?
     };
     let mut known = Relation::empty(schema);
-    let saved = ctx.bind_local(key.clone(), known.clone());
+    let saved = ctx.locals.insert(key.clone(), known.clone());
 
     let result = (|| {
         for _round in 0..ctx.opts.fix.max_iterations {
             ctx.stats.fix_iterations += 1;
-            ctx.bind_local(key.clone(), known.clone());
+            ctx.locals.insert(key.clone(), known.clone());
             let new = eval_expr(body, ctx)?;
             let merged = sorted_dedup(known.rows.iter().cloned().chain(new.rows).collect());
             if merged == known.rows {
@@ -169,8 +169,8 @@ fn eval_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResul
         })
         .collect();
 
-    let saved_known = ctx.bind_local(key.clone(), known.clone());
-    let saved_delta = ctx.bind_local(delta_key.clone(), delta.clone());
+    let saved_known = ctx.locals.insert(key.clone(), known.clone());
+    let saved_delta = ctx.locals.insert(delta_key.clone(), delta.clone());
 
     // Hash membership for the `fresh - known` difference (rows hash
     // through the Arc to their values); `known.rows` itself stays a
@@ -180,8 +180,8 @@ fn eval_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResul
     let result = (|| {
         for _round in 0..ctx.opts.fix.max_iterations {
             ctx.stats.fix_iterations += 1;
-            ctx.bind_local(key.clone(), known.clone());
-            ctx.bind_local(delta_key.clone(), delta.clone());
+            ctx.locals.insert(key.clone(), known.clone());
+            ctx.locals.insert(delta_key.clone(), delta.clone());
 
             let mut fresh: Vec<SharedRow> = Vec::new();
             for variant in &variants {
@@ -219,10 +219,10 @@ fn eval_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResul
 fn restore_local(ctx: &mut Ctx<'_>, key: &str, saved: Option<Relation>) {
     match saved {
         Some(rel) => {
-            ctx.bind_local(key.to_owned(), rel);
+            ctx.locals.insert(key.to_owned(), rel);
         }
         None => {
-            ctx.unbind_local(key);
+            ctx.locals.remove(key);
         }
     }
 }
@@ -316,18 +316,6 @@ pub fn replace_nth_base(e: &Expr, name: &str, n: usize, replacement: &str) -> Ex
     }
     let mut counter = 0;
     walk(e, name, &mut counter, n, replacement)
-}
-
-impl Ctx<'_> {
-    /// Schema context including fixpoint locals (used by eval_fix before
-    /// the new variable is bound).
-    pub(crate) fn schema_ctx_for_fix(&self) -> eds_lera::SchemaCtx<'_> {
-        let mut sc = eds_lera::SchemaCtx::new(&self.db.catalog);
-        for (name, rel) in &self.locals {
-            sc = sc.with_local(name, (*rel.schema).clone());
-        }
-        sc
-    }
 }
 
 #[cfg(test)]

@@ -52,4 +52,4 @@ pub use fixpoint::{FixMode, FixOptions};
 pub use parallel::{effective_workers, parallel_stats, shutdown_pool, ParallelStats, MORSEL_ROWS};
 pub use reference::eval_reference;
 pub use relation::{Relation, Row, SharedRow};
-pub use stats::{ColumnStats, TableStats};
+pub use stats::{ColumnSketch, TableStats};

@@ -23,6 +23,7 @@ use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
 use eds_adt::Value;
+use eds_lera::{ColumnStats, RelationStats};
 
 use crate::relation::Relation;
 
@@ -74,7 +75,7 @@ fn value_hash(v: &Value) -> u64 {
 
 /// Statistics for one column of a stored relation.
 #[derive(Debug, Clone, Default)]
-pub struct ColumnStats {
+pub struct ColumnSketch {
     /// NULLs seen in this column.
     pub nulls: u64,
     /// Smallest numeric value (Int widened to f64), if any numeric seen.
@@ -84,7 +85,7 @@ pub struct ColumnStats {
     kmv: Kmv,
 }
 
-impl ColumnStats {
+impl ColumnSketch {
     /// Estimated number of distinct non-NULL values.
     pub fn distinct(&self) -> f64 {
         self.kmv.estimate()
@@ -117,7 +118,7 @@ pub struct TableStats {
     /// Exact row count at build time (maintained on insert).
     pub card: u64,
     /// Per-column sketches, in schema order.
-    pub columns: Vec<ColumnStats>,
+    pub columns: Vec<ColumnSketch>,
 }
 
 impl TableStats {
@@ -125,7 +126,7 @@ impl TableStats {
     pub fn build(rel: &Relation) -> TableStats {
         let mut stats = TableStats {
             card: 0,
-            columns: vec![ColumnStats::default(); rel.schema.arity()],
+            columns: vec![ColumnSketch::default(); rel.schema.arity()],
         };
         for row in &rel.rows {
             stats.observe_row(row);
@@ -138,6 +139,21 @@ impl TableStats {
         self.card += 1;
         for (col, v) in self.columns.iter_mut().zip(row.iter()) {
             col.observe(v);
+        }
+    }
+
+    /// The estimator's view of these statistics — what the cost model
+    /// in `lera::cost` consumes.
+    pub fn relation_stats(&self) -> RelationStats {
+        let columns = self.columns.iter().enumerate().map(|(i, c)| ColumnStats {
+            distinct: c.distinct(),
+            min: c.min,
+            max: c.max,
+            null_frac: self.null_frac(i),
+        });
+        RelationStats {
+            card: self.card as f64,
+            columns: columns.collect(),
         }
     }
 
@@ -217,7 +233,7 @@ mod tests {
         let built = TableStats::build(&rel);
         let mut inc = TableStats {
             card: 0,
-            columns: vec![ColumnStats::default()],
+            columns: vec![ColumnSketch::default()],
         };
         for row in &rows {
             inc.observe_row(row);

@@ -287,21 +287,6 @@ pub enum Expr {
     },
 }
 
-impl Expr {
-    /// Convenience: conjunction of two optional qualifications.
-    pub fn and_opt(a: Option<Expr>, b: Option<Expr>) -> Option<Expr> {
-        match (a, b) {
-            (Some(a), Some(b)) => Some(Expr::Binary {
-                op: BinOp::And,
-                left: Box::new(a),
-                right: Box::new(b),
-            }),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

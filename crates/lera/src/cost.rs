@@ -33,8 +33,8 @@ use std::collections::HashMap;
 use crate::expr::Expr;
 use crate::scalar::{CmpOp, Scalar};
 
-/// Per-column statistics, mirrored from the engine's sketches (`lera`
-/// cannot depend on `eds-engine`; the `Dbms` facade converts).
+/// Per-column statistics (the engine's `TableStats::relation_stats`
+/// fills them from its sketches; `lera` cannot depend on `eds-engine`).
 #[derive(Debug, Clone, Default)]
 pub struct ColumnStats {
     /// Estimated distinct non-NULL values (0 = unknown).
@@ -57,14 +57,6 @@ pub struct RelationStats {
 }
 
 impl RelationStats {
-    /// Cardinality-only stats (no column sketches).
-    pub fn with_card(card: f64) -> Self {
-        RelationStats {
-            card,
-            columns: Vec::new(),
-        }
-    }
-
     /// Column stats at a 1-based attribute position.
     pub fn column(&self, attr1: usize) -> Option<&ColumnStats> {
         self.columns.get(attr1.checked_sub(1)?)

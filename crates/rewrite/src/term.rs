@@ -221,14 +221,6 @@ impl Term {
         }
     }
 
-    /// Application view with the interned head symbol.
-    pub fn as_app_sym(&self) -> Option<(Symbol, &[Term])> {
-        match self {
-            Term::App(h, args) => Some((*h, args.as_slice())),
-            _ => None,
-        }
-    }
-
     /// The head symbol, when the term is an application.
     pub fn head(&self) -> Option<Symbol> {
         match self {

@@ -39,7 +39,13 @@ fn trace_records_every_application_in_order() {
     let mut tracing = dbms.rewriter.clone();
     tracing.collect_trace = true;
     let outcome = tracing
-        .rewrite(&prepared.expr, &dbms.db, &dbms.constraints)
+        .rewrite_leveled(
+            &prepared.expr,
+            &dbms.db,
+            &dbms.constraints,
+            dbms.opt_level(),
+            true,
+        )
         .unwrap();
     let events = outcome.trace.events();
     assert_eq!(events.len() as u64, outcome.stats.applications);
