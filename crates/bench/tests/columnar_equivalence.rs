@@ -2,12 +2,12 @@
 //! workload must return *byte-identical* results — same rows, same
 //! order — as both the row-at-a-time path (`columnar: false`) and the
 //! seed reference interpreter (`eds_engine::reference`), across join
-//! modes, fixpoint modes, and parallelism. The fixtures are chosen to
-//! hit every kernel and every fallback: typed INT/REAL/BOOL/CHAR
-//! columns, NULL bitmaps, mid-column type spills, enum/ADT/collection
-//! spill columns, kind-mismatch and NULL-constant predicates, deref
-//! predicates (row fallback), and NULL join keys in the typed i64 hash
-//! path.
+//! modes, fixpoint modes, and parallelism, with the same work counters
+//! on both executor paths. The fixtures are chosen to hit every kernel
+//! and every fallback: typed INT/CHAR columns, NULL bitmaps, REAL/BOOL,
+//! mid-column type spills and enum/ADT/collection spill columns,
+//! kind-mismatch and NULL-constant predicates, deref predicates (row
+//! fallback), and NULL join keys in the typed i64 hash path.
 
 use eds_adt::Value;
 use eds_bench::{film_dbms, scan_dbms};
@@ -15,24 +15,23 @@ use eds_core::Dbms;
 use eds_engine::{eval_reference, ColumnarRelation, EvalOptions, FixMode, FixOptions, JoinMode};
 use eds_lera::Expr;
 
-/// Every physical configuration with columnar toggled both ways.
+/// Every physical configuration, columnar off; [`assert_equivalent`]
+/// toggles it on beside each.
 fn all_configs() -> Vec<EvalOptions> {
     let mut out = Vec::new();
     for join in [JoinMode::NestedLoop, JoinMode::Hash] {
         for fix_mode in [FixMode::Naive, FixMode::SemiNaive] {
             for parallelism in [1usize, 4] {
-                for columnar in [false, true] {
-                    out.push(EvalOptions {
-                        fix: FixOptions {
-                            mode: fix_mode,
-                            ..Default::default()
-                        },
-                        join,
-                        parallelism,
-                        columnar,
-                        opt_level: Default::default(),
-                    });
-                }
+                out.push(EvalOptions {
+                    fix: FixOptions {
+                        mode: fix_mode,
+                        ..Default::default()
+                    },
+                    join,
+                    parallelism,
+                    columnar: false,
+                    opt_level: Default::default(),
+                });
             }
         }
     }
@@ -40,21 +39,32 @@ fn all_configs() -> Vec<EvalOptions> {
 }
 
 /// Columnar on must equal columnar off must equal the reference
-/// interpreter — rows and order, byte for byte.
+/// interpreter — rows and order, byte for byte — and the two executor
+/// paths must report the same work counters.
 fn assert_equivalent(id: &str, dbms: &Dbms, expr: &Expr) {
-    for opts in all_configs() {
-        let fast = eds_engine::eval_with(expr, &dbms.db, opts)
-            .unwrap_or_else(|e| panic!("{id}: executor failed under {opts:?}: {e}"))
-            .0;
-        let reference = eval_reference(expr, &dbms.db, opts)
-            .unwrap_or_else(|e| panic!("{id}: reference executor failed under {opts:?}: {e}"));
+    for row_opts in all_configs() {
+        let reference = eval_reference(expr, &dbms.db, row_opts)
+            .unwrap_or_else(|e| panic!("{id}: reference executor failed under {row_opts:?}: {e}"));
+        let col_opts = EvalOptions {
+            columnar: true,
+            ..row_opts
+        };
+        let [row, col] = [row_opts, col_opts].map(|opts| {
+            let (fast, stats) = eds_engine::eval_with(expr, &dbms.db, opts)
+                .unwrap_or_else(|e| panic!("{id}: executor failed under {opts:?}: {e}"));
+            assert_eq!(
+                fast.schema, reference.schema,
+                "{id}: schema diverges under {opts:?}"
+            );
+            assert_eq!(
+                fast.rows, reference.rows,
+                "{id}: rows diverge from the reference interpreter under {opts:?}"
+            );
+            stats
+        });
         assert_eq!(
-            fast.schema, reference.schema,
-            "{id}: schema diverges under {opts:?}"
-        );
-        assert_eq!(
-            fast.rows, reference.rows,
-            "{id}: rows diverge from the reference interpreter under {opts:?}"
+            row, col,
+            "{id}: work counters differ between the row and columnar paths under {row_opts:?}"
         );
     }
 }
@@ -67,7 +77,7 @@ fn check(dbms: &Dbms, sql: &str) {
 }
 
 /// A table whose columns cover every layout the builder knows: typed
-/// INT (with NULLs), REAL, BOOL, CHAR, plus spill columns (mixed
+/// INT (with NULLs) and CHAR, plus spill columns (REAL, BOOL, mixed
 /// INT/REAL, mid-column INT→CHAR conflict, and collections).
 fn mixed_dbms() -> Dbms {
     let mut dbms = Dbms::new().unwrap();
@@ -122,7 +132,7 @@ fn typed_column_predicates_match_row_path_and_reference() {
         "SELECT K FROM MIXED WHERE 4 > N ;",
         "SELECT K FROM MIXED WHERE N = 7 ;",
         "SELECT K FROM MIXED WHERE N <> 7 ;",
-        // Real column vs int const (kernel widens the constant).
+        // Real column vs int const (`sql_cmp` widens the constant).
         "SELECT K FROM MIXED WHERE R > 2 ;",
         // String equality and ordering on the interned column.
         "SELECT K FROM MIXED WHERE Tag = 'green' ;",
@@ -146,6 +156,73 @@ fn typed_column_predicates_match_row_path_and_reference() {
         "SELECT Tag, R FROM MIXED WHERE K > 30 ;",
     ] {
         check(&dbms, sql);
+    }
+}
+
+/// Every predicate shape whose kernel the traffic count retired: with
+/// columnar on, the predicate now runs on the row path over a mirrored
+/// table, and rows, order and `EvalStats` must match the columnar-off
+/// run and the reference interpreter (`check`).
+#[test]
+fn shapes_without_a_kernel_fall_back_to_the_row_path() {
+    let mut dbms = Dbms::new().unwrap();
+    dbms.execute_ddl(
+        "TABLE LOST (K : INT, N : INT, R : REAL, R2 : REAL, F : BOOL, F2 : BOOL,
+                     S : CHAR, S2 : CHAR);",
+    )
+    .unwrap();
+    let words = ["ash", "birch", "cedar"];
+    // 2 500 rows: more than one morsel, more than one strip.
+    for i in 0..2_500i64 {
+        // One NULL per row at most, rotating through the nullable columns.
+        let hole = |col: i64, v: Value| if i % 11 == col { Value::Null } else { v };
+        dbms.insert(
+            "LOST",
+            vec![
+                Value::Int(i),
+                hole(1, Value::Int(i % 10)),
+                hole(2, Value::real((i % 7) as f64 * 1.5)),
+                hole(3, Value::real((i % 5) as f64 * 2.0)),
+                hole(4, Value::Bool(i % 3 == 0)),
+                hole(5, Value::Bool(i % 2 == 0)),
+                hole(6, Value::str(words[(i % 3) as usize])),
+                hole(7, Value::str(words[(i % 2) as usize])),
+            ],
+        )
+        .unwrap();
+    }
+    // (shape, predicate, whether any row qualifies)
+    for (shape, pred, selects) in [
+        ("Real column vs Real constant", "R > 4.5", true),
+        ("Real column vs Int constant", "R >= 3", true),
+        ("Bool column vs constant", "F = TRUE", true),
+        ("Int column vs Real constant", "N < 4.5", true),
+        ("Int column vs Real column", "N > R", true),
+        ("Real column vs Int column", "R >= N", true),
+        ("Real column pair", "R < R2", true),
+        ("Bool column pair", "F <> F2", true),
+        ("Str column pair", "S = S2", true),
+        ("Int column vs Str constant", "N < 'zzz'", true),
+        ("Str column vs Int constant", "S = 7", false),
+        ("Int column vs Str column", "N < S", true),
+        // A NULL comparand has a kernel of its own, but beside a shape
+        // without one the whole predicate still takes the row path.
+        (
+            "Real column AND NULL constant",
+            "R > 1.5 AND N = NULL",
+            false,
+        ),
+        // A conjunct without a kernel beside two with one.
+        (
+            "Int, Str, Bool columns vs constants",
+            "N > 2 AND S = 'ash' AND F2 = FALSE",
+            true,
+        ),
+    ] {
+        let sql = format!("SELECT K FROM LOST WHERE {pred} ;");
+        let rows = dbms.query(&sql).unwrap_or_else(|e| panic!("{shape}: {e}"));
+        assert_eq!(!rows.is_empty(), selects, "{shape}: {sql}");
+        check(&dbms, &sql);
     }
 }
 
@@ -249,8 +326,9 @@ fn mirror_row_view_reproduces_rows_exactly_and_flags_spills() {
             "row view diverges from the authoritative row store at {i}"
         );
     }
-    // K, N, R, Flag, Tag are typed; Blend, Drift, Bag spill.
-    for (j, typed) in [true, true, true, true, true, false, false, false]
+    // K, N, Tag are typed (Int, Int, Str — the layouts a kernel reads);
+    // R, Flag (Real, Bool) and Blend, Drift, Bag spill.
+    for (j, typed) in [true, true, false, false, true, false, false, false]
         .into_iter()
         .enumerate()
     {

@@ -118,7 +118,8 @@ fn main() -> ExitCode {
                 Some("json") => format = Format::Json,
                 Some("sarif") => format = Format::Sarif,
                 other => {
-                    eprintln!("eds-lint: --format expects human|json|sarif, got {other:?}");
+                    let got = other.unwrap_or("nothing");
+                    eprintln!("eds-lint: --format expects human|json|sarif, got {got}");
                     return ExitCode::from(2);
                 }
             },

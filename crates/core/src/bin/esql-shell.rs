@@ -16,7 +16,7 @@
 //! .lint                 statically analyze the knowledge base
 //! .verify [seed]        semantically verify it (prover + differential fuzzer)
 //! .level [none|simple|full]  show or set the optimization level
-//! .stats                plan-cache, exploration and executor counters
+//! .stats                session options; cache, exploration and executor counters
 //! .prepare <name> <query ;>   prepare a `?`-parameterized statement
 //! .exec <name> [value ...]    execute it with bind values
 //! .tables               list tables and views
@@ -31,7 +31,13 @@ use eds_core::{Dbms, Executed, PreparedStmt};
 use eds_rewrite::Limit;
 
 fn main() {
-    let mut dbms = Dbms::new().expect("built-in rules must load");
+    let mut dbms = match Dbms::new() {
+        Ok(dbms) => dbms,
+        Err(e) => {
+            eprintln!("esql-shell: {e}");
+            std::process::exit(2);
+        }
+    };
     let mut stmts: HashMap<String, PreparedStmt> = HashMap::new();
     println!("EDS rule-based query rewriter — ESQL shell (.help for help)");
 
@@ -180,7 +186,7 @@ fn meta_command(dbms: &mut Dbms, stmts: &mut HashMap<String, PreparedStmt>, cmd:
              .verify [seed]          semantically verify it (prover + fuzzer)\n\
              .discover [seed]        search for new prover-certified rules\n\
              .level [none|simple|full]  show or set the optimization level\n\
-             .stats                  plan-cache, exploration and executor counters\n\
+             .stats                  session options; cache, exploration and executor counters\n\
              .prepare <name> <query ;>   prepare a ?-parameterized statement\n\
              .exec <name> [value ...]    execute it with bind values"
         ),
@@ -214,6 +220,14 @@ fn meta_command(dbms: &mut Dbms, stmts: &mut HashMap<String, PreparedStmt>, cmd:
             Err(e) => eprintln!("error: {e}"),
         },
         ".stats" => {
+            let o = dbms.eval_options;
+            println!(
+                "options:    parallelism {}, columnar {}, opt level {}, lint {}",
+                o.parallelism,
+                if o.columnar { "on" } else { "off" },
+                o.opt_level,
+                format!("{:?}", dbms.rewriter.lint_policy).to_lowercase()
+            );
             let pc = dbms.rewriter.plan_cache_stats();
             println!(
                 "plan cache: {} hit(s), {} miss(es), {} eviction(s), {} invalidation(s)",

@@ -44,6 +44,17 @@ pub enum CoreError {
         /// Values the bind array supplied.
         got: usize,
     },
+    /// An `EDS_*` environment variable is set to a value that does not
+    /// parse; [`Dbms::new`](crate::Dbms::new) refuses to start rather
+    /// than fall back to a default the user did not ask for.
+    BadEnvValue {
+        /// The variable's name.
+        var: &'static str,
+        /// Its value as found.
+        value: String,
+        /// The spellings that would have been accepted.
+        expected: &'static str,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -71,6 +82,11 @@ impl fmt::Display for CoreError {
                     "statement takes {expected} bind value(s), {got} supplied"
                 )
             }
+            CoreError::BadEnvValue {
+                var,
+                value,
+                expected,
+            } => write!(f, "{var}={value:?} is not valid (expected {expected})"),
         }
     }
 }

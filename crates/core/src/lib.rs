@@ -200,6 +200,56 @@ pub enum Executed {
     Rows(Relation),
 }
 
+/// The session configuration the process environment asks for, over
+/// the library defaults. Every `EDS_*` knob is read here and nowhere
+/// else.
+fn config_from_env() -> CoreResult<(EvalOptions, LintPolicy)> {
+    fn knob<T>(
+        var: &'static str,
+        expected: &'static str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> CoreResult<Option<T>> {
+        let value = match std::env::var(var) {
+            Ok(value) => value,
+            Err(std::env::VarError::NotPresent) => return Ok(None),
+            Err(std::env::VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+        };
+        match parse(value.trim()) {
+            Some(parsed) => Ok(Some(parsed)),
+            None => Err(CoreError::BadEnvValue {
+                var,
+                value,
+                expected,
+            }),
+        }
+    }
+    let defaults = EvalOptions::default();
+    let opts = EvalOptions {
+        parallelism: knob("EDS_PARALLELISM", "a positive integer", |v| {
+            v.parse().ok().filter(|&p| p >= 1)
+        })?
+        .unwrap_or(defaults.parallelism),
+        opt_level: knob("EDS_OPT_LEVEL", "none, simple or full", OptLevel::parse)?
+            .unwrap_or(defaults.opt_level),
+        columnar: knob("EDS_COLUMNAR", "0 or 1", |v| match v {
+            "0" => Some(false),
+            "1" => Some(true),
+            _ => None,
+        })?
+        .unwrap_or(defaults.columnar),
+        ..defaults
+    };
+    let lint = knob("EDS_LINT", "deny, warn or off", |v| {
+        match v.to_ascii_lowercase().as_str() {
+            "deny" => Some(LintPolicy::Deny),
+            "warn" => Some(LintPolicy::Warn),
+            "off" => Some(LintPolicy::Off),
+            _ => None,
+        }
+    })?;
+    Ok((opts, lint.unwrap_or_default()))
+}
+
 /// The integrated DBMS facade: database + extensible rewriter.
 #[derive(Debug)]
 pub struct Dbms {
@@ -216,15 +266,21 @@ pub struct Dbms {
 }
 
 impl Dbms {
-    /// A DBMS with the built-in optimization knowledge base. Options
-    /// honor `EDS_PARALLELISM`, `EDS_OPT_LEVEL` and `EDS_COLUMNAR`
-    /// ([`EvalOptions::from_env`]).
+    /// A DBMS with the built-in optimization knowledge base. The one
+    /// place the process environment is read: `EDS_PARALLELISM`,
+    /// `EDS_OPT_LEVEL` and `EDS_COLUMNAR` override the
+    /// [`EvalOptions`] defaults, `EDS_LINT` the rewriter's
+    /// [`QueryRewriter::lint_policy`]; a value that does not parse is a
+    /// [`CoreError::BadEnvValue`], never a silent default.
     pub fn new() -> CoreResult<Self> {
+        let (eval_options, lint_policy) = config_from_env()?;
+        let mut rewriter = QueryRewriter::with_default_rules()?;
+        rewriter.lint_policy = lint_policy;
         Ok(Dbms {
             db: Database::new(),
-            rewriter: QueryRewriter::with_default_rules()?,
+            rewriter,
             constraints: ConstraintStore::new(),
-            eval_options: EvalOptions::from_env(),
+            eval_options,
         })
     }
 
@@ -280,11 +336,11 @@ impl Dbms {
     /// Add optimization rules / blocks / sequence written in the rule
     /// language — the extensibility entry point. Every batch is linted
     /// first (schema-aware: the analyzer sees the catalog) under the
-    /// `EDS_LINT` policy; `deny` rejects error-carrying DDL with
-    /// [`CoreError::LintRejected`], `warn` (default) reports and
-    /// accepts.
+    /// rewriter's [`QueryRewriter::lint_policy`]; `deny` rejects
+    /// error-carrying DDL with [`CoreError::LintRejected`], `warn`
+    /// (default) reports and accepts.
     pub fn add_rule_source(&mut self, src: &str) -> CoreResult<usize> {
-        self.add_rule_source_checked(src, LintPolicy::from_env())
+        self.add_rule_source_checked(src, self.rewriter.lint_policy)
     }
 
     /// [`Dbms::add_rule_source`] with an explicit lint policy.

@@ -25,8 +25,8 @@ use crate::methods::register_core_methods;
 use crate::semantic::ConstraintStore;
 
 /// What to do with static-analysis findings when rule DDL is registered.
-/// Selected per process with `EDS_LINT=deny|warn|off`; the default is
-/// `warn`.
+/// [`Dbms::new`](crate::Dbms::new) takes it from `EDS_LINT=deny|warn|off`;
+/// the default is `warn`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LintPolicy {
     /// Reject the source when any *error*-severity diagnostic fires
@@ -37,19 +37,6 @@ pub enum LintPolicy {
     Warn,
     /// Skip analysis entirely.
     Off,
-}
-
-impl LintPolicy {
-    /// Read `EDS_LINT` (case-insensitive; unknown values fall back to
-    /// the `Warn` default). Read per call, not cached, so tests and
-    /// long-lived shells can flip it.
-    pub fn from_env() -> Self {
-        match std::env::var("EDS_LINT") {
-            Ok(v) if v.trim().eq_ignore_ascii_case("deny") => LintPolicy::Deny,
-            Ok(v) if v.trim().eq_ignore_ascii_case("off") => LintPolicy::Off,
-            _ => LintPolicy::Warn,
-        }
-    }
 }
 
 /// Embedded built-in knowledge base, written in the paper's rule
@@ -177,20 +164,9 @@ struct PlanCache {
 /// Default plan-cache capacity: cached rewrites above this count evict
 /// the whole cache (simple, and a workload with more than this many
 /// distinct prepared shapes is already re-preparing, not re-executing).
-/// Overridable per process with `EDS_PLAN_CACHE_CAP` (0 disables
-/// caching) or per rewriter with
-/// [`QueryRewriter::set_plan_cache_cap`].
+/// Overridable per rewriter with [`QueryRewriter::set_plan_cache_cap`]
+/// (0 disables caching).
 const PLAN_CACHE_CAP: usize = 256;
-
-/// Capacity for new rewriters: `EDS_PLAN_CACHE_CAP` when it parses,
-/// else [`PLAN_CACHE_CAP`]. Read at construction (not cached in a
-/// static) so tests can vary it.
-fn plan_cache_cap_from_env() -> usize {
-    std::env::var("EDS_PLAN_CACHE_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(PLAN_CACHE_CAP)
-}
 
 /// Plan-cache effectiveness counters, exposed for tests and the bench
 /// report. `evictions` counts *entries dropped* by capacity-triggered
@@ -266,6 +242,9 @@ pub struct QueryRewriter {
     methods: MethodRegistry,
     /// Collect a rule-application trace on every rewrite.
     pub collect_trace: bool,
+    /// Lint policy [`QueryRewriter::add_source`] registers rule DDL
+    /// under.
+    pub lint_policy: LintPolicy,
     /// The two plan-cache tiers and the cumulative counters, behind one
     /// lock. Interior-mutable so `rewrite*(&self)` can fill it;
     /// invalidated by every knowledge-base mutation and, via
@@ -286,6 +265,7 @@ impl fmt::Debug for QueryRewriter {
             .field("strategy", &self.strategy)
             .field("methods", &self.methods)
             .field("collect_trace", &self.collect_trace)
+            .field("lint_policy", &self.lint_policy)
             .field("plan_cache_len", &self.plan_cache_len())
             .field("shape_cache_len", &self.shape_cache_len())
             .field("plan_cache_cap", &self.plan_cache_cap)
@@ -301,6 +281,7 @@ impl Clone for QueryRewriter {
             strategy: self.strategy.clone(),
             methods: self.methods.clone(),
             collect_trace: self.collect_trace,
+            lint_policy: self.lint_policy,
             // The clone starts cold: cached plans are cheap to recompute
             // and sharing them would couple invalidation across copies.
             // Counters start at zero with it — they describe this
@@ -322,8 +303,9 @@ impl QueryRewriter {
             strategy: Strategy::new(),
             methods,
             collect_trace: false,
+            lint_policy: LintPolicy::default(),
             cache: Mutex::default(),
-            plan_cache_cap: plan_cache_cap_from_env(),
+            plan_cache_cap: PLAN_CACHE_CAP,
             epoch: AtomicU64::new(0),
         }
     }
@@ -343,13 +325,13 @@ impl QueryRewriter {
 
     /// Parse rule-language source (rules, blocks, seq) into the
     /// knowledge base — the extensibility entry point for the database
-    /// implementor. Lints under the environment policy (`EDS_LINT`,
-    /// default `warn`) without catalog knowledge; use
+    /// implementor. Lints under [`QueryRewriter::lint_policy`] (default
+    /// `warn`) without catalog knowledge; use
     /// [`QueryRewriter::add_source_checked`] (or go through
     /// `Dbms::add_rule_source`) for schema-aware checks or an explicit
     /// policy.
     pub fn add_source(&mut self, src: &str) -> CoreResult<usize> {
-        self.add_source_checked(src, LintPolicy::from_env(), None)
+        self.add_source_checked(src, self.lint_policy, None)
     }
 
     /// [`QueryRewriter::add_source`] with an explicit lint policy and

@@ -135,3 +135,100 @@ fn builtin_kb_passes_verify_with_default_exit_semantics() {
         .unwrap()
         .contains("\"level\":\"note\""));
 }
+
+// --- the environment reader (`Dbms::new`), through `esql-shell` ----------
+//
+// Subprocesses, not in-process `set_var`: the environment is process-global
+// and the harness runs tests on parallel threads.
+
+const KNOBS: [&str; 4] = [
+    "EDS_PARALLELISM",
+    "EDS_OPT_LEVEL",
+    "EDS_COLUMNAR",
+    "EDS_LINT",
+];
+
+/// Run `esql-shell` with exactly `env` of the knobs set and `script` on
+/// stdin. A shell that refuses to start exits before it reads stdin, so
+/// a failed write (`BrokenPipe`) is not an error here.
+fn esql_shell(env: &[(&str, &str)], script: &str) -> Output {
+    use std::io::Write;
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_esql-shell"));
+    for k in KNOBS {
+        cmd.env_remove(k);
+    }
+    let mut child = cmd
+        .envs(env.iter().copied())
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("esql-shell must spawn");
+    let _ = child.stdin.take().unwrap().write_all(script.as_bytes());
+    child.wait_with_output().unwrap()
+}
+
+#[test]
+fn every_env_knob_is_honoured_and_the_retired_one_ignored() {
+    const BROKEN: &str = ".rule Broken : SEARCH(l, f, a) / --> SEARCH(l, ghost, a) / ;\n";
+    let script = format!(".stats\n{BROKEN}");
+
+    // A retired knob is not read at all: even garbage is ignored.
+    let out = esql_shell(&[("EDS_PLAN_CACHE_CAP", "garbage")], &script);
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.contains("parallelism 1, columnar on, opt level simple, lint warn"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("added."), "warn accepts: {stdout}");
+
+    let out = esql_shell(
+        &[
+            ("EDS_PARALLELISM", "3"),
+            ("EDS_OPT_LEVEL", "FULL"),
+            ("EDS_COLUMNAR", "0"),
+            ("EDS_LINT", "deny"),
+        ],
+        &script,
+    );
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.contains("parallelism 3, columnar off, opt level full, lint deny"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("added."), "deny rejects: {stdout}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("rejected by eds-lint"), "{stderr}");
+}
+
+#[test]
+fn an_unparsable_env_value_exits_nonzero_naming_it() {
+    for (var, value) in [
+        ("EDS_PARALLELISM", "abc"),
+        ("EDS_PARALLELISM", "0"),
+        ("EDS_OPT_LEVEL", "ful"),
+        ("EDS_COLUMNAR", "yes"),
+        ("EDS_LINT", "denny"),
+        ("EDS_LINT", ""),
+    ] {
+        let out = esql_shell(&[(var, value)], ".quit\n");
+        assert!(!out.status.success(), "{var}={value} must not start");
+        assert!(out.stdout.is_empty(), "{var}={value} printed a banner");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("{var}={value:?}")),
+            "{var}={value}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_bad_format_is_reported_without_debug_syntax() {
+    let out = eds_lint(&["--format", "xml"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("got xml"), "{stderr}");
+    assert!(!stderr.contains("Some("), "{stderr}");
+}

@@ -1,15 +1,16 @@
 //! Columnar mirrors of stored relations.
 //!
-//! A [`ColumnarRelation`] stores one typed vector per attribute — `i64`,
-//! `f64`, `bool`, or interned strings, each with a null bitmap — plus a
-//! [`Value`] *spill* column for attributes whose values are ADTs, enums,
-//! collections, objects, or a mix of runtime kinds. The mirror is a pure
-//! acceleration structure: the row-major [`Relation`] stays the single
-//! source of truth (operators keep passing [`SharedRow`]s along by
-//! refcount), and compiled predicates run their typed kernels over the
-//! contiguous columns to produce a *selection vector* of row indices,
-//! which the operator then gathers from the row store. Results are
-//! therefore byte-identical to the row path by construction.
+//! A [`ColumnarRelation`] stores one typed vector per attribute — `i64`
+//! or interned strings, the two layouts a kernel reads, each with a null
+//! bitmap — plus a [`Value`] *spill* column for everything else: reals,
+//! booleans, ADTs, enums, collections, objects, or a mix of runtime
+//! kinds. The mirror is a pure acceleration structure: the row-major
+//! [`Relation`] stays the single source of truth (operators keep passing
+//! [`SharedRow`]s along by refcount), and compiled predicates run their
+//! typed kernels over the contiguous columns to produce a *selection
+//! vector* of row indices, which the operator then gathers from the row
+//! store. Results are therefore byte-identical to the row path by
+//! construction.
 //!
 //! Mirrors are built lazily per stored base table (see
 //! [`Database::columnar`](crate::database::Database::columnar)) and
@@ -37,16 +38,11 @@ pub(crate) struct NullBitmap {
 }
 
 impl NullBitmap {
-    fn with_len(n: usize) -> NullBitmap {
+    fn with_capacity(n: usize) -> NullBitmap {
         NullBitmap {
-            words: vec![0; n.div_ceil(64)],
+            words: Vec::with_capacity(n.div_ceil(64)),
             any: false,
         }
-    }
-
-    fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-        self.any = true;
     }
 
     /// Is row `i` NULL?
@@ -89,20 +85,6 @@ pub(crate) enum Column {
         /// Null positions.
         nulls: NullBitmap,
     },
-    /// `Value::Real` column.
-    Real {
-        /// Decoded payloads.
-        values: Vec<f64>,
-        /// Null positions.
-        nulls: NullBitmap,
-    },
-    /// `Value::Bool` column.
-    Bool {
-        /// Decoded payloads.
-        values: Vec<bool>,
-        /// Null positions.
-        nulls: NullBitmap,
-    },
     /// `Value::Str` column, interned: `ids[i]` indexes `pool`, which
     /// holds each distinct string once. Comparisons against a constant
     /// evaluate once per *distinct* string, not once per row.
@@ -116,37 +98,13 @@ pub(crate) enum Column {
         /// Null positions.
         nulls: NullBitmap,
     },
-    /// Everything else: enums, tuples, collections, object references,
-    /// and columns whose rows mix runtime kinds (mid-column type spill).
+    /// Everything else: reals, booleans, enums, tuples, collections,
+    /// object references, and columns whose rows mix runtime kinds
+    /// (mid-column type spill).
     Spill(Vec<Value>),
 }
 
 impl Column {
-    /// Null bitmap of a typed column (`None` for spill columns).
-    pub(crate) fn nulls(&self) -> Option<&NullBitmap> {
-        match self {
-            Column::Int { nulls, .. }
-            | Column::Real { nulls, .. }
-            | Column::Bool { nulls, .. }
-            | Column::Str { nulls, .. } => Some(nulls),
-            Column::Spill(_) => None,
-        }
-    }
-
-    /// A representative non-null value of the column's kind, used to
-    /// resolve kind-mismatch comparisons once at lowering time (derived
-    /// `Ord` between different `Value` variants compares discriminants
-    /// only, so the result is payload-independent).
-    pub(crate) fn probe(&self) -> Option<Value> {
-        Some(match self {
-            Column::Int { .. } => Value::Int(0),
-            Column::Real { .. } => Value::real(0.0),
-            Column::Bool { .. } => Value::Bool(false),
-            Column::Str { .. } => Value::Str(String::new()),
-            Column::Spill(_) => return None,
-        })
-    }
-
     /// Rebuild the row-major value at row `i` (byte-identical to the
     /// value the mirror was built from).
     pub(crate) fn value(&self, i: usize) -> Value {
@@ -156,20 +114,6 @@ impl Column {
                     Value::Null
                 } else {
                     Value::Int(values[i])
-                }
-            }
-            Column::Real { values, nulls } => {
-                if nulls.is_null(i) {
-                    Value::Null
-                } else {
-                    Value::real(values[i])
-                }
-            }
-            Column::Bool { values, nulls } => {
-                if nulls.is_null(i) {
-                    Value::Null
-                } else {
-                    Value::Bool(values[i])
                 }
             }
             Column::Str {
@@ -196,16 +140,14 @@ impl Column {
             (self, v),
             (Column::Spill(_), _)
                 | (Column::Int { .. }, Value::Int(_) | Value::Null)
-                | (Column::Real { .. }, Value::Real(_) | Value::Null)
-                | (Column::Bool { .. }, Value::Bool(_) | Value::Null)
                 | (Column::Str { .. }, Value::Str(_) | Value::Null)
         )
     }
 
-    /// Append `v` as row `i`. Callers must have checked [`Column::accepts`]
-    /// first — this is the decode pass of the same two-pass discipline
-    /// [`build_column`] uses, so a mismatch mid-row never leaves a column
-    /// half-appended.
+    /// Append `v` as row `i` — the one decode path, shared by
+    /// [`build_column`] and [`ColumnarRelation::push_row`]. Callers must
+    /// have established [`Column::accepts`] first (the kind scan, or the
+    /// per-row check), so a mismatch never leaves a column half-appended.
     fn push(&mut self, v: &Value, i: usize) {
         match (self, v) {
             (Column::Int { values, nulls }, Value::Int(x)) => {
@@ -214,22 +156,6 @@ impl Column {
             }
             (Column::Int { values, nulls }, Value::Null) => {
                 values.push(0);
-                nulls.push(i, true);
-            }
-            (Column::Real { values, nulls }, Value::Real(x)) => {
-                values.push(x.0);
-                nulls.push(i, false);
-            }
-            (Column::Real { values, nulls }, Value::Null) => {
-                values.push(0.0);
-                nulls.push(i, true);
-            }
-            (Column::Bool { values, nulls }, Value::Bool(x)) => {
-                values.push(*x);
-                nulls.push(i, false);
-            }
-            (Column::Bool { values, nulls }, Value::Null) => {
-                values.push(false);
                 nulls.push(i, true);
             }
             (
@@ -259,7 +185,7 @@ impl Column {
                 nulls.push(i, true);
             }
             (Column::Spill(values), v) => values.push(v.clone()),
-            _ => unreachable!("accepts() admitted only matching kinds"),
+            _ => unreachable!("caller admitted only values of the column's kind"),
         }
     }
 }
@@ -269,18 +195,6 @@ impl Column {
 pub struct ColumnarRelation {
     len: usize,
     columns: Vec<Column>,
-}
-
-/// Which typed layout a column's values fit, decided by scanning the
-/// rows (NULLs are layout-neutral; any kind conflict spills).
-#[derive(Clone, Copy, PartialEq)]
-enum ColKind {
-    Unknown,
-    Int,
-    Real,
-    Bool,
-    Str,
-    Spill,
 }
 
 impl ColumnarRelation {
@@ -350,8 +264,7 @@ impl ColumnarRelation {
     /// leaving the mirror untouched — when the row's arity differs or
     /// any value does not fit its column's typed layout, in which case
     /// the caller must drop the mirror and let the next scan rebuild.
-    /// Two passes, like [`ColumnarRelation::build`]: every column is
-    /// checked before any column is touched.
+    /// Every column is checked before any column is touched.
     pub(crate) fn push_row(&mut self, row: &[Value]) -> bool {
         if row.len() != self.columns.len() {
             return false;
@@ -368,116 +281,36 @@ impl ColumnarRelation {
     }
 }
 
-/// Decide the layout of column `j` and decode it. Two passes: the kind
-/// scan is cheap (discriminant reads), and keeping the passes separate
-/// means a mid-column spill never decodes half a typed vector.
+/// Decide the layout of column `j`, then decode it through
+/// [`Column::push`] — the same path [`ColumnarRelation::push_row`]
+/// grows a mirror by, so a rebuilt mirror and an incrementally grown
+/// one are equal by construction. The first non-NULL value proposes the
+/// layout and [`Column::accepts`] checks every row against it before
+/// anything is decoded, so a mid-column kind conflict spills without
+/// decoding half a typed vector.
 fn build_column(rows: &[crate::relation::SharedRow], j: usize, n: usize) -> Column {
-    let mut kind = ColKind::Unknown;
-    for row in rows {
-        let k = match &row[j] {
-            Value::Null => continue,
-            Value::Int(_) => ColKind::Int,
-            Value::Real(_) => ColKind::Real,
-            Value::Bool(_) => ColKind::Bool,
-            Value::Str(_) => ColKind::Str,
-            _ => ColKind::Spill,
-        };
-        if kind == ColKind::Unknown {
-            kind = k;
-        }
-        if kind != k {
-            kind = ColKind::Spill;
-        }
-        if kind == ColKind::Spill {
-            break;
-        }
+    let mut col = match rows.iter().map(|r| &r[j]).find(|v| !v.is_null()) {
+        Some(Value::Int(_)) => Column::Int {
+            values: Vec::with_capacity(n),
+            nulls: NullBitmap::with_capacity(n),
+        },
+        Some(Value::Str(_)) => Column::Str {
+            ids: Vec::with_capacity(n),
+            pool: Vec::new(),
+            lookup: HashMap::new(),
+            nulls: NullBitmap::with_capacity(n),
+        },
+        // No kernel reads any other kind, and none can touch an
+        // all-NULL column: spill keeps the exact values trivially.
+        _ => Column::Spill(Vec::with_capacity(n)),
+    };
+    if !rows.iter().all(|r| col.accepts(&r[j])) {
+        col = Column::Spill(Vec::with_capacity(n));
     }
-    match kind {
-        // All-NULL columns stay row-major: no typed kernel can touch
-        // them, and spill keeps the exact values trivially.
-        ColKind::Unknown | ColKind::Spill => {
-            Column::Spill(rows.iter().map(|r| r[j].clone()).collect())
-        }
-        ColKind::Int => {
-            let mut values = Vec::with_capacity(n);
-            let mut nulls = NullBitmap::with_len(n);
-            for (i, row) in rows.iter().enumerate() {
-                match &row[j] {
-                    Value::Int(v) => values.push(*v),
-                    Value::Null => {
-                        values.push(0);
-                        nulls.set(i);
-                    }
-                    _ => unreachable!("kind scan saw only Int/Null"),
-                }
-            }
-            Column::Int { values, nulls }
-        }
-        ColKind::Real => {
-            let mut values = Vec::with_capacity(n);
-            let mut nulls = NullBitmap::with_len(n);
-            for (i, row) in rows.iter().enumerate() {
-                match &row[j] {
-                    Value::Real(v) => values.push(v.0),
-                    Value::Null => {
-                        values.push(0.0);
-                        nulls.set(i);
-                    }
-                    _ => unreachable!("kind scan saw only Real/Null"),
-                }
-            }
-            Column::Real { values, nulls }
-        }
-        ColKind::Bool => {
-            let mut values = Vec::with_capacity(n);
-            let mut nulls = NullBitmap::with_len(n);
-            for (i, row) in rows.iter().enumerate() {
-                match &row[j] {
-                    Value::Bool(v) => values.push(*v),
-                    Value::Null => {
-                        values.push(false);
-                        nulls.set(i);
-                    }
-                    _ => unreachable!("kind scan saw only Bool/Null"),
-                }
-            }
-            Column::Bool { values, nulls }
-        }
-        ColKind::Str => {
-            let mut ids = Vec::with_capacity(n);
-            let mut pool: Vec<Arc<str>> = Vec::new();
-            let mut lookup: HashMap<Arc<str>, u32> = HashMap::new();
-            let mut nulls = NullBitmap::with_len(n);
-            for (i, row) in rows.iter().enumerate() {
-                match &row[j] {
-                    Value::Str(s) => {
-                        let id = match lookup.get(s.as_str()) {
-                            Some(&id) => id,
-                            None => {
-                                let id = pool.len() as u32;
-                                let interned: Arc<str> = Arc::from(s.as_str());
-                                pool.push(interned.clone());
-                                lookup.insert(interned, id);
-                                id
-                            }
-                        };
-                        ids.push(id);
-                    }
-                    Value::Null => {
-                        ids.push(0);
-                        nulls.set(i);
-                    }
-                    _ => unreachable!("kind scan saw only Str/Null"),
-                }
-            }
-            Column::Str {
-                ids,
-                pool,
-                lookup,
-                nulls,
-            }
-        }
+    for (i, row) in rows.iter().enumerate() {
+        col.push(&row[j], i);
     }
+    col
 }
 
 #[cfg(test)]
@@ -513,8 +346,10 @@ mod tests {
         let cols = ColumnarRelation::build(&rel).expect("column-friendly");
         assert_eq!(cols.len(), 3);
         assert_eq!(cols.arity(), 4);
-        for j in 0..4 {
-            assert!(cols.column_is_typed(j), "column {j} must be typed");
+        // Int and Str are the layouts a kernel reads; Real and Bool
+        // spill, and round-trip exactly all the same.
+        for (j, typed) in [true, false, true, false].into_iter().enumerate() {
+            assert_eq!(cols.column_is_typed(j), typed, "column {j}");
         }
         for (i, row) in rel.rows.iter().enumerate() {
             assert_eq!(cols.row(i), row.to_vec(), "row {i} diverges");
@@ -526,6 +361,59 @@ mod tests {
                 assert_eq!(ids[0], ids[2]);
             }
             other => panic!("expected Str column, got {other:?}"),
+        }
+    }
+
+    /// One decode path: a mirror rebuilt from all rows equals the mirror
+    /// of the first row grown by `push_row`, over Int / Str / spill
+    /// columns with NULLs mixed in. (The first row is NULL-free so both
+    /// builds see every column's kind; an all-NULL prefix legitimately
+    /// spills where a rebuild would type — see `accepts`.)
+    #[test]
+    fn rebuild_equals_first_row_plus_push_row() {
+        use eds_testkit::rng::StdRng;
+        let mut rng = StdRng::seed_from_u64(0xC01);
+        for case in 0..200 {
+            // Column 0 is always Int so the relation keeps a mirror.
+            let kinds: Vec<u8> = std::iter::once(0)
+                .chain((0..rng.gen_range(0..4usize)).map(|_| rng.gen_range(0..3u8)))
+                .collect();
+            let n = rng.gen_range(1..150usize);
+            let rows: Vec<Row> = (0..n)
+                .map(|i| {
+                    kinds
+                        .iter()
+                        .map(|k| match k {
+                            _ if i > 0 && rng.gen_bool(0.2) => Value::Null,
+                            0 => Value::Int(rng.gen_range(-5..5i64)),
+                            1 => Value::str(format!("s{}", rng.gen_range(0..4u32))),
+                            // Spill mix; its first row must not be an
+                            // Int or Str, which would start typed.
+                            _ => match rng.gen_range(0..if i == 0 { 3 } else { 5u8 }) {
+                                0 => Value::real(1.5),
+                                1 => Value::Bool(true),
+                                2 => Value::Enum("G".into(), "A".into()),
+                                3 => Value::Int(1),
+                                _ => Value::str("x"),
+                            },
+                        })
+                        .collect()
+                })
+                .collect();
+            let names: Vec<String> = (0..kinds.len()).map(|j| format!("c{j}")).collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            let full = ColumnarRelation::build(&Relation::new(schema(&names), rows.clone()))
+                .expect("column 0 is typed");
+            let mut grown =
+                ColumnarRelation::build(&Relation::new(schema(&names), rows[..1].to_vec()))
+                    .expect("column 0 is typed");
+            for row in &rows[1..] {
+                assert!(grown.push_row(row), "case {case}: push refused");
+            }
+            assert_eq!(grown, full, "case {case}");
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(&full.row(i), row, "case {case} row {i}");
+            }
         }
     }
 

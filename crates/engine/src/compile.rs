@@ -600,41 +600,12 @@ enum Kern<'c> {
     /// Conjunct is never TRUE (NULL/FALSE constant result): selects
     /// nothing.
     NeverTrue,
-    /// Kind-mismatch comparison whose truth is TRUE exactly when the
-    /// column value is non-null (derived `Ord` between distinct `Value`
-    /// kinds is payload-independent).
-    NotNull1(&'c NullBitmap),
-    /// As [`Kern::NotNull1`] for a column-column comparison: TRUE when
-    /// both sides are non-null.
-    NotNull2(&'c NullBitmap, &'c NullBitmap),
     /// `Int` column vs integer constant.
     IntConst {
         values: &'c [i64],
         nulls: &'c NullBitmap,
         op: CmpOp,
         k: i64,
-    },
-    /// `Int` column vs real constant (`sql_cmp` widens the int side).
-    IntConstF {
-        values: &'c [i64],
-        nulls: &'c NullBitmap,
-        op: CmpOp,
-        k: f64,
-    },
-    /// `Real` column vs numeric constant (int constants widen, exactly
-    /// like `sql_cmp`'s `(*b as f64)`).
-    RealConst {
-        values: &'c [f64],
-        nulls: &'c NullBitmap,
-        op: CmpOp,
-        k: f64,
-    },
-    /// `Bool` column vs boolean constant.
-    BoolConst {
-        values: &'c [bool],
-        nulls: &'c NullBitmap,
-        op: CmpOp,
-        k: bool,
     },
     /// Interned string column vs string constant: the comparison ran
     /// once per *distinct* pool entry at lowering time, so the per-row
@@ -648,48 +619,6 @@ enum Kern<'c> {
     IntInt {
         a: &'c [i64],
         b: &'c [i64],
-        an: &'c NullBitmap,
-        bn: &'c NullBitmap,
-        op: CmpOp,
-    },
-    /// `Int` column vs `Real` column (int side widens).
-    IntReal {
-        a: &'c [i64],
-        b: &'c [f64],
-        an: &'c NullBitmap,
-        bn: &'c NullBitmap,
-        op: CmpOp,
-    },
-    /// `Real` column vs `Int` column.
-    RealInt {
-        a: &'c [f64],
-        b: &'c [i64],
-        an: &'c NullBitmap,
-        bn: &'c NullBitmap,
-        op: CmpOp,
-    },
-    /// `Real` column vs `Real` column (`total_cmp`, like `OrderedF64`).
-    RealReal {
-        a: &'c [f64],
-        b: &'c [f64],
-        an: &'c NullBitmap,
-        bn: &'c NullBitmap,
-        op: CmpOp,
-    },
-    /// `Bool` column vs `Bool` column.
-    BoolBool {
-        a: &'c [bool],
-        b: &'c [bool],
-        an: &'c NullBitmap,
-        bn: &'c NullBitmap,
-        op: CmpOp,
-    },
-    /// String column vs string column (possibly different pools).
-    StrStr {
-        a_ids: &'c [u32],
-        a_pool: &'c [Arc<str>],
-        b_ids: &'c [u32],
-        b_pool: &'c [Arc<str>],
         an: &'c NullBitmap,
         bn: &'c NullBitmap,
         op: CmpOp,
@@ -836,11 +765,6 @@ impl ColumnarPred<'_> {
     fn apply(kern: &Kern<'_>, flags: &mut [u8], lo: usize, hi: usize) {
         match kern {
             Kern::AllTrue | Kern::NeverTrue => {}
-            Kern::NotNull1(nb) => and_not_null(flags, nb, lo),
-            Kern::NotNull2(an, bn) => {
-                and_not_null(flags, an, lo);
-                and_not_null(flags, bn, lo);
-            }
             Kern::IntConst {
                 values,
                 nulls,
@@ -849,38 +773,6 @@ impl ColumnarPred<'_> {
             } => {
                 let k = *k;
                 and_cmp(flags, &values[lo..hi], *op, move |v: i64| v.cmp(&k));
-                and_not_null(flags, nulls, lo);
-            }
-            Kern::IntConstF {
-                values,
-                nulls,
-                op,
-                k,
-            } => {
-                let k = *k;
-                and_cmp(flags, &values[lo..hi], *op, move |v: i64| {
-                    (v as f64).total_cmp(&k)
-                });
-                and_not_null(flags, nulls, lo);
-            }
-            Kern::RealConst {
-                values,
-                nulls,
-                op,
-                k,
-            } => {
-                let k = *k;
-                and_cmp(flags, &values[lo..hi], *op, move |v: f64| v.total_cmp(&k));
-                and_not_null(flags, nulls, lo);
-            }
-            Kern::BoolConst {
-                values,
-                nulls,
-                op,
-                k,
-            } => {
-                let k = *k;
-                and_cmp(flags, &values[lo..hi], *op, move |v: bool| v.cmp(&k));
                 and_not_null(flags, nulls, lo);
             }
             Kern::StrPool { ids, nulls, truth } => {
@@ -902,59 +794,6 @@ impl ColumnarPred<'_> {
                 and_not_null(flags, an, lo);
                 and_not_null(flags, bn, lo);
             }
-            Kern::IntReal { a, b, an, bn, op } => {
-                and_cmp2(flags, &a[lo..hi], &b[lo..hi], *op, |x: i64, y: f64| {
-                    (x as f64).total_cmp(&y)
-                });
-                and_not_null(flags, an, lo);
-                and_not_null(flags, bn, lo);
-            }
-            Kern::RealInt { a, b, an, bn, op } => {
-                and_cmp2(flags, &a[lo..hi], &b[lo..hi], *op, |x: f64, y: i64| {
-                    x.total_cmp(&(y as f64))
-                });
-                and_not_null(flags, an, lo);
-                and_not_null(flags, bn, lo);
-            }
-            Kern::RealReal { a, b, an, bn, op } => {
-                and_cmp2(flags, &a[lo..hi], &b[lo..hi], *op, |x: f64, y: f64| {
-                    x.total_cmp(&y)
-                });
-                and_not_null(flags, an, lo);
-                and_not_null(flags, bn, lo);
-            }
-            Kern::BoolBool { a, b, an, bn, op } => {
-                and_cmp2(flags, &a[lo..hi], &b[lo..hi], *op, |x: bool, y: bool| {
-                    x.cmp(&y)
-                });
-                and_not_null(flags, an, lo);
-                and_not_null(flags, bn, lo);
-            }
-            Kern::StrStr {
-                a_ids,
-                a_pool,
-                b_ids,
-                b_pool,
-                an,
-                bn,
-                op,
-            } => {
-                // String payload compares are gathers too: compare only
-                // rows still selected.
-                for (j, f) in flags.iter_mut().enumerate() {
-                    if *f != 0 {
-                        let i = lo + j;
-                        *f = u8::from(holds(
-                            *op,
-                            a_pool[a_ids[i] as usize]
-                                .as_ref()
-                                .cmp(b_pool[b_ids[i] as usize].as_ref()),
-                        ));
-                    }
-                }
-                and_not_null(flags, an, lo);
-                and_not_null(flags, bn, lo);
-            }
         }
     }
 
@@ -965,38 +804,7 @@ impl ColumnarPred<'_> {
     fn retain_sparse(kern: &Kern<'_>, sel: &mut Vec<u32>) {
         match kern {
             Kern::AllTrue | Kern::NeverTrue => {}
-            Kern::NotNull1(nb) => sel.retain(|&i| !nb.is_null(i as usize)),
-            Kern::NotNull2(an, bn) => {
-                sel.retain(|&i| !an.is_null(i as usize) && !bn.is_null(i as usize));
-            }
             Kern::IntConst {
-                values,
-                nulls,
-                op,
-                k,
-            } => sel.retain(|&i| {
-                let i = i as usize;
-                !nulls.is_null(i) && holds(*op, values[i].cmp(k))
-            }),
-            Kern::IntConstF {
-                values,
-                nulls,
-                op,
-                k,
-            } => sel.retain(|&i| {
-                let i = i as usize;
-                !nulls.is_null(i) && holds(*op, (values[i] as f64).total_cmp(k))
-            }),
-            Kern::RealConst {
-                values,
-                nulls,
-                op,
-                k,
-            } => sel.retain(|&i| {
-                let i = i as usize;
-                !nulls.is_null(i) && holds(*op, values[i].total_cmp(k))
-            }),
-            Kern::BoolConst {
                 values,
                 nulls,
                 op,
@@ -1012,41 +820,6 @@ impl ColumnarPred<'_> {
             Kern::IntInt { a, b, an, bn, op } => sel.retain(|&i| {
                 let i = i as usize;
                 !an.is_null(i) && !bn.is_null(i) && holds(*op, a[i].cmp(&b[i]))
-            }),
-            Kern::IntReal { a, b, an, bn, op } => sel.retain(|&i| {
-                let i = i as usize;
-                !an.is_null(i) && !bn.is_null(i) && holds(*op, (a[i] as f64).total_cmp(&b[i]))
-            }),
-            Kern::RealInt { a, b, an, bn, op } => sel.retain(|&i| {
-                let i = i as usize;
-                !an.is_null(i) && !bn.is_null(i) && holds(*op, a[i].total_cmp(&(b[i] as f64)))
-            }),
-            Kern::RealReal { a, b, an, bn, op } => sel.retain(|&i| {
-                let i = i as usize;
-                !an.is_null(i) && !bn.is_null(i) && holds(*op, a[i].total_cmp(&b[i]))
-            }),
-            Kern::BoolBool { a, b, an, bn, op } => sel.retain(|&i| {
-                let i = i as usize;
-                !an.is_null(i) && !bn.is_null(i) && holds(*op, a[i].cmp(&b[i]))
-            }),
-            Kern::StrStr {
-                a_ids,
-                a_pool,
-                b_ids,
-                b_pool,
-                an,
-                bn,
-                op,
-            } => sel.retain(|&i| {
-                let i = i as usize;
-                !an.is_null(i)
-                    && !bn.is_null(i)
-                    && holds(
-                        *op,
-                        a_pool[a_ids[i] as usize]
-                            .as_ref()
-                            .cmp(b_pool[b_ids[i] as usize].as_ref()),
-                    )
             }),
         }
     }
@@ -1139,8 +912,8 @@ impl CompiledPred {
     /// `params` is the statement's bind array: a `?` operand is resolved
     /// to its bound value *at lowering time* — per execution — so the
     /// kernel it selects is the same typed constant kernel a literal
-    /// would get (including the Int↔Real widening variants), while the
-    /// compiled predicate itself stays bind-independent.
+    /// would get, while the compiled predicate itself stays
+    /// bind-independent.
     pub fn columnar<'c>(
         &self,
         cols: &'c ColumnarRelation,
@@ -1199,44 +972,20 @@ fn lower_conjunct<'c>(
     }
 }
 
-/// Lower `col op k` (constant already mirrored to the right).
+/// Lower `col op k` (constant already mirrored to the right). A
+/// comparand of any other kind than the column's (Int column vs Real or
+/// Str constant, any constant against a spill column, …) has no kernel:
+/// the whole predicate takes the row path.
 fn lower_col_const<'c>(op: CmpOp, col: &'c Column, k: &Value) -> Option<Kern<'c>> {
-    if k.is_null() {
+    match (col, k) {
         // NULL comparand: the comparison is NULL for every row, which a
         // qualification treats as "not selected".
-        return Some(Kern::NeverTrue);
-    }
-    match (col, k) {
-        (Column::Spill(_), _) => None,
+        (_, Value::Null) => Some(Kern::NeverTrue),
         (Column::Int { values, nulls }, Value::Int(i)) => Some(Kern::IntConst {
             values,
             nulls,
             op,
             k: *i,
-        }),
-        (Column::Int { values, nulls }, Value::Real(r)) => Some(Kern::IntConstF {
-            values,
-            nulls,
-            op,
-            k: r.0,
-        }),
-        (Column::Real { values, nulls }, Value::Real(r)) => Some(Kern::RealConst {
-            values,
-            nulls,
-            op,
-            k: r.0,
-        }),
-        (Column::Real { values, nulls }, Value::Int(i)) => Some(Kern::RealConst {
-            values,
-            nulls,
-            op,
-            k: *i as f64,
-        }),
-        (Column::Bool { values, nulls }, Value::Bool(b)) => Some(Kern::BoolConst {
-            values,
-            nulls,
-            op,
-            k: *b,
         }),
         (
             Column::Str {
@@ -1250,27 +999,14 @@ fn lower_col_const<'c>(op: CmpOp, col: &'c Column, k: &Value) -> Option<Kern<'c>
                 .collect();
             Some(Kern::StrPool { ids, nulls, truth })
         }
-        // Kind mismatch (e.g. Int column vs Str constant): `sql_cmp`
-        // between distinct non-numeric kinds compares discriminants
-        // only, so the truth is the same for every non-null row —
-        // resolve it once with a probe value of the column's kind.
-        // (Ordered comparisons against a collection constant broadcast
-        // to a collection result, which is never TRUE; the probe path
-        // covers that too.)
-        (col, k) => {
-            let probe = col.probe()?;
-            Some(match eval_cmp_broadcast(&op, &probe, k) {
-                Value::Bool(true) => Kern::NotNull1(col.nulls()?),
-                _ => Kern::NeverTrue,
-            })
-        }
+        _ => None,
     }
 }
 
-/// Lower `col_a op col_b` (both in the same single-input relation).
+/// Lower `col_a op col_b` (both in the same single-input relation):
+/// `Int × Int` is the one column pair with a kernel.
 fn lower_col_col<'c>(op: CmpOp, ca: &'c Column, cb: &'c Column) -> Option<Kern<'c>> {
     match (ca, cb) {
-        (Column::Spill(_), _) | (_, Column::Spill(_)) => None,
         (
             Column::Int {
                 values: a,
@@ -1281,77 +1017,7 @@ fn lower_col_col<'c>(op: CmpOp, ca: &'c Column, cb: &'c Column) -> Option<Kern<'
                 nulls: bn,
             },
         ) => Some(Kern::IntInt { a, b, an, bn, op }),
-        (
-            Column::Int {
-                values: a,
-                nulls: an,
-            },
-            Column::Real {
-                values: b,
-                nulls: bn,
-            },
-        ) => Some(Kern::IntReal { a, b, an, bn, op }),
-        (
-            Column::Real {
-                values: a,
-                nulls: an,
-            },
-            Column::Int {
-                values: b,
-                nulls: bn,
-            },
-        ) => Some(Kern::RealInt { a, b, an, bn, op }),
-        (
-            Column::Real {
-                values: a,
-                nulls: an,
-            },
-            Column::Real {
-                values: b,
-                nulls: bn,
-            },
-        ) => Some(Kern::RealReal { a, b, an, bn, op }),
-        (
-            Column::Bool {
-                values: a,
-                nulls: an,
-            },
-            Column::Bool {
-                values: b,
-                nulls: bn,
-            },
-        ) => Some(Kern::BoolBool { a, b, an, bn, op }),
-        (
-            Column::Str {
-                ids: a_ids,
-                pool: a_pool,
-                nulls: an,
-                ..
-            },
-            Column::Str {
-                ids: b_ids,
-                pool: b_pool,
-                nulls: bn,
-                ..
-            },
-        ) => Some(Kern::StrStr {
-            a_ids,
-            a_pool,
-            b_ids,
-            b_pool,
-            an,
-            bn,
-            op,
-        }),
-        // Kind mismatch between two typed columns: payload-independent,
-        // resolve once with probes (see lower_col_const).
-        (ca, cb) => {
-            let (pa, pb) = (ca.probe()?, cb.probe()?);
-            Some(match eval_cmp_broadcast(&op, &pa, &pb) {
-                Value::Bool(true) => Kern::NotNull2(ca.nulls()?, cb.nulls()?),
-                _ => Kern::NeverTrue,
-            })
-        }
+        _ => None,
     }
 }
 

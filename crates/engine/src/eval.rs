@@ -122,19 +122,11 @@ pub struct EvalOptions {
     /// columns and gather surviving rows from the shared row store, and
     /// single-attribute hash-join keys on integer columns build typed
     /// hash tables. Results, result order, work counters and errors are
-    /// identical to the row path (differential-tested); defaults to on,
-    /// `EDS_COLUMNAR=0` turns it off process-wide.
+    /// identical to the row path (differential-tested); defaults to on.
     pub columnar: bool,
     /// Rewriter effort for statements evaluated through this option bag
     /// (see [`OptLevel`]); read by the `Dbms` facade, not the executor.
     pub opt_level: OptLevel,
-}
-
-/// Process-wide default for [`EvalOptions::columnar`], read once from
-/// `EDS_COLUMNAR` (anything but `0` — including unset — enables it).
-fn env_columnar_default() -> bool {
-    static CACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| std::env::var("EDS_COLUMNAR").map_or(true, |v| v.trim() != "0"))
 }
 
 impl Default for EvalOptions {
@@ -143,32 +135,8 @@ impl Default for EvalOptions {
             fix: FixOptions::default(),
             join: JoinMode::default(),
             parallelism: 1,
-            columnar: env_columnar_default(),
+            columnar: true,
             opt_level: OptLevel::default(),
-        }
-    }
-}
-
-impl EvalOptions {
-    /// Defaults, with `parallelism` taken from the `EDS_PARALLELISM`
-    /// environment variable when it parses to a positive integer,
-    /// `opt_level` from `EDS_OPT_LEVEL` (`none`/`simple`/`full`; unset
-    /// or unparsable means `Simple`), and `columnar` from
-    /// `EDS_COLUMNAR`, as in `Default`.
-    pub fn from_env() -> Self {
-        let parallelism = std::env::var("EDS_PARALLELISM")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&p| p >= 1)
-            .unwrap_or(1);
-        let opt_level = std::env::var("EDS_OPT_LEVEL")
-            .ok()
-            .and_then(|v| OptLevel::parse(&v))
-            .unwrap_or_default();
-        EvalOptions {
-            parallelism,
-            opt_level,
-            ..Default::default()
         }
     }
 }
@@ -859,9 +827,9 @@ fn hash_search<'a>(
     let mut tried = acc.len() as u64;
 
     for (next_idx, next_rel) in rels.iter().enumerate().skip(1) {
-        let next_rel_no = next_idx + 1; // 1-based
-                                        // Keys linking the accumulated prefix (rel <= next_idx) to the
-                                        // next input.
+        let next_rel_no = next_idx + 1;
+        // Keys linking the accumulated prefix (1-based rel <= next_idx)
+        // to the next input.
         let keys: Vec<((usize, usize), usize)> = equi
             .iter()
             .filter_map(|&(r1, a1, r2, a2)| {

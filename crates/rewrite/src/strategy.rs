@@ -556,22 +556,45 @@ pub fn run_strategy(
     strategy: &Strategy,
     methods: &MethodRegistry,
     env: &dyn TermEnv,
+    term: Term,
+    collect_trace: bool,
+) -> RwResult<RunOutcome> {
+    run_mainline(rules, strategy, methods, env, term, collect_trace, None)
+}
+
+/// The saturation run both entry points share. With `snapshots` given,
+/// the trajectory of every choice-point block is captured into it as
+/// `(pass, block index, term)` — the position locates the remaining
+/// blocks an exploration candidate still has to be normalized by.
+fn run_mainline(
+    rules: &RuleSet,
+    strategy: &Strategy,
+    methods: &MethodRegistry,
+    env: &dyn TermEnv,
     mut term: Term,
     collect_trace: bool,
+    mut snapshots: Option<&mut Vec<(u64, usize, Term)>>,
 ) -> RwResult<RunOutcome> {
     let (order, passes) = strategy.order();
     let mut stats = RewriteStats::default();
     let mut trace = Trace::default();
     let mut exhausted = false;
 
-    for _ in 0..passes {
+    for pass in 0..passes {
         let before = term.clone();
-        for block in &order {
-            let outcome = apply_block(rules, block, methods, env, term, collect_trace)?;
+        for (bi, block) in order.iter().enumerate() {
+            let mut taken: Vec<Term> = Vec::new();
+            let capture = (snapshots.is_some() && strategy.is_explore_block(&block.name))
+                .then_some(&mut taken);
+            let outcome =
+                apply_block_capture(rules, block, methods, env, term, collect_trace, capture)?;
             term = outcome.term;
             stats.absorb(outcome.stats);
             trace.extend(outcome.trace);
             exhausted |= outcome.budget_exhausted;
+            if let Some(snapshots) = snapshots.as_deref_mut() {
+                snapshots.extend(taken.into_iter().map(|t| (pass, bi, t)));
+            }
         }
         if term == before {
             break;
@@ -613,48 +636,33 @@ pub fn run_strategy_explore(
     strategy: &Strategy,
     methods: &MethodRegistry,
     env: &dyn TermEnv,
-    mut term: Term,
+    term: Term,
     collect_trace: bool,
     explore: &ExploreOptions,
 ) -> RwResult<RunOutcome> {
-    let (order, passes) = strategy.order();
-    let mut stats = RewriteStats::default();
-    let mut trace = Trace::default();
-    let mut exhausted = false;
-    // (pass, block index, term) for every snapshot taken at a
-    // choice-point block; the position locates the remaining blocks the
-    // candidate still has to be normalized by.
-    let mut snapshots: Vec<(u64, usize, Term)> = Vec::new();
-
-    for pass in 0..passes {
-        let before = term.clone();
-        for (bi, block) in order.iter().enumerate() {
-            let mut taken: Vec<Term> = Vec::new();
-            let capture = strategy.is_explore_block(&block.name).then_some(&mut taken);
-            let outcome =
-                apply_block_capture(rules, block, methods, env, term, collect_trace, capture)?;
-            term = outcome.term;
-            stats.absorb(outcome.stats);
-            trace.extend(outcome.trace);
-            exhausted |= outcome.budget_exhausted;
-            snapshots.extend(taken.into_iter().map(|t| (pass, bi, t)));
-        }
-        if term == before {
-            break;
-        }
-    }
-
+    let mut snapshots = Vec::new();
+    let mainline = run_mainline(
+        rules,
+        strategy,
+        methods,
+        env,
+        term,
+        collect_trace,
+        Some(&mut snapshots),
+    )?;
     // Score the mainline; an unscorable mainline disables exploration
     // for this statement (nothing to compare against).
-    let Some(mainline_cost) = (explore.score)(&term) else {
-        return Ok(RunOutcome {
-            term,
-            stats,
-            trace,
-            budget_exhausted: exhausted,
-            exploration: None,
-        });
+    let Some(mainline_cost) = (explore.score)(&mainline.term) else {
+        return Ok(mainline);
     };
+    let RunOutcome {
+        term,
+        mut stats,
+        trace,
+        budget_exhausted: exhausted,
+        ..
+    } = mainline;
+    let (order, passes) = strategy.order();
     stats.explore_candidates += 1;
     let mut best_term = term.clone();
     let mut best_cost = mainline_cost;

@@ -36,10 +36,19 @@ fn env_policy_drives_the_registration_gate() {
     let mut dbms = Dbms::new().unwrap();
     dbms.add_rule_source(broken).expect("off must accept");
 
-    // Unknown values fall back to warn (accept).
+    // The policy is read once, at construction: flipping the variable
+    // afterwards does not reach a live session.
+    std::env::set_var("EDS_LINT", "deny");
+    dbms.add_rule_source(broken).expect("still off");
+
+    // Unknown values are an error naming the variable, not a silent warn.
     std::env::set_var("EDS_LINT", "bogus");
-    let mut dbms = Dbms::new().unwrap();
-    dbms.add_rule_source(broken).expect("unknown value = warn");
+    match Dbms::new().unwrap_err() {
+        CoreError::BadEnvValue { var, value, .. } => {
+            assert_eq!((var, value.as_str()), ("EDS_LINT", "bogus"));
+        }
+        other => panic!("expected BadEnvValue, got {other}"),
+    }
 
     std::env::remove_var("EDS_LINT");
 }
