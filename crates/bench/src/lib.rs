@@ -457,16 +457,10 @@ pub fn literal_sql(sql: &str, binds: &[Value]) -> String {
 /// prepared statement amortizes (parse, view expansion, rewrite, term
 /// bridging, lowering) dominates what it cannot (the scan itself).
 /// Ids carry the `em_` prefix the exec report maps to kind
-/// `execute_many`.
-///
-/// Deliberately absent: a bound recursive query (`TC WHERE Src = ?`).
-/// The Alexander/magic seeding of a fixpoint is *value-dependent* — it
-/// specializes the plan on the binding constant — so under a parameter
-/// it correctly defers, and the prepared plan computes the full closure
-/// (measured ~700x slower than the magic-seeded literal query on the
-/// 60-node graph). Bound recursion should stay on the per-query path,
-/// whose plan cache amortizes repeats of the same literal; parameterized
-/// magic (seeding from the bind array at execute time) is future work.
+/// `execute_many`. The last one is bound recursion: Alexander/magic
+/// seeding relocates the `?` into the fixpoint's seed at prepare time,
+/// so both sides evaluate the same reduced plan and the prepared side
+/// saves the front end only.
 pub fn execute_many_workloads() -> Vec<(&'static str, Dbms, String, Vec<Vec<Value>>)> {
     vec![
         (
@@ -518,6 +512,18 @@ pub fn execute_many_workloads() -> Vec<(&'static str, Dbms, String, Vec<Vec<Valu
                 vec![Value::Int(4), Value::Int(9)],
                 vec![Value::Int(5), Value::Int(1)],
                 vec![Value::Int(0), Value::Int(50)],
+            ],
+        ),
+        (
+            "em_tc_src",
+            graph_dbms(60, 15, 7),
+            "SELECT Dst FROM TC WHERE Src = ? ;".to_owned(),
+            // Node 59 is the sink: no out-edge, an empty seed.
+            vec![
+                vec![Value::Int(50)],
+                vec![Value::Int(30)],
+                vec![Value::Int(56)],
+                vec![Value::Int(59)],
             ],
         ),
     ]

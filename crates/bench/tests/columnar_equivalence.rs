@@ -226,6 +226,63 @@ fn shapes_without_a_kernel_fall_back_to_the_row_path() {
     }
 }
 
+/// The NULL pass walks the bitmap a word at a time and survivors are
+/// extracted eight flags per compare: a table whose filtered columns
+/// are NULL every 13th row *and* in whole-word runs (two all-NULL
+/// words, then all-valid words with only the 1-in-13), 2 500 rows long
+/// so the last selection strip — and at `parallelism` 4 the last
+/// morsel — ends mid-word and mid-group.
+#[test]
+fn sparse_and_whole_word_nulls_match_on_every_path() {
+    let mut dbms = Dbms::new().unwrap();
+    dbms.execute_ddl("TABLE GAPS (K : INT, A : INT, B : INT, Tag : CHAR);")
+        .unwrap();
+    let tags = ["hot", "cold", "warm"];
+    dbms.insert_all(
+        "GAPS",
+        (0..2_500i64).map(|i| {
+            let gap = i % 13 == 0 || (128..256).contains(&i) || i >= 2_440;
+            let a = if gap {
+                Value::Null
+            } else {
+                Value::Int(i * 7 % 1000)
+            };
+            let b = if (1_024..1_088).contains(&i) {
+                Value::Null
+            } else {
+                Value::Int(i % 500)
+            };
+            let tag = if i % 13 == 5 || (640..704).contains(&i) {
+                Value::Null
+            } else {
+                Value::str(tags[(i % 3) as usize])
+            };
+            vec![Value::Int(i), a, b, tag]
+        }),
+    )
+    .unwrap();
+    let cols = ColumnarRelation::build(dbms.db.relation("GAPS").unwrap()).unwrap();
+    assert!((0..4).all(|j| cols.column_is_typed(j)));
+    for sql in [
+        // One kernel, dense extraction of most of the table.
+        "SELECT K FROM GAPS WHERE A >= 0 ;",
+        // Range pair: the first kernel prunes, the second may pivot.
+        "SELECT K FROM GAPS WHERE A > 800 AND A < 950 ;",
+        "SELECT K FROM GAPS WHERE A > 990 AND B < 300 ;",
+        // Two nullable columns against each other.
+        "SELECT K FROM GAPS WHERE A < B ;",
+        // Interned strings with their own NULL runs, alone and behind
+        // an integer kernel.
+        "SELECT K FROM GAPS WHERE Tag = 'hot' ;",
+        "SELECT K, Tag FROM GAPS WHERE A <> 7 AND Tag > 'cold' ;",
+        // Nothing survives; everything but the NULLs survives.
+        "SELECT K FROM GAPS WHERE A > 5000 ;",
+        "SELECT K FROM GAPS WHERE B >= 0 AND K >= 0 ;",
+    ] {
+        check(&dbms, sql);
+    }
+}
+
 #[test]
 fn null_constants_and_empty_matches_stay_empty() {
     let mut dbms = mixed_dbms();

@@ -215,6 +215,60 @@ fn codd_primitives_match_the_search_they_normalize_into() {
     }
 }
 
+/// Assert that `expr` and every sub-plan of it that can be evaluated on
+/// its own (i.e. does not mention an enclosing recursion variable)
+/// produce exactly the schema `infer_schema` gives for that sub-plan.
+fn assert_inferred_schemas(id: &str, dbms: &Dbms, expr: &Expr, sc: &SchemaCtx<'_>, bound: &[&str]) {
+    if !bound.iter().any(|name| expr.references(name)) {
+        let got = eds_engine::eval_with(expr, &dbms.db, EvalOptions::default())
+            .unwrap_or_else(|e| panic!("{id}: {} failed: {e}", expr.op_name()))
+            .0;
+        assert_eq!(
+            *got.schema,
+            infer_schema(expr, sc).unwrap(),
+            "{id}: output schema of {} is not the inferred one",
+            expr.op_name()
+        );
+    }
+    if let Expr::Fix { name, body } = expr {
+        let inner = sc.with_local(name, infer_schema(expr, sc).unwrap());
+        let mut bound = bound.to_vec();
+        bound.push(name);
+        assert_inferred_schemas(id, dbms, body, &inner, &bound);
+    } else {
+        for child in expr.children() {
+            assert_inferred_schemas(id, dbms, child, sc, bound);
+        }
+    }
+}
+
+/// `search` derives its output schema from the schemas of its evaluated
+/// inputs instead of re-inferring the sub-plan from the catalog: for
+/// every operator of every workload — canonical, rewritten and spelled
+/// in the Codd primitives — attribute names and types are what
+/// `infer_schema` says.
+#[test]
+fn every_operator_emits_the_inferred_schema() {
+    for (id, dbms, sql) in exec_workloads() {
+        let sc = SchemaCtx::new(&dbms.db.catalog);
+        let prepared = dbms.prepare(&sql).unwrap();
+        let rewritten = dbms.rewrite(&prepared).unwrap().expr;
+        let primitive = codd_primitives(&prepared.expr, &sc);
+        for (form, plan) in [
+            ("raw", &prepared.expr),
+            ("rewritten", &rewritten),
+            ("primitive", &primitive),
+        ] {
+            assert_inferred_schemas(&format!("{id}/{form}"), &dbms, plan, &sc, &[]);
+        }
+        assert_eq!(
+            prepared.schema,
+            infer_schema(&prepared.expr, &sc).unwrap(),
+            "{id}"
+        );
+    }
+}
+
 /// Work counters are part of the contract: a `filter` emits rows but
 /// tries no combinations, the `search` it normalizes into counts one
 /// combination per input row — in every physical configuration, and

@@ -31,6 +31,8 @@ pub mod pipeline;
 pub mod semantic;
 pub mod verify;
 
+use std::sync::PoisonError;
+
 use eds_engine::{eval_with, Database, EvalOptions, EvalStats, Relation, Row};
 pub use eds_engine::{parallel_stats, OptLevel, ParallelStats};
 use eds_esql::{parse_query, Stmt};
@@ -166,9 +168,12 @@ impl PreparedStmt {
     /// The rewritten plan, re-rewriting through the shape tier when the
     /// rewriter's invalidation epoch has moved since it was cached.
     fn current_plan(&self, dbms: &Dbms) -> CoreResult<std::sync::Arc<Expr>> {
+        // A poisoned lock is recovered, not propagated: the guarded value
+        // is an `(Arc<Expr>, u64)` pair written only by the two plain
+        // stores below, which a panicking peer cannot leave torn.
         let epoch = dbms.rewriter.invalidation_epoch();
         {
-            let plan = self.plan.lock().expect("prepared plan poisoned");
+            let plan = self.plan.lock().unwrap_or_else(PoisonError::into_inner);
             if plan.epoch == epoch {
                 return Ok(std::sync::Arc::clone(&plan.expr));
             }
@@ -182,7 +187,7 @@ impl PreparedStmt {
             &dbms.constraints,
             self.level,
         )?;
-        let mut plan = self.plan.lock().expect("prepared plan poisoned");
+        let mut plan = self.plan.lock().unwrap_or_else(PoisonError::into_inner);
         plan.expr = std::sync::Arc::clone(&expr);
         plan.epoch = epoch;
         Ok(expr)
@@ -401,10 +406,13 @@ impl Dbms {
     /// Prepare a parameterized statement: parse and translate `sql`
     /// (with `?` placeholders numbered left to right), rewrite the
     /// parameterized plan **once** through the shape tier of the plan
-    /// cache — rules whose conditions would inspect a parameter's value
-    /// see a non-constant `PARAM(i)` leaf and defer to bind time — and
-    /// lower it. The returned statement executes repeatedly against
-    /// different bind arrays without re-parsing or re-rewriting.
+    /// cache, and lower it. A rule whose condition would *evaluate* a
+    /// parameter sees a non-constant `PARAM(i)` leaf and defers to bind
+    /// time; a rule that only *relocates* one fires as it does for a
+    /// literal — `TC WHERE Src = ?` is reduced here to the fixpoint
+    /// seeded by `Src = ?`, never the full closure. The returned
+    /// statement executes repeatedly against different bind arrays
+    /// without re-parsing or re-rewriting.
     pub fn prepare_stmt(&self, sql: &str) -> CoreResult<PreparedStmt> {
         let epoch = self.rewriter.invalidation_epoch();
         let level = self.eval_options.opt_level;
@@ -553,5 +561,42 @@ impl Dbms {
             out.push_str(&format!("{event}\n"));
         }
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A peer that panics while holding a statement's plan lock poisons
+    /// it; `execute` recovers the (never torn) plan instead of
+    /// panicking in turn — on the hot path and on the refresh path.
+    #[test]
+    fn execute_recovers_a_poisoned_plan_lock() {
+        let mut dbms = Dbms::new().unwrap();
+        dbms.execute_ddl("TABLE T (X : INT);").unwrap();
+        dbms.insert_all("T", (0..4i64).map(|i| vec![i.into()]))
+            .unwrap();
+        let stmt = dbms.prepare_stmt("SELECT X FROM T WHERE X < ? ;").unwrap();
+        let peer = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = stmt.plan.lock().unwrap();
+                panic!("peer panics holding the plan lock");
+            })
+            .join()
+        });
+        assert!(peer.is_err() && stmt.plan.is_poisoned());
+        assert_eq!(stmt.execute(&dbms, &[2.into()]).unwrap().len(), 2);
+        // Stale epoch: the re-rewrite stores through the same lock.
+        dbms.add_rule_source("StmtNoop : f AND TRUE / --> f / ;")
+            .unwrap();
+        assert_eq!(stmt.execute(&dbms, &[3.into()]).unwrap().len(), 3);
+        assert_eq!(
+            stmt.plan
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .epoch,
+            dbms.rewriter.invalidation_epoch()
+        );
     }
 }

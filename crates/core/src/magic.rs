@@ -1,9 +1,13 @@
 //! The Alexander / magic-sets fixpoint reduction (Section 5.3).
 //!
-//! Given `fix(R, E(R))` queried with some attributes bound to constants,
-//! the transformation produces an equivalent fixpoint that "focuses on
-//! relevant facts": the binding is pushed into the seed branches, and the
-//! recursion only ever extends tuples that already carry the binding.
+//! Given `fix(R, E(R))` queried with some attributes bound to constants
+//! or statement parameters, the transformation produces an equivalent
+//! fixpoint that "focuses on relevant facts": the binding is pushed into
+//! the seed branches, and the recursion only ever extends tuples that
+//! already carry the binding. Nothing here reads a comparand's *value* —
+//! it is relocated, not evaluated — so a `?` is reduced at rewrite time
+//! exactly as a literal is, and every bind array (NULL and wrong-typed
+//! binds included) selects in the seed what it selected outside.
 //! "This avoids unnecessary translation from algebra to logic, and from
 //! logic to algebra" — the transformation is implemented directly on the
 //! LERA expression.
@@ -26,12 +30,12 @@
 //! Anything else returns `None` and the query is left untouched (always
 //! safe: the transformation is an optimization, not a requirement).
 
-use eds_adt::Value;
 use eds_lera::{CmpOp, Expr, Scalar};
 
 /// Apply the transformation. `bound` lists `(attribute index (1-based),
-/// constant)` pairs the outer query fixes on the fixpoint's output.
-pub fn alexander(name: &str, body: &Expr, bound: &[(usize, Value)]) -> Option<Expr> {
+/// comparand)` pairs the outer query fixes on the fixpoint's output; a
+/// comparand is a `Scalar::Const` or a `Scalar::Param`.
+pub fn alexander(name: &str, body: &Expr, bound: &[(usize, Scalar)]) -> Option<Expr> {
     if bound.is_empty() {
         return None;
     }
@@ -71,7 +75,7 @@ pub fn alexander(name: &str, body: &Expr, bound: &[(usize, Value)]) -> Option<Ex
     let pred = Scalar::conjoin(
         bound
             .iter()
-            .map(|(j, v)| Scalar::cmp(CmpOp::Eq, Scalar::attr(1, *j), Scalar::Const(v.clone())))
+            .map(|(j, v)| Scalar::cmp(CmpOp::Eq, Scalar::attr(1, *j), v.clone()))
             .collect(),
     );
     let mut body_items: Vec<Expr> = seeds
@@ -175,7 +179,7 @@ fn linearize(branch: &Expr, name: &str, full_seed: &Expr) -> Option<Vec<Expr>> {
 
 /// A bound attribute `j` is preserved when the branch projects it
 /// verbatim from the recursive occurrence: `proj[j-1] == Attr(pos, j)`.
-fn check_binding_preserved(branch: &Expr, name: &str, bound: &[(usize, Value)]) -> Option<()> {
+fn check_binding_preserved(branch: &Expr, name: &str, bound: &[(usize, Scalar)]) -> Option<()> {
     let Expr::Search { inputs, proj, .. } = branch else {
         return None;
     };
@@ -225,7 +229,7 @@ mod tests {
         let Expr::Fix { body, .. } = better_than() else {
             unreachable!()
         };
-        let bound = vec![(2usize, Value::str("Quinn"))];
+        let bound = vec![(2usize, Scalar::lit("Quinn"))];
         let reduced = alexander("BT", &body, &bound).expect("TC shape should reduce");
         let Expr::Fix { name, body } = &reduced else {
             panic!("expected fix")
@@ -255,7 +259,7 @@ mod tests {
         let Expr::Fix { body, .. } = better_than() else {
             unreachable!()
         };
-        let bound = vec![(1usize, Value::str("Quinn"))];
+        let bound = vec![(1usize, Scalar::lit("Quinn"))];
         let reduced = alexander("BT", &body, &bound).expect("left-linear form applies");
         let Expr::Fix { body, .. } = &reduced else {
             panic!()
@@ -282,7 +286,7 @@ mod tests {
                 vec![Scalar::attr(1, 1), Scalar::attr(2, 2)],
             ),
         ]);
-        let reduced = alexander("T", &body, &[(2, Value::Int(9))]).unwrap();
+        let reduced = alexander("T", &body, &[(2, Scalar::lit(9))]).unwrap();
         let Expr::Fix { body, .. } = &reduced else {
             panic!()
         };
@@ -305,7 +309,7 @@ mod tests {
                 vec![Scalar::attr(1, 1), Scalar::attr(2, 2)],
             ),
         ]);
-        assert!(alexander("T", &body, &[(1, Value::Int(9))]).is_none());
+        assert!(alexander("T", &body, &[(1, Scalar::lit(9))]).is_none());
     }
 
     #[test]
@@ -315,7 +319,7 @@ mod tests {
             Scalar::eq(Scalar::attr(1, 2), Scalar::attr(2, 1)),
             vec![Scalar::attr(1, 1), Scalar::attr(2, 2)],
         );
-        assert!(alexander("T", &body, &[(2, Value::Int(1))]).is_none());
+        assert!(alexander("T", &body, &[(2, Scalar::lit(1))]).is_none());
     }
 
     #[test]
@@ -329,7 +333,7 @@ mod tests {
                 vec![Scalar::attr(1, 1), Scalar::attr(1, 2)],
             ),
         ]);
-        assert!(alexander("T", &body, &[(2, Value::Int(1))]).is_none());
+        assert!(alexander("T", &body, &[(2, Scalar::lit(1))]).is_none());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! | `SIMPLIFYQ(f, f')` | conjunct-level simplification and inconsistency detection | simplification (Fig 12) |
 
 use eds_adt::Value;
+use eds_lera::Scalar;
 use eds_rewrite::methods::{bind_output, resolve, MethodSig};
 use eds_rewrite::{Bindings, MethodRegistry, RewriteError, RwResult, Term, TermEnv};
 
@@ -266,16 +267,28 @@ fn splitnest(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResul
 
 // ------------------------------------------------- fixpoint reduction
 
+/// The comparand of a bound conjunct, when it does not depend on the
+/// fixpoint's tuples: a constant or a statement parameter (`PARAM(i)`
+/// leaf). The reduction only *relocates* the comparand into the seed
+/// and never reads its value, so a `?` seeds exactly as a literal does.
+fn seed_comparand(t: &Term) -> Option<Scalar> {
+    match t.as_app() {
+        None => t.as_const().cloned().map(Scalar::Const),
+        Some(("PARAM", [_])) => eds_lera::scalar_from_term(t).ok(),
+        Some(_) => None,
+    }
+}
+
 /// Bound conjuncts of `f` for the relation at position `k`: conjuncts of
-/// the form `ATTR(k, j) = const` (either orientation). Returns
-/// `(j, constant, conjunct)` triples.
-fn bound_conjuncts(f: &Term, k: i64) -> Vec<(usize, Value, Term)> {
+/// the form `ATTR(k, j) = c` (either orientation) with `c` a constant or
+/// a statement parameter. Returns `(j, c, conjunct)` triples.
+fn bound_conjuncts(f: &Term, k: i64) -> Vec<(usize, Scalar, Term)> {
     let mut out = Vec::new();
     for c in flatten_and(f) {
         if let Some(("=", [l, r])) = c.as_app() {
-            let pair = match (l.as_attr(), r.as_const(), r.as_attr(), l.as_const()) {
-                (Some((rel, j)), Some(v), _, _) if rel == k => Some((j, v.clone())),
-                (_, _, Some((rel, j)), Some(v)) if rel == k => Some((j, v.clone())),
+            let pair = match (l.as_attr(), r.as_attr()) {
+                (Some((rel, j)), _) if rel == k => seed_comparand(r).map(|v| (j, v)),
+                (_, Some((rel, j))) if rel == k => seed_comparand(l).map(|v| (j, v)),
                 _ => None,
             };
             if let Some((j, v)) = pair {
@@ -288,7 +301,8 @@ fn bound_conjuncts(f: &Term, k: i64) -> Vec<(usize, Value, Term)> {
 
 /// `ADORNMENT(x*, r, f, s)`: compute the binding signature of the
 /// fixpoint `r` sitting at input position `|x*| + 1` under qualification
-/// `f` — e.g. `"fb"` when the second attribute is bound by a constant.
+/// `f` — e.g. `"fb"` when the second attribute is bound by a constant or
+/// a statement parameter.
 /// Fails when no attribute is bound (nothing to push).
 fn adornment(args: &[Term], binds: &mut Bindings, env: &dyn TermEnv) -> RwResult<bool> {
     if args.len() != 4 {
@@ -346,7 +360,7 @@ fn alexander(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResul
     let Ok(body) = eds_lera::expr_from_term(&e) else {
         return Ok(false);
     };
-    let bindings: Vec<(usize, Value)> = bound.iter().map(|(j, v, _)| (*j, v.clone())).collect();
+    let bindings: Vec<(usize, Scalar)> = bound.iter().map(|(j, v, _)| (*j, v.clone())).collect();
     let Some(reduced) = magic::alexander(&name, &body, &bindings) else {
         return Ok(false);
     };

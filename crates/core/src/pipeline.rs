@@ -155,7 +155,9 @@ struct PlanCache {
     /// Second tier for prepared statements, keyed on the
     /// *parameterized* canonical term (the statement fingerprint: `?`
     /// placeholders appear as `PARAM(i)` leaves, so statements
-    /// differing only in bind values share one entry).
+    /// differing only in bind values share one entry). The entry is
+    /// sound for every bind array: rules may relocate a `PARAM` leaf,
+    /// none evaluates one.
     shapes: Tier<ShapeRewrite>,
     /// Cumulative candidate-exploration counters.
     explore: ExploreStats,
@@ -683,7 +685,9 @@ impl QueryRewriter {
     /// tier**: the key is the optimization level plus the canonical term
     /// itself (`?` placeholders are `PARAM(i)` leaves, so every
     /// statement with the same shape *prepared at the same level* shares
-    /// one entry regardless of eventual bind values), and the entry
+    /// one entry regardless of eventual bind values — a condition that
+    /// would *evaluate* a leaf defers, one that *relocates* it, like
+    /// Figure-9 seeding, fires as for a literal), and the entry
     /// stores the rewritten *and lowered* plan behind an `Arc` — a hit
     /// skips rule matching and the term→algebra conversion both. Misses
     /// fall through to the term tier, warming it for ad-hoc rewrites of

@@ -1,7 +1,6 @@
 //! Additional Alexander/magic coverage: multi-attribute bindings,
 //! multiple seed branches, and end-to-end correctness on denser graphs.
 
-use eds_adt::Value;
 use eds_core::{magic, Dbms};
 use eds_lera::{Expr, Scalar};
 
@@ -28,7 +27,7 @@ fn multiple_bound_attributes_on_linear_fix() {
             vec![Scalar::attr(2, 1), Scalar::attr(2, 2)],
         ),
     ]);
-    let bound = vec![(1usize, Value::Int(3)), (2usize, Value::Int(4))];
+    let bound = vec![(1usize, Scalar::lit(3)), (2usize, Scalar::lit(4))];
     let reduced = magic::alexander("T", &body, &bound).expect("reducible");
     let Expr::Fix { body, .. } = reduced else {
         panic!()
@@ -55,7 +54,7 @@ fn multiple_seed_branches_all_filtered() {
             vec![Scalar::attr(1, 1), Scalar::attr(2, 2)],
         ),
     ]);
-    let reduced = magic::alexander("T", &body, &[(2, Value::Int(1))]).expect("reducible");
+    let reduced = magic::alexander("T", &body, &[(2, Scalar::lit(1))]).expect("reducible");
     let Expr::Fix { body, .. } = reduced else {
         panic!()
     };
@@ -81,9 +80,46 @@ fn tc_shape_requires_strict_composition() {
             vec![Scalar::attr(1, 1), Scalar::attr(2, 2)],
         ),
     ]);
-    assert!(magic::alexander("T", &body, &[(2, Value::Int(1))]).is_none());
+    assert!(magic::alexander("T", &body, &[(2, Scalar::lit(1))]).is_none());
     // The plain TC shape still reduces.
-    assert!(magic::alexander("T", &tc_body(), &[(2, Value::Int(1))]).is_some());
+    assert!(magic::alexander("T", &tc_body(), &[(2, Scalar::lit(1))]).is_some());
+}
+
+#[test]
+fn a_parameter_is_relocated_into_the_seed_like_a_constant() {
+    // The transformation never reads the comparand: `?0` lands in the
+    // seed filter where the literal would, next to a constant.
+    let bound = vec![(2usize, Scalar::param(0))];
+    let reduced = magic::alexander("T", &tc_body(), &bound).expect("reducible");
+    let Expr::Fix { body, .. } = reduced else {
+        panic!()
+    };
+    let Expr::Union(items) = *body else { panic!() };
+    let Expr::Filter { pred, .. } = &items[0] else {
+        panic!("expected filtered seed")
+    };
+    assert_eq!(pred.to_string(), "1.2 = ?0");
+
+    let linear = Expr::Union(vec![
+        Expr::base("E"),
+        Expr::search(
+            vec![Expr::base("X"), Expr::base("T")],
+            Scalar::eq(Scalar::attr(1, 1), Scalar::attr(2, 1)),
+            vec![Scalar::attr(2, 1), Scalar::attr(2, 2)],
+        ),
+    ]);
+    let bound = vec![(1usize, Scalar::param(1)), (2usize, Scalar::lit(4))];
+    let reduced = magic::alexander("T", &linear, &bound).expect("reducible");
+    let Expr::Fix { body, .. } = reduced else {
+        panic!()
+    };
+    let Expr::Union(items) = *body else { panic!() };
+    let Expr::Filter { pred, .. } = &items[0] else {
+        panic!("expected filtered seed")
+    };
+    assert_eq!(pred.to_string(), "1.1 = ?1 ∧ 1.2 = 4");
+    // Refusals do not depend on the comparand's kind either.
+    assert!(magic::alexander("T", &tc_body(), &[]).is_none());
 }
 
 #[test]
@@ -115,5 +151,25 @@ fn reduced_fixpoint_correct_on_dense_random_graph() {
             baseline.sorted_rows(),
             optimized.sorted_rows()
         );
+    }
+    // The same through one prepared statement seeded at bind time, in
+    // both directions (16 is not a node).
+    for sql in [
+        "SELECT D FROM TC WHERE S = ? ;",
+        "SELECT S FROM TC WHERE ? = D ;",
+    ] {
+        let stmt = dbms.prepare_stmt(sql).unwrap();
+        for node in 0..=16i64 {
+            let baseline = dbms
+                .query_unoptimized(&sql.replace('?', &node.to_string()))
+                .unwrap();
+            let seeded = stmt.execute(&dbms, &[node.into()]).unwrap();
+            assert!(
+                baseline.set_eq(&seeded),
+                "{sql} with {node}: {:?} vs {:?}",
+                baseline.sorted_rows(),
+                seeded.sorted_rows()
+            );
+        }
     }
 }

@@ -4,10 +4,12 @@
 //! of value-dependent rewrites, and a differential suite asserting
 //! `stmt.execute(&binds)` is byte-identical to running the
 //! literal-substituted SQL through the reference interpreter across
-//! parallelism {1,4} x columnar {off,on}.
+//! parallelism {1,4} x columnar {off,on}; and Figure-9 seeding of a
+//! recursive view under `?`, pinned against the literal text.
 
 use eds_adt::Value;
 use eds_core::{engine::eval_reference, CoreError, Dbms};
+use eds_lera::{pretty, Expr};
 
 fn emp_dbms() -> Dbms {
     let mut dbms = Dbms::new().unwrap();
@@ -297,4 +299,191 @@ fn differential_binds_vs_literal_substitution() {
             }
         }
     }
+}
+
+/// A graph with a cycle (1 → 2 → 3 → 1), two sinks (5, 7) and the
+/// transitive closure as a nonlinear (`TC`) and a left-linear (`LTC`)
+/// recursive view. `LTC` carries `Src` through the recursion and not
+/// `Dst`; the nonlinear idiom linearizes either way.
+fn graph_dbms() -> Dbms {
+    let mut dbms = Dbms::new().unwrap();
+    dbms.execute_ddl(
+        "TABLE EDGE (Src : INT, Dst : INT);
+         CREATE VIEW TC (Src, Dst) AS
+         ( SELECT Src, Dst FROM EDGE
+           UNION SELECT T1.Src, T2.Dst FROM TC T1, TC T2 WHERE T1.Dst = T2.Src ) ;
+         CREATE VIEW LTC (Src, Dst) AS
+         ( SELECT Src, Dst FROM EDGE
+           UNION SELECT T.Src, E.Dst FROM LTC T, EDGE E WHERE T.Dst = E.Src ) ;",
+    )
+    .unwrap();
+    for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 1), (2, 7), (4, 5), (0, 4)] {
+        dbms.insert("EDGE", vec![a.into(), b.into()]).unwrap();
+    }
+    dbms
+}
+
+/// Qualification of the `search` sitting on the plan's `fix`, and the
+/// qualification of the fixpoint's first seed branch — where Figure 9
+/// moves a binding from and to.
+fn outer_and_seed(plan: &Expr) -> (String, String) {
+    let Expr::Search { inputs, pred, .. } = plan else {
+        panic!("expected a search over the fixpoint:\n{}", pretty(plan));
+    };
+    let [Expr::Fix { body, .. }] = &inputs[..] else {
+        panic!("expected one fix input:\n{}", pretty(plan));
+    };
+    let Expr::Union(items) = body.as_ref() else {
+        panic!("expected a union body:\n{}", pretty(plan));
+    };
+    let seed = match &items[0] {
+        Expr::Search { pred, .. } | Expr::Filter { pred, .. } => pred.to_string(),
+        other => panic!("unexpected seed branch {}", other.op_name()),
+    };
+    (pred.to_string(), seed)
+}
+
+/// Seeding under `?` is pinned, not assumed: for every view × shape the
+/// `?` plan reduces exactly where the literal text reduces (and is
+/// refused where it is refused), is the literal's plan modulo the
+/// relocated leaves, and every bind — present node, sink, stranger,
+/// NULL, wrong type — answers like the literal-substituted text.
+#[test]
+fn recursive_view_seeds_under_a_parameter_like_under_a_literal() {
+    // (view, qualification, reduced?) — the expectation is the literal
+    // text's own behaviour, asserted below, not a second opinion.
+    let shapes: &[(&str, &str)] = &[
+        ("TC", "Src = ?"),
+        ("TC", "? = Src"),
+        ("TC", "Dst = ?"),
+        ("TC", "Src = ? AND Dst = ?"),
+        ("TC", "Src = ? AND Dst = 7"),
+        ("LTC", "Src = ?"),
+        ("LTC", "? = Src"),
+        ("LTC", "Dst = ?"),
+        ("LTC", "Src = ? AND Dst = ?"),
+        ("LTC", "Src = ? AND Dst = 7"),
+    ];
+    let binds = [
+        Value::Int(1),   // on the cycle
+        Value::Int(5),   // a sink: no out-edge
+        Value::Int(99),  // not in the graph
+        Value::Null,     // selects nothing, in the seed as outside
+        Value::str("x"), // CHAR into an INT column: never equal
+    ];
+
+    let mut dbms = graph_dbms();
+    let mut reduced = Vec::new();
+    for &(view, qual) in shapes {
+        let sql = format!("SELECT Dst FROM {view} WHERE {qual} ;");
+        let arity = sql.matches('?').count();
+        let stmt = dbms.prepare_stmt(&sql).unwrap();
+        assert_eq!(stmt.param_count(), arity);
+        let (param_plan, _, _) = dbms
+            .rewriter
+            .rewrite_shape_leveled(
+                &dbms.prepare(&sql).unwrap().expr,
+                &dbms.db,
+                &dbms.constraints,
+                dbms.opt_level(),
+            )
+            .unwrap();
+        let (outer, seed) = outer_and_seed(&param_plan);
+
+        for bind in &binds {
+            // Second parameter, when there is one: a fixed present node.
+            let array: Vec<Value> = std::iter::once(bind.clone())
+                .chain(std::iter::repeat(Value::Int(3)))
+                .take(arity)
+                .collect();
+            let literal_sql = substitute(&sql, &array);
+            let canonical = dbms.prepare(&literal_sql).unwrap();
+            let literal_plan = dbms.rewrite(&canonical).unwrap().expr;
+
+            // The literal's plan is the `?` plan with the leaves put
+            // back — whenever the literal is an INT distinct from the
+            // statement's other constants, which all of these are, so
+            // the semantic block derives nothing from it (`= NULL` may
+            // legitimately simplify, `7 = 7` would chain).
+            let mut param_text = pretty(&param_plan);
+            for (i, v) in array.iter().enumerate() {
+                param_text = param_text.replace(&format!("?{i}"), &lit(v));
+            }
+            let same_plan = param_text == pretty(&literal_plan);
+            if matches!(bind, Value::Int(_)) {
+                assert!(
+                    same_plan,
+                    "{sql} {array:?}: plans differ beyond the leaves\n{param_text}\n{}",
+                    pretty(&literal_plan)
+                );
+                // Reduced where the literal reduces, refused where it
+                // is refused.
+                let (lit_outer, lit_seed) = outer_and_seed(&literal_plan);
+                assert_eq!(seed == "TRUE", lit_seed == "TRUE", "{sql}");
+                assert_eq!(outer == "TRUE", lit_outer == "TRUE", "{sql}");
+            }
+
+            for &parallelism in &[1usize, 4] {
+                for &columnar in &[false, true] {
+                    dbms.eval_options.parallelism = parallelism;
+                    dbms.eval_options.columnar = columnar;
+                    let tag = format!("{sql} {array:?} p={parallelism} columnar={columnar}");
+                    let (got, got_stats) = stmt.execute_with_stats(&dbms, &array).unwrap();
+                    let want =
+                        eval_reference(&canonical.expr, &dbms.db, dbms.eval_options).unwrap();
+                    assert!(got.bag_eq(&want), "{tag}: differs from the reference");
+                    if same_plan {
+                        let (lit_rel, lit_stats) = dbms.run_expr_with_stats(&literal_plan).unwrap();
+                        assert_eq!(got.rows, lit_rel.rows, "{tag}: rows or order");
+                        assert_eq!(got_stats, lit_stats, "{tag}: work counters");
+                        assert_eq!(got.rows, dbms.query(&literal_sql).unwrap().rows, "{tag}");
+                    }
+                }
+            }
+        }
+
+        if seed != "TRUE" {
+            // The seed filter carries the relocated parameter and the
+            // outer qualification lost the pushed conjunct.
+            assert!(seed.contains("= ?0"), "{sql}: seed [{seed}]");
+            assert!(!outer.contains("?0"), "{sql}: outer [{outer}]");
+            reduced.push((view, qual));
+        } else {
+            assert!(outer.contains("?0"), "{sql}: outer [{outer}]");
+        }
+    }
+    // Both views reduce on `Src`; only the nonlinear idiom can also
+    // linearize towards `Dst`; no view reduces with both attributes
+    // bound (neither linear form preserves both), parameter or literal.
+    assert_eq!(
+        reduced,
+        vec![
+            ("TC", "Src = ?"),
+            ("TC", "? = Src"),
+            ("TC", "Dst = ?"),
+            ("LTC", "Src = ?"),
+            ("LTC", "? = Src"),
+        ]
+    );
+}
+
+/// The reduction pays what Figure 9 promises under a parameter too: the
+/// seeded fixpoint touches a fraction of what the full closure does.
+#[test]
+fn seeded_parameter_does_less_work_than_the_full_closure() {
+    let dbms = graph_dbms();
+    let stmt = dbms
+        .prepare_stmt("SELECT Dst FROM TC WHERE Src = ? ;")
+        .unwrap();
+    let (rows, seeded) = stmt.execute_with_stats(&dbms, &[Value::Int(4)]).unwrap();
+    assert_eq!(rows.sorted_rows(), vec![vec![Value::Int(5)]]);
+    let closure = dbms
+        .prepare("SELECT Dst FROM TC WHERE Src = 4 ;")
+        .unwrap()
+        .expr;
+    let (_, full) = dbms.run_expr_with_stats(&closure).unwrap();
+    assert!(
+        seeded.combinations_tried * 4 < full.combinations_tried,
+        "seeded {seeded:?} vs full closure {full:?}"
+    );
 }

@@ -51,11 +51,28 @@ impl NullBitmap {
         self.any && (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// Whether any row is NULL at all — kernels skip their null pass
-    /// entirely on all-valid columns (the common case).
-    #[inline]
-    pub(crate) fn any(&self) -> bool {
-        self.any
+    /// Call `f(i)` for every NULL row `i` in `[lo, hi)`, ascending, a
+    /// word at a time: an all-valid word costs one load, and the set
+    /// bits of any other are peeled off with `trailing_zeros` — a sparse
+    /// NULL pattern pays per NULL, not per row.
+    pub(crate) fn for_each_null(&self, lo: usize, hi: usize, mut f: impl FnMut(usize)) {
+        if !self.any || lo >= hi {
+            return;
+        }
+        let (first, last) = (lo / 64, (hi - 1) / 64);
+        for w in first..=last {
+            let mut bits = self.words[w];
+            if w == first {
+                bits &= u64::MAX << (lo % 64);
+            }
+            if w == last {
+                bits &= u64::MAX >> (63 - (hi - 1) % 64);
+            }
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Record row `i` as appended, growing the word vector as needed so
@@ -413,6 +430,53 @@ mod tests {
             assert_eq!(grown, full, "case {case}");
             for (i, row) in rows.iter().enumerate() {
                 assert_eq!(&full.row(i), row, "case {case} row {i}");
+            }
+        }
+    }
+
+    /// `for_each_null` over `[lo, hi)` visits exactly the rows the
+    /// per-row `is_null` loop finds, in order: unaligned and aligned
+    /// bounds, empty ranges, ranges inside one word, all-valid and
+    /// all-NULL words, and a column length that is not a multiple of 64.
+    #[test]
+    fn for_each_null_equals_the_per_row_loop() {
+        use eds_testkit::rng::StdRng;
+        let mut rng = StdRng::seed_from_u64(0x2B17);
+        for case in 0..300 {
+            let len = match case % 3 {
+                0 => rng.gen_range(1..64usize),
+                1 => 64 * rng.gen_range(1..6usize),
+                _ => rng.gen_range(65..400usize),
+            };
+            // Per 64-row word: all valid, all NULL, 1-in-13, or random.
+            let modes: Vec<u8> = (0..len.div_ceil(64))
+                .map(|_| rng.gen_range(0..4u8))
+                .collect();
+            let mut nulls = NullBitmap::with_capacity(len);
+            for i in 0..len {
+                let null = match modes[i / 64] {
+                    0 => false,
+                    1 => true,
+                    2 => i % 13 == 0,
+                    _ => rng.gen_bool(0.3),
+                };
+                nulls.push(i, null);
+            }
+            let mut ranges = vec![(0, len), (0, 0), (len, len), (len - 1, len)];
+            for _ in 0..20 {
+                let lo = rng.gen_range(0..len);
+                ranges.push((lo, rng.gen_range(lo..len + 1)));
+                // Inside one word.
+                let hi = (lo + rng.gen_range(0..8usize))
+                    .min((lo / 64 + 1) * 64)
+                    .min(len);
+                ranges.push((lo, hi));
+            }
+            for (lo, hi) in ranges {
+                let want: Vec<usize> = (lo..hi).filter(|&i| nulls.is_null(i)).collect();
+                let mut got = Vec::new();
+                nulls.for_each_null(lo, hi, |i| got.push(i));
+                assert_eq!(got, want, "case {case}: len {len} range [{lo}, {hi})");
             }
         }
     }

@@ -740,15 +740,34 @@ fn and_cmp2<A: Copy, B: Copy>(
     }
 }
 
-/// Clear the flags of NULL rows. Skipped outright for all-valid columns
-/// (the common case), so fully dense data pays nothing for nullability.
+/// Clear the flags of NULL rows, walking the bitmap a word at a time.
+/// Skipped outright for all-valid columns (the common case), so fully
+/// dense data pays nothing for nullability.
 #[inline]
 fn and_not_null(flags: &mut [u8], nulls: &NullBitmap, lo: usize) {
-    if !nulls.any() {
-        return;
+    nulls.for_each_null(lo, lo + flags.len(), |i| flags[i - lo] = 0);
+}
+
+/// Append `base + j` for every set flag `j`, ascending. Flags are
+/// exactly `0` or `1`, so eight of them read as one `u64` that is zero
+/// when the whole group was rejected (one compare skips it) and whose
+/// lowest set bit is otherwise the next survivor.
+#[inline]
+fn push_survivors(flags: &[u8], base: usize, out: &mut Vec<u32>) {
+    let mut groups = flags.chunks_exact(8);
+    let mut at = base;
+    for group in &mut groups {
+        let mut word = u64::from_le_bytes(group.try_into().expect("chunk of 8"));
+        while word != 0 {
+            out.push((at + word.trailing_zeros() as usize / 8) as u32);
+            word &= word - 1;
+        }
+        at += 8;
     }
-    for (j, f) in flags.iter_mut().enumerate() {
-        *f &= u8::from(!nulls.is_null(lo + j));
+    for (j, flag) in groups.remainder().iter().enumerate() {
+        if *flag != 0 {
+            out.push((at + j) as u32);
+        }
     }
 }
 
@@ -871,11 +890,7 @@ impl ColumnarPred<'_> {
                     }
                     if survivors * 4 <= n {
                         sparse.clear();
-                        for (j, flag) in f.iter().enumerate() {
-                            if *flag != 0 {
-                                sparse.push((strip_lo + j) as u32);
-                            }
-                        }
+                        push_survivors(f, strip_lo, &mut sparse);
                         dense = false;
                     }
                 } else {
@@ -888,11 +903,7 @@ impl ColumnarPred<'_> {
             }
             if !dead {
                 if dense {
-                    for (j, flag) in f.iter().enumerate() {
-                        if *flag != 0 {
-                            out.push((strip_lo + j) as u32);
-                        }
-                    }
+                    push_survivors(f, strip_lo, &mut out);
                 } else {
                     out.extend_from_slice(&sparse);
                 }

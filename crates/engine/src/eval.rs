@@ -29,7 +29,9 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use eds_adt::{CollKind, EvalContext, Value};
-use eds_lera::{infer_scalar_type, infer_schema, Expr, LeraError, Scalar, Schema, SchemaCtx};
+use eds_lera::{
+    infer_scalar_type, infer_schema, search_schema, Expr, LeraError, Scalar, Schema, SchemaCtx,
+};
 
 use crate::columnar::{Column, ColumnarRelation, NullBitmap};
 use crate::compile::{ColumnarPred, CompiledPred, CompiledProj, EvalEnv};
@@ -219,6 +221,15 @@ impl Ctx<'_> {
         }
     }
 
+    /// The relation bound to recursion variable `name`, if any. Outside
+    /// a fixpoint nothing is bound and the name is not even case-folded.
+    fn local(&self, name: &str) -> Option<&Relation> {
+        if self.locals.is_empty() {
+            return None;
+        }
+        self.locals.get(&name.to_ascii_uppercase())
+    }
+
     /// Schema context over the catalog plus the fixpoint locals bound
     /// right now.
     pub(crate) fn schema_ctx_for_fix(&self) -> SchemaCtx<'_> {
@@ -256,7 +267,7 @@ fn base_columnar(input: &Expr, ctx: &Ctx<'_>, expect_len: usize) -> Option<Arc<C
         return None;
     }
     let Expr::Base(name) = input else { return None };
-    if ctx.locals.contains_key(&name.to_ascii_uppercase()) {
+    if ctx.local(name).is_some() {
         return None;
     }
     let cols = ctx.db.columnar(name)?;
@@ -285,7 +296,7 @@ fn select_partitioned(
 /// rounds); every other shape evaluates through [`eval_expr`] as usual.
 fn eval_input<'db>(input: &Expr, ctx: &mut Ctx<'db>) -> EngineResult<Cow<'db, Relation>> {
     if let Expr::Base(name) = input {
-        if !ctx.locals.contains_key(&name.to_ascii_uppercase()) {
+        if ctx.local(name).is_none() {
             if let Some(rel) = ctx.db.relation(name) {
                 return Ok(Cow::Borrowed(rel));
             }
@@ -298,8 +309,7 @@ fn eval_input<'db>(input: &Expr, ctx: &mut Ctx<'db>) -> EngineResult<Cow<'db, Re
 pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
     match expr {
         Expr::Base(name) => {
-            let key = name.to_ascii_uppercase();
-            if let Some(rel) = ctx.locals.get(&key) {
+            if let Some(rel) = ctx.local(name) {
                 return Ok(rel.clone());
             }
             if let Some(rel) = ctx.db.relation(name) {
@@ -312,18 +322,18 @@ pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
         // the `normalize` block rewrites all three into it — so they
         // evaluate through it. Only `search` (and `join`, which is one)
         // reports the combinations it examined as work.
-        Expr::Filter { input, pred } => Ok(eval_search(expr, &[input], pred, None, ctx)?.0),
+        Expr::Filter { input, pred } => Ok(eval_search(&[input], pred, None, ctx)?.0),
         Expr::Project { input, exprs } => {
-            Ok(eval_search(expr, &[input], &Scalar::true_(), Some(exprs), ctx)?.0)
+            Ok(eval_search(&[input], &Scalar::true_(), Some(exprs), ctx)?.0)
         }
         Expr::Join { left, right, pred } => {
-            let (rel, examined) = eval_search(expr, &[left, right], pred, None, ctx)?;
+            let (rel, examined) = eval_search(&[left, right], pred, None, ctx)?;
             ctx.stats.combinations_tried += examined;
             Ok(rel)
         }
         Expr::Search { inputs, pred, proj } => {
             let inputs: Vec<&Expr> = inputs.iter().collect();
-            let (rel, examined) = eval_search(expr, &inputs, pred, Some(proj), ctx)?;
+            let (rel, examined) = eval_search(&inputs, pred, Some(proj), ctx)?;
             ctx.stats.combinations_tried += examined;
             Ok(rel)
         }
@@ -428,7 +438,6 @@ pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
 /// here, whether the examined count is `combinations_tried` is the
 /// calling operator's decision.
 fn eval_search(
-    expr: &Expr,
     inputs: &[&Expr],
     pred: &Scalar,
     proj: Option<&[Scalar]>,
@@ -443,7 +452,7 @@ fn eval_search(
     let env = EvalEnv::with_params(ctx.db, ctx.params);
     let cpred = CompiledPred::compile(&bound_pred, &env);
     let every_attr: Vec<Scalar>;
-    let proj = match proj {
+    let targets = match proj {
         Some(proj) => proj,
         None => {
             every_attr = (schemas.iter().zip(1..))
@@ -452,11 +461,22 @@ fn eval_search(
             &every_attr
         }
     };
-    let cproj = proj
+    let cproj = targets
         .iter()
         .map(|e| bind_fields(e, &schemas, ctx).map(|b| CompiledProj::compile(&b, &env)))
         .collect::<EngineResult<Vec<_>>>()?;
-    let mut out = Relation::empty(infer_schema(expr, &ctx.schema_ctx_for_fix())?);
+    // The output schema follows from the evaluated inputs' schemas —
+    // nothing below this operator is inferred a second time. A `filter`
+    // shares its input's.
+    let out_schema = match (proj, &rels[..]) {
+        (None, [rel]) => Arc::clone(&rel.schema),
+        _ => Arc::new(search_schema(
+            proj,
+            &schemas,
+            &SchemaCtx::new(&ctx.db.catalog),
+        )?),
+    };
+    let mut out = Relation::empty(out_schema);
 
     // Short-circuit: a FALSE qualification or an empty input produces
     // no tuples without touching the cross product.
@@ -939,10 +959,23 @@ fn single_int_key<'m>(
 
 /// Resolve named field accesses (`PROJECT(e, Name)`) to positional
 /// `GETFIELD(e, idx)` using static types — done once per operator, not
-/// per row.
-pub(crate) fn bind_fields(s: &Scalar, inputs: &[Schema], ctx: &Ctx<'_>) -> EngineResult<Scalar> {
-    let sc = ctx.schema_ctx_for_fix();
-    bind_fields_inner(s, inputs, &sc).map_err(EngineError::Lera)
+/// per row. A scalar without a `Field` node has nothing to resolve and
+/// is returned borrowed: one allocation-free walk instead of a rebuilt
+/// tree.
+pub(crate) fn bind_fields<'s>(
+    s: &'s Scalar,
+    inputs: &[Schema],
+    ctx: &Ctx<'_>,
+) -> EngineResult<Cow<'s, Scalar>> {
+    let mut has_field = false;
+    s.visit(&mut |n| has_field |= matches!(n, Scalar::Field { .. }));
+    if !has_field {
+        return Ok(Cow::Borrowed(s));
+    }
+    let sc = SchemaCtx::new(&ctx.db.catalog);
+    bind_fields_inner(s, inputs, &sc)
+        .map(Cow::Owned)
+        .map_err(EngineError::Lera)
 }
 
 fn bind_fields_inner(
@@ -1181,5 +1214,62 @@ pub(crate) fn eval_cmp_broadcast(op: &eds_lera::CmpOp, l: &Value, r: &Value) -> 
             CmpOp::Le => ord.is_le(),
             CmpOp::Ge => ord.is_ge(),
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn film_db() -> Database {
+        let mut db = Database::new();
+        db.execute_ddl(
+            "TYPE Person OBJECT TUPLE ( Name : CHAR ) ;
+             TYPE Actor SUBTYPE OF Person OBJECT TUPLE ( Salary : NUMERIC ) ;
+             TABLE APPEARS_IN ( Numf : NUMERIC, Refactor : Actor ) ;",
+        )
+        .unwrap();
+        db
+    }
+
+    /// Nothing to bind, nothing copied: a `Field`-free scalar comes back
+    /// borrowed, whatever else it holds.
+    #[test]
+    fn bind_fields_borrows_a_field_free_scalar() {
+        let db = film_db();
+        let ctx = Ctx::new(&db, EvalOptions::default());
+        let schemas = [(*db.relation("APPEARS_IN").unwrap().schema).clone()];
+        let pred = Scalar::and(
+            Scalar::eq(Scalar::attr(1, 1), Scalar::param(0)),
+            Scalar::Not(Box::new(Scalar::call(
+                "ISEMPTY",
+                vec![Scalar::call("MAKESET", vec![Scalar::lit(3)])],
+            ))),
+        );
+        let bound = bind_fields(&pred, &schemas, &ctx).unwrap();
+        assert!(matches!(bound, Cow::Borrowed(b) if std::ptr::eq(b, &pred)));
+    }
+
+    /// `Salary(Refactor)` resolves as it always did: dereference the
+    /// object, then a positional `GETFIELD` (Salary is the second field
+    /// of `Actor`, after the inherited `Name`).
+    #[test]
+    fn bind_fields_resolves_a_field_access() {
+        let db = film_db();
+        let ctx = Ctx::new(&db, EvalOptions::default());
+        let schemas = [(*db.relation("APPEARS_IN").unwrap().schema).clone()];
+        let pred = Scalar::cmp(
+            eds_lera::CmpOp::Gt,
+            Scalar::field(Scalar::attr(1, 2), "Salary"),
+            Scalar::lit(1000),
+        );
+        let bound = bind_fields(&pred, &schemas, &ctx).unwrap();
+        assert!(matches!(bound, Cow::Owned(_)));
+        assert_eq!(bound.to_string(), "GETFIELD(VALUE(1.2), 2) > 1000");
+        let unknown = Scalar::field(Scalar::attr(1, 2), "Wage");
+        assert!(matches!(
+            bind_fields(&unknown, &schemas, &ctx),
+            Err(EngineError::Lera(LeraError::UnknownAttribute { .. }))
+        ));
     }
 }

@@ -100,7 +100,8 @@ pub enum Scalar {
     /// Positional statement parameter (`?` in ESQL), 0-based. Bound to a
     /// concrete [`Value`] at execute time from the statement's bind
     /// array; rewrite rules whose conditions would inspect the value see
-    /// a non-constant leaf and defer to bind time.
+    /// a non-constant leaf and defer to bind time, rules that only move
+    /// the leaf treat it like a literal.
     Param(u16),
     /// Comparison.
     Cmp {

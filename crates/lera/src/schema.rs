@@ -101,13 +101,11 @@ pub fn infer_schema(expr: &Expr, ctx: &SchemaCtx<'_>) -> LeraResult<Schema> {
         Expr::Base(name) => ctx.relation_schema(name),
         Expr::Filter { input, .. } | Expr::Dedup(input) => infer_schema(input, ctx),
         Expr::Project { input, exprs } => {
-            let in_schema = infer_schema(input, ctx)?;
-            project_schema(exprs, &[in_schema], ctx)
+            search_schema(Some(exprs), &[infer_schema(input, ctx)?], ctx)
         }
         Expr::Join { left, right, .. } => {
-            let mut fields = infer_schema(left, ctx)?.fields;
-            fields.extend(infer_schema(right, ctx)?.fields);
-            Ok(Schema::new(fields))
+            let inputs = [infer_schema(left, ctx)?, infer_schema(right, ctx)?];
+            search_schema(None, &inputs, ctx)
         }
         Expr::Union(items) => {
             let first = infer_schema(
@@ -146,7 +144,7 @@ pub fn infer_schema(expr: &Expr, ctx: &SchemaCtx<'_>) -> LeraResult<Schema> {
                 .iter()
                 .map(|i| infer_schema(i, ctx))
                 .collect::<LeraResult<Vec<_>>>()?;
-            project_schema(proj, &schemas, ctx)
+            search_schema(Some(proj), &schemas, ctx)
         }
         Expr::Fix { name, body } => {
             // The fixpoint's schema comes from a body branch that does not
@@ -212,7 +210,21 @@ pub fn infer_schema(expr: &Expr, ctx: &SchemaCtx<'_>) -> LeraResult<Schema> {
     }
 }
 
-fn project_schema(exprs: &[Scalar], inputs: &[Schema], ctx: &SchemaCtx<'_>) -> LeraResult<Schema> {
+/// Output schema of a `search` over inputs whose schemas are already
+/// known: the target list `proj` typed against them, or — `None`, the
+/// `filter` / `join` shape — every attribute of every input in input
+/// order. [`infer_schema`] is this applied bottom-up; an executor that
+/// holds its evaluated inputs calls it directly and infers nothing
+/// below the operator twice.
+pub fn search_schema(
+    proj: Option<&[Scalar]>,
+    inputs: &[Schema],
+    ctx: &SchemaCtx<'_>,
+) -> LeraResult<Schema> {
+    let Some(exprs) = proj else {
+        let fields = inputs.iter().flat_map(|s| s.fields.iter().cloned());
+        return Ok(Schema::new(fields.collect()));
+    };
     let mut fields = Vec::with_capacity(exprs.len());
     for (i, e) in exprs.iter().enumerate() {
         let ty = infer_scalar_type(e, inputs, ctx)?;
