@@ -5,7 +5,9 @@
 //!
 //! * [`value::Value`] — the runtime data model: scalars, tuples and the
 //!   generic collection ADTs (set, bag, list, array) combinable at multiple
-//!   levels, plus object references;
+//!   levels, plus object references — and [`value::CmpOp`], the six
+//!   comparison operators over it, whose one definition the executor,
+//!   the rewriter and the linter share;
 //! * [`object::ObjectStore`] — identity-bearing objects with `VALUE`
 //!   dereference and referential sharing;
 //! * [`types::TypeRegistry`] — user `TYPE` declarations, enumeration
@@ -46,4 +48,4 @@ pub use error::{AdtError, AdtResult};
 pub use object::{ObjectStore, Oid};
 pub use registry::{Arity, EvalContext, FunctionDef, FunctionRegistry, NativeFn};
 pub use types::{Field, MethodSig, Type, TypeBody, TypeDef, TypeRegistry};
-pub use value::{CollKind, OrderedF64, Value};
+pub use value::{CmpOp, CollKind, OrderedF64, Value};

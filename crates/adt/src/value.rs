@@ -282,6 +282,122 @@ impl Value {
     }
 }
 
+/// The six comparison operators and what they mean. The executor's
+/// kernels, the rewriter's `EVALUATE` folding, the cost model and the
+/// constraint algebra behind `SIMPLIFYQ` and the linter all read the
+/// meaning from here ([`holds`](CmpOp::holds) over [`Value::sql_cmp`]),
+/// so they cannot disagree about it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CmpOp {
+    /// `=`
+    Eq,
+    /// `<>`
+    Ne,
+    /// `<`
+    Lt,
+    /// `>`
+    Gt,
+    /// `<=`
+    Le,
+    /// `>=`
+    Ge,
+}
+
+impl CmpOp {
+    /// Every operator, in the order `= <> < <= > >=`. The rule fuzzer
+    /// draws operators by index into this list, so the committed seeds
+    /// of `verify/seeds.txt` replay the same cases only while the order
+    /// stands.
+    pub const ALL: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    /// Symbol used in terms and display.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            CmpOp::Eq => "=",
+            CmpOp::Ne => "<>",
+            CmpOp::Lt => "<",
+            CmpOp::Gt => ">",
+            CmpOp::Le => "<=",
+            CmpOp::Ge => ">=",
+        }
+    }
+
+    /// Parse a symbol.
+    pub fn from_symbol(s: &str) -> Option<CmpOp> {
+        CmpOp::ALL.into_iter().find(|op| op.symbol() == s)
+    }
+
+    /// Is `l op r` TRUE when `l` orders as `ord` against `r`? This match
+    /// is the one truth table of the six operators; everything else here
+    /// is read off it.
+    #[inline]
+    pub const fn holds(self, ord: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Ge => ord.is_ge(),
+        }
+    }
+
+    /// The truth table as a set: the orderings under which the
+    /// comparison is TRUE, bit 0 for `<`, bit 1 for `=`, bit 2 for `>`.
+    /// Two comparisons of the same operand pair can both be TRUE iff
+    /// `a.outcomes() & b.outcomes() != 0`.
+    #[inline]
+    pub const fn outcomes(self) -> u8 {
+        self.holds(Ordering::Less) as u8
+            | (self.holds(Ordering::Equal) as u8) << 1
+            | (self.holds(Ordering::Greater) as u8) << 2
+    }
+
+    /// The mirrored operator (`a op b` ⇔ `b op.flipped() a`): the one
+    /// whose outcome set has `<` and `>` exchanged.
+    #[inline]
+    pub fn flipped(self) -> CmpOp {
+        let m = self.outcomes();
+        let mirrored = (m & 0b010) | (m & 0b001) << 2 | (m & 0b100) >> 2;
+        CmpOp::ALL
+            .into_iter()
+            .find(|op| op.outcomes() == mirrored)
+            .expect("the six outcome sets are closed under mirroring")
+    }
+
+    /// Evaluate `l op r` to a [`Value`]: NULL when a side is NULL
+    /// (three-valued logic); an ordered comparison with exactly one
+    /// collection side maps over its elements (supporting
+    /// `ALL(Salary(Actors) > 10000)`); equality stays structural.
+    #[inline]
+    pub fn eval(self, l: &Value, r: &Value) -> Value {
+        if !matches!(self, CmpOp::Eq | CmpOp::Ne) {
+            match (l, r) {
+                (Value::Coll(kind, items), scalar) if !scalar.is_coll() => {
+                    let mapped = items.iter().map(|e| self.eval(e, scalar)).collect();
+                    return Value::coll(*kind, mapped);
+                }
+                (scalar, Value::Coll(kind, items)) if !scalar.is_coll() => {
+                    let mapped = items.iter().map(|e| self.eval(scalar, e)).collect();
+                    return Value::coll(*kind, mapped);
+                }
+                _ => {}
+            }
+        }
+        match l.sql_cmp(r) {
+            None => Value::Null,
+            Some(ord) => Value::Bool(self.holds(ord)),
+        }
+    }
+}
+
 impl From<bool> for Value {
     fn from(b: bool) -> Self {
         Value::Bool(b)
@@ -389,6 +505,56 @@ mod tests {
     fn null_compares_unknown() {
         assert_eq!(Value::Null.sql_eq(&Value::Int(1)), None);
         assert_eq!(Value::Int(1).sql_eq(&Value::Null), None);
+    }
+
+    /// The 6 × 3 truth table, spelled out once, against `holds`,
+    /// `outcomes` and `flipped`.
+    #[test]
+    fn cmp_op_table_views_agree() {
+        use Ordering::{Equal, Greater, Less};
+        let table = [
+            (CmpOp::Eq, "=", [false, true, false]),
+            (CmpOp::Ne, "<>", [true, false, true]),
+            (CmpOp::Lt, "<", [true, false, false]),
+            (CmpOp::Le, "<=", [true, true, false]),
+            (CmpOp::Gt, ">", [false, false, true]),
+            (CmpOp::Ge, ">=", [false, true, true]),
+        ];
+        assert_eq!(CmpOp::ALL, table.map(|(op, ..)| op));
+        for (op, symbol, row) in table {
+            assert_eq!(op.symbol(), symbol);
+            assert_eq!(CmpOp::from_symbol(symbol), Some(op));
+            assert_eq!(op.flipped().flipped(), op);
+            for (bit, ord) in [Less, Equal, Greater].into_iter().enumerate() {
+                assert_eq!(op.holds(ord), row[bit], "{symbol} under {ord:?}");
+                assert_eq!(op.outcomes() >> bit & 1 == 1, row[bit]);
+                assert_eq!(op.holds(ord), op.flipped().holds(ord.reverse()));
+            }
+        }
+        assert_eq!(CmpOp::from_symbol("=="), None);
+    }
+
+    #[test]
+    fn cmp_op_eval_is_three_valued_and_broadcasts_ordered_comparisons() {
+        assert_eq!(CmpOp::Lt.eval(&Value::Null, &Value::Int(1)), Value::Null);
+        assert_eq!(
+            CmpOp::Eq.eval(&Value::Int(5), &Value::real(5.0)),
+            Value::Bool(true)
+        );
+        let set = Value::set(vec![1.into(), 5.into()]);
+        // One collection side: the comparison maps over the elements,
+        // on either side, and the result is re-canonicalized as a set.
+        assert_eq!(
+            CmpOp::Gt.eval(&set, &Value::Int(3)),
+            Value::set(vec![false.into(), true.into()])
+        );
+        assert_eq!(
+            CmpOp::Gt.eval(&Value::Int(3), &set),
+            CmpOp::Lt.eval(&set, &Value::Int(3))
+        );
+        // Equality never broadcasts; two collections compare whole.
+        assert_eq!(CmpOp::Eq.eval(&set, &Value::Int(1)), Value::Bool(false));
+        assert_eq!(CmpOp::Le.eval(&set, &set), Value::Bool(true));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! * [`LeraCostOracle`] — scores a candidate qualification with the
 //!   LERA cost model: the term's variables are grounded to attribute
 //!   references of a synthetic base relation, the term is bridged to a
-//!   [`Scalar`] predicate, and the cost of `FILTER(R, pred)` is
+//!   [`Scalar`](eds_lera::Scalar) predicate, and the cost of `FILTER(R, pred)` is
 //!   estimated with a positive [`CostModel::pred_op_weight`] so
 //!   structurally cheaper predicates win;
 //! * [`HarnessOracle`] — cross-examines a candidate with the seeded

@@ -21,7 +21,7 @@
 use eds_adt::Value;
 use eds_lera::Scalar;
 use eds_rewrite::methods::{bind_output, resolve, MethodSig};
-use eds_rewrite::{Bindings, MethodRegistry, RewriteError, RwResult, Term, TermEnv};
+use eds_rewrite::{algebra, Bindings, MethodRegistry, RewriteError, RwResult, Term, TermEnv};
 
 use crate::magic;
 
@@ -557,10 +557,13 @@ fn subst_term(t: &Term, from: &Term, to: &Term) -> Term {
 }
 
 /// `SIMPLIFYQ(f, f')`: conjunct-level simplification — drop `TRUE` and
-/// duplicate conjuncts, collapse to `FALSE` on any false conjunct, on
-/// contradictory comparisons over the same operands (`x > y ∧ x <= y`),
-/// or on two distinct constant equalities for the same term. Fails when
-/// `f` is already simplified.
+/// duplicate conjuncts, and collapse to `FALSE` when
+/// [`algebra::contradicts`] proves that no binding makes every conjunct
+/// TRUE (a `FALSE` conjunct, `x > y ∧ x <= y`, `x > 100 ∧ x < 7`,
+/// `x = 'a' ∧ x = 'b'`, `x < x`) — the same call the linter makes of
+/// rule constraints. `f` is a qualification, which rejects a row on
+/// UNKNOWN as on FALSE, so that is all the collapse needs. Fails when `f`
+/// is already simplified.
 fn simplifyq(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResult<bool> {
     if args.len() != 2 {
         return Err(method_err("SIMPLIFYQ", "expected 2 arguments"));
@@ -568,164 +571,21 @@ fn simplifyq(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResul
     let f = resolve(&args[0], binds);
     let original = flatten_and(&f);
 
-    let mut kept: Vec<Term> = Vec::new();
-    let mut falsified = false;
+    let mut kept: Vec<&Term> = Vec::new();
     for c in &original {
-        match c.as_const() {
-            Some(Value::Bool(true)) => continue,
-            Some(Value::Bool(false)) => {
-                falsified = true;
-                break;
-            }
-            _ => {}
-        }
-        if !kept.contains(c) {
-            kept.push(c.clone());
+        if c.as_const() != Some(&Value::Bool(true)) && !kept.contains(&c) {
+            kept.push(c);
         }
     }
-
-    // Possible comparison outcomes {<, =, >} per operand pair.
-    fn outcomes(op: &str) -> Option<u8> {
-        // bit 0: <, bit 1: =, bit 2: >
-        Some(match op {
-            "<" => 0b001,
-            "=" => 0b010,
-            ">" => 0b100,
-            "<=" => 0b011,
-            ">=" => 0b110,
-            "<>" => 0b101,
-            _ => return None,
-        })
-    }
-    fn mirror(mask: u8) -> u8 {
-        (mask & 0b010) | ((mask & 0b001) << 2) | ((mask & 0b100) >> 2)
-    }
-
-    if !falsified {
-        use std::collections::HashMap;
-        let mut per_pair: HashMap<(Term, Term), u8> = HashMap::new();
-        let mut eq_consts: HashMap<Term, Vec<Value>> = HashMap::new();
-        for c in &kept {
-            if let Some((op, [l, r])) = c.as_app() {
-                if let Some(mask) = outcomes(op) {
-                    // Canonical orientation: smaller term first.
-                    let (key, mask) = if l <= r {
-                        ((l.clone(), r.clone()), mask)
-                    } else {
-                        ((r.clone(), l.clone()), mirror(mask))
-                    };
-                    let entry = per_pair.entry(key).or_insert(0b111);
-                    *entry &= mask;
-                    if *entry == 0 {
-                        falsified = true;
-                        break;
-                    }
-                }
-                if op == "=" {
-                    match (l.as_const(), r.as_const()) {
-                        (None, Some(v)) => eq_consts.entry(l.clone()).or_default().push(v.clone()),
-                        (Some(v), None) => eq_consts.entry(r.clone()).or_default().push(v.clone()),
-                        _ => {}
-                    }
-                }
-            }
-        }
-        if !falsified {
-            for (_, consts) in eq_consts {
-                if consts.windows(2).any(|w| w[0] != w[1]) {
-                    falsified = true;
-                    break;
-                }
-            }
-        }
-
-        // Numeric range conflicts: collect (op, constant) constraints per
-        // term and check pairwise satisfiability (x > 100 ∧ x < 7 → ⊥).
-        if !falsified {
-            let mut ranges: HashMap<Term, Vec<(String, f64)>> = HashMap::new();
-            for c in &kept {
-                if let Some((op, [l, r])) = c.as_app() {
-                    if outcomes(op).is_none() {
-                        continue;
-                    }
-                    let entry = match (l.as_const(), r.as_const()) {
-                        (None, Some(v)) => v.as_f64().ok().map(|n| (l.clone(), op.to_owned(), n)),
-                        (Some(v), None) => v
-                            .as_f64()
-                            .ok()
-                            .map(|n| (r.clone(), flip_op(op).to_owned(), n)),
-                        _ => None,
-                    };
-                    if let Some((t, op, n)) = entry {
-                        ranges.entry(t).or_default().push((op, n));
-                    }
-                }
-            }
-            'scan: for (_, constraints) in ranges {
-                for i in 0..constraints.len() {
-                    for j in (i + 1)..constraints.len() {
-                        if !range_pair_satisfiable(&constraints[i], &constraints[j]) {
-                            falsified = true;
-                            break 'scan;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let simplified = if falsified {
+    let simplified = if algebra::contradicts(&kept) {
         Term::bool(false)
     } else {
-        build_and(kept)
+        build_and(kept.into_iter().cloned().collect())
     };
     if flatten_and(&simplified) == original {
         return Ok(false);
     }
     bind_output(&args[1], simplified, binds, "SIMPLIFYQ")
-}
-
-/// Mirror a comparison operator (`c op t` ⇔ `t op' c`).
-fn flip_op(op: &str) -> &str {
-    match op {
-        "<" => ">",
-        ">" => "<",
-        "<=" => ">=",
-        ">=" => "<=",
-        other => other,
-    }
-}
-
-/// Can some number satisfy both `x op1 c1` and `x op2 c2`?
-fn range_pair_satisfiable(a: &(String, f64), b: &(String, f64)) -> bool {
-    let (op1, c1) = (a.0.as_str(), a.1);
-    let (op2, c2) = (b.0.as_str(), b.1);
-    let holds = |x: f64, op: &str, c: f64| match op {
-        "<" => x < c,
-        ">" => x > c,
-        "<=" => x <= c,
-        ">=" => x >= c,
-        "=" => x == c,
-        "<>" => x != c,
-        _ => true,
-    };
-    // Candidate witnesses: the constants themselves, points just beside
-    // them, a midpoint, and far sentinels.
-    let eps = 0.5 * (c1 - c2).abs().max(1.0);
-    let candidates = [
-        c1,
-        c2,
-        c1 - eps,
-        c1 + eps,
-        c2 - eps,
-        c2 + eps,
-        (c1 + c2) / 2.0,
-        f64::MIN / 2.0,
-        f64::MAX / 2.0,
-    ];
-    candidates
-        .iter()
-        .any(|&x| holds(x, op1, c1) && holds(x, op2, c2))
 }
 
 #[cfg(test)]

@@ -98,10 +98,13 @@ fn relational_builtins_get_differential_coverage() {
 fn coverage_gap_is_pinned_to_the_constraint_store_rules() {
     let dbms = Dbms::new().unwrap();
     let report = dbms.verify();
-    // The only builtin rules with zero semantic coverage are the
-    // Section-5 semantic-rewriting rules whose firing depends on a
-    // constraint store the differential harness does not model. Anything
-    // new showing up here means a generator regression.
+    // The only builtin rules with zero semantic coverage: the two
+    // ADDCONSTRAINTS rules fire only against a constraint store the
+    // differential harness does not model, and Transitivity only on an
+    // equality chain (`x = y AND y = z`) the generator does not aim at.
+    // SimplifyQual and EqSubst never needed a store: the generator's
+    // near-clash windows reach both. Anything new showing up here means
+    // a generator regression.
     let mut uncovered: Vec<&str> = report
         .coverage
         .iter()
@@ -111,13 +114,7 @@ fn coverage_gap_is_pinned_to_the_constraint_store_rules() {
     uncovered.sort_unstable();
     assert_eq!(
         uncovered,
-        vec![
-            "AddConstraints",
-            "AddConstraintsF",
-            "EqSubst",
-            "SimplifyQual",
-            "Transitivity",
-        ],
+        vec!["AddConstraints", "AddConstraintsF", "Transitivity"],
         "uncovered set drifted"
     );
 }

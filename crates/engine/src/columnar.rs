@@ -207,7 +207,7 @@ impl Column {
     }
 }
 
-/// A columnar mirror of a relation: one [`Column`] per attribute.
+/// A columnar mirror of a relation: one `Column` per attribute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarRelation {
     len: usize,

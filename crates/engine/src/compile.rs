@@ -1,6 +1,6 @@
 //! Compiled scalar programs.
 //!
-//! [`bind_fields`](crate::eval) resolves named field accesses once per
+//! [`bind_fields`](mod@crate::eval) resolves named field accesses once per
 //! operator; this module goes one step further and lowers the bound
 //! [`Scalar`] tree into a [`CompiledScalar`] — a pre-dispatched program
 //! whose per-row evaluation
@@ -30,7 +30,6 @@ use eds_lera::{CmpOp, LeraError, Scalar};
 use crate::columnar::{Column, ColumnarRelation, NullBitmap};
 use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::eval_cmp_broadcast;
 
 /// The immutable evaluation environment a compiled program runs against:
 /// the slices of a [`Database`] that scalar evaluation can touch. `Sync`,
@@ -299,7 +298,7 @@ impl CompiledScalar {
             CompiledScalar::Cmp { op, left, right } => {
                 let l = left.eval(tuples, env)?;
                 let r = right.eval(tuples, env)?;
-                Ok(Cow::Owned(eval_cmp_broadcast(op, &l, &r)))
+                Ok(Cow::Owned(op.eval(&l, &r)))
             }
             CompiledScalar::Conj(operands) => {
                 // Left-to-right with FALSE short-circuit; any non-TRUE
@@ -488,7 +487,7 @@ impl Conjunct {
                 FastQual::True => return Ok(Truth::True),
                 FastQual::Cmp { op, left, right } => {
                     if let (Some(l), Some(r)) = (left.get(tuples, env), right.get(tuples, env)) {
-                        return Ok(match eval_cmp_broadcast(op, l, r) {
+                        return Ok(match op.eval(l, r) {
                             Value::Bool(true) => Truth::True,
                             Value::Bool(false) => Truth::False,
                             _ => Truth::Other,
@@ -575,7 +574,7 @@ impl CompiledProj {
     }
 }
 
-/// A qualification lowered onto a columnar mirror: one typed [`Kern`]
+/// A qualification lowered onto a columnar mirror: one typed `Kern`
 /// per conjunct, run over a *selection vector* of candidate row indices.
 /// Lowering succeeds only when **every** conjunct maps to a kernel, so
 /// evaluation can never error and never disagree with the row path —
@@ -623,34 +622,6 @@ enum Kern<'c> {
         bn: &'c NullBitmap,
         op: CmpOp,
     },
-}
-
-/// Does `ord` satisfy `op`? The single dispatch point every typed kernel
-/// funnels through, mirroring the tail of
-/// [`eval_cmp_broadcast`](crate::eval::eval_cmp_broadcast).
-#[inline]
-fn holds(op: CmpOp, ord: std::cmp::Ordering) -> bool {
-    match op {
-        CmpOp::Eq => ord.is_eq(),
-        CmpOp::Ne => ord.is_ne(),
-        CmpOp::Lt => ord.is_lt(),
-        CmpOp::Gt => ord.is_gt(),
-        CmpOp::Le => ord.is_le(),
-        CmpOp::Ge => ord.is_ge(),
-    }
-}
-
-/// Mirror a comparison so the column operand moves to the left:
-/// `k op col` ≡ `col mirror(op) k`.
-fn mirror(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Ge => CmpOp::Le,
-    }
 }
 
 /// Lanes per unrolled strip of the flag kernels. 16 `u8` flags is one
@@ -830,7 +801,7 @@ impl ColumnarPred<'_> {
                 k,
             } => sel.retain(|&i| {
                 let i = i as usize;
-                !nulls.is_null(i) && holds(*op, values[i].cmp(k))
+                !nulls.is_null(i) && op.holds(values[i].cmp(k))
             }),
             Kern::StrPool { ids, nulls, truth } => sel.retain(|&i| {
                 let i = i as usize;
@@ -838,7 +809,7 @@ impl ColumnarPred<'_> {
             }),
             Kern::IntInt { a, b, an, bn, op } => sel.retain(|&i| {
                 let i = i as usize;
-                !an.is_null(i) && !bn.is_null(i) && holds(*op, a[i].cmp(&b[i]))
+                !an.is_null(i) && !bn.is_null(i) && op.holds(a[i].cmp(&b[i]))
             }),
         }
     }
@@ -848,9 +819,9 @@ impl ColumnarPred<'_> {
     /// error lower to kernels.
     ///
     /// Evaluation is strip-at-a-time and **adaptive**. Each
-    /// [`SELECT_STRIP`]-row strip starts on a byte-per-row selection
+    /// `SELECT_STRIP`-row strip starts on a byte-per-row selection
     /// *flag* buffer: kernels make contiguous branchless passes AND-ing
-    /// their verdict into the flags ([`and_map`]/[`and_map2`]), so
+    /// their verdict into the flags (`and_map`/`and_map2`), so
     /// column data streams through typed slices in strict ascending
     /// order — the layout the compiler auto-vectorizes — while the
     /// flag buffer lives on the stack and never leaves L1. After each
@@ -858,7 +829,7 @@ impl ColumnarPred<'_> {
     /// whether to stay dense or pivot: once fewer than a quarter of the
     /// strip survives, the survivors are extracted into a sparse index
     /// list and the remaining kernels run as per-index gathers
-    /// ([`Self::retain_sparse`]), so a highly selective leading
+    /// (`retain_sparse`), so a highly selective leading
     /// conjunct — `B = 3` in front of a tail of near-vacuous range
     /// checks, say — spares the tail its full-width passes.
     pub fn select_range(&self, lo: usize, hi: usize) -> Vec<u32> {
@@ -969,11 +940,11 @@ fn lower_conjunct<'c>(
         FastQual::Cmp { op, left, right } => {
             match (operand(left, params)?, operand(right, params)?) {
                 (Opnd::Col(a), Opnd::Val(k)) => lower_col_const(*op, cols.column(a)?, k),
-                (Opnd::Val(k), Opnd::Col(a)) => lower_col_const(mirror(*op), cols.column(a)?, k),
+                (Opnd::Val(k), Opnd::Col(a)) => lower_col_const(op.flipped(), cols.column(a)?, k),
                 (Opnd::Col(a), Opnd::Col(b)) => {
                     lower_col_col(*op, cols.column(a)?, cols.column(b)?)
                 }
-                (Opnd::Val(k1), Opnd::Val(k2)) => Some(match eval_cmp_broadcast(op, k1, k2) {
+                (Opnd::Val(k1), Opnd::Val(k2)) => Some(match op.eval(k1, k2) {
                     Value::Bool(true) => Kern::AllTrue,
                     // FALSE, NULL, or a broadcast collection: never TRUE.
                     _ => Kern::NeverTrue,
@@ -1006,7 +977,7 @@ fn lower_col_const<'c>(op: CmpOp, col: &'c Column, k: &Value) -> Option<Kern<'c>
         ) => {
             let truth: Vec<bool> = pool
                 .iter()
-                .map(|p| holds(op, p.as_ref().cmp(s.as_str())))
+                .map(|p| op.holds(p.as_ref().cmp(s.as_str())))
                 .collect();
             Some(Kern::StrPool { ids, nulls, truth })
         }

@@ -1084,7 +1084,7 @@ pub fn eval_scalar(s: &Scalar, tuples: &[&[Value]], ctx: &Ctx<'_>) -> EngineResu
         Scalar::Cmp { op, left, right } => {
             let l = eval_scalar(left, tuples, ctx)?;
             let r = eval_scalar(right, tuples, ctx)?;
-            Ok(eval_cmp_broadcast(op, &l, &r))
+            Ok(op.eval(&l, &r))
         }
         Scalar::And(a, b) => {
             let va = eval_scalar(a, tuples, ctx)?;
@@ -1176,44 +1176,6 @@ fn deref_value(v: &Value, ctx: &Ctx<'_>) -> EngineResult<Value> {
             Ok(Value::coll(*kind, mapped))
         }
         other => Ok(other.clone()),
-    }
-}
-
-/// Comparison with broadcasting: ordered comparisons where exactly one
-/// side is a collection map over its elements (supporting
-/// `ALL(Salary(Actors) > 10000)`); equality stays structural.
-pub(crate) fn eval_cmp_broadcast(op: &eds_lera::CmpOp, l: &Value, r: &Value) -> Value {
-    use eds_lera::CmpOp;
-    let ordered = !matches!(op, CmpOp::Eq | CmpOp::Ne);
-    if ordered {
-        match (l, r) {
-            (Value::Coll(kind, items), scalar) if !scalar.is_coll() => {
-                let mapped: Vec<Value> = items
-                    .iter()
-                    .map(|e| eval_cmp_broadcast(op, e, scalar))
-                    .collect();
-                return Value::coll(*kind, mapped);
-            }
-            (scalar, Value::Coll(kind, items)) if !scalar.is_coll() => {
-                let mapped: Vec<Value> = items
-                    .iter()
-                    .map(|e| eval_cmp_broadcast(op, scalar, e))
-                    .collect();
-                return Value::coll(*kind, mapped);
-            }
-            _ => {}
-        }
-    }
-    match l.sql_cmp(r) {
-        None => Value::Null,
-        Some(ord) => Value::Bool(match op {
-            CmpOp::Eq => ord.is_eq(),
-            CmpOp::Ne => ord.is_ne(),
-            CmpOp::Lt => ord.is_lt(),
-            CmpOp::Gt => ord.is_gt(),
-            CmpOp::Le => ord.is_le(),
-            CmpOp::Ge => ord.is_ge(),
-        }),
     }
 }
 

@@ -7,7 +7,7 @@
 //! directly measurable:
 //!
 //! * [`database::Database`] — catalog + object store + stored relations;
-//! * [`eval`] — nested-loop `search`, `nest`/`unnest`, three-valued
+//! * [`mod@eval`] — nested-loop `search`, `nest`/`unnest`, three-valued
 //!   qualifications, collection broadcasting of field access and ordered
 //!   comparisons;
 //! * [`fixpoint`] — naive and semi-naive `fix` evaluation.

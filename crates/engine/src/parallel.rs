@@ -7,7 +7,7 @@
 //! [`MORSEL_ROWS`] consecutive items claimed from an atomic cursor:
 //!
 //! * the pool is created on first parallel use (shared via `OnceLock`),
-//!   grows on demand up to [`MAX_POOL_WORKERS`] helper threads, and can
+//!   grows on demand up to `MAX_POOL_WORKERS` helper threads, and can
 //!   be [shut down cleanly](shutdown_pool) and re-grown later;
 //! * each participating worker (the issuing thread included) loops:
 //!   claim the next morsel index from the cursor, evaluate the closure

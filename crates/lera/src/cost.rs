@@ -429,20 +429,10 @@ fn range_constraint(c: &Scalar) -> Option<(usize, usize, CmpOp, f64)> {
     }
     let (rel, attr, v, op) = match (as_attr(left), as_attr(right)) {
         (Some((r, a)), None) => (r, a, numeric_const(right)?, *op),
-        (None, Some((r, a))) => (r, a, numeric_const(left)?, flip(*op)),
+        (None, Some((r, a))) => (r, a, numeric_const(left)?, op.flipped()),
         _ => return None,
     };
     Some((rel, attr, op, v))
-}
-
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Ge => CmpOp::Le,
-        other => other,
-    }
 }
 
 /// Operator nodes of a qualification: connectives, comparisons, field

@@ -8,62 +8,10 @@
 
 use std::fmt;
 
+/// The comparison operators, defined beside [`Value::sql_cmp`] in
+/// `eds-adt` and re-exported so `eds_lera::CmpOp` keeps resolving.
+pub use eds_adt::CmpOp;
 use eds_adt::Value;
-
-/// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CmpOp {
-    /// `=`
-    Eq,
-    /// `<>`
-    Ne,
-    /// `<`
-    Lt,
-    /// `>`
-    Gt,
-    /// `<=`
-    Le,
-    /// `>=`
-    Ge,
-}
-
-impl CmpOp {
-    /// Symbol used in terms and display.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            CmpOp::Eq => "=",
-            CmpOp::Ne => "<>",
-            CmpOp::Lt => "<",
-            CmpOp::Gt => ">",
-            CmpOp::Le => "<=",
-            CmpOp::Ge => ">=",
-        }
-    }
-
-    /// Parse a symbol.
-    pub fn from_symbol(s: &str) -> Option<CmpOp> {
-        Some(match s {
-            "=" => CmpOp::Eq,
-            "<>" => CmpOp::Ne,
-            "<" => CmpOp::Lt,
-            ">" => CmpOp::Gt,
-            "<=" => CmpOp::Le,
-            ">=" => CmpOp::Ge,
-            _ => return None,
-        })
-    }
-
-    /// The mirrored operator (`a < b` ⇔ `b > a`).
-    pub fn flipped(self) -> CmpOp {
-        match self {
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Ge => CmpOp::Le,
-            other => other,
-        }
-    }
-}
 
 /// A scalar expression.
 #[derive(Debug, Clone, PartialEq)]

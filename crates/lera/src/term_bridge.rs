@@ -288,11 +288,6 @@ pub fn scalar_from_term(t: &Term) -> LeraResult<Scalar> {
                     name,
                 })
             }
-            (op, [a, b]) if CmpOp::from_symbol(op).is_some() => Ok(Scalar::Cmp {
-                op: CmpOp::from_symbol(op).expect("checked"),
-                left: Box::new(scalar_from_term(a)?),
-                right: Box::new(scalar_from_term(b)?),
-            }),
             // Collection literals in qualifications ({'a','b'}) become
             // MAKESET-style constructor calls.
             ("SET", elems) => Ok(Scalar::call(
@@ -309,13 +304,20 @@ pub fn scalar_from_term(t: &Term) -> LeraResult<Scalar> {
                     .map(scalar_from_term)
                     .collect::<LeraResult<_>>()?,
             )),
-            (func, args) => Ok(Scalar::Call {
-                func: func.to_owned(),
-                args: args
-                    .iter()
-                    .map(scalar_from_term)
-                    .collect::<LeraResult<_>>()?,
-            }),
+            (func, args) => match (CmpOp::from_symbol(func), args) {
+                (Some(op), [a, b]) => Ok(Scalar::Cmp {
+                    op,
+                    left: Box::new(scalar_from_term(a)?),
+                    right: Box::new(scalar_from_term(b)?),
+                }),
+                _ => Ok(Scalar::Call {
+                    func: func.to_owned(),
+                    args: args
+                        .iter()
+                        .map(scalar_from_term)
+                        .collect::<LeraResult<_>>()?,
+                }),
+            },
         },
     }
 }

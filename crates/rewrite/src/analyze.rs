@@ -51,8 +51,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use eds_adt::Value;
-
+use crate::algebra::{conjuncts, contradicts, entails, tautology};
 use crate::fixes::{Fix, FixTarget};
 use crate::flow;
 use crate::matching::find_match;
@@ -759,278 +758,6 @@ fn check_schema_refs(rule: &Rule, schema: &dyn SchemaProvider, out: &mut Vec<Dia
     for (part, term, _) in parts(rule) {
         walk(term, &part, schema, out);
     }
-}
-
-// -------------------------------------------------- constraint algebra
-
-/// Comparison functors the entailment engine reasons about.
-pub(crate) const CMP_OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
-
-/// Flatten top-level `AND`s into conjuncts.
-pub fn conjuncts(t: &Term) -> Vec<&Term> {
-    match t.as_app() {
-        Some(("AND", [a, b])) => {
-            let mut v = conjuncts(a);
-            v.extend(conjuncts(b));
-            v
-        }
-        _ => vec![t],
-    }
-}
-
-fn as_cmp(t: &Term) -> Option<(&'static str, &Term, &Term)> {
-    let (h, args) = t.as_app()?;
-    if args.len() != 2 {
-        return None;
-    }
-    CMP_OPS
-        .iter()
-        .find(|&&op| op == h)
-        .map(|&op| (op, &args[0], &args[1]))
-}
-
-/// Widen a ground numeric constant — `Int` or `Real` — to an exact `f64`.
-/// Integers outside the 2^53 exactly-representable window widen lossily,
-/// so they are rejected rather than reasoned about incorrectly; the same
-/// goes for non-finite reals. All comparisons on the widened values go
-/// through `total_cmp`, which agrees with the ordinary ordering on the
-/// finite values admitted here.
-fn as_num(t: &Term) -> Option<f64> {
-    const EXACT: i64 = 1 << 53;
-    match t.as_const()? {
-        Value::Int(n) if (-EXACT..=EXACT).contains(n) => Some(*n as f64),
-        Value::Real(r) if r.0.is_finite() => Some(r.0),
-        _ => None,
-    }
-}
-
-fn num_eq(a: f64, b: f64) -> bool {
-    a.total_cmp(&b) == std::cmp::Ordering::Equal
-}
-
-fn flip(op: &str) -> &'static str {
-    match op {
-        "<" => ">",
-        ">" => "<",
-        "<=" => ">=",
-        ">=" => "<=",
-        "=" => "=",
-        _ => "<>",
-    }
-}
-
-/// Orient a comparison so a ground-numeric operand sits on the right.
-fn oriented(t: &Term) -> Option<(&'static str, &Term, &Term)> {
-    let (op, l, r) = as_cmp(t)?;
-    if as_num(l).is_some() && as_num(r).is_none() {
-        Some((flip(op), r, l))
-    } else {
-        Some((op, l, r))
-    }
-}
-
-/// Evaluate a comparison between ground constants, where decidable.
-/// Numeric constants compare after Int↔Real widening, so `3 = 3.0` is
-/// decided `true` exactly as the runtime comparison decides it.
-fn eval_ground(op: &str, l: &Term, r: &Term) -> Option<bool> {
-    if let (Some(a), Some(b)) = (as_num(l), as_num(r)) {
-        let ord = a.total_cmp(&b);
-        return Some(match op {
-            "=" => ord.is_eq(),
-            "<>" => ord.is_ne(),
-            "<" => ord.is_lt(),
-            "<=" => ord.is_le(),
-            ">" => ord.is_gt(),
-            _ => ord.is_ge(),
-        });
-    }
-    let (lc, rc) = (l.as_const()?, r.as_const()?);
-    match op {
-        "=" => Some(lc == rc),
-        "<>" => Some(lc != rc),
-        _ => None,
-    }
-}
-
-/// Is the condition true under every binding?
-pub fn tautology(c: &Term) -> bool {
-    if matches!(c.as_const(), Some(Value::Bool(true))) {
-        return true;
-    }
-    let Some((op, l, r)) = as_cmp(c) else {
-        return false;
-    };
-    if let Some(v) = eval_ground(op, l, r) {
-        return v;
-    }
-    l == r && matches!(op, "=" | "<=" | ">=")
-}
-
-/// Is the condition false under every binding?
-fn self_contradictory(c: &Term) -> bool {
-    if matches!(c.as_const(), Some(Value::Bool(false))) {
-        return true;
-    }
-    let Some((op, l, r)) = as_cmp(c) else {
-        return false;
-    };
-    if let Some(v) = eval_ground(op, l, r) {
-        return !v;
-    }
-    l == r && matches!(op, "<" | ">" | "<>")
-}
-
-/// One-sided bound on a numeric variable: the constant plus whether the
-/// bound is exclusive (strict).
-type Bound = (f64, bool);
-
-/// The interval denoted by `x op k` over the widened numeric domain
-/// (`None` = unbounded on that side). Bounds stay symbolic — no ±1
-/// adjustment — because the variable may be `Real`-valued: `x > 3 AND
-/// x < 4` is satisfiable at `x = 3.5`, so integer-gap reasoning would be
-/// unsound here. Only called for ordering ops and `=`, never `<>`.
-fn interval(op: &str, k: f64) -> (Option<Bound>, Option<Bound>) {
-    match op {
-        "=" => (Some((k, false)), Some((k, false))),
-        "<" => (None, Some((k, true))),
-        "<=" => (None, Some((k, false))),
-        ">" => (Some((k, true)), None),
-        _ => (Some((k, false)), None), // ">="
-    }
-}
-
-/// Can `l op1 r` and `l op2 r` hold together for *any* l, r?
-fn incompatible(a: &str, b: &str) -> bool {
-    let pair = |x: &str, y: &str| (a == x && b == y) || (a == y && b == x);
-    pair("<", ">")
-        || pair("<", ">=")
-        || pair("<", "=")
-        || pair("<=", ">")
-        || pair("=", "<>")
-        || pair("=", ">")
-}
-
-/// Do two conjuncts contradict each other?
-fn pair_contradicts(a: &Term, b: &Term) -> bool {
-    let (Some((op1, l1, r1)), Some((op2, l2, r2))) = (oriented(a), oriented(b)) else {
-        return false;
-    };
-    if l1 == l2 && r1 == r2 && incompatible(op1, op2) {
-        return true;
-    }
-    // Swapped sides: restate b over (l1, r1) by flipping its operator.
-    if l1 == r2 && r1 == l2 && incompatible(op1, flip(op2)) {
-        return true;
-    }
-    if l1 == l2 {
-        if let (Some(k1), Some(k2)) = (as_num(r1), as_num(r2)) {
-            return bounds_empty(op1, k1, op2, k2);
-        }
-        if let (Some(c1), Some(c2)) = (r1.as_const(), r2.as_const()) {
-            let eq_ne = (op1 == "=" && op2 == "<>") || (op1 == "<>" && op2 == "=");
-            return (op1 == "=" && op2 == "=" && c1 != c2) || (eq_ne && c1 == c2);
-        }
-    }
-    false
-}
-
-/// Is the set of numbers satisfying both `x op1 k1` and `x op2 k2`
-/// empty?
-fn bounds_empty(op1: &str, k1: f64, op2: &str, k2: f64) -> bool {
-    match (op1, op2) {
-        ("<>", "=") | ("=", "<>") => num_eq(k1, k2),
-        ("<>", _) | (_, "<>") => false,
-        _ => {
-            let (lo1, hi1) = interval(op1, k1);
-            let (lo2, hi2) = interval(op2, k2);
-            // Tighter bound wins; on a value tie a strict bound is
-            // tighter than an inclusive one.
-            let lo = [lo1, lo2]
-                .into_iter()
-                .flatten()
-                .max_by(|(a, sa), (b, sb)| a.total_cmp(b).then(sa.cmp(sb)));
-            let hi = [hi1, hi2]
-                .into_iter()
-                .flatten()
-                .min_by(|(a, sa), (b, sb)| a.total_cmp(b).then(sb.cmp(sa)));
-            match (lo, hi) {
-                (Some((l, ls)), Some((h, hs))) => {
-                    l.total_cmp(&h).is_gt() || (num_eq(l, h) && (ls || hs))
-                }
-                _ => false,
-            }
-        }
-    }
-}
-
-/// Is the whole conjunct set unsatisfiable (by the decidable fragment:
-/// literals, ground comparisons, irreflexivity, pairwise interval and
-/// operator conflicts)?
-pub fn contradicts(conjunct_set: &[&Term]) -> bool {
-    if conjunct_set.iter().any(|c| self_contradictory(c)) {
-        return true;
-    }
-    for (i, a) in conjunct_set.iter().enumerate() {
-        for b in conjunct_set.iter().skip(i + 1) {
-            if pair_contradicts(a, b) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Does `x opp kp` imply `x opc kc` over the rationals?
-fn cmp_implies(opp: &str, kp: f64, opc: &str, kc: f64) -> bool {
-    if opp == "<>" {
-        return opc == "<>" && num_eq(kp, kc);
-    }
-    if opc == "=" {
-        return opp == "=" && num_eq(kp, kc);
-    }
-    if opc == "<>" {
-        // The premise interval must exclude kc.
-        let (lo, hi) = interval(opp, kp);
-        return lo.is_some_and(|(l, s)| kc < l || (num_eq(kc, l) && s))
-            || hi.is_some_and(|(h, s)| kc > h || (num_eq(kc, h) && s));
-    }
-    // The conclusion interval must contain the premise interval. On a
-    // bound-value tie the conclusion side must be no stricter than the
-    // premise side.
-    let (plo, phi) = interval(opp, kp);
-    let (clo, chi) = interval(opc, kc);
-    let lo_ok = match (clo, plo) {
-        (None, _) => true,
-        (Some(_), None) => false,
-        (Some((c, cs)), Some((p, ps))) => p > c || (num_eq(p, c) && (!cs || ps)),
-    };
-    let hi_ok = match (chi, phi) {
-        (None, _) => true,
-        (Some(_), None) => false,
-        (Some((c, cs)), Some((p, ps))) => p < c || (num_eq(p, c) && (!cs || ps)),
-    };
-    lo_ok && hi_ok
-}
-
-/// Do the premises provably entail the conclusion? Sound but incomplete:
-/// syntactic equality, tautologies, and single-premise comparison
-/// weakening over ground numeric bounds (Int and Real widened to a
-/// shared rational view).
-pub fn entails(premises: &[&Term], conclusion: &Term) -> bool {
-    if tautology(conclusion) || premises.contains(&conclusion) {
-        return true;
-    }
-    let Some((opc, lc, rc)) = oriented(conclusion) else {
-        return false;
-    };
-    let Some(kc) = as_num(rc) else {
-        return false;
-    };
-    premises.iter().any(|p| {
-        oriented(p).is_some_and(|(opp, lp, rp)| {
-            lp == lc && as_num(rp).is_some_and(|kp| cmp_implies(opp, kp, opc, kc))
-        })
-    })
 }
 
 /// A fix that deletes the whole rule.

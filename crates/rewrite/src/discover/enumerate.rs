@@ -10,7 +10,7 @@
 //! * terms are generated size class by size class, smallest first, in a
 //!   fixed grammar order;
 //! * commutative operators (`AND`, `OR`, `=`, `<>`, `+`, `*`) only admit
-//!   argument pairs in canonical [`term_key`] order — the mirrored form
+//!   argument pairs in canonical `term_key` order — the mirrored form
 //!   is counted as symmetry-pruned, never generated;
 //! * the mirror comparisons `>`/`>=` are never generated; a candidate
 //!   that would need them appears as the `<`/`<=` form with swapped

@@ -5,7 +5,7 @@
 //! it. The analyzer works on assembled [`Rule`](crate::Rule)s and
 //! [`Block`](crate::Block)s, not source text, so a fix stores the target
 //! *name* and [`apply_fixes`] resolves it to a byte span at apply time via
-//! [`parse_source_spanned`](crate::dsl::parse_source_spanned). Replacement
+//! [`parse_source_spanned`]. Replacement
 //! text is regenerated from the item's `Display` form (which reparses, see
 //! `rule_display_reparses`), so applied fixes always stay syntactically
 //! valid.

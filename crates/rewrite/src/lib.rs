@@ -45,6 +45,7 @@
 
 #![warn(missing_docs)]
 
+pub mod algebra;
 pub mod analyze;
 pub mod discover;
 pub mod dsl;

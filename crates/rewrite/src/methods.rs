@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use eds_adt::{EvalContext, FunctionRegistry, ObjectStore, Type, TypeRegistry, Value};
+use eds_adt::{CmpOp, EvalContext, FunctionRegistry, ObjectStore, Type, TypeRegistry, Value};
 
 use crate::error::{RewriteError, RwResult};
 use crate::term::{Bindings, Term};
@@ -147,7 +147,7 @@ pub type MethodFn =
 
 /// Declared shape of a method: how many arguments it takes and which
 /// argument positions (0-based) it *binds* rather than reads. The static
-/// analyzer ([`crate::analyze`]) uses signatures to check calls at rule
+/// analyzer ([`mod@crate::analyze`]) uses signatures to check calls at rule
 /// registration; methods registered without one are checked for existence
 /// only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,51 +353,31 @@ fn eval_resolved(term: &Term, env: &dyn TermEnv) -> RwResult<Value> {
                 Value::Null => Ok(Value::Null),
                 other => Err(RewriteError::NonBooleanConstraint(other.to_string())),
             },
-            ("=" | "<" | ">" | "<=" | ">=" | "<>", [a, b]) => {
-                let va = eval_resolved(a, env)?;
-                let vb = eval_resolved(b, env)?;
-                Ok(eval_cmp(head.as_str(), &va, &vb))
-            }
             // Collection constructors evaluate their elements.
             ("LIST", elems) => Ok(Value::list(eval_all(elems, env)?)),
             ("SET", elems) => Ok(Value::set(eval_all(elems, env)?)),
             ("BAG", elems) => Ok(Value::bag(eval_all(elems, env)?)),
             ("TUPLE", elems) => Ok(Value::Tuple(eval_all(elems, env)?)),
-            (name, args) => {
-                let values = eval_all(args, env)?;
-                let ctx = EvalContext {
-                    objects: env.objects(),
-                    types: env.types(),
-                };
-                env.functions()
-                    .call(name, &values, &ctx)
-                    .map_err(Into::into)
-            }
+            (name, args) => match (CmpOp::from_symbol(name), args) {
+                // A comparison folds to what the executor would compute.
+                (Some(op), [a, b]) => Ok(op.eval(&eval_resolved(a, env)?, &eval_resolved(b, env)?)),
+                _ => {
+                    let values = eval_all(args, env)?;
+                    let ctx = EvalContext {
+                        objects: env.objects(),
+                        types: env.types(),
+                    };
+                    env.functions()
+                        .call(name, &values, &ctx)
+                        .map_err(Into::into)
+                }
+            },
         },
     }
 }
 
 fn eval_all(terms: &[Term], env: &dyn TermEnv) -> RwResult<Vec<Value>> {
     terms.iter().map(|t| eval_resolved(t, env)).collect()
-}
-
-/// SQL comparison returning NULL on NULL inputs.
-pub fn eval_cmp(op: &str, a: &Value, b: &Value) -> Value {
-    match a.sql_cmp(b) {
-        None => Value::Null,
-        Some(ord) => {
-            let res = match op {
-                "=" => ord.is_eq(),
-                "<" => ord.is_lt(),
-                ">" => ord.is_gt(),
-                "<=" => ord.is_le(),
-                ">=" => ord.is_ge(),
-                "<>" => ord.is_ne(),
-                _ => unreachable!("non-comparison operator {op}"),
-            };
-            Value::Bool(res)
-        }
-    }
 }
 
 fn three_valued_and(a: Value, b: Value) -> Value {

@@ -311,20 +311,18 @@ impl Dirty {
 /// Root-functor index over a block's member rules.
 ///
 /// Built once per block run: resolves member names against the
-/// [`RuleSet`], records each rule's LHS head [`Symbol`], and ORs their
-/// fingerprint bits into a mask. During the saturation loop an attempt
-/// against a rule whose head functor does not occur in the query is
-/// rejected by one AND against the term's cached fingerprint — the term
-/// is never walked. Rules whose LHS is not an application (a bare
-/// variable or constant pattern) are *wildcards* and always scan.
+/// [`RuleSet`] and records each rule's LHS head [`Symbol`]. During the
+/// saturation loop an attempt against a rule whose head functor does not
+/// occur in the query is rejected by one AND against the term's cached
+/// fingerprint — the term is never walked. Rules whose LHS is not an
+/// application (a bare variable or constant pattern) have no head and
+/// always scan.
 ///
 /// Missing members are skipped, matching the block semantics for deleted
 /// rules.
 #[derive(Debug)]
 pub struct RuleIndex<'r> {
     members: Vec<IndexedRule<'r>>,
-    head_mask: u64,
-    wildcards: usize,
 }
 
 #[derive(Debug)]
@@ -336,41 +334,19 @@ struct IndexedRule<'r> {
 impl<'r> RuleIndex<'r> {
     /// Index `block`'s members against `rules`.
     pub fn build(rules: &'r RuleSet, block: &Block) -> Self {
+        // Sized up front: every block run builds one, and a collected `filter_map` regrows.
         let mut members = Vec::with_capacity(block.rules.len());
-        let mut head_mask = 0u64;
-        let mut wildcards = 0usize;
-        for name in &block.rules {
-            let Some(rule) = rules.get(name) else {
-                continue;
-            };
-            let head = rule.lhs.head();
-            match head {
-                Some(h) => head_mask |= h.fp_bit(),
-                None => wildcards += 1,
-            }
-            members.push(IndexedRule { rule, head });
-        }
-        RuleIndex {
-            members,
-            head_mask,
-            wildcards,
-        }
-    }
-
-    /// Number of resolvable member rules.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when the block has no resolvable members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// O(1) pretest: can *any* member rule possibly match `term`? False
-    /// means every member's head functor is provably absent.
-    pub fn any_head_present(&self, term: &Term) -> bool {
-        self.wildcards > 0 || self.head_mask & term.fingerprint() != 0
+        members.extend(
+            block
+                .rules
+                .iter()
+                .filter_map(|name| rules.get(name))
+                .map(|rule| IndexedRule {
+                    rule,
+                    head: rule.lhs.head(),
+                }),
+        );
+        RuleIndex { members }
     }
 }
 
@@ -1257,32 +1233,6 @@ mod tests {
             insertion.push(name);
             check(&rules, &model, &insertion);
         }
-    }
-
-    #[test]
-    fn rule_index_pretest_and_wildcards() {
-        let mut rules = RuleSet::new();
-        rules.add(shrink_rule());
-        let block = Block {
-            name: "b".into(),
-            rules: vec!["unwrap".into(), "missing".into()],
-            limit: Limit::Infinite,
-        };
-        let index = RuleIndex::build(&rules, &block);
-        assert_eq!(index.len(), 1);
-        assert!(index.any_head_present(&Term::app("F", vec![Term::int(1)])));
-        assert!(!index.any_head_present(&Term::app("G", vec![Term::int(1)])));
-
-        // A bare-variable LHS is a wildcard: it must always pass the
-        // pretest.
-        rules.add(Rule::simple("any", Term::var("x"), Term::atom("DONE")));
-        let block2 = Block {
-            name: "b2".into(),
-            rules: vec!["any".into()],
-            limit: Limit::Infinite,
-        };
-        let index2 = RuleIndex::build(&rules, &block2);
-        assert!(index2.any_head_present(&Term::app("G", vec![Term::int(1)])));
     }
 
     #[test]

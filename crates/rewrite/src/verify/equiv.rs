@@ -32,9 +32,10 @@
 
 use std::collections::BTreeMap;
 
-use eds_adt::Value;
+use eds_adt::{CmpOp, Value};
 
-use crate::analyze::{Diagnostic, CMP_OPS};
+use crate::algebra::as_num;
+use crate::analyze::Diagnostic;
 use crate::methods::{eval_constraint, MethodRegistry, TermEnv};
 use crate::rule::Rule;
 use crate::term::{Bindings, Term};
@@ -225,7 +226,7 @@ pub(crate) fn classify(
                     }
                     ("NOT", 1) => classify(&args[0], Kind::Bool, kinds),
                     ("TRUE" | "FALSE", 0) => Ok(()),
-                    (op, 2) if CMP_OPS.contains(&op) => {
+                    (op, 2) if CmpOp::from_symbol(op).is_some() => {
                         classify(&args[0], Kind::Scalar, kinds)?;
                         classify(&args[1], Kind::Scalar, kinds)
                     }
@@ -261,22 +262,18 @@ pub(crate) fn eval_bool(t: &Term, val: &Valuation) -> Option<Tri> {
                 ("AND", 2) => Some(eval_bool(&args[0], val)?.and(eval_bool(&args[1], val)?)),
                 ("OR", 2) => Some(eval_bool(&args[0], val)?.or(eval_bool(&args[1], val)?)),
                 ("NOT", 1) => Some(eval_bool(&args[0], val)?.not()),
-                (op, 2) if CMP_OPS.contains(&op) => {
+                (op, 2) => {
+                    let op = CmpOp::from_symbol(op)?;
                     let (Some(a), Some(b)) =
                         (eval_scalar(&args[0], val)?, eval_scalar(&args[1], val)?)
                     else {
                         return Some(Tri::Unknown);
                     };
-                    let ord = a.total_cmp(&b);
-                    let holds = match op {
-                        "=" => ord.is_eq(),
-                        "<>" => ord.is_ne(),
-                        "<" => ord.is_lt(),
-                        "<=" => ord.is_le(),
-                        ">" => ord.is_gt(),
-                        _ => ord.is_ge(),
-                    };
-                    Some(if holds { Tri::True } else { Tri::False })
+                    Some(if op.holds(a.total_cmp(&b)) {
+                        Tri::True
+                    } else {
+                        Tri::False
+                    })
                 }
                 _ => None,
             }
@@ -289,8 +286,9 @@ pub(crate) fn eval_bool(t: &Term, val: &Valuation) -> Option<Tri> {
 fn eval_scalar(t: &Term, val: &Valuation) -> Option<Option<f64>> {
     match t {
         Term::Var(v) => val.scalars.get(v.as_str()).copied(),
-        Term::Const(Value::Int(n)) => Some(Some(*n as f64)),
-        Term::Const(Value::Real(r)) => Some(Some(r.0)),
+        // A literal outside the window where Int↔Real widening is exact
+        // is outside the fragment.
+        Term::Const(Value::Int(_) | Value::Real(_)) => as_num(t).map(Some),
         Term::Const(Value::Null) => Some(None),
         Term::App(head, args) => {
             let (head, args) = (head.as_str(), args.as_slice());

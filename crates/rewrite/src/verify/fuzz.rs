@@ -5,7 +5,11 @@
 //! tables with random small arities, a handful of rows drawn from a tiny
 //! integer pool, and a subject term obtained by *instantiating* the LHS —
 //! every pattern variable is replaced by a concrete relation, predicate,
-//! or scalar of the right kind. The harness (in `eds-core`) then rewrites
+//! or scalar of the right kind. Literals in comparison position are
+//! drawn wider than the rows: the pool, a REAL twin of a pool value, two
+//! adjacent INTs beyond 2^53 and constant sets — the operands on which a
+//! rule's private idea of a comparison and the executor's part ways.
+//! The harness (in `eds-core`) then rewrites
 //! the subject with only that rule enabled and compares reference-executor
 //! results row for row; [`shrink_candidates`] proposes strictly smaller
 //! variants of a failing case for the harness to re-check.
@@ -18,9 +22,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use eds_adt::Value;
+use eds_adt::{CmpOp, Value};
 
-use crate::analyze::CMP_OPS;
 use crate::rule::Rule;
 use crate::term::Term;
 
@@ -106,6 +109,15 @@ pub enum GenOutcome {
 /// Values inserted into generated rows and used for scalar literals. The
 /// pool is deliberately tiny so that joins and equalities actually hit.
 const INT_POOL: [i64; 5] = [-1, 0, 1, 2, 3];
+/// Two adjacent INTs beyond 2^53 that widen to the *same* `f64`: a rule
+/// that decides a comparison through a lossy REAL view confuses them,
+/// the executor's INT-with-INT comparison does not. Rows carry the
+/// first when the subject mentions either, so a qualification that
+/// tells them apart keeps a row. They are the negative pair so that a
+/// rule stating an upper bound as domain knowledge (`x <= 200 --> TRUE`
+/// in examples/custom_rules.rules) is fuzzed inside its domain, as it
+/// was by the small pool alone.
+const BIG_INTS: [i64; 2] = [-(1 << 53) - 3, -(1 << 53) - 4];
 const MAX_ROWS: u64 = 5; // 0..=4 rows per table
 
 /// Argument kinds of the LERA operator functors, mirroring the
@@ -142,7 +154,7 @@ fn is_pred_head(head: &str, arity: usize) -> bool {
     matches!(
         (head, arity),
         ("AND" | "OR", 2) | ("NOT", 1) | ("TRUE" | "FALSE", 0) | ("MEMBER", 2)
-    ) || (arity == 2 && CMP_OPS.contains(&head))
+    ) || (arity == 2 && CmpOp::from_symbol(head).is_some())
 }
 
 fn is_scalar_head(head: &str, arity: usize) -> bool {
@@ -488,6 +500,24 @@ impl Gen {
         Term::int(INT_POOL[self.rng.below(INT_POOL.len() as u64) as usize])
     }
 
+    /// A literal for a qualification or an `ISA(v, constant)` variable:
+    /// the INT pool, the REAL twin of one of its values, or one of
+    /// [`BIG_INTS`] — the operands on which INT/REAL widening and
+    /// structural equality part ways.
+    fn literal(&mut self) -> Term {
+        match self.rng.below(INT_POOL.len() as u64 + 3) as usize {
+            i if i < INT_POOL.len() => Term::int(INT_POOL[i]),
+            i if i == INT_POOL.len() => Term::Const(Value::real(2.0)),
+            i => Term::int(BIG_INTS[i - INT_POOL.len() - 1]),
+        }
+    }
+
+    /// A constant set: as one operand of an ordered comparison it makes
+    /// the comparison broadcast over the elements.
+    fn const_set(&mut self) -> Term {
+        Term::app("MAKESET", vec![self.pool_const(), self.pool_const()])
+    }
+
     /// Choose (or read off) the nested/group attribute partition of a
     /// `NEST` pattern. Variable patterns get a generated partition — the
     /// last input attribute nested, the rest grouping — sized to the
@@ -621,13 +651,11 @@ impl Gen {
                             self.inst_set(&args[1], env)?,
                         ],
                     )),
-                    (op, 2) if CMP_OPS.contains(&op) => Ok(Term::app(
-                        op,
-                        vec![
-                            self.inst_scalar(&args[0], env)?,
-                            self.inst_scalar(&args[1], env)?,
-                        ],
-                    )),
+                    (op, 2) if CmpOp::from_symbol(op).is_some() => {
+                        let l = self.inst_cmp_operand(&args[0], env)?;
+                        let r = self.inst_cmp_operand(&args[1], env)?;
+                        Ok(self.comparison(op, l, r))
+                    }
                     _ => Err(format!("predicate operator {head}/{}", args.len())),
                 }
             }
@@ -664,6 +692,23 @@ impl Gen {
         }
     }
 
+    /// A comparison operand: [`Gen::inst_scalar`], except that a fresh
+    /// `ISA(v, constant)` variable becomes a constant set one time in
+    /// four.
+    fn inst_cmp_operand(&mut self, t: &Term, env: &[usize]) -> Result<Term, String> {
+        if let Term::Var(v) = t {
+            let fresh_const =
+                self.const_vars.contains(v.as_str()) && !self.binds.contains_key(v.as_str());
+            if fresh_const && self.rng.below(4) == 0 {
+                let set = self.const_set();
+                self.binds
+                    .insert(v.as_str().to_owned(), (set.clone(), None));
+                return Ok(set);
+            }
+        }
+        self.inst_scalar(t, env)
+    }
+
     fn inst_scalar(&mut self, t: &Term, env: &[usize]) -> Result<Term, String> {
         match t {
             Term::Var(v) => {
@@ -671,7 +716,7 @@ impl Gen {
                     return Ok(term.clone());
                 }
                 let s = if self.const_vars.contains(v.as_str()) {
-                    self.pool_const()
+                    self.literal()
                 } else {
                     self.gen_scalar(env, 1)
                 };
@@ -766,22 +811,76 @@ impl Gen {
                     vec![self.gen_pred(env, depth - 1), self.gen_pred(env, depth - 1)],
                 ),
                 2 => Term::app("NOT", vec![self.gen_pred(env, depth - 1)]),
-                _ => Term::app(
-                    CMP_OPS[self.rng.below(CMP_OPS.len() as u64) as usize],
-                    vec![self.gen_scalar(env, 1), self.gen_scalar(env, 1)],
-                ),
+                _ => self.gen_cmp(env),
             };
         }
-        if roll < 85 {
-            Term::app(
-                CMP_OPS[self.rng.below(CMP_OPS.len() as u64) as usize],
-                vec![self.gen_scalar(env, 1), self.gen_scalar(env, 1)],
-            )
+        if roll < 70 {
+            self.gen_cmp(env)
+        } else if roll < 85 {
+            self.gen_window(env)
         } else if roll < 93 {
             Term::atom("TRUE")
         } else {
             Term::atom("FALSE")
         }
+    }
+
+    /// `l op r` as a boolean: an ordered comparison with a constant set
+    /// on exactly one side broadcasts to a collection, so it is
+    /// quantified (`ALL`/`EXIST`) to stay a well-typed qualification.
+    fn comparison(&mut self, op: &str, l: Term, r: Term) -> Term {
+        let broadcasts = !matches!(op, "=" | "<>") && l.is_app("MAKESET") != r.is_app("MAKESET");
+        let cmp = Term::app(op, vec![l, r]);
+        if broadcasts {
+            Term::app(["ALL", "EXIST"][self.rng.below(2) as usize], vec![cmp])
+        } else {
+            cmp
+        }
+    }
+
+    /// A random comparison over inputs with the given arities; one in
+    /// eight has a constant set for its right operand.
+    fn gen_cmp(&mut self, env: &[usize]) -> Term {
+        let op = CmpOp::ALL[self.rng.below(CmpOp::ALL.len() as u64) as usize];
+        let left = self.gen_scalar(env, 1);
+        let right = if self.rng.below(8) == 0 {
+            self.const_set()
+        } else {
+            self.gen_scalar(env, 1)
+        };
+        self.comparison(op.symbol(), left, right)
+    }
+
+    /// Three comparisons of one attribute that a value rows can carry
+    /// satisfies, each against that value or its twin — `a = 2 AND
+    /// a >= 2.0`, `a <= k AND a > k - 1` beyond 2^53: the near-clash
+    /// shapes on which contradiction detection must not over-claim (and
+    /// the repeats it must drop). Operators are read off the shared
+    /// table, so the conjunction is TRUE at the witness by construction.
+    fn gen_window(&mut self, env: &[usize]) -> Term {
+        let rel = 1 + self.rng.below(env.len() as u64);
+        let attr = 1 + self.rng.below(env[rel as usize - 1] as u64);
+        let [witness, twin] = if self.rng.below(2) == 0 {
+            [Value::Int(2), Value::real(2.0)]
+        } else {
+            BIG_INTS.map(Value::Int)
+        };
+        let bounds = (0..3)
+            .map(|_| {
+                let k = [&witness, &twin][self.rng.below(2) as usize];
+                let ord = witness.sql_cmp(k).expect("neither side is NULL");
+                let op = CmpOp::ALL
+                    .into_iter()
+                    .filter(|op| op.holds(ord))
+                    .nth(self.rng.below(3) as usize)
+                    .expect("three operators hold under any ordering");
+                Term::app(
+                    op.symbol(),
+                    vec![Term::attr(rel as i64, attr as i64), Term::Const(k.clone())],
+                )
+            })
+            .collect();
+        conjoin(bounds)
     }
 
     /// A random scalar over inputs with the given arities.
@@ -802,7 +901,13 @@ impl Gen {
                 ],
             );
         }
-        Term::int(INT_POOL[self.rng.below(INT_POOL.len() as u64) as usize])
+        // A literal in operand position is drawn wide; under arithmetic
+        // it stays in the INT pool, whose sums and products stay small.
+        if depth > 0 {
+            self.literal()
+        } else {
+            self.pool_const()
+        }
     }
 }
 
@@ -873,6 +978,15 @@ pub fn generate_case(rule: &Rule, seed: u64) -> GenOutcome {
             ))
         }
     };
+    // Rows carry the large INT only when the subject compares against
+    // one: elsewhere it could only miss every literal, and a rule that
+    // states domain knowledge over the small pool (`x <= 200 --> TRUE`
+    // in examples/custom_rules.rules) stays fuzzed inside its domain.
+    let big = subject
+        .positions()
+        .iter()
+        .any(|p| matches!(subject.at(p), Some(Term::Const(Value::Int(n))) if BIG_INTS.contains(n)));
+    let row_pool = INT_POOL.len() as u64 + u64::from(big);
     let mut rows = Vec::with_capacity(gen.tables.len());
     for spec in &gen.tables {
         let n = gen.rng.below(MAX_ROWS);
@@ -880,7 +994,10 @@ pub fn generate_case(rule: &Rule, seed: u64) -> GenOutcome {
         for _ in 0..n {
             table_rows.push(
                 (0..spec.arity)
-                    .map(|_| INT_POOL[gen.rng.below(INT_POOL.len() as u64) as usize])
+                    .map(|_| {
+                        let i = gen.rng.below(row_pool) as usize;
+                        INT_POOL.get(i).copied().unwrap_or(BIG_INTS[0])
+                    })
                     .collect(),
             );
         }
@@ -925,7 +1042,7 @@ pub fn shrink_candidates(case: &FuzzCase) -> Vec<FuzzCase> {
                     }
                 }
                 ("NOT", 1) => out.push(replaced(case, &pos, args[0].clone())),
-                (op, 2) if CMP_OPS.contains(&op) => {
+                (op, 2) if CmpOp::from_symbol(op).is_some() => {
                     out.push(replaced(case, &pos, Term::atom("TRUE")));
                     out.push(replaced(case, &pos, Term::atom("FALSE")));
                 }
@@ -1091,6 +1208,62 @@ mod tests {
             let (_, operands) = sum.as_app().unwrap();
             assert!(operands.iter().all(|t| t.as_const().is_some()), "{sum}");
         }
+    }
+
+    #[test]
+    fn comparison_literals_reach_beyond_the_int_pool() {
+        let free = rule("Q : FILTER(r, f) / --> FILTER(r, f) / ;");
+        let fold =
+            rule("LF : x < y / ISA(x, constant), ISA(y, constant) --> a / EVALUATE(x < y, a) ;");
+        let (mut real, mut big, mut quantified) = (false, [false; 2], false);
+        for seed in 0..256u64 {
+            for r in [&free, &fold] {
+                let GenOutcome::Case(case) = generate_case(r, seed) else {
+                    panic!("expected a case");
+                };
+                let mut mentions_big = false;
+                for pos in case.subject.positions() {
+                    match case.subject.at(&pos).unwrap() {
+                        Term::Const(Value::Real(_)) => real = true,
+                        Term::Const(Value::Int(n)) => {
+                            if let Some(i) = BIG_INTS.iter().position(|b| b == n) {
+                                big[i] = true;
+                                mentions_big = true;
+                            }
+                        }
+                        // A comparison that broadcasts over a constant
+                        // set is quantified back to a boolean.
+                        t @ Term::App(..) if t.is_app("ALL") || t.is_app("EXIST") => {
+                            let cmp = &t.as_app().unwrap().1[0];
+                            let (_, operands) = cmp.as_app().unwrap();
+                            assert_eq!(
+                                operands.iter().filter(|o| o.is_app("MAKESET")).count(),
+                                1,
+                                "{cmp}"
+                            );
+                            quantified = true;
+                        }
+                        _ => {}
+                    }
+                }
+                // Rows leave the INT pool only for a subject that
+                // compares against a large INT.
+                let big_rows = case
+                    .rows
+                    .iter()
+                    .flatten()
+                    .flatten()
+                    .any(|v| *v == BIG_INTS[0]);
+                assert!(mentions_big || !big_rows, "{case}");
+                assert!(case
+                    .rows
+                    .iter()
+                    .flatten()
+                    .flatten()
+                    .all(|v| INT_POOL.contains(v) || *v == BIG_INTS[0]));
+            }
+        }
+        assert!(real && big == [true; 2] && quantified);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Semantic verification of rewrite rules (`eds-verify`).
 //!
-//! The analyzer ([`crate::analyze`]) gates the knowledge base
+//! The analyzer ([`mod@crate::analyze`]) gates the knowledge base
 //! *structurally*; this module gates it *semantically*, with two
 //! complementary instruments:
 //!

@@ -5,10 +5,17 @@
 //! `Real` bound identically (the algebra widens both to a shared
 //! rational view). NULL never participates in numeric reasoning.
 //!
+//! The second half checks the algebra against the comparison the
+//! executor runs ([`CmpOp::eval`]), not against itself: a claimed
+//! contradiction must have no satisfying assignment on a value grid
+//! that includes the awkward operands (REAL twins of INTs, INTs around
+//! 2^53 where widening rounds, a string), and a claimed entailment no
+//! grid point where the premises hold and the conclusion does not.
+//!
 //! Random cases come from a fixed-seed [`StdRng`] so failures replay.
 
-use eds_adt::{OrderedF64, Value};
-use eds_rewrite::analyze::{contradicts, entails, tautology};
+use eds_adt::{CmpOp, OrderedF64, Value};
+use eds_rewrite::algebra::{contradicts, entails, tautology};
 use eds_rewrite::Term;
 use eds_testkit::StdRng;
 
@@ -219,4 +226,145 @@ fn null_bounds_stay_outside_interval_reasoning() {
     );
     assert!(tautology(&null_eq_null));
     assert!(!contradicts(&[&null_eq_null]));
+}
+
+// ------------------------------------------- against the executor's eval
+
+/// Values a column can hold and a literal can spell: small INTs,
+/// half-integers, the INTs around 2^53 (the last two widen lossily),
+/// the REAL 2^53 they round to, and a string.
+fn awkward_values() -> Vec<Value> {
+    const EXACT: i64 = 1 << 53;
+    let mut out: Vec<Value> = (-1..=3).map(Value::Int).collect();
+    out.extend([-0.5, 0.5, 2.0, 2.5, EXACT as f64].map(Value::real));
+    out.extend((EXACT - 1..=EXACT + 2).map(Value::Int));
+    out.push(Value::str("a"));
+    out
+}
+
+/// `l op r` with each operand one of the variables `x`, `y` or a
+/// constant (constants on either side, both variables possible).
+fn random_conjunct(rng: &mut StdRng, consts: &[Value]) -> Term {
+    let operand = |rng: &mut StdRng| match rng.gen_range(0..4u32) {
+        0 => Term::var("x"),
+        1 => Term::var("y"),
+        _ => Term::Const(consts[rng.gen_range(0..consts.len())].clone()),
+    };
+    let op = OPS[rng.gen_range(0..OPS.len())];
+    Term::app(op, vec![operand(rng), operand(rng)])
+}
+
+/// Is the comparison conjunct `Bool(true)` under the executor's
+/// comparison with `x`, `y` bound to the given values?
+fn holds_at(c: &Term, x: &Value, y: &Value) -> bool {
+    let (op, [l, r]) = c.as_app().unwrap() else {
+        panic!("not a comparison: {c}");
+    };
+    let value = |t: &Term| match t {
+        Term::Var(v) if v.as_str() == "x" => x.clone(),
+        Term::Var(_) => y.clone(),
+        other => other.as_const().unwrap().clone(),
+    };
+    CmpOp::from_symbol(op).unwrap().eval(&value(l), &value(r)) == Value::Bool(true)
+}
+
+#[test]
+fn a_claimed_contradiction_has_no_satisfying_assignment() {
+    let values = awkward_values();
+    let mut rng = StdRng::seed_from_u64(0xA5);
+    let mut claimed = 0;
+    for _ in 0..30_000 {
+        let n = rng.gen_range(1..5usize);
+        let set: Vec<Term> = (0..n).map(|_| random_conjunct(&mut rng, &values)).collect();
+        if !contradicts(&set.iter().collect::<Vec<_>>()) {
+            continue;
+        }
+        claimed += 1;
+        for x in &values {
+            for y in &values {
+                assert!(
+                    !set.iter().all(|c| holds_at(c, x, y)),
+                    "{set:?} called contradictory, yet x = {x}, y = {y} satisfies it"
+                );
+            }
+        }
+    }
+    assert!(claimed > 1_000, "only {claimed} contradictions claimed");
+}
+
+#[test]
+fn a_claimed_entailment_holds_wherever_the_premises_do() {
+    let values = awkward_values();
+    let mut rng = StdRng::seed_from_u64(0xA6);
+    let mut claimed = 0;
+    for _ in 0..60_000 {
+        let n = rng.gen_range(1..3usize);
+        let premises: Vec<Term> = (0..n).map(|_| random_conjunct(&mut rng, &values)).collect();
+        let conclusion = random_conjunct(&mut rng, &values);
+        let by_ref: Vec<&Term> = premises.iter().collect();
+        if by_ref.contains(&&conclusion) || !entails(&by_ref, &conclusion) {
+            continue;
+        }
+        claimed += 1;
+        for x in &values {
+            for y in &values {
+                if premises.iter().all(|p| holds_at(p, x, y)) {
+                    assert!(
+                        holds_at(&conclusion, x, y),
+                        "{premises:?} said to entail {conclusion}, yet x = {x}, y = {y} \
+                         satisfies the premises only"
+                    );
+                }
+            }
+        }
+    }
+    assert!(claimed > 500, "only {claimed} entailments claimed");
+}
+
+#[test]
+fn same_pair_accumulation_and_constant_orientation_are_decided() {
+    let (x, y) = (Term::var("x"), Term::var("y"));
+    let c = |op: &str, l: &Term, r: &Term| Term::app(op, vec![l.clone(), r.clone()]);
+    // No two of the three clash; the orderings of (x, y) they leave open
+    // intersect to nothing. The pair may be written either way round.
+    let three = [c("<=", &x, &y), c("<=", &y, &x), c("<>", &x, &y)];
+    for (i, skipped) in three.iter().enumerate() {
+        let pair: Vec<&Term> = three.iter().filter(|t| *t != skipped).collect();
+        assert!(!contradicts(&pair), "pair without conjunct {i} clashes");
+    }
+    assert!(contradicts(&three.iter().collect::<Vec<_>>()));
+    // A constant orients to the right whatever its kind.
+    let k = |v: Value| Term::Const(v);
+    for (lo, hi) in [
+        (k(5.into()), k(6.into())),
+        (k("a".into()), k("b".into())),
+        (k(5.into()), k("a".into())),
+    ] {
+        assert!(contradicts(&[&c("=", &lo, &x), &c("=", &x, &hi)]));
+        assert!(contradicts(&[&c("=", &x, &lo), &c("=", &hi, &x)]));
+    }
+    assert!(contradicts(&[
+        &c("<", &k(3.into()), &x),
+        &c("<", &x, &k(2.into()))
+    ]));
+    assert!(entails(
+        &[&c("<", &k(3.into()), &x)],
+        &c(">=", &x, &k(Value::real(2.5)))
+    ));
+    // Irreflexivity, and what must NOT be claimed: the INT/REAL twin and
+    // the window where widening rounds.
+    const EXACT: i64 = 1 << 53;
+    assert!(contradicts(&[&c("<", &x, &x)]));
+    assert!(!contradicts(&[
+        &c("=", &x, &k(5.into())),
+        &c("=", &x, &k(Value::real(5.0)))
+    ]));
+    assert!(!contradicts(&[
+        &c(">", &x, &k(EXACT.into())),
+        &c("<", &x, &k((EXACT + 2).into()))
+    ]));
+    assert!(!contradicts(&[
+        &c("=", &x, &k((EXACT + 1).into())),
+        &c("<>", &x, &k(EXACT.into()))
+    ]));
 }

@@ -6,7 +6,7 @@
 //!
 //! * [`rng`] — a deterministic splitmix64 PRNG with a `rand`-flavoured
 //!   API (`seed_from_u64`, `gen_range`, `gen_bool`, `choose`);
-//! * [`bench`] — a criterion-compatible micro-bench harness (groups,
+//! * [`mod@bench`] — a criterion-compatible micro-bench harness (groups,
 //!   `bench_with_input`, medians) that prints ns/iter tables and dumps
 //!   machine-readable TSV for the `BENCH_rewrite.json` trajectory
 //!   tooling.

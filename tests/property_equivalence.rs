@@ -211,6 +211,75 @@ fn semantic_rules_preserve_filter_semantics() {
     }
 }
 
+/// Comparison shapes on which the rewriter's private copies of the
+/// comparison once answered differently from the executor (lossy `f64`
+/// witnesses above 2^53, structural `Int`/`Real` equality, a fold
+/// without the collection broadcast), beside the clashes that must keep
+/// collapsing. Each runs as written and prepared with `?` for every
+/// literal (a `PARAM` leaf is not a constant, so nothing folds and the
+/// clash is left to bind time); every path must return what the
+/// reference executor returns on the canonical plan.
+#[test]
+fn comparison_rewrites_agree_with_the_executor() {
+    use eds_adt::Value;
+    use eds_engine::{eval_reference, OptLevel};
+    const BIG: i64 = (1 << 53) + 1;
+    let int = Value::Int;
+    // (qualification with `?` for each literal, the literals, rows kept)
+    let cases: [(&str, Vec<Value>, usize); 9] = [
+        ("X > ? AND X < ?", vec![int(BIG - 1), int(BIG + 1)], 1),
+        ("X = ? AND X <> ?", vec![int(BIG), int(BIG - 1)], 1),
+        ("X = ? AND X = ?", vec![int(5), Value::real(5.0)], 1),
+        ("ALL(MAKESET(?, ?) < ?)", vec![int(1), int(2), int(3)], 2),
+        ("EXIST(MAKESET(?, ?) > ?)", vec![int(1), int(5), int(3)], 2),
+        ("X <= Y AND X >= Y AND X <> Y", vec![], 0),
+        ("? < X AND X < ?", vec![int(3), int(2)], 0),
+        ("X < X", vec![], 0),
+        ("X >= ? AND X >= ?", vec![int(5), int(4)], 2),
+    ];
+    for level in [OptLevel::Simple, OptLevel::Full] {
+        let mut dbms = Dbms::new().unwrap();
+        dbms.execute_ddl("TABLE T (X : INT, Y : INT);").unwrap();
+        dbms.insert("T", vec![BIG.into(), 1.into()]).unwrap();
+        dbms.insert("T", vec![5.into(), 2.into()]).unwrap();
+        dbms.set_opt_level(level);
+        for (cond, literals, kept) in &cases {
+            let mut spelled = literals.iter().map(|v| match v {
+                Value::Real(r) => format!("{:?}", r.0),
+                other => other.to_string(),
+            });
+            let literal_cond: String = cond
+                .chars()
+                .map(|c| match c {
+                    '?' => spelled.next().unwrap(),
+                    other => other.to_string(),
+                })
+                .collect();
+            let sql = format!("SELECT X, Y FROM T WHERE {literal_cond} ;");
+            let canonical = dbms.prepare(&sql).unwrap().expr;
+            let reference = eval_reference(&canonical, &dbms.db, EvalOptions::default()).unwrap();
+            assert_eq!(reference.rows.len(), *kept, "{sql}");
+            let bound = dbms
+                .prepare_stmt(&format!("SELECT X, Y FROM T WHERE {cond} ;"))
+                .and_then(|stmt| stmt.execute(&dbms, literals));
+            for (path, got) in [
+                ("query_unoptimized", dbms.query_unoptimized(&sql)),
+                ("query", dbms.query(&sql)),
+                ("prepared execute", bound),
+            ] {
+                let got =
+                    got.unwrap_or_else(|e| panic!("{path} failed on {sql} at {level:?}: {e}"));
+                assert!(
+                    got.bag_eq(&reference),
+                    "{path} disagrees with the reference on {sql} at {level:?}: {:?} vs {:?}",
+                    got.sorted_rows(),
+                    reference.sorted_rows()
+                );
+            }
+        }
+    }
+}
+
 // --------------------------------------------- term bridge round-trips
 
 fn random_scalar(rng: &mut StdRng, depth: u32) -> Scalar {
