@@ -653,6 +653,56 @@ mod tests {
     }
 
     #[test]
+    fn search_merge_carries_every_input_relation_over() {
+        // SearchMerge on a two-level stack: the merged input list is
+        // APPEND(x*, z, v*) normalized — a new LIST whose elements are the
+        // subject's own relation terms, by reference count.
+        let rel = |name: &str| {
+            let scan = Term::app(
+                "SEARCH",
+                vec![
+                    Term::list(vec![Term::atom(name)]),
+                    Term::app(">", vec![Term::attr(1, 1), Term::int(0)]),
+                    Term::list(vec![Term::attr(1, 1)]),
+                ],
+            );
+            Term::app("DEDUP", vec![scan])
+        };
+        let inputs = [rel("X"), rel("R"), rel("S"), rel("Y")];
+        let inner = Term::app(
+            "SEARCH",
+            vec![
+                Term::list(inputs[1..3].to_vec()),
+                Term::app("=", vec![Term::attr(1, 1), Term::attr(2, 1)]),
+                Term::list(vec![Term::attr(1, 1)]),
+            ],
+        );
+        let outer = Term::app(
+            "SEARCH",
+            vec![
+                Term::list(vec![inputs[0].clone(), inner, inputs[3].clone()]),
+                Term::app("=", vec![Term::attr(2, 1), Term::attr(3, 1)]),
+                Term::list(vec![Term::attr(1, 1)]),
+            ],
+        );
+        let rw = crate::QueryRewriter::with_default_rules().unwrap();
+        let rule = rw.rules().get("SearchMerge").unwrap();
+        let mut stats = eds_rewrite::RewriteStats::default();
+        let env = BasicEnv::new();
+        let (merged, _) =
+            eds_rewrite::apply_rule_once(rule, &outer, rw.methods(), &env, &mut stats)
+                .unwrap()
+                .expect("SearchMerge fires");
+        let (_, args) = merged.as_app().unwrap();
+        let (_, merged_inputs) = args[0].as_app().unwrap();
+        assert_eq!(merged_inputs, &inputs[..]);
+        for (got, subject) in merged_inputs.iter().zip(&inputs) {
+            assert!(got.ptr_eq(subject), "{got} was rebuilt");
+        }
+        assert_eq!(args[1].to_string(), "((2.1 = 4.1) AND (2.1 = 3.1))");
+    }
+
+    #[test]
     fn substitute_rejects_out_of_range_projection() {
         let mut binds = Bindings::new();
         binds.bind_seq("xs", vec![]);

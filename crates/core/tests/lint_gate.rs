@@ -290,3 +290,53 @@ fn catalog_backed_relation_check() {
         .iter()
         .all(|d| d.rule.as_deref() != Some("S") || d.code == "EDS020"));
 }
+
+/// A lint *warning* must not be able to abort the process. Two
+/// collection variables in one `SET` is EDS006, a warning the default
+/// policy accepts; matching such a pattern tries every subset of the
+/// collection, and the matcher used to `assert!` the collection small.
+/// Past the cap the statement now fails with a typed error naming the
+/// rule; within it the rule rewrites as it always did.
+#[test]
+fn a_warned_pattern_over_a_wide_union_is_an_error_not_a_panic() {
+    let union_dbms = |branches: usize| {
+        let mut dbms = Dbms::new().unwrap();
+        let selects: Vec<String> = (0..branches)
+            .map(|b| {
+                dbms.execute_ddl(&format!("TABLE PART{b} (K : INT);"))
+                    .unwrap();
+                dbms.insert(&format!("PART{b}"), vec![(b as i64).into()])
+                    .unwrap();
+                format!("SELECT K FROM PART{b}")
+            })
+            .collect();
+        let view = selects.join(" UNION ");
+        dbms.execute_ddl(&format!("CREATE VIEW ALLPARTS (K) AS ( {view} ) ;"))
+            .unwrap();
+        let src = "Rebracket : UNION(SET(x*, y*)) / NOT(ISEMPTY(x*)), NOT(ISEMPTY(y*)) \
+                   --> UNION(SET(UNION(SET(x*)), UNION(SET(y*)))) / ;\n\
+                   block(rebracket, {Rebracket}, 1) ;\n\
+                   seq((rebracket, normalize, merging, simplify), 1) ;";
+        let diags = dbms.rewriter.lint_source(src, None).unwrap();
+        assert!(diags.iter().any(|d| d.code == "EDS006"));
+        assert!(diags.iter().all(|d| d.severity == Severity::Warning));
+        dbms.add_rule_source(src)
+            .expect("a warning registers under the default policy");
+        dbms
+    };
+
+    let err = union_dbms(21)
+        .query("SELECT K FROM ALLPARTS ;")
+        .unwrap_err();
+    let CoreError::Rewrite(RewriteError::MatchTooWide { rule, elements }) = &err else {
+        panic!("expected MatchTooWide, got {err}");
+    };
+    assert_eq!((rule.as_str(), *elements), ("Rebracket", 21));
+
+    // Twenty branches are within the cap: the rule fires (the first
+    // split with both halves non-empty) and the answer is every row.
+    let dbms = union_dbms(20);
+    assert_eq!(dbms.query("SELECT K FROM ALLPARTS ;").unwrap().len(), 20);
+    let prepared = dbms.prepare("SELECT K FROM ALLPARTS ;").unwrap();
+    assert!(dbms.rewrite_uncached(&prepared).unwrap().stats.applications > 0);
+}

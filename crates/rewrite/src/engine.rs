@@ -82,7 +82,10 @@ fn match_at(
     let mut failure: Option<RewriteError> = None;
 
     let mut binds = Bindings::new();
-    let mut sink = |b: &Bindings| {
+    let mut sink = |b: &mut Bindings| {
+        // Constraints and methods are extension code holding `&mut
+        // Bindings`: they work on a copy, so the matcher's working set
+        // is as it was when a rejected candidate makes it move on.
         let mut candidate = b.clone();
         // 1. Constraints.
         for c in &rule.constraints {
@@ -133,7 +136,12 @@ fn match_at(
         rewritten = Some(built);
         Control::Stop
     };
-    match_term(&rule.lhs, sub, &mut binds, &mut sink);
+    if let Control::TooWide(elements) = match_term(&rule.lhs, sub, &mut binds, &mut sink) {
+        return Err(RewriteError::MatchTooWide {
+            rule: rule.name.clone(),
+            elements,
+        });
+    }
 
     if let Some(e) = failure {
         return Err(e);
@@ -473,6 +481,62 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RewriteError::UnboundInRhs { .. }));
+    }
+
+    #[test]
+    fn bound_subterms_keep_their_allocation() {
+        // F(x) --> G(x): the application allocates G's argument list and
+        // the spine above it; what x matched is carried over, not copied.
+        let rule = Rule::simple(
+            "rename",
+            Term::app("F", vec![Term::var("x")]),
+            Term::app("G", vec![Term::var("x")]),
+        );
+        let big = Term::app(
+            "BIG",
+            vec![Term::attr(1, 1), Term::list(vec![Term::int(2)])],
+        );
+        let sibling = Term::app("S", vec![Term::int(3)]);
+        let term = Term::app(
+            "H",
+            vec![Term::app("F", vec![big.clone()]), sibling.clone()],
+        );
+        let out = apply(&rule, &term).expect("rule fires");
+        assert_eq!(out.to_string(), "H(G(BIG(1.1, LIST(2))), S(3))");
+        assert!(out.at(&[0, 0]).unwrap().ptr_eq(&big));
+        assert!(out.at(&[1]).unwrap().ptr_eq(&sibling));
+    }
+
+    #[test]
+    fn too_wide_a_distribution_is_a_typed_error() {
+        // Two collection variables in one SET: every subset is tried.
+        let rule = Rule::simple(
+            "Halve",
+            Term::app(
+                "UNION",
+                vec![Term::set(vec![Term::seq("x"), Term::seq("y")])],
+            ),
+            Term::app("PAIR", vec![Term::set(vec![Term::seq("x")])]),
+        );
+        let union_of = |n: usize| {
+            let branches = (0..n).map(|i| Term::atom(format!("R{i}"))).collect();
+            Term::app("WRAP", vec![Term::app("UNION", vec![Term::set(branches)])])
+        };
+        let env = BasicEnv::new();
+        let methods = MethodRegistry::with_builtins();
+        let mut stats = RewriteStats::default();
+        let err = apply_rule_once(&rule, &union_of(21), &methods, &env, &mut stats).unwrap_err();
+        assert_eq!(
+            err,
+            RewriteError::MatchTooWide {
+                rule: "Halve".into(),
+                elements: 21
+            }
+        );
+        assert!(err.to_string().contains("Halve") && err.to_string().contains("21"));
+        // Within the cap the rule applies as before.
+        let out = apply(&rule, &union_of(20)).expect("rule fires");
+        assert_eq!(out.to_string(), "WRAP(PAIR(SET))");
     }
 
     #[test]

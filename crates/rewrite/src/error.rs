@@ -46,6 +46,16 @@ pub enum RewriteError {
         /// Offending variable.
         variable: String,
     },
+    /// A `SET`/`BAG` pattern with several collection variables met more
+    /// leftover elements than the matcher will distribute over them
+    /// ([`crate::matching::MAX_DISTRIBUTED`]; the enumeration is
+    /// exponential in that count).
+    MatchTooWide {
+        /// Rule name.
+        rule: String,
+        /// Elements left to distribute.
+        elements: usize,
+    },
 }
 
 impl fmt::Display for RewriteError {
@@ -74,6 +84,14 @@ impl fmt::Display for RewriteError {
                 write!(
                     f,
                     "rule {rule}: right-hand side uses unbound variable '{variable}'"
+                )
+            }
+            RewriteError::MatchTooWide { rule, elements } => {
+                write!(
+                    f,
+                    "rule {rule}: cannot distribute {elements} SET/BAG elements over several \
+                     collection variables (at most {})",
+                    crate::matching::MAX_DISTRIBUTED
                 )
             }
         }

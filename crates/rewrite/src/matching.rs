@@ -8,24 +8,44 @@
 //! matcher enumerates alternatives through a callback and backtracks; the
 //! engine's callback checks rule constraints and accepts the first
 //! satisfying match.
+//!
+//! Backtracking is an unwind, not a copy: one [`Bindings`] is threaded
+//! through the whole enumeration, and whoever binds a name removes it
+//! again before reporting [`Control::Continue`].
 
 use crate::symbol::{well_known, Symbol};
 use crate::term::{Bindings, Term};
 
-/// Continue enumeration or stop (match accepted)?
+/// Continue enumeration or stop?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Control {
     /// Keep enumerating alternative matches.
     Continue,
     /// Stop: the caller accepted this match.
     Stop,
+    /// Stop: a `SET`/`BAG` pattern with several collection variables met
+    /// this many leftover elements, more than [`MAX_DISTRIBUTED`]. The
+    /// enumeration is abandoned, not finished.
+    TooWide(usize),
 }
 
+/// Most leftover elements a `SET`/`BAG` pattern may distribute over two
+/// or more collection variables: the distribution tries every subset, so
+/// this many elements already cost 2^20 attempts.
+pub const MAX_DISTRIBUTED: usize = 20;
+
 /// Callback invoked once per successful match with the extended bindings.
-pub type MatchSink<'a> = dyn FnMut(&Bindings) -> Control + 'a;
+///
+/// The bindings are lent, not given: they are the matcher's own working
+/// set. A sink that returns [`Control::Continue`] must leave them as it
+/// found them (copy them first to bind more); after any other answer the
+/// matcher does not read them again.
+pub type MatchSink<'a> = dyn FnMut(&mut Bindings) -> Control + 'a;
 
 /// Enumerate matches of `pattern` against `subject` starting from `binds`.
-/// Returns `Control::Stop` as soon as the sink accepts a match.
+/// Returns as soon as the sink answers anything but `Control::Continue`,
+/// with that answer; when the enumeration ends in `Control::Continue`,
+/// `binds` is what it was on entry.
 pub fn match_term(
     pattern: &Term,
     subject: &Term,
@@ -84,13 +104,9 @@ fn match_pairwise(
 ) -> Control {
     match (pats.split_first(), subs.split_first()) {
         (None, None) => sink(binds),
-        (Some((p0, prest)), Some((s0, srest))) => {
-            let mut inner = |b: &Bindings| {
-                let mut b2 = b.clone();
-                match_pairwise(prest, srest, &mut b2, sink)
-            };
-            match_term(p0, s0, binds, &mut inner)
-        }
+        (Some((p0, prest)), Some((s0, srest))) => match_term(p0, s0, binds, &mut |b| {
+            match_pairwise(prest, srest, b, sink)
+        }),
         _ => Control::Continue,
     }
 }
@@ -113,11 +129,10 @@ fn match_segments(
         }
         Some((Term::SeqVar(v), prest)) => {
             if let Some(bound) = binds.get_seq(v) {
-                let bound = bound.to_vec();
-                if subs.len() >= bound.len() && subs[..bound.len()] == bound[..] {
-                    return match_segments(prest, &subs[bound.len()..], binds, sink);
-                }
-                return Control::Continue;
+                return match subs.strip_prefix(bound) {
+                    Some(srest) => match_segments(prest, srest, binds, sink),
+                    None => Control::Continue,
+                };
             }
             // Minimum subjects the remaining patterns require.
             let min_rest = prest
@@ -134,24 +149,19 @@ fn match_segments(
             for take in min_take..=max_take {
                 binds.bind_seq(*v, subs[..take].to_vec());
                 let ctl = match_segments(prest, &subs[take..], binds, sink);
-                if ctl == Control::Stop {
-                    return Control::Stop;
+                if ctl != Control::Continue {
+                    return ctl;
                 }
                 binds.remove(v);
             }
             Control::Continue
         }
-        Some((p0, prest)) => {
-            if subs.is_empty() {
-                return Control::Continue;
-            }
-            let (s0, srest) = subs.split_first().expect("non-empty");
-            let mut inner = |b: &Bindings| {
-                let mut b2 = b.clone();
-                match_segments(prest, srest, &mut b2, sink)
-            };
-            match_term(p0, s0, binds, &mut inner)
-        }
+        Some((p0, prest)) => match subs.split_first() {
+            Some((s0, srest)) => match_term(p0, s0, binds, &mut |b| {
+                match_segments(prest, srest, b, sink)
+            }),
+            None => Control::Continue,
+        },
     }
 }
 
@@ -201,21 +211,31 @@ fn match_elems(
     match elem_pats.split_first() {
         None => distribute_rest(remaining, seq_vars, binds, sink, canonical_order),
         Some((p0, prest)) => {
-            for i in 0..remaining.len() {
-                let candidate = remaining[i].clone();
-                let mut inner = |b: &Bindings| {
-                    let mut b2 = b.clone();
+            for (i, candidate) in remaining.iter().enumerate() {
+                let mut inner = |b: &mut Bindings| {
                     let mut rest: Vec<Term> = remaining.to_vec();
                     rest.remove(i);
-                    match_elems(prest, &rest, seq_vars, &mut b2, sink, canonical_order)
+                    match_elems(prest, &rest, seq_vars, b, sink, canonical_order)
                 };
-                if match_term(p0, &candidate, binds, &mut inner) == Control::Stop {
-                    return Control::Stop;
+                let ctl = match_term(p0, candidate, binds, &mut inner);
+                if ctl != Control::Continue {
+                    return ctl;
                 }
             }
             Control::Continue
         }
     }
+}
+
+/// Is `bound` the multiset `elems`?
+fn same_multiset(bound: &[Term], elems: &[Term]) -> bool {
+    if bound.len() != elems.len() {
+        return false;
+    }
+    let (mut bound, mut elems) = (bound.to_vec(), elems.to_vec());
+    bound.sort();
+    elems.sort();
+    bound == elems
 }
 
 /// Distribute the leftover multiset elements over the sequence variables.
@@ -237,11 +257,7 @@ fn distribute_rest(
         Some((v, [])) => {
             // Single (last) sequence variable takes everything left.
             if let Some(bound) = binds.get_seq(v) {
-                let mut bound = bound.to_vec();
-                let mut rem = remaining.to_vec();
-                bound.sort();
-                rem.sort();
-                return if bound == rem {
+                return if same_multiset(bound, remaining) {
                     sink(binds)
                 } else {
                     Control::Continue
@@ -262,7 +278,9 @@ fn distribute_rest(
             // Enumerate subsets for `v` (by index mask); small collections
             // only in practice — rules use at most two collection variables.
             let n = remaining.len();
-            assert!(n <= 20, "multiset distribution over large collection");
+            if n > MAX_DISTRIBUTED {
+                return Control::TooWide(n);
+            }
             for mask in 0u64..(1u64 << n) {
                 let mut mine = Vec::new();
                 let mut rest = Vec::new();
@@ -273,27 +291,24 @@ fn distribute_rest(
                         rest.push(t.clone());
                     }
                 }
-                if let Some(bound) = binds.get_seq(v) {
-                    let mut bound = bound.to_vec();
-                    bound.sort();
-                    mine.sort();
-                    if bound != mine {
+                let ctl = if let Some(bound) = binds.get_seq(v) {
+                    if !same_multiset(bound, &mine) {
                         continue;
                     }
-                    if distribute_rest(&rest, vrest, binds, sink, canonical_order) == Control::Stop
-                    {
-                        return Control::Stop;
-                    }
+                    distribute_rest(&rest, vrest, binds, sink, canonical_order)
                 } else {
                     if canonical_order {
                         mine.sort();
                     }
                     binds.bind_seq(*v, mine);
                     let ctl = distribute_rest(&rest, vrest, binds, sink, canonical_order);
-                    binds.remove(v);
-                    if ctl == Control::Stop {
-                        return Control::Stop;
+                    if ctl == Control::Continue {
+                        binds.remove(v);
                     }
+                    ctl
+                };
+                if ctl != Control::Continue {
+                    return ctl;
                 }
             }
             Control::Continue
@@ -301,11 +316,13 @@ fn distribute_rest(
     }
 }
 
-/// Convenience: the first match of `pattern` against `subject`, if any.
+/// Convenience: the first match of `pattern` against `subject`, if any
+/// (none either when the enumeration was abandoned as
+/// [`Control::TooWide`]).
 pub fn find_match(pattern: &Term, subject: &Term) -> Option<Bindings> {
     let mut result = None;
     let mut binds = Bindings::new();
-    let mut sink = |b: &Bindings| {
+    let mut sink = |b: &mut Bindings| {
         result = Some(b.clone());
         Control::Stop
     };
@@ -313,11 +330,12 @@ pub fn find_match(pattern: &Term, subject: &Term) -> Option<Bindings> {
     result
 }
 
-/// Convenience: all matches of `pattern` against `subject`.
+/// Convenience: all matches of `pattern` against `subject` (those found
+/// so far when the enumeration was abandoned as [`Control::TooWide`]).
 pub fn all_matches(pattern: &Term, subject: &Term) -> Vec<Bindings> {
     let mut out = Vec::new();
     let mut binds = Bindings::new();
-    let mut sink = |b: &Bindings| {
+    let mut sink = |b: &mut Bindings| {
         out.push(b.clone());
         Control::Continue
     };
@@ -567,4 +585,137 @@ mod more_tests {
         let b = find_match(&pat, &sub).unwrap();
         assert_eq!(b.get("x"), Some(&Term::int(1)));
     }
+}
+
+/// The enumeration itself is behaviour: `rejected` counts and which
+/// match a rule takes first both follow from the order matches are
+/// offered in.
+#[cfg(test)]
+mod order_tests {
+    use super::*;
+    use crate::dsl::parse_term;
+
+    /// One match as text, bindings sorted by name.
+    fn render(b: &Bindings) -> String {
+        let mut names: Vec<&str> = b.names().collect();
+        names.sort_unstable();
+        let parts: Vec<String> = names
+            .iter()
+            .map(|n| match (b.get(*n), b.get_seq(*n)) {
+                (Some(t), _) => format!("{n}={t}"),
+                (None, Some(seg)) => {
+                    let items: Vec<String> = seg.iter().map(ToString::to_string).collect();
+                    format!("{n}*=[{}]", items.join(" "))
+                }
+                (None, None) => unreachable!("{n} is a bound name"),
+            })
+            .collect();
+        parts.join("; ")
+    }
+
+    #[test]
+    fn matches_come_in_the_recorded_order_and_unwind() {
+        for (pat, sub, expected) in CORPUS {
+            let (pattern, subject) = (parse_term(pat).unwrap(), parse_term(sub).unwrap());
+            let rendered: Vec<String> =
+                all_matches(&pattern, &subject).iter().map(render).collect();
+            assert_eq!(rendered, *expected, "{pat} against {sub}");
+
+            // The same enumeration through the lending interface: the
+            // sink sees each match once, and an enumeration that ends in
+            // `Continue` hands the bindings back as it got them.
+            let mut binds = Bindings::new();
+            let mut seen = 0;
+            let ctl = match_term(&pattern, &subject, &mut binds, &mut |b| {
+                assert_eq!(render(b), expected[seen], "{pat} against {sub}");
+                seen += 1;
+                Control::Continue
+            });
+            assert_eq!((ctl, seen), (Control::Continue, expected.len()), "{pat}");
+            assert!(binds.is_empty(), "{pat} against {sub} left {binds:?}");
+        }
+    }
+
+    #[test]
+    fn pre_bound_names_survive_the_unwind() {
+        let mut binds = Bindings::new();
+        binds.bind("u", Term::atom("B"));
+        let before = binds.clone();
+        let (pattern, subject) = (
+            parse_term("G(LIST(x*, u, y*), SET(u, z*))").unwrap(),
+            parse_term("G(LIST(A, B, C, B), SET(C, B))").unwrap(),
+        );
+        let mut seen = 0;
+        match_term(&pattern, &subject, &mut binds, &mut |_| {
+            seen += 1;
+            Control::Continue
+        });
+        assert_eq!(seen, 2);
+        assert_eq!(binds, before);
+    }
+
+    fn union_of(n: usize) -> Term {
+        let branches = (0..n).map(|i| Term::atom(format!("R{i}"))).collect();
+        Term::app("UNION", vec![Term::set(branches)])
+    }
+
+    #[test]
+    fn wide_distribution_is_refused_not_asserted() {
+        let pattern = parse_term("UNION(SET(x*, y*))").unwrap();
+        let mut sink = |_: &mut Bindings| Control::Stop;
+        let over = union_of(MAX_DISTRIBUTED + 1);
+        let ctl = match_term(&pattern, &over, &mut Bindings::new(), &mut sink);
+        assert_eq!(ctl, Control::TooWide(MAX_DISTRIBUTED + 1));
+        assert_eq!(find_match(&pattern, &over), None);
+        // At the cap the enumeration runs as it always did: the first
+        // distribution gives `x*` nothing and `y*` everything.
+        let first = find_match(&pattern, &union_of(MAX_DISTRIBUTED)).unwrap();
+        assert_eq!(first.get_seq("x"), Some(&[][..]));
+        assert_eq!(first.get_seq("y").map(<[Term]>::len), Some(MAX_DISTRIBUTED));
+        assert_eq!(all_matches(&pattern, &union_of(10)).len(), 1 << 10);
+        // One collection variable takes any width.
+        assert!(find_match(&parse_term("UNION(SET(x*, R3))").unwrap(), &over).is_some());
+    }
+
+    /// `(pattern, subject, matches in order)`: the edge cases of
+    /// `tests/collection_matching.rs`, shared and repeated collection
+    /// variables, and the enumeration they produced before bindings
+    /// were unwound instead of copied.
+    #[rustfmt::skip]
+    const CORPUS: &[(&str, &str, &[&str])] = &[
+        ("F(LIST(x*))", "F(LIST())", &["x*=[]"]),
+        ("F(SET(x*))", "F(SET())", &["x*=[]"]),
+        ("F(BAG(x*))", "F(BAG())", &["x*=[]"]),
+        ("F(LIST(x*, A, z*))", "F(LIST(A))", &["x*=[]; z*=[]"]),
+        ("F(LIST(A, y*, B))", "F(LIST(A, B))", &["y*=[]"]),
+        ("F(LIST(A, y*, B))", "F(LIST(A, C, D, B))", &["y*=[C D]"]),
+        ("F(SET(x*, G(A)))", "F(SET(G(A)))", &["x*=[]"]),
+        ("F(LIST(x*, y*))", "F(LIST(A, B, C))", &["x*=[]; y*=[A B C]", "x*=[A]; y*=[B C]", "x*=[A B]; y*=[C]", "x*=[A B C]; y*=[]"]),
+        ("F(LIST(x*, B, y*))", "F(LIST(B, A, B))", &["x*=[]; y*=[A B]", "x*=[B A]; y*=[]"]),
+        ("F(LIST(x*, x*))", "F(LIST(A, B, A, B))", &["x*=[A B]"]),
+        ("F(LIST(x*, x*))", "F(LIST(A, B, B, A))", &[]),
+        ("F(LIST(x*, x*))", "F(LIST(A, B, A))", &[]),
+        ("F(LIST(x*, x*))", "F(LIST(A, A))", &["x*=[A]"]),
+        ("PAIR(LIST(x*), LIST(x*))", "PAIR(LIST(A, B), LIST(A, B))", &["x*=[A B]"]),
+        ("PAIR(LIST(x*), LIST(x*))", "PAIR(LIST(A, B), LIST(B, A))", &[]),
+        ("F(SET(x*, G(y, f)))", "F(SET(G(B, TRUE), A, C))", &["f=TRUE; x*=[A C]; y=B"]),
+        ("F(SET(x*, G(y, f)))", "F(SET(A, G(B, TRUE), C))", &["f=TRUE; x*=[A C]; y=B"]),
+        ("F(SET(x*, G(y, f)))", "F(SET(A, C, G(B, TRUE)))", &["f=TRUE; x*=[A C]; y=B"]),
+        ("F(SET(x*, G(y, f)))", "F(SET(G(B, TRUE), A, G(C, FALSE)))", &["f=TRUE; x*=[A G(C, FALSE)]; y=B", "f=FALSE; x*=[A G(B, TRUE)]; y=C"]),
+        ("F(BAG(x*, G(y)))", "F(BAG(A, G(B), A))", &["x*=[A A]; y=B"]),
+        ("F(SET(G(a), G(b)))", "F(SET(G(A)))", &[]),
+        ("F(SET(G(a), G(b)))", "F(SET(G(A), G(B)))", &["a=A; b=B", "a=B; b=A"]),
+        ("F(SET(x*, y*))", "F(SET(A, B, C))", &["x*=[]; y*=[A B C]", "x*=[A]; y*=[B C]", "x*=[B]; y*=[A C]", "x*=[A B]; y*=[C]", "x*=[C]; y*=[A B]", "x*=[A C]; y*=[B]", "x*=[B C]; y*=[A]", "x*=[A B C]; y*=[]"]),
+        ("F(BAG(x*, y*))", "F(BAG(B, A))", &["x*=[]; y*=[B A]", "x*=[B]; y*=[A]", "x*=[A]; y*=[B]", "x*=[B A]; y*=[]"]),
+        ("F(SET(x*, PIVOT))", "F(SET(C, A, PIVOT, B))", &["x*=[A B C]"]),
+        ("F(SET(x*, PIVOT))", "F(SET(B, PIVOT, C, A))", &["x*=[A B C]"]),
+        ("F(LIST(A, B))", "F(LIST(B, A))", &[]),
+        ("F(SET(A, B))", "F(SET(B, A))", &[""]),
+        ("PAIR(LIST(x*, y*), LIST(y*, x*))", "PAIR(LIST(A, B, C), LIST(C, A, B))", &["x*=[A B]; y*=[C]"]),
+        ("PAIR(LIST(x*, y*), LIST(y*, x*))", "PAIR(LIST(A, A), LIST(A, A))", &["x*=[]; y*=[A A]", "x*=[A]; y*=[A]", "x*=[A A]; y*=[]"]),
+        ("F(SET(x*, x*))", "F(SET(A, A, B, B))", &["x*=[A B]", "x*=[A B]", "x*=[A B]", "x*=[A B]"]),
+        ("F(SET(x*, x*))", "F(SET(A, B))", &[]),
+        ("PAIR(SET(x*, u), SET(x*, v))", "PAIR(SET(A, B, C), SET(C, B, D))", &["u=A; v=D; x*=[B C]"]),
+        ("G(u, LIST(x*, u, y*), SET(u, z*))", "G(B, LIST(A, B, C, B), SET(C, B))", &["u=B; x*=[A]; y*=[C B]; z*=[C]", "u=B; x*=[A B C]; y*=[]; z*=[C]"]),
+    ];
 }

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use eds_adt::{CmpOp, EvalContext, FunctionRegistry, ObjectStore, Type, TypeRegistry, Value};
 
 use crate::error::{RewriteError, RwResult};
+use crate::symbol::Symbol;
 use crate::term::{Bindings, Term};
 
 /// Environment a rewrite session runs in: value-level functions, objects,
@@ -174,10 +175,15 @@ impl MethodSig {
 }
 
 /// Registry of methods usable in rule constraints and conclusions.
+///
+/// Names are case-insensitive and resolved when registered: the table is
+/// keyed by the upper-cased name, so looking up a name already spelled
+/// in upper case — how rules are written — is one probe and no
+/// allocation. Only a mixed-case spelling that misses folds and probes
+/// again.
 #[derive(Clone, Default)]
 pub struct MethodRegistry {
-    methods: HashMap<String, MethodFn>,
-    sigs: HashMap<String, MethodSig>,
+    methods: HashMap<String, (MethodFn, Option<MethodSig>)>,
 }
 
 impl std::fmt::Debug for MethodRegistry {
@@ -245,9 +251,8 @@ impl MethodRegistry {
         name: &str,
         f: impl Fn(&[Term], &mut Bindings, &dyn TermEnv) -> RwResult<bool> + Send + Sync + 'static,
     ) {
-        let key = name.to_ascii_uppercase();
-        self.sigs.remove(&key);
-        self.methods.insert(key, Arc::new(f));
+        self.methods
+            .insert(name.to_ascii_uppercase(), (Arc::new(f), None));
     }
 
     /// Register (or replace) a method together with its signature, making
@@ -258,19 +263,40 @@ impl MethodRegistry {
         sig: MethodSig,
         f: impl Fn(&[Term], &mut Bindings, &dyn TermEnv) -> RwResult<bool> + Send + Sync + 'static,
     ) {
-        let key = name.to_ascii_uppercase();
-        self.sigs.insert(key.clone(), sig);
-        self.methods.insert(key, Arc::new(f));
+        self.methods
+            .insert(name.to_ascii_uppercase(), (Arc::new(f), Some(sig)));
+    }
+
+    fn entry(&self, name: &str) -> Option<&(MethodFn, Option<MethodSig>)> {
+        match self.methods.get(name) {
+            None if name.bytes().any(|b| b.is_ascii_lowercase()) => {
+                self.methods.get(&name.to_ascii_uppercase())
+            }
+            found => found,
+        }
     }
 
     /// Whether `name` is a registered method.
     pub fn contains(&self, name: &str) -> bool {
-        self.methods.contains_key(&name.to_ascii_uppercase())
+        self.entry(name).is_some()
     }
 
     /// The declared signature of `name`, when one was registered.
     pub fn signature(&self, name: &str) -> Option<MethodSig> {
-        self.sigs.get(&name.to_ascii_uppercase()).copied()
+        self.entry(name)?.1
+    }
+
+    /// Invoke `name` when it is a registered method; `None` when it is
+    /// not — the one probe a constraint that may or may not be a method
+    /// call costs.
+    pub fn try_call(
+        &self,
+        name: &str,
+        args: &[Term],
+        binds: &mut Bindings,
+        env: &dyn TermEnv,
+    ) -> Option<RwResult<bool>> {
+        self.entry(name).map(|(f, _)| f(args, binds, env))
     }
 
     /// Invoke a method.
@@ -281,11 +307,8 @@ impl MethodRegistry {
         binds: &mut Bindings,
         env: &dyn TermEnv,
     ) -> RwResult<bool> {
-        let f = self
-            .methods
-            .get(&name.to_ascii_uppercase())
-            .ok_or_else(|| RewriteError::UnknownMethod(name.to_owned()))?;
-        f(args, binds, env)
+        self.try_call(name, args, binds, env)
+            .unwrap_or_else(|| Err(RewriteError::UnknownMethod(name.to_owned())))
     }
 }
 
@@ -465,8 +488,8 @@ pub fn eval_constraint(
                 }
             }
             _ => {
-                if methods.contains(head) {
-                    return methods.call(head, args, binds, env);
+                if let Some(outcome) = methods.try_call(head, args, binds, env) {
+                    return outcome;
                 }
             }
         }
@@ -494,17 +517,17 @@ fn eval_isa(
     env: &dyn TermEnv,
 ) -> RwResult<bool> {
     let subject = resolve(subject, binds);
-    let spec_name = match spec {
-        Term::App(h, args) if args.is_empty() => h.as_str().to_owned(),
+    let spec_name: &str = match spec {
+        Term::App(h, args) if args.is_empty() => h.as_str(),
         // Lower-case specification names (like `constant` in Figure 12)
         // lex as variables; an unbound variable in specification
         // position is read as the name itself.
         Term::Var(v) => match binds.get(v) {
-            Some(Term::App(h, a)) if a.is_empty() => h.as_str().to_owned(),
-            None => v.as_str().to_owned(),
+            Some(Term::App(h, a)) if a.is_empty() => h.as_str(),
+            None => v.as_str(),
             _ => return Ok(false),
         },
-        Term::Const(Value::Str(s)) => s.clone(),
+        Term::Const(Value::Str(s)) => s,
         _ => return Ok(false),
     };
 
@@ -513,7 +536,7 @@ fn eval_isa(
         return Ok(is_constant_term(&subject));
     }
 
-    let target = parse_type_spec(&spec_name, env.types());
+    let target = parse_type_spec(spec_name, env.types());
     match &subject {
         Term::Const(v) => {
             let types = env.types();
@@ -532,39 +555,84 @@ fn eval_isa(
 /// Interpret a type-specification atom: a collection-kind keyword, a
 /// scalar keyword, or a registered named type.
 pub fn parse_type_spec(name: &str, _types: &TypeRegistry) -> Type {
-    match name.to_ascii_uppercase().as_str() {
-        "BOOL" => Type::Bool,
-        "INT" | "INTEGER" => Type::Int,
-        "REAL" => Type::Real,
-        "NUMERIC" => Type::Numeric,
-        "CHAR" | "STRING" => Type::Char,
-        "SET" => Type::Coll(eds_adt::CollKind::Set, Box::new(Type::Any)),
-        "BAG" => Type::Coll(eds_adt::CollKind::Bag, Box::new(Type::Any)),
-        "LIST" => Type::Coll(eds_adt::CollKind::List, Box::new(Type::Any)),
-        "ARRAY" => Type::Coll(eds_adt::CollKind::Array, Box::new(Type::Any)),
-        "COLLECTION" => Type::AnyColl(Box::new(Type::Any)),
-        _ => Type::Named(name.to_owned()),
+    use eds_adt::CollKind;
+    let is = |keyword: &str| name.eq_ignore_ascii_case(keyword);
+    let coll = |kind| Type::Coll(kind, Box::new(Type::Any));
+    if is("BOOL") {
+        Type::Bool
+    } else if is("INT") || is("INTEGER") {
+        Type::Int
+    } else if is("REAL") {
+        Type::Real
+    } else if is("NUMERIC") {
+        Type::Numeric
+    } else if is("CHAR") || is("STRING") {
+        Type::Char
+    } else if is("SET") {
+        coll(CollKind::Set)
+    } else if is("BAG") {
+        coll(CollKind::Bag)
+    } else if is("LIST") {
+        coll(CollKind::List)
+    } else if is("ARRAY") {
+        coll(CollKind::Array)
+    } else if is("COLLECTION") {
+        Type::AnyColl(Box::new(Type::Any))
+    } else {
+        Type::Named(name.to_owned())
     }
 }
+
+/// Fingerprint bits of the functors [`normalize_builtins`] rewrites.
+const BUILTIN_BITS: u64 =
+    Symbol::fp_bit_of("APPEND") | Symbol::fp_bit_of("SET_UNION") | Symbol::fp_bit_of("SETUNION");
 
 /// Normalize optimizer built-in *term functions* appearing in rule
 /// right-hand sides: `APPEND(...)` concatenates list-valued arguments into
 /// a `LIST`, `SET_UNION(...)` unions set-valued arguments into a `SET`.
 /// Non-collection arguments contribute themselves. Applied bottom-up after
 /// substitution.
+///
+/// Only what holds a builtin is rebuilt: the path from the root down to
+/// each one. Everything else — the terms a match bound, above all — is
+/// returned as a shared clone and keeps its allocation across the
+/// application.
 pub fn normalize_builtins(term: &Term) -> Term {
-    match term {
-        Term::App(head, args) => {
-            let args: Vec<Term> = args.iter().map(normalize_builtins).collect();
-            match head.as_str() {
-                "APPEND" if args.iter().any(|a| a.is_app("LIST")) => {
-                    Term::list(flatten(&args, "LIST"))
-                }
-                "SET_UNION" | "SETUNION" => Term::set(flatten(&args, "SET")),
-                _ => Term::App(*head, args.into()),
-            }
+    normalized(term).unwrap_or_else(|| term.clone())
+}
+
+/// The normal form of `term`, or `None` when `term` is it already.
+fn normalized(term: &Term) -> Option<Term> {
+    let Term::App(head, args) = term else {
+        return None;
+    };
+    // A subtree whose fingerprint has none of the three bits cannot hold
+    // a builtin (a Bloom bit has no false negatives) and is not visited;
+    // a false positive (`>` shares APPEND's bit) is visited and found
+    // normal.
+    if term.fingerprint() & BUILTIN_BITS == 0 {
+        return None;
+    }
+    // The arguments, copied from the first one that changes.
+    let mut changed: Option<Vec<Term>> = None;
+    for (i, arg) in args.iter().enumerate() {
+        let new = normalized(arg);
+        if new.is_some() && changed.is_none() {
+            let mut copy = Vec::with_capacity(args.len());
+            copy.extend_from_slice(&args[..i]);
+            changed = Some(copy);
         }
-        other => other.clone(),
+        if let Some(copy) = &mut changed {
+            copy.push(new.unwrap_or_else(|| arg.clone()));
+        }
+    }
+    let current = changed.as_deref().unwrap_or(args);
+    match head.as_str() {
+        "APPEND" if current.iter().any(|a| a.is_app("LIST")) => {
+            Some(Term::list(flatten(current, "LIST")))
+        }
+        "SET_UNION" | "SETUNION" => Some(Term::set(flatten(current, "SET"))),
+        _ => changed.map(|args| Term::App(*head, args.into())),
     }
 }
 
@@ -714,6 +782,88 @@ mod tests {
         assert_eq!(
             normalize_builtins(&u),
             Term::set(vec![Term::atom("R"), Term::atom("S"), Term::atom("T")])
+        );
+    }
+
+    #[test]
+    fn normalize_rebuilds_only_what_holds_a_builtin() {
+        let rel = Term::app("SEARCH", vec![Term::list(vec![Term::atom("R")])]);
+        let qual = Term::app("=", vec![Term::attr(1, 1), Term::int(5)]);
+        let built = Term::app(
+            "SEARCH",
+            vec![
+                Term::app("APPEND", vec![rel.clone(), Term::list(vec![rel.clone()])]),
+                qual.clone(),
+            ],
+        );
+        let out = normalize_builtins(&built);
+        assert_eq!(
+            out.to_string(),
+            "SEARCH(LIST(SEARCH(LIST(R)), SEARCH(LIST(R))), (1.1 = 5))"
+        );
+        let (_, args) = out.as_app().unwrap();
+        let (_, inputs) = args[0].as_app().unwrap();
+        assert!(inputs[0].ptr_eq(&rel) && inputs[1].ptr_eq(&rel));
+        assert!(args[1].ptr_eq(&qual));
+        // Nothing to normalize: the term itself comes back — also when
+        // the fingerprint cannot tell (`>` has APPEND's Bloom bit).
+        assert!(normalize_builtins(&qual).ptr_eq(&qual));
+        let gt = Term::app(">", vec![Term::attr(1, 1), Term::int(5)]);
+        assert_ne!(gt.fingerprint() & BUILTIN_BITS, 0);
+        assert!(normalize_builtins(&gt).ptr_eq(&gt));
+        // An APPEND without a LIST argument stays an APPEND.
+        let kept = Term::app("APPEND", vec![Term::atom("A"), Term::atom("B")]);
+        assert_eq!(normalize_builtins(&kept), kept);
+    }
+
+    #[test]
+    fn method_names_fold_case_at_registration() {
+        let e = env();
+        let mut methods = MethodRegistry::with_builtins();
+        methods.register("Always", |_, _, _| Ok(true));
+        for name in ["ALWAYS", "always", "Always"] {
+            assert!(methods.contains(name), "{name}");
+            assert!(methods.call(name, &[], &mut Bindings::new(), &e).unwrap());
+            assert_eq!(methods.signature(name), None);
+        }
+        assert_eq!(methods.signature("notnull"), Some(MethodSig::predicate(1)));
+        assert!(!methods.contains("NEVER") && !methods.contains("never"));
+        assert!(methods
+            .try_call("NEVER", &[], &mut Bindings::new(), &e)
+            .is_none());
+        // Replacing a method without a signature drops the old one.
+        methods.register("notnull", |_, _, _| Ok(false));
+        assert_eq!(methods.signature("NOTNULL"), None);
+        // A method-call constraint resolves in any spelling.
+        let c = Term::app("always", vec![]);
+        assert!(eval_constraint(&c, &mut Bindings::new(), &methods, &e).unwrap());
+    }
+
+    #[test]
+    fn isa_reads_the_specification_in_every_spelling() {
+        let e = env();
+        let methods = MethodRegistry::with_builtins();
+        let mut binds = Bindings::new();
+        binds.bind("x", Term::int(3));
+        binds.bind("spec", Term::atom("Integer"));
+        for (spec, expected) in [
+            (Term::var("constant"), true),
+            (Term::atom("CONSTANT"), true),
+            (Term::str("Constant"), true),
+            (Term::var("spec"), true),
+            (Term::atom("int"), true),
+            (Term::str("numeric"), true),
+            (Term::atom("char"), false),
+            (Term::var("x"), false),
+            (Term::int(1), false),
+        ] {
+            let c = Term::app("ISA", vec![Term::var("x"), spec.clone()]);
+            let got = eval_constraint(&c, &mut binds, &methods, &e).unwrap();
+            assert_eq!(got, expected, "ISA(x, {spec})");
+        }
+        assert_eq!(
+            parse_type_spec("Person", e.types()),
+            Type::Named("Person".into())
         );
     }
 

@@ -33,11 +33,14 @@ fn intern_table() -> &'static Mutex<HashSet<&'static str>> {
 
 /// FNV-1a over the name's bytes: deterministic across processes, so node
 /// hashes and fingerprints are stable run to run.
-fn fnv1a(s: &str) -> u64 {
+const fn fnv1a(s: &str) -> u64 {
+    let bytes = s.as_bytes();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        i += 1;
     }
     h
 }
@@ -73,6 +76,12 @@ impl Symbol {
     /// The symbol's bit in a 64-bit subtree Bloom fingerprint.
     pub fn fp_bit(&self) -> u64 {
         1u64 << (self.hash & 63)
+    }
+
+    /// [`Symbol::fp_bit`] of the symbol `name` interns to, without
+    /// interning it — for fingerprint masks known at compile time.
+    pub(crate) const fn fp_bit_of(name: &str) -> u64 {
+        1u64 << (fnv1a(name) & 63)
     }
 }
 

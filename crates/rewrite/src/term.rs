@@ -25,7 +25,6 @@
 //!   are O(1), and the engine prunes whole subtrees that cannot contain a
 //!   rule's head functor via the fingerprint.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -328,6 +327,17 @@ impl Term {
         self.fingerprint() & head.fp_bit() != 0
     }
 
+    /// Is one application a reference-count clone of the other — same
+    /// head, same argument allocation? Never true of variables and
+    /// constants. Equal terms need not share; sharing is what a rewrite
+    /// keeps of the subterms it does not rebuild, and this observes it.
+    pub fn ptr_eq(&self, other: &Term) -> bool {
+        match (self, other) {
+            (Term::App(h1, a1), Term::App(h2, a2)) => h1 == h2 && Arc::ptr_eq(&a1.items, &a2.items),
+            _ => false,
+        }
+    }
+
     /// Iterate over all positions (paths) in the term, pre-order. The root
     /// path is empty.
     pub fn positions(&self) -> Vec<Vec<usize>> {
@@ -430,10 +440,27 @@ impl Ord for Term {
 
 /// A substitution: ordinary variables map to terms, sequence variables to
 /// term segments.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Two small insertion-ordered vectors probed linearly by [`Symbol`]
+/// (a pointer comparison): the widest builtin rule binds ten names, so a
+/// probe is a handful of compares with no hashing, a copy is two
+/// allocations, and the matcher backtracks by removing the entry it
+/// pushed last. Equality ignores insertion order.
+#[derive(Debug, Clone, Default)]
 pub struct Bindings {
-    vars: HashMap<Symbol, Term>,
-    seqs: HashMap<Symbol, Vec<Term>>,
+    vars: Vec<(Symbol, Term)>,
+    seqs: Vec<(Symbol, Vec<Term>)>,
+}
+
+fn slot<T>(entries: &[(Symbol, T)], name: Symbol) -> Option<usize> {
+    entries.iter().position(|(n, _)| *n == name)
+}
+
+fn put<T>(entries: &mut Vec<(Symbol, T)>, name: Symbol, value: T) {
+    match slot(entries, name) {
+        Some(i) => entries[i].1 = value,
+        None => entries.push((name, value)),
+    }
 }
 
 impl Bindings {
@@ -444,35 +471,40 @@ impl Bindings {
 
     /// Binding of an ordinary variable.
     pub fn get(&self, name: impl ToSymbol) -> Option<&Term> {
-        self.vars.get(&name.to_symbol())
+        slot(&self.vars, name.to_symbol()).map(|i| &self.vars[i].1)
     }
 
     /// Binding of a sequence variable.
     pub fn get_seq(&self, name: impl ToSymbol) -> Option<&[Term]> {
-        self.seqs.get(&name.to_symbol()).map(Vec::as_slice)
+        slot(&self.seqs, name.to_symbol()).map(|i| self.seqs[i].1.as_slice())
     }
 
     /// Bind an ordinary variable (overwrites).
     pub fn bind(&mut self, name: impl ToSymbol, term: Term) {
-        self.vars.insert(name.to_symbol(), term);
+        put(&mut self.vars, name.to_symbol(), term);
     }
 
     /// Bind a sequence variable (overwrites).
     pub fn bind_seq(&mut self, name: impl ToSymbol, terms: Vec<Term>) {
-        self.seqs.insert(name.to_symbol(), terms);
+        put(&mut self.seqs, name.to_symbol(), terms);
     }
 
     /// Remove any binding for `name` (used by the matcher to backtrack).
+    /// The remaining names keep their insertion order.
     pub fn remove(&mut self, name: impl ToSymbol) {
         let sym = name.to_symbol();
-        self.vars.remove(&sym);
-        self.seqs.remove(&sym);
+        if let Some(i) = slot(&self.vars, sym) {
+            self.vars.remove(i);
+        }
+        if let Some(i) = slot(&self.seqs, sym) {
+            self.seqs.remove(i);
+        }
     }
 
     /// Whether a name has any binding.
     pub fn contains(&self, name: impl ToSymbol) -> bool {
         let sym = name.to_symbol();
-        self.vars.contains_key(&sym) || self.seqs.contains_key(&sym)
+        slot(&self.vars, sym).is_some() || slot(&self.seqs, sym).is_some()
     }
 
     /// Number of bound names.
@@ -488,10 +520,12 @@ impl Bindings {
     /// Apply the substitution to a term. Sequence variables are spliced
     /// into their enclosing argument list. Unbound variables are left in
     /// place (the engine checks rhs groundness separately). Ground
-    /// subtrees are returned as O(1) shared clones.
+    /// subtrees and bound terms are returned as O(1) shared clones: the
+    /// result allocates the non-ground skeleton of `term` and nothing
+    /// else.
     pub fn apply(&self, term: &Term) -> Term {
         match term {
-            Term::Var(v) => self.vars.get(v).cloned().unwrap_or_else(|| term.clone()),
+            Term::Var(v) => self.get(v).unwrap_or(term).clone(),
             Term::SeqVar(_) => term.clone(), // splicing happens in App args
             Term::Const(_) => term.clone(),
             Term::App(h, args) => {
@@ -501,8 +535,8 @@ impl Bindings {
                 let mut new_args = Vec::with_capacity(args.len());
                 for a in args {
                     match a {
-                        Term::SeqVar(v) => match self.seqs.get(v) {
-                            Some(segment) => new_args.extend(segment.iter().cloned()),
+                        Term::SeqVar(v) => match self.get_seq(v) {
+                            Some(segment) => new_args.extend_from_slice(segment),
                             None => new_args.push(a.clone()),
                         },
                         other => new_args.push(self.apply(other)),
@@ -513,12 +547,21 @@ impl Bindings {
         }
     }
 
-    /// Names of all bound variables (unsorted).
+    /// Names of all bound variables: ordinary variables, then sequence
+    /// variables, each in the order they were first bound.
     pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.vars
-            .keys()
-            .map(Symbol::as_str)
-            .chain(self.seqs.keys().map(Symbol::as_str))
+        let vars = self.vars.iter().map(|(n, _)| n.as_str());
+        vars.chain(self.seqs.iter().map(|(n, _)| n.as_str()))
+    }
+}
+
+impl PartialEq for Bindings {
+    /// Same names bound to the same values, in any insertion order.
+    fn eq(&self, other: &Self) -> bool {
+        self.vars.len() == other.vars.len()
+            && self.seqs.len() == other.seqs.len()
+            && self.vars.iter().all(|(n, t)| other.get(n) == Some(t))
+            && (self.seqs.iter()).all(|(n, s)| other.get_seq(n) == Some(s.as_slice()))
     }
 }
 
@@ -657,6 +700,65 @@ mod tests {
             }
             _ => panic!("expected App"),
         }
+    }
+
+    #[test]
+    fn apply_shares_bound_terms_and_segments() {
+        let big = Term::app("G", vec![Term::int(1), Term::int(2)]);
+        let other = Term::app("H", vec![Term::int(3)]);
+        let mut b = Bindings::new();
+        b.bind("u", big.clone());
+        b.bind_seq("x", vec![other.clone()]);
+        let built = b.apply(&Term::app(
+            "F",
+            vec![Term::var("u"), Term::list(vec![Term::seq("x")])],
+        ));
+        let (_, args) = built.as_app().unwrap();
+        assert!(args[0].ptr_eq(&big));
+        assert!(args[1].as_app().unwrap().1[0].ptr_eq(&other));
+        // An equal term built separately is equal, not shared.
+        let twin = Term::app("G", vec![Term::int(1), Term::int(2)]);
+        assert!(twin == big && !twin.ptr_eq(&big));
+    }
+
+    #[test]
+    fn bindings_equality_ignores_insertion_order() {
+        let mut ab = Bindings::new();
+        ab.bind("a", Term::int(1));
+        ab.bind("b", Term::int(2));
+        ab.bind_seq("s", vec![Term::int(3)]);
+        ab.bind_seq("t", vec![]);
+        let mut ba = Bindings::new();
+        ba.bind_seq("t", vec![]);
+        ba.bind_seq("s", vec![Term::int(3)]);
+        ba.bind("b", Term::int(2));
+        ba.bind("a", Term::int(1));
+        assert_eq!(ab, ba);
+        // Same names, one different value; then one name fewer.
+        ba.bind("a", Term::int(9));
+        assert_ne!(ab, ba);
+        ba.remove("a");
+        assert_ne!(ab, ba);
+        assert_ne!(ba, ab);
+    }
+
+    #[test]
+    fn names_follow_insertion_order() {
+        let mut b = Bindings::new();
+        for n in ["q", "a", "m"] {
+            b.bind(n, Term::int(0));
+        }
+        b.bind_seq("z", vec![]);
+        b.bind_seq("c", vec![]);
+        assert_eq!(b.names().collect::<Vec<_>>(), ["q", "a", "m", "z", "c"]);
+        // Rebinding keeps a name's place; removing closes the gap.
+        b.bind("a", Term::int(1));
+        b.remove("q");
+        b.remove("z");
+        assert_eq!(b.names().collect::<Vec<_>>(), ["a", "m", "c"]);
+        assert_eq!(b.len(), 3);
+        assert_eq!(b.get("a"), Some(&Term::int(1)));
+        assert!(!b.contains("q") && b.contains("c"));
     }
 
     #[test]
