@@ -1,8 +1,9 @@
 //! Executor benchmark suite — the `BENCH_exec.json` workloads.
 //!
 //! Measures execution of *rewritten* plans (the post-optimizer hot
-//! path): object-dereferencing filters, n-ary joins (nested-loop and
-//! hash), merged view stacks, union pushdown output, recursive
+//! path): object-dereferencing filters, n-ary joins (the default
+//! executor and the nested-loop baseline), merged view stacks, union
+//! pushdown output, recursive
 //! fixpoints, and duplicate elimination — plus million-row columnar
 //! scans exercising the morsel scheduler end to end. Every workload
 //! runs at `parallelism` 1 (`<id>/p1`); the committed
@@ -19,10 +20,11 @@
 //! `eds_engine::reference`).
 
 use eds_bench::{
-    exec_workloads, exec_workloads_1m, execute_many_workloads, literal_sql, opt_level_workloads,
+    baseline_options, exec_workloads, exec_workloads_1m, execute_many_workloads, literal_sql,
+    opt_level_workloads,
 };
 use eds_core::{Dbms, OptLevel};
-use eds_engine::{eval_reference, EvalOptions, JoinMode};
+use eds_engine::{eval_reference, EvalOptions};
 use eds_lera::Expr;
 use eds_testkit::bench::{BenchmarkGroup, BenchmarkId, Criterion};
 use eds_testkit::{criterion_group, criterion_main};
@@ -82,16 +84,13 @@ fn exec_suite(group: &mut BenchmarkGroup<'_>) {
         bench_plan(group, id, &dbms, &rewritten.expr, EvalOptions::default());
     }
 
-    // The film join again under the hash physical strategy.
+    // The film join again under the paper's baseline executor.
     {
         let (_, dbms, sql) = exec_workloads().swap_remove(1);
-        let opts = EvalOptions {
-            join: JoinMode::Hash,
-            ..Default::default()
-        };
         let prepared = dbms.prepare(&sql).unwrap();
         let rewritten = dbms.rewrite(&prepared).unwrap();
-        bench_plan(group, "film_join_hash", &dbms, &rewritten.expr, opts);
+        let opts = baseline_options();
+        bench_plan(group, "film_join_nested", &dbms, &rewritten.expr, opts);
     }
 
     // Million-row scans — the morsel scheduler's target workloads (489
@@ -127,15 +126,13 @@ fn exec_suite(group: &mut BenchmarkGroup<'_>) {
     }
 }
 
-/// Cost-guided plan choice: each workload's canonical plan has a
-/// saturation-pessimal shape, so `OptLevel::Full`'s statistics-backed
-/// exploration picks a different (cheaper) plan than `Simple`'s pure
-/// saturation. The committed `<id>/seq` baseline is the **Simple** plan
-/// on the default engine configuration (re-record with
-/// `EDS_EXEC_BASELINE=1`); `<id>/p1` measures the **Full**
-/// plan — the before/after pair the `opt_level` kind reports, gated by
-/// `crates/bench/baselines/opt_level_floors.tsv`. Both plans are
-/// asserted row-equivalent before timing.
+/// Cost-guided plan choice: each workload's canonical plan has a shape
+/// saturation flattens or merges, and `OptLevel::Full`'s
+/// statistics-backed exploration may keep another one. The committed
+/// `<id>/seq` baseline is the **Simple** plan on the default engine
+/// configuration (re-record with `EDS_EXEC_BASELINE=1`); `<id>/p1`
+/// measures the **Full** plan — the before/after pair the `opt_level`
+/// kind reports. Both plans are asserted row-equivalent before timing.
 fn opt_level_suite(group: &mut BenchmarkGroup<'_>) {
     let record_baseline = std::env::var("EDS_EXEC_BASELINE").is_ok_and(|v| v != "0");
     for (id, mut dbms, sql) in opt_level_workloads() {

@@ -7,7 +7,7 @@
 //! a complex (view + recursion + semantic) query, reporting rewrite
 //! effort and resulting execution work.
 
-use eds_bench::{graph_dbms, product_dbms};
+use eds_bench::{baseline_options, graph_dbms, product_dbms};
 use eds_rewrite::Limit;
 use eds_testkit::bench::{BenchmarkId, Criterion};
 use eds_testkit::{criterion_group, criterion_main};
@@ -18,6 +18,7 @@ fn sweep(label: &str, mut dbms: eds_core::Dbms, sql: &str) {
         "{:<8} {:>14} {:>14} {:>14} {:>6}",
         "limit", "checks", "applications", "exec_combos", "rows"
     );
+    dbms.eval_options = baseline_options();
     for limit in [0u64, 2, 5, 10, 25, 100, u64::MAX] {
         let l = if limit == u64::MAX {
             Limit::Infinite

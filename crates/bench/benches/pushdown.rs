@@ -2,7 +2,7 @@
 //! through nest (Figure 8). Measures engine work with and without the
 //! pushing rules across workload scale.
 
-use eds_bench::{nested_view, union_view};
+use eds_bench::{baseline_options, nested_view, union_view};
 use eds_testkit::bench::{BenchmarkId, Criterion};
 use eds_testkit::{criterion_group, criterion_main};
 
@@ -13,7 +13,8 @@ fn series() {
         "branches", "combos_before", "combos_after", "ratio"
     );
     for branches in [2usize, 4, 8] {
-        let dbms = union_view(branches, 200);
+        let mut dbms = union_view(branches, 200);
+        dbms.eval_options = baseline_options();
         let sql = "SELECT K FROM ALLPARTS WHERE K = 7 ;";
         let prepared = dbms.prepare(sql).unwrap();
         let rewritten = dbms.rewrite(&prepared).unwrap();
@@ -35,7 +36,8 @@ fn series() {
         "groups", "rows_before", "rows_after", "nest_before", "nest_after"
     );
     for groups in [50i64, 200, 800] {
-        let dbms = nested_view(groups, 20);
+        let mut dbms = nested_view(groups, 20);
+        dbms.eval_options = baseline_options();
         let sql = "SELECT G FROM GROUPED WHERE G = 3 ;";
         let prepared = dbms.prepare(sql).unwrap();
         let rewritten = dbms.rewrite(&prepared).unwrap();
@@ -51,16 +53,18 @@ fn series() {
             after.combinations_tried,
         );
     }
-    println!("\n# F8c physical ablation: rewrite benefit under nested-loop vs hash joins");
+    println!(
+        "\n# F8c physical ablation: rewrite benefit under the baseline and the default executor"
+    );
     println!(
         "{:<12} {:>16} {:>16}",
-        "join mode", "combos_unrewritten", "combos_rewritten"
+        "executor", "combos_unrewritten", "combos_rewritten"
     );
     {
         // Two-view equi-join with a selective predicate (300×300 rows):
-        // the merging rewrite helps under BOTH physical strategies, and
-        // hash joins help under BOTH logical plans — orthogonal wins.
-        use eds_engine::{EvalOptions, JoinMode};
+        // the merging rewrite helps under BOTH executors, and selecting
+        // first and hashing helps under BOTH logical plans — orthogonal
+        // wins.
         let mut dbms = eds_core::Dbms::new().unwrap();
         dbms.execute_ddl(
             "TABLE R (K : INT, V : INT);
@@ -77,14 +81,11 @@ fn series() {
         let sql = "SELECT RV.V FROM RV, SV WHERE RV.K = SV.K AND SV.W = 7 ;";
         let prepared = dbms.prepare(sql).unwrap();
         let rewritten = dbms.rewrite(&prepared).unwrap();
-        for (label, mode) in [
-            ("nested-loop", JoinMode::NestedLoop),
-            ("hash", JoinMode::Hash),
+        for (label, options) in [
+            ("nested-loop", baseline_options()),
+            ("default", eds_engine::EvalOptions::default()),
         ] {
-            dbms.eval_options = EvalOptions {
-                join: mode,
-                ..Default::default()
-            };
+            dbms.eval_options = options;
             let (r1, s1) = dbms.run_expr_with_stats(&prepared.expr).unwrap();
             let (r2, s2) = dbms.run_expr_with_stats(&rewritten.expr).unwrap();
             assert!(r1.set_eq(&r2));

@@ -3,7 +3,7 @@
 //! payoff ("the potential time saving that can be realized with proper
 //! use of inference rules").
 
-use eds_bench::product_dbms;
+use eds_bench::{baseline_options, product_dbms};
 use eds_testkit::bench::{BenchmarkId, Criterion};
 use eds_testkit::{criterion_group, criterion_main};
 
@@ -14,7 +14,8 @@ fn series() {
         "rows", "query", "combos_before", "combos_after", "rows"
     );
     for rows in [1_000i64, 10_000] {
-        let dbms = product_dbms(rows);
+        let mut dbms = product_dbms(rows);
+        dbms.eval_options = baseline_options();
         let cases = [
             ("bad grade", "SELECT Id FROM PRODUCT WHERE Grade = 'D' ;"),
             (

@@ -38,11 +38,9 @@
 //! saturation) and `<id>/p1` the `OptLevel::Full` plan the
 //! statistics-backed exploration picked, both on the same engine
 //! configuration. They are excluded from the exec medians and
-//! summarized under `median_speedup_opt_level`. With
-//! `--check-opt-level-floor` the run fails (exit 1) when any workload
-//! listed in `crates/bench/baselines/opt_level_floors.tsv` falls below
-//! its committed minimum speedup; fresh same-host `ol_*/seq` medians
-//! take precedence over committed ones, like the `em_*` gate.
+//! summarized under `median_speedup_opt_level` — about 1x since the
+//! default executor hashes (the same-host check that `Full` is never the
+//! slower pick is `opt_level_gate`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -92,7 +90,6 @@ fn median(mut xs: Vec<f64>) -> f64 {
 
 fn main() {
     let check_prepared_floor = std::env::args().any(|a| a == "--check-prepared-floor");
-    let check_opt_level_floor = std::env::args().any(|a| a == "--check-opt-level-floor");
     let root = workspace_root();
     let before = read_tsv(&root.join("crates/bench/baselines/before/exec.tsv"));
     let after = read_tsv(&root.join("target/bench-tsv/exec.tsv"));
@@ -160,8 +157,11 @@ fn main() {
         "  \"note\": \"before = seed tree-walking executor (committed baseline, sequential), \
          except the scan_* workloads, introduced with the columnar layer, whose baseline is the \
          row-at-a-time executor (EDS_COLUMNAR=0) on the same tree; after = overhauled executor \
-         at EvalOptions.parallelism 1. Every configuration is asserted byte-identical to \
-         the reference executor before timing. repeat_rewrite measures the rewrite-output plan \
+         at EvalOptions.parallelism 1, under the same options on both sides: the default \
+         executor hashes joins (film_join against the seed's hash enumeration), film_join_nested \
+         is that join under the paper's nested-loop baseline. Every configuration is asserted \
+         byte-identical to the reference executor before timing. repeat_rewrite measures the \
+         rewrite-output plan \
          cache and the em_* workloads measure prepared-statement amortization (before = \
          unprepared per-query path on the same tree, after = PreparedStmt::execute cycling the \
          same binds); the ol_* workloads measure cost-guided plan choice (before = the \
@@ -219,30 +219,6 @@ fn main() {
         }
         if !floor_violations.is_empty() {
             eprintln!("prepared-statement amortization below its committed floor:");
-            for v in &floor_violations {
-                eprintln!("  {v}");
-            }
-            std::process::exit(1);
-        }
-    }
-
-    if check_opt_level_floor {
-        let mut floor_violations: Vec<String> = Vec::new();
-        let floors = read_tsv(&root.join("crates/bench/baselines/opt_level_floors.tsv"));
-        if floors.is_empty() {
-            floor_violations.push("opt_level_floors.tsv declares no floors".to_owned());
-        }
-        for (id, floor) in &floors {
-            match opt_level_speedups.get(id) {
-                None => floor_violations.push(format!("{id}: not measured (floor {floor:.1}x)")),
-                Some(&s) if s < *floor => {
-                    floor_violations.push(format!("{id}: speedup {s:.2}x below floor {floor:.1}x"));
-                }
-                Some(_) => {}
-            }
-        }
-        if !floor_violations.is_empty() {
-            eprintln!("cost-guided plan choice below its committed floor:");
             for v in &floor_violations {
                 eprintln!("  {v}");
             }

@@ -9,7 +9,23 @@
 
 use eds_adt::Value;
 use eds_core::Dbms;
+use eds_engine::{EvalOptions, JoinMode};
 use eds_testkit::StdRng;
+
+/// The paper's baseline executor as an option bag: every `search` over
+/// two or more inputs is the cross product with a post-filter, so
+/// [`EvalStats::combinations_tried`](eds_engine::EvalStats) is the
+/// *logical* work of a plan, exact to the unit — what the F7–F12 tables
+/// of `EXPERIMENTS.md` report and what a before/after comparison of two
+/// plans should read. Under the default executor the counter follows
+/// what that executor does (pre-selection, a table per linked step)
+/// instead.
+pub fn baseline_options() -> EvalOptions {
+    EvalOptions {
+        join: JoinMode::NestedLoop,
+        ..Default::default()
+    }
+}
 
 /// The film database of Figure 2 scaled to `films` films and
 /// `actors` actors, with ~3 appearances per film.

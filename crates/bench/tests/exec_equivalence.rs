@@ -304,3 +304,89 @@ fn filter_and_search_work_counters_are_pinned() {
         assert_eq!(stats(&search), search_stats, "search under {opts:?}");
     }
 }
+
+/// The default executor — select first, then stream — on the joining
+/// statements of the end-to-end benchmark (`dim_join`, `film_join`,
+/// `tc_unbound`, `ol_join3`, `ol_pushdown`), canonical and rewritten at
+/// both levels: the rows *and their order* are the baseline nested
+/// loop's, the bag is the reference interpreter's on the baseline, under
+/// parallelism {1, 4} × columnar {off, on} — and the work counters do
+/// not depend on which path pre-selection took.
+#[test]
+fn default_joins_return_the_baselines_rows_in_its_order() {
+    use eds_bench::{
+        baseline_options, film_dbms, filter_pushdown_dbms, graph_dbms, join3_dbms, scan_dbms,
+    };
+    use eds_core::OptLevel;
+
+    assert_eq!(EvalOptions::default().join, JoinMode::Hash);
+    // More than one morsel of SCAN survives `A > 300`, so the
+    // enumeration itself is partitioned at parallelism 4.
+    let mut dim = scan_dbms(5_000, 7);
+    dim.execute_ddl("TABLE DIM (G : INT, Label : CHAR);")
+        .unwrap();
+    for g in 0..16i64 {
+        dim.insert("DIM", vec![g.into(), format!("group{g}").into()])
+            .unwrap();
+    }
+    let statements: Vec<(&str, Dbms, &str)> = vec![
+        (
+            "dim_join",
+            dim,
+            "SELECT K, Label FROM SCAN, DIM WHERE SCAN.G = DIM.G AND A > 300 ;",
+        ),
+        (
+            "film_join",
+            film_dbms(150, 80, 7),
+            "SELECT Title FROM FILM, APPEARS_IN \
+             WHERE Salary(Refactor) > 20000 AND FILM.Numf = APPEARS_IN.Numf ;",
+        ),
+        (
+            "tc_unbound",
+            graph_dbms(40, 10, 7),
+            "SELECT Src, Dst FROM TC WHERE Dst - Src > 1 ;",
+        ),
+        (
+            "ol_join3",
+            join3_dbms(60, 12, 10),
+            "SELECT B FROM RS, T WHERE RS.J = T.J AND B >= 3 ;",
+        ),
+        (
+            "ol_pushdown",
+            filter_pushdown_dbms(10, 3_000),
+            "SELECT ALLU.K FROM ALLU, FSEL WHERE ALLU.K = FSEL.K ;",
+        ),
+    ];
+    for (id, mut dbms, sql) in statements {
+        let prepared = dbms.prepare(sql).unwrap();
+        let mut plans = vec![("raw", prepared.expr.clone())];
+        for (name, level) in [("simple", OptLevel::Simple), ("full", OptLevel::Full)] {
+            dbms.set_opt_level(level);
+            plans.push((name, dbms.rewrite_uncached(&prepared).unwrap().expr));
+        }
+        for (form, plan) in &plans {
+            let baseline = eds_engine::eval_with(plan, &dbms.db, baseline_options())
+                .unwrap()
+                .0;
+            let oracle = eval_reference(plan, &dbms.db, baseline_options()).unwrap();
+            assert!(baseline.bag_eq(&oracle), "{id}/{form}: baseline vs oracle");
+            let mut counters: Option<EvalStats> = None;
+            for parallelism in [1usize, 4] {
+                for columnar in [false, true] {
+                    let opts = EvalOptions {
+                        parallelism,
+                        columnar,
+                        ..Default::default()
+                    };
+                    let (rel, stats) = eds_engine::eval_with(plan, &dbms.db, opts).unwrap();
+                    assert_eq!(
+                        rel.rows, baseline.rows,
+                        "{id}/{form}: rows or order differ under {opts:?}"
+                    );
+                    let first = *counters.get_or_insert(stats);
+                    assert_eq!(stats, first, "{id}/{form}: work moved under {opts:?}");
+                }
+            }
+        }
+    }
+}

@@ -125,7 +125,7 @@ const PINS: &[Pin] = &[
     ("ol_join3", "simple", 163, 1, 12,
      "SEARCH(LIST(R, S, T), ((2.2 = 3.1) AND (1.1 = 2.1)), LIST(3.2))"),
     ("ol_join3", "full", 163, 1, 12,
-     "SEARCH(LIST(SEARCH(LIST(R, S), (1.1 = 2.1), LIST(1.1, 2.2)), T), (1.2 = 2.1), LIST(2.2))"),
+     "SEARCH(LIST(R, S, T), ((2.2 = 3.1) AND (1.1 = 2.1)), LIST(3.2))"),
     ("ol_pushdown", "simple", 198, 6, 29,
      "UNION(SET(SEARCH(LIST(U0, BIGF), ((1.1 = 2.1) AND (2.2 = 7)), LIST(1.1)), SEARCH(LIST(U1, BIGF), ((1.1 = 2.1) AND (2.2 = 7)), LIST(1.1))))"),
     ("ol_pushdown", "full", 198, 6, 29,

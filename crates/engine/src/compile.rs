@@ -373,6 +373,16 @@ enum Truth {
     Other,
 }
 
+impl Truth {
+    fn of(v: &Value) -> Truth {
+        match v {
+            Value::Bool(true) => Truth::True,
+            Value::Bool(false) => Truth::False,
+            _ => Truth::Other,
+        }
+    }
+}
+
 /// A fast operand reference: an access path the hot loop can resolve to a
 /// borrowed [`Value`] with no recursion and no [`Cow`] bookkeeping. `None`
 /// from [`FastRef::get`] means "shape not covered" (bad index, dangling
@@ -420,6 +430,15 @@ impl FastRef {
                 _ => None,
             },
             _ => None,
+        }
+    }
+
+    /// The input (0-based) whose row this reference reads; `None` for a
+    /// literal or a parameter.
+    fn input(&self) -> Option<usize> {
+        match self {
+            FastRef::Slot { rel0, .. } | FastRef::DerefField { rel0, .. } => Some(*rel0),
+            FastRef::Konst(_) | FastRef::Param(_) => None,
         }
     }
 
@@ -480,30 +499,41 @@ impl Conjunct {
         Conjunct { fast, general }
     }
 
+    /// What the fast form alone decides: `None` when the conjunct has
+    /// none, or when an access falls outside the shapes it covers (bad
+    /// index, dangling OID, collection receiver, unbound `?`, …). Never
+    /// errors.
     #[inline]
-    fn truth(&self, tuples: &[&[Value]], env: &EvalEnv<'_>) -> EngineResult<Truth> {
-        if let Some(fast) = &self.fast {
-            match fast {
-                FastQual::True => return Ok(Truth::True),
-                FastQual::Cmp { op, left, right } => {
-                    if let (Some(l), Some(r)) = (left.get(tuples, env), right.get(tuples, env)) {
-                        return Ok(match op.eval(l, r) {
-                            Value::Bool(true) => Truth::True,
-                            Value::Bool(false) => Truth::False,
-                            _ => Truth::Other,
-                        });
-                    }
-                    // Access shape not covered: fall through to the
-                    // general program (pure re-evaluation; reproduces the
-                    // interpreter's result or error exactly).
-                }
+    fn fast_truth(&self, tuples: &[&[Value]], env: &EvalEnv<'_>) -> Option<Truth> {
+        match self.fast.as_ref()? {
+            FastQual::True => Some(Truth::True),
+            FastQual::Cmp { op, left, right } => {
+                let (l, r) = (left.get(tuples, env)?, right.get(tuples, env)?);
+                Some(Truth::of(&op.eval(l, r)))
             }
         }
-        Ok(match self.general.eval(tuples, env)?.as_ref() {
-            Value::Bool(true) => Truth::True,
-            Value::Bool(false) => Truth::False,
-            _ => Truth::Other,
-        })
+    }
+
+    #[inline]
+    fn truth(&self, tuples: &[&[Value]], env: &EvalEnv<'_>) -> EngineResult<Truth> {
+        if let Some(decided) = self.fast_truth(tuples, env) {
+            return Ok(decided);
+        }
+        // No fast form, or an access shape it does not cover: the
+        // general program (pure re-evaluation; reproduces the
+        // interpreter's result or error exactly).
+        Ok(Truth::of(self.general.eval(tuples, env)?.as_ref()))
+    }
+
+    /// Is this a comparison whose every attribute reference reads input
+    /// `rel0` (and at least one does)? Such a conjunct can be decided
+    /// from that input's row alone, before any join.
+    fn reads_only(&self, rel0: usize) -> bool {
+        let Some(FastQual::Cmp { left, right, .. }) = &self.fast else {
+            return false;
+        };
+        let mut inputs = [left.input(), right.input()].into_iter().flatten();
+        inputs.next() == Some(rel0) && inputs.all(|i| i == rel0)
     }
 }
 
@@ -901,44 +931,121 @@ impl CompiledPred {
         cols: &'c ColumnarRelation,
         params: &[Value],
     ) -> Option<ColumnarPred<'c>> {
-        let mut kernels = Vec::with_capacity(self.conjuncts.len());
-        for c in &self.conjuncts {
-            kernels.push(lower_conjunct(c, cols, params)?);
+        lower_all(self.conjuncts.iter(), 0, cols, params)
+    }
+
+    /// The equality conjuncts `i.a = j.b` between plain attributes of two
+    /// different inputs, as 0-based `(input, attribute)` pairs in the
+    /// order written — what a join step can key a table on.
+    pub fn links(&self) -> impl Iterator<Item = [(usize, usize); 2]> + '_ {
+        self.conjuncts.iter().filter_map(|c| match &c.fast {
+            Some(FastQual::Cmp {
+                op: CmpOp::Eq,
+                left: FastRef::Slot { rel0: i, attr0: a },
+                right: FastRef::Slot { rel0: j, attr0: b },
+            }) if i != j => Some([(*i, *a), (*j, *b)]),
+            _ => None,
+        })
+    }
+
+    /// The conjuncts input `rel0` (0-based) can be pre-selected by: the
+    /// comparisons whose attribute references all read that input.
+    pub fn local(&self, rel0: usize) -> LocalPred<'_> {
+        let conjuncts = self.conjuncts.iter();
+        LocalPred {
+            rel0,
+            conjuncts: conjuncts.filter(|c| c.reads_only(rel0)).collect(),
         }
-        Some(ColumnarPred { kernels })
     }
 }
 
-/// A comparison operand after bind-time resolution: a first-input
-/// column, or a concrete value (a literal, or a `?` looked up in the
-/// bind array).
+/// The part of an n-ary `search` qualification that one input's rows
+/// decide alone. A conjunction needs every conjunct TRUE, so a row one of
+/// these rejects (FALSE *or* NULL) joins nothing and can be dropped
+/// before the join; a row the fast forms cannot decide is kept, and the
+/// whole qualification — re-checked on every combination — stays the
+/// authority on results and errors.
+pub struct LocalPred<'p> {
+    rel0: usize,
+    conjuncts: Vec<&'p Conjunct>,
+}
+
+impl LocalPred<'_> {
+    /// No conjunct constrains the input alone.
+    pub fn is_empty(&self) -> bool {
+        self.conjuncts.is_empty()
+    }
+
+    /// The input (0-based) these conjuncts read.
+    pub fn input(&self) -> usize {
+        self.rel0
+    }
+
+    /// Lower onto the input's columnar mirror: `None` unless every
+    /// conjunct has a kernel (see [`CompiledPred::columnar`]).
+    pub fn columnar<'c>(
+        &self,
+        cols: &'c ColumnarRelation,
+        params: &[Value],
+    ) -> Option<ColumnarPred<'c>> {
+        lower_all(self.conjuncts.iter().copied(), self.rel0, cols, params)
+    }
+
+    /// Can the row in `tuples[self.input()]` still satisfy the
+    /// qualification? `false` only when a conjunct decides it is not
+    /// TRUE; no other slot of `tuples` is read.
+    #[inline]
+    pub fn keeps(&self, tuples: &[&[Value]], env: &EvalEnv<'_>) -> bool {
+        let mut decided = self.conjuncts.iter();
+        decided.all(|c| !matches!(c.fast_truth(tuples, env), Some(Truth::False | Truth::Other)))
+    }
+}
+
+/// A comparison operand after bind-time resolution: a column of the
+/// input being scanned, or a concrete value (a literal, or a `?` looked
+/// up in the bind array).
 enum Opnd<'v> {
     Col(usize),
     Val(&'v Value),
 }
 
 /// Resolve a fast reference against the bind array. `None` for shapes
-/// the columnar lowering cannot serve (non-first-input slots, deref
-/// chains) and for unbound parameters — the row path then reports the
-/// error.
-fn operand<'v>(r: &'v FastRef, params: &'v [Value]) -> Option<Opnd<'v>> {
+/// the columnar lowering cannot serve (slots of another input than
+/// `rel0`, deref chains) and for unbound parameters — the row path then
+/// reports the error.
+fn operand<'v>(r: &'v FastRef, rel0: usize, params: &'v [Value]) -> Option<Opnd<'v>> {
     match r {
-        FastRef::Slot { rel0: 0, attr0 } => Some(Opnd::Col(*attr0)),
+        FastRef::Slot { rel0: r0, attr0 } if *r0 == rel0 => Some(Opnd::Col(*attr0)),
         FastRef::Konst(k) => Some(Opnd::Val(k)),
         FastRef::Param(i) => params.get(*i as usize).map(Opnd::Val),
         _ => None,
     }
 }
 
+/// One kernel per conjunct over `cols`, the mirror of input `rel0`, or
+/// `None` as soon as a conjunct has none.
+fn lower_all<'p, 'c>(
+    conjuncts: impl Iterator<Item = &'p Conjunct>,
+    rel0: usize,
+    cols: &'c ColumnarRelation,
+    params: &[Value],
+) -> Option<ColumnarPred<'c>> {
+    let kernels = conjuncts.map(|c| lower_conjunct(c, rel0, cols, params));
+    Some(ColumnarPred {
+        kernels: kernels.collect::<Option<_>>()?,
+    })
+}
+
 fn lower_conjunct<'c>(
     c: &Conjunct,
+    rel0: usize,
     cols: &'c ColumnarRelation,
     params: &[Value],
 ) -> Option<Kern<'c>> {
     match c.fast.as_ref()? {
         FastQual::True => Some(Kern::AllTrue),
         FastQual::Cmp { op, left, right } => {
-            match (operand(left, params)?, operand(right, params)?) {
+            match (operand(left, rel0, params)?, operand(right, rel0, params)?) {
                 (Opnd::Col(a), Opnd::Val(k)) => lower_col_const(*op, cols.column(a)?, k),
                 (Opnd::Val(k), Opnd::Col(a)) => lower_col_const(op.flipped(), cols.column(a)?, k),
                 (Opnd::Col(a), Opnd::Col(b)) => {

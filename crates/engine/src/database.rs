@@ -1,7 +1,7 @@
 //! The database: catalog + object store + stored relations + functions.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use eds_adt::{FunctionRegistry, ObjectStore, Oid, Value};
 use eds_esql::{Catalog, Stmt, TableSchema};
@@ -30,6 +30,11 @@ pub struct Database {
     /// the touched table's entry — and only that entry, so mirrors of
     /// unrelated tables survive. `None` records "not column-friendly"
     /// so an all-spill table is not re-scanned on every query.
+    ///
+    /// Entries of this map and of `stats` are inserted whole, after the
+    /// build: a thread that panics holding either lock leaves the map as
+    /// it found it, so readers recover a poisoned lock
+    /// ([`PoisonError::into_inner`]) instead of failing every later join.
     columnar: Mutex<HashMap<String, Option<Arc<ColumnarRelation>>>>,
     /// Per-table statistics sketches for the cost-guided rewriter (see
     /// [`crate::stats`]), cached with the same lifecycle as the columnar
@@ -61,14 +66,10 @@ impl Database {
     /// uppercased), called from every path that can change the stored
     /// rows.
     fn invalidate_columnar(&mut self, key: &str) {
-        self.columnar
-            .get_mut()
-            .expect("columnar cache poisoned")
-            .remove(key);
-        self.stats
-            .get_mut()
-            .expect("stats cache poisoned")
-            .remove(key);
+        let columnar = self.columnar.get_mut();
+        columnar.unwrap_or_else(PoisonError::into_inner).remove(key);
+        let stats = self.stats.get_mut();
+        stats.unwrap_or_else(PoisonError::into_inner).remove(key);
     }
 
     /// Columnar mirror of a stored base table, built on first use and
@@ -77,7 +78,8 @@ impl Database {
     /// spills) — negative results are cached too.
     pub fn columnar(&self, name: &str) -> Option<Arc<ColumnarRelation>> {
         let key = name.to_ascii_uppercase();
-        let mut cache = self.columnar.lock().expect("columnar cache poisoned");
+        let cache = self.columnar.lock();
+        let mut cache = cache.unwrap_or_else(PoisonError::into_inner);
         if let Some(entry) = cache.get(&key) {
             return entry.clone();
         }
@@ -94,7 +96,8 @@ impl Database {
     /// exists (views and recursion variables have no stored rows).
     pub fn table_stats(&self, name: &str) -> Option<Arc<TableStats>> {
         let key = name.to_ascii_uppercase();
-        let mut cache = self.stats.lock().expect("stats cache poisoned");
+        let cache = self.stats.lock();
+        let mut cache = cache.unwrap_or_else(PoisonError::into_inner);
         if let Some(entry) = cache.get(&key) {
             return Some(entry.clone());
         }
@@ -197,7 +200,8 @@ impl Database {
         let prev_len = rel.len();
         rel.push(row);
         let appended = rel.rows.last().expect("just pushed").clone();
-        let cache = self.columnar.get_mut().expect("columnar cache poisoned");
+        let cache = self.columnar.get_mut();
+        let cache = cache.unwrap_or_else(PoisonError::into_inner);
         if let Some(entry) = cache.get_mut(&key) {
             // A negative entry ("not column-friendly") is removed rather
             // than kept: the new row may make the table mirror-worthy.
@@ -211,7 +215,8 @@ impl Database {
                 cache.remove(&key);
             }
         }
-        let stats = self.stats.get_mut().expect("stats cache poisoned");
+        let stats = self.stats.get_mut();
+        let stats = stats.unwrap_or_else(PoisonError::into_inner);
         if let Some(entry) = stats.get_mut(&key) {
             if entry.card == prev_len as u64 {
                 Arc::make_mut(entry).observe_row(&appended);
@@ -396,6 +401,34 @@ mod tests {
         // be built.
         let mirror = db.columnar("E").expect("rebuilt after negative entry");
         assert_eq!(mirror.row(0), vec![Value::Int(3)]);
+    }
+
+    #[test]
+    fn caches_recover_from_a_poisoned_lock() {
+        let mut db = Database::new();
+        db.execute_ddl("TABLE P (X : INT);").unwrap();
+        db.insert("P", vec![1.into()]).unwrap();
+        let before = db.columnar("P").expect("P is column-friendly");
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _mirrors = db.columnar.lock().unwrap();
+                let _stats = db.stats.lock().unwrap();
+                panic!("poisoning both cache locks (expected by this test)");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(db.columnar.is_poisoned() && db.stats.is_poisoned());
+        // Reads are served, from the very entry cached before.
+        let after = db.columnar("P").expect("mirror still served");
+        assert!(Arc::ptr_eq(&before, &after));
+        assert_eq!(db.table_stats("P").expect("stats still built").card, 1);
+        // So are the write paths that maintain or drop entries.
+        db.insert("P", vec![2.into()]).unwrap();
+        assert_eq!(db.columnar("P").expect("maintained").len(), 2);
+        assert_eq!(db.table_stats("P").expect("maintained").card, 2);
+        db.truncate("P").unwrap();
+        assert_eq!(db.table_stats("P").expect("rebuilt").card, 0);
     }
 
     #[test]

@@ -1,10 +1,17 @@
 //! Evaluation of LERA plans.
 //!
-//! Physical strategies are deliberately simple in *shape* (nested-loop
-//! or left-deep hash `search`, full rescans) so that logical plan
-//! quality — what the rewriter improves — stays directly visible in the
-//! work counters. Within that shape the operators are engineered for
-//! throughput:
+//! The compound `search` — select, project and join in one operator,
+//! what the merging rules exist to produce — is evaluated for what its
+//! qualification allows: each input is pre-selected by the conjuncts
+//! that read it alone, inputs join left-deep in the order written
+//! through a table of key hashes wherever an equality links the next
+//! one, and combinations stream depth-first into the target list
+//! without being materialised ([`JoinMode::Hash`], the default). Join
+//! *order* and everything above
+//! the operator stay the rewriter's business. The paper's baseline — the
+//! cross product with a post-filter, full rescans, under which the work
+//! counters read the logical quality of a plan directly — is
+//! [`JoinMode::NestedLoop`]. Around both:
 //!
 //! * qualifications and projection targets are lowered once per operator
 //!   into [`CompiledScalar`](crate::compile::CompiledScalar) programs
@@ -13,7 +20,7 @@
 //! * rows are shared ([`Arc`]-counted), so row-preserving operators pass
 //!   allocations along instead of deep-copying values;
 //! * set operations use hash membership instead of quadratic scans;
-//! * scans, nested-loop enumeration and hash-join probe output are
+//! * scans, pre-selection and the enumeration of either join mode are
 //!   morsel-partitioned across a persistent worker pool when
 //!   [`EvalOptions::parallelism`] > 1 and the input spans more than one
 //!   morsel (see [`crate::parallel`]). Morsels are contiguous runs
@@ -24,8 +31,10 @@
 //! in [`crate::reference`] for differential testing.
 
 use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::collections::HashSet;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 use eds_adt::{CollKind, EvalContext, Value};
@@ -33,23 +42,29 @@ use eds_lera::{
     infer_scalar_type, infer_schema, search_schema, Expr, LeraError, Scalar, Schema, SchemaCtx,
 };
 
-use crate::columnar::{Column, ColumnarRelation, NullBitmap};
-use crate::compile::{ColumnarPred, CompiledPred, CompiledProj, EvalEnv};
+use crate::columnar::ColumnarRelation;
+use crate::compile::{ColumnarPred, CompiledPred, CompiledProj, EvalEnv, LocalPred};
 use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::fixpoint::{eval_fix, FixOptions};
 use crate::relation::{shared_row, Relation, Row, SharedRow};
 
-/// Physical strategy for the n-ary `search` operator.
+/// Physical strategy for the n-ary `search` operator over two or more
+/// inputs (one input is a scan under either).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinMode {
-    /// Full cross-product enumeration with a post-filter. The baseline
-    /// the paper's logical optimizer is measured against.
-    #[default]
+    /// Full cross-product enumeration with a post-filter: the paper's
+    /// baseline executor, whose `combinations_tried` is the logical work
+    /// of a plan. Benches, differential suites and the reference
+    /// executor name it explicitly.
     NestedLoop,
-    /// Left-deep hash joins on equality conjuncts (cross product only
-    /// when no equi-conjunct links the next input). Demonstrates that the
-    /// logical rewrites pay off under a smarter physical strategy too.
+    /// Select first, then stream: every input is pre-selected by the
+    /// conjuncts that read it alone, and inputs join left-deep in the
+    /// order written — through a table of key hashes over the next
+    /// input wherever an equality links it, by looping over it
+    /// otherwise. Same rows in the same order as `NestedLoop`; an error
+    /// can only disappear relative to it.
+    #[default]
     Hash,
 }
 
@@ -109,22 +124,23 @@ impl std::fmt::Display for OptLevel {
 pub struct EvalOptions {
     /// Fixpoint strategy.
     pub fix: FixOptions,
-    /// Search/join strategy.
+    /// How a `search` over two or more inputs is evaluated: selecting
+    /// each input first and hashing on linking equalities (the default),
+    /// or as the paper's baseline cross product. See [`JoinMode`].
     pub join: JoinMode,
     /// Worker threads for partitioned operators. `1` (the default) is
-    /// fully sequential; higher values let large scans, nested-loop
-    /// enumerations and hash-probe output be drained morsel-by-morsel
-    /// by the persistent worker pool (see [`crate::parallel`]) and
-    /// merged in input order, preserving both results and result order
-    /// exactly.
+    /// fully sequential; higher values let large scans, pre-selections
+    /// and join enumerations be drained morsel-by-morsel by the
+    /// persistent worker pool (see [`crate::parallel`]) and merged in
+    /// input order, preserving both results and result order exactly.
     pub parallelism: usize,
     /// Use columnar mirrors of stored base tables where the operator
-    /// and predicate shapes allow it: one-input `search` qualifications
-    /// whose conjuncts all lower to typed kernels run over contiguous
-    /// columns and gather surviving rows from the shared row store, and
-    /// single-attribute hash-join keys on integer columns build typed
-    /// hash tables. Results, result order, work counters and errors are
-    /// identical to the row path (differential-tested); defaults to on.
+    /// and predicate shapes allow it: a one-input `search` qualification
+    /// whose conjuncts all lower to typed kernels runs over contiguous
+    /// columns and gathers surviving rows from the shared row store, and
+    /// so does the pre-selection of a join input by its local conjuncts.
+    /// Results, result order, work counters and errors are identical to
+    /// the row path (differential-tested); defaults to on.
     pub columnar: bool,
     /// Rewriter effort for statements evaluated through this option bag
     /// (see [`OptLevel`]); read by the `Dbms` facade, not the executor.
@@ -150,7 +166,15 @@ impl Default for EvalOptions {
 pub struct EvalStats {
     /// Rows produced by all operators (intermediate + final).
     pub rows_emitted: u64,
-    /// Tuple combinations considered by `search`/`join` loops.
+    /// Work done by `search`/`join`. One input: its rows. Two or more,
+    /// under [`JoinMode::NestedLoop`]: every combination of the cross
+    /// product, exact to the unit — the *logical* work of the plan,
+    /// whatever the executor. Under [`JoinMode::Hash`]: the first
+    /// input's survivors plus every candidate a later step enumerated
+    /// (a linked step's table hits, a cross step's survivors) — a
+    /// property of the physical executor as much as of the plan.
+    /// Whoever compares two plans by this counter names the baseline
+    /// executor.
     pub combinations_tried: u64,
     /// Fixpoint iterations executed.
     pub fix_iterations: u64,
@@ -490,33 +514,7 @@ fn eval_search(
     } else {
         match ctx.opts.join {
             JoinMode::NestedLoop => nested_loop(&rels, &cpred, &cproj, &env, parallelism)?,
-            JoinMode::Hash => {
-                // Candidate enumeration is sequential (it builds
-                // per-input hash tables); the per-combination re-check
-                // and projection are partitioned. Columnar mirrors of
-                // stored-table inputs let single-attribute integer join
-                // keys build typed `i64` hash tables.
-                let mirrors: Vec<Option<Arc<ColumnarRelation>>> = inputs
-                    .iter()
-                    .zip(&rels)
-                    .map(|(i, r)| base_columnar(i, ctx, r.len()))
-                    .collect();
-                let (combos, tried) = hash_search(&rels, &bound_pred, &mirrors);
-                let parts = run_partitioned(&combos, parallelism, |part| {
-                    let mut kept: Vec<SharedRow> = Vec::new();
-                    let mut tuple: Vec<&[Value]> = Vec::with_capacity(rels.len());
-                    let mut scratch: Row = Vec::with_capacity(cproj.len());
-                    for combo in part {
-                        tuple.clear();
-                        tuple.extend(combo.iter().copied());
-                        if cpred.eval_bool(&tuple, &env)? {
-                            kept.push(project_tuple(&cproj, &tuple, &env, &mut scratch)?);
-                        }
-                    }
-                    Ok(kept)
-                })?;
-                (parts, tried)
-            }
+            JoinMode::Hash => streamed_join(inputs, &rels, &cpred, &cproj, &env, ctx)?,
         }
     };
     for mut part in parts {
@@ -695,7 +693,7 @@ fn nested_loop(
 /// `OrderedF64`'s Eq/Hash agree with its total order, so this emits the
 /// exact lexicographic key order a `BTreeMap` would — and append one
 /// `key attributes ++ [collection of items]` row per group.
-fn emit_groups<K: Ord + std::hash::Hash>(
+fn emit_groups<K: Ord + Hash>(
     pairs: impl Iterator<Item = (K, Value)>,
     key_row: impl Fn(K) -> Row,
     kind: CollKind,
@@ -813,148 +811,266 @@ fn fused_scan_nest(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Option<Relati
     Ok(Some(out))
 }
 
-/// Left-deep hash-join enumeration of candidate input combinations,
-/// with the number of combinations tried. Each equality conjunct
-/// `i.a = j.b` between an already-joined input and the next one becomes
-/// a hash key; inputs with no linking equi-conjunct fall back to a
-/// cross product against the accumulator. The caller re-checks the full
-/// qualification (hash equality is stricter than SQL equality: NULL
-/// keys never probe-match, which the re-check also rejects), so this
-/// only has to be an over-approximation of the satisfying combinations.
-fn hash_search<'a>(
-    rels: &'a [Cow<'_, Relation>],
-    pred: &Scalar,
-    mirrors: &[Option<Arc<ColumnarRelation>>],
-) -> (Vec<Vec<&'a [Value]>>, u64) {
-    // Equality conjuncts between plain attribute references.
-    let mut equi: Vec<(usize, usize, usize, usize)> = Vec::new(); // (rel_a, attr_a, rel_b, attr_b)
-    for c in pred.conjuncts() {
-        if let Scalar::Cmp {
-            op: eds_lera::CmpOp::Eq,
-            left,
-            right,
-        } = c
-        {
-            if let (Scalar::Attr { rel: r1, attr: a1 }, Scalar::Attr { rel: r2, attr: a2 }) =
-                (left.as_ref(), right.as_ref())
-            {
-                equi.push((*r1, *a1, *r2, *a2));
-            }
-        }
-    }
-
-    let mut acc: Vec<Vec<&[Value]>> = rels[0].rows.iter().map(|r| vec![&**r]).collect();
-    let mut tried = acc.len() as u64;
-
-    for (next_idx, next_rel) in rels.iter().enumerate().skip(1) {
-        let next_rel_no = next_idx + 1;
-        // Keys linking the accumulated prefix (1-based rel <= next_idx)
-        // to the next input.
-        let keys: Vec<((usize, usize), usize)> = equi
-            .iter()
-            .filter_map(|&(r1, a1, r2, a2)| {
-                if r1 <= next_idx && r2 == next_rel_no {
-                    Some(((r1, a1), a2))
-                } else if r2 <= next_idx && r1 == next_rel_no {
-                    Some(((r2, a2), a1))
-                } else {
-                    None
-                }
-            })
-            .collect();
-
-        let mut new_acc: Vec<Vec<&[Value]>> = Vec::new();
-        let mut extend = |combo: &Vec<&'a [Value]>, row: &'a [Value]| {
-            let mut extended = combo.clone();
-            extended.push(row);
-            tried += 1;
-            new_acc.push(extended);
-        };
-        if keys.is_empty() {
-            // Cross product against the accumulator.
-            for combo in &acc {
-                for row in &next_rel.rows {
-                    extend(combo, row);
-                }
-            }
-        } else if let Some((values, nulls)) = single_int_key(&keys, mirrors.get(next_idx), next_rel)
-        {
-            // Typed build + probe: the single linking key lands on an
-            // integer column of the next input's mirror, so the hash
-            // table keys are plain `i64`s instead of `Value` slices.
-            // NULL build rows are bucketed separately: structural `Value`
-            // hashing matches NULL probes against NULL build keys (the
-            // caller's re-check rejects them), and the typed path must
-            // enumerate the *same* candidate combinations in the same
-            // order. A column typed `Int` holds no other kinds, so any
-            // non-integer, non-NULL probe misses — exactly like the
-            // structural table.
-            let mut table: HashMap<i64, Vec<u32>> = HashMap::with_capacity(values.len());
-            let mut null_rows: Vec<u32> = Vec::new();
-            for (i, v) in values.iter().enumerate() {
-                if nulls.is_null(i) {
-                    null_rows.push(i as u32);
-                } else {
-                    table.entry(*v).or_default().push(i as u32);
-                }
-            }
-            let ((kr, ka), _) = keys[0];
-            for combo in &acc {
-                let matches: Option<&[u32]> = match &combo[kr - 1][ka - 1] {
-                    Value::Int(v) => table.get(v).map(|m| &m[..]),
-                    Value::Null => (!null_rows.is_empty()).then_some(&null_rows[..]),
-                    _ => None,
-                };
-                for &i in matches.unwrap_or_default() {
-                    extend(combo, &next_rel.rows[i as usize]);
-                }
-            }
-        } else {
-            // Build: hash the next input on its key attributes.
-            let mut table: HashMap<Vec<&Value>, Vec<&[Value]>> = HashMap::new();
-            for row in &next_rel.rows {
-                let key: Vec<&Value> = keys.iter().map(|&(_, a)| &row[a - 1]).collect();
-                table.entry(key).or_default().push(&**row);
-            }
-            // Probe with the accumulator.
-            for combo in &acc {
-                let key: Vec<&Value> = keys
-                    .iter()
-                    .map(|&((r, a), _)| &combo[r - 1][a - 1])
-                    .collect();
-                for &row in table.get(&key).into_iter().flatten() {
-                    extend(combo, row);
-                }
-            }
-        }
-        acc = new_acc;
-        if acc.is_empty() {
-            break;
-        }
-    }
-    (acc, tried)
+/// The rows of one join input its local conjuncts left, ascending by
+/// row index. `All(n)` when nothing constrains the input alone: no index
+/// vector is built for it.
+enum Survivors {
+    All(usize),
+    Picked(Vec<u32>),
 }
 
-/// The `(values, nulls)` of the next input's join-key column, when the
-/// typed hash path applies: exactly one linking key, a mirror present
-/// and aligned with the evaluated input, and the key attribute stored
-/// as an integer column.
-fn single_int_key<'m>(
-    keys: &[((usize, usize), usize)],
-    mirror: Option<&'m Option<Arc<ColumnarRelation>>>,
-    next_rel: &Relation,
-) -> Option<(&'m [i64], &'m NullBitmap)> {
-    if keys.len() != 1 {
-        return None;
+impl Survivors {
+    fn len(&self) -> usize {
+        match self {
+            Survivors::All(n) => *n,
+            Survivors::Picked(sel) => sel.len(),
+        }
     }
-    let cols = mirror?.as_deref()?;
-    if cols.len() != next_rel.rows.len() {
-        return None;
+
+    /// Row index of the `j`-th survivor.
+    #[inline]
+    fn row(&self, j: usize) -> usize {
+        match self {
+            Survivors::All(_) => j,
+            Survivors::Picked(sel) => sel[j] as usize,
+        }
     }
-    match cols.column(keys[0].1.checked_sub(1)?)? {
-        Column::Int { values, nulls } => Some((values, nulls)),
-        _ => None,
+}
+
+/// Pre-select one input of an n-ary `search` by the conjuncts that read
+/// it alone: the columnar kernels over the mirror when the input is a
+/// stored table and every such conjunct has one, their fast forms row by
+/// row otherwise. Both decide the same rows, so the survivors — and the
+/// work counters downstream — do not depend on the path.
+fn preselect(
+    input: &Expr,
+    rel: &Relation,
+    local: &LocalPred<'_>,
+    env: &EvalEnv<'_>,
+    ctx: &Ctx<'_>,
+) -> EngineResult<Survivors> {
+    if local.is_empty() {
+        return Ok(Survivors::All(rel.len()));
     }
+    let parallelism = ctx.opts.parallelism;
+    if let Some(cols) = base_columnar(input, ctx, rel.len()) {
+        if let Some(kernels) = local.columnar(&cols, ctx.params) {
+            let sel = select_partitioned(&kernels, cols.len(), parallelism)?;
+            return Ok(Survivors::Picked(sel));
+        }
+    }
+    let workers = crate::parallel::effective_workers(parallelism, rel.len());
+    let parts = crate::parallel::run_morsel_ranges(rel.len(), workers, |lo, hi| {
+        // Only the input's own slot is read.
+        let mut tuple: Vec<&[Value]> = vec![&[]; local.input() + 1];
+        let mut kept: Vec<u32> = Vec::new();
+        for i in lo..hi {
+            tuple[local.input()] = &rel.rows[i];
+            if local.keeps(&tuple, env) {
+                kept.push(i as u32);
+            }
+        }
+        Ok(kept)
+    })?;
+    Ok(Survivors::Picked(parts.into_iter().flatten().collect()))
+}
+
+/// Hash of a link key, `None` when it can equal nothing: a NULL (`=` is
+/// never TRUE on it) or an attribute the row does not have. INT and REAL
+/// compare numerically ([`Value::sql_cmp`]), so both hash as the `f64`
+/// the comparison reads; every other kind compares — and hashes —
+/// structurally. Equal keys always collide; the converse is left to the
+/// re-check.
+fn key_hash<'v>(hasher: &RandomState, key: impl Iterator<Item = Option<&'v Value>>) -> Option<u64> {
+    let mut h = hasher.build_hasher();
+    for v in key {
+        match v? {
+            Value::Null => return None,
+            Value::Int(i) => (*i as f64).to_bits().hash(&mut h),
+            Value::Real(r) => r.0.to_bits().hash(&mut h),
+            other => other.hash(&mut h),
+        }
+    }
+    Some(h.finish())
+}
+
+/// One input's survivors by the hash of their link attributes, sorted:
+/// the survivors of one hash are one run, in ascending order. An equal
+/// hash makes a *candidate* — the whole qualification is re-checked on
+/// it — so keys are neither stored nor compared.
+type LinkTable = Vec<(u64, u32)>;
+
+fn link_table(
+    rows: &[SharedRow],
+    survivors: &Survivors,
+    links: &[Link],
+    hasher: &RandomState,
+) -> LinkTable {
+    let mut table: LinkTable = (0..survivors.len())
+        .filter_map(|j| {
+            let row = &rows[survivors.row(j)];
+            let h = key_hash(hasher, links.iter().map(|l| row.get(l.inner)))?;
+            Some((h, j as u32))
+        })
+        .collect();
+    table.sort_unstable();
+    table
+}
+
+/// One equality between an attribute of an input already in the tuple
+/// (`outer`: 0-based input, attribute) and attribute `inner` of the
+/// step's own input.
+struct Link {
+    outer: (usize, usize),
+    inner: usize,
+}
+
+/// One left-deep step of a streamed `search`: the next input's rows and
+/// survivors, the equalities linking it to the inputs before it, and —
+/// when there are any — the table over the survivors keyed on them.
+struct Step<'r> {
+    rows: &'r [SharedRow],
+    survivors: Survivors,
+    links: Vec<Link>,
+    table: Option<LinkTable>,
+}
+
+/// Depth-first enumeration state of one morsel of a streamed `search`:
+/// one tuple buffer, extended and overwritten in place.
+struct Enumeration<'a, 'r> {
+    steps: &'a [Step<'r>],
+    cpred: &'a CompiledPred,
+    cproj: &'a [CompiledProj],
+    env: &'a EvalEnv<'a>,
+    hasher: &'a RandomState,
+    tuple: Vec<&'r [Value]>,
+    kept: Vec<SharedRow>,
+    scratch: Row,
+    tried: u64,
+}
+
+impl Enumeration<'_, '_> {
+    /// Extend `tuple[..depth]` by every candidate of the remaining
+    /// steps; a complete tuple is checked against the **whole**
+    /// qualification — hashes collide, and NULL or mixed-kind keys are
+    /// its business — and projected in place.
+    fn descend(&mut self, depth: usize) -> EngineResult<()> {
+        let steps = self.steps;
+        let Some(step) = steps.get(depth - 1) else {
+            if self.cpred.eval_bool(&self.tuple, self.env)? {
+                let row = project_tuple(self.cproj, &self.tuple, self.env, &mut self.scratch)?;
+                self.kept.push(row);
+            }
+            return Ok(());
+        };
+        if let Some(table) = &step.table {
+            let key = step
+                .links
+                .iter()
+                .map(|l| self.tuple[l.outer.0].get(l.outer.1));
+            let Some(h) = key_hash(self.hasher, key) else {
+                return Ok(());
+            };
+            let run = &table[table.partition_point(|&(hash, _)| hash < h)..];
+            for &(_, j) in run.iter().take_while(|&&(hash, _)| hash == h) {
+                self.tried += 1;
+                self.tuple[depth] = &step.rows[step.survivors.row(j as usize)];
+                self.descend(depth + 1)?;
+            }
+        } else {
+            // No equality links this input: a cross step.
+            for j in 0..step.survivors.len() {
+                self.tried += 1;
+                self.tuple[depth] = &step.rows[step.survivors.row(j)];
+                self.descend(depth + 1)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The default `search` over two or more inputs — select first, then
+/// stream. Each input is pre-selected by its local conjuncts
+/// ([`preselect`]); inputs join left-deep in the order written, a step
+/// probing a [`LinkTable`] over the next input's survivors where an
+/// equality links it, looping over them otherwise; combinations are
+/// enumerated depth-first over one tuple buffer, morsel-partitioned on
+/// the first input's survivors and merged in order — the nested loop's
+/// row-major order. Returns the output parts and the work done:
+/// first-input survivors plus candidates enumerated.
+///
+/// Relative to [`nested_loop`] an error can only disappear (a
+/// combination that would have raised it is never formed), never appear.
+fn streamed_join(
+    inputs: &[&Expr],
+    rels: &[Cow<'_, Relation>],
+    cpred: &CompiledPred,
+    cproj: &[CompiledProj],
+    env: &EvalEnv<'_>,
+    ctx: &Ctx<'_>,
+) -> EngineResult<(Vec<Vec<SharedRow>>, u64)> {
+    let mut selected = Vec::with_capacity(rels.len());
+    for (k, (input, rel)) in inputs.iter().zip(rels).enumerate() {
+        let survivors = preselect(input, rel, &cpred.local(k), env, ctx)?;
+        if survivors.len() == 0 {
+            return Ok((Vec::new(), 0));
+        }
+        selected.push(survivors);
+    }
+    let mut later = selected.into_iter();
+    let first = later.next().expect("two or more inputs");
+
+    let hasher = RandomState::new();
+    let steps: Vec<Step<'_>> = later
+        .zip(&rels[1..])
+        .zip(1..)
+        .map(|((survivors, rel), k)| {
+            let links: Vec<Link> = cpred
+                .links()
+                .filter_map(|[a, b]| match (a.0 == k, b.0 == k) {
+                    (false, true) if a.0 < k => Some(Link {
+                        outer: a,
+                        inner: b.1,
+                    }),
+                    (true, false) if b.0 < k => Some(Link {
+                        outer: b,
+                        inner: a.1,
+                    }),
+                    _ => None,
+                })
+                .collect();
+            let table =
+                (!links.is_empty()).then(|| link_table(&rel.rows, &survivors, &links, &hasher));
+            Step {
+                rows: &rel.rows,
+                survivors,
+                links,
+                table,
+            }
+        })
+        .collect();
+
+    let workers = crate::parallel::effective_workers(ctx.opts.parallelism, first.len());
+    let parts = crate::parallel::run_morsel_ranges(first.len(), workers, |lo, hi| {
+        let mut e = Enumeration {
+            steps: &steps,
+            cpred,
+            cproj,
+            env,
+            hasher: &hasher,
+            tuple: vec![&[]; rels.len()],
+            kept: Vec::new(),
+            scratch: Vec::with_capacity(cproj.len()),
+            tried: (hi - lo) as u64,
+        };
+        for j in lo..hi {
+            e.tuple[0] = &rels[0].rows[first.row(j)];
+            e.descend(1)?;
+        }
+        Ok((e.kept, e.tried))
+    })?;
+    let tried = parts.iter().map(|(_, tried)| tried).sum();
+    Ok((parts.into_iter().map(|(kept, _)| kept).collect(), tried))
 }
 
 /// Resolve named field accesses (`PROJECT(e, Name)`) to positional

@@ -162,11 +162,10 @@ impl Pool {
     /// that per-operator parallelism stops paying thread-start latency.
     fn ensure_workers(&'static self, target: usize) {
         let target = target.min(MAX_POOL_WORKERS);
+        // `shutdown_pool` holds `handles` throughout, so past this line
+        // none is in progress.
         let mut handles = self.handles.lock().unwrap();
         let mut state = self.state.lock().unwrap();
-        if state.shutting_down {
-            return;
-        }
         while state.live_workers < target {
             state.live_workers += 1;
             handles.push(
@@ -180,6 +179,16 @@ impl Pool {
 
     fn submit(&self, job: Job) {
         let mut state = self.state.lock().unwrap();
+        if state.shutting_down || state.live_workers == 0 {
+            // A `shutdown_pool` on another thread is retiring the workers
+            // (or has retired them since `ensure_workers` looked): nobody
+            // is certain to see the queue again, and the issuer would
+            // wait on this helper for ever. It runs the helper's share
+            // itself, as a worker would.
+            drop(state);
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job.run));
+            return;
+        }
         state.jobs.push_back(job);
         drop(state);
         self.work_ready.notify_one();
@@ -209,18 +218,19 @@ fn worker_loop(pool: &'static Pool) {
 
 /// Shut the worker pool down cleanly: pending jobs are drained, every
 /// worker thread exits and is joined. The pool re-grows lazily on the
-/// next parallel evaluation, so this is safe to call at any quiescent
-/// point (e.g. shell exit); it is a no-op when no worker was ever
-/// started.
+/// next parallel evaluation, and a run that overlaps the shutdown keeps
+/// the helper jobs no worker is left to take on its own thread, so this
+/// is safe to call at any point (e.g. shell exit); it is a no-op when no
+/// worker was ever started.
 pub fn shutdown_pool() {
     let p = pool();
-    {
-        let mut state = p.state.lock().unwrap();
-        state.shutting_down = true;
-    }
+    // Held to the end: two shutdowns take turns (the second must not
+    // clear the flag under the first one's `join`), and `ensure_workers`
+    // spawns again only once this one is over.
+    let mut handles = p.handles.lock().unwrap();
+    p.state.lock().unwrap().shutting_down = true;
     p.work_ready.notify_all();
-    let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *p.handles.lock().unwrap());
-    for h in handles {
+    for h in handles.drain(..) {
         let _ = h.join();
     }
     let mut state = p.state.lock().unwrap();
@@ -486,6 +496,26 @@ mod tests {
         let again: u64 = run_morsels(&items, 4, sum).unwrap().iter().sum();
         assert_eq!(total, again);
         shutdown_pool();
+    }
+
+    #[test]
+    fn a_run_overlapping_a_shutdown_finishes() {
+        let items: Vec<u64> = (0..3 * MORSEL_ROWS as u64).collect();
+        let done = AtomicBool::new(false);
+        let complete = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    shutdown_pool();
+                }
+            });
+            let complete = (0..300).all(|_| {
+                run_morsels(&items, 3, |chunk| Ok(chunk.len()))
+                    .is_ok_and(|parts| parts.iter().sum::<usize>() == items.len())
+            });
+            done.store(true, Ordering::Relaxed);
+            complete
+        });
+        assert!(complete);
     }
 
     #[test]

@@ -198,3 +198,394 @@ fn three_way_join_with_partial_keys() {
     expected.sort();
     assert_eq!(rows, expected);
 }
+
+// ---------------------------------------------------------------------
+// Select first, then stream: the default executor against the baseline
+// (`JoinMode::NestedLoop`) and the oracle (`eval_reference` on the
+// baseline — its own hash enumeration keys structurally and would miss
+// an INT meeting its REAL twin).
+// ---------------------------------------------------------------------
+
+/// The paper's baseline executor.
+fn baseline() -> EvalOptions {
+    EvalOptions {
+        join: JoinMode::NestedLoop,
+        ..Default::default()
+    }
+}
+
+/// The default executor under parallelism {1, 4} × columnar {off, on}:
+/// rows *and order* are the baseline's, the bag is the oracle's, and the
+/// work counters do not depend on the path pre-selection took. Returns
+/// the rows and the default's `combinations_tried`.
+fn streams_like_the_baseline(
+    db: &Database,
+    expr: &Expr,
+    params: &[Value],
+) -> (Vec<Vec<Value>>, u64) {
+    let nested = eds_engine::eval_with_params(expr, db, baseline(), params)
+        .expect("baseline evaluates")
+        .0;
+    if params.is_empty() {
+        let oracle = eval_reference(expr, db, baseline()).expect("oracle evaluates");
+        assert!(nested.bag_eq(&oracle), "baseline diverges from the oracle");
+    }
+    let mut tried = None;
+    for parallelism in [1usize, 4] {
+        for columnar in [false, true] {
+            let opts = EvalOptions {
+                parallelism,
+                columnar,
+                ..Default::default()
+            };
+            assert_eq!(opts.join, JoinMode::Hash, "the default streams");
+            let (rel, stats) =
+                eds_engine::eval_with_params(expr, db, opts, params).expect("default evaluates");
+            assert_eq!(rel.rows, nested.rows, "rows or order differ under {opts:?}");
+            let first = *tried.get_or_insert(stats.combinations_tried);
+            assert_eq!(stats.combinations_tried, first, "work moved under {opts:?}");
+        }
+    }
+    let rows = nested.rows.iter().map(|r| r.to_vec()).collect();
+    (rows, tried.expect("four configurations ran"))
+}
+
+fn ints(rows: &[&[i64]]) -> Vec<Vec<Value>> {
+    let row = |r: &&[i64]| r.iter().map(|v| Value::Int(*v)).collect();
+    rows.iter().map(row).collect()
+}
+
+/// `A(K, V)`, `B(K, V)`, `C(K, V)`: 40, 30 and 20 rows, keys modulo 10 —
+/// INT columns throughout, so every table has a columnar mirror.
+fn abc_db() -> Database {
+    let mut db = Database::new();
+    db.execute_ddl(
+        "TABLE A ( K : INT, V : INT ) ;
+         TABLE B ( K : INT, V : INT ) ;
+         TABLE C ( K : INT, V : INT ) ;",
+    )
+    .unwrap();
+    for (table, n) in [("A", 40i64), ("B", 30), ("C", 20)] {
+        db.insert_all(
+            table,
+            (0..n).map(|i| vec![Value::Int(i % 10), Value::Int(i)]),
+        )
+        .unwrap();
+    }
+    db
+}
+
+fn attr_eq(r1: usize, a1: usize, r2: usize, a2: usize) -> Scalar {
+    Scalar::eq(Scalar::attr(r1, a1), Scalar::attr(r2, a2))
+}
+
+fn abc_search(pred: Scalar) -> Expr {
+    Expr::search(
+        vec![Expr::base("A"), Expr::base("B"), Expr::base("C")],
+        pred,
+        vec![Scalar::attr(1, 2), Scalar::attr(2, 2), Scalar::attr(3, 2)],
+    )
+}
+
+#[test]
+fn local_conjuncts_on_later_inputs_preselect() {
+    let db = abc_db();
+    // B.V < 12 reads the second input alone, C.V >= 15 the third.
+    let pred = Scalar::conjoin(vec![
+        attr_eq(1, 1, 2, 1),
+        attr_eq(2, 1, 3, 1),
+        Scalar::cmp(CmpOp::Lt, Scalar::attr(2, 2), Scalar::lit(12)),
+        Scalar::cmp(CmpOp::Ge, Scalar::attr(3, 2), Scalar::lit(15)),
+    ]);
+    let (rows, tried) = streams_like_the_baseline(&db, &abc_search(pred), &[]);
+    // C's survivors carry keys 5..=9; B's rows with those keys and
+    // V < 12 are V = 5..=9; each key has four rows in A.
+    assert_eq!(rows.len(), 5 * 4);
+    // 40 first-input rows, then only candidates: far from 40·30·20.
+    assert!(tried < 40 + 40 * 2 + 40 * 2, "enumerated {tried}");
+}
+
+#[test]
+fn a_parameter_preselects_once_bound_and_errors_unbound() {
+    let db = abc_db();
+    let search = |comparand: Scalar| {
+        Expr::search(
+            vec![Expr::base("A"), Expr::base("B")],
+            Scalar::and(
+                attr_eq(1, 1, 2, 1),
+                Scalar::cmp(CmpOp::Lt, Scalar::attr(2, 2), comparand),
+            ),
+            vec![Scalar::attr(1, 2), Scalar::attr(2, 2)],
+        )
+    };
+    let (bound, tried) = streams_like_the_baseline(&db, &search(Scalar::param(0)), &[5.into()]);
+    let (literal, _) = streams_like_the_baseline(&db, &search(Scalar::lit(5)), &[]);
+    assert_eq!(bound, literal);
+    assert_eq!(bound.len(), 5 * 4);
+    assert_eq!(tried, 40 + 20, "five survivors of B, one per key");
+    // Unbound: no kernel, the fast form cannot decide, every row is
+    // kept — and the first complete combination reports the error.
+    for columnar in [false, true] {
+        let opts = EvalOptions {
+            columnar,
+            ..Default::default()
+        };
+        let unbound = eval_with(&search(Scalar::param(0)), &db, opts);
+        assert!(
+            matches!(unbound, Err(eds_engine::EngineError::UnboundParam(0))),
+            "columnar {columnar}: {unbound:?}"
+        );
+    }
+}
+
+/// `FILM(Numf, Score REAL, Seen BOOL, Note)` beside `CAST(Numf, Who)`
+/// with `Who` an object reference: no local conjunct below has a kernel
+/// (REAL and BOOL attributes spill, `Note` holds mixed kinds, a field of
+/// a dereferenced object is not a column), so each pre-selects row by
+/// row — with the same survivors as a kernel would leave.
+fn film_db() -> Database {
+    let mut db = Database::new();
+    db.execute_ddl(
+        "TYPE Person OBJECT TUPLE ( Name : CHAR, Salary : NUMERIC ) ;
+         TABLE FILM ( Numf : INT, Score : REAL, Seen : BOOLEAN, Note : NUMERIC ) ;
+         TABLE CAST ( Numf : INT, Who : Person ) ;",
+    )
+    .unwrap();
+    for i in 0..12i64 {
+        let note = match i % 3 {
+            0 => Value::Int(i),
+            1 => Value::str("n/a"),
+            _ => Value::Null,
+        };
+        db.insert(
+            "FILM",
+            vec![
+                Value::Int(i),
+                Value::real(i as f64 / 2.0),
+                Value::Bool(i % 2 == 0),
+                note,
+            ],
+        )
+        .unwrap();
+    }
+    for i in 0..24i64 {
+        let who = db.create_object(
+            "Person",
+            Value::Tuple(vec![
+                Value::str(format!("P{i}")),
+                Value::Int(1_000 * (i % 6)),
+            ]),
+        );
+        db.insert("CAST", vec![Value::Int(i % 12), who]).unwrap();
+    }
+    db
+}
+
+#[test]
+fn local_conjuncts_without_a_kernel_take_the_row_path() {
+    let db = film_db();
+    let film_cast = |local: Scalar| {
+        Expr::search(
+            vec![Expr::base("FILM"), Expr::base("CAST")],
+            Scalar::and(attr_eq(1, 1, 2, 1), local),
+            vec![Scalar::attr(1, 1), Scalar::attr(2, 1)],
+        )
+    };
+    let real = Scalar::cmp(CmpOp::Gt, Scalar::attr(1, 2), Scalar::lit(Value::real(3.9)));
+    let (rows, tried) = streams_like_the_baseline(&db, &film_cast(real), &[]);
+    assert_eq!(rows.len(), 4 * 2, "films 8..=11, two appearances each");
+    assert_eq!(tried, 4 + 8);
+    let boolean = Scalar::eq(Scalar::attr(1, 3), Scalar::lit(Value::Bool(true)));
+    let (rows, _) = streams_like_the_baseline(&db, &film_cast(boolean), &[]);
+    assert_eq!(rows.len(), 6 * 2);
+    // A spill column of mixed kinds: NULL compares to nothing, a string
+    // orders above every number (kinds compare structurally).
+    let spill = Scalar::cmp(CmpOp::Ge, Scalar::attr(1, 4), Scalar::lit(6));
+    let (rows, _) = streams_like_the_baseline(&db, &film_cast(spill), &[]);
+    assert_eq!(rows.len(), (2 + 4) * 2, "films 6 and 9, and the four 'n/a'");
+    // `Salary(Who) > 3000`: a dereferenced field on the second input.
+    let deref = Scalar::cmp(
+        CmpOp::Gt,
+        Scalar::field(Scalar::attr(2, 2), "Salary"),
+        Scalar::lit(3_000),
+    );
+    let (rows, tried) = streams_like_the_baseline(&db, &film_cast(deref), &[]);
+    assert_eq!(rows.len(), 8, "salaries 4000 and 5000: i % 6 in {{4, 5}}");
+    assert_eq!(tried, 12 + 8, "pre-selected before the join");
+}
+
+#[test]
+fn null_and_mixed_numeric_link_keys_stay_honest() {
+    let mut db = Database::new();
+    db.execute_ddl(
+        "TABLE L ( K : NUMERIC, A : INT ) ;
+         TABLE R ( K : NUMERIC, B : INT ) ;",
+    )
+    .unwrap();
+    let l = [
+        Value::Int(2),
+        Value::real(2.0),
+        Value::real(2.5),
+        Value::Null,
+        Value::Int(1 << 53),
+        Value::str("2"),
+    ];
+    let r = [
+        Value::real(2.0),
+        Value::Int(2),
+        Value::Null,
+        Value::Int((1 << 53) + 1),
+        Value::real(-0.0),
+        Value::Int(0),
+    ];
+    for (table, keys) in [("L", &l), ("R", &r)] {
+        for (i, k) in keys.iter().enumerate() {
+            // Repeated, so that the step is large enough for a table.
+            for copy in 0..4 {
+                let payload = Value::Int(10 * i as i64 + copy);
+                db.insert(table, vec![k.clone(), payload]).unwrap();
+            }
+        }
+    }
+    let (rows, tried) = streams_like_the_baseline(&db, &equi_join(None), &[]);
+    // INT 2 and REAL 2.0 meet both spellings on the other side (2 × 2
+    // key pairs × 4 × 4 copies); nothing else meets anything: NULL never
+    // equals, 2^53 and 2^53 + 1 hash alike but differ, the string "2" is
+    // not a number, and REAL -0.0 orders below INT 0.
+    assert_eq!(rows.len(), 4 * 16);
+    assert!(rows.iter().all(|row| {
+        let (Value::Int(a), Value::Int(b)) = (&row[0], &row[1]) else {
+            panic!("payloads are integers")
+        };
+        a / 10 <= 1 && b / 10 <= 1
+    }));
+    // A table was built: 24 outer rows, 64 matches and the 16 pairs of
+    // the 2^53 neighbours that only the re-check tells apart.
+    assert_eq!(tried, 24 + 64 + 16);
+}
+
+#[test]
+fn two_links_into_one_input() {
+    let db = abc_db();
+    // C is linked to A by key and to B by value.
+    let pred = Scalar::conjoin(vec![
+        attr_eq(1, 1, 2, 1),
+        attr_eq(3, 1, 1, 1),
+        attr_eq(2, 2, 3, 2),
+    ]);
+    let (rows, _) = streams_like_the_baseline(&db, &abc_search(pred), &[]);
+    // B.V = C.V leaves C's 20 rows with B's first 20; keys then agree.
+    assert_eq!(rows.len(), 20 * 4);
+}
+
+#[test]
+fn a_cross_step_between_two_linked_steps() {
+    let db = abc_db();
+    // B joins nothing; C is linked to A. The cross step multiplies what
+    // reaches the third input, and the table over C is still probed.
+    let pred = Scalar::conjoin(vec![
+        attr_eq(1, 1, 3, 1),
+        Scalar::cmp(CmpOp::Lt, Scalar::attr(2, 2), Scalar::lit(3)),
+        Scalar::cmp(CmpOp::Lt, Scalar::attr(1, 2), Scalar::lit(10)),
+    ]);
+    let (rows, tried) = streams_like_the_baseline(&db, &abc_search(pred), &[]);
+    assert_eq!(rows.len(), 10 * 3 * 2);
+    assert_eq!(tried, 10 + 10 * 3 + 10 * 3 * 2);
+}
+
+#[test]
+fn empty_survivor_lists_enumerate_nothing() {
+    let db = abc_db();
+    let nothing = |rel: usize| Scalar::cmp(CmpOp::Lt, Scalar::attr(rel, 2), Scalar::lit(0));
+    for emptied in [vec![1], vec![2], vec![3], vec![1, 2, 3]] {
+        let mut conjuncts = vec![attr_eq(1, 1, 2, 1), attr_eq(2, 1, 3, 1)];
+        conjuncts.extend(emptied.iter().map(|&rel| nothing(rel)));
+        let expr = abc_search(Scalar::conjoin(conjuncts));
+        let (rows, tried) = streams_like_the_baseline(&db, &expr, &[]);
+        assert!(rows.is_empty());
+        assert_eq!(tried, 0, "inputs {emptied:?} emptied");
+    }
+}
+
+#[test]
+fn fixpoint_locals_build_and_probe() {
+    let mut db = Database::new();
+    db.execute_ddl("TABLE EDGE ( Src : INT, Dst : INT ) ;")
+        .unwrap();
+    // Two chains of 30 nodes and a few shortcuts.
+    for i in 0..29i64 {
+        db.insert("EDGE", vec![i.into(), (i + 1).into()]).unwrap();
+        db.insert("EDGE", vec![(100 + i).into(), (101 + i).into()])
+            .unwrap();
+    }
+    for (a, b) in [(3i64, 17i64), (5, 25), (110, 120)] {
+        db.insert("EDGE", vec![a.into(), b.into()]).unwrap();
+    }
+    let step = |left: &str, right: &str| {
+        Expr::search(
+            vec![Expr::base(left), Expr::base(right)],
+            attr_eq(1, 2, 2, 1),
+            vec![Scalar::attr(1, 1), Scalar::attr(2, 2)],
+        )
+    };
+    // Right-linear: the recursion variable (and its delta) is the probe
+    // side; left-linear: the build side; non-linear: both.
+    for (left, right) in [("TC", "EDGE"), ("EDGE", "TC"), ("TC", "TC")] {
+        let fix = Expr::Fix {
+            name: "TC".into(),
+            body: Box::new(Expr::Union(vec![Expr::base("EDGE"), step(left, right)])),
+        };
+        let (rows, _) = streams_like_the_baseline(&db, &fix, &[]);
+        // The closure of two 30-node chains; shortcuts add no pair.
+        assert_eq!(rows.len(), 2 * (30 * 29 / 2), "{left} ⋈ {right}");
+    }
+}
+
+#[test]
+fn an_error_on_a_dropped_row_disappears_and_none_appears() {
+    let mut db = Database::new();
+    db.execute_ddl(
+        "TABLE T ( K : INT, Items : NUMERIC ) ;
+         TABLE U ( K : INT ) ;",
+    )
+    .unwrap();
+    // `CHOICE(Items)` fails on the empty list of row 0 — which `K > 0`
+    // drops before any combination is formed.
+    db.insert("T", vec![0.into(), Value::list(vec![])]).unwrap();
+    db.insert("T", vec![1.into(), Value::list(vec![7.into()])])
+        .unwrap();
+    db.insert("T", vec![2.into(), Value::list(vec![9.into()])])
+        .unwrap();
+    db.insert_all("U", (0..3i64).map(|i| vec![Value::Int(i)]))
+        .unwrap();
+    let search = |local: Option<Scalar>| {
+        let first_item = Scalar::call("CHOICE", vec![Scalar::attr(1, 2)]);
+        let mut conjuncts = vec![
+            Scalar::cmp(CmpOp::Gt, first_item, Scalar::lit(5)),
+            attr_eq(1, 1, 2, 1),
+        ];
+        conjuncts.extend(local);
+        Expr::search(
+            vec![Expr::base("T"), Expr::base("U")],
+            Scalar::conjoin(conjuncts),
+            vec![Scalar::attr(2, 1)],
+        )
+    };
+    let expr = search(Some(Scalar::cmp(
+        CmpOp::Gt,
+        Scalar::attr(1, 1),
+        Scalar::lit(0),
+    )));
+    assert!(
+        eval_with(&expr, &db, baseline()).is_err(),
+        "baseline errors"
+    );
+    let streamed = eval_with(&expr, &db, EvalOptions::default())
+        .expect("the failing row was never combined")
+        .0;
+    assert_eq!(streamed.sorted_rows(), ints(&[&[1], &[2]]));
+    // Without the local conjunct the row is combined, and both report.
+    let kept = search(None);
+    assert!(eval_with(&kept, &db, baseline()).is_err());
+    assert!(eval_with(&kept, &db, EvalOptions::default()).is_err());
+}

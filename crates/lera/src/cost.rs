@@ -4,9 +4,14 @@
 //! heuristic and do not guarantee a better processing plan". To quantify
 //! the heuristics — and, since the cost-guided tier, to *arbitrate*
 //! between candidate rewrites — we estimate, for each plan, the number
-//! of tuples every operator touches under naive (nested-loop,
-//! naive-fixpoint) evaluation. Lower cost ⇒ less work for any plausible
-//! physical engine.
+//! of tuples every operator touches on the engine's default executor
+//! (naive fixpoint). A `search` over one input touches that input; a
+//! wider one joins left-deep in the order written, and a step whose
+//! input an equality `i.a = j.b` links to an earlier one is charged both
+//! sides plus its estimated matches (build, probe, emit), an unlinked
+//! step the product of what reaches it — `CostModel::search_work`. The
+//! estimator prices the executor that runs: there is no second formula
+//! for the nested-loop baseline.
 //!
 //! The model is catalog-backed: the engine feeds it per-relation
 //! [`RelationStats`] (row counts plus per-column distinct-count/min-max
@@ -278,6 +283,45 @@ impl CostModel {
         self.pred_op_weight * op_count(pred) as f64
     }
 
+    /// Tuples a `search` over inputs of the given cardinalities touches,
+    /// joined left-deep in the order written — what the engine's default
+    /// executor does. One input is a scan. A step whose input an
+    /// equality `i.a = j.b` links to an earlier one reads both sides
+    /// once (build and probe) and writes its matches; an unlinked step
+    /// enumerates the product. Cardinality estimates are not this
+    /// function's business: it only prices reaching them.
+    fn search_work(&self, cards: &[f64], pred: &Scalar, ctx: &StatsCtx) -> f64 {
+        let Some((first, rest)) = cards.split_first() else {
+            return 1.0; // a malformed plan: the empty product, as ever
+        };
+        if rest.is_empty() {
+            return *first;
+        }
+        let conjuncts = pred.conjuncts();
+        let mut outer = *first;
+        let mut work = 0.0;
+        for (inner, rel) in rest.iter().zip(2..) {
+            let linked = conjuncts
+                .iter()
+                .filter(|c| link_into(c) == Some(rel))
+                .map(|c| self.conjunct_selectivity(c, ctx))
+                .reduce(|a, b| a * b);
+            let product = outer * inner;
+            outer = match linked {
+                Some(selectivity) => {
+                    let matches = product * selectivity;
+                    work += outer + inner + matches;
+                    matches
+                }
+                None => {
+                    work += product;
+                    product
+                }
+            };
+        }
+        work
+    }
+
     fn estimate_with(&self, e: &Expr, locals: &HashMap<String, f64>) -> Estimate {
         match e {
             Expr::Base(name) => {
@@ -308,10 +352,10 @@ impl CostModel {
                 let l = self.estimate_with(left, locals);
                 let r = self.estimate_with(right, locals);
                 let ctx = [self.resolve(left, locals), self.resolve(right, locals)];
-                let work = l.card * r.card;
+                let work = self.search_work(&[l.card, r.card], pred, &ctx);
                 Estimate {
                     cost: l.cost + r.cost + work + work * self.pred_weight(pred),
-                    card: work * self.selectivity_with(pred, &ctx),
+                    card: l.card * r.card * self.selectivity_with(pred, &ctx),
                 }
             }
             Expr::Union(items) => {
@@ -358,10 +402,11 @@ impl CostModel {
                 }
                 let ctx: Vec<Option<&RelationStats>> =
                     inputs.iter().map(|i| self.resolve(i, locals)).collect();
-                let work: f64 = ests.iter().map(|e| e.card.max(1.0)).product();
+                let cards: Vec<f64> = ests.iter().map(|e| e.card.max(1.0)).collect();
+                let work = self.search_work(&cards, pred, &ctx);
                 Estimate {
                     cost: children + work + work * self.pred_weight(pred),
-                    card: work * self.selectivity_with(pred, &ctx),
+                    card: cards.iter().product::<f64>() * self.selectivity_with(pred, &ctx),
                 }
             }
             Expr::Fix { name, body } => {
@@ -414,6 +459,21 @@ fn as_attr(s: &Scalar) -> Option<(usize, usize)> {
         Scalar::Attr { rel, attr } => Some((*rel, *attr)),
         _ => None,
     }
+}
+
+/// The later input (1-based) of an equality between plain attributes of
+/// two different inputs: the join step that equality links.
+fn link_into(c: &Scalar) -> Option<usize> {
+    let Scalar::Cmp {
+        op: CmpOp::Eq,
+        left,
+        right,
+    } = c
+    else {
+        return None;
+    };
+    let ((r1, _), (r2, _)) = (as_attr(left)?, as_attr(right)?);
+    (r1 != r2).then_some(r1.max(r2))
 }
 
 /// Decompose `attr ⋈ const` (either orientation, numeric constant) into
@@ -656,6 +716,42 @@ mod tests {
         );
         // 1000 × 100 combinations × 1/max(1000, 100) = 100.
         assert!((m.estimate(&join).card - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_linked_step_costs_both_sides_plus_its_matches() {
+        let m = sketched();
+        let join = |pred: Scalar| {
+            let inputs = vec![Expr::base("R"), Expr::base("S")];
+            m.estimate(&Expr::search(inputs, pred, vec![Scalar::attr(1, 1)]))
+        };
+        // Scans 1000 + 100; the step reads both sides and writes its
+        // 1000·100/max(1000, 100) = 100 matches.
+        let linked = join(Scalar::eq(Scalar::attr(1, 1), Scalar::attr(2, 1)));
+        assert_eq!(linked.cost, 1100.0 + (1000.0 + 100.0 + 100.0));
+        // No equality between the inputs: the product, as before.
+        let local = Scalar::eq(Scalar::attr(2, 1), Scalar::lit(3));
+        assert_eq!(join(local).cost, 1100.0 + 1000.0 * 100.0);
+        // Left-deep in the order written: S links to R, then T (unknown,
+        // 1000 rows) to S on the default join selectivity; the second
+        // step's outer side is the first step's matches.
+        let three = Expr::search(
+            vec![Expr::base("R"), Expr::base("S"), Expr::base("T")],
+            Scalar::and(
+                Scalar::eq(Scalar::attr(3, 1), Scalar::attr(2, 1)),
+                Scalar::eq(Scalar::attr(1, 1), Scalar::attr(2, 1)),
+            ),
+            vec![Scalar::attr(3, 1)],
+        );
+        let matches = 100.0 * 1000.0 * 0.05;
+        assert_eq!(
+            m.estimate(&three).cost,
+            2100.0 + (1000.0 + 100.0 + 100.0) + (100.0 + 1000.0 + matches)
+        );
+        // Cardinalities are the old ones: every input times every
+        // selectivity.
+        let card = 1000.0 * 100.0 * 1000.0 * (1.0 / 1000.0) * 0.05;
+        assert!((m.estimate(&three).card - card).abs() < 1e-6);
     }
 
     #[test]

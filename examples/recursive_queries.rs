@@ -52,7 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 mode,
                 max_iterations: 100_000,
             },
-            ..Default::default()
+            // `combos` below compares logical work across strategies.
+            ..eds_bench::baseline_options()
         };
         let start = std::time::Instant::now();
         let (rel, stats) = dbms.run_expr_with_stats(expr).unwrap();

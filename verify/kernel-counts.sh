@@ -1,5 +1,6 @@
 #!/bin/sh
-# The rule kernel's counts, checked against the committed pins.
+# The rule kernel's and the executor's counts, checked against the
+# committed pins.
 #
 #   verify/kernel-counts.sh <eds-e2e binary>
 #
@@ -11,7 +12,9 @@
 # means over the traced rounds: they depend on the statements, the rules
 # and the strategy, not on the host or on how fast the kernel runs, so a
 # kernel change that only saves time leaves every one of them alone — one
-# more or one fewer match enumerated moves `rewrite.rejected`.
+# more or one fewer match enumerated moves `rewrite.rejected`. The
+# `engine.*` rows pin what the executor emitted and enumerated: a plan
+# or a physical choice that changes moves them, a faster loop does not.
 #
 # Exits non-zero on a failed run, a missing metric or a moved count.
 set -eu
