@@ -20,27 +20,14 @@
 //! `eds_engine::reference`).
 
 use eds_bench::{
-    baseline_options, exec_workloads, exec_workloads_1m, execute_many_workloads, literal_sql,
+    assert_matches_oracle, exec_workloads, exec_workloads_1m, execute_many_workloads, literal_sql,
     opt_level_workloads,
 };
 use eds_core::{Dbms, OptLevel};
-use eds_engine::{eval_reference, EvalOptions};
+use eds_engine::{baseline_options, EvalOptions};
 use eds_lera::Expr;
 use eds_testkit::bench::{BenchmarkGroup, BenchmarkId, Criterion};
 use eds_testkit::{criterion_group, criterion_main};
-
-/// Assert the overhauled executor matches the reference executor
-/// exactly (same rows, same order) for this plan and option set.
-fn assert_matches_reference(dbms: &Dbms, expr: &Expr, opts: EvalOptions) {
-    let fast = eds_engine::eval_with(expr, &dbms.db, opts)
-        .expect("overhauled executor evaluates")
-        .0;
-    let reference = eval_reference(expr, &dbms.db, opts).expect("reference executor evaluates");
-    assert_eq!(
-        fast.rows, reference.rows,
-        "executor output diverges from the reference interpreter"
-    );
-}
 
 fn bench_plan(
     group: &mut BenchmarkGroup<'_>,
@@ -50,7 +37,7 @@ fn bench_plan(
     opts: EvalOptions,
 ) {
     assert_eq!(opts.parallelism, 1, "{id}/p1 is the sequential reading");
-    assert_matches_reference(dbms, expr, opts);
+    assert_matches_oracle(id, &dbms.db, expr, &[opts]);
     group.bench_with_input(BenchmarkId::new(id, "p1"), expr, |b, e| {
         b.iter(|| eds_engine::eval_with(e, &dbms.db, opts).unwrap());
     });
@@ -115,7 +102,7 @@ fn exec_suite(group: &mut BenchmarkGroup<'_>) {
                     columnar: false,
                     ..Default::default()
                 };
-                assert_matches_reference(&dbms, &rewritten.expr, opts);
+                assert_matches_oracle(id, &dbms.db, &rewritten.expr, &[opts]);
                 group.bench_with_input(BenchmarkId::new(id, "seq"), &rewritten.expr, |b, e| {
                     b.iter(|| eds_engine::eval_with(e, &dbms.db, opts).unwrap());
                 });
@@ -157,7 +144,7 @@ fn opt_level_suite(group: &mut BenchmarkGroup<'_>) {
             "{id}: Full's chosen plan changes the result"
         );
         if record_baseline {
-            assert_matches_reference(&dbms, &simple.expr, opts);
+            assert_matches_oracle(id, &dbms.db, &simple.expr, &[opts]);
             group.bench_with_input(BenchmarkId::new(id, "seq"), &simple.expr, |b, e| {
                 b.iter(|| eds_engine::eval_with(e, &dbms.db, opts).unwrap());
             });

@@ -7,7 +7,8 @@
 //! a complex (view + recursion + semantic) query, reporting rewrite
 //! effort and resulting execution work.
 
-use eds_bench::{baseline_options, graph_dbms, product_dbms};
+use eds_bench::{graph_dbms, product_dbms};
+use eds_engine::baseline_options;
 use eds_rewrite::Limit;
 use eds_testkit::bench::{BenchmarkId, Criterion};
 use eds_testkit::{criterion_group, criterion_main};

@@ -2,7 +2,8 @@
 //! through nest (Figure 8). Measures engine work with and without the
 //! pushing rules across workload scale.
 
-use eds_bench::{baseline_options, nested_view, union_view};
+use eds_bench::{nested_view, union_view};
+use eds_engine::baseline_options;
 use eds_testkit::bench::{BenchmarkId, Criterion};
 use eds_testkit::{criterion_group, criterion_main};
 

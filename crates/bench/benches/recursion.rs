@@ -2,8 +2,8 @@
 //! (Figure 9), crossed with naive vs semi-naive fixpoint evaluation.
 //! Graph-size sweep for the bound query `TC(Src = c)`.
 
-use eds_bench::{baseline_options, graph_dbms};
-use eds_engine::{EvalOptions, FixMode, FixOptions};
+use eds_bench::graph_dbms;
+use eds_engine::{baseline_options, EvalOptions, FixMode, FixOptions};
 use eds_testkit::bench::{BenchmarkId, Criterion};
 use eds_testkit::{criterion_group, criterion_main};
 

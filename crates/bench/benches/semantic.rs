@@ -3,7 +3,8 @@
 //! payoff ("the potential time saving that can be realized with proper
 //! use of inference rules").
 
-use eds_bench::{baseline_options, product_dbms};
+use eds_bench::product_dbms;
+use eds_engine::baseline_options;
 use eds_testkit::bench::{BenchmarkId, Criterion};
 use eds_testkit::{criterion_group, criterion_main};
 

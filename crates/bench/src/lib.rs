@@ -9,22 +9,41 @@
 
 use eds_adt::Value;
 use eds_core::Dbms;
-use eds_engine::{EvalOptions, JoinMode};
+use eds_engine::{eval_reference, Database, EvalOptions, EvalStats};
+use eds_lera::Expr;
 use eds_testkit::StdRng;
 
-/// The paper's baseline executor as an option bag: every `search` over
-/// two or more inputs is the cross product with a post-filter, so
-/// [`EvalStats::combinations_tried`](eds_engine::EvalStats) is the
-/// *logical* work of a plan, exact to the unit — what the F7–F12 tables
-/// of `EXPERIMENTS.md` report and what a before/after comparison of two
-/// plans should read. Under the default executor the counter follows
-/// what that executor does (pre-selection, a table per linked step)
-/// instead.
-pub fn baseline_options() -> EvalOptions {
-    EvalOptions {
-        join: JoinMode::NestedLoop,
-        ..Default::default()
-    }
+/// The differential check every executor suite makes, with the oracle
+/// asked once: `expr` under [`eval_reference`] — whose answer does not
+/// depend on how the executor is configured — then under
+/// [`eval_with`](eds_engine::eval_with) for each of `configs`, which
+/// must return the oracle's schema and its rows in its order (panics,
+/// naming `id` and the configuration, otherwise). Returns the executor's
+/// work counters, one per configuration in the order given.
+pub fn assert_matches_oracle(
+    id: &str,
+    db: &Database,
+    expr: &Expr,
+    configs: &[EvalOptions],
+) -> Vec<EvalStats> {
+    let oracle = eval_reference(expr, db, EvalOptions::default())
+        .unwrap_or_else(|e| panic!("{id}: reference interpreter failed: {e}"));
+    configs
+        .iter()
+        .map(|&opts| {
+            let (got, stats) = eds_engine::eval_with(expr, db, opts)
+                .unwrap_or_else(|e| panic!("{id}: executor failed under {opts:?}: {e}"));
+            assert_eq!(
+                got.schema, oracle.schema,
+                "{id}: schema diverges under {opts:?}"
+            );
+            assert_eq!(
+                got.rows, oracle.rows,
+                "{id}: rows diverge from the reference interpreter under {opts:?}"
+            );
+            stats
+        })
+        .collect()
 }
 
 /// The film database of Figure 2 scaled to `films` films and

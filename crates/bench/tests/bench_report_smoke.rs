@@ -1,7 +1,7 @@
-//! Smoke guard over the committed benchmark reports: `BENCH_rewrite.json`
-//! and `BENCH_exec.json` must stay parseable and every entry's `speedup`
-//! must be a finite number, so a botched bench regeneration fails CI
-//! loudly instead of shipping NaN/Infinity into the report.
+//! Smoke guard over the committed benchmark report: `BENCH_exec.json`
+//! must stay parseable and every entry's `speedup` must be a finite
+//! number, so a botched bench regeneration fails CI loudly instead of
+//! shipping NaN/Infinity into the report.
 //!
 //! Hand-rolled mini JSON validation — the workspace deliberately has no
 //! serde dependency.
@@ -15,11 +15,10 @@ fn repo_root() -> PathBuf {
         .expect("repo root")
 }
 
-/// Extract every `"key": <number>` pair from a JSON text (the rewrite
-/// report nests entries under groups, the exec report holds a flat
-/// entry list with per-parallelism columns — a generic scan covers
-/// both). Non-numeric values parse to NaN so they fail the finiteness
-/// assertions downstream.
+/// Extract every `"key": <number>` pair from a JSON text (the exec
+/// report holds a flat entry list with per-parallelism columns; a
+/// generic scan needs no schema). Non-numeric values parse to NaN so
+/// they fail the finiteness assertions downstream.
 fn numeric_pairs(json: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     let bytes = json.as_bytes();
@@ -125,11 +124,6 @@ fn check_report(name: &str) {
             "{name}: {key} is not a positive finite number: {v}"
         );
     }
-}
-
-#[test]
-fn bench_rewrite_report_is_sane() {
-    check_report("BENCH_rewrite.json");
 }
 
 #[test]

@@ -10,9 +10,9 @@
 //! fallback), and NULL join keys in the typed i64 hash path.
 
 use eds_adt::Value;
-use eds_bench::{film_dbms, scan_dbms};
+use eds_bench::{assert_matches_oracle, film_dbms, scan_dbms};
 use eds_core::Dbms;
-use eds_engine::{eval_reference, ColumnarRelation, EvalOptions, FixMode, FixOptions, JoinMode};
+use eds_engine::{ColumnarRelation, EvalOptions, FixMode, FixOptions, JoinMode};
 use eds_lera::Expr;
 
 /// Every physical configuration, columnar off; [`assert_equivalent`]
@@ -42,28 +42,21 @@ fn all_configs() -> Vec<EvalOptions> {
 /// interpreter — rows and order, byte for byte — and the two executor
 /// paths must report the same work counters.
 fn assert_equivalent(id: &str, dbms: &Dbms, expr: &Expr) {
-    for row_opts in all_configs() {
-        let reference = eval_reference(expr, &dbms.db, row_opts)
-            .unwrap_or_else(|e| panic!("{id}: reference executor failed under {row_opts:?}: {e}"));
-        let col_opts = EvalOptions {
-            columnar: true,
-            ..row_opts
-        };
-        let [row, col] = [row_opts, col_opts].map(|opts| {
-            let (fast, stats) = eds_engine::eval_with(expr, &dbms.db, opts)
-                .unwrap_or_else(|e| panic!("{id}: executor failed under {opts:?}: {e}"));
-            assert_eq!(
-                fast.schema, reference.schema,
-                "{id}: schema diverges under {opts:?}"
-            );
-            assert_eq!(
-                fast.rows, reference.rows,
-                "{id}: rows diverge from the reference interpreter under {opts:?}"
-            );
-            stats
-        });
+    let row_configs = all_configs();
+    let side_by_side: Vec<EvalOptions> = row_configs
+        .iter()
+        .flat_map(|&row| {
+            let col = EvalOptions {
+                columnar: true,
+                ..row
+            };
+            [row, col]
+        })
+        .collect();
+    let stats = assert_matches_oracle(id, &dbms.db, expr, &side_by_side);
+    for (pair, row_opts) in stats.chunks(2).zip(&row_configs) {
         assert_eq!(
-            row, col,
+            pair[0], pair[1],
             "{id}: work counters differ between the row and columnar paths under {row_opts:?}"
         );
     }

@@ -1,12 +1,15 @@
 //! Differential suite: the overhauled executor must return *byte-identical*
 //! results — same rows, same order — as the reference executor (the seed
-//! tree-walking interpreter preserved in `eds_engine::reference`) across
-//! every physical configuration: both join modes, both fixpoint modes, and
-//! parallelism 1 and 4.
+//! tree-walking interpreter preserved in `eds_engine::reference`, which
+//! has one strategy and is asked once per plan) in every physical
+//! configuration of the executor: both join modes, both fixpoint modes,
+//! parallelism 1 and 4, columnar off and on.
 
-use eds_bench::exec_workloads;
+use eds_bench::{assert_matches_oracle, exec_workloads};
 use eds_core::{Dbms, LintPolicy};
-use eds_engine::{eval_reference, EvalOptions, EvalStats, FixMode, FixOptions, JoinMode};
+use eds_engine::{
+    eval_reference, EngineError, EvalOptions, EvalStats, FixMode, FixOptions, JoinMode,
+};
 use eds_lera::{infer_schema, Expr, Scalar, SchemaCtx};
 
 fn all_configs() -> Vec<EvalOptions> {
@@ -32,33 +35,59 @@ fn all_configs() -> Vec<EvalOptions> {
     out
 }
 
-fn assert_equivalent(id: &str, dbms: &Dbms, expr: &Expr) {
+/// A recursion limit too small for `expr`'s fixpoint is a divergence —
+/// from the oracle, which reads that one field of its options, as from
+/// the executor under either fixpoint and join strategy.
+fn assert_diverges_alike(id: &str, dbms: &Dbms, expr: &Expr) {
+    let one_round = |opts: EvalOptions| EvalOptions {
+        fix: FixOptions {
+            max_iterations: 1,
+            ..opts.fix
+        },
+        ..opts
+    };
+    let diverged = |got: Result<_, EngineError>, who: &str| {
+        assert!(
+            matches!(got, Err(EngineError::FixpointDiverged { limit: 1, .. })),
+            "{id}: one round is not enough, yet the {who} returned {got:?}"
+        );
+    };
+    diverged(
+        eval_reference(expr, &dbms.db, one_round(EvalOptions::default())),
+        "oracle",
+    );
     for opts in all_configs() {
-        let fast = eds_engine::eval_with(expr, &dbms.db, opts)
-            .unwrap_or_else(|e| panic!("{id}: overhauled executor failed under {opts:?}: {e}"))
-            .0;
-        let reference = eval_reference(expr, &dbms.db, opts)
-            .unwrap_or_else(|e| panic!("{id}: reference executor failed under {opts:?}: {e}"));
-        assert_eq!(
-            fast.schema, reference.schema,
-            "{id}: schema diverges under {opts:?}"
-        );
-        assert_eq!(
-            fast.rows, reference.rows,
-            "{id}: rows diverge from the reference interpreter under {opts:?}"
-        );
+        let got = eds_engine::eval_with(expr, &dbms.db, one_round(opts));
+        diverged(got.map(|r| r.0), &format!("executor under {opts:?}"));
     }
 }
 
-/// Every benchmark workload, pre- and post-rewrite, across all configs.
+fn has_fix(expr: &Expr) -> bool {
+    matches!(expr, Expr::Fix { .. }) || expr.children().into_iter().any(has_fix)
+}
+
+/// Every benchmark workload, pre- and post-rewrite, across all configs:
+/// the oracle's schema, rows and order under both join modes, both
+/// fixpoint modes, parallelism {1, 4} and columnar {off, on} — the
+/// oracle itself has one strategy and is asked once per plan. The
+/// recursive workloads also hit the recursion limit alike.
 #[test]
 fn workloads_match_reference_in_every_configuration() {
+    let configs = all_configs();
+    let mut recursive = 0;
     for (id, dbms, sql) in exec_workloads() {
         let prepared = dbms.prepare(&sql).unwrap();
-        assert_equivalent(&format!("{id}/raw"), &dbms, &prepared.expr);
         let rewritten = dbms.rewrite(&prepared).unwrap();
-        assert_equivalent(&format!("{id}/rewritten"), &dbms, &rewritten.expr);
+        for (form, plan) in [("raw", &prepared.expr), ("rewritten", &rewritten.expr)] {
+            let id = format!("{id}/{form}");
+            assert_matches_oracle(&id, &dbms.db, plan, &configs);
+            if has_fix(plan) {
+                assert_diverges_alike(&id, &dbms, plan);
+                recursive += 1;
+            }
+        }
     }
+    assert!(recursive >= 2, "a recursive workload, raw and rewritten");
 }
 
 /// The rewritten plan must produce the same rows as the raw plan — the
@@ -184,6 +213,8 @@ fn codd_primitives_match_the_search_they_normalize_into() {
             0,
             "{id}: normalize left {normalized:?}"
         );
+        let oracle = |e: &Expr| eval_reference(e, &dbms.db, EvalOptions::default()).unwrap();
+        let (primitive_oracle, search_oracle) = (oracle(&primitive), oracle(&normalized));
         for columnar in [false, true] {
             for join in [JoinMode::NestedLoop, JoinMode::Hash] {
                 for parallelism in [1usize, 2] {
@@ -199,13 +230,12 @@ fn codd_primitives_match_the_search_they_normalize_into() {
                         as_primitives.rows, as_search.rows,
                         "{id}: primitive and SEARCH forms diverge under {opts:?}"
                     );
-                    for (form, plan, got) in [
-                        ("primitive", &primitive, &as_primitives),
-                        ("SEARCH", &normalized, &as_search),
+                    for (form, got, reference) in [
+                        ("primitive", &as_primitives, &primitive_oracle),
+                        ("SEARCH", &as_search, &search_oracle),
                     ] {
-                        let reference = eval_reference(plan, &dbms.db, opts).unwrap();
                         assert!(
-                            got.bag_eq(&reference),
+                            got.bag_eq(reference),
                             "{id}: {form} form diverges from the reference under {opts:?}"
                         );
                     }
@@ -309,15 +339,14 @@ fn filter_and_search_work_counters_are_pinned() {
 /// statements of the end-to-end benchmark (`dim_join`, `film_join`,
 /// `tc_unbound`, `ol_join3`, `ol_pushdown`), canonical and rewritten at
 /// both levels: the rows *and their order* are the baseline nested
-/// loop's, the bag is the reference interpreter's on the baseline, under
+/// loop's, the bag is the reference interpreter's, under
 /// parallelism {1, 4} × columnar {off, on} — and the work counters do
 /// not depend on which path pre-selection took.
 #[test]
 fn default_joins_return_the_baselines_rows_in_its_order() {
-    use eds_bench::{
-        baseline_options, film_dbms, filter_pushdown_dbms, graph_dbms, join3_dbms, scan_dbms,
-    };
+    use eds_bench::{film_dbms, filter_pushdown_dbms, graph_dbms, join3_dbms, scan_dbms};
     use eds_core::OptLevel;
+    use eds_engine::baseline_options;
 
     assert_eq!(EvalOptions::default().join, JoinMode::Hash);
     // More than one morsel of SCAN survives `A > 300`, so the
@@ -368,7 +397,7 @@ fn default_joins_return_the_baselines_rows_in_its_order() {
             let baseline = eds_engine::eval_with(plan, &dbms.db, baseline_options())
                 .unwrap()
                 .0;
-            let oracle = eval_reference(plan, &dbms.db, baseline_options()).unwrap();
+            let oracle = eval_reference(plan, &dbms.db, EvalOptions::default()).unwrap();
             assert!(baseline.bag_eq(&oracle), "{id}/{form}: baseline vs oracle");
             let mut counters: Option<EvalStats> = None;
             for parallelism in [1usize, 4] {

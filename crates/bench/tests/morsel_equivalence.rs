@@ -11,9 +11,9 @@
 //! complete out of order.
 
 use eds_adt::Value;
+use eds_bench::assert_matches_oracle;
 use eds_core::Dbms;
-use eds_engine::{eval_reference, EvalOptions, JoinMode, MORSEL_ROWS};
-use eds_lera::Expr;
+use eds_engine::{EvalOptions, JoinMode, MORSEL_ROWS};
 
 /// Worker counts around and past the pool boundary, with the columnar
 /// path toggled both ways and both join algorithms.
@@ -35,29 +35,17 @@ fn morsel_configs() -> Vec<EvalOptions> {
     out
 }
 
-fn assert_equivalent(id: &str, dbms: &Dbms, expr: &Expr) {
-    for opts in morsel_configs() {
-        let fast = eds_engine::eval_with(expr, &dbms.db, opts)
-            .unwrap_or_else(|e| panic!("{id}: morsel executor failed under {opts:?}: {e}"))
-            .0;
-        let reference = eval_reference(expr, &dbms.db, opts)
-            .unwrap_or_else(|e| panic!("{id}: reference executor failed under {opts:?}: {e}"));
-        assert_eq!(
-            fast.schema, reference.schema,
-            "{id}: schema diverges under {opts:?}"
-        );
-        assert_eq!(
-            fast.rows, reference.rows,
-            "{id}: rows diverge from the reference interpreter under {opts:?}"
-        );
-    }
-}
-
 fn check(dbms: &Dbms, sql: &str) {
+    let configs = morsel_configs();
     let prepared = dbms.prepare(sql).unwrap();
-    assert_equivalent(&format!("{sql} [raw]"), dbms, &prepared.expr);
+    assert_matches_oracle(&format!("{sql} [raw]"), &dbms.db, &prepared.expr, &configs);
     let rewritten = dbms.rewrite(&prepared).unwrap();
-    assert_equivalent(&format!("{sql} [rewritten]"), dbms, &rewritten.expr);
+    assert_matches_oracle(
+        &format!("{sql} [rewritten]"),
+        &dbms.db,
+        &rewritten.expr,
+        &configs,
+    );
 }
 
 /// Five-and-a-bit morsels whose matches are pathologically placed: the

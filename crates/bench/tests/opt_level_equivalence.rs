@@ -43,6 +43,9 @@ fn assert_levels_agree(id: &str, dbms: &mut Dbms, sql: &str) {
     dbms.set_opt_level(OptLevel::Full);
     let full = dbms.rewrite_uncached(&prepared).unwrap();
 
+    let reference = eval_reference(&full.expr, &dbms.db, EvalOptions::default())
+        .unwrap_or_else(|e| panic!("{id}: reference fails on the Full plan: {e}"))
+        .sorted_rows();
     for opts in configs() {
         let simple_rows = rows_of(dbms, &simple.expr, opts);
         let full_rows = rows_of(dbms, &full.expr, opts);
@@ -55,9 +58,6 @@ fn assert_levels_agree(id: &str, dbms: &mut Dbms, sql: &str) {
             none_rows, simple_rows,
             "{id}: None diverges from Simple under {opts:?}"
         );
-        let reference = eval_reference(&full.expr, &dbms.db, opts)
-            .unwrap_or_else(|e| panic!("{id}: reference fails on the Full plan: {e}"))
-            .sorted_rows();
         assert_eq!(
             full_rows, reference,
             "{id}: overhauled executor diverges from the reference on the Full plan under {opts:?}"

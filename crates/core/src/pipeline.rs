@@ -9,7 +9,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use eds_engine::{Database, OptLevel};
 use eds_lera::{expr_from_term, expr_to_term, CostModel, Expr};
@@ -536,8 +536,11 @@ impl QueryRewriter {
         self.set_all_limits(limit);
     }
 
+    /// Every [`Tier`] operation leaves its map whole, so a thread that
+    /// panicked holding the lock poisoned nothing worth refusing later
+    /// rewrites over: recover the guard.
     fn cache(&self) -> MutexGuard<'_, PlanCache> {
-        self.cache.lock().expect("plan cache poisoned")
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Drop every cached rewrite. Called automatically on knowledge-base
@@ -742,5 +745,42 @@ impl QueryRewriter {
             budget_exhausted: out.budget_exhausted,
             exploration: out.exploration,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn plan_cache_recovers_from_a_poisoned_lock() {
+        let mut db = Database::new();
+        db.execute_ddl("TABLE P (X : INT);").unwrap();
+        let constraints = ConstraintStore::default();
+        let rewriter = QueryRewriter::with_default_rules().unwrap();
+        let plan = Expr::base("P");
+        let rewrite = || {
+            rewriter
+                .rewrite_leveled(&plan, &db, &constraints, OptLevel::Simple, true)
+                .map(|out| out.expr)
+        };
+        let before = rewrite().unwrap();
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _cache = rewriter.cache.lock().unwrap();
+                panic!("poisoning the plan cache lock (expected by this test)");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(rewriter.cache.is_poisoned());
+        // The entry cached before is still served, and counted.
+        let hits = rewriter.plan_cache_stats().hits;
+        assert_eq!(rewrite().unwrap(), before);
+        assert_eq!(rewriter.plan_cache_stats().hits, hits + 1);
+        // So is the path that drops entries.
+        rewriter.invalidate_plan_cache();
+        assert_eq!(rewrite().unwrap(), before);
+        assert_eq!(rewriter.plan_cache_stats().hits, hits + 1);
     }
 }

@@ -473,7 +473,7 @@ fn recursive_view_seeds_under_a_parameter_like_under_a_literal() {
 fn seeded_parameter_does_less_work_than_the_full_closure() {
     let mut dbms = graph_dbms();
     // Logical work, so the baseline executor counts it.
-    dbms.eval_options = eds_bench::baseline_options();
+    dbms.eval_options = eds_engine::baseline_options();
     let stmt = dbms
         .prepare_stmt("SELECT Dst FROM TC WHERE Src = ? ;")
         .unwrap();

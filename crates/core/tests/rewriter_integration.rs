@@ -257,7 +257,7 @@ fn figure9_alexander_reduces_recursion_and_work() {
 
     // The reduction is one of logical work, so the baseline executor
     // counts it.
-    dbms.eval_options = eds_bench::baseline_options();
+    dbms.eval_options = eds_engine::baseline_options();
     let (base_rel, base_stats) = dbms.run_expr_with_stats(&prepared.expr).unwrap();
     let (opt_rel, opt_stats) = dbms.run_expr_with_stats(&rewritten.expr).unwrap();
     assert!(base_rel.set_eq(&opt_rel));

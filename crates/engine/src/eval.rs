@@ -55,8 +55,8 @@ use crate::relation::{shared_row, Relation, Row, SharedRow};
 pub enum JoinMode {
     /// Full cross-product enumeration with a post-filter: the paper's
     /// baseline executor, whose `combinations_tried` is the logical work
-    /// of a plan. Benches, differential suites and the reference
-    /// executor name it explicitly.
+    /// of a plan. Benches and differential suites name it explicitly
+    /// (see [`baseline_options`]).
     NestedLoop,
     /// Select first, then stream: every input is pre-selected by the
     /// conjuncts that read it alone, and inputs join left-deep in the
@@ -156,6 +156,20 @@ impl Default for EvalOptions {
             columnar: true,
             opt_level: OptLevel::default(),
         }
+    }
+}
+
+/// The paper's baseline executor as an option bag: every `search` over
+/// two or more inputs is the cross product with a post-filter, so
+/// [`EvalStats::combinations_tried`] is the *logical* work of a plan,
+/// exact to the unit — what the F7–F12 tables of `EXPERIMENTS.md`
+/// report and what a before/after comparison of two plans should read.
+/// Under the default executor the counter follows what that executor
+/// does (pre-selection, a table per linked step) instead.
+pub fn baseline_options() -> EvalOptions {
+    EvalOptions {
+        join: JoinMode::NestedLoop,
+        ..Default::default()
     }
 }
 

@@ -45,8 +45,8 @@ pub use compile::{CompiledScalar, EvalEnv};
 pub use database::Database;
 pub use error::{EngineError, EngineResult};
 pub use eval::{
-    eval, eval_const_scalar, eval_with, eval_with_params, EvalOptions, EvalStats, JoinMode,
-    OptLevel,
+    baseline_options, eval, eval_const_scalar, eval_with, eval_with_params, EvalOptions, EvalStats,
+    JoinMode, OptLevel,
 };
 pub use fixpoint::{FixMode, FixOptions};
 pub use parallel::{effective_workers, parallel_stats, shutdown_pool, ParallelStats, MORSEL_ROWS};

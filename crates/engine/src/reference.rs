@@ -1,31 +1,42 @@
 //! The reference executor: the original per-tuple tree-walking
-//! interpreter, preserved verbatim for differential testing.
+//! interpreter, kept as the oracle every differential suite compares
+//! the production executor ([`crate::eval::eval_with`]) against.
 //!
-//! [`eval_reference`] evaluates every operator with the pre-overhaul
-//! physical strategies — interpreted [`eval_scalar`] per row, quadratic
-//! set operations, sequential nested-loop/hash `search`, sorted-vector
-//! fixpoints — and therefore produces byte-identical rows *in the same
-//! order* as the seed executor did. The `exec_equivalence` integration
-//! suite asserts the production executor ([`crate::eval::eval_with`])
-//! agrees exactly, across join modes, fixpoint modes and parallelism
-//! settings.
+//! [`eval_reference`] has one strategy per operator and no modes:
+//! interpreted [`eval_scalar`] per row, quadratic set operations, every
+//! `search` the cross product of its inputs with the qualification
+//! checked on each combination, every `fix` the semi-naive iteration on
+//! sorted vectors. It ignores the executor's join strategy, fixpoint
+//! strategy, parallelism and columnar settings on purpose, and shares
+//! no code with `fixpoint.rs`: an oracle that splits equi-conjuncts or
+//! keys a table the way the executor does, or builds its delta variants
+//! with the executor's helpers, is wrong where the executor is wrong.
+//! (The naive iteration would be dumber still, but it materialises the
+//! body's whole bag every round — 17 296 rows for the 1 128 pairs of a
+//! 48-node chain's closure — and that alone moved the end-to-end
+//! benchmark's peak memory past its bound.) Its row order — inputs
+//! enumerated left to right, last input fastest — is the order the
+//! executor promises under every configuration, so suites compare rows
+//! *and* order, and ask for the answer once per plan.
 //!
 //! Keep this module dumb: any "optimization" added here erodes its value
-//! as an independent oracle.
+//! as an independent oracle (CI greps it for the executor's strategy
+//! types and helpers).
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 use eds_adt::Value;
 use eds_lera::{infer_schema, Expr, LeraError, Scalar, Schema};
 
 use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{bind_fields, eval_scalar, Ctx, EvalOptions, JoinMode};
-use crate::fixpoint::{count_occurrences, replace_nth_base, FixMode};
+use crate::eval::{bind_fields, eval_scalar, Ctx, EvalOptions};
 use crate::relation::{Relation, Row, SharedRow};
 
-/// Evaluate a plan with the reference (seed) strategies.
+/// Evaluate a plan with the reference strategies. Of `opts` only
+/// `fix.max_iterations` is read — a resource limit, past which a
+/// recursion is [`EngineError::FixpointDiverged`] — so the answer does
+/// not depend on how the executor is configured.
 pub fn eval_reference(expr: &Expr, db: &Database, opts: EvalOptions) -> EngineResult<Relation> {
     let mut ctx = Ctx::new(db, opts);
     ref_expr(expr, &mut ctx)
@@ -149,47 +160,34 @@ fn ref_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
             if pred.is_false() || rels.iter().any(Relation::is_empty) {
                 return Ok(out);
             }
-            match ctx.opts.join {
-                JoinMode::NestedLoop => {
-                    let mut idx = vec![0usize; rels.len()];
-                    'outer: loop {
-                        let tuple_refs: Vec<&[Value]> =
-                            rels.iter().zip(&idx).map(|(r, &i)| &*r.rows[i]).collect();
-                        if is_true(&eval_scalar(&pred, &tuple_refs, ctx)?) {
-                            let row = proj
-                                .iter()
-                                .map(|e| eval_scalar(e, &tuple_refs, ctx))
-                                .collect::<EngineResult<Row>>()?;
-                            out.push(row);
-                        }
-                        for k in (0..idx.len()).rev() {
-                            idx[k] += 1;
-                            if idx[k] < rels[k].len() {
-                                continue 'outer;
-                            }
-                            idx[k] = 0;
-                            if k == 0 {
-                                break 'outer;
-                            }
-                        }
-                    }
+            let mut idx = vec![0usize; rels.len()];
+            'outer: loop {
+                let tuple_refs: Vec<&[Value]> =
+                    rels.iter().zip(&idx).map(|(r, &i)| &*r.rows[i]).collect();
+                if is_true(&eval_scalar(&pred, &tuple_refs, ctx)?) {
+                    let row = proj
+                        .iter()
+                        .map(|e| eval_scalar(e, &tuple_refs, ctx))
+                        .collect::<EngineResult<Row>>()?;
+                    out.push(row);
                 }
-                JoinMode::Hash => {
-                    let combos = ref_hash_search(&rels, &pred);
-                    for combo in combos {
-                        if is_true(&eval_scalar(&pred, &combo, ctx)?) {
-                            let row = proj
-                                .iter()
-                                .map(|e| eval_scalar(e, &combo, ctx))
-                                .collect::<EngineResult<Row>>()?;
-                            out.push(row);
-                        }
+                for k in (0..idx.len()).rev() {
+                    idx[k] += 1;
+                    if idx[k] < rels[k].len() {
+                        continue 'outer;
+                    }
+                    idx[k] = 0;
+                    if k == 0 {
+                        break 'outer;
                     }
                 }
             }
             Ok(out)
         }
-        Expr::Fix { name, body } => ref_fix(name, body, ctx),
+        Expr::Fix { name, body } => {
+            let schema = infer_schema(expr, &ctx.schema_ctx_for_fix())?;
+            ref_fix(name, body, schema, ctx)
+        }
         Expr::Nest {
             input,
             group,
@@ -234,208 +232,57 @@ fn ref_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
     }
 }
 
-/// The seed's left-deep hash enumeration (an over-approximation re-checked
-/// by the caller).
-fn ref_hash_search<'a>(rels: &'a [Relation], pred: &Scalar) -> Vec<Vec<&'a [Value]>> {
-    let mut equi: Vec<(usize, usize, usize, usize)> = Vec::new();
-    for c in pred.conjuncts() {
-        if let Scalar::Cmp {
-            op: eds_lera::CmpOp::Eq,
-            left,
-            right,
-        } = c
-        {
-            if let (Scalar::Attr { rel: r1, attr: a1 }, Scalar::Attr { rel: r2, attr: a2 }) =
-                (left.as_ref(), right.as_ref())
-            {
-                equi.push((*r1, *a1, *r2, *a2));
-            }
-        }
-    }
-
-    let mut acc: Vec<Vec<&[Value]>> = rels[0].rows.iter().map(|r| vec![&**r]).collect();
-    for (next_idx, next_rel) in rels.iter().enumerate().skip(1) {
-        let next_rel_no = next_idx + 1;
-        let keys: Vec<((usize, usize), usize)> = equi
-            .iter()
-            .filter_map(|&(r1, a1, r2, a2)| {
-                if r1 <= next_idx && r2 == next_rel_no {
-                    Some(((r1, a1), a2))
-                } else if r2 <= next_idx && r1 == next_rel_no {
-                    Some(((r2, a2), a1))
-                } else {
-                    None
-                }
-            })
-            .collect();
-
-        let mut new_acc: Vec<Vec<&[Value]>> = Vec::new();
-        if keys.is_empty() {
-            for combo in &acc {
-                for row in &next_rel.rows {
-                    let mut extended = combo.clone();
-                    extended.push(&**row);
-                    new_acc.push(extended);
-                }
-            }
-        } else {
-            let mut table: HashMap<Vec<&Value>, Vec<&[Value]>> = HashMap::new();
-            for row in &next_rel.rows {
-                let key: Vec<&Value> = keys.iter().map(|&(_, a)| &row[a - 1]).collect();
-                table.entry(key).or_default().push(&**row);
-            }
-            for combo in &acc {
-                let key: Vec<&Value> = keys
-                    .iter()
-                    .map(|&((r, a), _)| &combo[r - 1][a - 1])
-                    .collect();
-                if let Some(matches) = table.get(&key) {
-                    for row in matches {
-                        let mut extended = combo.clone();
-                        extended.push(row);
-                        new_acc.push(extended);
-                    }
-                }
-            }
-        }
-        acc = new_acc;
-        if acc.is_empty() {
-            break;
-        }
-    }
-    acc
-}
-
 fn sorted_dedup(mut rows: Vec<SharedRow>) -> Vec<SharedRow> {
     rows.sort();
     rows.dedup();
     rows
 }
 
-/// The seed fixpoint: naive or semi-naive with sorted-vector membership.
-fn ref_fix(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
-    match ctx.opts.fix.mode {
-        FixMode::Naive => ref_fix_naive(name, body, ctx),
-        FixMode::SemiNaive => ref_fix_seminaive(name, body, ctx),
-    }
-}
-
-fn ref_fix_naive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
-    let key = name.to_ascii_uppercase();
-    let schema = {
-        let sc = ctx.schema_ctx_for_fix();
-        infer_schema(
-            &Expr::Fix {
-                name: name.to_owned(),
-                body: Box::new(body.clone()),
-            },
-            &sc,
-        )?
-    };
-    let mut known = Relation::empty(schema);
-    let saved = ctx.locals.insert(key.clone(), known.clone());
-
-    let result = (|| {
-        for _round in 0..ctx.opts.fix.max_iterations {
-            ctx.locals.insert(key.clone(), known.clone());
-            let new = ref_expr(body, ctx)?;
-            let merged = sorted_dedup(known.rows.iter().cloned().chain(new.rows).collect());
-            if merged == known.rows {
-                return Ok(known);
-            }
-            known = Relation::from_shared(known.schema.clone(), merged);
-        }
-        Err(EngineError::FixpointDiverged {
-            name: name.to_owned(),
-            limit: ctx.opts.fix.max_iterations,
-        })
-    })();
-
-    restore_local(ctx, &key, saved);
-    result
-}
-
-fn ref_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
+/// The semi-naive fixpoint on sorted vectors: the branches of the body
+/// that do not mention `name` seed `known`; each round evaluates every
+/// recursive branch once per occurrence of `name` in it, that
+/// occurrence reading only what the previous round added, until a round
+/// adds nothing.
+fn ref_fix(name: &str, body: &Expr, schema: Schema, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
     let key = name.to_ascii_uppercase();
     let delta_key = format!("{key}#DELTA");
-
     let branches: Vec<&Expr> = match body {
         Expr::Union(items) => items.iter().collect(),
         other => vec![other],
     };
-    let seed_branches: Vec<&Expr> = branches
-        .iter()
-        .copied()
-        .filter(|b| !b.references(name))
-        .collect();
-    let rec_branches: Vec<&Expr> = branches
-        .iter()
-        .copied()
-        .filter(|b| b.references(name))
-        .collect();
-    if seed_branches.is_empty() {
-        let sc = ctx.schema_ctx_for_fix();
-        let schema = infer_schema(
-            &Expr::Fix {
-                name: name.to_owned(),
-                body: Box::new(body.clone()),
-            },
-            &sc,
-        )?;
+    let (recursive, seeds): (Vec<&Expr>, Vec<&Expr>) =
+        branches.into_iter().partition(|b| b.references(name));
+    let Some((first, rest)) = seeds.split_first() else {
         return Ok(Relation::empty(schema));
+    };
+    let mut known = ref_expr(first, ctx)?;
+    for seed in rest {
+        known.rows.extend(ref_expr(seed, ctx)?.rows);
     }
-
-    let mut known: Option<Relation> = None;
-    for b in &seed_branches {
-        let r = ref_expr(b, ctx)?;
-        match &mut known {
-            None => known = Some(r),
-            Some(acc) => acc.rows.extend(r.rows),
-        }
-    }
-    let mut known = known.expect("non-empty seed branches");
     known.rows = sorted_dedup(std::mem::take(&mut known.rows));
     let mut delta = known.clone();
-
-    let variants: Vec<Expr> = rec_branches
+    let variants: Vec<Expr> = recursive
         .iter()
-        .flat_map(|b| {
-            let occurrences = count_occurrences(b, name);
-            (0..occurrences).map(|i| replace_nth_base(b, name, i, &delta_key))
-        })
+        .flat_map(|b| delta_variants(b, name, &delta_key))
         .collect();
 
-    let saved_known = ctx.locals.insert(key.clone(), known.clone());
-    let saved_delta = ctx.locals.insert(delta_key.clone(), delta.clone());
-
+    let saved = [ctx.locals.remove(&key), ctx.locals.remove(&delta_key)];
     let result = (|| {
         for _round in 0..ctx.opts.fix.max_iterations {
             ctx.locals.insert(key.clone(), known.clone());
             ctx.locals.insert(delta_key.clone(), delta.clone());
-
-            let mut fresh: Vec<SharedRow> = Vec::new();
+            let mut fresh = Vec::new();
             for variant in &variants {
-                let r = ref_expr(variant, ctx)?;
-                fresh.extend(r.rows);
+                fresh.extend(ref_expr(variant, ctx)?.rows);
             }
-            let fresh = sorted_dedup(fresh);
-            let new_delta: Vec<SharedRow> = fresh
-                .into_iter()
-                .filter(|r| known.rows.binary_search(r).is_err())
-                .collect();
-            if new_delta.is_empty() {
+            let mut fresh = sorted_dedup(fresh);
+            fresh.retain(|r| known.rows.binary_search(r).is_err());
+            if fresh.is_empty() {
                 return Ok(known);
             }
-            let merged = sorted_dedup(
-                known
-                    .rows
-                    .iter()
-                    .cloned()
-                    .chain(new_delta.iter().cloned())
-                    .collect(),
-            );
+            let merged = sorted_dedup(known.rows.iter().chain(&fresh).cloned().collect());
             known = Relation::from_shared(known.schema.clone(), merged);
-            delta = Relation::from_shared(known.schema.clone(), new_delta);
+            delta = Relation::from_shared(known.schema.clone(), fresh);
         }
         Err(EngineError::FixpointDiverged {
             name: name.to_owned(),
@@ -443,18 +290,53 @@ fn ref_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResult
         })
     })();
 
-    restore_local(ctx, &key, saved_known);
-    restore_local(ctx, &delta_key, saved_delta);
+    for (local, rel) in [key, delta_key].into_iter().zip(saved) {
+        match rel {
+            Some(rel) => ctx.locals.insert(local, rel),
+            None => ctx.locals.remove(&local),
+        };
+    }
     result
 }
 
-fn restore_local(ctx: &mut Ctx<'_>, key: &str, saved: Option<Relation>) {
-    match saved {
-        Some(rel) => {
-            ctx.locals.insert(key.to_owned(), rel);
+/// `branch` once per occurrence of `Base(name)` in it, with that
+/// occurrence reading `delta` instead.
+fn delta_variants(branch: &Expr, name: &str, delta: &str) -> Vec<Expr> {
+    let mut out = Vec::new();
+    loop {
+        let (mut variant, mut skip) = (branch.clone(), out.len());
+        if !rename_base(&mut variant, name, &mut skip, delta) {
+            return out;
         }
-        None => {
-            ctx.locals.remove(key);
-        }
+        out.push(variant);
     }
+}
+
+/// Rename the `skip`-th `Base(name)` under `e` (pre-order, not entering
+/// a `fix` that rebinds `name`); `false` when there are no more.
+fn rename_base(e: &mut Expr, name: &str, skip: &mut usize, to: &str) -> bool {
+    let children: Vec<&mut Expr> = match e {
+        Expr::Base(b) => {
+            let hit = b.eq_ignore_ascii_case(name) && *skip == 0;
+            if hit {
+                *b = to.to_owned();
+            } else if b.eq_ignore_ascii_case(name) {
+                *skip -= 1;
+            }
+            return hit;
+        }
+        Expr::Fix { name: inner, .. } if inner.eq_ignore_ascii_case(name) => return false,
+        Expr::Filter { input, .. }
+        | Expr::Project { input, .. }
+        | Expr::Nest { input, .. }
+        | Expr::Unnest { input, .. }
+        | Expr::Dedup(input)
+        | Expr::Fix { body: input, .. } => vec![input],
+        Expr::Join { left, right, .. } => vec![left, right],
+        Expr::Difference(a, b) | Expr::Intersect(a, b) => vec![a, b],
+        Expr::Union(items) | Expr::Search { inputs: items, .. } => items.iter_mut().collect(),
+    };
+    children
+        .into_iter()
+        .any(|child| rename_base(child, name, skip, to))
 }

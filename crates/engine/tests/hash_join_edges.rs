@@ -5,7 +5,7 @@
 //! must match the reference executor.
 
 use eds_adt::Value;
-use eds_engine::{eval_reference, eval_with, Database, EvalOptions, JoinMode};
+use eds_engine::{baseline_options, eval_reference, eval_with, Database, EvalOptions, JoinMode};
 use eds_lera::{CmpOp, Expr, Scalar};
 
 /// Two tables whose keys exercise the awkward cases: NULLs on both sides,
@@ -47,6 +47,7 @@ fn edge_db() -> Database {
 /// agree with each other and with the reference interpreter, then return
 /// the (shared) result rows.
 fn all_modes_agree(db: &Database, expr: &Expr) -> Vec<Vec<Value>> {
+    let reference = eval_reference(expr, db, EvalOptions::default()).expect("reference evaluates");
     let mut witness: Option<(Vec<Vec<Value>>, EvalOptions)> = None;
     for join in [JoinMode::NestedLoop, JoinMode::Hash] {
         for parallelism in [1usize, 4] {
@@ -56,7 +57,6 @@ fn all_modes_agree(db: &Database, expr: &Expr) -> Vec<Vec<Value>> {
                 ..Default::default()
             };
             let rel = eval_with(expr, db, opts).expect("evaluates").0;
-            let reference = eval_reference(expr, db, opts).expect("reference evaluates");
             assert_eq!(
                 rel.rows, reference.rows,
                 "diverges from reference under {opts:?}"
@@ -199,20 +199,42 @@ fn three_way_join_with_partial_keys() {
     assert_eq!(rows, expected);
 }
 
+#[test]
+fn an_int_meets_its_real_twin_and_null_meets_nothing() {
+    let mut db = Database::new();
+    db.execute_ddl(
+        "TABLE L ( K : NUMERIC, A : NUMERIC ) ;
+         TABLE R ( K : NUMERIC, B : NUMERIC ) ;",
+    )
+    .unwrap();
+    db.insert_all(
+        "L",
+        vec![
+            vec![Value::Int(2), Value::Int(10)],
+            vec![Value::Null, Value::Int(20)],
+        ],
+    )
+    .unwrap();
+    db.insert_all(
+        "R",
+        vec![
+            vec![Value::real(2.0), Value::Int(100)],
+            vec![Value::Null, Value::Int(200)],
+        ],
+    )
+    .unwrap();
+    // `2 = 2.0` holds under `sql_cmp` though the two values differ
+    // structurally; `NULL = NULL` does not though they are identical. An
+    // oracle that keyed a table on the values would say 0 rows, or 1 for
+    // the wrong pair.
+    let rows = all_modes_agree(&db, &equi_join(None));
+    assert_eq!(rows, vec![vec![Value::Int(10), Value::Int(100)]]);
+}
+
 // ---------------------------------------------------------------------
 // Select first, then stream: the default executor against the baseline
-// (`JoinMode::NestedLoop`) and the oracle (`eval_reference` on the
-// baseline — its own hash enumeration keys structurally and would miss
-// an INT meeting its REAL twin).
+// (`JoinMode::NestedLoop`) and the oracle (`eval_reference`).
 // ---------------------------------------------------------------------
-
-/// The paper's baseline executor.
-fn baseline() -> EvalOptions {
-    EvalOptions {
-        join: JoinMode::NestedLoop,
-        ..Default::default()
-    }
-}
 
 /// The default executor under parallelism {1, 4} × columnar {off, on}:
 /// rows *and order* are the baseline's, the bag is the oracle's, and the
@@ -223,11 +245,11 @@ fn streams_like_the_baseline(
     expr: &Expr,
     params: &[Value],
 ) -> (Vec<Vec<Value>>, u64) {
-    let nested = eds_engine::eval_with_params(expr, db, baseline(), params)
+    let nested = eds_engine::eval_with_params(expr, db, baseline_options(), params)
         .expect("baseline evaluates")
         .0;
     if params.is_empty() {
-        let oracle = eval_reference(expr, db, baseline()).expect("oracle evaluates");
+        let oracle = eval_reference(expr, db, EvalOptions::default()).expect("oracle evaluates");
         assert!(nested.bag_eq(&oracle), "baseline diverges from the oracle");
     }
     let mut tried = None;
@@ -577,7 +599,7 @@ fn an_error_on_a_dropped_row_disappears_and_none_appears() {
         Scalar::lit(0),
     )));
     assert!(
-        eval_with(&expr, &db, baseline()).is_err(),
+        eval_with(&expr, &db, baseline_options()).is_err(),
         "baseline errors"
     );
     let streamed = eval_with(&expr, &db, EvalOptions::default())
@@ -586,6 +608,6 @@ fn an_error_on_a_dropped_row_disappears_and_none_appears() {
     assert_eq!(streamed.sorted_rows(), ints(&[&[1], &[2]]));
     // Without the local conjunct the row is combined, and both report.
     let kept = search(None);
-    assert!(eval_with(&kept, &db, baseline()).is_err());
+    assert!(eval_with(&kept, &db, baseline_options()).is_err());
     assert!(eval_with(&kept, &db, EvalOptions::default()).is_err());
 }

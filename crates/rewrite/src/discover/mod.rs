@@ -40,6 +40,7 @@ use crate::methods::{BasicEnv, MethodRegistry};
 use crate::overlap::JoinOracle;
 use crate::rule::Rule;
 use crate::strategy::RuleSet;
+use crate::symbol::fnv1a;
 use crate::term::Term;
 use crate::verify::equiv::{check_rule, classify, Kind, Outcome};
 
@@ -319,15 +320,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// A candidate before gating.

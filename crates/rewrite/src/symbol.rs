@@ -17,7 +17,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// An interned name. Cheap to copy, O(1) to compare and hash.
 #[derive(Clone, Copy)]
@@ -33,7 +33,7 @@ fn intern_table() -> &'static Mutex<HashSet<&'static str>> {
 
 /// FNV-1a over the name's bytes: deterministic across processes, so node
 /// hashes and fingerprints are stable run to run.
-const fn fnv1a(s: &str) -> u64 {
+pub(crate) const fn fnv1a(s: &str) -> u64 {
     let bytes = s.as_bytes();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut i = 0;
@@ -48,7 +48,10 @@ const fn fnv1a(s: &str) -> u64 {
 impl Symbol {
     /// Intern a name (idempotent).
     pub fn intern(name: &str) -> Symbol {
-        let mut table = intern_table().lock().expect("symbol table poisoned");
+        // The one `insert` below leaves the set whole, so a poisoned
+        // lock guards nothing torn: recover it.
+        let table = intern_table().lock();
+        let mut table = table.unwrap_or_else(PoisonError::into_inner);
         let text: &'static str = match table.get(name) {
             Some(t) => t,
             None => {
@@ -245,6 +248,27 @@ mod tests {
         assert_eq!(a, b);
         assert!(std::ptr::eq(a.as_str().as_ptr(), b.as_str().as_ptr()));
         assert_ne!(Symbol::intern("SEARCH"), Symbol::intern("UNION"));
+    }
+
+    #[test]
+    fn interning_recovers_from_a_poisoned_lock() {
+        let before = Symbol::intern("POISON_SURVIVOR");
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _table = intern_table().lock();
+                panic!("poisoning the symbol table lock (expected by this test)");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(intern_table().is_poisoned());
+        // Known names resolve to the same text, new ones are interned.
+        let after = Symbol::intern("POISON_SURVIVOR");
+        assert!(std::ptr::eq(before.as_str(), after.as_str()));
+        assert_eq!(
+            Symbol::intern("POISON_NEWCOMER").as_str(),
+            "POISON_NEWCOMER"
+        );
     }
 
     #[test]

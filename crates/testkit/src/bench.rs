@@ -15,9 +15,9 @@
 //!   is all the statistics the rewrite-trajectory tooling needs).
 //!
 //! Results are printed as a table and appended to
-//! `target/bench-tsv/<group>.tsv` (`id<TAB>median_ns`), which
-//! `eds-bench`'s `bench_report` binary assembles into
-//! `BENCH_rewrite.json`.
+//! `target/bench-tsv/<group>.tsv` (`id<TAB>median_ns`); `eds-bench`'s
+//! `bench_report_exec` binary assembles the `exec` group's into
+//! `BENCH_exec.json`.
 
 use std::fmt::Write as _;
 use std::fs;

@@ -8,8 +8,7 @@
 //!   API (`seed_from_u64`, `gen_range`, `gen_bool`, `choose`);
 //! * [`mod@bench`] — a criterion-compatible micro-bench harness (groups,
 //!   `bench_with_input`, medians) that prints ns/iter tables and dumps
-//!   machine-readable TSV for the `BENCH_rewrite.json` trajectory
-//!   tooling.
+//!   machine-readable TSV for the `BENCH_exec.json` report tooling.
 //!
 //! Everything is deterministic: seeded generators for tests, fixed
 //! warm-up/sampling policy for benches.

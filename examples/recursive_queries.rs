@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 max_iterations: 100_000,
             },
             // `combos` below compares logical work across strategies.
-            ..eds_bench::baseline_options()
+            ..eds_engine::baseline_options()
         };
         let start = std::time::Instant::now();
         let (rel, stats) = dbms.run_expr_with_stats(expr).unwrap();

@@ -33,7 +33,7 @@ fn build() -> Result<Dbms, Box<dyn std::error::Error>> {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut dbms = build()?;
     // `combinations_tried` below is read as logical work.
-    dbms.eval_options = eds_bench::baseline_options();
+    dbms.eval_options = eds_engine::baseline_options();
 
     // 1. Domain-constraint inconsistency: grade 'D' does not exist. The
     //    constraint is added to the qualification, equality substitution

@@ -211,6 +211,53 @@ fn semantic_rules_preserve_filter_semantics() {
     }
 }
 
+/// `{select} WHERE {cond}` as written (each `?` of `cond` spelled as its
+/// literal) through `query_unoptimized` and `query`, and prepared with
+/// the `?`s kept and `literals` bound: every path must return the bag
+/// the reference executor returns on the canonical plan, `kept` rows.
+fn every_path_agrees_with_the_reference(
+    dbms: &Dbms,
+    select: &str,
+    cond: &str,
+    literals: &[eds_adt::Value],
+    kept: usize,
+) {
+    use eds_adt::Value;
+    let level = dbms.opt_level();
+    let mut spelled = literals.iter().map(|v| match v {
+        Value::Real(r) => format!("{:?}", r.0),
+        other => other.to_string(),
+    });
+    let literal_cond: String = cond
+        .chars()
+        .map(|c| match c {
+            '?' => spelled.next().unwrap(),
+            other => other.to_string(),
+        })
+        .collect();
+    let sql = format!("{select} WHERE {literal_cond} ;");
+    let canonical = dbms.prepare(&sql).unwrap().expr;
+    let reference =
+        eds_engine::eval_reference(&canonical, &dbms.db, EvalOptions::default()).unwrap();
+    assert_eq!(reference.rows.len(), kept, "the reference on {sql}");
+    let bound = dbms
+        .prepare_stmt(&format!("{select} WHERE {cond} ;"))
+        .and_then(|stmt| stmt.execute(dbms, literals));
+    for (path, got) in [
+        ("query_unoptimized", dbms.query_unoptimized(&sql)),
+        ("query", dbms.query(&sql)),
+        ("prepared execute", bound),
+    ] {
+        let got = got.unwrap_or_else(|e| panic!("{path} failed on {sql} at {level:?}: {e}"));
+        assert!(
+            got.bag_eq(&reference),
+            "{path} disagrees with the reference on {sql} at {level:?}: {:?} vs {:?}",
+            got.sorted_rows(),
+            reference.sorted_rows()
+        );
+    }
+}
+
 /// Comparison shapes on which the rewriter's private copies of the
 /// comparison once answered differently from the executor (lossy `f64`
 /// witnesses above 2^53, structural `Int`/`Real` equality, a fold
@@ -222,7 +269,7 @@ fn semantic_rules_preserve_filter_semantics() {
 #[test]
 fn comparison_rewrites_agree_with_the_executor() {
     use eds_adt::Value;
-    use eds_engine::{eval_reference, OptLevel};
+    use eds_engine::OptLevel;
     const BIG: i64 = (1 << 53) + 1;
     let int = Value::Int;
     // (qualification with `?` for each literal, the literals, rows kept)
@@ -244,38 +291,69 @@ fn comparison_rewrites_agree_with_the_executor() {
         dbms.insert("T", vec![5.into(), 2.into()]).unwrap();
         dbms.set_opt_level(level);
         for (cond, literals, kept) in &cases {
-            let mut spelled = literals.iter().map(|v| match v {
-                Value::Real(r) => format!("{:?}", r.0),
-                other => other.to_string(),
-            });
-            let literal_cond: String = cond
-                .chars()
-                .map(|c| match c {
-                    '?' => spelled.next().unwrap(),
-                    other => other.to_string(),
-                })
-                .collect();
-            let sql = format!("SELECT X, Y FROM T WHERE {literal_cond} ;");
-            let canonical = dbms.prepare(&sql).unwrap().expr;
-            let reference = eval_reference(&canonical, &dbms.db, EvalOptions::default()).unwrap();
-            assert_eq!(reference.rows.len(), *kept, "{sql}");
-            let bound = dbms
-                .prepare_stmt(&format!("SELECT X, Y FROM T WHERE {cond} ;"))
-                .and_then(|stmt| stmt.execute(&dbms, literals));
-            for (path, got) in [
-                ("query_unoptimized", dbms.query_unoptimized(&sql)),
-                ("query", dbms.query(&sql)),
-                ("prepared execute", bound),
-            ] {
-                let got =
-                    got.unwrap_or_else(|e| panic!("{path} failed on {sql} at {level:?}: {e}"));
-                assert!(
-                    got.bag_eq(&reference),
-                    "{path} disagrees with the reference on {sql} at {level:?}: {:?} vs {:?}",
-                    got.sorted_rows(),
-                    reference.sorted_rows()
-                );
-            }
+            every_path_agrees_with_the_reference(
+                &dbms,
+                "SELECT X, Y FROM T",
+                cond,
+                literals,
+                *kept,
+            );
+        }
+    }
+}
+
+/// Equalities that link two inputs — what the default executor hashes
+/// on — over keys an oracle sharing that design answers wrongly: an INT
+/// that meets its REAL twin (`2 = 2.0` holds, the two hash apart
+/// structurally), a NULL on each side (identical, never equal), an INT
+/// above 2^53 beside the REAL it rounds onto (`sql_cmp` widens the INT,
+/// so the two meet) and a stranger. Same paths as above, against the
+/// reference on the canonical plan.
+#[test]
+fn mixed_kind_links_agree_with_the_reference() {
+    use eds_adt::Value;
+    use eds_engine::OptLevel;
+    const BIG: i64 = (1 << 53) + 1;
+    let int = Value::Int;
+    // (qualification with `?` for each literal, the literals, rows kept)
+    let cases: [(&str, Vec<Value>, usize); 4] = [
+        ("T.X = U.R", vec![], 3),
+        ("U.R = T.X AND T.Y < ?", vec![int(5)], 2),
+        // Two links into one input.
+        ("T.X = U.R AND T.Y = U.S", vec![], 2),
+        // INT against INT: the control.
+        ("T.X = U.S", vec![], 2),
+    ];
+    for level in [OptLevel::Simple, OptLevel::Full] {
+        let mut dbms = Dbms::new().unwrap();
+        dbms.execute_ddl("TABLE T (X : INT, Y : INT); TABLE U (R : REAL, S : INT);")
+            .unwrap();
+        for (x, y) in [
+            (int(2), 1),
+            (int(2), 6),
+            (Value::Null, 2),
+            (int(BIG), 3),
+            (int(7), 4),
+        ] {
+            dbms.insert("T", vec![x, y.into()]).unwrap();
+        }
+        for (r, s) in [
+            (Value::real(2.0), 1),
+            (Value::Null, 2),
+            (Value::real((BIG - 1) as f64), 3),
+            (Value::real(8.5), 9),
+        ] {
+            dbms.insert("U", vec![r, s.into()]).unwrap();
+        }
+        dbms.set_opt_level(level);
+        for (cond, literals, kept) in &cases {
+            every_path_agrees_with_the_reference(
+                &dbms,
+                "SELECT X, Y, R, S FROM T, U",
+                cond,
+                literals,
+                *kept,
+            );
         }
     }
 }
