@@ -467,10 +467,14 @@ impl QueryRewriter {
         diagnostics
     }
 
-    /// Remove a rule by name.
+    /// Remove a rule by name. Drops every cached plan when (and only
+    /// when) a rule was removed.
     pub fn remove_rule(&mut self, name: &str) -> bool {
-        self.invalidate_plan_cache();
-        self.rules.remove(name)
+        let removed = self.rules.remove(name);
+        if removed {
+            self.invalidate_plan_cache();
+        }
+        removed
     }
 
     /// The rule set.

@@ -84,6 +84,22 @@ fn every_mutation_class_invalidates() {
     assert!(dbms.rewriter.remove_rule("ExtraNoop"));
     assert_eq!(dbms.rewriter.plan_cache_len(), 0, "remove_rule");
 
+    // Removing a rule that is not there removes nothing: every plan
+    // stays, the epoch stands, and the next rewrite is a hit.
+    fill(&dbms);
+    let epoch = dbms.rewriter.invalidation_epoch();
+    let before = dbms.rewriter.plan_cache_stats();
+    assert!(!dbms.rewriter.remove_rule("NoSuchRule"));
+    assert_eq!(dbms.rewriter.plan_cache_len(), 1, "no-op remove_rule");
+    assert_eq!(dbms.rewriter.invalidation_epoch(), epoch);
+    dbms.rewrite(&prepared).unwrap();
+    let after = dbms.rewriter.plan_cache_stats();
+    assert_eq!(after.hits, before.hits + 1);
+    assert_eq!(
+        (after.misses, after.shape_misses, after.invalidations),
+        (before.misses, before.shape_misses, before.invalidations)
+    );
+
     // DDL: rewrites consult the catalog (schemas, types).
     fill(&dbms);
     dbms.execute_ddl("TABLE SCRATCH ( X : NUMERIC ) ;").unwrap();

@@ -15,9 +15,11 @@
 //!
 //! Semantics (three-valued logic, broadcast comparisons, collection
 //! mapping, and every error message) are identical to the interpreted
-//! [`eval_scalar`](crate::eval::eval_scalar) path, which remains as the
-//! reference implementation; `exec_equivalence` tests assert the two
-//! agree on the full workload suite.
+//! [`eval_scalar`](crate::eval::eval_scalar), which nothing on the query
+//! or `INSERT` path runs: it is the reference executor's evaluator
+//! ([`eval_reference`](crate::reference::eval_reference) calls it per
+//! row), and `crates/bench/tests/exec_equivalence.rs` compares the two
+//! executors — and so the two evaluators — on the full workload suite.
 
 use std::borrow::Cow;
 use std::sync::Arc;

@@ -309,6 +309,43 @@ mod tests {
     }
 
     #[test]
+    fn insert_values_are_evaluated_as_constants() {
+        let mut db = Database::new();
+        db.execute_ddl(
+            "TYPE Tags SET OF CHAR; TYPE Ls LIST OF INT;
+             TABLE T (A : INT, B : Tags, C : Ls);
+             INSERT INTO T VALUES (1 + 2, MakeSet('a', 'b'), MakeList());",
+        )
+        .unwrap();
+        let stored = db.relation("T").unwrap().sorted_rows();
+        let tags = Value::set(vec!["a".into(), "b".into()]);
+        assert_eq!(stored, vec![vec![3.into(), tags, Value::list(vec![])]]);
+        // No input tuple exists while a VALUES expression is evaluated:
+        // what cannot be a constant is a typed error, never an index panic.
+        for (values, expected) in [
+            ("(?, MakeSet(), MakeList())", "UnboundParam(0)"),
+            (
+                "(NoSuchFn(1), MakeSet(), MakeList())",
+                "Adt(UnknownFunction(\"NOSUCHFN\"))",
+            ),
+            ("(A, MakeSet(), MakeList())", "Lera("),
+        ] {
+            let err = db
+                .execute_ddl(&format!("INSERT INTO T VALUES {values};"))
+                .unwrap_err();
+            assert!(
+                format!("{err:?}").starts_with(expected),
+                "{values}: {err:?}"
+            );
+        }
+        assert_eq!(
+            db.cardinality("T"),
+            Some(1),
+            "a failed INSERT stores nothing"
+        );
+    }
+
+    #[test]
     fn unknown_table_insert_fails() {
         let mut db = Database::new();
         assert!(matches!(

@@ -14,9 +14,9 @@
 //! [`JoinMode::NestedLoop`]. Around both:
 //!
 //! * qualifications and projection targets are lowered once per operator
-//!   into [`CompiledScalar`](crate::compile::CompiledScalar) programs
-//!   that borrow from input rows and the object store instead of
-//!   re-walking the `Scalar` AST and cloning per tuple;
+//!   into [`CompiledScalar`] programs that borrow from input rows and the
+//!   object store instead of re-walking the `Scalar` AST and cloning per
+//!   tuple;
 //! * rows are shared ([`Arc`]-counted), so row-preserving operators pass
 //!   allocations along instead of deep-copying values;
 //! * set operations use hash membership instead of quadratic scans;
@@ -43,7 +43,9 @@ use eds_lera::{
 };
 
 use crate::columnar::ColumnarRelation;
-use crate::compile::{ColumnarPred, CompiledPred, CompiledProj, EvalEnv, LocalPred};
+use crate::compile::{
+    ColumnarPred, CompiledPred, CompiledProj, CompiledScalar, EvalEnv, LocalPred,
+};
 use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::fixpoint::{eval_fix, FixOptions};
@@ -225,11 +227,14 @@ pub fn eval_with_params(
 }
 
 /// Evaluate a constant scalar (no attribute references) against a
-/// database — used for `INSERT ... VALUES` expressions.
+/// database — used for `INSERT ... VALUES` expressions. The program runs
+/// over no input tuples, so a stray attribute reference or `?` is a
+/// typed error.
 pub fn eval_const_scalar(s: &Scalar, db: &Database) -> EngineResult<Value> {
     let ctx = Ctx::new(db, EvalOptions::default());
     let bound = bind_fields(s, &[], &ctx)?;
-    eval_scalar(&bound, &[], &ctx)
+    let env = EvalEnv::of(db);
+    CompiledScalar::compile(&bound, &env).eval_owned(&[], &env)
 }
 
 /// Evaluation context: database, options, fixpoint locals, counters.
@@ -1157,9 +1162,10 @@ fn bind_fields_inner(
 }
 
 /// Evaluate a bound scalar against one tuple per input relation — the
-/// interpreted (per-row tree-walking) evaluator. Operators use compiled
-/// programs instead; this remains for constant evaluation, the reference
-/// executor, and as the semantic specification the compiler must match.
+/// interpreted (per-row tree-walking) evaluator of the reference executor
+/// ([`crate::reference`]), its only caller. Operators and `INSERT ...
+/// VALUES` run compiled programs ([`crate::compile`]); this one shares no
+/// code with them, which is what makes the oracle independent.
 pub fn eval_scalar(s: &Scalar, tuples: &[&[Value]], ctx: &Ctx<'_>) -> EngineResult<Value> {
     match s {
         Scalar::Attr { rel, attr } => {

@@ -2,18 +2,11 @@
 //! the right term.
 //!
 //! The scanner is a recursive pre-order walk (outermost-leftmost, the
-//! paper's application order) with two O(1) accelerations built on the
-//! term representation:
-//!
-//! * **head gate** — a rule whose LHS is an application `F(...)` can only
-//!   match at `F` nodes; subtrees whose cached functor fingerprint lacks
-//!   `F`'s bit are skipped wholesale without visiting them;
-//! * **dirty-region scan** — [`apply_rule_once_dirty`] restricts the walk
-//!   to the spine and subtree of previously-rewritten positions, for the
-//!   block loop's incremental worklist. Positions outside the dirty
-//!   region are provably unchanged subtrees where the rule already failed
-//!   to match, so skipping them cannot change which position matches
-//!   first.
+//! paper's application order) with one O(1) acceleration built on the
+//! term representation, the **head gate**: a rule whose LHS is an
+//! application `F(...)` can only match at `F` nodes, so a term — and,
+//! inside the walk, any subtree — whose cached functor fingerprint lacks
+//! `F`'s bit is skipped without being visited.
 
 use crate::error::{RewriteError, RwResult};
 use crate::matching::{match_term, Control};
@@ -152,7 +145,6 @@ fn match_at(
 /// Pre-order walk of the whole subtree at `node`, pruning subtrees whose
 /// fingerprint proves the rule head absent. Returns the replacement and
 /// the (root-relative) path of the first accepted match.
-#[allow(clippy::too_many_arguments)]
 fn walk(
     rule: &Rule,
     node: &Term,
@@ -180,64 +172,6 @@ fn walk(
             }
             path.push(i);
             let found = walk(rule, a, head, path, methods, env, rejected)?;
-            path.pop();
-            if found.is_some() {
-                return Ok(found);
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// Restricted walk for the incremental worklist: `suffixes` are the dirty
-/// paths relative to `node`. Spine nodes (proper prefixes of a dirty
-/// path) are tested and descended only toward dirty children; a node
-/// reached by a full dirty path switches to the unrestricted [`walk`].
-/// Visit order is still pre-order, so the first match found here is the
-/// first match of the whole term.
-#[allow(clippy::too_many_arguments)]
-fn walk_dirty(
-    rule: &Rule,
-    node: &Term,
-    head: Option<Symbol>,
-    path: &mut Vec<usize>,
-    suffixes: &[&[usize]],
-    methods: &MethodRegistry,
-    env: &dyn TermEnv,
-    rejected: &mut u64,
-) -> RwResult<Option<(Term, Vec<usize>)>> {
-    if suffixes.iter().any(|s| s.is_empty()) {
-        // The whole subtree is dirty.
-        if head.is_none_or(|h| node.may_contain(h)) {
-            return walk(rule, node, head, path, methods, env, rejected);
-        }
-        return Ok(None);
-    }
-    // Spine node: its child list changed, so the rule may newly match
-    // here even though it failed before.
-    let try_here = match head {
-        Some(h) => node.head() == Some(h),
-        None => true,
-    };
-    if try_here {
-        if let Some(new_sub) = match_at(rule, node, methods, env, rejected)? {
-            return Ok(Some((new_sub, path.clone())));
-        }
-    }
-    if let Term::App(_, args) = node {
-        // Group dirty suffixes by their leading child index; visit
-        // children in ascending order to keep the walk pre-order.
-        let mut by_child: std::collections::BTreeMap<usize, Vec<&[usize]>> =
-            std::collections::BTreeMap::new();
-        for s in suffixes {
-            by_child.entry(s[0]).or_default().push(&s[1..]);
-        }
-        for (i, child_suffixes) in by_child {
-            // Stale paths (from before an ancestor was replaced) may
-            // point past the current arity; they are simply ignored.
-            let Some(a) = args.get(i) else { continue };
-            path.push(i);
-            let found = walk_dirty(rule, a, head, path, &child_suffixes, methods, env, rejected)?;
             path.pop();
             if found.is_some() {
                 return Ok(found);
@@ -279,61 +213,10 @@ pub fn apply_rule_once(
         &mut rejected,
     )?;
     stats.rejected += rejected;
-    finish(term, found, stats)
-}
-
-/// Like [`apply_rule_once`], but only re-examines the dirty region: for
-/// each path in `dirty`, the spine from the root to that path plus the
-/// entire subtree below it. Sound whenever the rule is known not to match
-/// anywhere on the term as it was before the subterms at `dirty` were
-/// replaced (the block loop's bookkeeping guarantees exactly that).
-///
-/// Counts one condition check, like any other attempt — the paper's
-/// `Limit` accounting does not change with the scan strategy.
-pub fn apply_rule_once_dirty(
-    rule: &Rule,
-    term: &Term,
-    dirty: &[Vec<usize>],
-    methods: &MethodRegistry,
-    env: &dyn TermEnv,
-    stats: &mut RewriteStats,
-) -> RwResult<Option<(Term, Application)>> {
-    stats.condition_checks += 1;
-    let lhs_head = rule.lhs.head();
-    if let Some(h) = lhs_head {
-        if !term.may_contain(h) {
-            return Ok(None);
-        }
-    }
-    let suffixes: Vec<&[usize]> = dirty.iter().map(Vec::as_slice).collect();
-    let mut rejected = 0;
-    let found = walk_dirty(
-        rule,
-        term,
-        lhs_head,
-        &mut Vec::new(),
-        &suffixes,
-        methods,
-        env,
-        &mut rejected,
-    )?;
-    stats.rejected += rejected;
-    finish(term, found, stats)
-}
-
-fn finish(
-    term: &Term,
-    found: Option<(Term, Vec<usize>)>,
-    stats: &mut RewriteStats,
-) -> RwResult<Option<(Term, Application)>> {
-    match found {
-        Some((new_sub, path)) => {
-            stats.applications += 1;
-            let new_term = term.replace_at(&path, new_sub);
-            Ok(Some((new_term, Application { path })))
-        }
-        None => Ok(None),
-    }
+    Ok(found.map(|(new_sub, path)| {
+        stats.applications += 1;
+        (term.replace_at(&path, new_sub), Application { path })
+    }))
 }
 
 #[cfg(test)]
@@ -553,97 +436,5 @@ mod tests {
         apply_rule_once(&rule, &term, &methods, &env, &mut stats).unwrap();
         assert_eq!(stats.condition_checks, 1);
         assert_eq!(stats.applications, 1);
-    }
-
-    #[test]
-    fn dirty_scan_agrees_with_full_scan() {
-        // A term with two F-redexes; after rewriting the left one, a
-        // dirty scan restricted to that path must find the same next
-        // match as a full scan.
-        let rule = Rule::simple(
-            "collapse",
-            Term::app("F", vec![Term::var("x")]),
-            Term::var("x"),
-        );
-        let env = BasicEnv::new();
-        let methods = MethodRegistry::with_builtins();
-
-        let term = Term::app(
-            "H",
-            vec![
-                Term::app("F", vec![Term::int(1)]),
-                Term::app("F", vec![Term::int(2)]),
-            ],
-        );
-        let mut s1 = RewriteStats::default();
-        let (t1, app1) = apply_rule_once(&rule, &term, &methods, &env, &mut s1)
-            .unwrap()
-            .unwrap();
-        assert_eq!(app1.path, vec![0]);
-
-        // Full rescan vs dirty rescan from the rewritten position.
-        let mut s2 = RewriteStats::default();
-        let full = apply_rule_once(&rule, &t1, &methods, &env, &mut s2)
-            .unwrap()
-            .unwrap();
-        let mut s3 = RewriteStats::default();
-        // The other F at [1] was never scanned past in the first call's
-        // early return, so the conservative dirty set is "everything
-        // after the application" — here modelled by marking the root
-        // dirty, which degenerates to a full scan.
-        let dirty = apply_rule_once_dirty(&rule, &t1, &[vec![]], &methods, &env, &mut s3)
-            .unwrap()
-            .unwrap();
-        assert_eq!(full.0, dirty.0);
-        assert_eq!(full.1.path, dirty.1.path);
-        assert_eq!(s2.condition_checks, 1);
-        assert_eq!(s3.condition_checks, 1);
-    }
-
-    #[test]
-    fn dirty_scan_finds_spine_match() {
-        // G(H(x)) --> x matches at the root only after the child is
-        // rewritten into H(...): the spine of the dirty path must be
-        // re-examined.
-        let rule = Rule::simple(
-            "spine",
-            Term::app("G", vec![Term::app("H", vec![Term::var("x")])]),
-            Term::var("x"),
-        );
-        let env = BasicEnv::new();
-        let methods = MethodRegistry::with_builtins();
-        // Term G(H(1)) — pretend H(1) just replaced something at [0].
-        let term = Term::app("G", vec![Term::app("H", vec![Term::int(1)])]);
-        let mut stats = RewriteStats::default();
-        let (out, app) =
-            apply_rule_once_dirty(&rule, &term, &[vec![0]], &methods, &env, &mut stats)
-                .unwrap()
-                .unwrap();
-        assert_eq!(out, Term::int(1));
-        assert_eq!(app.path, Vec::<usize>::new());
-    }
-
-    #[test]
-    fn dirty_scan_ignores_stale_paths() {
-        let rule = Rule::simple(
-            "collapse",
-            Term::app("F", vec![Term::var("x")]),
-            Term::var("x"),
-        );
-        let env = BasicEnv::new();
-        let methods = MethodRegistry::with_builtins();
-        let term = Term::app("G", vec![Term::int(1)]);
-        let mut stats = RewriteStats::default();
-        // Paths far outside the term's shape must be skipped silently.
-        let out = apply_rule_once_dirty(
-            &rule,
-            &term,
-            &[vec![5, 7], vec![0, 3]],
-            &methods,
-            &env,
-            &mut stats,
-        )
-        .unwrap();
-        assert!(out.is_none());
     }
 }

@@ -80,7 +80,7 @@ pub use methods::{
 pub use rule::{MethodCall, Rule};
 pub use strategy::{
     apply_block, run_strategy, run_strategy_explore, Block, Exploration, ExploreOptions, Limit,
-    RuleIndex, RuleSet, RunOutcome, Sequence, Strategy,
+    RuleSet, RunOutcome, Sequence, Strategy,
 };
 pub use symbol::{Symbol, ToSymbol};
 pub use term::{Args, Bindings, Term};

@@ -5,27 +5,21 @@
 //! of passes. "Any optimizer generated with the rule language is a
 //! sequence of blocks of rules which can be applied multiple times."
 //!
-//! The block loop here is the kernel's hot path, and two structures keep
-//! it fast without changing observable semantics (rewrite results,
-//! application order, and `condition_checks` accounting are identical to
-//! the naive loop):
-//!
-//! * [`RuleIndex`] resolves each member rule's LHS root functor once per
-//!   block run, so every attempt starts with an O(1) fingerprint test
-//!   ("does this functor occur anywhere in the query?") instead of a term
-//!   walk;
-//! * an incremental *position worklist*: once a rule has scanned the term
-//!   and failed, it is only re-scanned against the regions later
-//!   applications actually changed (the rewritten subtree plus its
-//!   ancestor spine), not the whole term.
+//! The block loop is the paper's loop: offer the term to each member rule
+//! in turn, one condition check per offer, until a whole round applies
+//! nothing or the limit runs out. Every offer is one full pre-order scan
+//! ([`apply_rule_once`], which prunes by functor fingerprint). The only
+//! state beside the term is one bit per rule: a rule that scanned the
+//! term and failed is not scanned again until some rule fires — the
+//! offer is still counted, so a `Limit` buys what it buys under the
+//! naive loop.
 
 use std::collections::{HashMap, HashSet};
 
-use crate::engine::{apply_rule_once, apply_rule_once_dirty, RewriteStats};
+use crate::engine::{apply_rule_once, RewriteStats};
 use crate::error::{RewriteError, RwResult};
 use crate::methods::{MethodRegistry, TermEnv};
 use crate::rule::Rule;
-use crate::symbol::Symbol;
 use crate::term::Term;
 use crate::trace::{Trace, TraceEvent};
 
@@ -94,16 +88,12 @@ pub struct Sequence {
     pub passes: u64,
 }
 
-/// An indexed set of rules (the rewriting knowledge base).
-///
-/// Removal tombstones the slot instead of shifting the tail, so both
-/// `remove` and `get` are O(1); iteration stays in insertion order. The
-/// slot vector is compacted once tombstones outnumber live rules.
+/// An indexed set of rules (the rewriting knowledge base): the rules in
+/// insertion order plus a name → position index.
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
-    slots: Vec<Option<Rule>>,
+    rules: Vec<Rule>,
     index: HashMap<String, usize>,
-    live: usize,
 }
 
 impl RuleSet {
@@ -117,11 +107,10 @@ impl RuleSet {
     /// callers can surface silent shadowing instead of swallowing it.
     pub fn add(&mut self, rule: Rule) -> Option<Rule> {
         if let Some(&i) = self.index.get(&rule.name) {
-            self.slots[i].replace(rule)
+            Some(std::mem::replace(&mut self.rules[i], rule))
         } else {
-            self.index.insert(rule.name.clone(), self.slots.len());
-            self.slots.push(Some(rule));
-            self.live += 1;
+            self.index.insert(rule.name.clone(), self.rules.len());
+            self.rules.push(rule);
             None
         }
     }
@@ -132,51 +121,37 @@ impl RuleSet {
     }
 
     /// Remove a rule by name; the database implementor "can add or delete
-    /// rewriting rules". O(1): the slot is tombstoned, not shifted over.
+    /// rewriting rules". The tail shifts down and is re-indexed: removal
+    /// is rare and a knowledge base holds tens of rules.
     pub fn remove(&mut self, name: &str) -> bool {
-        match self.index.remove(name) {
-            Some(i) => {
-                self.slots[i] = None;
-                self.live -= 1;
-                if self.slots.len() >= 16 && self.live * 2 < self.slots.len() {
-                    self.compact();
-                }
-                true
-            }
-            None => false,
+        let Some(i) = self.index.remove(name) else {
+            return false;
+        };
+        self.rules.remove(i);
+        for pos in self.index.values_mut().filter(|pos| **pos > i) {
+            *pos -= 1;
         }
-    }
-
-    /// Drop tombstones and rebuild the name index. Amortized against the
-    /// removals that created the tombstones.
-    fn compact(&mut self) {
-        self.slots.retain(Option::is_some);
-        self.index.clear();
-        for (i, slot) in self.slots.iter().enumerate() {
-            if let Some(r) = slot {
-                self.index.insert(r.name.clone(), i);
-            }
-        }
+        true
     }
 
     /// Look up a rule.
     pub fn get(&self, name: &str) -> Option<&Rule> {
-        self.index.get(name).and_then(|&i| self.slots[i].as_ref())
+        self.index.get(name).map(|&i| &self.rules[i])
     }
 
     /// All rules, in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Rule> {
-        self.slots.iter().filter_map(Option::as_ref)
+        self.rules.iter()
     }
 
     /// Number of rules.
     pub fn len(&self) -> usize {
-        self.live
+        self.rules.len()
     }
 
     /// True when no rules are present.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.rules.is_empty()
     }
 }
 
@@ -269,87 +244,6 @@ impl Strategy {
     }
 }
 
-/// What a member rule still has to look at. After a rule scans the whole
-/// term and fails, only later applications can make it match again — and
-/// only at the rewritten position's spine or subtree.
-#[derive(Debug, Clone)]
-enum Dirty {
-    /// The rule has untested positions anywhere in the term (initial
-    /// state, and the state of a rule right after it fires: the scan
-    /// stopped at the application site, so later positions were never
-    /// examined).
-    All,
-    /// The rule failed on the term as of its last scan; only these
-    /// positions (spine + subtree each) have changed since.
-    Paths(Vec<Vec<usize>>),
-    /// The rule failed and nothing changed since: the attempt can be
-    /// resolved without touching the term.
-    Clean,
-}
-
-/// Beyond this many accumulated dirty paths a full rescan is cheaper than
-/// a restricted one.
-const DIRTY_PATH_CAP: usize = 64;
-
-impl Dirty {
-    fn note(&mut self, path: &[usize]) {
-        match self {
-            Dirty::All => {}
-            Dirty::Paths(paths) => {
-                if paths.last().map(Vec::as_slice) != Some(path) {
-                    paths.push(path.to_vec());
-                    if paths.len() > DIRTY_PATH_CAP {
-                        *self = Dirty::All;
-                    }
-                }
-            }
-            Dirty::Clean => *self = Dirty::Paths(vec![path.to_vec()]),
-        }
-    }
-}
-
-/// Root-functor index over a block's member rules.
-///
-/// Built once per block run: resolves member names against the
-/// [`RuleSet`] and records each rule's LHS head [`Symbol`]. During the
-/// saturation loop an attempt against a rule whose head functor does not
-/// occur in the query is rejected by one AND against the term's cached
-/// fingerprint — the term is never walked. Rules whose LHS is not an
-/// application (a bare variable or constant pattern) have no head and
-/// always scan.
-///
-/// Missing members are skipped, matching the block semantics for deleted
-/// rules.
-#[derive(Debug)]
-pub struct RuleIndex<'r> {
-    members: Vec<IndexedRule<'r>>,
-}
-
-#[derive(Debug)]
-struct IndexedRule<'r> {
-    rule: &'r Rule,
-    head: Option<Symbol>,
-}
-
-impl<'r> RuleIndex<'r> {
-    /// Index `block`'s members against `rules`.
-    pub fn build(rules: &'r RuleSet, block: &Block) -> Self {
-        // Sized up front: every block run builds one, and a collected `filter_map` regrows.
-        let mut members = Vec::with_capacity(block.rules.len());
-        members.extend(
-            block
-                .rules
-                .iter()
-                .filter_map(|name| rules.get(name))
-                .map(|rule| IndexedRule {
-                    rule,
-                    head: rule.lhs.head(),
-                }),
-        );
-        RuleIndex { members }
-    }
-}
-
 /// Outcome of a strategy run.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
@@ -414,8 +308,8 @@ const SNAPSHOT_CAP: usize = 16;
 /// Run one block to saturation or budget exhaustion. Each *condition
 /// check* (attempt to match one rule against the query) costs one unit of
 /// the block's limit, following Section 4.2 — including attempts resolved
-/// by the fingerprint pretest or the worklist without scanning, so a
-/// block's `Limit` means exactly what it meant under the naive loop.
+/// by the fingerprint pretest or the rule's clean bit without scanning, so
+/// a block's `Limit` means exactly what it means under the naive loop.
 pub fn apply_block(
     rules: &RuleSet,
     block: &Block,
@@ -449,32 +343,27 @@ fn apply_block_capture(
     // Blocks may reference rules the implementor has since deleted
     // ("the database implementor can add or delete rewriting rules");
     // missing members are skipped rather than failing the whole block.
-    let index = RuleIndex::build(rules, block);
-    let mut dirty: Vec<Dirty> = vec![Dirty::All; index.members.len()];
+    // Sized up front: every block run resolves its members once, and a
+    // collected `filter_map` regrows.
+    let mut members: Vec<&Rule> = Vec::with_capacity(block.rules.len());
+    members.extend(block.rules.iter().filter_map(|name| rules.get(name)));
+    // `clean[i]`: rule `i` scanned the term as it stands and failed.
+    let mut clean = vec![false; members.len()];
 
     'outer: loop {
         let mut progressed = false;
-        for (i, member) in index.members.iter().enumerate() {
+        for (i, rule) in members.iter().enumerate() {
             if budget == 0 {
                 exhausted = true;
                 break 'outer;
             }
             budget -= 1;
-            // Resolve the attempt as cheaply as its state allows; every
-            // branch costs exactly one condition check.
-            let outcome = match &dirty[i] {
-                Dirty::Clean => {
-                    stats.condition_checks += 1;
-                    None
-                }
-                _ if member.head.is_some_and(|h| !term.may_contain(h)) => {
-                    stats.condition_checks += 1;
-                    None
-                }
-                Dirty::All => apply_rule_once(member.rule, &term, methods, env, &mut stats)?,
-                Dirty::Paths(paths) => {
-                    apply_rule_once_dirty(member.rule, &term, paths, methods, env, &mut stats)?
-                }
+            // Either way the offer costs exactly one condition check.
+            let outcome = if clean[i] {
+                stats.condition_checks += 1;
+                None
+            } else {
+                apply_rule_once(rule, &term, methods, env, &mut stats)?
             };
             match outcome {
                 Some((new_term, app)) => {
@@ -489,7 +378,7 @@ fn apply_block_capture(
                     if collect_trace {
                         trace.push(TraceEvent {
                             block: block.name.clone(),
-                            rule: member.rule.name.clone(),
+                            rule: rule.name.clone(),
                             path: app.path.clone(),
                             before_size: term.size(),
                             after_size: new_term.size(),
@@ -497,18 +386,9 @@ fn apply_block_capture(
                     }
                     term = new_term;
                     progressed = true;
-                    // The firing rule's scan stopped at the application
-                    // site: everything after it is untested. Every other
-                    // rule only needs to revisit the changed region.
-                    for (j, d) in dirty.iter_mut().enumerate() {
-                        if j == i {
-                            *d = Dirty::All;
-                        } else {
-                            d.note(&app.path);
-                        }
-                    }
+                    clean.fill(false);
                 }
-                None => dirty[i] = Dirty::Clean,
+                None => clean[i] = true,
             }
         }
         if !progressed {
@@ -1142,28 +1022,22 @@ mod tests {
         assert!(rules.get("r0").is_none());
     }
 
-    /// Regression: interleave remove/add/get *across* the compaction
-    /// boundary (`slots.len() >= 16 && live*2 < slots.len()`). Compaction
-    /// rebuilds the name index with new slot positions; every subsequent
-    /// add (including same-name replacement), remove and get must agree
-    /// with a straightforward model of the set.
+    /// Add, same-name replace, remove and re-add, interleaved: after every
+    /// step the set must agree with a straightforward model (name → latest
+    /// head, plus the order names were first added in since their last
+    /// removal).
     #[test]
-    fn interleaved_mutation_across_compaction_boundary() {
+    fn mutations_agree_with_a_model_of_the_set() {
         use std::collections::BTreeMap;
 
-        fn check(rules: &RuleSet, model: &BTreeMap<String, String>, insertion: &[String]) {
+        fn check(rules: &RuleSet, model: &BTreeMap<String, String>, order: &[String]) {
             assert_eq!(rules.len(), model.len());
             assert_eq!(rules.is_empty(), model.is_empty());
-            // Iteration preserves insertion order of the live rules.
             let got: Vec<&str> = rules.iter().map(|r| r.name.as_str()).collect();
-            let expected: Vec<&str> = insertion
-                .iter()
-                .filter(|n| model.contains_key(*n))
-                .map(String::as_str)
-                .collect();
-            assert_eq!(got, expected);
-            // Every live rule resolves to its latest body; removed names miss.
-            for (name, head) in model {
+            assert_eq!(got, order);
+            for name in order {
+                let head = &model[name];
+                assert!(rules.contains(name));
                 assert!(
                     rules.get(name).is_some_and(|r| r.lhs.is_app(head)),
                     "{name} must map to head {head}"
@@ -1171,76 +1045,55 @@ mod tests {
             }
         }
 
-        let mk = |name: &str, head: &str| {
-            Rule::simple(name, Term::app(head, vec![Term::var("x")]), Term::var("x"))
-        };
         let mut rules = RuleSet::new();
         let mut model: BTreeMap<String, String> = BTreeMap::new();
-        let mut insertion: Vec<String> = Vec::new();
-
-        // Fill to exactly 20 slots, no tombstones.
+        let mut order: Vec<String> = Vec::new();
+        // (name, Some(head)) adds or replaces; (name, None) removes.
+        let mut steps: Vec<(String, Option<String>)> = Vec::new();
         for i in 0..20 {
-            let (name, head) = (format!("r{i}"), format!("F{i}"));
-            rules.add(mk(&name, &head));
-            model.insert(name.clone(), head);
-            insertion.push(name);
+            steps.push((format!("r{i}"), Some(format!("F{i}"))));
         }
-        check(&rules, &model, &insertion);
-
-        // Remove 9 of 20: live=11, 11*2=22 >= 20, so still tombstoned.
-        for i in 0..9 {
-            assert!(rules.remove(&format!("r{i}")));
-            model.remove(&format!("r{i}"));
+        for i in [0, 19, 7, 8, 3] {
+            steps.push((format!("r{i}"), None)); // first, last, middle
+            steps.push((format!("r{}", i + 1), Some(format!("G{i}")))); // replace or add
         }
-        check(&rules, &model, &insertion);
-
-        // Same-name replacement through a tombstoned vector must not
-        // resurrect positions: r12's head changes in place.
-        rules.add(mk("r12", "G12"));
-        model.insert("r12".into(), "G12".into());
-        check(&rules, &model, &insertion);
-
-        // The 10th removal crosses the boundary: live=10, 10*2=20 < 20 is
-        // false... one more: live drops to 10 (20 slots) then 9 (compacts).
-        assert!(rules.remove("r9"));
-        model.remove("r9");
-        assert!(rules.remove("r10"));
-        model.remove("r10");
-        check(&rules, &model, &insertion); // index was just rebuilt
-
-        // Post-compaction: adds append at fresh slot positions, replacement
-        // of a survivor keeps its compacted position, removal of a
-        // pre-compaction name stays a miss.
-        assert!(!rules.remove("r3"));
-        rules.add(mk("r15", "H15"));
-        model.insert("r15".into(), "H15".into());
-        for i in 20..24 {
-            let (name, head) = (format!("r{i}"), format!("F{i}"));
-            rules.add(mk(&name, &head));
-            model.insert(name.clone(), head);
-            insertion.push(name);
+        steps.push(("r3".into(), None)); // already gone: a miss
+        for i in [7, 0, 3] {
+            steps.push((format!("r{i}"), Some(format!("H{i}")))); // re-add at the end
+            steps.push((format!("r{}", i + 2), None));
         }
-        check(&rules, &model, &insertion);
-
-        // Drive straight through a *second* compaction with interleaved
-        // add/remove/get on every step.
-        for i in 11..22 {
-            assert!(rules.remove(&format!("r{i}")), "r{i} should be live");
-            model.remove(&format!("r{i}"));
-            let (name, head) = (format!("n{i}"), format!("N{i}"));
-            rules.add(mk(&name, &head));
-            model.insert(name.clone(), head);
-            insertion.push(name);
-            check(&rules, &model, &insertion);
+        for (name, head) in steps {
+            match head {
+                Some(head) => {
+                    let rule = Rule::simple(
+                        name.as_str(),
+                        Term::app(head.as_str(), vec![Term::var("x")]),
+                        Term::var("x"),
+                    );
+                    let shadowed = rules.add(rule);
+                    let old = model.insert(name.clone(), head);
+                    assert_eq!(shadowed.is_some(), old.is_some());
+                    assert!(shadowed.zip(old).is_none_or(|(r, h)| r.lhs.is_app(&h)));
+                    if !order.contains(&name) {
+                        order.push(name);
+                    }
+                }
+                None => {
+                    assert_eq!(rules.remove(&name), model.remove(&name).is_some());
+                    order.retain(|n| *n != name);
+                    assert!(rules.get(&name).is_none() && !rules.contains(&name));
+                }
+            }
+            check(&rules, &model, &order);
         }
     }
 
     #[test]
-    fn worklist_matches_naive_results_on_interacting_rules() {
+    fn interacting_rules_reach_the_normal_form_in_pinned_checks() {
         // Two rules that enable each other repeatedly: G(F(x)) -> F(G(x))
-        // sinks G below F; F(F(x)) -> F(x) merges. The worklist must
-        // reach the same normal form and the same counters as the naive
-        // full-rescan loop (fixed by the stats assertions elsewhere).
+        // sinks G below F; F(F(x)) -> F(x) merges. The normal form and
+        // the counters are the naive loop's: a rule that failed is
+        // offered (and counted) again each round, never silently skipped.
         let mut rules = RuleSet::new();
         rules.add(Rule::simple(
             "sink",
@@ -1286,6 +1139,10 @@ mod tests {
             )
         );
         assert!(!out.budget_exhausted);
+        // Seven rounds in which `sink` fires (`merge` after it twice), then
+        // the round in which both fail.
+        assert_eq!(out.stats.applications, 9);
+        assert_eq!(out.stats.condition_checks, 16);
     }
 
     #[test]

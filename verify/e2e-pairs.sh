@@ -23,7 +23,10 @@
 # The exit status is about plumbing only: non-zero when a run exits
 # non-zero, reports failed operations or prints no metrics. Verdicts are
 # for the reader; a 1-pair, 3-second run (CI) exercises the script, not
-# the code. E2E_PAIRS_SEED fixes the first seed (default: the clock).
+# the code. E2E_PAIRS_SEED fixes the first seed (default: the clock);
+# E2E_PAIRS_WORKLOADS="adhoc_cold session_mix" pairs those two only (a
+# kernel-only check need not wait for the two workloads that run no
+# kernel; a name BENCHMARK.json does not list is exit 2).
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -43,11 +46,21 @@ trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 : >"$tmp/samples"
 
-# "name" fields of the `workloads` array, in file order.
-workloads=$(awk '
+# "name" fields of the `workloads` array, in file order, on one line.
+declared=$(awk '
     /"workloads"/ { inside = 1; next }
     inside && /^  \]/ { exit }
-    inside && /"name"/ { gsub(/[",]/, ""); print $2 }' "$bench")
+    inside && /"name"/ { gsub(/[",]/, ""); printf "%s ", $2 }' "$bench")
+workloads=${E2E_PAIRS_WORKLOADS:-$declared}
+for workload in $workloads; do
+    case " $declared" in
+    *" $workload "*) ;;
+    *)
+        echo "E2E_PAIRS_WORKLOADS: no workload '$workload' in BENCHMARK.json (has: $declared)" >&2
+        exit 2
+        ;;
+    esac
+done
 
 # One run: `samples` gets "workload side pair metric value" lines.
 run() {
