@@ -58,10 +58,10 @@ fn bench(c: &mut Criterion) {
     for (label, expr, mode) in [
         ("naive_base", prepared.expr.clone(), FixMode::Naive),
         ("seminaive_base", prepared.expr.clone(), FixMode::SemiNaive),
-        ("naive_alexander", rewritten.expr.clone(), FixMode::Naive),
+        ("naive_alexander", (*rewritten.expr).clone(), FixMode::Naive),
         (
             "seminaive_alexander",
-            rewritten.expr.clone(),
+            (*rewritten.expr).clone(),
             FixMode::SemiNaive,
         ),
     ] {

@@ -10,7 +10,7 @@ use eds_core::{Dbms, LintPolicy};
 use eds_engine::{
     eval_reference, EngineError, EvalOptions, EvalStats, FixMode, FixOptions, JoinMode,
 };
-use eds_lera::{infer_schema, Expr, Scalar, SchemaCtx};
+use eds_lera::{expr_to_term, infer_schema, Expr, Scalar, SchemaCtx};
 
 fn all_configs() -> Vec<EvalOptions> {
     let mut out = Vec::new();
@@ -205,7 +205,13 @@ fn codd_primitives_match_the_search_they_normalize_into() {
             .unwrap();
         let level = dbms.opt_level();
         let normalized = normalizer
-            .rewrite_leveled(&primitive, &dbms.db, &dbms.constraints, level, false)
+            .run(
+                expr_to_term(&primitive),
+                &dbms.db,
+                &dbms.constraints,
+                level,
+                false,
+            )
             .unwrap()
             .expr;
         assert_eq!(
@@ -391,7 +397,8 @@ fn default_joins_return_the_baselines_rows_in_its_order() {
         let mut plans = vec![("raw", prepared.expr.clone())];
         for (name, level) in [("simple", OptLevel::Simple), ("full", OptLevel::Full)] {
             dbms.set_opt_level(level);
-            plans.push((name, dbms.rewrite_uncached(&prepared).unwrap().expr));
+            let plan = dbms.rewrite_uncached(&prepared).unwrap().expr;
+            plans.push((name, std::sync::Arc::unwrap_or_clone(plan)));
         }
         for (form, plan) in &plans {
             let baseline = eds_engine::eval_with(plan, &dbms.db, baseline_options())

@@ -230,14 +230,16 @@ fn meta_command(dbms: &mut Dbms, stmts: &mut HashMap<String, PreparedStmt>, cmd:
             );
             let pc = dbms.rewriter.plan_cache_stats();
             println!(
-                "plan cache: {} hit(s), {} miss(es), {} eviction(s), {} invalidation(s)",
-                pc.hits, pc.misses, pc.evictions, pc.invalidations
+                "plan cache: {} plan(s), {} hit(s), {} miss(es), {} eviction(s), {} invalidation(s)",
+                dbms.rewriter.plan_cache_len(),
+                pc.hits,
+                pc.misses,
+                pc.evictions,
+                pc.invalidations
             );
             println!(
-                "shape tier: {} hit(s), {} miss(es) ({} prepared statement shape(s) cached)",
-                pc.shape_hits,
-                pc.shape_misses,
-                dbms.rewriter.shape_cache_len()
+                "prepared:   {} hit(s), {} miss(es)",
+                pc.shape_hits, pc.shape_misses
             );
             let ex = dbms.rewriter.explore_stats();
             println!(

@@ -36,7 +36,7 @@ use std::sync::PoisonError;
 use eds_engine::{eval_with, Database, EvalOptions, EvalStats, Relation, Row};
 pub use eds_engine::{parallel_stats, OptLevel, ParallelStats};
 use eds_esql::{parse_query, Stmt};
-use eds_lera::{translate_query, CostModel, Estimate, Expr, Schema, SchemaCtx};
+use eds_lera::{expr_to_term, translate_query, CostModel, Estimate, Expr, Schema, SchemaCtx};
 
 pub use discover::{HarnessOracle, LeraCostOracle};
 pub use eds_rewrite::discover::{DiscoverOptions, Discovery, Fragment, Funnel};
@@ -44,7 +44,7 @@ pub use env::CoreEnv;
 pub use error::{CoreError, CoreResult};
 pub use pipeline::{
     stats_cost_model, ExploreStats, LintPolicy, PlanCacheStats, QueryRewriter, RewriteOutcome,
-    TermRewrite, BUILTIN_RULE_SOURCES,
+    BUILTIN_RULE_SOURCES,
 };
 pub use semantic::{figure10_constraints, ConstraintStore, IntegrityConstraint};
 pub use verify::{verify_rules, Coverage, VerifyOptions, VerifyReport};
@@ -83,11 +83,11 @@ pub struct Prepared {
 /// rewriter's invalidation epoch, and evaluates the cached plan with the
 /// bind array — repeat executions go straight to the engine.
 ///
-/// The cached plan is shared (`Arc`) with the rewriter's shape-tier
-/// cache, and the epoch snapshot ties it to the knowledge base: any
-/// rule/DDL/constraint change advances the rewriter's invalidation
-/// counter, and the next `execute` transparently re-rewrites through
-/// the shape tier before running.
+/// The plan is the rewriter's plan-cache entry for the statement's
+/// parameterized canonical term, shared (`Arc`), and the epoch snapshot
+/// ties it to the knowledge base: any rule/DDL/constraint change
+/// advances the rewriter's invalidation counter, and the next `execute`
+/// transparently re-reads the plan cache before running.
 #[derive(Debug)]
 pub struct PreparedStmt {
     /// Original source text.
@@ -100,7 +100,7 @@ pub struct PreparedStmt {
     /// refreshes.
     canonical: Expr,
     /// Optimization level the statement was prepared at — part of the
-    /// shape-tier cache key, and reused on epoch refreshes so a level
+    /// plan-cache key, and reused on epoch refreshes so a level
     /// change on the DBMS never silently re-plans an existing statement.
     level: OptLevel,
     /// Rewritten + lowered plan and the invalidation epoch it was
@@ -165,7 +165,7 @@ impl PreparedStmt {
         )?)
     }
 
-    /// The rewritten plan, re-rewriting through the shape tier when the
+    /// The rewritten plan, re-read from the plan cache when the
     /// rewriter's invalidation epoch has moved since it was cached.
     fn current_plan(&self, dbms: &Dbms) -> CoreResult<std::sync::Arc<Expr>> {
         // A poisoned lock is recovered, not propagated: the guarded value
@@ -179,7 +179,7 @@ impl PreparedStmt {
             }
         }
         // Stale: the knowledge base, catalog or constraints changed.
-        // Re-rewrite outside the lock (the shape tier may already hold
+        // Re-rewrite outside the lock (the plan cache may already hold
         // the fresh plan if a sibling statement refreshed first).
         let (expr, _, _) = dbms.rewriter.rewrite_shape_leveled(
             &self.canonical,
@@ -404,15 +404,15 @@ impl Dbms {
     }
 
     /// Prepare a parameterized statement: parse and translate `sql`
-    /// (with `?` placeholders numbered left to right), rewrite the
-    /// parameterized plan **once** through the shape tier of the plan
-    /// cache, and lower it. A rule whose condition would *evaluate* a
-    /// parameter sees a non-constant `PARAM(i)` leaf and defers to bind
-    /// time; a rule that only *relocates* one fires as it does for a
-    /// literal — `TC WHERE Src = ?` is reduced here to the fixpoint
-    /// seeded by `Src = ?`, never the full closure. The returned
-    /// statement executes repeatedly against different bind arrays
-    /// without re-parsing or re-rewriting.
+    /// (with `?` placeholders numbered left to right), and rewrite and
+    /// lower the parameterized plan **once**, through the plan cache. A
+    /// rule whose condition would *evaluate* a parameter sees a
+    /// non-constant `PARAM(i)` leaf and defers to bind time; a rule that
+    /// only *relocates* one fires as it does for a literal — `TC WHERE
+    /// Src = ?` is reduced here to the fixpoint seeded by `Src = ?`,
+    /// never the full closure. The returned statement executes
+    /// repeatedly against different bind arrays without re-parsing or
+    /// re-rewriting.
     pub fn prepare_stmt(&self, sql: &str) -> CoreResult<PreparedStmt> {
         let epoch = self.rewriter.invalidation_epoch();
         let level = self.eval_options.opt_level;
@@ -436,32 +436,37 @@ impl Dbms {
 
     /// Run the rewriter over a prepared plan (through the plan cache:
     /// repeated rewrites of the same canonical plan return the cached
-    /// output) at the DBMS's current optimization level
-    /// ([`EvalOptions::opt_level`], the `EDS_OPT_LEVEL` knob).
+    /// outcome, lowered plan included) at the DBMS's current
+    /// optimization level ([`EvalOptions::opt_level`], the
+    /// `EDS_OPT_LEVEL` knob).
     pub fn rewrite(&self, prepared: &Prepared) -> CoreResult<RewriteOutcome> {
-        self.rewrite_expr(&prepared.expr, true)
+        self.rewrite_expr(&prepared.expr)
     }
 
     /// Run the rewriter over a prepared plan, bypassing the plan cache —
     /// for benchmarking the rewriter itself. Honors the current
     /// optimization level.
     pub fn rewrite_uncached(&self, prepared: &Prepared) -> CoreResult<RewriteOutcome> {
-        self.rewrite_expr(&prepared.expr, false)
-    }
-
-    /// Rewrite a plan at the current optimization level, through the
-    /// plan cache or past it.
-    fn rewrite_expr(&self, expr: &Expr, cached: bool) -> CoreResult<RewriteOutcome> {
+        let term = expr_to_term(&prepared.expr);
         let level = self.eval_options.opt_level;
         self.rewriter
-            .rewrite_leveled(expr, &self.db, &self.constraints, level, cached)
+            .run(term, &self.db, &self.constraints, level, false)
+    }
+
+    /// Rewrite a plan at the current optimization level through the
+    /// plan cache.
+    fn rewrite_expr(&self, expr: &Expr) -> CoreResult<RewriteOutcome> {
+        let level = self.eval_options.opt_level;
+        self.rewriter
+            .rewrite_term_leveled(expr_to_term(expr), &self.db, &self.constraints, level)
     }
 
     /// Translate → rewrite → run one parsed query: everything
-    /// [`Dbms::query`] and [`Dbms::execute`] do after parsing.
+    /// [`Dbms::query`] and [`Dbms::execute`] do after parsing. The plan
+    /// evaluated is the cache's, lowered when the strategy ran.
     fn run_query(&self, query: &eds_esql::Query) -> CoreResult<Relation> {
         let (expr, _) = translate_query(query, &SchemaCtx::new(&self.db.catalog))?;
-        self.run_expr(&self.rewrite_expr(&expr, true)?.expr)
+        self.run_expr(&self.rewrite_expr(&expr)?.expr)
     }
 
     /// Evaluate a plan.
@@ -531,10 +536,10 @@ impl Dbms {
     pub fn explain(&self, sql: &str) -> CoreResult<String> {
         let level = self.eval_options.opt_level;
         let prepared = self.prepare(sql)?;
-        let mut tracing = self.rewriter.clone();
-        tracing.collect_trace = true;
-        let rewritten =
-            tracing.rewrite_leveled(&prepared.expr, &self.db, &self.constraints, level, false)?;
+        let term = expr_to_term(&prepared.expr);
+        let rewritten = self
+            .rewriter
+            .run(term, &self.db, &self.constraints, level, true)?;
         let mut out = String::new();
         out.push_str(&format!("-- opt level: {level} --\n"));
         out.push_str("-- canonical plan --\n");

@@ -15,8 +15,8 @@ use eds_engine::{Database, OptLevel};
 use eds_lera::{expr_from_term, expr_to_term, CostModel, Expr};
 use eds_rewrite::{
     analyze, analyze::duplicate_rule, parse_source, run_strategy, run_strategy_explore, Diagnostic,
-    Exploration, ExploreOptions, Limit, MethodRegistry, RewriteStats, RuleSet, RunOutcome,
-    SchemaProvider, Sequence, SourceItem, Strategy, Term, Trace,
+    Exploration, ExploreOptions, Limit, MethodRegistry, RewriteStats, RuleSet, SchemaProvider,
+    Sequence, SourceItem, Strategy, Term, Trace,
 };
 
 use crate::env::CoreEnv;
@@ -66,16 +66,19 @@ pub const EXPLORE_CHECK_COST: f64 = 32.0;
 /// CHOOSE-style transformations), not mere normalization.
 pub const EXPLORE_BLOCKS: [&str; 3] = ["merging", "permutation", "semantic"];
 
-/// Outcome of rewriting one query.
+/// Outcome of rewriting one query: what the plan cache stores, one per
+/// optimization level and canonical input term.
 #[derive(Debug, Clone)]
 pub struct RewriteOutcome {
-    /// The rewritten plan.
-    pub expr: Expr,
+    /// The rewritten plan, lowered once per strategy run and shared
+    /// (`Arc`) by every cache hit and prepared statement of the same key.
+    pub expr: Arc<Expr>,
     /// The rewritten plan as a term (before conversion back).
     pub term: Term,
     /// Rule-application counters.
     pub stats: RewriteStats,
-    /// Per-application trace (when requested).
+    /// Per-application trace (only from a traced [`QueryRewriter::run`];
+    /// cached outcomes carry none).
     pub trace: Trace,
     /// Whether some block hit its limit.
     pub budget_exhausted: bool,
@@ -83,84 +86,37 @@ pub struct RewriteOutcome {
     pub exploration: Option<Exploration>,
 }
 
-/// Result of one term-level rewrite: the strategy run's outcome as is.
-pub type TermRewrite = RunOutcome;
-
-/// A prepared-statement shape's rewrite: the rewritten **and lowered**
-/// plan — shared (`Arc`) by every prepared statement with the same
-/// fingerprint, so a shape hit skips the term→algebra conversion too —
-/// its counters, and whether some block hit its limit.
-type ShapeRewrite = (Arc<Expr>, RewriteStats, bool);
-
-/// The cache key of both tiers: the optimization level plus the
-/// canonical input term. Terms carry their hash from interning, so
-/// lookups cost one table probe, not a plan traversal; the level is
-/// part of the key because levels produce different plans for the same
-/// canonical term.
+/// The cache key: the optimization level plus the canonical input
+/// term. Terms carry their hash from interning, so lookups cost one
+/// table probe, not a plan traversal; the level is part of the key
+/// because levels produce different plans for the same canonical term.
+/// A prepared statement's term is *parameterized* (`?` placeholders
+/// are `PARAM(i)` leaves), so statements differing only in bind values
+/// share one entry — sound for every bind array: rules may relocate a
+/// `PARAM` leaf, none evaluates one.
 type PlanKey = (OptLevel, Term);
 
-/// One plan-cache tier, with its effectiveness counters beside the map
-/// they describe (both are only touched under the rewriter's cache
-/// lock). Traces are never cached: tracing rewrites bypass the cache.
-struct Tier<V> {
-    map: HashMap<PlanKey, V>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+/// Everything behind the rewriter's cache lock: one map and the
+/// counters that describe it.
+#[derive(Default)]
+struct PlanCache {
+    map: HashMap<PlanKey, RewriteOutcome>,
+    /// Hits, misses and evictions; `invalidations` is read from the
+    /// rewriter's epoch instead.
+    stats: PlanCacheStats,
+    /// Cumulative candidate-exploration counters.
+    explore: ExploreStats,
 }
 
-impl<V> Default for Tier<V> {
-    fn default() -> Self {
-        Tier {
-            map: HashMap::new(),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-}
-
-impl<V: Clone> Tier<V> {
-    /// The cached value for `key`, counting a hit or a miss.
-    fn lookup(&mut self, key: &PlanKey) -> Option<V> {
-        let hit = self.map.get(key).cloned();
-        match hit {
-            Some(_) => self.hits += 1,
-            None => self.misses += 1,
-        }
-        hit
-    }
-
-    /// Cache `value`, first making room under `cap`.
-    fn fill(&mut self, key: PlanKey, value: V, cap: usize) {
-        self.evict_above(cap.saturating_sub(1));
-        self.map.insert(key, value);
-    }
-
-    /// Drop the whole tier (counted as evictions) when it holds more
-    /// than `limit` entries.
+impl PlanCache {
+    /// Drop every entry (counted as evictions) when the map holds more
+    /// than `limit`.
     fn evict_above(&mut self, limit: usize) {
         if self.map.len() > limit {
-            self.evictions += self.map.len() as u64;
+            self.stats.evictions += self.map.len() as u64;
             self.map.clear();
         }
     }
-}
-
-/// Everything behind the rewriter's cache lock.
-#[derive(Default)]
-struct PlanCache {
-    /// Rewrite outputs of canonical terms.
-    terms: Tier<TermRewrite>,
-    /// Second tier for prepared statements, keyed on the
-    /// *parameterized* canonical term (the statement fingerprint: `?`
-    /// placeholders appear as `PARAM(i)` leaves, so statements
-    /// differing only in bind values share one entry). The entry is
-    /// sound for every bind array: rules may relocate a `PARAM` leaf,
-    /// none evaluates one.
-    shapes: Tier<ShapeRewrite>,
-    /// Cumulative candidate-exploration counters.
-    explore: ExploreStats,
 }
 
 /// Default plan-cache capacity: cached rewrites above this count evict
@@ -171,27 +127,26 @@ struct PlanCache {
 const PLAN_CACHE_CAP: usize = 256;
 
 /// Plan-cache effectiveness counters, exposed for tests and the bench
-/// report. `evictions` counts *entries dropped* by capacity-triggered
-/// clears; `invalidations` counts knowledge-base/catalog invalidation
-/// events (each of which also empties the cache).
+/// report. Ad-hoc rewrites ([`QueryRewriter::rewrite_term_leveled`])
+/// and prepared statements ([`QueryRewriter::rewrite_shape_leveled`])
+/// read the same map; the `shape_*` counters say when a prepared
+/// statement asked.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Rewrites answered from the term tier.
+    /// Ad-hoc rewrites answered from the map.
     pub hits: u64,
-    /// Rewrites that ran the strategy (and then filled the term tier).
+    /// Strategy runs that filled the map, asked for by either side.
     pub misses: u64,
-    /// Prepared-shape rewrites answered from the shape tier (the
-    /// rewritten *and lowered* plan came straight out of the cache).
+    /// Prepared-statement rewrites answered from the map.
     pub shape_hits: u64,
-    /// Prepared-shape rewrites that fell through the shape tier (and
-    /// then filled it; the fall-through itself also counts a term-tier
-    /// hit or miss).
+    /// Prepared-statement rewrites that ran the strategy (each also
+    /// counted in `misses`).
     pub shape_misses: u64,
-    /// Entries dropped because a tier reached its capacity.
+    /// Entries dropped because the map reached its capacity.
     pub evictions: u64,
     /// Invalidation events (rule/strategy/method/catalog/constraint
-    /// changes). Doubles as the epoch prepared statements check before
-    /// reusing their cached plan.
+    /// changes), each of which also empties the map. Doubles as the
+    /// epoch prepared statements check before reusing their plan.
     pub invalidations: u64,
 }
 
@@ -242,18 +197,16 @@ pub struct QueryRewriter {
     rules: RuleSet,
     strategy: Strategy,
     methods: MethodRegistry,
-    /// Collect a rule-application trace on every rewrite.
-    pub collect_trace: bool,
     /// Lint policy [`QueryRewriter::add_source`] registers rule DDL
     /// under.
     pub lint_policy: LintPolicy,
-    /// The two plan-cache tiers and the cumulative counters, behind one
-    /// lock. Interior-mutable so `rewrite*(&self)` can fill it;
+    /// The plan cache and the cumulative counters, behind one lock.
+    /// Interior-mutable so `rewrite*(&self)` can fill it;
     /// invalidated by every knowledge-base mutation and, via
     /// [`QueryRewriter::invalidate_plan_cache`], by catalog/constraint
     /// changes in the embedding DBMS.
     cache: Mutex<PlanCache>,
-    /// Capacity of each cache tier (0 disables caching entirely).
+    /// Capacity of the plan cache (0 disables caching entirely).
     plan_cache_cap: usize,
     /// Invalidation events so far. The one counter outside the lock:
     /// `PreparedStmt::execute` reads it on every call.
@@ -266,10 +219,8 @@ impl fmt::Debug for QueryRewriter {
             .field("rules", &self.rules)
             .field("strategy", &self.strategy)
             .field("methods", &self.methods)
-            .field("collect_trace", &self.collect_trace)
             .field("lint_policy", &self.lint_policy)
             .field("plan_cache_len", &self.plan_cache_len())
-            .field("shape_cache_len", &self.shape_cache_len())
             .field("plan_cache_cap", &self.plan_cache_cap)
             .field("plan_cache_stats", &self.plan_cache_stats())
             .finish()
@@ -282,7 +233,6 @@ impl Clone for QueryRewriter {
             rules: self.rules.clone(),
             strategy: self.strategy.clone(),
             methods: self.methods.clone(),
-            collect_trace: self.collect_trace,
             lint_policy: self.lint_policy,
             // The clone starts cold: cached plans are cheap to recompute
             // and sharing them would couple invalidation across copies.
@@ -304,7 +254,6 @@ impl QueryRewriter {
             rules: RuleSet::new(),
             strategy: Strategy::new(),
             methods,
-            collect_trace: false,
             lint_policy: LintPolicy::default(),
             cache: Mutex::default(),
             plan_cache_cap: PLAN_CACHE_CAP,
@@ -540,7 +489,7 @@ impl QueryRewriter {
         self.set_all_limits(limit);
     }
 
-    /// Every [`Tier`] operation leaves its map whole, so a thread that
+    /// Every cache operation leaves the map whole, so a thread that
     /// panicked holding the lock poisoned nothing worth refusing later
     /// rewrites over: recover the guard.
     fn cache(&self) -> MutexGuard<'_, PlanCache> {
@@ -552,25 +501,18 @@ impl QueryRewriter {
     /// constraint store changes (rewrites consult both).
     pub fn invalidate_plan_cache(&self) {
         self.epoch.fetch_add(1, Ordering::Relaxed);
-        let mut cache = self.cache();
-        cache.terms.map.clear();
-        cache.shapes.map.clear();
+        self.cache().map.clear();
     }
 
-    /// Number of cached rewrites in the term tier.
+    /// Number of cached rewrites.
     pub fn plan_cache_len(&self) -> usize {
-        self.cache().terms.map.len()
-    }
-
-    /// Number of cached prepared shapes in the shape tier.
-    pub fn shape_cache_len(&self) -> usize {
-        self.cache().shapes.map.len()
+        self.cache().map.len()
     }
 
     /// Monotonic invalidation epoch: the count of invalidation events so
     /// far. A prepared statement snapshots this when it caches its plan
     /// and re-rewrites when the counter has moved — the same hooks that
-    /// clear the caches (rule/DDL/constraint changes) advance it.
+    /// clear the cache (rule/DDL/constraint changes) advance it.
     pub fn invalidation_epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
     }
@@ -585,21 +527,14 @@ impl QueryRewriter {
     /// next insert would do.
     pub fn set_plan_cache_cap(&mut self, cap: usize) {
         self.plan_cache_cap = cap;
-        let mut cache = self.cache();
-        cache.terms.evict_above(cap);
-        cache.shapes.evict_above(cap);
+        self.cache().evict_above(cap);
     }
 
     /// Snapshot of the hit/miss/eviction/invalidation counters.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        let cache = self.cache();
         PlanCacheStats {
-            hits: cache.terms.hits,
-            misses: cache.terms.misses,
-            shape_hits: cache.shapes.hits,
-            shape_misses: cache.shapes.misses,
-            evictions: cache.terms.evictions + cache.shapes.evictions,
             invalidations: self.invalidation_epoch(),
+            ..self.cache().stats
         }
     }
 
@@ -608,33 +543,79 @@ impl QueryRewriter {
         self.cache().explore
     }
 
-    /// Rewrite a term directly at an optimization level, consulting the
-    /// plan cache (keyed on `(level, term)`). Tracing rewrites bypass
-    /// the cache (a cache hit has no applications to trace, which would
-    /// make `explain` output misleading).
+    /// Rewrite a canonical term at an optimization level through the
+    /// plan cache — the ad-hoc side: a hit counts in
+    /// [`PlanCacheStats::hits`].
     pub fn rewrite_term_leveled(
         &self,
         term: Term,
         db: &Database,
         constraints: &ConstraintStore,
         level: OptLevel,
-    ) -> CoreResult<TermRewrite> {
-        if self.collect_trace || self.plan_cache_cap == 0 {
-            return self.run(term, db, constraints, level);
+    ) -> CoreResult<RewriteOutcome> {
+        self.cached(term, db, constraints, level, false)
+    }
+
+    /// Rewrite a parameterized canonical plan through the plan cache —
+    /// the prepared-statement side: a hit counts in
+    /// [`PlanCacheStats::shape_hits`]. `?` placeholders are `PARAM(i)`
+    /// leaves, so every statement with the same shape *prepared at the
+    /// same level* shares one entry regardless of eventual bind values —
+    /// a condition that would *evaluate* a leaf defers, one that
+    /// *relocates* it, like Figure-9 seeding, fires as for a literal.
+    /// Returns the lowered plan, its counters, and whether some block
+    /// hit its limit.
+    pub fn rewrite_shape_leveled(
+        &self,
+        expr: &Expr,
+        db: &Database,
+        constraints: &ConstraintStore,
+        level: OptLevel,
+    ) -> CoreResult<(Arc<Expr>, RewriteStats, bool)> {
+        let out = self.cached(expr_to_term(expr), db, constraints, level, true)?;
+        Ok((out.expr, out.stats, out.budget_exhausted))
+    }
+
+    /// The plan cache's one way in: the cached outcome for `(level,
+    /// term)`, or a strategy run that fills it. `prepared` says which
+    /// side asks, for the counters.
+    fn cached(
+        &self,
+        term: Term,
+        db: &Database,
+        constraints: &ConstraintStore,
+        level: OptLevel,
+        prepared: bool,
+    ) -> CoreResult<RewriteOutcome> {
+        if self.plan_cache_cap == 0 {
+            return self.run(term, db, constraints, level, false);
         }
         let key = (level, term);
-        if let Some(hit) = self.cache().terms.lookup(&key) {
+        let mut cache = self.cache();
+        if let Some(hit) = cache.map.get(&key).cloned() {
+            if prepared {
+                cache.stats.shape_hits += 1;
+            } else {
+                cache.stats.hits += 1;
+            }
             return Ok(hit);
         }
-        let out = self.run(key.1.clone(), db, constraints, level)?;
-        self.cache()
-            .terms
-            .fill(key, out.clone(), self.plan_cache_cap);
+        cache.stats.misses += 1;
+        cache.stats.shape_misses += u64::from(prepared);
+        drop(cache);
+        let out = self.run(key.1.clone(), db, constraints, level, false)?;
+        let mut cache = self.cache();
+        cache.evict_above(self.plan_cache_cap - 1);
+        cache.map.insert(key, out.clone());
         Ok(out)
     }
 
-    /// The one rewrite path: run the strategy over a term at an
-    /// optimization level, touching no cache tier.
+    /// The one uncached rewrite path: run the strategy over a canonical
+    /// term at an optimization level and lower the result, touching no
+    /// cache entry and no [`PlanCacheStats`] counter (a `Full` run still
+    /// adds to [`QueryRewriter::explore_stats`]). `trace` records every
+    /// rule application (what `explain` prints); the cache never holds a
+    /// trace.
     ///
     /// * [`OptLevel::None`] — a *trivial statement* (a point scan over
     ///   one stored relation, [`Expr::is_trivial_scan`]) skips rewriting
@@ -646,103 +627,47 @@ impl QueryRewriter {
     /// * [`OptLevel::Full`] — `Simple` plus candidate exploration at the
     ///   declared choice-point blocks, scored with a statistics-backed
     ///   cost model built from the engine's sketches.
-    fn run(
+    pub fn run(
         &self,
         term: Term,
         db: &Database,
         constraints: &ConstraintStore,
         level: OptLevel,
-    ) -> CoreResult<TermRewrite> {
-        if level == OptLevel::None && expr_from_term(&term).is_ok_and(|e| e.is_trivial_scan()) {
-            return Ok(TermRewrite {
-                term,
-                stats: RewriteStats::default(),
-                trace: Trace::default(),
-                budget_exhausted: false,
-                exploration: None,
-            });
+        trace: bool,
+    ) -> CoreResult<RewriteOutcome> {
+        if level == OptLevel::None {
+            if let Ok(plan) = expr_from_term(&term) {
+                if plan.is_trivial_scan() {
+                    return Ok(RewriteOutcome {
+                        expr: Arc::new(plan),
+                        term,
+                        stats: RewriteStats::default(),
+                        trace: Trace::default(),
+                        budget_exhausted: false,
+                        exploration: None,
+                    });
+                }
+            }
         }
         let env = CoreEnv { db, constraints };
         let (rules, strategy, methods) = (&self.rules, &self.strategy, &self.methods);
-        if level != OptLevel::Full {
-            return Ok(run_strategy(
-                rules,
-                strategy,
-                methods,
-                &env,
-                term,
-                self.collect_trace,
-            )?);
-        }
-        let model = stats_cost_model(db);
-        let score = |t: &Term| expr_from_term(t).ok().map(|e| model.estimate(&e).cost);
-        let opts = ExploreOptions {
-            k: EXPLORE_K,
-            max_checks: EXPLORE_MAX_CHECKS,
-            check_cost: EXPLORE_CHECK_COST,
-            score: &score,
-        };
-        let trace = self.collect_trace;
-        let out = run_strategy_explore(rules, strategy, methods, &env, term, trace, &opts)?;
-        self.cache().explore.absorb(&out.stats);
-        Ok(out)
-    }
-
-    /// Rewrite a parameterized canonical plan through the **shape
-    /// tier**: the key is the optimization level plus the canonical term
-    /// itself (`?` placeholders are `PARAM(i)` leaves, so every
-    /// statement with the same shape *prepared at the same level* shares
-    /// one entry regardless of eventual bind values — a condition that
-    /// would *evaluate* a leaf defers, one that *relocates* it, like
-    /// Figure-9 seeding, fires as for a literal), and the entry
-    /// stores the rewritten *and lowered* plan behind an `Arc` — a hit
-    /// skips rule matching and the term→algebra conversion both. Misses
-    /// fall through to the term tier, warming it for ad-hoc rewrites of
-    /// the same canonical term.
-    pub fn rewrite_shape_leveled(
-        &self,
-        expr: &Expr,
-        db: &Database,
-        constraints: &ConstraintStore,
-        level: OptLevel,
-    ) -> CoreResult<(Arc<Expr>, RewriteStats, bool)> {
-        let caching = self.plan_cache_cap > 0;
-        let key = (level, expr_to_term(expr));
-        if caching {
-            if let Some(hit) = self.cache().shapes.lookup(&key) {
-                return Ok(hit);
-            }
-        }
-        let out = self.rewrite_term_leveled(key.1.clone(), db, constraints, level)?;
-        let lowered = Arc::new(expr_from_term(&out.term)?);
-        let shaped = (lowered, out.stats, out.budget_exhausted);
-        if caching {
-            self.cache()
-                .shapes
-                .fill(key, shaped.clone(), self.plan_cache_cap);
-        }
-        Ok(shaped)
-    }
-
-    /// Rewrite a LERA plan at an optimization level: through the plan
-    /// cache, or — `cached: false`, for benchmarking the rewriter
-    /// itself — touching it neither for lookup nor for fill.
-    pub fn rewrite_leveled(
-        &self,
-        expr: &Expr,
-        db: &Database,
-        constraints: &ConstraintStore,
-        level: OptLevel,
-        cached: bool,
-    ) -> CoreResult<RewriteOutcome> {
-        let term = expr_to_term(expr);
-        let out = if cached {
-            self.rewrite_term_leveled(term, db, constraints, level)?
+        let out = if level == OptLevel::Full {
+            let model = stats_cost_model(db);
+            let score = |t: &Term| expr_from_term(t).ok().map(|e| model.estimate(&e).cost);
+            let opts = ExploreOptions {
+                k: EXPLORE_K,
+                max_checks: EXPLORE_MAX_CHECKS,
+                check_cost: EXPLORE_CHECK_COST,
+                score: &score,
+            };
+            let out = run_strategy_explore(rules, strategy, methods, &env, term, trace, &opts)?;
+            self.cache().explore.absorb(&out.stats);
+            out
         } else {
-            self.run(term, db, constraints, level)?
+            run_strategy(rules, strategy, methods, &env, term, trace)?
         };
         Ok(RewriteOutcome {
-            expr: expr_from_term(&out.term)?,
+            expr: Arc::new(expr_from_term(&out.term)?),
             term: out.term,
             stats: out.stats,
             trace: out.trace,
@@ -765,7 +690,7 @@ mod tests {
         let plan = Expr::base("P");
         let rewrite = || {
             rewriter
-                .rewrite_leveled(&plan, &db, &constraints, OptLevel::Simple, true)
+                .rewrite_term_leveled(expr_to_term(&plan), &db, &constraints, OptLevel::Simple)
                 .map(|out| out.expr)
         };
         let before = rewrite().unwrap();

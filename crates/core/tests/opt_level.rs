@@ -33,7 +33,7 @@ fn none_skips_rewriting_trivial_scans_only() {
     let out = dbms.rewrite(&scan).unwrap();
     assert_eq!(out.stats.applications, 0);
     assert_eq!(out.stats.condition_checks, 0);
-    assert_eq!(out.expr, scan.expr);
+    assert_eq!(*out.expr, scan.expr);
 
     // Anything structural falls back to Simple rewriting.
     let join = dbms.prepare(JOIN_SQL).unwrap();

@@ -1,9 +1,13 @@
 //! Rewrite-output plan cache: hits return the identical plan, every
 //! knowledge-base / catalog / constraint mutation invalidates, tracing
-//! bypasses, and the cache stays bounded.
+//! bypasses, ad-hoc and prepared rewrites share one map, and the cache
+//! stays bounded.
+
+use std::sync::Arc;
 
 use eds_adt::Value;
 use eds_core::Dbms;
+use eds_lera::expr_to_term;
 
 fn film_dbms() -> Dbms {
     let mut dbms = Dbms::new().unwrap();
@@ -130,7 +134,7 @@ fn every_mutation_class_invalidates() {
 
 #[test]
 fn tracing_bypasses_the_cache() {
-    let mut dbms = film_dbms();
+    let dbms = film_dbms();
     // The tautological conjunct makes the simplify block fire, so the
     // traced rewrite has applications to record.
     let prepared = dbms
@@ -139,8 +143,17 @@ fn tracing_bypasses_the_cache() {
     dbms.rewrite(&prepared).unwrap();
     assert_eq!(dbms.rewriter.plan_cache_len(), 1);
 
-    dbms.rewriter.collect_trace = true;
-    let traced = dbms.rewrite(&prepared).unwrap();
+    let before = dbms.rewriter.plan_cache_stats();
+    let traced = dbms
+        .rewriter
+        .run(
+            expr_to_term(&prepared.expr),
+            &dbms.db,
+            &dbms.constraints,
+            dbms.opt_level(),
+            true,
+        )
+        .unwrap();
     assert!(
         !traced.trace.events().is_empty(),
         "a traced rewrite of this query must record applications"
@@ -150,6 +163,38 @@ fn tracing_bypasses_the_cache() {
         1,
         "tracing must neither hit nor fill the cache"
     );
+    assert_eq!(dbms.rewriter.plan_cache_stats(), before);
+    // The cached outcome carries no trace.
+    assert!(dbms.rewrite(&prepared).unwrap().trace.events().is_empty());
+}
+
+#[test]
+fn prepared_rewrites_read_the_ad_hoc_entry() {
+    let dbms = film_dbms();
+    let prepared = dbms.prepare(QUERY).unwrap();
+    let ad_hoc = dbms.rewrite(&prepared).unwrap();
+    let before = dbms.rewriter.plan_cache_stats();
+
+    let (plan, stats, exhausted) = dbms
+        .rewriter
+        .rewrite_shape_leveled(
+            &prepared.expr,
+            &dbms.db,
+            &dbms.constraints,
+            dbms.opt_level(),
+        )
+        .unwrap();
+    let after = dbms.rewriter.plan_cache_stats();
+    assert_eq!(after.shape_hits, before.shape_hits + 1, "one shape hit");
+    assert_eq!(
+        (after.misses, after.shape_misses, after.hits),
+        (before.misses, before.shape_misses, before.hits),
+        "no strategy run, no ad-hoc hit"
+    );
+    // The very plan the ad-hoc rewrite lowered, not a second lowering.
+    assert!(Arc::ptr_eq(&plan, &ad_hoc.expr));
+    assert_eq!((stats, exhausted), (ad_hoc.stats, ad_hoc.budget_exhausted));
+    assert_eq!(dbms.rewriter.plan_cache_len(), 1, "one entry serves both");
 }
 
 #[test]
@@ -178,13 +223,34 @@ fn counters_track_hits_misses_and_invalidations() {
     assert_eq!((stats0.hits, stats0.misses), (0, 0));
 
     let prepared = dbms.prepare(QUERY).unwrap();
-    dbms.rewrite(&prepared).unwrap();
-    dbms.rewrite(&prepared).unwrap();
+    let cold = dbms.rewrite(&prepared).unwrap();
+    let warm = dbms.rewrite(&prepared).unwrap();
     dbms.rewrite(&prepared).unwrap();
     let stats = dbms.rewriter.plan_cache_stats();
     assert_eq!(stats.misses, 1, "one cold rewrite");
     assert_eq!(stats.hits, 2, "two warm rewrites");
     assert_eq!(stats.evictions, 0);
+    // A hit hands out the plan lowered when the strategy ran.
+    assert!(Arc::ptr_eq(&cold.expr, &warm.expr));
+
+    // Ad-hoc queries read the same map: the text above is a hit.
+    dbms.query(QUERY).unwrap();
+    let stats = dbms.rewriter.plan_cache_stats();
+    assert_eq!((stats.hits, stats.misses), (3, 1), "query hits");
+
+    // Prepared statements count their own hits and misses; a miss is
+    // a strategy run, so it counts in `misses` too.
+    let shape_sql = "SELECT Title FROM FILM WHERE Numf = ? ;";
+    dbms.prepare_stmt(shape_sql).unwrap();
+    dbms.prepare_stmt(shape_sql).unwrap();
+    dbms.prepare_stmt(QUERY).unwrap();
+    let stats = dbms.rewriter.plan_cache_stats();
+    assert_eq!(
+        (stats.shape_hits, stats.shape_misses),
+        (2, 1),
+        "a re-prepare and the ad-hoc text hit"
+    );
+    assert_eq!((stats.hits, stats.misses), (3, 2));
 
     // Uncached rewrites touch no counter.
     dbms.rewrite_uncached(&prepared).unwrap();
@@ -195,9 +261,9 @@ fn counters_track_hits_misses_and_invalidations() {
     dbms.add_rule_source("CounterNoop : f AND TRUE / --> f / ;")
         .unwrap();
     let stats = dbms.rewriter.plan_cache_stats();
-    assert!(stats.invalidations > invalidations_before);
+    assert_eq!(stats.invalidations, invalidations_before + 1, "the epoch");
     dbms.rewrite(&prepared).unwrap();
-    assert_eq!(dbms.rewriter.plan_cache_stats().misses, 2);
+    assert_eq!(dbms.rewriter.plan_cache_stats().misses, 3);
 
     // Clones start with fresh counters.
     assert_eq!(

@@ -1,6 +1,6 @@
 //! Parameterized prepared statements: prepare once, rewrite once,
 //! execute many. Covers bind arity, NULL binds, Int/Real widening, the
-//! shape-tier cache counters, epoch invalidation, parameter-independence
+//! prepared-side plan-cache counters, epoch invalidation, parameter-independence
 //! of value-dependent rewrites, and a differential suite asserting
 //! `stmt.execute(&binds)` is byte-identical to running the
 //! literal-substituted SQL through the reference interpreter across
@@ -167,11 +167,11 @@ fn shape_tier_counts_hits_and_shares_across_binds() {
     let sql = "SELECT Name FROM EMP WHERE Salary > ? ;";
     let stmt = dbms.prepare_stmt(sql).unwrap();
     let cold = dbms.rewriter.plan_cache_stats();
-    assert_eq!(cold.shape_misses, 1, "first prepare misses the shape tier");
+    assert_eq!(cold.shape_misses, 1, "first prepare misses");
     assert_eq!(cold.shape_hits, 0);
-    assert_eq!(dbms.rewriter.shape_cache_len(), 1);
+    assert_eq!(dbms.rewriter.plan_cache_len(), 1);
 
-    // Re-preparing the same text hits the shape tier: the rewrite and
+    // Re-preparing the same text is a shape hit: the rewrite and
     // the lowering are both skipped.
     let again = dbms.prepare_stmt(sql).unwrap();
     let warm = dbms.rewriter.plan_cache_stats();
@@ -185,10 +185,10 @@ fn shape_tier_counts_hits_and_shares_across_binds() {
     }
     let after = dbms.rewriter.plan_cache_stats();
     assert_eq!((after.shape_hits, after.shape_misses), (1, 1));
-    assert_eq!(dbms.rewriter.shape_cache_len(), 1);
+    assert_eq!(dbms.rewriter.plan_cache_len(), 1);
 
-    // Clones start cold, like the term tier.
-    assert_eq!(dbms.rewriter.clone().shape_cache_len(), 0);
+    // Clones start cold.
+    assert_eq!(dbms.rewriter.clone().plan_cache_len(), 0);
 }
 
 #[test]
@@ -201,18 +201,18 @@ fn epoch_invalidation_re_rewrites_transparently() {
     assert_eq!(baseline.rows.len(), 3);
     let misses_before = dbms.rewriter.plan_cache_stats().shape_misses;
 
-    // A rule-base mutation advances the epoch and clears both tiers.
+    // A rule-base mutation advances the epoch and clears the cache.
     dbms.add_rule_source("StmtNoop : f AND TRUE / --> f / ;")
         .unwrap();
-    assert_eq!(dbms.rewriter.shape_cache_len(), 0, "mutation clears tier");
+    assert_eq!(dbms.rewriter.plan_cache_len(), 0, "mutation clears");
 
     // The next execute notices the stale epoch, re-rewrites through the
-    // shape tier, and still answers correctly.
+    // plan cache, and still answers correctly.
     let refreshed = stmt.execute(&dbms, &[Value::Int(1000)]).unwrap();
     assert_eq!(refreshed.rows, baseline.rows);
     let stats = dbms.rewriter.plan_cache_stats();
     assert_eq!(stats.shape_misses, misses_before + 1);
-    assert_eq!(dbms.rewriter.shape_cache_len(), 1);
+    assert_eq!(dbms.rewriter.plan_cache_len(), 1);
 
     // Once refreshed, further executes stay off the rewriter entirely.
     stmt.execute(&dbms, &[Value::Int(0)]).unwrap();

@@ -3,7 +3,7 @@
 
 use eds_adt::Value;
 use eds_core::{figure10_constraints, Dbms};
-use eds_lera::Expr;
+use eds_lera::{expr_to_term, Expr};
 use eds_rewrite::Limit;
 
 /// The paper's Figure-2 film schema plus a small population.
@@ -109,7 +109,7 @@ fn figure7_view_composition_merges_to_single_search() {
     let rewritten = dbms.rewrite(&prepared).unwrap();
     // After merging: a single search over the base table with the two
     // qualifications ANDed.
-    let Expr::Search { inputs, pred, .. } = &rewritten.expr else {
+    let Expr::Search { inputs, pred, .. } = &*rewritten.expr else {
         panic!("expected search, got {}", rewritten.expr.op_name())
     };
     assert_eq!(inputs.len(), 1);
@@ -140,7 +140,7 @@ fn figure7_deep_view_stack_fully_merges() {
     let prepared = dbms.prepare(sql).unwrap();
     assert!(prepared.expr.node_count() >= 4);
     let rewritten = dbms.rewrite(&prepared).unwrap();
-    let Expr::Search { inputs, .. } = &rewritten.expr else {
+    let Expr::Search { inputs, .. } = &*rewritten.expr else {
         panic!("expected search")
     };
     assert_eq!(inputs.len(), 1);
@@ -162,7 +162,7 @@ fn figure8_union_pushdown_distributes_search() {
     let rewritten = dbms.rewrite(&dbms.prepare(sql).unwrap()).unwrap();
     // The search is distributed over the union branches and merged into
     // each: the top operator becomes a union of searches on base tables.
-    let Expr::Union(items) = &rewritten.expr else {
+    let Expr::Union(items) = &*rewritten.expr else {
         panic!("expected union on top, got {}", rewritten.expr.op_name())
     };
     assert_eq!(items.len(), 3);
@@ -204,7 +204,7 @@ fn figure8_nest_pushdown_moves_group_predicate_below_nest() {
         rewritten.expr
     );
     // And the outer search must no longer carry it.
-    let Expr::Search { pred, .. } = &rewritten.expr else {
+    let Expr::Search { pred, .. } = &*rewritten.expr else {
         panic!("expected search")
     };
     assert!(!pred.to_string().contains("Desert Run"));
@@ -284,7 +284,7 @@ fn figure10_inconsistent_member_detected() {
     let direct =
         "SELECT Title FROM FILM WHERE MEMBER('Cartoon', MAKESET('Comedy', 'Adventure', 'Science Fiction', 'Western')) ;";
     let rewritten = dbms.rewrite(&dbms.prepare(direct).unwrap()).unwrap();
-    let Expr::Search { pred, .. } = &rewritten.expr else {
+    let Expr::Search { pred, .. } = &*rewritten.expr else {
         panic!("expected search")
     };
     assert!(pred.is_false(), "expected FALSE qualification, got {pred}");
@@ -307,7 +307,7 @@ fn figure11_equality_substitution_enables_folding() {
     // collapses the qualification to FALSE.
     let sql = "SELECT Y FROM T WHERE X = 5 AND X > 9 ;";
     let rewritten = dbms.rewrite(&dbms.prepare(sql).unwrap()).unwrap();
-    let Expr::Search { pred, .. } = &rewritten.expr else {
+    let Expr::Search { pred, .. } = &*rewritten.expr else {
         panic!("expected search")
     };
     assert!(pred.is_false(), "expected FALSE, got {pred}");
@@ -326,7 +326,7 @@ fn figure11_transitivity_derives_join_predicates() {
     }
     let sql = "SELECT A.X FROM A, B, C WHERE A.X = B.X AND B.X = C.X ;";
     let rewritten = dbms.rewrite(&dbms.prepare(sql).unwrap()).unwrap();
-    let Expr::Search { pred, .. } = &rewritten.expr else {
+    let Expr::Search { pred, .. } = &*rewritten.expr else {
         panic!("expected search")
     };
     // 1.1 = 3.1 derived by transitivity.
@@ -349,7 +349,7 @@ fn figure12_constant_folding_in_qualifications() {
     // 2 + 3 folds to 5; X < 5 remains.
     let sql = "SELECT X FROM T WHERE X < 2 + 3 ;";
     let rewritten = dbms.rewrite(&dbms.prepare(sql).unwrap()).unwrap();
-    let Expr::Search { pred, .. } = &rewritten.expr else {
+    let Expr::Search { pred, .. } = &*rewritten.expr else {
         panic!()
     };
     assert_eq!(pred.to_string(), "1.1 < 5");
@@ -363,7 +363,7 @@ fn figure12_contradictory_comparisons_collapse() {
     dbms.insert("T", vec![1.into(), 2.into()]).unwrap();
     let sql = "SELECT X FROM T WHERE X > Y AND X <= Y ;";
     let rewritten = dbms.rewrite(&dbms.prepare(sql).unwrap()).unwrap();
-    let Expr::Search { pred, .. } = &rewritten.expr else {
+    let Expr::Search { pred, .. } = &*rewritten.expr else {
         panic!()
     };
     assert!(pred.is_false(), "expected FALSE, got {pred}");
@@ -394,9 +394,14 @@ fn rewriter_is_extensible_with_user_rules() {
     };
     let rewritten = dbms
         .rewriter
-        .rewrite_leveled(&custom, &dbms.db, &dbms.constraints, dbms.opt_level(), true)
+        .rewrite_term_leveled(
+            expr_to_term(&custom),
+            &dbms.db,
+            &dbms.constraints,
+            dbms.opt_level(),
+        )
         .unwrap();
-    let Expr::Search { pred, .. } = &rewritten.expr else {
+    let Expr::Search { pred, .. } = &*rewritten.expr else {
         panic!()
     };
     assert!(pred.is_true(), "user rule did not fire: {pred}");
@@ -415,7 +420,7 @@ fn zero_limits_disable_all_rewriting() {
         .prepare("SELECT Title FROM Adventure WHERE Numf = 3 ;")
         .unwrap();
     let rewritten = dbms.rewrite(&prepared).unwrap();
-    assert_eq!(rewritten.expr, prepared.expr);
+    assert_eq!(*rewritten.expr, prepared.expr);
     assert_eq!(rewritten.stats.applications, 0);
 }
 
@@ -529,7 +534,7 @@ fn adaptive_limits_scale_with_query_complexity() {
     let complex = dbms.prepare("SELECT X FROM V2 WHERE X = 5 ;").unwrap();
     dbms.rewriter.set_adaptive_limits(&complex.expr, 20);
     let out = dbms.rewrite(&complex).unwrap();
-    let Expr::Search { inputs, .. } = &out.expr else {
+    let Expr::Search { inputs, .. } = &*out.expr else {
         panic!("expected search")
     };
     assert!(
@@ -566,10 +571,15 @@ fn codd_primitives_normalize_into_search() {
     };
     let rewritten = dbms
         .rewriter
-        .rewrite_leveled(&plan, &dbms.db, &dbms.constraints, dbms.opt_level(), true)
+        .rewrite_term_leveled(
+            expr_to_term(&plan),
+            &dbms.db,
+            &dbms.constraints,
+            dbms.opt_level(),
+        )
         .unwrap();
     // Everything collapses into one compound search over the bases.
-    let Expr::Search { inputs, .. } = &rewritten.expr else {
+    let Expr::Search { inputs, .. } = &*rewritten.expr else {
         panic!("expected search, got {}", rewritten.expr)
     };
     assert_eq!(inputs.len(), 2);
@@ -703,7 +713,7 @@ fn negation_normalization_exposes_contradictions() {
     // NOT(X > 5) AND X > 9  ⇒  X <= 5 AND X > 9  ⇒  FALSE.
     let sql = "SELECT X FROM T WHERE NOT (X > 5) AND X > 9 ;";
     let rewritten = dbms.rewrite(&dbms.prepare(sql).unwrap()).unwrap();
-    let Expr::Search { pred, .. } = &rewritten.expr else {
+    let Expr::Search { pred, .. } = &*rewritten.expr else {
         panic!()
     };
     assert!(pred.is_false(), "expected FALSE, got {pred}");

@@ -15,8 +15,8 @@
 //!
 //! Semantics (three-valued logic, broadcast comparisons, collection
 //! mapping, and every error message) are identical to the interpreted
-//! [`eval_scalar`](crate::eval::eval_scalar), which nothing on the query
-//! or `INSERT` path runs: it is the reference executor's evaluator
+//! `eval_scalar` of [`crate::reference`], which nothing on the query or
+//! `INSERT` path runs: it is the reference executor's evaluator
 //! ([`eval_reference`](crate::reference::eval_reference) calls it per
 //! row), and `crates/bench/tests/exec_equivalence.rs` compares the two
 //! executors — and so the two evaluators — on the full workload suite.
@@ -101,12 +101,14 @@ pub enum CompiledScalar {
         /// 1-based field index.
         idx1: usize,
     },
-    /// `GETFIELD` with a computed index (kept for rule-generated plans).
+    /// `GETFIELD` with a computed index (kept for rule-generated plans)
+    /// or the wrong number of arguments (an arity error once they are
+    /// evaluated, like the interpreter's).
     DynGetField(Vec<CompiledScalar>),
     /// `VALUE(input)`: object dereference with collection mapping.
     ValueOf(Box<CompiledScalar>),
-    /// `VALUE` with an unexpected argument list (degenerate, kept for
-    /// exact interpreter parity).
+    /// `VALUE` with the wrong number of arguments: evaluates them, then
+    /// fails with the registry's arity error, like the interpreter.
     DynValue(Vec<CompiledScalar>),
     /// Resolved function call: the registry lookup happened at compile
     /// time.
@@ -168,24 +170,16 @@ impl CompiledScalar {
             Scalar::Param(i) => CompiledScalar::Param(*i),
             Scalar::Field { name, .. } => CompiledScalar::UnboundField { name: name.clone() },
             Scalar::Call { func, args } => {
-                let compiled: Vec<CompiledScalar> =
+                let mut compiled: Vec<CompiledScalar> =
                     args.iter().map(|a| Self::compile(a, env)).collect();
-                match (func.as_str(), compiled.len()) {
-                    ("GETFIELD", 2) => {
-                        // Constant index: the canonical bind_fields shape.
-                        if let Scalar::Const(Value::Int(i)) = &args[1] {
-                            CompiledScalar::GetField {
-                                input: Box::new(compiled.into_iter().next().expect("two args")),
-                                idx1: *i as usize,
-                            }
-                        } else {
-                            CompiledScalar::DynGetField(compiled)
-                        }
-                    }
+                match (func.as_str(), &args[..]) {
+                    // Constant index: the canonical bind_fields shape.
+                    ("GETFIELD", [_, Scalar::Const(Value::Int(i))]) => CompiledScalar::GetField {
+                        input: Box::new(compiled.swap_remove(0)),
+                        idx1: *i as usize,
+                    },
                     ("GETFIELD", _) => CompiledScalar::DynGetField(compiled),
-                    ("VALUE", 1) => CompiledScalar::ValueOf(Box::new(
-                        compiled.into_iter().next().expect("one arg"),
-                    )),
+                    ("VALUE", [_]) => CompiledScalar::ValueOf(Box::new(compiled.swap_remove(0))),
                     ("VALUE", _) => CompiledScalar::DynValue(compiled),
                     _ => match env.functions.get(func) {
                         Some(def) => CompiledScalar::Call {
@@ -260,19 +254,20 @@ impl CompiledScalar {
                     .iter()
                     .map(|a| a.eval(tuples, env).map(Cow::into_owned))
                     .collect::<EngineResult<Vec<Value>>>()?;
-                let idx = vals[1].as_int().map_err(EngineError::Adt)? as usize;
-                getfield_cow(Cow::Owned(vals.into_iter().next().expect("arg")), idx, env)
+                let [receiver, idx] = <[Value; 2]>::try_from(vals)
+                    .map_err(|vals| arity_error("GETFIELD", 2, vals.len()))?;
+                let idx = idx.as_int().map_err(EngineError::Adt)? as usize;
+                getfield_cow(Cow::Owned(receiver), idx, env)
             }
             CompiledScalar::ValueOf(input) => {
                 let v = input.eval(tuples, env)?;
                 deref_cow(v, env)
             }
             CompiledScalar::DynValue(args) => {
-                let vals = args
-                    .iter()
-                    .map(|a| a.eval(tuples, env).map(Cow::into_owned))
-                    .collect::<EngineResult<Vec<Value>>>()?;
-                deref_cow(Cow::Owned(vals.into_iter().next().expect("arg")), env)
+                for a in args {
+                    a.eval(tuples, env)?;
+                }
+                Err(arity_error("VALUE", 1, args.len()))
             }
             CompiledScalar::Call {
                 name,
@@ -1144,6 +1139,15 @@ fn flatten_or(s: &Scalar, env: &EvalEnv<'_>, out: &mut Vec<CompiledScalar>) {
     }
 }
 
+/// The registry's error for a call with the wrong number of arguments.
+fn arity_error(function: &str, expected: usize, found: usize) -> EngineError {
+    EngineError::Adt(AdtError::Arity {
+        function: function.into(),
+        expected,
+        found,
+    })
+}
+
 /// Field access with automatic mapping (tuples index directly, object
 /// references dereference first, collections map elementwise), borrowing
 /// wherever the receiver is borrowed.
@@ -1161,12 +1165,16 @@ fn getfield_cow<'v>(
 fn getfield_ref<'v>(v: &'v Value, idx1: usize, env: &EvalEnv<'v>) -> EngineResult<Cow<'v, Value>> {
     match v {
         Value::Null => Ok(Cow::Owned(Value::Null)),
-        Value::Tuple(items) => items.get(idx1 - 1).map(Cow::Borrowed).ok_or({
-            EngineError::Adt(AdtError::IndexOutOfBounds {
-                index: idx1 as i64,
-                len: items.len(),
-            })
-        }),
+        Value::Tuple(items) => idx1
+            .checked_sub(1)
+            .and_then(|i| items.get(i))
+            .map(Cow::Borrowed)
+            .ok_or({
+                EngineError::Adt(AdtError::IndexOutOfBounds {
+                    index: idx1 as i64,
+                    len: items.len(),
+                })
+            }),
         Value::Object(oid) => {
             let inner = env.objects.value(*oid).map_err(EngineError::Adt)?;
             getfield_ref(inner, idx1, env)

@@ -37,7 +37,7 @@ use std::collections::HashSet;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
-use eds_adt::{CollKind, EvalContext, Value};
+use eds_adt::{CollKind, Value};
 use eds_lera::{
     infer_scalar_type, infer_schema, search_schema, Expr, LeraError, Scalar, Schema, SchemaCtx,
 };
@@ -1159,160 +1159,6 @@ fn bind_fields_inner(
         Scalar::Not(a) => Scalar::Not(Box::new(bind_fields_inner(a, inputs, sc)?)),
         Scalar::Attr { .. } | Scalar::Const(_) | Scalar::Param(_) => s.clone(),
     })
-}
-
-/// Evaluate a bound scalar against one tuple per input relation — the
-/// interpreted (per-row tree-walking) evaluator of the reference executor
-/// ([`crate::reference`]), its only caller. Operators and `INSERT ...
-/// VALUES` run compiled programs ([`crate::compile`]); this one shares no
-/// code with them, which is what makes the oracle independent.
-pub fn eval_scalar(s: &Scalar, tuples: &[&[Value]], ctx: &Ctx<'_>) -> EngineResult<Value> {
-    match s {
-        Scalar::Attr { rel, attr } => {
-            let row = tuples.get(rel - 1).ok_or_else(|| {
-                EngineError::Lera(LeraError::BadAttrRef {
-                    rel: *rel,
-                    attr: *attr,
-                    context: format!("{} input tuples", tuples.len()),
-                })
-            })?;
-            row.get(attr - 1).cloned().ok_or_else(|| {
-                EngineError::Lera(LeraError::BadAttrRef {
-                    rel: *rel,
-                    attr: *attr,
-                    context: format!("tuple of arity {}", row.len()),
-                })
-            })
-        }
-        Scalar::Const(v) => Ok(v.clone()),
-        Scalar::Param(i) => ctx
-            .params
-            .get(*i as usize)
-            .cloned()
-            .ok_or(EngineError::UnboundParam(*i)),
-        Scalar::Field { name, .. } => Err(EngineError::Lera(LeraError::UnknownAttribute {
-            name: name.clone(),
-            receiver: "unbound field access at runtime".into(),
-        })),
-        Scalar::Call { func, args } => {
-            let vals = args
-                .iter()
-                .map(|a| eval_scalar(a, tuples, ctx))
-                .collect::<EngineResult<Vec<Value>>>()?;
-            match func.as_str() {
-                "GETFIELD" => {
-                    let idx = vals[1].as_int().map_err(EngineError::Adt)? as usize;
-                    getfield(&vals[0], idx, ctx)
-                }
-                "VALUE" => deref_value(&vals[0], ctx),
-                _ => {
-                    let ec = EvalContext {
-                        objects: &ctx.db.objects,
-                        types: &ctx.db.catalog.types,
-                    };
-                    ctx.db
-                        .functions
-                        .call(func, &vals, &ec)
-                        .map_err(EngineError::Adt)
-                }
-            }
-        }
-        Scalar::Cmp { op, left, right } => {
-            let l = eval_scalar(left, tuples, ctx)?;
-            let r = eval_scalar(right, tuples, ctx)?;
-            Ok(op.eval(&l, &r))
-        }
-        Scalar::And(a, b) => {
-            let va = eval_scalar(a, tuples, ctx)?;
-            // Short-circuit FALSE without evaluating the right side.
-            if matches!(va, Value::Bool(false)) {
-                return Ok(Value::Bool(false));
-            }
-            let vb = eval_scalar(b, tuples, ctx)?;
-            Ok(match (va, vb) {
-                (_, Value::Bool(false)) => Value::Bool(false),
-                (Value::Bool(true), Value::Bool(true)) => Value::Bool(true),
-                _ => Value::Null,
-            })
-        }
-        Scalar::Or(a, b) => {
-            let va = eval_scalar(a, tuples, ctx)?;
-            if matches!(va, Value::Bool(true)) {
-                return Ok(Value::Bool(true));
-            }
-            let vb = eval_scalar(b, tuples, ctx)?;
-            Ok(match (va, vb) {
-                (_, Value::Bool(true)) => Value::Bool(true),
-                (Value::Bool(false), Value::Bool(false)) => Value::Bool(false),
-                _ => Value::Null,
-            })
-        }
-        Scalar::Not(a) => Ok(match eval_scalar(a, tuples, ctx)? {
-            Value::Bool(b) => Value::Bool(!b),
-            Value::Null => Value::Null,
-            other => {
-                return Err(EngineError::NonBooleanPredicate(other.to_string()));
-            }
-        }),
-    }
-}
-
-/// Field access with automatic mapping: tuples index directly, object
-/// references dereference first, collections map the access over their
-/// elements ("the system will automatically apply the appropriate type
-/// conversion", Section 2.1).
-fn getfield(v: &Value, idx1: usize, ctx: &Ctx<'_>) -> EngineResult<Value> {
-    match v {
-        Value::Null => Ok(Value::Null),
-        Value::Tuple(items) => items.get(idx1 - 1).cloned().ok_or({
-            EngineError::Adt(eds_adt::AdtError::IndexOutOfBounds {
-                index: idx1 as i64,
-                len: items.len(),
-            })
-        }),
-        Value::Object(oid) => {
-            let inner = ctx
-                .db
-                .objects
-                .value(*oid)
-                .map_err(EngineError::Adt)?
-                .clone();
-            getfield(&inner, idx1, ctx)
-        }
-        Value::Coll(kind, items) => {
-            let mapped = items
-                .iter()
-                .map(|e| getfield(e, idx1, ctx))
-                .collect::<EngineResult<Vec<_>>>()?;
-            Ok(Value::coll(*kind, mapped))
-        }
-        other => Err(EngineError::Adt(eds_adt::AdtError::TypeMismatch {
-            function: "GETFIELD".into(),
-            expected: "TUPLE, OBJECT or collection".into(),
-            found: other.kind_name().into(),
-        })),
-    }
-}
-
-/// `VALUE` with collection mapping.
-fn deref_value(v: &Value, ctx: &Ctx<'_>) -> EngineResult<Value> {
-    match v {
-        Value::Null => Ok(Value::Null),
-        Value::Object(oid) => ctx
-            .db
-            .objects
-            .value(*oid)
-            .cloned()
-            .map_err(EngineError::Adt),
-        Value::Coll(kind, items) => {
-            let mapped = items
-                .iter()
-                .map(|e| deref_value(e, ctx))
-                .collect::<EngineResult<Vec<_>>>()?;
-            Ok(Value::coll(*kind, mapped))
-        }
-        other => Ok(other.clone()),
-    }
 }
 
 #[cfg(test)]

@@ -2,15 +2,20 @@
 //!
 //! The original EDS parallel database server is unavailable; this crate
 //! is the faithful single-node substitute (see DESIGN.md). It evaluates
-//! every LERA operator with deliberately simple physical strategies so
-//! that the *logical* plan improvements produced by the rewriter are
-//! directly measurable:
+//! every LERA operator with one physical strategy per operator, leaving
+//! join order and everything above the operator to the rewriter:
 //!
 //! * [`database::Database`] — catalog + object store + stored relations;
-//! * [`mod@eval`] — nested-loop `search`, `nest`/`unnest`, three-valued
-//!   qualifications, collection broadcasting of field access and ordered
-//!   comparisons;
-//! * [`fixpoint`] — naive and semi-naive `fix` evaluation.
+//! * [`mod@eval`] — `search` that selects each input first and probes a
+//!   hash table wherever an equality links two inputs
+//!   ([`JoinMode::Hash`], the default; [`JoinMode::NestedLoop`] is the
+//!   paper's cross product, kept so work counters read a plan's logical
+//!   quality), `nest`/`unnest`, three-valued qualifications, collection
+//!   broadcasting of field access and ordered comparisons;
+//! * [`fixpoint`] — semi-naive `fix` evaluation by default, naive on
+//!   request ([`FixMode`]);
+//! * [`mod@reference`] — the per-tuple interpreter every differential suite
+//!   compares the executor against.
 
 //! ```
 //! use eds_engine::{eval, Database};

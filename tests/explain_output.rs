@@ -3,6 +3,7 @@
 //! needs.
 
 use eds_core::Dbms;
+use eds_lera::expr_to_term;
 
 fn dbms() -> Dbms {
     let mut dbms = Dbms::new().unwrap();
@@ -36,11 +37,10 @@ fn explain_shows_both_plans_and_the_trace() {
 fn trace_records_every_application_in_order() {
     let dbms = dbms();
     let prepared = dbms.prepare("SELECT Y FROM V WHERE X = 1 ;").unwrap();
-    let mut tracing = dbms.rewriter.clone();
-    tracing.collect_trace = true;
-    let outcome = tracing
-        .rewrite_leveled(
-            &prepared.expr,
+    let outcome = dbms
+        .rewriter
+        .run(
+            expr_to_term(&prepared.expr),
             &dbms.db,
             &dbms.constraints,
             dbms.opt_level(),

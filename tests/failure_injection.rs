@@ -2,9 +2,10 @@
 //! fixpoints — every error path must fail cleanly with a diagnosable
 //! error, never panic or loop.
 
+use eds_adt::AdtError;
 use eds_adt::Value;
 use eds_core::{CoreError, Dbms};
-use eds_engine::{EngineError, EvalOptions, FixMode, FixOptions};
+use eds_engine::{eval_reference, EngineError, EvalOptions, FixMode, FixOptions};
 use eds_esql::EsqlError;
 use eds_rewrite::{Limit, RewriteError};
 
@@ -114,13 +115,13 @@ fn arity_and_unknown_function_errors() {
         .unwrap_err();
     assert!(matches!(
         err,
-        CoreError::Engine(EngineError::Adt(eds_adt::AdtError::UnknownFunction(_)))
+        CoreError::Engine(EngineError::Adt(AdtError::UnknownFunction(_)))
     ));
     // Wrong arity on a builtin.
     let err = dbms.query("SELECT X FROM T WHERE MEMBER(X) ;").unwrap_err();
     assert!(matches!(
         err,
-        CoreError::Engine(EngineError::Adt(eds_adt::AdtError::Arity { .. }))
+        CoreError::Engine(EngineError::Adt(AdtError::Arity { .. }))
     ));
 }
 
@@ -180,7 +181,7 @@ fn dangling_object_reference_fails_at_eval() {
     let err = dbms.query("SELECT N(R) FROM T ;").unwrap_err();
     assert!(matches!(
         err,
-        CoreError::Engine(EngineError::Adt(eds_adt::AdtError::DanglingOid(_)))
+        CoreError::Engine(EngineError::Adt(AdtError::DanglingOid(_)))
     ));
 }
 
@@ -191,7 +192,7 @@ fn zero_pass_sequence_is_identity() {
     dbms.add_rule_source("seq((merging), 0) ;").unwrap();
     let prepared = dbms.prepare("SELECT X FROM T WHERE 1 = 1 ;").unwrap();
     let rewritten = dbms.rewrite(&prepared).unwrap();
-    assert_eq!(rewritten.expr, prepared.expr);
+    assert_eq!(*rewritten.expr, prepared.expr);
 }
 
 #[test]
@@ -221,4 +222,74 @@ fn limit_zero_versus_saturation_equivalence_of_results() {
             reference.sorted_rows()
         );
     }
+}
+
+/// `GETFIELD` and `VALUE` written by hand with the wrong number of
+/// arguments, or a field index of 0, are typed errors — the registry's
+/// arity error and `IndexOutOfBounds` — on every path, the same one from
+/// the executor and the oracle; nothing panics and nothing is stored.
+#[test]
+fn malformed_getfield_and_value_are_typed_errors() {
+    let mut dbms = Dbms::new().unwrap();
+    dbms.execute_ddl(
+        "TYPE Pair TUPLE (A : INT, B : INT);
+         TABLE T (X : INT);
+         TABLE U (P : Pair);",
+    )
+    .unwrap();
+    dbms.insert("T", vec![1.into()]).unwrap();
+    dbms.insert("U", vec![Value::Tuple(vec![1.into(), 2.into()])])
+        .unwrap();
+    let arity = |function: &str, expected, found| {
+        CoreError::Engine(EngineError::Adt(AdtError::Arity {
+            function: function.into(),
+            expected,
+            found,
+        }))
+    };
+    let queries = [
+        ("SELECT GETFIELD(X) FROM T ;", arity("GETFIELD", 2, 1)),
+        ("SELECT GETFIELD() FROM T ;", arity("GETFIELD", 2, 0)),
+        ("SELECT VALUE() FROM T ;", arity("VALUE", 1, 0)),
+        (
+            "SELECT X FROM T WHERE GETFIELD(X) = 1 ;",
+            arity("GETFIELD", 2, 1),
+        ),
+        (
+            "SELECT GETFIELD(P, 0) FROM U ;",
+            CoreError::Engine(EngineError::Adt(AdtError::IndexOutOfBounds {
+                index: 0,
+                len: 2,
+            })),
+        ),
+    ];
+    for (sql, want) in &queries {
+        let canonical = dbms.prepare(sql).unwrap().expr;
+        let stmt = dbms.prepare_stmt(sql).unwrap();
+        let got = [
+            dbms.query(sql).unwrap_err(),
+            dbms.query_unoptimized(sql).unwrap_err(),
+            stmt.execute(&dbms, &[]).unwrap_err(),
+            eval_reference(&canonical, &dbms.db, EvalOptions::default())
+                .unwrap_err()
+                .into(),
+        ];
+        for (path, err) in ["query", "unoptimized", "prepared", "oracle"]
+            .iter()
+            .zip(got)
+        {
+            assert_eq!(&err, want, "{sql} via {path}");
+        }
+    }
+    for (sql, want) in [
+        (
+            "INSERT INTO T VALUES (GETFIELD(1)) ;",
+            arity("GETFIELD", 2, 1),
+        ),
+        ("INSERT INTO T VALUES (VALUE()) ;", arity("VALUE", 1, 0)),
+    ] {
+        assert_eq!(dbms.execute(sql).unwrap_err(), want, "{sql}");
+    }
+    assert_eq!(dbms.query("SELECT X FROM T ;").unwrap().len(), 1);
+    assert_eq!(dbms.query("SELECT P FROM U ;").unwrap().len(), 1);
 }

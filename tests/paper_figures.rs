@@ -236,7 +236,7 @@ fn figure10_constraints_load_and_fire() {
     let sql = "SELECT Title FROM FILM \
                WHERE MEMBER('Cartoon', MAKESET('Comedy', 'Adventure', 'Science Fiction', 'Western')) ;";
     let rewritten = dbms.rewrite(&dbms.prepare(sql).unwrap()).unwrap();
-    let Expr::Search { pred, .. } = &rewritten.expr else {
+    let Expr::Search { pred, .. } = &*rewritten.expr else {
         panic!()
     };
     assert!(pred.is_false());
