@@ -426,3 +426,206 @@ fn default_joins_return_the_baselines_rows_in_its_order() {
         }
     }
 }
+
+/// The configurations a set-mode sink must agree across: parallelism
+/// {1, 4} × columnar {off, on} × both join modes.
+fn sink_configs() -> Vec<EvalOptions> {
+    let mut out = Vec::new();
+    for join in [JoinMode::Hash, JoinMode::NestedLoop] {
+        for parallelism in [1usize, 4] {
+            for columnar in [false, true] {
+                out.push(EvalOptions {
+                    join,
+                    parallelism,
+                    columnar,
+                    ..Default::default()
+                });
+            }
+        }
+    }
+    out
+}
+
+/// Every layout a set sink keys on, more than two morsels deep: `T`
+/// has an INT and a CHAR column with NULLs (and `''`) and a spill
+/// column of REAL `0.0` / `-0.0` / NaN, BOOL and INT beside REAL; `P`
+/// repeats whole rows; `DIM` repeats labels; `TC` is a recursive view.
+fn distinct_dbms() -> Dbms {
+    use eds_adt::Value;
+    let mut dbms = Dbms::new().unwrap();
+    dbms.execute_ddl(
+        "TABLE T (K : INT, I : INT, S : CHAR, X : REAL, G : INT);
+         TABLE P (I : INT, S : CHAR);
+         TABLE DIM (G : INT, Label : CHAR);
+         TABLE EDGE (Src : INT, Dst : INT);
+         CREATE VIEW TC (Src, Dst) AS
+         ( SELECT Src, Dst FROM EDGE
+           UNION
+           SELECT T1.Src, T2.Dst FROM TC T1, TC T2 WHERE T1.Dst = T2.Src ) ;",
+    )
+    .unwrap();
+    let spill = [
+        Value::real(0.0),
+        Value::real(-0.0),
+        Value::real(f64::NAN),
+        Value::Bool(true),
+        Value::Int(1),
+        Value::real(1.0),
+        Value::Int(0),
+        Value::Null,
+    ];
+    let tags = ["", "hot", "cold", "warm", "hot ", "HOT"];
+    let int = |i: i64, m: i64| {
+        if i % 7 == 3 {
+            Value::Null
+        } else {
+            Value::Int(i % m)
+        }
+    };
+    let tag = |i: i64| {
+        if i % 5 == 2 {
+            Value::Null
+        } else {
+            Value::str(tags[(i % 6) as usize])
+        }
+    };
+    for i in 0..5_000i64 {
+        let x = spill[(i % 8) as usize].clone();
+        dbms.insert("T", vec![i.into(), int(i, 11), tag(i), x, (i % 16).into()])
+            .unwrap();
+    }
+    for i in 0..3_000i64 {
+        dbms.insert("P", vec![int(i, 9), tag(i / 3)]).unwrap();
+    }
+    for g in 0..16i64 {
+        dbms.insert("DIM", vec![g.into(), format!("label{}", g % 4).into()])
+            .unwrap();
+    }
+    for i in 0..30i64 {
+        dbms.insert("EDGE", vec![i.into(), (i + 1).into()]).unwrap();
+        if i % 5 == 0 {
+            dbms.insert("EDGE", vec![i.into(), (i + 3).into()]).unwrap();
+        }
+    }
+    dbms
+}
+
+/// Set semantics at the sink return the oracle's rows in its order, in
+/// every configuration of the executor: `DISTINCT` over an INT and a
+/// CHAR column with NULLs, over a spill column, over several columns,
+/// over `*`, over a computed target, over a linked join and a cross
+/// product; an `IN` subquery, whose `dedup` is a `search` input; a
+/// recursive view (the semi-naive delta); a prepared `?` bind; and
+/// hand-built `difference` / `intersect`, one with a left operand that
+/// is not a search.
+#[test]
+fn set_sinks_match_the_reference() {
+    use eds_adt::Value;
+    use eds_bench::literal_sql;
+
+    let dbms = distinct_dbms();
+    let configs = sink_configs();
+    let statements = [
+        ("distinct_int", "SELECT DISTINCT I FROM T WHERE K >= 40 ;"),
+        ("distinct_int_rows", "SELECT DISTINCT I FROM T ;"),
+        ("distinct_char", "SELECT DISTINCT S FROM T WHERE K >= 100 ;"),
+        ("distinct_spill", "SELECT DISTINCT X FROM T WHERE G < 12 ;"),
+        (
+            "distinct_multi",
+            "SELECT DISTINCT I, S FROM T WHERE G <> 3 ;",
+        ),
+        ("distinct_star", "SELECT DISTINCT * FROM P WHERE I >= 0 ;"),
+        ("distinct_star_rows", "SELECT DISTINCT * FROM P ;"),
+        (
+            "distinct_computed",
+            "SELECT DISTINCT I + 1 FROM T WHERE K > 5 ;",
+        ),
+        (
+            "distinct_linked_join",
+            "SELECT DISTINCT Label, I FROM T, DIM WHERE T.G = DIM.G AND K > 10 ;",
+        ),
+        (
+            "distinct_cross",
+            "SELECT DISTINCT Label, S FROM P, DIM WHERE DIM.G < 3 ;",
+        ),
+        (
+            "in_subquery",
+            "SELECT K FROM T WHERE I IN (SELECT G FROM DIM WHERE G < 4) ;",
+        ),
+        ("recursive", "SELECT Src, Dst FROM TC WHERE Dst - Src > 1 ;"),
+        (
+            "recursive_distinct",
+            "SELECT DISTINCT Dst FROM TC WHERE Src < 10 ;",
+        ),
+    ];
+    for (id, sql) in statements {
+        let prepared = dbms.prepare(sql).unwrap();
+        let rewritten = dbms.rewrite(&prepared).unwrap();
+        assert_matches_oracle(&format!("{id}/raw"), &dbms.db, &prepared.expr, &configs);
+        assert_matches_oracle(
+            &format!("{id}/rewritten"),
+            &dbms.db,
+            &rewritten.expr,
+            &configs,
+        );
+    }
+
+    let plan = |sql: &str| Box::new(dbms.prepare(sql).unwrap().expr);
+    let (left, right) = (
+        plan("SELECT I FROM T WHERE K < 3000 ;"),
+        plan("SELECT I FROM P WHERE S = 'hot' ;"),
+    );
+    let not_a_search = Box::new(Expr::base("P"));
+    let some_of_p = plan("SELECT I, S FROM P WHERE I > 4 ;");
+    for (id, expr) in [
+        ("difference", Expr::Difference(left.clone(), right.clone())),
+        ("intersect", Expr::Intersect(left, right)),
+        (
+            "difference_of_a_base",
+            Expr::Difference(not_a_search.clone(), some_of_p.clone()),
+        ),
+        (
+            "intersect_of_a_base",
+            Expr::Intersect(not_a_search, some_of_p),
+        ),
+    ] {
+        assert_matches_oracle(id, &dbms.db, &expr, &configs);
+    }
+
+    let sql = "SELECT DISTINCT S FROM T WHERE K >= ? ;";
+    let stmt = dbms.prepare(sql).unwrap().expr;
+    for binds in [[Value::Int(4_000)], [Value::Int(0)], [Value::Int(5_001)]] {
+        let literal = dbms.prepare(&literal_sql(sql, &binds)).unwrap().expr;
+        let oracle = eval_reference(&literal, &dbms.db, EvalOptions::default()).unwrap();
+        for &opts in &configs {
+            let got = eds_engine::eval_with_params(&stmt, &dbms.db, opts, &binds)
+                .unwrap()
+                .0;
+            assert_eq!(got.rows, oracle.rows, "prepared {binds:?} under {opts:?}");
+        }
+    }
+}
+
+/// A set-mode sink drops a duplicate before it becomes a row but still
+/// counts it: `SELECT DISTINCT B …` reports the `rows_emitted` and
+/// `combinations_tried` of `SELECT B …`, in every configuration.
+#[test]
+fn distinct_counts_the_rows_of_its_search() {
+    let dbms = eds_bench::scan_dbms(16_000, 7);
+    let plan = |sql: &str| dbms.prepare(sql).unwrap().expr;
+    let bag = plan("SELECT B FROM SCAN WHERE K >= 8000 ;");
+    let set = plan("SELECT DISTINCT B FROM SCAN WHERE K >= 8000 ;");
+    let pinned = EvalStats {
+        rows_emitted: 8_000,
+        combinations_tried: 16_000,
+        fix_iterations: 0,
+    };
+    for opts in all_configs() {
+        let run = |e: &Expr| eds_engine::eval_with(e, &dbms.db, opts).unwrap();
+        let ((bag_rows, bag_stats), (set_rows, set_stats)) = (run(&bag), run(&set));
+        assert_eq!(bag_stats, pinned, "bag under {opts:?}");
+        assert_eq!(set_stats, pinned, "DISTINCT under {opts:?}");
+        assert_eq!(bag_rows.len(), 8_000);
+        assert_eq!(set_rows.len(), 1_000, "DISTINCT under {opts:?}");
+    }
+}

@@ -22,6 +22,7 @@
 //! [`SharedRow`]: crate::relation::SharedRow
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use eds_adt::Value;
@@ -146,6 +147,36 @@ impl Column {
         }
     }
 
+    /// Feed row `i`'s *code* to `h`: the null bit and the payload of an
+    /// `Int`, the null bit and the interned id of a `Str`, the value
+    /// itself of a `Spill`. Two rows' codes are equal exactly when their
+    /// values are ([`Column::eq_at`]): a NULL row sets its bit and holds
+    /// the default payload, so it equals every NULL and no `0`, and
+    /// interning gives each distinct string one id, so ids are equal
+    /// exactly when strings are. A set keyed on codes therefore finds a
+    /// repeated row without building a `Value`.
+    pub(crate) fn hash_at<H: Hasher>(&self, i: usize, h: &mut H) {
+        match self {
+            Column::Int { values, nulls } => (nulls.is_null(i), values[i]).hash(h),
+            Column::Str { ids, nulls, .. } => (nulls.is_null(i), ids[i]).hash(h),
+            Column::Spill(values) => values[i].hash(h),
+        }
+    }
+
+    /// Do rows `a` and `b` hold equal values? Decided on the codes
+    /// [`Column::hash_at`] hashes, which is `Value` equality.
+    pub(crate) fn eq_at(&self, a: usize, b: usize) -> bool {
+        match self {
+            Column::Int { values, nulls } => {
+                (nulls.is_null(a), values[a]) == (nulls.is_null(b), values[b])
+            }
+            Column::Str { ids, nulls, .. } => {
+                (nulls.is_null(a), ids[a]) == (nulls.is_null(b), ids[b])
+            }
+            Column::Spill(values) => values[a] == values[b],
+        }
+    }
+
     /// Would `v` fit this column's layout without changing it? NULL fits
     /// every typed column; spill columns accept anything. Appending a
     /// typed value to a spill column keeps it spilled (a fresh rebuild
@@ -206,6 +237,37 @@ impl Column {
         }
     }
 }
+
+/// Row `row` of a mirror seen through some of its `columns`, as a set
+/// entry: hashed and compared by code ([`Column::hash_at`],
+/// [`Column::eq_at`]). Entries of one set share their `columns`.
+#[derive(Clone, Copy)]
+pub(crate) struct CodedRow<'c> {
+    columns: &'c [&'c Column],
+    row: usize,
+}
+
+impl<'c> CodedRow<'c> {
+    pub(crate) fn new(columns: &'c [&'c Column], row: usize) -> CodedRow<'c> {
+        CodedRow { columns, row }
+    }
+}
+
+impl Hash for CodedRow<'_> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        for c in self.columns {
+            c.hash_at(self.row, h);
+        }
+    }
+}
+
+impl PartialEq for CodedRow<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.columns.iter().all(|c| c.eq_at(self.row, other.row))
+    }
+}
+
+impl Eq for CodedRow<'_> {}
 
 /// A columnar mirror of a relation: one `Column` per attribute.
 #[derive(Debug, Clone, PartialEq)]
@@ -479,6 +541,88 @@ mod tests {
                 assert_eq!(got, want, "case {case}: len {len} range [{lo}, {hi})");
             }
         }
+    }
+
+    /// Codes are values: on every pair of rows of an `Int`, a `Str` and
+    /// a spill column, `eq_at` is `Value` equality — NULL is not `0` nor
+    /// `''`, interned ids match exactly when strings do, REAL `0.0` is
+    /// not `-0.0`, NaN is NaN, INT `1` is not REAL `1.0` — and equal
+    /// codes hash alike (a spill code hashes as its `Value`). A set of
+    /// coded rows holds one entry per distinct row of values.
+    #[test]
+    fn codes_hash_and_compare_as_values() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::collections::HashSet;
+
+        let int = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+        let s = |v: Option<&str>| v.map_or(Value::Null, Value::str);
+        // Rows 8 and 9 repeat rows 0 and 1.
+        let col_i = [0, -1, 0, 5, -1, 7, 0, 5, 0, -1].map(|v| int((v >= 0).then_some(v)));
+        let col_s = [
+            Some("a"),
+            None,
+            Some("a"),
+            Some(""),
+            None,
+            Some("b"),
+            Some(""),
+            Some("a"),
+            Some("a"),
+            None,
+        ]
+        .map(s);
+        let col_x = [
+            Value::real(0.0),
+            Value::real(-0.0),
+            Value::real(f64::NAN),
+            Value::real(f64::NAN),
+            Value::Bool(true),
+            Value::Int(1),
+            Value::real(1.0),
+            Value::real(0.0),
+            Value::real(0.0),
+            Value::real(-0.0),
+        ];
+        let n = col_x.len();
+        let rows: Vec<Row> = (0..n)
+            .map(|i| vec![col_i[i].clone(), col_s[i].clone(), col_x[i].clone()])
+            .collect();
+        let rel = Relation::new(schema(&["i", "s", "x"]), rows.clone());
+        let cols = ColumnarRelation::build(&rel).expect("column-friendly");
+        assert!(cols.column_is_typed(0) && cols.column_is_typed(1));
+        assert!(!cols.column_is_typed(2));
+
+        let hash = |f: &dyn Fn(&mut DefaultHasher)| {
+            let mut h = DefaultHasher::new();
+            f(&mut h);
+            h.finish()
+        };
+        for (j, values) in [&col_i[..], &col_s[..], &col_x[..]].into_iter().enumerate() {
+            let c = cols.column(j).unwrap();
+            for a in 0..n {
+                for b in 0..n {
+                    let same = values[a] == values[b];
+                    assert_eq!(c.eq_at(a, b), same, "column {j}, rows {a} and {b}");
+                    if same {
+                        let (ha, hb) = (hash(&|h| c.hash_at(a, h)), hash(&|h| c.hash_at(b, h)));
+                        assert_eq!(ha, hb, "column {j}, rows {a} and {b}");
+                    }
+                }
+                if j == 2 {
+                    assert_eq!(
+                        hash(&|h| c.hash_at(a, h)),
+                        hash(&|h| values[a].hash(h)),
+                        "spill row {a}"
+                    );
+                }
+            }
+        }
+
+        let all: Vec<&Column> = (0..3).map(|j| cols.column(j).unwrap()).collect();
+        let coded: HashSet<CodedRow<'_>> = (0..n).map(|i| CodedRow::new(&all, i)).collect();
+        let valued: HashSet<&Row> = rows.iter().collect();
+        assert_eq!(valued.len(), n - 2);
+        assert_eq!(coded.len(), valued.len());
     }
 
     #[test]

@@ -19,7 +19,12 @@
 //!   tuple;
 //! * rows are shared ([`Arc`]-counted), so row-preserving operators pass
 //!   allocations along instead of deep-copying values;
-//! * set operations use hash membership instead of quadratic scans;
+//! * set semantics are kept at the sink: `dedup`, the left operand of
+//!   `difference` / `intersect` and the semi-naive delta evaluate a
+//!   `search` whose morsels drop a row the caller already has, or one
+//!   the morsel already produced, *before* allocating it — over a
+//!   columnar mirror by the projected columns' codes, without building a
+//!   `Value` — and count it as emitted all the same;
 //! * scans, pre-selection and the enumeration of either join mode are
 //!   morsel-partitioned across a persistent worker pool when
 //!   [`EvalOptions::parallelism`] > 1 and the input spans more than one
@@ -42,7 +47,7 @@ use eds_lera::{
     infer_scalar_type, infer_schema, search_schema, Expr, LeraError, Scalar, Schema, SchemaCtx,
 };
 
-use crate::columnar::ColumnarRelation;
+use crate::columnar::{CodedRow, Column, ColumnarRelation};
 use crate::compile::{
     ColumnarPred, CompiledPred, CompiledProj, CompiledScalar, EvalEnv, LocalPred,
 };
@@ -360,25 +365,8 @@ pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
             }
             Err(EngineError::UnknownRelation(name.to_owned()))
         }
-        // `filter`, `project` and `join` are `search` restricted to an
-        // identity target list, a TRUE qualification, or two inputs —
-        // the `normalize` block rewrites all three into it — so they
-        // evaluate through it. Only `search` (and `join`, which is one)
-        // reports the combinations it examined as work.
-        Expr::Filter { input, pred } => Ok(eval_search(&[input], pred, None, ctx)?.0),
-        Expr::Project { input, exprs } => {
-            Ok(eval_search(&[input], &Scalar::true_(), Some(exprs), ctx)?.0)
-        }
-        Expr::Join { left, right, pred } => {
-            let (rel, examined) = eval_search(&[left, right], pred, None, ctx)?;
-            ctx.stats.combinations_tried += examined;
-            Ok(rel)
-        }
-        Expr::Search { inputs, pred, proj } => {
-            let inputs: Vec<&Expr> = inputs.iter().collect();
-            let (rel, examined) = eval_search(&inputs, pred, Some(proj), ctx)?;
-            ctx.stats.combinations_tried += examined;
-            Ok(rel)
+        Expr::Filter { .. } | Expr::Project { .. } | Expr::Join { .. } | Expr::Search { .. } => {
+            eval_into(expr, ctx, &Bag::new)
         }
         Expr::Union(items) => {
             let mut out: Option<Relation> = None;
@@ -398,27 +386,21 @@ pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
             }
             out.ok_or_else(|| EngineError::Lera(LeraError::Type("empty union".into())))
         }
-        Expr::Difference(a, b) => {
-            let ra = eval_expr(a, ctx)?.deduped();
+        Expr::Difference(a, b) | Expr::Intersect(a, b) => {
+            let mut ra = eval_set(a, &HashSet::new(), ctx)?;
             let rb = eval_input(b, ctx)?;
-            let forbidden: HashSet<&[Value]> = rb.rows.iter().map(|r| &**r).collect();
-            let rows: Vec<SharedRow> = ra
-                .rows
-                .into_iter()
-                .filter(|r| !forbidden.contains(&**r))
-                .collect();
-            Ok(Relation::from_shared(ra.schema, rows))
-        }
-        Expr::Intersect(a, b) => {
-            let ra = eval_expr(a, ctx)?.deduped();
-            let rb = eval_input(b, ctx)?;
-            let allowed: HashSet<&[Value]> = rb.rows.iter().map(|r| &**r).collect();
-            let rows: Vec<SharedRow> = ra
-                .rows
-                .into_iter()
-                .filter(|r| allowed.contains(&**r))
-                .collect();
-            Ok(Relation::from_shared(ra.schema, rows))
+            if ra.schema.arity() != rb.schema.arity() {
+                return Err(EngineError::Lera(LeraError::Type(format!(
+                    "{} arity mismatch",
+                    expr.op_name()
+                ))));
+            }
+            let other: HashSet<&[Value]> = rb.rows.iter().map(|r| &**r).collect();
+            let intersect = matches!(expr, Expr::Intersect(..));
+            ra.rows.retain(|r| other.contains(&**r) == intersect);
+            ra.rows.sort_unstable();
+            ra.rows.dedup();
+            Ok(ra)
         }
         Expr::Fix { name, body } => eval_fix(name, body, ctx),
         Expr::Nest {
@@ -470,21 +452,244 @@ pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
             }
             Ok(out)
         }
-        Expr::Dedup(input) => Ok(eval_expr(input, ctx)?.deduped()),
+        // Morsels hand back no repeats of their own; the sort drops the
+        // ones that span morsels and gives the canonical order.
+        Expr::Dedup(input) => {
+            let mut rel = eval_set(input, &HashSet::new(), ctx)?;
+            rel.rows.sort_unstable();
+            rel.rows.dedup();
+            Ok(rel)
+        }
+    }
+}
+
+/// Evaluate `expr` as a set less the rows of `known`: no row of the
+/// result is in `known`, and none repeats within a morsel of a
+/// `search` — rows of different morsels can, so the caller sorts and
+/// dedups. A `filter` / `project` / `join` / `search` fills set-mode
+/// sinks, so a dropped row is never allocated; any other operator is
+/// evaluated as a bag and then filtered the same way. Work counters read as under
+/// [`eval_expr`]: a dropped row still counts as emitted.
+pub(crate) fn eval_set(
+    expr: &Expr,
+    known: &HashSet<SharedRow>,
+    ctx: &mut Ctx<'_>,
+) -> EngineResult<Relation> {
+    eval_into(expr, ctx, &|| Distinct::new(known))
+}
+
+/// The result rows of a search operator, into sinks `new_sink` makes.
+/// `filter`, `project` and `join` are `search` restricted to an identity
+/// target list, a TRUE qualification, or two inputs — the `normalize`
+/// block rewrites all three into it — so they evaluate through it. Only
+/// `search` (and `join`, which is one) reports the combinations it
+/// examined as work. Any other operator is evaluated as a bag and its
+/// rows pass through one sink ([`Sink::settle`]).
+fn eval_into<S: Sink>(
+    expr: &Expr,
+    ctx: &mut Ctx<'_>,
+    new_sink: &(impl Fn() -> S + Sync),
+) -> EngineResult<Relation> {
+    let (rel, examined) = match expr {
+        Expr::Filter { input, pred } => (eval_search(&[input], pred, None, ctx, new_sink)?.0, 0),
+        Expr::Project { input, exprs } => {
+            let pred = Scalar::true_();
+            (
+                eval_search(&[input], &pred, Some(exprs), ctx, new_sink)?.0,
+                0,
+            )
+        }
+        Expr::Join { left, right, pred } => eval_search(&[left, right], pred, None, ctx, new_sink)?,
+        Expr::Search { inputs, pred, proj } => {
+            let inputs: Vec<&Expr> = inputs.iter().collect();
+            eval_search(&inputs, pred, Some(proj), ctx, new_sink)?
+        }
+        other => {
+            let mut rel = eval_expr(other, ctx)?;
+            rel.rows = new_sink().settle(rel.rows);
+            return Ok(rel);
+        }
+    };
+    ctx.stats.combinations_tried += examined;
+    Ok(rel)
+}
+
+/// Where one morsel of a `search` puts its qualifying rows. Every kernel
+/// is generic over it, so each mode compiles to its own loop and bag
+/// mode ([`Bag`]) is a plain push, with no per-row test of the mode.
+trait Sink: Send {
+    /// Take the row whose values `scratch` holds, leaving it empty.
+    fn keep(&mut self, scratch: &mut Row);
+    /// Take an input row whole (an identity target list).
+    fn forward(&mut self, row: &SharedRow);
+    /// Take the selected rows `idxs` of a stored table through its
+    /// mirror. A morsel offers through this alone or through
+    /// [`Sink::keep`] / [`Sink::forward`] alone.
+    fn gather(&mut self, from: &Gather<'_>, idxs: &[u32]);
+    /// The rows kept, and how many qualifying rows were offered —
+    /// duplicates included: what `rows_emitted` counts.
+    fn finish(self) -> (Vec<SharedRow>, u64);
+    /// The rows of an operator that is not a search, evaluated as a
+    /// bag, as this mode keeps them (nothing is counted).
+    fn settle(self, rows: Vec<SharedRow>) -> Vec<SharedRow>;
+}
+
+/// Bag mode: every qualifying row, in order.
+type Bag = Vec<SharedRow>;
+
+impl Sink for Bag {
+    #[inline]
+    fn keep(&mut self, scratch: &mut Row) {
+        self.push(shared_row(scratch));
+    }
+
+    #[inline]
+    fn forward(&mut self, row: &SharedRow) {
+        self.push(row.clone());
+    }
+
+    fn gather(&mut self, from: &Gather<'_>, idxs: &[u32]) {
+        if from.forward {
+            self.extend(idxs.iter().map(|&i| from.rows[i as usize].clone()));
+            return;
+        }
+        self.reserve(idxs.len());
+        let mut scratch: Row = Vec::with_capacity(from.columns.len());
+        for &i in idxs {
+            from.fill(i as usize, &mut scratch);
+            self.push(shared_row(&mut scratch));
+        }
+    }
+
+    fn finish(self) -> (Vec<SharedRow>, u64) {
+        let offered = self.len() as u64;
+        (self, offered)
+    }
+
+    fn settle(self, rows: Vec<SharedRow>) -> Vec<SharedRow> {
+        rows
+    }
+}
+
+/// Set mode: a qualifying row the caller already has (`known`), or one
+/// this morsel already kept, is dropped before it is allocated — probed
+/// as `&[Value]` (`Arc<[Value]>: Borrow<[Value]>`) straight from the
+/// scratch buffer or the input row.
+struct Distinct<'k> {
+    known: &'k HashSet<SharedRow>,
+    seen: HashSet<SharedRow>,
+    rows: Vec<SharedRow>,
+    offered: u64,
+}
+
+impl<'k> Distinct<'k> {
+    fn new(known: &'k HashSet<SharedRow>) -> Distinct<'k> {
+        Distinct {
+            known,
+            seen: HashSet::new(),
+            rows: Vec::new(),
+            offered: 0,
+        }
+    }
+
+    fn is_new(&self, row: &[Value]) -> bool {
+        !self.known.contains(row) && !self.seen.contains(row)
+    }
+}
+
+impl Sink for Distinct<'_> {
+    fn keep(&mut self, scratch: &mut Row) {
+        self.offered += 1;
+        if !self.is_new(scratch) {
+            scratch.clear();
+            return;
+        }
+        let row = shared_row(scratch);
+        self.seen.insert(row.clone());
+        self.rows.push(row);
+    }
+
+    fn forward(&mut self, row: &SharedRow) {
+        self.offered += 1;
+        if self.is_new(row) {
+            self.seen.insert(row.clone());
+            self.rows.push(row.clone());
+        }
+    }
+
+    /// Keyed on the target columns' codes: equal codes are equal values
+    /// ([`Column::eq_at`]), so a repeat is found without building a
+    /// `Value`, and only a first occurrence is built — or forwarded —
+    /// and checked against `known`.
+    fn gather(&mut self, from: &Gather<'_>, idxs: &[u32]) {
+        self.offered += idxs.len() as u64;
+        let mut codes: HashSet<CodedRow<'_>> = HashSet::new();
+        let mut scratch: Row = Vec::with_capacity(from.columns.len());
+        for &i in idxs {
+            let i = i as usize;
+            if !codes.insert(CodedRow::new(&from.columns, i)) {
+                continue;
+            }
+            if from.forward {
+                let row = &from.rows[i];
+                if !self.known.contains(&**row) {
+                    self.rows.push(row.clone());
+                }
+            } else {
+                from.fill(i, &mut scratch);
+                if self.known.contains(&scratch[..]) {
+                    scratch.clear();
+                } else {
+                    self.rows.push(shared_row(&mut scratch));
+                }
+            }
+        }
+    }
+
+    fn finish(self) -> (Vec<SharedRow>, u64) {
+        (self.rows, self.offered)
+    }
+
+    fn settle(self, rows: Vec<SharedRow>) -> Vec<SharedRow> {
+        let mut seen: HashSet<&[Value]> = HashSet::with_capacity(rows.len());
+        rows.iter()
+            .filter(|r| !self.known.contains(&***r) && seen.insert(&***r))
+            .cloned()
+            .collect()
+    }
+}
+
+/// The selected rows of a stored table, read through its mirror:
+/// `columns` are the ones the target list copies, in target order. When
+/// `forward`, they are the whole stored row, which is then passed along
+/// by refcount rather than rebuilt.
+struct Gather<'a> {
+    rows: &'a [SharedRow],
+    columns: Vec<&'a Column>,
+    forward: bool,
+}
+
+impl Gather<'_> {
+    /// Row `i`'s target values, into `scratch`.
+    #[inline]
+    fn fill(&self, i: usize, scratch: &mut Row) {
+        scratch.extend(self.columns.iter().map(|c| c.value(i)));
     }
 }
 
 /// The compound `search` operator — the one select/project/join
 /// implementation. `proj: None` emits every attribute of every input in
-/// input order (`filter`, `join`). Returns the result together with the
-/// number of input combinations examined; `rows_emitted` is counted
-/// here, whether the examined count is `combinations_tried` is the
-/// calling operator's decision.
-fn eval_search(
+/// input order (`filter`, `join`). Each morsel's qualifying rows go to
+/// a sink `new_sink` makes. Returns the result together with the number
+/// of input combinations examined; `rows_emitted` is counted here,
+/// whether the examined count is `combinations_tried` is the calling
+/// operator's decision.
+fn eval_search<S: Sink>(
     inputs: &[&Expr],
     pred: &Scalar,
     proj: Option<&[Scalar]>,
     ctx: &mut Ctx<'_>,
+    new_sink: &(impl Fn() -> S + Sync),
 ) -> EngineResult<(Relation, u64)> {
     let rels = inputs
         .iter()
@@ -528,54 +733,58 @@ fn eval_search(
     }
     let parallelism = ctx.opts.parallelism;
     let (parts, examined) = if let [rel] = &rels[..] {
-        let parts = select_project(inputs[0], rel, &cpred, &cproj, &env, ctx)?;
+        let parts = select_project(inputs[0], rel, &cpred, &cproj, &env, ctx, new_sink)?;
         (parts, rel.len() as u64)
     } else {
         match ctx.opts.join {
-            JoinMode::NestedLoop => nested_loop(&rels, &cpred, &cproj, &env, parallelism)?,
-            JoinMode::Hash => streamed_join(inputs, &rels, &cpred, &cproj, &env, ctx)?,
+            JoinMode::NestedLoop => {
+                nested_loop(&rels, &cpred, &cproj, &env, parallelism, new_sink)?
+            }
+            JoinMode::Hash => streamed_join(inputs, &rels, &cpred, &cproj, &env, ctx, new_sink)?,
         }
     };
-    for mut part in parts {
-        ctx.stats.rows_emitted += part.len() as u64;
-        out.rows.append(&mut part);
+    for part in parts {
+        let (mut rows, offered) = part.finish();
+        ctx.stats.rows_emitted += offered;
+        out.rows.append(&mut rows);
     }
     Ok((out, examined))
 }
 
-/// Evaluate the target list over one qualifying combination.
+/// Evaluate the target list over one qualifying combination, into
+/// `scratch`.
 #[inline]
-fn project_tuple(
+fn project_into(
     cproj: &[CompiledProj],
     tuple: &[&[Value]],
     env: &EvalEnv<'_>,
     scratch: &mut Row,
-) -> EngineResult<SharedRow> {
+) -> EngineResult<()> {
     for p in cproj {
         scratch.push(p.eval_owned(tuple, env)?);
     }
-    Ok(shared_row(scratch))
+    Ok(())
 }
 
 /// The one-input select-project kernel — every `filter`, `project` and
 /// single-input `search` (what filter pushdown + projection merging
 /// produce) runs here; both join modes enumerate a single input in
 /// identical row order, so it serves nested-loop and hash alike.
-/// Returns the qualifying rows' output rows as morsel parts in input
-/// order.
+/// Returns one sink per morsel, in input order.
 ///
 /// Columnar path: over a stored table whose qualification lowers fully
 /// to typed kernels, the kernels compute a selection vector over the
 /// columns and projection runs only over the selected rows. Otherwise
 /// the compiled qualification runs row by row.
-fn select_project(
+fn select_project<S: Sink>(
     input: &Expr,
     rel: &Relation,
     cpred: &CompiledPred,
     cproj: &[CompiledProj],
     env: &EvalEnv<'_>,
     ctx: &Ctx<'_>,
-) -> EngineResult<Vec<Vec<SharedRow>>> {
+    new_sink: &(impl Fn() -> S + Sync),
+) -> EngineResult<Vec<S>> {
     let rows = &rel.rows;
     let parallelism = ctx.opts.parallelism;
     // Identity target list: every target copies the input row's
@@ -587,11 +796,14 @@ fn select_project(
     let identity = cproj.len() == arity
         && cproj.iter().enumerate().all(|(i, p)| p.slot0() == Some(i))
         && rows.iter().all(|r| r.len() == arity);
-    let project = |row: &SharedRow, scratch: &mut Row| -> EngineResult<SharedRow> {
+    let project = |row: &SharedRow, sink: &mut S, scratch: &mut Row| -> EngineResult<()> {
         if identity {
-            return Ok(row.clone());
+            sink.forward(row);
+        } else {
+            project_into(cproj, &[&row[..]], env, scratch)?;
+            sink.keep(scratch);
         }
-        project_tuple(cproj, &[&row[..]], env, scratch)
+        Ok(())
     };
     let mirror = base_columnar(input, ctx, rows.len());
     let lowered = mirror
@@ -599,63 +811,67 @@ fn select_project(
         .and_then(|cols| Some((cols, cpred.columnar(cols, ctx.params)?)));
     let Some((cols, colpred)) = lowered else {
         return run_partitioned(rows, parallelism, |part| {
-            let mut kept: Vec<SharedRow> = Vec::new();
+            let mut sink = new_sink();
             let mut scratch: Row = Vec::with_capacity(cproj.len());
             for row in part {
                 if cpred.eval_bool(&[&row[..]], env)? {
-                    kept.push(project(row, &mut scratch)?);
+                    project(row, &mut sink, &mut scratch)?;
                 }
             }
-            Ok(kept)
+            Ok(sink)
         });
     };
     let sel = select_partitioned(&colpred, cols.len(), parallelism)?;
-    if identity {
-        return Ok(vec![sel
-            .iter()
-            .map(|&i| rows[i as usize].clone())
-            .collect()]);
-    }
     // Slot-only targets gather straight from the columns (contiguous
     // reads, no per-row compiled-program dispatch); anything fancier
     // evaluates the compiled projection over the selected rows.
-    let slots: Option<Vec<usize>> = cproj
+    let columns: Option<Vec<&Column>> = cproj
         .iter()
-        .map(|p| p.slot0().filter(|&a| a < cols.arity()))
+        .map(|p| p.slot0().and_then(|a| cols.column(a)))
         .collect();
+    let Some(columns) = columns else {
+        return run_partitioned(&sel, parallelism, |idxs| {
+            let mut sink = new_sink();
+            let mut scratch: Row = Vec::with_capacity(cproj.len());
+            for &i in idxs {
+                project(&rows[i as usize], &mut sink, &mut scratch)?;
+            }
+            Ok(sink)
+        });
+    };
+    let from = Gather {
+        rows,
+        columns,
+        forward: identity,
+    };
+    if identity {
+        // Forwarding is a refcount per row: one part.
+        let mut sink = new_sink();
+        sink.gather(&from, &sel);
+        return Ok(vec![sink]);
+    }
     run_partitioned(&sel, parallelism, |idxs| {
-        let mut built: Vec<SharedRow> = Vec::with_capacity(idxs.len());
-        let mut scratch: Row = Vec::with_capacity(cproj.len());
-        if let Some(slots) = &slots {
-            for &i in idxs {
-                for &a in slots {
-                    scratch.push(cols.value_at(i as usize, a));
-                }
-                built.push(shared_row(&mut scratch));
-            }
-        } else {
-            for &i in idxs {
-                built.push(project(&rows[i as usize], &mut scratch)?);
-            }
-        }
-        Ok(built)
+        let mut sink = new_sink();
+        sink.gather(&from, idxs);
+        Ok(sink)
     })
 }
 
 /// Nested-loop `search` over two or more inputs: the cross product,
 /// partitioned on the first input — each chunk enumerates
 /// chunk × rels[1..], and chunks merge in order, the exact sequential
-/// enumeration order. Returns the output parts and the number of
+/// enumeration order. Returns one sink per morsel and the number of
 /// combinations tried.
-fn nested_loop(
+fn nested_loop<S: Sink>(
     rels: &[Cow<'_, Relation>],
     cpred: &CompiledPred,
     cproj: &[CompiledProj],
     env: &EvalEnv<'_>,
     parallelism: usize,
-) -> EngineResult<(Vec<Vec<SharedRow>>, u64)> {
+    new_sink: &(impl Fn() -> S + Sync),
+) -> EngineResult<(Vec<S>, u64)> {
     let parts = run_partitioned(&rels[0].rows, parallelism, |first| {
-        let mut kept: Vec<SharedRow> = Vec::new();
+        let mut sink = new_sink();
         let mut tried = 0u64;
         let mut scratch: Row = Vec::with_capacity(cproj.len());
         // A dedicated loop for the dominant two-input shape; a generic
@@ -668,7 +884,8 @@ fn nested_loop(
                     tried += 1;
                     tuple[1] = &r[..];
                     if cpred.eval_bool(&tuple, env)? {
-                        kept.push(project_tuple(cproj, &tuple, env, &mut scratch)?);
+                        project_into(cproj, &tuple, env, &mut scratch)?;
+                        sink.keep(&mut scratch);
                     }
                 }
             }
@@ -684,7 +901,8 @@ fn nested_loop(
             'outer: loop {
                 tried += 1;
                 if cpred.eval_bool(&tuple, env)? {
-                    kept.push(project_tuple(cproj, &tuple, env, &mut scratch)?);
+                    project_into(cproj, &tuple, env, &mut scratch)?;
+                    sink.keep(&mut scratch);
                 }
                 // Advance the odometer.
                 for k in (0..idx.len()).rev() {
@@ -702,10 +920,10 @@ fn nested_loop(
                 }
             }
         }
-        Ok((kept, tried))
+        Ok((sink, tried))
     })?;
     let tried = parts.iter().map(|(_, tried)| tried).sum();
-    Ok((parts.into_iter().map(|(kept, _)| kept).collect(), tried))
+    Ok((parts.into_iter().map(|(sink, _)| sink).collect(), tried))
 }
 
 /// Group `(key, item)` pairs in one hash pass, sort the groups once —
@@ -956,19 +1174,19 @@ struct Step<'r> {
 
 /// Depth-first enumeration state of one morsel of a streamed `search`:
 /// one tuple buffer, extended and overwritten in place.
-struct Enumeration<'a, 'r> {
+struct Enumeration<'a, 'r, S> {
     steps: &'a [Step<'r>],
     cpred: &'a CompiledPred,
     cproj: &'a [CompiledProj],
     env: &'a EvalEnv<'a>,
     hasher: &'a RandomState,
     tuple: Vec<&'r [Value]>,
-    kept: Vec<SharedRow>,
+    sink: S,
     scratch: Row,
     tried: u64,
 }
 
-impl Enumeration<'_, '_> {
+impl<S: Sink> Enumeration<'_, '_, S> {
     /// Extend `tuple[..depth]` by every candidate of the remaining
     /// steps; a complete tuple is checked against the **whole**
     /// qualification — hashes collide, and NULL or mixed-kind keys are
@@ -977,8 +1195,8 @@ impl Enumeration<'_, '_> {
         let steps = self.steps;
         let Some(step) = steps.get(depth - 1) else {
             if self.cpred.eval_bool(&self.tuple, self.env)? {
-                let row = project_tuple(self.cproj, &self.tuple, self.env, &mut self.scratch)?;
-                self.kept.push(row);
+                project_into(self.cproj, &self.tuple, self.env, &mut self.scratch)?;
+                self.sink.keep(&mut self.scratch);
             }
             return Ok(());
         };
@@ -1015,19 +1233,20 @@ impl Enumeration<'_, '_> {
 /// equality links it, looping over them otherwise; combinations are
 /// enumerated depth-first over one tuple buffer, morsel-partitioned on
 /// the first input's survivors and merged in order — the nested loop's
-/// row-major order. Returns the output parts and the work done:
+/// row-major order. Returns one sink per morsel and the work done:
 /// first-input survivors plus candidates enumerated.
 ///
 /// Relative to [`nested_loop`] an error can only disappear (a
 /// combination that would have raised it is never formed), never appear.
-fn streamed_join(
+fn streamed_join<S: Sink>(
     inputs: &[&Expr],
     rels: &[Cow<'_, Relation>],
     cpred: &CompiledPred,
     cproj: &[CompiledProj],
     env: &EvalEnv<'_>,
     ctx: &Ctx<'_>,
-) -> EngineResult<(Vec<Vec<SharedRow>>, u64)> {
+    new_sink: &(impl Fn() -> S + Sync),
+) -> EngineResult<(Vec<S>, u64)> {
     let mut selected = Vec::with_capacity(rels.len());
     for (k, (input, rel)) in inputs.iter().zip(rels).enumerate() {
         let survivors = preselect(input, rel, &cpred.local(k), env, ctx)?;
@@ -1037,7 +1256,9 @@ fn streamed_join(
         selected.push(survivors);
     }
     let mut later = selected.into_iter();
-    let first = later.next().expect("two or more inputs");
+    let Some(first) = later.next() else {
+        return Ok((Vec::new(), 0));
+    };
 
     let hasher = RandomState::new();
     let steps: Vec<Step<'_>> = later
@@ -1078,7 +1299,7 @@ fn streamed_join(
             env,
             hasher: &hasher,
             tuple: vec![&[]; rels.len()],
-            kept: Vec::new(),
+            sink: new_sink(),
             scratch: Vec::with_capacity(cproj.len()),
             tried: (hi - lo) as u64,
         };
@@ -1086,10 +1307,10 @@ fn streamed_join(
             e.tuple[0] = &rels[0].rows[first.row(j)];
             e.descend(1)?;
         }
-        Ok((e.kept, e.tried))
+        Ok((e.sink, e.tried))
     })?;
     let tried = parts.iter().map(|(_, tried)| tried).sum();
-    Ok((parts.into_iter().map(|(kept, _)| kept).collect(), tried))
+    Ok((parts.into_iter().map(|(sink, _)| sink).collect(), tried))
 }
 
 /// Resolve named field accesses (`PROJECT(e, Name)`) to positional

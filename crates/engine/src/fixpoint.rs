@@ -6,13 +6,16 @@
 //! re-evaluated once per occurrence of the recursion variable, with that
 //! occurrence bound to the delta of the previous round — the standard
 //! optimization the Alexander/magic-sets transformation composes with.
+//! The delta is built as a set: each variant is evaluated against the
+//! rows already known, so a derivation the fixpoint already has — or
+//! one its morsel already produced — is dropped before it becomes a row.
 
 use std::collections::HashSet;
 
 use eds_lera::{infer_schema, Expr};
 
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{eval_expr, Ctx};
+use crate::eval::{eval_expr, eval_set, Ctx};
 use crate::relation::{Relation, SharedRow};
 
 /// Fixpoint evaluation strategy.
@@ -133,7 +136,8 @@ fn eval_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResul
         .copied()
         .filter(|b| b.references(name))
         .collect();
-    if seed_branches.is_empty() {
+    let mut seeds = seed_branches.into_iter();
+    let Some(first_seed) = seeds.next() else {
         // Least fixpoint from the empty relation: no seed means empty.
         let sc = ctx.schema_ctx_for_fix();
         let schema = infer_schema(
@@ -144,18 +148,13 @@ fn eval_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResul
             &sc,
         )?;
         return Ok(Relation::empty(schema));
-    }
+    };
 
     // Seed: the non-recursive branches.
-    let mut known: Option<Relation> = None;
-    for b in &seed_branches {
-        let r = eval_expr(b, ctx)?;
-        match &mut known {
-            None => known = Some(r),
-            Some(acc) => acc.rows.extend(r.rows),
-        }
+    let mut known = eval_expr(first_seed, ctx)?;
+    for b in seeds {
+        known.rows.extend(eval_expr(b, ctx)?.rows);
     }
-    let mut known = known.expect("non-empty seed branches");
     known.rows = sorted_dedup(std::mem::take(&mut known.rows));
     let mut delta = known.clone();
 
@@ -172,7 +171,7 @@ fn eval_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResul
     let saved_known = ctx.locals.insert(key.clone(), known.clone());
     let saved_delta = ctx.locals.insert(delta_key.clone(), delta.clone());
 
-    // Hash membership for the `fresh - known` difference (rows hash
+    // Hash membership the variants are evaluated against (rows hash
     // through the Arc to their values); `known.rows` itself stays a
     // sorted vector so the final result is canonical.
     let mut known_set: HashSet<SharedRow> = known.rows.iter().cloned().collect();
@@ -183,23 +182,19 @@ fn eval_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResul
             ctx.locals.insert(key.clone(), known.clone());
             ctx.locals.insert(delta_key.clone(), delta.clone());
 
+            // Every row is new; variants and morsels can repeat each
+            // other, which the sort drops.
             let mut fresh: Vec<SharedRow> = Vec::new();
             for variant in &variants {
-                let r = eval_expr(variant, ctx)?;
-                fresh.extend(r.rows);
+                fresh.extend(eval_set(variant, &known_set, ctx)?.rows);
             }
-            let fresh = sorted_dedup(fresh);
-            // delta = fresh - known
-            let new_delta: Vec<SharedRow> = fresh
-                .into_iter()
-                .filter(|r| !known_set.contains(r))
-                .collect();
+            let new_delta = sorted_dedup(fresh);
             if new_delta.is_empty() {
                 return Ok(known);
             }
             known_set.extend(new_delta.iter().cloned());
             // `known.rows` and `new_delta` are each sorted + deduplicated
-            // and (by the `known_set` filter) disjoint, so a linear merge
+            // and (no variant row is in `known_set`) disjoint, so a linear merge
             // equals the old sort-the-union exactly.
             let merged = merge_sorted_disjoint(&known.rows, &new_delta);
             known = Relation::from_shared(known.schema.clone(), merged);

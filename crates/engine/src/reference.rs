@@ -124,6 +124,11 @@ fn ref_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
         Expr::Difference(a, b) => {
             let ra = ref_expr(a, ctx)?.deduped();
             let rb = ref_expr(b, ctx)?;
+            if ra.schema.arity() != rb.schema.arity() {
+                return Err(EngineError::Lera(LeraError::Type(
+                    "difference arity mismatch".into(),
+                )));
+            }
             let forbidden: Vec<&SharedRow> = rb.rows.iter().collect();
             let rows: Vec<SharedRow> = ra
                 .rows
@@ -135,6 +140,11 @@ fn ref_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
         Expr::Intersect(a, b) => {
             let ra = ref_expr(a, ctx)?.deduped();
             let rb = ref_expr(b, ctx)?;
+            if ra.schema.arity() != rb.schema.arity() {
+                return Err(EngineError::Lera(LeraError::Type(
+                    "intersect arity mismatch".into(),
+                )));
+            }
             let allowed: Vec<&SharedRow> = rb.rows.iter().collect();
             let rows: Vec<SharedRow> = ra
                 .rows

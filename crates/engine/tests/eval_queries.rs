@@ -242,6 +242,44 @@ fn union_difference_intersection() {
     );
 }
 
+/// `difference` and `intersect` of relations of different arity are the
+/// typed error `union` gives, from the executor and the oracle alike —
+/// not an answer — and `infer_schema` rejects all three.
+#[test]
+fn set_operations_reject_mismatched_arities() {
+    use eds_engine::{eval_reference, EngineError};
+    use eds_lera::{infer_schema, Expr, LeraError};
+
+    let mut db = Database::new();
+    db.execute_ddl("TABLE A (X : INT); TABLE B (X : INT, Y : INT);")
+        .unwrap();
+    db.insert_all("A", vec![vec![1.into()], vec![2.into()]])
+        .unwrap();
+    db.insert_all("B", vec![vec![2.into(), 3.into()]]).unwrap();
+
+    let (a, b) = (Box::new(Expr::base("A")), Box::new(Expr::base("B")));
+    for (expr, op) in [
+        (Expr::Union(vec![*a.clone(), *b.clone()]), "union"),
+        (Expr::Difference(a.clone(), b.clone()), "difference"),
+        (Expr::Intersect(a.clone(), b.clone()), "intersect"),
+    ] {
+        let want = format!("{op} arity mismatch");
+        for (who, got) in [
+            ("executor", eval(&expr, &db)),
+            ("oracle", eval_reference(&expr, &db, EvalOptions::default())),
+        ] {
+            assert!(
+                matches!(&got, Err(EngineError::Lera(LeraError::Type(m))) if *m == want),
+                "{op}: the {who} returned {got:?}"
+            );
+        }
+        assert!(
+            infer_schema(&expr, &SchemaCtx::new(&db.catalog)).is_err(),
+            "{op}: infer_schema accepts it"
+        );
+    }
+}
+
 #[test]
 fn three_valued_logic_filters_nulls() {
     let mut db = Database::new();
