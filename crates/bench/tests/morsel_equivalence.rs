@@ -8,7 +8,8 @@
 //! mirror + empty selections in most morsels), and `GROUP BY` with an
 //! order-preserving `MakeList` collection, where the fused scan+nest
 //! path must collect items in global row order even though morsels
-//! complete out of order.
+//! complete out of order, and a nonlinear fixpoint whose delta spans
+//! morsels, so one row is derived in several of them.
 
 use eds_adt::Value;
 use eds_bench::assert_matches_oracle;
@@ -180,4 +181,53 @@ fn joins_over_morsel_sized_inputs_match() {
         "SELECT K, Name FROM SKEW, DIM \
          WHERE SKEW.G = DIM.G AND A = 1 AND K < 100 ;",
     );
+}
+
+/// A nonlinear closure whose first delta spans two morsels: `EDGE` runs
+/// from 2 sources through 525 middles to 2 sinks, so each
+/// source-to-sink path is derived once per middle, from every morsel,
+/// and by both variants of `TC T1, TC T2` (the delta joined to itself
+/// is read through either occurrence). The semi-naive fixpoint must drop
+/// every such repeat, under every worker count and join algorithm, and
+/// count the same work at one worker as at four.
+#[test]
+fn nonlinear_fixpoint_drops_repeats_across_morsels_and_variants() {
+    let mut dbms = Dbms::new().unwrap();
+    dbms.execute_ddl(
+        "TABLE EDGE (Src : INT, Dst : INT);
+         CREATE VIEW TC (Src, Dst) AS
+         ( SELECT Src, Dst FROM EDGE
+           UNION
+           SELECT T1.Src, T2.Dst FROM TC T1, TC T2 WHERE T1.Dst = T2.Src ) ;",
+    )
+    .unwrap();
+    let (sources, sinks, middles) = ([0i64, 1], [2i64, 3], 10..535i64);
+    dbms.insert_all(
+        "EDGE",
+        middles.flat_map(|m| {
+            let into = sources.map(|s| vec![Value::Int(s), Value::Int(m)]);
+            let out = sinks.map(|t| vec![Value::Int(m), Value::Int(t)]);
+            into.into_iter().chain(out)
+        }),
+    )
+    .unwrap();
+    assert!(dbms.db.relation("EDGE").unwrap().len() > MORSEL_ROWS);
+
+    // The rewriter leaves an unbound closure as it is: one plan.
+    let plan = dbms.prepare("SELECT Src, Dst FROM TC ;").unwrap().expr;
+    let configs: Vec<EvalOptions> = [JoinMode::NestedLoop, JoinMode::Hash]
+        .into_iter()
+        .flat_map(|join| {
+            [1, 4].map(|parallelism| EvalOptions {
+                parallelism,
+                join,
+                ..Default::default()
+            })
+        })
+        .collect();
+    let stats = assert_matches_oracle("tc", &dbms.db, &plan, &configs);
+    for (pair, opts) in stats.chunks(2).zip(configs.iter().step_by(2)) {
+        assert_eq!(pair[0], pair[1], "tc under {:?}", opts.join);
+        assert!(pair[0].fix_iterations >= 2, "{:?}", pair[0]);
+    }
 }

@@ -547,12 +547,15 @@ mod tests {
     /// a spill column, `eq_at` is `Value` equality — NULL is not `0` nor
     /// `''`, interned ids match exactly when strings do, REAL `0.0` is
     /// not `-0.0`, NaN is NaN, INT `1` is not REAL `1.0` — and equal
-    /// codes hash alike (a spill code hashes as its `Value`). A set of
-    /// coded rows holds one entry per distinct row of values.
+    /// codes hash alike (a spill code hashes as its `Value`) under std's
+    /// hasher and the engine's. A set of coded rows holds one entry per
+    /// distinct row of values.
     #[test]
     fn codes_hash_and_compare_as_values() {
+        use crate::hash::{Fold, FoldSet};
         use std::collections::hash_map::DefaultHasher;
         use std::collections::HashSet;
+        use std::hash::{BuildHasher, BuildHasherDefault};
 
         let int = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
         let s = |v: Option<&str>| v.map_or(Value::Null, Value::str);
@@ -592,37 +595,48 @@ mod tests {
         assert!(cols.column_is_typed(0) && cols.column_is_typed(1));
         assert!(!cols.column_is_typed(2));
 
-        let hash = |f: &dyn Fn(&mut DefaultHasher)| {
-            let mut h = DefaultHasher::new();
-            f(&mut h);
-            h.finish()
-        };
-        for (j, values) in [&col_i[..], &col_s[..], &col_x[..]].into_iter().enumerate() {
-            let c = cols.column(j).unwrap();
-            for a in 0..n {
-                for b in 0..n {
-                    let same = values[a] == values[b];
-                    assert_eq!(c.eq_at(a, b), same, "column {j}, rows {a} and {b}");
-                    if same {
-                        let (ha, hb) = (hash(&|h| c.hash_at(a, h)), hash(&|h| c.hash_at(b, h)));
-                        assert_eq!(ha, hb, "column {j}, rows {a} and {b}");
+        fn check<B: BuildHasher>(b: &B, cols: &ColumnarRelation, columns: [&[Value]; 3]) {
+            let n = columns[0].len();
+            let hash = |f: &dyn Fn(&mut B::Hasher)| {
+                let mut h = b.build_hasher();
+                f(&mut h);
+                h.finish()
+            };
+            for (j, values) in columns.into_iter().enumerate() {
+                let c = cols.column(j).unwrap();
+                for a in 0..n {
+                    for b in 0..n {
+                        let same = values[a] == values[b];
+                        assert_eq!(c.eq_at(a, b), same, "column {j}, rows {a} and {b}");
+                        if same {
+                            let (ha, hb) = (hash(&|h| c.hash_at(a, h)), hash(&|h| c.hash_at(b, h)));
+                            assert_eq!(ha, hb, "column {j}, rows {a} and {b}");
+                        }
                     }
-                }
-                if j == 2 {
-                    assert_eq!(
-                        hash(&|h| c.hash_at(a, h)),
-                        hash(&|h| values[a].hash(h)),
-                        "spill row {a}"
-                    );
+                    if j == 2 {
+                        assert_eq!(
+                            hash(&|h| c.hash_at(a, h)),
+                            hash(&|h| values[a].hash(h)),
+                            "spill row {a}"
+                        );
+                    }
                 }
             }
         }
+        check(
+            &BuildHasherDefault::<DefaultHasher>::default(),
+            &cols,
+            [&col_i, &col_s, &col_x],
+        );
+        check(&Fold::default(), &cols, [&col_i, &col_s, &col_x]);
 
         let all: Vec<&Column> = (0..3).map(|j| cols.column(j).unwrap()).collect();
         let coded: HashSet<CodedRow<'_>> = (0..n).map(|i| CodedRow::new(&all, i)).collect();
+        let folded: FoldSet<CodedRow<'_>> = (0..n).map(|i| CodedRow::new(&all, i)).collect();
         let valued: HashSet<&Row> = rows.iter().collect();
         assert_eq!(valued.len(), n - 2);
         assert_eq!(coded.len(), valued.len());
+        assert_eq!(folded.len(), valued.len());
     }
 
     #[test]

@@ -36,9 +36,7 @@
 //! in [`crate::reference`] for differential testing.
 
 use std::borrow::Cow;
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::collections::HashSet;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
@@ -54,6 +52,7 @@ use crate::compile::{
 use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::fixpoint::{eval_fix, FixOptions};
+use crate::hash::{Fold, FoldMap, FoldSet};
 use crate::relation::{shared_row, Relation, Row, SharedRow};
 
 /// Physical strategy for the n-ary `search` operator over two or more
@@ -269,13 +268,20 @@ impl Ctx<'_> {
         }
     }
 
-    /// The relation bound to recursion variable `name`, if any. Outside
-    /// a fixpoint nothing is bound and the name is not even case-folded.
+    /// The relation bound to recursion variable `name`, if any. Locals
+    /// are keyed by the upper-case name, folded once where the fixpoint
+    /// binds them; a name already in that form is one probe, any other
+    /// is compared case-blind against the few names bound — neither
+    /// allocates.
     fn local(&self, name: &str) -> Option<&Relation> {
         if self.locals.is_empty() {
             return None;
         }
-        self.locals.get(&name.to_ascii_uppercase())
+        self.locals.get(name).or_else(|| {
+            self.locals
+                .iter()
+                .find_map(|(k, rel)| k.eq_ignore_ascii_case(name).then_some(rel))
+        })
     }
 
     /// Schema context over the catalog plus the fixpoint locals bound
@@ -387,7 +393,7 @@ pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
             out.ok_or_else(|| EngineError::Lera(LeraError::Type("empty union".into())))
         }
         Expr::Difference(a, b) | Expr::Intersect(a, b) => {
-            let mut ra = eval_set(a, &HashSet::new(), ctx)?;
+            let mut ra = eval_set(a, &FoldSet::default(), ctx)?;
             let rb = eval_input(b, ctx)?;
             if ra.schema.arity() != rb.schema.arity() {
                 return Err(EngineError::Lera(LeraError::Type(format!(
@@ -395,7 +401,7 @@ pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
                     expr.op_name()
                 ))));
             }
-            let other: HashSet<&[Value]> = rb.rows.iter().map(|r| &**r).collect();
+            let other: FoldSet<&[Value]> = rb.rows.iter().map(|r| &**r).collect();
             let intersect = matches!(expr, Expr::Intersect(..));
             ra.rows.retain(|r| other.contains(&**r) == intersect);
             ra.rows.sort_unstable();
@@ -455,7 +461,7 @@ pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
         // Morsels hand back no repeats of their own; the sort drops the
         // ones that span morsels and gives the canonical order.
         Expr::Dedup(input) => {
-            let mut rel = eval_set(input, &HashSet::new(), ctx)?;
+            let mut rel = eval_set(input, &FoldSet::default(), ctx)?;
             rel.rows.sort_unstable();
             rel.rows.dedup();
             Ok(rel)
@@ -472,7 +478,7 @@ pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
 /// [`eval_expr`]: a dropped row still counts as emitted.
 pub(crate) fn eval_set(
     expr: &Expr,
-    known: &HashSet<SharedRow>,
+    known: &FoldSet<SharedRow>,
     ctx: &mut Ctx<'_>,
 ) -> EngineResult<Relation> {
     eval_into(expr, ctx, &|| Distinct::new(known))
@@ -576,17 +582,17 @@ impl Sink for Bag {
 /// as `&[Value]` (`Arc<[Value]>: Borrow<[Value]>`) straight from the
 /// scratch buffer or the input row.
 struct Distinct<'k> {
-    known: &'k HashSet<SharedRow>,
-    seen: HashSet<SharedRow>,
+    known: &'k FoldSet<SharedRow>,
+    seen: FoldSet<SharedRow>,
     rows: Vec<SharedRow>,
     offered: u64,
 }
 
 impl<'k> Distinct<'k> {
-    fn new(known: &'k HashSet<SharedRow>) -> Distinct<'k> {
+    fn new(known: &'k FoldSet<SharedRow>) -> Distinct<'k> {
         Distinct {
             known,
-            seen: HashSet::new(),
+            seen: FoldSet::default(),
             rows: Vec::new(),
             offered: 0,
         }
@@ -623,7 +629,7 @@ impl Sink for Distinct<'_> {
     /// and checked against `known`.
     fn gather(&mut self, from: &Gather<'_>, idxs: &[u32]) {
         self.offered += idxs.len() as u64;
-        let mut codes: HashSet<CodedRow<'_>> = HashSet::new();
+        let mut codes: FoldSet<CodedRow<'_>> = FoldSet::default();
         let mut scratch: Row = Vec::with_capacity(from.columns.len());
         for &i in idxs {
             let i = i as usize;
@@ -651,7 +657,8 @@ impl Sink for Distinct<'_> {
     }
 
     fn settle(self, rows: Vec<SharedRow>) -> Vec<SharedRow> {
-        let mut seen: HashSet<&[Value]> = HashSet::with_capacity(rows.len());
+        let mut seen: FoldSet<&[Value]> =
+            FoldSet::with_capacity_and_hasher(rows.len(), Fold::default());
         rows.iter()
             .filter(|r| !self.known.contains(&***r) && seen.insert(&***r))
             .cloned()
@@ -937,7 +944,7 @@ fn emit_groups<K: Ord + Hash>(
     out: &mut Relation,
     stats: &mut EvalStats,
 ) {
-    let mut groups: HashMap<K, Vec<Value>> = HashMap::new();
+    let mut groups: FoldMap<K, Vec<Value>> = FoldMap::default();
     for (key, item) in pairs {
         groups.entry(key).or_default().push(item);
     }
@@ -1118,7 +1125,7 @@ fn preselect(
 /// the comparison reads; every other kind compares — and hashes —
 /// structurally. Equal keys always collide; the converse is left to the
 /// re-check.
-fn key_hash<'v>(hasher: &RandomState, key: impl Iterator<Item = Option<&'v Value>>) -> Option<u64> {
+fn key_hash<'v>(hasher: &Fold, key: impl Iterator<Item = Option<&'v Value>>) -> Option<u64> {
     let mut h = hasher.build_hasher();
     for v in key {
         match v? {
@@ -1141,7 +1148,7 @@ fn link_table(
     rows: &[SharedRow],
     survivors: &Survivors,
     links: &[Link],
-    hasher: &RandomState,
+    hasher: &Fold,
 ) -> LinkTable {
     let mut table: LinkTable = (0..survivors.len())
         .filter_map(|j| {
@@ -1179,7 +1186,7 @@ struct Enumeration<'a, 'r, S> {
     cpred: &'a CompiledPred,
     cproj: &'a [CompiledProj],
     env: &'a EvalEnv<'a>,
-    hasher: &'a RandomState,
+    hasher: &'a Fold,
     tuple: Vec<&'r [Value]>,
     sink: S,
     scratch: Row,
@@ -1260,7 +1267,7 @@ fn streamed_join<S: Sink>(
         return Ok((Vec::new(), 0));
     };
 
-    let hasher = RandomState::new();
+    let hasher = Fold::default();
     let steps: Vec<Step<'_>> = later
         .zip(&rels[1..])
         .zip(1..)

@@ -9,13 +9,16 @@
 //! The delta is built as a set: each variant is evaluated against the
 //! rows already known, so a derivation the fixpoint already has — or
 //! one its morsel already produced — is dropped before it becomes a row.
-
-use std::collections::HashSet;
+//! What survives is inserted into that same set as it arrives; a failed
+//! insert is a repeat across variants or morsels, and the rows that get
+//! in are the next delta. The known relation grows in place, in arrival
+//! order, and is sorted once when the fixpoint ends.
 
 use eds_lera::{infer_schema, Expr};
 
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{eval_expr, eval_set, Ctx};
+use crate::hash::FoldSet;
 use crate::relation::{Relation, SharedRow};
 
 /// Fixpoint evaluation strategy.
@@ -58,27 +61,6 @@ fn sorted_dedup(mut rows: Vec<SharedRow>) -> Vec<SharedRow> {
     rows.sort_unstable();
     rows.dedup();
     rows
-}
-
-/// Merge two sorted, individually deduplicated, mutually disjoint row
-/// vectors into one sorted vector — O(n) instead of re-sorting the
-/// accumulated `known` every round, which dominated deep fixpoints
-/// (`known` only grows; the delta is usually small).
-fn merge_sorted_disjoint(known: &[SharedRow], delta: &[SharedRow]) -> Vec<SharedRow> {
-    let mut out = Vec::with_capacity(known.len() + delta.len());
-    let (mut i, mut j) = (0, 0);
-    while i < known.len() && j < delta.len() {
-        if known[i] <= delta[j] {
-            out.push(known[i].clone());
-            i += 1;
-        } else {
-            out.push(delta[j].clone());
-            j += 1;
-        }
-    }
-    out.extend(known[i..].iter().cloned());
-    out.extend(delta[j..].iter().cloned());
-    out
 }
 
 fn eval_fix_naive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
@@ -150,13 +132,17 @@ fn eval_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResul
         return Ok(Relation::empty(schema));
     };
 
-    // Seed: the non-recursive branches.
+    // Seed: the non-recursive branches. `known_set` is the set the
+    // fixpoint computes: a row joins `known` (and the next delta) when
+    // its insert succeeds, so a repeat — within the seed, across
+    // variants or across morsels — is dropped there.
+    let mut known_set: FoldSet<SharedRow> = FoldSet::default();
     let mut known = eval_expr(first_seed, ctx)?;
     for b in seeds {
         known.rows.extend(eval_expr(b, ctx)?.rows);
     }
-    known.rows = sorted_dedup(std::mem::take(&mut known.rows));
-    let mut delta = known.clone();
+    known.rows.retain(|r| known_set.insert(r.clone()));
+    let delta = known.clone();
 
     // Pre-compute, per recursive branch, one variant per occurrence of
     // the recursion variable with that occurrence renamed to the delta.
@@ -168,37 +154,28 @@ fn eval_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResul
         })
         .collect();
 
-    let saved_known = ctx.locals.insert(key.clone(), known.clone());
-    let saved_delta = ctx.locals.insert(delta_key.clone(), delta.clone());
-
-    // Hash membership the variants are evaluated against (rows hash
-    // through the Arc to their values); `known.rows` itself stays a
-    // sorted vector so the final result is canonical.
-    let mut known_set: HashSet<SharedRow> = known.rows.iter().cloned().collect();
+    let saved_known = ctx.locals.insert(key.clone(), known);
+    let saved_delta = ctx.locals.insert(delta_key.clone(), delta);
 
     let result = (|| {
         for _round in 0..ctx.opts.fix.max_iterations {
             ctx.stats.fix_iterations += 1;
-            ctx.locals.insert(key.clone(), known.clone());
-            ctx.locals.insert(delta_key.clone(), delta.clone());
-
-            // Every row is new; variants and morsels can repeat each
-            // other, which the sort drops.
             let mut fresh: Vec<SharedRow> = Vec::new();
             for variant in &variants {
-                fresh.extend(eval_set(variant, &known_set, ctx)?.rows);
+                let rows = eval_set(variant, &known_set, ctx)?.rows;
+                fresh.extend(rows.into_iter().filter(|r| known_set.insert(r.clone())));
             }
-            let new_delta = sorted_dedup(fresh);
-            if new_delta.is_empty() {
+            let unbound = || EngineError::UnknownRelation(key.clone());
+            if fresh.is_empty() {
+                // Sorted once, at exit: the canonical order.
+                let mut known = ctx.locals.remove(&key).ok_or_else(unbound)?;
+                known.rows.sort_unstable();
                 return Ok(known);
             }
-            known_set.extend(new_delta.iter().cloned());
-            // `known.rows` and `new_delta` are each sorted + deduplicated
-            // and (no variant row is in `known_set`) disjoint, so a linear merge
-            // equals the old sort-the-union exactly.
-            let merged = merge_sorted_disjoint(&known.rows, &new_delta);
-            known = Relation::from_shared(known.schema.clone(), merged);
-            delta = Relation::from_shared(known.schema.clone(), new_delta);
+            let known = ctx.locals.get_mut(&key).ok_or_else(unbound)?;
+            known.rows.extend(fresh.iter().cloned());
+            let delta = Relation::from_shared(known.schema.clone(), fresh);
+            ctx.locals.insert(delta_key.clone(), delta);
         }
         Err(EngineError::FixpointDiverged {
             name: name.to_owned(),

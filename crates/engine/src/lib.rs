@@ -40,6 +40,7 @@ pub mod database;
 pub mod error;
 pub mod eval;
 pub mod fixpoint;
+mod hash;
 pub mod parallel;
 pub mod reference;
 pub mod relation;

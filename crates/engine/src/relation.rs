@@ -6,11 +6,12 @@
 //! way: cloning a [`Relation`] is two pointer-vector copies, never a
 //! traversal of string or collection values.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use eds_adt::Value;
 use eds_lera::Schema;
+
+use crate::hash::{Fold, FoldSet};
 
 /// A row: one value per attribute.
 pub type Row = Vec<Value>;
@@ -93,7 +94,8 @@ impl Relation {
     /// low-cardinality inputs (e.g. `SELECT DISTINCT` over a category
     /// column).
     pub fn deduped(&self) -> Relation {
-        let mut seen: HashSet<&[Value]> = HashSet::with_capacity(self.rows.len());
+        let mut seen: FoldSet<&[Value]> =
+            FoldSet::with_capacity_and_hasher(self.rows.len(), Fold::default());
         let mut rows: Vec<SharedRow> = Vec::new();
         for r in &self.rows {
             if seen.insert(&**r) {
