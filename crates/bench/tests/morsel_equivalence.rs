@@ -16,8 +16,9 @@ use eds_bench::assert_matches_oracle;
 use eds_core::Dbms;
 use eds_engine::{EvalOptions, JoinMode, MORSEL_ROWS};
 
-/// Worker counts around and past the pool boundary, with the columnar
-/// path toggled both ways and both join algorithms.
+/// Worker requests from sequential (1) to past the host's core count
+/// (8), with the columnar path toggled both ways and both join
+/// algorithms.
 fn morsel_configs() -> Vec<EvalOptions> {
     let mut out = Vec::new();
     for parallelism in [1usize, 3, 4, 8] {

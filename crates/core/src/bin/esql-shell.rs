@@ -171,11 +171,7 @@ fn meta_command(dbms: &mut Dbms, stmts: &mut HashMap<String, PreparedStmt>, cmd:
         None => (cmd, ""),
     };
     match head {
-        ".quit" | ".exit" => {
-            // Join the morsel workers so the process exits cleanly.
-            eds_core::engine::shutdown_pool();
-            return false;
-        }
+        ".quit" | ".exit" => return false,
         ".help" => println!(
             ".help / .quit / .tables / .rules\n\
              .explain <query ;>      canonical + rewritten plan + trace\n\
@@ -247,11 +243,10 @@ fn meta_command(dbms: &mut Dbms, stmts: &mut HashMap<String, PreparedStmt>, cmd:
                  {} budget stop(s), {} win(s)",
                 ex.candidates, ex.checks, ex.budget_stops, ex.wins
             );
-            let ps = dbms.parallel_stats();
+            let ps = eds_core::parallel_stats();
             println!(
-                "executor:   {} parallel run(s), {} morsel(s) dispatched, \
-                 {} cursor retries, last run used {} worker(s)",
-                ps.parallel_runs, ps.morsels_dispatched, ps.cursor_retries, ps.last_workers
+                "executor:   {} parallel run(s), {} morsel(s) dispatched (process-wide)",
+                ps.parallel_runs, ps.morsels_dispatched
             );
         }
         ".prepare" => match rest.split_once(char::is_whitespace) {

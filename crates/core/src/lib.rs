@@ -479,14 +479,6 @@ impl Dbms {
         Ok(eval_with(expr, &self.db, self.eval_options)?)
     }
 
-    /// Snapshot of the morsel executor's process-wide counters —
-    /// parallel runs, morsels dispatched, cursor contention — the
-    /// execution-side companion of
-    /// [`QueryRewriter::plan_cache_stats`](pipeline::QueryRewriter::plan_cache_stats).
-    pub fn parallel_stats(&self) -> ParallelStats {
-        parallel_stats()
-    }
-
     /// Full pipeline: parse → translate → rewrite → execute.
     pub fn query(&self, sql: &str) -> CoreResult<Relation> {
         self.run_query(&parse_query(sql)?)

@@ -26,7 +26,7 @@
 //!   columnar mirror by the projected columns' codes, without building a
 //!   `Value` — and count it as emitted all the same;
 //! * scans, pre-selection and the enumeration of either join mode are
-//!   morsel-partitioned across a persistent worker pool when
+//!   morsel-partitioned across scoped helper threads when
 //!   [`EvalOptions::parallelism`] > 1 and the input spans more than one
 //!   morsel (see [`crate::parallel`]). Morsels are contiguous runs
 //!   merged in input order, so results (and result *order*) are
@@ -53,6 +53,7 @@ use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::fixpoint::{eval_fix, FixOptions};
 use crate::hash::{Fold, FoldMap, FoldSet};
+use crate::parallel::{run_morsel_ranges, run_morsels};
 use crate::relation::{shared_row, Relation, Row, SharedRow};
 
 /// Physical strategy for the n-ary `search` operator over two or more
@@ -136,8 +137,8 @@ pub struct EvalOptions {
     pub join: JoinMode,
     /// Worker threads for partitioned operators. `1` (the default) is
     /// fully sequential; higher values let large scans, pre-selections
-    /// and join enumerations be drained morsel-by-morsel by the
-    /// persistent worker pool (see [`crate::parallel`]) and merged in
+    /// and join enumerations be drained morsel-by-morsel by the calling
+    /// thread and scoped helpers (see [`crate::parallel`]) and merged in
     /// input order, preserving both results and result order exactly.
     pub parallelism: usize,
     /// Use columnar mirrors of stored base tables where the operator
@@ -295,20 +296,6 @@ impl Ctx<'_> {
     }
 }
 
-/// Run `f` over morsel-sized contiguous sub-slices of `items` on the
-/// persistent worker pool, returning per-morsel results in input order.
-/// Errors surface in morsel order, matching what a sequential
-/// left-to-right evaluation would report first. See [`crate::parallel`].
-fn run_partitioned<T, R, F>(items: &[T], parallelism: usize, f: F) -> EngineResult<Vec<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> EngineResult<R> + Sync,
-{
-    let workers = crate::parallel::effective_workers(parallelism, items.len());
-    crate::parallel::run_morsels(items, workers, f)
-}
-
 /// Columnar mirror backing `input` — the one mirror source: the
 /// database-cached mirror of a stored base table. `None` when the
 /// option is off, the input is anything but a stored table scan
@@ -337,9 +324,7 @@ fn select_partitioned(
     len: usize,
     parallelism: usize,
 ) -> EngineResult<Vec<u32>> {
-    let workers = crate::parallel::effective_workers(parallelism, len);
-    let parts =
-        crate::parallel::run_morsel_ranges(len, workers, |lo, hi| Ok(pred.select_range(lo, hi)))?;
+    let parts = run_morsel_ranges(len, parallelism, |lo, hi| Ok(pred.select_range(lo, hi)))?;
     Ok(parts.into_iter().flatten().collect())
 }
 
@@ -817,7 +802,7 @@ fn select_project<S: Sink>(
         .as_deref()
         .and_then(|cols| Some((cols, cpred.columnar(cols, ctx.params)?)));
     let Some((cols, colpred)) = lowered else {
-        return run_partitioned(rows, parallelism, |part| {
+        return run_morsels(rows, parallelism, |part| {
             let mut sink = new_sink();
             let mut scratch: Row = Vec::with_capacity(cproj.len());
             for row in part {
@@ -837,7 +822,7 @@ fn select_project<S: Sink>(
         .map(|p| p.slot0().and_then(|a| cols.column(a)))
         .collect();
     let Some(columns) = columns else {
-        return run_partitioned(&sel, parallelism, |idxs| {
+        return run_morsels(&sel, parallelism, |idxs| {
             let mut sink = new_sink();
             let mut scratch: Row = Vec::with_capacity(cproj.len());
             for &i in idxs {
@@ -857,7 +842,7 @@ fn select_project<S: Sink>(
         sink.gather(&from, &sel);
         return Ok(vec![sink]);
     }
-    run_partitioned(&sel, parallelism, |idxs| {
+    run_morsels(&sel, parallelism, |idxs| {
         let mut sink = new_sink();
         sink.gather(&from, idxs);
         Ok(sink)
@@ -877,7 +862,7 @@ fn nested_loop<S: Sink>(
     parallelism: usize,
     new_sink: &(impl Fn() -> S + Sync),
 ) -> EngineResult<(Vec<S>, u64)> {
-    let parts = run_partitioned(&rels[0].rows, parallelism, |first| {
+    let parts = run_morsels(&rels[0].rows, parallelism, |first| {
         let mut sink = new_sink();
         let mut tried = 0u64;
         let mut scratch: Row = Vec::with_capacity(cproj.len());
@@ -1103,8 +1088,7 @@ fn preselect(
             return Ok(Survivors::Picked(sel));
         }
     }
-    let workers = crate::parallel::effective_workers(parallelism, rel.len());
-    let parts = crate::parallel::run_morsel_ranges(rel.len(), workers, |lo, hi| {
+    let parts = run_morsel_ranges(rel.len(), parallelism, |lo, hi| {
         // Only the input's own slot is read.
         let mut tuple: Vec<&[Value]> = vec![&[]; local.input() + 1];
         let mut kept: Vec<u32> = Vec::new();
@@ -1297,8 +1281,7 @@ fn streamed_join<S: Sink>(
         })
         .collect();
 
-    let workers = crate::parallel::effective_workers(ctx.opts.parallelism, first.len());
-    let parts = crate::parallel::run_morsel_ranges(first.len(), workers, |lo, hi| {
+    let parts = run_morsel_ranges(first.len(), ctx.opts.parallelism, |lo, hi| {
         let mut e = Enumeration {
             steps: &steps,
             cpred,

@@ -55,7 +55,7 @@ pub use eval::{
     JoinMode, OptLevel,
 };
 pub use fixpoint::{FixMode, FixOptions};
-pub use parallel::{effective_workers, parallel_stats, shutdown_pool, ParallelStats, MORSEL_ROWS};
+pub use parallel::{parallel_stats, shutdown_pool, ParallelStats, MORSEL_ROWS};
 pub use reference::eval_reference;
 pub use relation::{Relation, Row, SharedRow};
 pub use stats::{ColumnSketch, TableStats};
