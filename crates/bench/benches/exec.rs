@@ -1,11 +1,10 @@
 //! Executor benchmark suite — the `BENCH_exec.json` workloads.
 //!
 //! Measures execution of *rewritten* plans (the post-optimizer hot
-//! path): object-dereferencing filters, n-ary joins (the default
-//! executor and the nested-loop baseline), merged view stacks, union
-//! pushdown output, recursive
-//! fixpoints, and duplicate elimination — plus million-row columnar
-//! scans exercising the morsel scheduler end to end. Every workload
+//! path): object-dereferencing filters, n-ary joins, merged view
+//! stacks, union pushdown output, recursive fixpoints, and duplicate
+//! elimination — plus million-row columnar scans exercising the morsel
+//! scheduler end to end. Every workload
 //! runs at `parallelism` 1 (`<id>/p1`); the committed
 //! `crates/bench/baselines/before/exec.tsv` holds the same plans
 //! measured on the seed tree-walking executor (`<id>/seq`; the scan
@@ -24,7 +23,7 @@ use eds_bench::{
     opt_level_workloads,
 };
 use eds_core::{Dbms, OptLevel};
-use eds_engine::{baseline_options, EvalOptions};
+use eds_engine::EvalOptions;
 use eds_lera::Expr;
 use eds_testkit::bench::{BenchmarkGroup, BenchmarkId, Criterion};
 use eds_testkit::{criterion_group, criterion_main};
@@ -69,15 +68,6 @@ fn exec_suite(group: &mut BenchmarkGroup<'_>) {
         let prepared = dbms.prepare(&sql).unwrap();
         let rewritten = dbms.rewrite(&prepared).unwrap();
         bench_plan(group, id, &dbms, &rewritten.expr, EvalOptions::default());
-    }
-
-    // The film join again under the paper's baseline executor.
-    {
-        let (_, dbms, sql) = exec_workloads().swap_remove(1);
-        let prepared = dbms.prepare(&sql).unwrap();
-        let rewritten = dbms.rewrite(&prepared).unwrap();
-        let opts = baseline_options();
-        bench_plan(group, "film_join_nested", &dbms, &rewritten.expr, opts);
     }
 
     // Million-row scans — the morsel scheduler's target workloads (489

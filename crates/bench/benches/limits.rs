@@ -5,10 +5,10 @@
 //!
 //! Sweeps a uniform limit over all blocks for a simple (key lookup) and
 //! a complex (view + recursion + semantic) query, reporting rewrite
-//! effort and resulting execution work.
+//! effort and resulting execution work (the plan's cross product,
+//! `EvalStats::cross_product`).
 
 use eds_bench::{graph_dbms, product_dbms};
-use eds_engine::baseline_options;
 use eds_rewrite::Limit;
 use eds_testkit::bench::{BenchmarkId, Criterion};
 use eds_testkit::{criterion_group, criterion_main};
@@ -19,7 +19,6 @@ fn sweep(label: &str, mut dbms: eds_core::Dbms, sql: &str) {
         "{:<8} {:>14} {:>14} {:>14} {:>6}",
         "limit", "checks", "applications", "exec_combos", "rows"
     );
-    dbms.eval_options = baseline_options();
     for limit in [0u64, 2, 5, 10, 25, 100, u64::MAX] {
         let l = if limit == u64::MAX {
             Limit::Infinite
@@ -40,7 +39,7 @@ fn sweep(label: &str, mut dbms: eds_core::Dbms, sql: &str) {
             shown,
             rewritten.stats.condition_checks,
             rewritten.stats.applications,
-            stats.combinations_tried,
+            stats.cross_product,
             rel.len()
         );
     }

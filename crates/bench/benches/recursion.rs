@@ -1,9 +1,10 @@
 //! Experiment F9 — fixpoint reduction: the Alexander invocation rule
 //! (Figure 9), crossed with naive vs semi-naive fixpoint evaluation.
-//! Graph-size sweep for the bound query `TC(Src = c)`.
+//! Graph-size sweep for the bound query `TC(Src = c)`, counted in
+//! logical work (`EvalStats::cross_product`).
 
 use eds_bench::graph_dbms;
-use eds_engine::{baseline_options, EvalOptions, FixMode, FixOptions};
+use eds_engine::{EvalOptions, FixMode, FixOptions};
 use eds_testkit::bench::{BenchmarkId, Criterion};
 use eds_testkit::{criterion_group, criterion_main};
 
@@ -13,12 +14,12 @@ fn opts(mode: FixMode) -> EvalOptions {
             mode,
             max_iterations: 100_000,
         },
-        ..baseline_options()
+        ..Default::default()
     }
 }
 
 fn series() {
-    println!("\n# F9 fixpoint reduction: combinations tried, TC(Src = n-10)");
+    println!("\n# F9 fixpoint reduction: cross product, TC(Src = n-10)");
     println!(
         "{:<7} {:>14} {:>14} {:>14} {:>14}",
         "nodes", "naive", "seminaive", "naive+alex", "semi+alex"
@@ -32,7 +33,7 @@ fn series() {
         let run = |expr: &eds_lera::Expr, mode: FixMode, dbms: &mut eds_core::Dbms| {
             dbms.eval_options = opts(mode);
             let (rel, stats) = dbms.run_expr_with_stats(expr).unwrap();
-            (rel.deduped().len(), stats.combinations_tried)
+            (rel.deduped().len(), stats.cross_product)
         };
         let (n1, a) = run(&prepared.expr, FixMode::Naive, &mut dbms);
         let (n2, b) = run(&prepared.expr, FixMode::SemiNaive, &mut dbms);

@@ -1,10 +1,10 @@
 //! Experiment F10/F11 — semantic rewriting: integrity-constraint
 //! addition, equality substitution, and the inconsistency-detection
 //! payoff ("the potential time saving that can be realized with proper
-//! use of inference rules").
+//! use of inference rules"). Logical work is the plan's cross product
+//! (`EvalStats::cross_product`).
 
 use eds_bench::product_dbms;
-use eds_engine::baseline_options;
 use eds_testkit::bench::{BenchmarkId, Criterion};
 use eds_testkit::{criterion_group, criterion_main};
 
@@ -15,8 +15,7 @@ fn series() {
         "rows", "query", "combos_before", "combos_after", "rows"
     );
     for rows in [1_000i64, 10_000] {
-        let mut dbms = product_dbms(rows);
-        dbms.eval_options = baseline_options();
+        let dbms = product_dbms(rows);
         let cases = [
             ("bad grade", "SELECT Id FROM PRODUCT WHERE Grade = 'D' ;"),
             (
@@ -35,8 +34,8 @@ fn series() {
                 "{:<10} {:<24} {:>14} {:>14} {:>6}",
                 rows,
                 label,
-                before.combinations_tried,
-                after.combinations_tried,
+                before.cross_product,
+                after.cross_product,
                 r2.len()
             );
         }

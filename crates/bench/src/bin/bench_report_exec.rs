@@ -157,11 +157,10 @@ fn main() {
         "  \"note\": \"before = seed tree-walking executor (committed baseline, sequential), \
          except the scan_* workloads, introduced with the columnar layer, whose baseline is the \
          row-at-a-time executor (EDS_COLUMNAR=0) on the same tree; after = overhauled executor \
-         at EvalOptions.parallelism 1, under the same options on both sides: the default \
-         executor hashes joins (film_join against the seed's hash enumeration), film_join_nested \
-         is that join under the paper's nested-loop baseline. Every configuration is asserted \
-         byte-identical to the reference executor before timing. repeat_rewrite measures the \
-         rewrite-output plan \
+         at EvalOptions.parallelism 1, under the same options on both sides: the executor \
+         selects join inputs first and hashes on linking equalities (film_join against the \
+         seed's hash enumeration). Every configuration is asserted byte-identical to the \
+         reference executor before timing. repeat_rewrite measures the rewrite-output plan \
          cache and the em_* workloads measure prepared-statement amortization (before = \
          unprepared per-query path on the same tree, after = PreparedStmt::execute cycling the \
          same binds); the ol_* workloads measure cost-guided plan choice (before = the \

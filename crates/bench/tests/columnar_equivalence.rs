@@ -1,8 +1,8 @@
 //! Columnar differential suite: with `EvalOptions.columnar` on, every
 //! workload must return *byte-identical* results — same rows, same
 //! order — as both the row-at-a-time path (`columnar: false`) and the
-//! seed reference interpreter (`eds_engine::reference`), across join
-//! modes, fixpoint modes, and parallelism, with the same work counters
+//! seed reference interpreter (`eds_engine::reference`), across
+//! fixpoint modes and parallelism, with the same work counters
 //! on both executor paths. The fixtures are chosen to hit every kernel
 //! and every fallback: typed INT/CHAR columns, NULL bitmaps, REAL/BOOL,
 //! mid-column type spills and enum/ADT/collection spill columns,
@@ -12,27 +12,24 @@
 use eds_adt::Value;
 use eds_bench::{assert_matches_oracle, film_dbms, scan_dbms};
 use eds_core::Dbms;
-use eds_engine::{ColumnarRelation, EvalOptions, FixMode, FixOptions, JoinMode};
+use eds_engine::{ColumnarRelation, EvalOptions, FixMode, FixOptions};
 use eds_lera::Expr;
 
 /// Every physical configuration, columnar off; [`assert_equivalent`]
 /// toggles it on beside each.
 fn all_configs() -> Vec<EvalOptions> {
     let mut out = Vec::new();
-    for join in [JoinMode::NestedLoop, JoinMode::Hash] {
-        for fix_mode in [FixMode::Naive, FixMode::SemiNaive] {
-            for parallelism in [1usize, 4] {
-                out.push(EvalOptions {
-                    fix: FixOptions {
-                        mode: fix_mode,
-                        ..Default::default()
-                    },
-                    join,
-                    parallelism,
-                    columnar: false,
-                    opt_level: Default::default(),
-                });
-            }
+    for fix_mode in [FixMode::Naive, FixMode::SemiNaive] {
+        for parallelism in [1usize, 4] {
+            out.push(EvalOptions {
+                fix: FixOptions {
+                    mode: fix_mode,
+                    ..Default::default()
+                },
+                parallelism,
+                columnar: false,
+                opt_level: Default::default(),
+            });
         }
     }
     out
@@ -335,7 +332,7 @@ fn joins_with_null_keys_match_on_every_path() {
         dbms.insert("R", vec![rk, Value::Int(i * 2)]).unwrap();
     }
     // The typed i64 hash path must agree with the generic path and the
-    // nested loop on NULL keys (structural [NULL]==[NULL] candidates are
+    // oracle on NULL keys (structural [NULL]==[NULL] candidates are
     // produced, then rejected by the predicate re-check).
     check(&dbms, "SELECT A, B FROM L, R WHERE L.K = R.K ;");
     check(&dbms, "SELECT A, B FROM L, R WHERE L.K = R.K AND B > 10 ;");

@@ -2,33 +2,28 @@
 //! results — same rows, same order — as the reference executor (the seed
 //! tree-walking interpreter preserved in `eds_engine::reference`, which
 //! has one strategy and is asked once per plan) in every physical
-//! configuration of the executor: both join modes, both fixpoint modes,
-//! parallelism 1 and 4, columnar off and on.
+//! configuration of the executor: both fixpoint modes, parallelism 1 and
+//! 4, columnar off and on.
 
 use eds_bench::{assert_matches_oracle, exec_workloads};
 use eds_core::{Dbms, LintPolicy};
-use eds_engine::{
-    eval_reference, EngineError, EvalOptions, EvalStats, FixMode, FixOptions, JoinMode,
-};
+use eds_engine::{eval_reference, EngineError, EvalOptions, EvalStats, FixMode, FixOptions};
 use eds_lera::{expr_to_term, infer_schema, Expr, Scalar, SchemaCtx};
 
 fn all_configs() -> Vec<EvalOptions> {
     let mut out = Vec::new();
-    for join in [JoinMode::NestedLoop, JoinMode::Hash] {
-        for fix_mode in [FixMode::Naive, FixMode::SemiNaive] {
-            for parallelism in [1usize, 4] {
-                for columnar in [false, true] {
-                    out.push(EvalOptions {
-                        fix: FixOptions {
-                            mode: fix_mode,
-                            ..Default::default()
-                        },
-                        join,
-                        parallelism,
-                        columnar,
-                        opt_level: Default::default(),
-                    });
-                }
+    for fix_mode in [FixMode::Naive, FixMode::SemiNaive] {
+        for parallelism in [1usize, 4] {
+            for columnar in [false, true] {
+                out.push(EvalOptions {
+                    fix: FixOptions {
+                        mode: fix_mode,
+                        ..Default::default()
+                    },
+                    parallelism,
+                    columnar,
+                    opt_level: Default::default(),
+                });
             }
         }
     }
@@ -37,7 +32,7 @@ fn all_configs() -> Vec<EvalOptions> {
 
 /// A recursion limit too small for `expr`'s fixpoint is a divergence —
 /// from the oracle, which reads that one field of its options, as from
-/// the executor under either fixpoint and join strategy.
+/// the executor under either fixpoint strategy.
 fn assert_diverges_alike(id: &str, dbms: &Dbms, expr: &Expr) {
     let one_round = |opts: EvalOptions| EvalOptions {
         fix: FixOptions {
@@ -67,8 +62,8 @@ fn has_fix(expr: &Expr) -> bool {
 }
 
 /// Every benchmark workload, pre- and post-rewrite, across all configs:
-/// the oracle's schema, rows and order under both join modes, both
-/// fixpoint modes, parallelism {1, 4} and columnar {off, on} — the
+/// the oracle's schema, rows and order under both fixpoint modes,
+/// parallelism {1, 4} and columnar {off, on} — the
 /// oracle itself has one strategy and is asked once per plan. The
 /// recursive workloads also hit the recursion limit alike.
 #[test]
@@ -222,29 +217,26 @@ fn codd_primitives_match_the_search_they_normalize_into() {
         let oracle = |e: &Expr| eval_reference(e, &dbms.db, EvalOptions::default()).unwrap();
         let (primitive_oracle, search_oracle) = (oracle(&primitive), oracle(&normalized));
         for columnar in [false, true] {
-            for join in [JoinMode::NestedLoop, JoinMode::Hash] {
-                for parallelism in [1usize, 2] {
-                    let opts = EvalOptions {
-                        join,
-                        parallelism,
-                        columnar,
-                        ..Default::default()
-                    };
-                    let run = |e: &Expr| eds_engine::eval_with(e, &dbms.db, opts).unwrap().0;
-                    let (as_primitives, as_search) = (run(&primitive), run(&normalized));
-                    assert_eq!(
-                        as_primitives.rows, as_search.rows,
-                        "{id}: primitive and SEARCH forms diverge under {opts:?}"
+            for parallelism in [1usize, 2] {
+                let opts = EvalOptions {
+                    parallelism,
+                    columnar,
+                    ..Default::default()
+                };
+                let run = |e: &Expr| eds_engine::eval_with(e, &dbms.db, opts).unwrap().0;
+                let (as_primitives, as_search) = (run(&primitive), run(&normalized));
+                assert_eq!(
+                    as_primitives.rows, as_search.rows,
+                    "{id}: primitive and SEARCH forms diverge under {opts:?}"
+                );
+                for (form, got, reference) in [
+                    ("primitive", &as_primitives, &primitive_oracle),
+                    ("SEARCH", &as_search, &search_oracle),
+                ] {
+                    assert!(
+                        got.bag_eq(reference),
+                        "{id}: {form} form diverges from the reference under {opts:?}"
                     );
-                    for (form, got, reference) in [
-                        ("primitive", &as_primitives, &primitive_oracle),
-                        ("SEARCH", &as_search, &search_oracle),
-                    ] {
-                        assert!(
-                            got.bag_eq(reference),
-                            "{id}: {form} form diverges from the reference under {opts:?}"
-                        );
-                    }
                 }
             }
         }
@@ -305,10 +297,11 @@ fn every_operator_emits_the_inferred_schema() {
     }
 }
 
-/// Work counters are part of the contract: a `filter` emits rows but
-/// tries no combinations, the `search` it normalizes into counts one
-/// combination per input row — in every physical configuration, and
-/// exactly as before `filter` became an adapter onto `search`.
+/// Work counters are part of the contract: a `filter` or a `project`
+/// emits rows but counts no combinations, tried or logical; the `search`
+/// they normalize into counts one of each per input row — in every
+/// physical configuration, and exactly as before `filter` and `project`
+/// became adapters onto `search`.
 #[test]
 fn filter_and_search_work_counters_are_pinned() {
     let workloads = exec_workloads();
@@ -324,18 +317,22 @@ fn filter_and_search_work_counters_are_pinned() {
         input: Box::new(inputs[0].clone()),
         pred: pred.clone(),
     };
+    let project = Expr::Project {
+        input: Box::new(inputs[0].clone()),
+        exprs: vec![Scalar::attr(1, 1)],
+    };
+    let emitted = |rows_emitted| EvalStats {
+        rows_emitted,
+        ..Default::default()
+    };
     for opts in all_configs() {
         let stats = |e: &Expr| eds_engine::eval_with(e, &dbms.db, opts).unwrap().1;
-        let filter_stats = EvalStats {
-            rows_emitted: 905,
-            combinations_tried: 0,
-            fix_iterations: 0,
-        };
-        assert_eq!(stats(&filter), filter_stats, "filter under {opts:?}");
+        assert_eq!(stats(&filter), emitted(905), "filter under {opts:?}");
+        assert_eq!(stats(&project), emitted(16_000), "project under {opts:?}");
         let search_stats = EvalStats {
-            rows_emitted: 905,
             combinations_tried: 16_000,
-            fix_iterations: 0,
+            cross_product: 16_000,
+            ..emitted(905)
         };
         assert_eq!(stats(&search), search_stats, "search under {opts:?}");
     }
@@ -344,17 +341,14 @@ fn filter_and_search_work_counters_are_pinned() {
 /// The default executor — select first, then stream — on the joining
 /// statements of the end-to-end benchmark (`dim_join`, `film_join`,
 /// `tc_unbound`, `ol_join3`, `ol_pushdown`), canonical and rewritten at
-/// both levels: the rows *and their order* are the baseline nested
-/// loop's, the bag is the reference interpreter's, under
-/// parallelism {1, 4} × columnar {off, on} — and the work counters do
-/// not depend on which path pre-selection took.
+/// both levels: the rows *and their order* are the reference
+/// interpreter's, under parallelism {1, 4} × columnar {off, on} — and
+/// the work counters do not depend on which path pre-selection took.
 #[test]
-fn default_joins_return_the_baselines_rows_in_its_order() {
+fn default_joins_return_the_oracles_rows_in_its_order() {
     use eds_bench::{film_dbms, filter_pushdown_dbms, graph_dbms, join3_dbms, scan_dbms};
     use eds_core::OptLevel;
-    use eds_engine::baseline_options;
 
-    assert_eq!(EvalOptions::default().join, JoinMode::Hash);
     // More than one morsel of SCAN survives `A > 300`, so the
     // enumeration itself is partitioned at parallelism 4.
     let mut dim = scan_dbms(5_000, 7);
@@ -400,47 +394,29 @@ fn default_joins_return_the_baselines_rows_in_its_order() {
             let plan = dbms.rewrite_uncached(&prepared).unwrap().expr;
             plans.push((name, std::sync::Arc::unwrap_or_clone(plan)));
         }
+        let configs = sink_configs();
         for (form, plan) in &plans {
-            let baseline = eds_engine::eval_with(plan, &dbms.db, baseline_options())
-                .unwrap()
-                .0;
-            let oracle = eval_reference(plan, &dbms.db, EvalOptions::default()).unwrap();
-            assert!(baseline.bag_eq(&oracle), "{id}/{form}: baseline vs oracle");
-            let mut counters: Option<EvalStats> = None;
-            for parallelism in [1usize, 4] {
-                for columnar in [false, true] {
-                    let opts = EvalOptions {
-                        parallelism,
-                        columnar,
-                        ..Default::default()
-                    };
-                    let (rel, stats) = eds_engine::eval_with(plan, &dbms.db, opts).unwrap();
-                    assert_eq!(
-                        rel.rows, baseline.rows,
-                        "{id}/{form}: rows or order differ under {opts:?}"
-                    );
-                    let first = *counters.get_or_insert(stats);
-                    assert_eq!(stats, first, "{id}/{form}: work moved under {opts:?}");
-                }
-            }
+            let id = format!("{id}/{form}");
+            let stats = assert_matches_oracle(&id, &dbms.db, plan, &configs);
+            assert!(
+                stats.iter().all(|s| *s == stats[0]),
+                "{id}: work moved across {configs:?}: {stats:?}"
+            );
         }
     }
 }
 
-/// The configurations a set-mode sink must agree across: parallelism
-/// {1, 4} × columnar {off, on} × both join modes.
+/// The configurations a join or a set-mode sink must agree across:
+/// parallelism {1, 4} × columnar {off, on}.
 fn sink_configs() -> Vec<EvalOptions> {
     let mut out = Vec::new();
-    for join in [JoinMode::Hash, JoinMode::NestedLoop] {
-        for parallelism in [1usize, 4] {
-            for columnar in [false, true] {
-                out.push(EvalOptions {
-                    join,
-                    parallelism,
-                    columnar,
-                    ..Default::default()
-                });
-            }
+    for parallelism in [1usize, 4] {
+        for columnar in [false, true] {
+            out.push(EvalOptions {
+                parallelism,
+                columnar,
+                ..Default::default()
+            });
         }
     }
     out
@@ -607,8 +583,8 @@ fn set_sinks_match_the_reference() {
 }
 
 /// A set-mode sink drops a duplicate before it becomes a row but still
-/// counts it: `SELECT DISTINCT B …` reports the `rows_emitted` and
-/// `combinations_tried` of `SELECT B …`, in every configuration.
+/// counts it: `SELECT DISTINCT B …` reports the work counters of
+/// `SELECT B …`, in every configuration.
 #[test]
 fn distinct_counts_the_rows_of_its_search() {
     let dbms = eds_bench::scan_dbms(16_000, 7);
@@ -618,6 +594,7 @@ fn distinct_counts_the_rows_of_its_search() {
     let pinned = EvalStats {
         rows_emitted: 8_000,
         combinations_tried: 16_000,
+        cross_product: 16_000,
         fix_iterations: 0,
     };
     for opts in all_configs() {

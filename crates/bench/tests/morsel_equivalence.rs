@@ -14,24 +14,19 @@
 use eds_adt::Value;
 use eds_bench::assert_matches_oracle;
 use eds_core::Dbms;
-use eds_engine::{EvalOptions, JoinMode, MORSEL_ROWS};
+use eds_engine::{EvalOptions, MORSEL_ROWS};
 
 /// Worker requests from sequential (1) to past the host's core count
-/// (8), with the columnar path toggled both ways and both join
-/// algorithms.
+/// (8), with the columnar path toggled both ways.
 fn morsel_configs() -> Vec<EvalOptions> {
     let mut out = Vec::new();
     for parallelism in [1usize, 3, 4, 8] {
         for columnar in [false, true] {
-            for join in [JoinMode::NestedLoop, JoinMode::Hash] {
-                out.push(EvalOptions {
-                    parallelism,
-                    columnar,
-                    join,
-                    opt_level: Default::default(),
-                    ..Default::default()
-                });
-            }
+            out.push(EvalOptions {
+                parallelism,
+                columnar,
+                ..Default::default()
+            });
         }
     }
     out
@@ -189,8 +184,8 @@ fn joins_over_morsel_sized_inputs_match() {
 /// source-to-sink path is derived once per middle, from every morsel,
 /// and by both variants of `TC T1, TC T2` (the delta joined to itself
 /// is read through either occurrence). The semi-naive fixpoint must drop
-/// every such repeat, under every worker count and join algorithm, and
-/// count the same work at one worker as at four.
+/// every such repeat, under every worker count, and count the same work
+/// at one worker as at four.
 #[test]
 fn nonlinear_fixpoint_drops_repeats_across_morsels_and_variants() {
     let mut dbms = Dbms::new().unwrap();
@@ -216,19 +211,11 @@ fn nonlinear_fixpoint_drops_repeats_across_morsels_and_variants() {
 
     // The rewriter leaves an unbound closure as it is: one plan.
     let plan = dbms.prepare("SELECT Src, Dst FROM TC ;").unwrap().expr;
-    let configs: Vec<EvalOptions> = [JoinMode::NestedLoop, JoinMode::Hash]
-        .into_iter()
-        .flat_map(|join| {
-            [1, 4].map(|parallelism| EvalOptions {
-                parallelism,
-                join,
-                ..Default::default()
-            })
-        })
-        .collect();
+    let configs = [1, 4].map(|parallelism| EvalOptions {
+        parallelism,
+        ..Default::default()
+    });
     let stats = assert_matches_oracle("tc", &dbms.db, &plan, &configs);
-    for (pair, opts) in stats.chunks(2).zip(configs.iter().step_by(2)) {
-        assert_eq!(pair[0], pair[1], "tc under {:?}", opts.join);
-        assert!(pair[0].fix_iterations >= 2, "{:?}", pair[0]);
-    }
+    assert_eq!(stats[0], stats[1]);
+    assert!(stats[0].fix_iterations >= 2, "{:?}", stats[0]);
 }

@@ -6,12 +6,12 @@
 //! that read it alone, inputs join left-deep in the order written
 //! through a table of key hashes wherever an equality links the next
 //! one, and combinations stream depth-first into the target list
-//! without being materialised ([`JoinMode::Hash`], the default). Join
-//! *order* and everything above
-//! the operator stay the rewriter's business. The paper's baseline — the
-//! cross product with a post-filter, full rescans, under which the work
-//! counters read the logical quality of a plan directly — is
-//! [`JoinMode::NestedLoop`]. Around both:
+//! without being materialised. Join *order* and everything above the
+//! operator stay the rewriter's business. The paper's baseline — the
+//! cross product with a post-filter, under which the work counters read
+//! the logical quality of a plan directly — is not executed: its work is
+//! the product of the input sizes, which every run reports beside its
+//! own ([`EvalStats::cross_product`]). Around the operator:
 //!
 //! * qualifications and projection targets are lowered once per operator
 //!   into [`CompiledScalar`] programs that borrow from input rows and the
@@ -25,7 +25,7 @@
 //!   the morsel already produced, *before* allocating it — over a
 //!   columnar mirror by the projected columns' codes, without building a
 //!   `Value` — and count it as emitted all the same;
-//! * scans, pre-selection and the enumeration of either join mode are
+//! * scans, pre-selection and the join enumeration are
 //!   morsel-partitioned across scoped helper threads when
 //!   [`EvalOptions::parallelism`] > 1 and the input spans more than one
 //!   morsel (see [`crate::parallel`]). Morsels are contiguous runs
@@ -55,25 +55,6 @@ use crate::fixpoint::{eval_fix, FixOptions};
 use crate::hash::{Fold, FoldMap, FoldSet};
 use crate::parallel::{run_morsel_ranges, run_morsels};
 use crate::relation::{shared_row, Relation, Row, SharedRow};
-
-/// Physical strategy for the n-ary `search` operator over two or more
-/// inputs (one input is a scan under either).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinMode {
-    /// Full cross-product enumeration with a post-filter: the paper's
-    /// baseline executor, whose `combinations_tried` is the logical work
-    /// of a plan. Benches and differential suites name it explicitly
-    /// (see [`baseline_options`]).
-    NestedLoop,
-    /// Select first, then stream: every input is pre-selected by the
-    /// conjuncts that read it alone, and inputs join left-deep in the
-    /// order written — through a table of key hashes over the next
-    /// input wherever an equality links it, by looping over it
-    /// otherwise. Same rows in the same order as `NestedLoop`; an error
-    /// can only disappear relative to it.
-    #[default]
-    Hash,
-}
 
 /// How hard the rewriter works before a statement reaches the executor.
 ///
@@ -131,10 +112,6 @@ impl std::fmt::Display for OptLevel {
 pub struct EvalOptions {
     /// Fixpoint strategy.
     pub fix: FixOptions,
-    /// How a `search` over two or more inputs is evaluated: selecting
-    /// each input first and hashing on linking equalities (the default),
-    /// or as the paper's baseline cross product. See [`JoinMode`].
-    pub join: JoinMode,
     /// Worker threads for partitioned operators. `1` (the default) is
     /// fully sequential; higher values let large scans, pre-selections
     /// and join enumerations be drained morsel-by-morsel by the calling
@@ -158,7 +135,6 @@ impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             fix: FixOptions::default(),
-            join: JoinMode::default(),
             parallelism: 1,
             columnar: true,
             opt_level: OptLevel::default(),
@@ -166,39 +142,44 @@ impl Default for EvalOptions {
     }
 }
 
-/// The paper's baseline executor as an option bag: every `search` over
-/// two or more inputs is the cross product with a post-filter, so
-/// [`EvalStats::combinations_tried`] is the *logical* work of a plan,
-/// exact to the unit — what the F7–F12 tables of `EXPERIMENTS.md`
-/// report and what a before/after comparison of two plans should read.
-/// Under the default executor the counter follows what that executor
-/// does (pre-selection, a table per linked step) instead.
-pub fn baseline_options() -> EvalOptions {
-    EvalOptions {
-        join: JoinMode::NestedLoop,
-        ..Default::default()
-    }
-}
-
 /// Work counters, for the benchmark harness. Parallel partitions count
 /// locally and are summed in partition order, so totals are identical to
-/// a sequential run.
+/// a sequential run. Only `search` and `join` count combinations: a
+/// `filter` or `project` counts 0 in both join counters, and so does a
+/// `search` whose qualification is FALSE or one of whose inputs is empty.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Rows produced by all operators (intermediate + final).
     pub rows_emitted: u64,
-    /// Work done by `search`/`join`. One input: its rows. Two or more,
-    /// under [`JoinMode::NestedLoop`]: every combination of the cross
-    /// product, exact to the unit — the *logical* work of the plan,
-    /// whatever the executor. Under [`JoinMode::Hash`]: the first
-    /// input's survivors plus every candidate a later step enumerated
-    /// (a linked step's table hits, a cross step's survivors) — a
-    /// property of the physical executor as much as of the plan.
-    /// Whoever compares two plans by this counter names the baseline
-    /// executor.
+    /// Combinations the executor examined. One input: its rows. Two or
+    /// more: the first input's survivors of its local conjuncts plus
+    /// every candidate a later step enumerated (a linked step's table
+    /// hits, a cross step's survivors) — a property of the executor as
+    /// much as of the plan.
     pub combinations_tried: u64,
+    /// The same operators' *logical* work: the product of their input
+    /// sizes (saturating), the combinations the paper's baseline — a
+    /// cross product with a post-filter — would examine. It reads the
+    /// plan, not the executor, so it is what a comparison of two plans
+    /// reads (the F7–F12 tables of `EXPERIMENTS.md`).
+    pub cross_product: u64,
     /// Fixpoint iterations executed.
     pub fix_iterations: u64,
+}
+
+impl EvalStats {
+    fn add_search(&mut self, work: Work) {
+        self.combinations_tried += work.tried;
+        self.cross_product = self.cross_product.saturating_add(work.cross_product);
+    }
+}
+
+/// What one `search` counts: the combinations its executor examined and
+/// the size of its inputs' cross product.
+#[derive(Default)]
+struct Work {
+    tried: u64,
+    cross_product: u64,
 }
 
 /// Evaluate a plan against a database.
@@ -243,23 +224,23 @@ pub fn eval_const_scalar(s: &Scalar, db: &Database) -> EngineResult<Value> {
 }
 
 /// Evaluation context: database, options, fixpoint locals, counters.
-pub struct Ctx<'a> {
+pub(crate) struct Ctx<'a> {
     /// The database.
-    pub db: &'a Database,
+    pub(crate) db: &'a Database,
     /// Options.
-    pub opts: EvalOptions,
+    pub(crate) opts: EvalOptions,
     /// Relations bound to recursion variables.
-    pub locals: HashMap<String, Relation>,
+    pub(crate) locals: HashMap<String, Relation>,
     /// Work counters.
-    pub stats: EvalStats,
+    pub(crate) stats: EvalStats,
     /// Bind array for `?` statement parameters (empty for ad-hoc
     /// queries).
-    pub params: &'a [Value],
+    pub(crate) params: &'a [Value],
 }
 
 impl Ctx<'_> {
     /// A context over a database with no locals bound.
-    pub fn new(db: &Database, opts: EvalOptions) -> Ctx<'_> {
+    pub(crate) fn new(db: &Database, opts: EvalOptions) -> Ctx<'_> {
         Ctx {
             db,
             opts,
@@ -344,8 +325,8 @@ fn eval_input<'db>(input: &Expr, ctx: &mut Ctx<'db>) -> EngineResult<Cow<'db, Re
     eval_expr(input, ctx).map(Cow::Owned)
 }
 
-/// Evaluate an expression in a context (public for the fixpoint module).
-pub fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
+/// Evaluate an expression in a context.
+pub(crate) fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
     match expr {
         Expr::Base(name) => {
             if let Some(rel) = ctx.local(name) {
@@ -473,22 +454,22 @@ pub(crate) fn eval_set(
 /// `filter`, `project` and `join` are `search` restricted to an identity
 /// target list, a TRUE qualification, or two inputs — the `normalize`
 /// block rewrites all three into it — so they evaluate through it. Only
-/// `search` (and `join`, which is one) reports the combinations it
-/// examined as work. Any other operator is evaluated as a bag and its
-/// rows pass through one sink ([`Sink::settle`]).
+/// `search` (and `join`, which is one) reports its [`Work`]. Any other
+/// operator is evaluated as a bag and its rows pass through one sink
+/// ([`Sink::settle`]).
 fn eval_into<S: Sink>(
     expr: &Expr,
     ctx: &mut Ctx<'_>,
     new_sink: &(impl Fn() -> S + Sync),
 ) -> EngineResult<Relation> {
-    let (rel, examined) = match expr {
-        Expr::Filter { input, pred } => (eval_search(&[input], pred, None, ctx, new_sink)?.0, 0),
+    let (rel, work) = match expr {
+        Expr::Filter { input, pred } => (
+            eval_search(&[input], pred, None, ctx, new_sink)?.0,
+            Work::default(),
+        ),
         Expr::Project { input, exprs } => {
-            let pred = Scalar::true_();
-            (
-                eval_search(&[input], &pred, Some(exprs), ctx, new_sink)?.0,
-                0,
-            )
+            let (rel, _) = eval_search(&[input], &Scalar::true_(), Some(exprs), ctx, new_sink)?;
+            (rel, Work::default())
         }
         Expr::Join { left, right, pred } => eval_search(&[left, right], pred, None, ctx, new_sink)?,
         Expr::Search { inputs, pred, proj } => {
@@ -501,7 +482,7 @@ fn eval_into<S: Sink>(
             return Ok(rel);
         }
     };
-    ctx.stats.combinations_tried += examined;
+    ctx.stats.add_search(work);
     Ok(rel)
 }
 
@@ -672,17 +653,16 @@ impl Gather<'_> {
 /// The compound `search` operator — the one select/project/join
 /// implementation. `proj: None` emits every attribute of every input in
 /// input order (`filter`, `join`). Each morsel's qualifying rows go to
-/// a sink `new_sink` makes. Returns the result together with the number
-/// of input combinations examined; `rows_emitted` is counted here,
-/// whether the examined count is `combinations_tried` is the calling
-/// operator's decision.
+/// a sink `new_sink` makes. Returns the result together with the work
+/// done; `rows_emitted` is counted here, whether the work is counted is
+/// the calling operator's decision.
 fn eval_search<S: Sink>(
     inputs: &[&Expr],
     pred: &Scalar,
     proj: Option<&[Scalar]>,
     ctx: &mut Ctx<'_>,
     new_sink: &(impl Fn() -> S + Sync),
-) -> EngineResult<(Relation, u64)> {
+) -> EngineResult<(Relation, Work)> {
     let rels = inputs
         .iter()
         .map(|i| eval_input(i, ctx))
@@ -721,26 +701,29 @@ fn eval_search<S: Sink>(
     // Short-circuit: a FALSE qualification or an empty input produces
     // no tuples without touching the cross product.
     if bound_pred.is_false() || rels.iter().any(|r| r.is_empty()) {
-        return Ok((out, 0));
+        return Ok((out, Work::default()));
     }
-    let parallelism = ctx.opts.parallelism;
-    let (parts, examined) = if let [rel] = &rels[..] {
+    let cross_product = rels
+        .iter()
+        .fold(1u64, |n, r| n.saturating_mul(r.len() as u64));
+    let (parts, tried) = if let [rel] = &rels[..] {
         let parts = select_project(inputs[0], rel, &cpred, &cproj, &env, ctx, new_sink)?;
         (parts, rel.len() as u64)
     } else {
-        match ctx.opts.join {
-            JoinMode::NestedLoop => {
-                nested_loop(&rels, &cpred, &cproj, &env, parallelism, new_sink)?
-            }
-            JoinMode::Hash => streamed_join(inputs, &rels, &cpred, &cproj, &env, ctx, new_sink)?,
-        }
+        streamed_join(inputs, &rels, &cpred, &cproj, &env, ctx, new_sink)?
     };
     for part in parts {
         let (mut rows, offered) = part.finish();
         ctx.stats.rows_emitted += offered;
         out.rows.append(&mut rows);
     }
-    Ok((out, examined))
+    Ok((
+        out,
+        Work {
+            tried,
+            cross_product,
+        },
+    ))
 }
 
 /// Evaluate the target list over one qualifying combination, into
@@ -760,9 +743,7 @@ fn project_into(
 
 /// The one-input select-project kernel — every `filter`, `project` and
 /// single-input `search` (what filter pushdown + projection merging
-/// produce) runs here; both join modes enumerate a single input in
-/// identical row order, so it serves nested-loop and hash alike.
-/// Returns one sink per morsel, in input order.
+/// produce) runs here. Returns one sink per morsel, in input order.
 ///
 /// Columnar path: over a stored table whose qualification lowers fully
 /// to typed kernels, the kernels compute a selection vector over the
@@ -849,75 +830,6 @@ fn select_project<S: Sink>(
     })
 }
 
-/// Nested-loop `search` over two or more inputs: the cross product,
-/// partitioned on the first input — each chunk enumerates
-/// chunk × rels[1..], and chunks merge in order, the exact sequential
-/// enumeration order. Returns one sink per morsel and the number of
-/// combinations tried.
-fn nested_loop<S: Sink>(
-    rels: &[Cow<'_, Relation>],
-    cpred: &CompiledPred,
-    cproj: &[CompiledProj],
-    env: &EvalEnv<'_>,
-    parallelism: usize,
-    new_sink: &(impl Fn() -> S + Sync),
-) -> EngineResult<(Vec<S>, u64)> {
-    let parts = run_morsels(&rels[0].rows, parallelism, |first| {
-        let mut sink = new_sink();
-        let mut tried = 0u64;
-        let mut scratch: Row = Vec::with_capacity(cproj.len());
-        // A dedicated loop for the dominant two-input shape; a generic
-        // odometer for wider products. Enumeration order is the same
-        // row-major order in both.
-        if let [_, inner] = rels {
-            for l in first {
-                let mut tuple = [&l[..], &l[..]];
-                for r in &inner.rows {
-                    tried += 1;
-                    tuple[1] = &r[..];
-                    if cpred.eval_bool(&tuple, env)? {
-                        project_into(cproj, &tuple, env, &mut scratch)?;
-                        sink.keep(&mut scratch);
-                    }
-                }
-            }
-        } else {
-            let mut idx = vec![0usize; rels.len()];
-            // Tuple buffer maintained incrementally: only odometer
-            // positions that change are rewritten.
-            let mut tuple: Vec<&[Value]> = Vec::with_capacity(rels.len());
-            tuple.push(&first[0][..]);
-            for rel in rels.iter().skip(1) {
-                tuple.push(&rel.rows[0][..]);
-            }
-            'outer: loop {
-                tried += 1;
-                if cpred.eval_bool(&tuple, env)? {
-                    project_into(cproj, &tuple, env, &mut scratch)?;
-                    sink.keep(&mut scratch);
-                }
-                // Advance the odometer.
-                for k in (0..idx.len()).rev() {
-                    let rows: &[SharedRow] = if k == 0 { first } else { &rels[k].rows };
-                    idx[k] += 1;
-                    if idx[k] < rows.len() {
-                        tuple[k] = &rows[idx[k]][..];
-                        continue 'outer;
-                    }
-                    idx[k] = 0;
-                    tuple[k] = &rows[0][..];
-                    if k == 0 {
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        Ok((sink, tried))
-    })?;
-    let tried = parts.iter().map(|(_, tried)| tried).sum();
-    Ok((parts.into_iter().map(|(sink, _)| sink).collect(), tried))
-}
-
 /// Group `(key, item)` pairs in one hash pass, sort the groups once —
 /// `OrderedF64`'s Eq/Hash agree with its total order, so this emits the
 /// exact lexicographic key order a `BTreeMap` would — and append one
@@ -950,7 +862,7 @@ fn emit_groups<K: Ord + Hash>(
 /// vector — the intermediate filtered/projected rows are never
 /// materialized. Results, result order and work counters are identical
 /// to the unfused pipeline: the skipped `Search` still counts its
-/// `rows_emitted` and `combinations_tried`, groups sort by key exactly
+/// `rows_emitted` and both join counters, groups sort by key exactly
 /// as the row-path `Nest` sorts them, and any shape the fusion does not
 /// cover returns `None` to fall back untouched — re-evaluating the
 /// inner `Base` on fallback is a borrow, so a failed attempt costs
@@ -1009,7 +921,10 @@ fn fused_scan_nest(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Option<Relati
     }
 
     let sel = select_partitioned(&colpred, cols.len(), ctx.opts.parallelism)?;
-    ctx.stats.combinations_tried += rel.len() as u64;
+    ctx.stats.add_search(Work {
+        tried: rel.len() as u64,
+        cross_product: rel.len() as u64,
+    });
     // The intermediate select-project rows are never built, but the
     // unfused pipeline would have emitted them.
     ctx.stats.rows_emitted += sel.len() as u64;
@@ -1217,18 +1132,19 @@ impl<S: Sink> Enumeration<'_, '_, S> {
     }
 }
 
-/// The default `search` over two or more inputs — select first, then
-/// stream. Each input is pre-selected by its local conjuncts
+/// The `search` over two or more inputs — select first, then stream.
+/// Each input is pre-selected by its local conjuncts
 /// ([`preselect`]); inputs join left-deep in the order written, a step
 /// probing a [`LinkTable`] over the next input's survivors where an
 /// equality links it, looping over them otherwise; combinations are
 /// enumerated depth-first over one tuple buffer, morsel-partitioned on
-/// the first input's survivors and merged in order — the nested loop's
-/// row-major order. Returns one sink per morsel and the work done:
-/// first-input survivors plus candidates enumerated.
+/// the first input's survivors and merged in order — the cross product's
+/// row-major order. Returns one sink per morsel and the combinations
+/// examined: first-input survivors plus candidates enumerated.
 ///
-/// Relative to [`nested_loop`] an error can only disappear (a
-/// combination that would have raised it is never formed), never appear.
+/// Relative to the cross product with a post-filter an error can only
+/// disappear (a combination that would have raised it is never formed),
+/// never appear.
 fn streamed_join<S: Sink>(
     inputs: &[&Expr],
     rels: &[Cow<'_, Relation>],

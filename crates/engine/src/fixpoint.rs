@@ -50,7 +50,7 @@ impl Default for FixOptions {
 }
 
 /// Evaluate `fix(name, body)`.
-pub fn eval_fix(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
+pub(crate) fn eval_fix(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
     match ctx.opts.fix.mode {
         FixMode::Naive => eval_fix_naive(name, body, ctx),
         FixMode::SemiNaive => eval_fix_seminaive(name, body, ctx),
@@ -201,7 +201,7 @@ fn restore_local(ctx: &mut Ctx<'_>, key: &str, saved: Option<Relation>) {
 
 /// Number of `Base(name)` occurrences in an expression (not descending
 /// into shadowing inner `fix` operators with the same variable).
-pub fn count_occurrences(e: &Expr, name: &str) -> usize {
+pub(crate) fn count_occurrences(e: &Expr, name: &str) -> usize {
     match e {
         Expr::Base(n) => usize::from(n.eq_ignore_ascii_case(name)),
         Expr::Fix { name: inner, .. } if inner.eq_ignore_ascii_case(name) => 0,
@@ -215,7 +215,7 @@ pub fn count_occurrences(e: &Expr, name: &str) -> usize {
 
 /// Replace the `n`-th occurrence (0-based, pre-order) of `Base(name)`
 /// with `Base(replacement)`.
-pub fn replace_nth_base(e: &Expr, name: &str, n: usize, replacement: &str) -> Expr {
+pub(crate) fn replace_nth_base(e: &Expr, name: &str, n: usize, replacement: &str) -> Expr {
     fn walk(e: &Expr, name: &str, counter: &mut usize, n: usize, replacement: &str) -> Expr {
         match e {
             Expr::Base(b) if b.eq_ignore_ascii_case(name) => {

@@ -7,10 +7,10 @@
 //!
 //! * [`database::Database`] — catalog + object store + stored relations;
 //! * [`mod@eval`] — `search` that selects each input first and probes a
-//!   hash table wherever an equality links two inputs
-//!   ([`JoinMode::Hash`], the default; [`JoinMode::NestedLoop`] is the
-//!   paper's cross product, kept so work counters read a plan's logical
-//!   quality), `nest`/`unnest`, three-valued qualifications, collection
+//!   hash table wherever an equality links two inputs, reporting beside
+//!   its own work the paper's cross product
+//!   ([`EvalStats::cross_product`], a plan's logical work),
+//!   `nest`/`unnest`, three-valued qualifications, collection
 //!   broadcasting of field access and ordered comparisons;
 //! * [`fixpoint`] — semi-naive `fix` evaluation by default, naive on
 //!   request ([`FixMode`]);
@@ -51,8 +51,7 @@ pub use compile::{CompiledScalar, EvalEnv};
 pub use database::Database;
 pub use error::{EngineError, EngineResult};
 pub use eval::{
-    baseline_options, eval, eval_const_scalar, eval_with, eval_with_params, EvalOptions, EvalStats,
-    JoinMode, OptLevel,
+    eval, eval_const_scalar, eval_with, eval_with_params, EvalOptions, EvalStats, OptLevel,
 };
 pub use fixpoint::{FixMode, FixOptions};
 pub use parallel::{parallel_stats, shutdown_pool, ParallelStats, MORSEL_ROWS};

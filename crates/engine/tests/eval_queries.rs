@@ -173,9 +173,6 @@ fn naive_and_seminaive_fixpoints_agree() {
     let ctx = SchemaCtx::new(&db.catalog);
     let (expr, _) = translate_query(&q, &ctx).unwrap();
 
-    // The comparison below is about logical work, so it is counted by
-    // the baseline executor: the default decides per step by size, and
-    // looping over a three-row delta counts more than it costs.
     let naive = eval_with(
         &expr,
         &db,
@@ -184,7 +181,6 @@ fn naive_and_seminaive_fixpoints_agree() {
                 mode: FixMode::Naive,
                 max_iterations: 1000,
             },
-            join: eds_engine::JoinMode::NestedLoop,
             ..Default::default()
         },
     )
@@ -197,7 +193,6 @@ fn naive_and_seminaive_fixpoints_agree() {
                 mode: FixMode::SemiNaive,
                 max_iterations: 1000,
             },
-            join: eds_engine::JoinMode::NestedLoop,
             ..Default::default()
         },
     )
@@ -207,12 +202,12 @@ fn naive_and_seminaive_fixpoints_agree() {
     // (2->7 itself already counted via path? no: direct edge adds pairs
     // (0..=2) x {7,8} already reachable). Just sanity-check count > 30.
     assert!(naive.0.deduped().len() >= 36);
-    // Semi-naive does strictly less combination work than naive.
+    // Semi-naive does strictly less logical work than naive.
     assert!(
-        semi.1.combinations_tried < naive.1.combinations_tried,
+        semi.1.cross_product < naive.1.cross_product,
         "semi {} !< naive {}",
-        semi.1.combinations_tried,
-        naive.1.combinations_tried
+        semi.1.cross_product,
+        naive.1.cross_product
     );
 }
 
@@ -488,9 +483,8 @@ fn in_subquery_arity_and_position_checks() {
     assert!(translate_query(&q, &ctx).is_err());
 }
 
-#[test]
-fn hash_join_mode_agrees_with_nested_loop() {
-    use eds_engine::JoinMode;
+/// R, S and T of 30 rows each, joined by two links.
+fn rst_db() -> Database {
     let mut db = Database::new();
     db.execute_ddl(
         "TABLE R (A : INT, B : INT);
@@ -504,44 +498,77 @@ fn hash_join_mode_agrees_with_nested_loop() {
             .unwrap();
         db.insert("T", vec![(i % 5).into()]).unwrap();
     }
-    let q = parse_query(
-        "SELECT R.A FROM R, S, T \
-         WHERE R.B = S.B AND S.C = T.C AND R.A > 3 ;",
-    )
-    .unwrap();
-    let ctx = SchemaCtx::new(&db.catalog);
-    let (expr, _) = translate_query(&q, &ctx).unwrap();
+    db
+}
 
-    let nested = eval_with(
-        &expr,
-        &db,
-        EvalOptions {
-            join: JoinMode::NestedLoop,
-            ..Default::default()
-        },
-    )
+fn rst_join(db: &Database, extra: &str) -> eds_lera::Expr {
+    let q = parse_query(&format!(
+        "SELECT R.A FROM R, S, T WHERE R.B = S.B AND S.C = T.C AND {extra} ;"
+    ))
     .unwrap();
-    let hashed = eval_with(
-        &expr,
-        &db,
-        EvalOptions {
-            join: JoinMode::Hash,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert!(nested.0.bag_eq(&hashed.0), "join modes disagree");
+    translate_query(&q, &SchemaCtx::new(&db.catalog)).unwrap().0
+}
+
+/// One run reports both: the cross product a nested loop would try, and
+/// the fewer combinations the executor examined — with the reference
+/// interpreter's rows in its order.
+#[test]
+fn a_join_reports_its_cross_product_beside_its_own_work() {
+    let db = rst_db();
+    let expr = rst_join(&db, "R.A > 3");
+    let (rel, stats) = eval_with(&expr, &db, EvalOptions::default()).unwrap();
+    let oracle = eds_engine::eval_reference(&expr, &db, EvalOptions::default()).unwrap();
+    assert_eq!(rel.rows, oracle.rows);
+    assert_eq!(stats.cross_product, 27_000);
     assert!(
-        hashed.1.combinations_tried < nested.1.combinations_tried,
-        "hash {} !< nested {}",
-        hashed.1.combinations_tried,
-        nested.1.combinations_tried
+        stats.combinations_tried < stats.cross_product,
+        "examined {} of {}",
+        stats.combinations_tried,
+        stats.cross_product
     );
+}
+
+/// A local conjunct that rejects every row of one input: nothing is
+/// examined, yet the plan's logical work is the full product.
+#[test]
+fn an_emptied_input_examines_nothing_but_keeps_its_cross_product() {
+    let db = rst_db();
+    let (rel, stats) = eval_with(&rst_join(&db, "T.C > 100"), &db, EvalOptions::default()).unwrap();
+    assert!(rel.is_empty());
+    assert_eq!(stats.combinations_tried, 0);
+    assert_eq!(stats.cross_product, 27_000);
+}
+
+/// A FALSE qualification or an empty input short-circuits before either
+/// join counter moves.
+#[test]
+fn a_false_qualification_or_an_empty_input_counts_nothing() {
+    use eds_lera::{Expr, Scalar};
+    let mut db = rst_db();
+    db.execute_ddl("TABLE E (C : INT);").unwrap();
+    let search = |inputs: &[&str], pred: Scalar| {
+        Expr::search(
+            inputs.iter().map(|&name| Expr::base(name)).collect(),
+            pred,
+            vec![Scalar::attr(1, 1)],
+        )
+    };
+    let linked = Scalar::eq(Scalar::attr(1, 2), Scalar::attr(2, 1));
+    for expr in [
+        search(&["R", "S"], Scalar::false_()),
+        search(&["R"], Scalar::false_()),
+        search(&["R", "E"], linked),
+        search(&["E"], Scalar::true_()),
+    ] {
+        let (rel, stats) = eval_with(&expr, &db, EvalOptions::default()).unwrap();
+        assert!(rel.is_empty(), "{expr}");
+        assert_eq!(stats.combinations_tried, 0, "{expr}");
+        assert_eq!(stats.cross_product, 0, "{expr}");
+    }
 }
 
 #[test]
 fn hash_join_cross_product_fallback() {
-    use eds_engine::JoinMode;
     let mut db = Database::new();
     db.execute_ddl(
         "TABLE A (X : INT); TABLE B (Y : INT);
@@ -552,24 +579,11 @@ fn hash_join_cross_product_fallback() {
     let q = parse_query("SELECT X, Y FROM A, B WHERE X + Y > 11 ;").unwrap();
     let ctx = SchemaCtx::new(&db.catalog);
     let (expr, _) = translate_query(&q, &ctx).unwrap();
-    let nested = eval_with(
-        &expr,
-        &db,
-        EvalOptions {
-            join: JoinMode::NestedLoop,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let hashed = eval_with(
-        &expr,
-        &db,
-        EvalOptions {
-            join: JoinMode::Hash,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert!(nested.0.bag_eq(&hashed.0));
-    assert_eq!(hashed.0.len(), 3); // (1,20), (2,10)? 12>11 yes, (2,20)
+    let (rel, stats) = eval_with(&expr, &db, EvalOptions::default()).unwrap();
+    let oracle = eds_engine::eval_reference(&expr, &db, EvalOptions::default()).unwrap();
+    assert_eq!(rel.rows, oracle.rows);
+    // (1, 20), (2, 10) and (2, 20) pass; (1, 10) does not.
+    assert_eq!(rel.len(), 3);
+    // No equality links B: a cross step examines every pair.
+    assert_eq!((stats.combinations_tried, stats.cross_product), (2 + 4, 4));
 }

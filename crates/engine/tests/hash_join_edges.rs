@@ -1,11 +1,10 @@
 //! Hash-join key edge cases: NULL join keys, mixed-type keys, and
 //! qualifications the key extractor cannot hash (non-equality conjuncts).
-//! Every query must return exactly the same rows — values and order — under
-//! `JoinMode::NestedLoop` and `JoinMode::Hash`, at parallelism 1 and 4, and
-//! must match the reference executor.
+//! Every query must return exactly the reference executor's rows — values
+//! and order — at parallelism 1 and 4.
 
 use eds_adt::Value;
-use eds_engine::{baseline_options, eval_reference, eval_with, Database, EvalOptions, JoinMode};
+use eds_engine::{eval_reference, eval_with, Database, EvalOptions};
 use eds_lera::{CmpOp, Expr, Scalar};
 
 /// Two tables whose keys exercise the awkward cases: NULLs on both sides,
@@ -43,34 +42,22 @@ fn edge_db() -> Database {
     db
 }
 
-/// Evaluate under every JoinMode × parallelism combination; assert all
-/// agree with each other and with the reference interpreter, then return
-/// the (shared) result rows.
-fn all_modes_agree(db: &Database, expr: &Expr) -> Vec<Vec<Value>> {
+/// Evaluate at parallelism 1 and 4; assert each run returns the
+/// reference interpreter's rows in its order, then return them sorted.
+fn agrees_with_the_reference(db: &Database, expr: &Expr) -> Vec<Vec<Value>> {
     let reference = eval_reference(expr, db, EvalOptions::default()).expect("reference evaluates");
-    let mut witness: Option<(Vec<Vec<Value>>, EvalOptions)> = None;
-    for join in [JoinMode::NestedLoop, JoinMode::Hash] {
-        for parallelism in [1usize, 4] {
-            let opts = EvalOptions {
-                join,
-                parallelism,
-                ..Default::default()
-            };
-            let rel = eval_with(expr, db, opts).expect("evaluates").0;
-            assert_eq!(
-                rel.rows, reference.rows,
-                "diverges from reference under {opts:?}"
-            );
-            let rows = rel.sorted_rows();
-            match &witness {
-                None => witness = Some((rows, opts)),
-                Some((expected, first_opts)) => {
-                    assert_eq!(&rows, expected, "{opts:?} disagrees with {first_opts:?}");
-                }
-            }
-        }
+    for parallelism in [1usize, 4] {
+        let opts = EvalOptions {
+            parallelism,
+            ..Default::default()
+        };
+        let rel = eval_with(expr, db, opts).expect("evaluates").0;
+        assert_eq!(
+            rel.rows, reference.rows,
+            "diverges from reference under {opts:?}"
+        );
     }
-    witness.expect("at least one configuration ran").0
+    reference.sorted_rows()
 }
 
 fn equi_join(extra: Option<Scalar>) -> Expr {
@@ -90,7 +77,7 @@ fn equi_join(extra: Option<Scalar>) -> Expr {
 #[test]
 fn null_keys_never_match() {
     let db = edge_db();
-    let rows = all_modes_agree(&db, &equi_join(None));
+    let rows = agrees_with_the_reference(&db, &equi_join(None));
     // NULL = NULL is NULL under 3-valued logic: the Null-keyed rows on
     // both sides must not pair with anything — including each other.
     for row in &rows {
@@ -116,7 +103,7 @@ fn mixed_type_keys_do_not_coerce() {
     // surviving matches are "2"="2", true=true, and the high-A int row —
     // each key pairs with its own runtime type only, no coercion.
     let extra = Scalar::cmp(CmpOp::Ge, Scalar::attr(1, 2), Scalar::lit(Value::Int(40)));
-    let rows = all_modes_agree(&db, &equi_join(Some(extra)));
+    let rows = agrees_with_the_reference(&db, &equi_join(Some(extra)));
     assert_eq!(
         rows,
         vec![
@@ -138,7 +125,7 @@ fn non_equality_conjuncts_fall_back_and_agree() {
         Scalar::cmp(CmpOp::Lt, Scalar::attr(1, 2), Scalar::attr(2, 2)),
         vec![Scalar::attr(1, 2), Scalar::attr(2, 2)],
     );
-    let rows = all_modes_agree(&db, &theta);
+    let rows = agrees_with_the_reference(&db, &theta);
     // Every L.A in {10..60} pairs with every strictly greater R.B.
     let l_vals = [10i64, 20, 30, 40, 50, 60];
     let r_vals = [200i64, 300, 400, 500, 900];
@@ -157,7 +144,7 @@ fn non_equality_conjuncts_fall_back_and_agree() {
     // Equality on one pair of attrs plus an arithmetic inequality: the
     // equality is hashed, the inequality is rechecked.
     let extra = Scalar::cmp(CmpOp::Lt, Scalar::attr(1, 2), Scalar::attr(2, 2));
-    let rows = all_modes_agree(&db, &equi_join(Some(extra)));
+    let rows = agrees_with_the_reference(&db, &equi_join(Some(extra)));
     let mut expected = vec![
         vec![Value::Int(20), Value::Int(200)],
         vec![Value::Int(60), Value::Int(200)],
@@ -190,7 +177,7 @@ fn three_way_join_with_partial_keys() {
         pred,
         vec![Scalar::attr(1, 2), Scalar::attr(2, 2), Scalar::attr(3, 1)],
     );
-    let rows = all_modes_agree(&db, &expr);
+    let rows = agrees_with_the_reference(&db, &expr);
     let mut expected = vec![
         vec![Value::Int(20), Value::Int(200), Value::Int(2)],
         vec![Value::Int(60), Value::Int(200), Value::Int(2)],
@@ -227,32 +214,24 @@ fn an_int_meets_its_real_twin_and_null_meets_nothing() {
     // structurally; `NULL = NULL` does not though they are identical. An
     // oracle that keyed a table on the values would say 0 rows, or 1 for
     // the wrong pair.
-    let rows = all_modes_agree(&db, &equi_join(None));
+    let rows = agrees_with_the_reference(&db, &equi_join(None));
     assert_eq!(rows, vec![vec![Value::Int(10), Value::Int(100)]]);
 }
 
 // ---------------------------------------------------------------------
-// Select first, then stream: the default executor against the baseline
-// (`JoinMode::NestedLoop`) and the oracle (`eval_reference`).
+// Select first, then stream: the executor's paths against each other and
+// against the oracle (`eval_reference`).
 // ---------------------------------------------------------------------
 
-/// The default executor under parallelism {1, 4} × columnar {off, on}:
-/// rows *and order* are the baseline's, the bag is the oracle's, and the
-/// work counters do not depend on the path pre-selection took. Returns
-/// the rows and the default's `combinations_tried`.
-fn streams_like_the_baseline(
-    db: &Database,
-    expr: &Expr,
-    params: &[Value],
-) -> (Vec<Vec<Value>>, u64) {
-    let nested = eds_engine::eval_with_params(expr, db, baseline_options(), params)
-        .expect("baseline evaluates")
-        .0;
-    if params.is_empty() {
-        let oracle = eval_reference(expr, db, EvalOptions::default()).expect("oracle evaluates");
-        assert!(nested.bag_eq(&oracle), "baseline diverges from the oracle");
-    }
-    let mut tried = None;
+/// The executor under parallelism {1, 4} × columnar {off, on}: rows *and
+/// order* are the oracle's (asked when there are no binds: it takes
+/// none), and neither they nor the work counters depend on the path
+/// pre-selection took. Returns the rows and `combinations_tried`.
+fn streams_like_the_oracle(db: &Database, expr: &Expr, params: &[Value]) -> (Vec<Vec<Value>>, u64) {
+    let oracle = params
+        .is_empty()
+        .then(|| eval_reference(expr, db, EvalOptions::default()).expect("oracle evaluates"));
+    let mut first = None;
     for parallelism in [1usize, 4] {
         for columnar in [false, true] {
             let opts = EvalOptions {
@@ -260,16 +239,19 @@ fn streams_like_the_baseline(
                 columnar,
                 ..Default::default()
             };
-            assert_eq!(opts.join, JoinMode::Hash, "the default streams");
             let (rel, stats) =
-                eds_engine::eval_with_params(expr, db, opts, params).expect("default evaluates");
-            assert_eq!(rel.rows, nested.rows, "rows or order differ under {opts:?}");
-            let first = *tried.get_or_insert(stats.combinations_tried);
-            assert_eq!(stats.combinations_tried, first, "work moved under {opts:?}");
+                eds_engine::eval_with_params(expr, db, opts, params).expect("evaluates");
+            if let Some(oracle) = &oracle {
+                assert_eq!(rel.rows, oracle.rows, "rows or order differ under {opts:?}");
+            }
+            let (rows, work) = first.get_or_insert((rel.rows.clone(), stats));
+            assert_eq!(rel.rows, *rows, "rows or order moved under {opts:?}");
+            assert_eq!(stats, *work, "work moved under {opts:?}");
         }
     }
-    let rows = nested.rows.iter().map(|r| r.to_vec()).collect();
-    (rows, tried.expect("four configurations ran"))
+    let (rows, stats) = first.expect("four configurations ran");
+    let rows = rows.iter().map(|r| r.to_vec()).collect();
+    (rows, stats.combinations_tried)
 }
 
 fn ints(rows: &[&[i64]]) -> Vec<Vec<Value>> {
@@ -319,7 +301,7 @@ fn local_conjuncts_on_later_inputs_preselect() {
         Scalar::cmp(CmpOp::Lt, Scalar::attr(2, 2), Scalar::lit(12)),
         Scalar::cmp(CmpOp::Ge, Scalar::attr(3, 2), Scalar::lit(15)),
     ]);
-    let (rows, tried) = streams_like_the_baseline(&db, &abc_search(pred), &[]);
+    let (rows, tried) = streams_like_the_oracle(&db, &abc_search(pred), &[]);
     // C's survivors carry keys 5..=9; B's rows with those keys and
     // V < 12 are V = 5..=9; each key has four rows in A.
     assert_eq!(rows.len(), 5 * 4);
@@ -340,8 +322,8 @@ fn a_parameter_preselects_once_bound_and_errors_unbound() {
             vec![Scalar::attr(1, 2), Scalar::attr(2, 2)],
         )
     };
-    let (bound, tried) = streams_like_the_baseline(&db, &search(Scalar::param(0)), &[5.into()]);
-    let (literal, _) = streams_like_the_baseline(&db, &search(Scalar::lit(5)), &[]);
+    let (bound, tried) = streams_like_the_oracle(&db, &search(Scalar::param(0)), &[5.into()]);
+    let (literal, _) = streams_like_the_oracle(&db, &search(Scalar::lit(5)), &[]);
     assert_eq!(bound, literal);
     assert_eq!(bound.len(), 5 * 4);
     assert_eq!(tried, 40 + 20, "five survivors of B, one per key");
@@ -414,16 +396,16 @@ fn local_conjuncts_without_a_kernel_take_the_row_path() {
         )
     };
     let real = Scalar::cmp(CmpOp::Gt, Scalar::attr(1, 2), Scalar::lit(Value::real(3.9)));
-    let (rows, tried) = streams_like_the_baseline(&db, &film_cast(real), &[]);
+    let (rows, tried) = streams_like_the_oracle(&db, &film_cast(real), &[]);
     assert_eq!(rows.len(), 4 * 2, "films 8..=11, two appearances each");
     assert_eq!(tried, 4 + 8);
     let boolean = Scalar::eq(Scalar::attr(1, 3), Scalar::lit(Value::Bool(true)));
-    let (rows, _) = streams_like_the_baseline(&db, &film_cast(boolean), &[]);
+    let (rows, _) = streams_like_the_oracle(&db, &film_cast(boolean), &[]);
     assert_eq!(rows.len(), 6 * 2);
     // A spill column of mixed kinds: NULL compares to nothing, a string
     // orders above every number (kinds compare structurally).
     let spill = Scalar::cmp(CmpOp::Ge, Scalar::attr(1, 4), Scalar::lit(6));
-    let (rows, _) = streams_like_the_baseline(&db, &film_cast(spill), &[]);
+    let (rows, _) = streams_like_the_oracle(&db, &film_cast(spill), &[]);
     assert_eq!(rows.len(), (2 + 4) * 2, "films 6 and 9, and the four 'n/a'");
     // `Salary(Who) > 3000`: a dereferenced field on the second input.
     let deref = Scalar::cmp(
@@ -431,7 +413,7 @@ fn local_conjuncts_without_a_kernel_take_the_row_path() {
         Scalar::field(Scalar::attr(2, 2), "Salary"),
         Scalar::lit(3_000),
     );
-    let (rows, tried) = streams_like_the_baseline(&db, &film_cast(deref), &[]);
+    let (rows, tried) = streams_like_the_oracle(&db, &film_cast(deref), &[]);
     assert_eq!(rows.len(), 8, "salaries 4000 and 5000: i % 6 in {{4, 5}}");
     assert_eq!(tried, 12 + 8, "pre-selected before the join");
 }
@@ -469,7 +451,7 @@ fn null_and_mixed_numeric_link_keys_stay_honest() {
             }
         }
     }
-    let (rows, tried) = streams_like_the_baseline(&db, &equi_join(None), &[]);
+    let (rows, tried) = streams_like_the_oracle(&db, &equi_join(None), &[]);
     // INT 2 and REAL 2.0 meet both spellings on the other side (2 × 2
     // key pairs × 4 × 4 copies); nothing else meets anything: NULL never
     // equals, 2^53 and 2^53 + 1 hash alike but differ, the string "2" is
@@ -495,7 +477,7 @@ fn two_links_into_one_input() {
         attr_eq(3, 1, 1, 1),
         attr_eq(2, 2, 3, 2),
     ]);
-    let (rows, _) = streams_like_the_baseline(&db, &abc_search(pred), &[]);
+    let (rows, _) = streams_like_the_oracle(&db, &abc_search(pred), &[]);
     // B.V = C.V leaves C's 20 rows with B's first 20; keys then agree.
     assert_eq!(rows.len(), 20 * 4);
 }
@@ -510,7 +492,7 @@ fn a_cross_step_between_two_linked_steps() {
         Scalar::cmp(CmpOp::Lt, Scalar::attr(2, 2), Scalar::lit(3)),
         Scalar::cmp(CmpOp::Lt, Scalar::attr(1, 2), Scalar::lit(10)),
     ]);
-    let (rows, tried) = streams_like_the_baseline(&db, &abc_search(pred), &[]);
+    let (rows, tried) = streams_like_the_oracle(&db, &abc_search(pred), &[]);
     assert_eq!(rows.len(), 10 * 3 * 2);
     assert_eq!(tried, 10 + 10 * 3 + 10 * 3 * 2);
 }
@@ -523,7 +505,7 @@ fn empty_survivor_lists_enumerate_nothing() {
         let mut conjuncts = vec![attr_eq(1, 1, 2, 1), attr_eq(2, 1, 3, 1)];
         conjuncts.extend(emptied.iter().map(|&rel| nothing(rel)));
         let expr = abc_search(Scalar::conjoin(conjuncts));
-        let (rows, tried) = streams_like_the_baseline(&db, &expr, &[]);
+        let (rows, tried) = streams_like_the_oracle(&db, &expr, &[]);
         assert!(rows.is_empty());
         assert_eq!(tried, 0, "inputs {emptied:?} emptied");
     }
@@ -557,7 +539,7 @@ fn fixpoint_locals_build_and_probe() {
             name: "TC".into(),
             body: Box::new(Expr::Union(vec![Expr::base("EDGE"), step(left, right)])),
         };
-        let (rows, _) = streams_like_the_baseline(&db, &fix, &[]);
+        let (rows, _) = streams_like_the_oracle(&db, &fix, &[]);
         // The closure of two 30-node chains; shortcuts add no pair.
         assert_eq!(rows.len(), 2 * (30 * 29 / 2), "{left} ⋈ {right}");
     }
@@ -599,8 +581,8 @@ fn an_error_on_a_dropped_row_disappears_and_none_appears() {
         Scalar::lit(0),
     )));
     assert!(
-        eval_with(&expr, &db, baseline_options()).is_err(),
-        "baseline errors"
+        eval_reference(&expr, &db, EvalOptions::default()).is_err(),
+        "the oracle combines the failing row"
     );
     let streamed = eval_with(&expr, &db, EvalOptions::default())
         .expect("the failing row was never combined")
@@ -608,6 +590,6 @@ fn an_error_on_a_dropped_row_disappears_and_none_appears() {
     assert_eq!(streamed.sorted_rows(), ints(&[&[1], &[2]]));
     // Without the local conjunct the row is combined, and both report.
     let kept = search(None);
-    assert!(eval_with(&kept, &db, baseline_options()).is_err());
+    assert!(eval_reference(&kept, &db, EvalOptions::default()).is_err());
     assert!(eval_with(&kept, &db, EvalOptions::default()).is_err());
 }

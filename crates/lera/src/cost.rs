@@ -4,14 +4,17 @@
 //! heuristic and do not guarantee a better processing plan". To quantify
 //! the heuristics — and, since the cost-guided tier, to *arbitrate*
 //! between candidate rewrites — we estimate, for each plan, the number
-//! of tuples every operator touches on the engine's default executor
-//! (naive fixpoint). A `search` over one input touches that input; a
-//! wider one joins left-deep in the order written, and a step whose
-//! input an equality `i.a = j.b` links to an earlier one is charged both
-//! sides plus its estimated matches (build, probe, emit), an unlinked
-//! step the product of what reaches it — `CostModel::search_work`. The
-//! estimator prices the executor that runs: there is no second formula
-//! for the nested-loop baseline.
+//! of tuples every operator touches on the engine's executor. A `search`
+//! over one input touches that input; a wider one joins left-deep in the
+//! order written, and a step whose input an equality `i.a = j.b` links
+//! to an earlier one is charged both sides plus its estimated matches
+//! (build, probe, emit), an unlinked step the product of what reaches it
+//! — `CostModel::search_work`. The estimator prices the executor that
+//! runs, with one exception: a `fix` is priced as `fix_rounds` rounds
+//! of its whole body — the naive iteration — while the engine's default
+//! fixpoint is semi-naive, which re-evaluates each recursive branch over
+//! the last round's delta only. The model therefore over-prices a
+//! recursion under the default.
 //!
 //! The model is catalog-backed: the engine feeds it per-relation
 //! [`RelationStats`] (row counts plus per-column distinct-count/min-max

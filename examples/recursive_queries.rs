@@ -52,15 +52,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 mode,
                 max_iterations: 100_000,
             },
-            // `combos` below compares logical work across strategies.
-            ..eds_engine::baseline_options()
+            ..Default::default()
         };
         let start = std::time::Instant::now();
         let (rel, stats) = dbms.run_expr_with_stats(expr).unwrap();
+        // `combos` compares logical work across strategies: the cross
+        // product.
         println!(
             "{label:<34} rows={:<4} combos={:<10} fix_iters={:<3} wall={:?}",
             rel.deduped().len(),
-            stats.combinations_tried,
+            stats.cross_product,
             stats.fix_iterations,
             start.elapsed()
         );

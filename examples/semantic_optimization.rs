@@ -31,9 +31,8 @@ fn build() -> Result<Dbms, Box<dyn std::error::Error>> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // Work is read as logical work: the plan's cross product.
     let mut dbms = build()?;
-    // `combinations_tried` below is read as logical work.
-    dbms.eval_options = eds_engine::baseline_options();
 
     // 1. Domain-constraint inconsistency: grade 'D' does not exist. The
     //    constraint is added to the qualification, equality substitution
@@ -45,9 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Grade = 'D' rewrites to: {}", rewritten.expr);
     let (rows, stats) = dbms.run_expr_with_stats(&rewritten.expr)?;
     println!(
-        "rows={} combinations_tried={} (0 = inconsistency detected statically)\n",
+        "rows={} cross_product={} (0 = inconsistency detected statically)\n",
         rows.len(),
-        stats.combinations_tried
+        stats.cross_product
     );
 
     // 2. Implicit knowledge: transitivity + equality substitution expose
@@ -71,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "semantic limit {limit:>3}: rewrite_checks={:<5} exec_combos={:<5} rows={}",
             rewritten.stats.condition_checks,
-            stats.combinations_tried,
+            stats.cross_product,
             rows.len()
         );
     }

@@ -63,8 +63,7 @@ fn random_query(rng: &mut StdRng) -> String {
 }
 
 #[test]
-fn join_modes_agree() {
-    use eds_engine::JoinMode;
+fn executor_agrees_with_the_reference() {
     let mut rng = StdRng::seed_from_u64(0xE0_0001);
     for _ in 0..48 {
         let rows_a = random_rows(&mut rng);
@@ -72,25 +71,12 @@ fn join_modes_agree() {
         let sql = random_query(&mut rng);
         let dbms = small_db(&rows_a, &rows_b);
         let prepared = dbms.prepare(&sql).unwrap();
-        let nested = eds_engine::eval_with(&prepared.expr, &dbms.db, EvalOptions::default())
+        let got = eds_engine::eval_with(&prepared.expr, &dbms.db, EvalOptions::default())
             .unwrap()
             .0;
-        let hashed = eds_engine::eval_with(
-            &prepared.expr,
-            &dbms.db,
-            EvalOptions {
-                join: JoinMode::Hash,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .0;
-        assert!(
-            nested.bag_eq(&hashed),
-            "join modes disagree on {sql}: {:?} vs {:?}",
-            nested.sorted_rows(),
-            hashed.sorted_rows()
-        );
+        let oracle =
+            eds_engine::eval_reference(&prepared.expr, &dbms.db, EvalOptions::default()).unwrap();
+        assert_eq!(got.rows, oracle.rows, "executor diverges on {sql}");
     }
 }
 
