@@ -17,8 +17,12 @@
 //!   into [`CompiledScalar`] programs that borrow from input rows and the
 //!   object store instead of re-walking the `Scalar` AST and cloning per
 //!   tuple;
-//! * rows are shared ([`Arc`]-counted), so row-preserving operators pass
-//!   allocations along instead of deep-copying values;
+//! * rows are shared ([`SharedRow`], a view into a reference-counted
+//!   block), so row-preserving operators pass rows along instead of
+//!   deep-copying values, and the rows a morsel builds are cut from one
+//!   block per [`MORSEL_ROWS`](crate::parallel::MORSEL_ROWS) rows
+//!   (`RowBlocks`) — one allocation per block, not per row; a
+//!   fixpoint's locals are read by refcount, not copied;
 //! * set semantics are kept at the sink: `dedup`, the left operand of
 //!   `difference` / `intersect` and the semi-naive delta evaluate a
 //!   `search` whose morsels drop a row the caller already has, or one
@@ -41,6 +45,7 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 use eds_adt::{CollKind, Value};
+use eds_esql::Catalog;
 use eds_lera::{
     infer_scalar_type, infer_schema, search_schema, Expr, LeraError, Scalar, Schema, SchemaCtx,
 };
@@ -54,7 +59,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::fixpoint::{eval_fix, FixOptions};
 use crate::hash::{Fold, FoldMap, FoldSet};
 use crate::parallel::{run_morsel_ranges, run_morsels};
-use crate::relation::{shared_row, Relation, Row, SharedRow};
+use crate::relation::{shared_row, Relation, Row, RowBlocks, SharedRow};
 
 /// How hard the rewriter works before a statement reaches the executor.
 ///
@@ -217,8 +222,7 @@ pub fn eval_with_params(
 /// over no input tuples, so a stray attribute reference or `?` is a
 /// typed error.
 pub fn eval_const_scalar(s: &Scalar, db: &Database) -> EngineResult<Value> {
-    let ctx = Ctx::new(db, EvalOptions::default());
-    let bound = bind_fields(s, &[], &ctx)?;
+    let bound = bind_fields(s, &[], &db.catalog)?;
     let env = EvalEnv::of(db);
     CompiledScalar::compile(&bound, &env).eval_owned(&[], &env)
 }
@@ -229,8 +233,9 @@ pub(crate) struct Ctx<'a> {
     pub(crate) db: &'a Database,
     /// Options.
     pub(crate) opts: EvalOptions,
-    /// Relations bound to recursion variables.
-    pub(crate) locals: HashMap<String, Relation>,
+    /// Relations bound to recursion variables, shared with the operator
+    /// inputs that read them.
+    pub(crate) locals: HashMap<String, Arc<Relation>>,
     /// Work counters.
     pub(crate) stats: EvalStats,
     /// Bind array for `?` statement parameters (empty for ad-hoc
@@ -255,7 +260,7 @@ impl Ctx<'_> {
     /// binds them; a name already in that form is one probe, any other
     /// is compared case-blind against the few names bound — neither
     /// allocates.
-    fn local(&self, name: &str) -> Option<&Relation> {
+    fn local(&self, name: &str) -> Option<&Arc<Relation>> {
         if self.locals.is_empty() {
             return None;
         }
@@ -309,20 +314,43 @@ fn select_partitioned(
     Ok(parts.into_iter().flatten().collect())
 }
 
-/// Evaluate an operator input, borrowing stored base relations instead
-/// of cloning their row vectors — a scan over a large table would
-/// otherwise pay one `Arc` refcount round-trip per row before reading
-/// anything. Fixpoint locals stay owned (their bindings change between
-/// rounds); every other shape evaluates through [`eval_expr`] as usual.
-fn eval_input<'db>(input: &Expr, ctx: &mut Ctx<'db>) -> EngineResult<Cow<'db, Relation>> {
-    if let Expr::Base(name) = input {
-        if ctx.local(name).is_none() {
-            if let Some(rel) = ctx.db.relation(name) {
-                return Ok(Cow::Borrowed(rel));
-            }
+/// An operator input, read without copying its row vector where it
+/// already exists: a stored table is borrowed from the database, a
+/// fixpoint local is shared by refcount (its binding changes between
+/// rounds, so it cannot be borrowed across them), and anything else is
+/// evaluated for the operator.
+enum Input<'db> {
+    Stored(&'db Relation),
+    Local(Arc<Relation>),
+    Evaluated(Relation),
+}
+
+impl std::ops::Deref for Input<'_> {
+    type Target = Relation;
+
+    fn deref(&self) -> &Relation {
+        match self {
+            Input::Stored(rel) => rel,
+            Input::Local(rel) => rel,
+            Input::Evaluated(rel) => rel,
         }
     }
-    eval_expr(input, ctx).map(Cow::Owned)
+}
+
+/// Evaluate an operator input. A scan over a stored table or a fixpoint
+/// local would otherwise pay one refcount round trip per row before
+/// reading anything; every other shape evaluates through [`eval_expr`]
+/// as usual.
+fn eval_input<'db>(input: &Expr, ctx: &mut Ctx<'db>) -> EngineResult<Input<'db>> {
+    if let Expr::Base(name) = input {
+        if let Some(rel) = ctx.local(name) {
+            return Ok(Input::Local(Arc::clone(rel)));
+        }
+        if let Some(rel) = ctx.db.relation(name) {
+            return Ok(Input::Stored(rel));
+        }
+    }
+    eval_expr(input, ctx).map(Input::Evaluated)
 }
 
 /// Evaluate an expression in a context.
@@ -330,7 +358,7 @@ pub(crate) fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation
     match expr {
         Expr::Base(name) => {
             if let Some(rel) = ctx.local(name) {
-                return Ok(rel.clone());
+                return Ok(Relation::clone(rel));
             }
             if let Some(rel) = ctx.db.relation(name) {
                 return Ok(rel.clone());
@@ -338,7 +366,7 @@ pub(crate) fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation
             Err(EngineError::UnknownRelation(name.to_owned()))
         }
         Expr::Filter { .. } | Expr::Project { .. } | Expr::Join { .. } | Expr::Search { .. } => {
-            eval_into(expr, ctx, &Bag::new)
+            eval_into(expr, ctx, &Bag::default)
         }
         Expr::Union(items) => {
             let mut out: Option<Relation> = None;
@@ -506,13 +534,14 @@ trait Sink: Send {
     fn settle(self, rows: Vec<SharedRow>) -> Vec<SharedRow>;
 }
 
-/// Bag mode: every qualifying row, in order.
-type Bag = Vec<SharedRow>;
+/// Bag mode: every qualifying row, in order, the built ones cut from
+/// shared blocks.
+type Bag = RowBlocks;
 
 impl Sink for Bag {
     #[inline]
     fn keep(&mut self, scratch: &mut Row) {
-        self.push(shared_row(scratch));
+        self.push_values(scratch);
     }
 
     #[inline]
@@ -522,20 +551,24 @@ impl Sink for Bag {
 
     fn gather(&mut self, from: &Gather<'_>, idxs: &[u32]) {
         if from.forward {
-            self.extend(idxs.iter().map(|&i| from.rows[i as usize].clone()));
+            self.reserve(idxs.len(), 0);
+            for &i in idxs {
+                self.push(from.rows[i as usize].clone());
+            }
             return;
         }
-        self.reserve(idxs.len());
+        self.reserve(idxs.len(), from.columns.len());
         let mut scratch: Row = Vec::with_capacity(from.columns.len());
         for &i in idxs {
             from.fill(i as usize, &mut scratch);
-            self.push(shared_row(&mut scratch));
+            self.push_values(&mut scratch);
         }
     }
 
     fn finish(self) -> (Vec<SharedRow>, u64) {
-        let offered = self.len() as u64;
-        (self, offered)
+        let rows = self.into_rows();
+        let offered = rows.len() as u64;
+        (rows, offered)
     }
 
     fn settle(self, rows: Vec<SharedRow>) -> Vec<SharedRow> {
@@ -545,12 +578,14 @@ impl Sink for Bag {
 
 /// Set mode: a qualifying row the caller already has (`known`), or one
 /// this morsel already kept, is dropped before it is allocated — probed
-/// as `&[Value]` (`Arc<[Value]>: Borrow<[Value]>`) straight from the
-/// scratch buffer or the input row.
+/// as `&[Value]` (`SharedRow: Borrow<[Value]>`) straight from the
+/// scratch buffer or the input row. A row offered one at a time is a
+/// block of its own, because it enters `seen` as it arrives; the rows of
+/// a gather share blocks.
 struct Distinct<'k> {
     known: &'k FoldSet<SharedRow>,
     seen: FoldSet<SharedRow>,
-    rows: Vec<SharedRow>,
+    rows: RowBlocks,
     offered: u64,
 }
 
@@ -559,7 +594,7 @@ impl<'k> Distinct<'k> {
         Distinct {
             known,
             seen: FoldSet::default(),
-            rows: Vec::new(),
+            rows: RowBlocks::default(),
             offered: 0,
         }
     }
@@ -592,7 +627,8 @@ impl Sink for Distinct<'_> {
     /// Keyed on the target columns' codes: equal codes are equal values
     /// ([`Column::eq_at`]), so a repeat is found without building a
     /// `Value`, and only a first occurrence is built — or forwarded —
-    /// and checked against `known`.
+    /// and checked against `known`. The code set is this gather's
+    /// `seen`, so a built row goes straight into a shared block.
     fn gather(&mut self, from: &Gather<'_>, idxs: &[u32]) {
         self.offered += idxs.len() as u64;
         let mut codes: FoldSet<CodedRow<'_>> = FoldSet::default();
@@ -612,14 +648,14 @@ impl Sink for Distinct<'_> {
                 if self.known.contains(&scratch[..]) {
                     scratch.clear();
                 } else {
-                    self.rows.push(shared_row(&mut scratch));
+                    self.rows.push_values(&mut scratch);
                 }
             }
         }
     }
 
     fn finish(self) -> (Vec<SharedRow>, u64) {
-        (self.rows, self.offered)
+        (self.rows.into_rows(), self.offered)
     }
 
     fn settle(self, rows: Vec<SharedRow>) -> Vec<SharedRow> {
@@ -668,7 +704,7 @@ fn eval_search<S: Sink>(
         .map(|i| eval_input(i, ctx))
         .collect::<EngineResult<Vec<_>>>()?;
     let schemas: Vec<Schema> = rels.iter().map(|r| (*r.schema).clone()).collect();
-    let bound_pred = bind_fields(pred, &schemas, ctx)?;
+    let bound_pred = bind_fields(pred, &schemas, &ctx.db.catalog)?;
     let env = EvalEnv::with_params(ctx.db, ctx.params);
     let cpred = CompiledPred::compile(&bound_pred, &env);
     let every_attr: Vec<Scalar>;
@@ -683,7 +719,7 @@ fn eval_search<S: Sink>(
     };
     let cproj = targets
         .iter()
-        .map(|e| bind_fields(e, &schemas, ctx).map(|b| CompiledProj::compile(&b, &env)))
+        .map(|e| bind_fields(e, &schemas, &ctx.db.catalog).map(|b| CompiledProj::compile(&b, &env)))
         .collect::<EngineResult<Vec<_>>>()?;
     // The output schema follows from the evaluated inputs' schemas —
     // nothing below this operator is inferred a second time. A `filter`
@@ -715,7 +751,11 @@ fn eval_search<S: Sink>(
     for part in parts {
         let (mut rows, offered) = part.finish();
         ctx.stats.rows_emitted += offered;
-        out.rows.append(&mut rows);
+        if out.rows.is_empty() {
+            out.rows = rows;
+        } else {
+            out.rows.append(&mut rows);
+        }
     }
     Ok((
         out,
@@ -888,7 +928,7 @@ fn fused_scan_nest(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Option<Relati
     };
     let rel = eval_input(base, ctx)?;
     let mut out = Relation::empty(infer_schema(expr, &ctx.schema_ctx_for_fix())?);
-    let bound = bind_fields(pred, std::slice::from_ref(&*rel.schema), ctx)?;
+    let bound = bind_fields(pred, std::slice::from_ref(&*rel.schema), &ctx.db.catalog)?;
     // `Search` short-circuits FALSE/empty before counting any work.
     if rel.is_empty() || bound.is_false() {
         return Ok(Some(out));
@@ -906,7 +946,7 @@ fn fused_scan_nest(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Option<Relati
     // infallible in-bounds slot copy.
     let mut col_of = Vec::with_capacity(proj.len());
     for e in proj {
-        let b = bind_fields(e, std::slice::from_ref(&*rel.schema), ctx)?;
+        let b = bind_fields(e, std::slice::from_ref(&*rel.schema), &ctx.db.catalog)?;
         match CompiledProj::compile(&b, &env)
             .slot0()
             .filter(|&a| a < cols.arity())
@@ -1147,7 +1187,7 @@ impl<S: Sink> Enumeration<'_, '_, S> {
 /// never appear.
 fn streamed_join<S: Sink>(
     inputs: &[&Expr],
-    rels: &[Cow<'_, Relation>],
+    rels: &[Input<'_>],
     cpred: &CompiledPred,
     cproj: &[CompiledProj],
     env: &EvalEnv<'_>,
@@ -1227,14 +1267,14 @@ fn streamed_join<S: Sink>(
 pub(crate) fn bind_fields<'s>(
     s: &'s Scalar,
     inputs: &[Schema],
-    ctx: &Ctx<'_>,
+    catalog: &Catalog,
 ) -> EngineResult<Cow<'s, Scalar>> {
     let mut has_field = false;
     s.visit(&mut |n| has_field |= matches!(n, Scalar::Field { .. }));
     if !has_field {
         return Ok(Cow::Borrowed(s));
     }
-    let sc = SchemaCtx::new(&ctx.db.catalog);
+    let sc = SchemaCtx::new(catalog);
     bind_fields_inner(s, inputs, &sc)
         .map(Cow::Owned)
         .map_err(EngineError::Lera)
@@ -1308,7 +1348,6 @@ mod tests {
     #[test]
     fn bind_fields_borrows_a_field_free_scalar() {
         let db = film_db();
-        let ctx = Ctx::new(&db, EvalOptions::default());
         let schemas = [(*db.relation("APPEARS_IN").unwrap().schema).clone()];
         let pred = Scalar::and(
             Scalar::eq(Scalar::attr(1, 1), Scalar::param(0)),
@@ -1317,7 +1356,7 @@ mod tests {
                 vec![Scalar::call("MAKESET", vec![Scalar::lit(3)])],
             ))),
         );
-        let bound = bind_fields(&pred, &schemas, &ctx).unwrap();
+        let bound = bind_fields(&pred, &schemas, &db.catalog).unwrap();
         assert!(matches!(bound, Cow::Borrowed(b) if std::ptr::eq(b, &pred)));
     }
 
@@ -1327,20 +1366,104 @@ mod tests {
     #[test]
     fn bind_fields_resolves_a_field_access() {
         let db = film_db();
-        let ctx = Ctx::new(&db, EvalOptions::default());
         let schemas = [(*db.relation("APPEARS_IN").unwrap().schema).clone()];
         let pred = Scalar::cmp(
             eds_lera::CmpOp::Gt,
             Scalar::field(Scalar::attr(1, 2), "Salary"),
             Scalar::lit(1000),
         );
-        let bound = bind_fields(&pred, &schemas, &ctx).unwrap();
+        let bound = bind_fields(&pred, &schemas, &db.catalog).unwrap();
         assert!(matches!(bound, Cow::Owned(_)));
         assert_eq!(bound.to_string(), "GETFIELD(VALUE(1.2), 2) > 1000");
         let unknown = Scalar::field(Scalar::attr(1, 2), "Wage");
         assert!(matches!(
-            bind_fields(&unknown, &schemas, &ctx),
+            bind_fields(&unknown, &schemas, &db.catalog),
             Err(EngineError::Lera(LeraError::UnknownAttribute { .. }))
         ));
+    }
+
+    /// `T (A, B)` holding `(i, 10 i)` and `U (A, C)` holding `(i, −i)`,
+    /// `i` in `0..n`.
+    fn int_db(n: i64) -> Database {
+        let mut db = Database::new();
+        db.execute_ddl("TABLE T (A : INT, B : INT); TABLE U (A : INT, C : INT);")
+            .unwrap();
+        for i in 0..n {
+            db.insert("T", vec![i.into(), (10 * i).into()]).unwrap();
+            db.insert("U", vec![i.into(), (-i).into()]).unwrap();
+        }
+        db
+    }
+
+    /// `SELECT B, A FROM T WHERE A >= 1` (slot copies over one input: a
+    /// gather from the mirror) and `SELECT T.B, U.C FROM T, U WHERE T.A =
+    /// U.A AND T.A >= 1` (a two-input join): `n − 1` rows each.
+    fn gather_and_join() -> [Expr; 2] {
+        let positive = Scalar::cmp(eds_lera::CmpOp::Ge, Scalar::attr(1, 1), Scalar::lit(1));
+        let gather = Expr::search(
+            vec![Expr::base("T")],
+            positive.clone(),
+            vec![Scalar::attr(1, 2), Scalar::attr(1, 1)],
+        );
+        let join = Expr::search(
+            vec![Expr::base("T"), Expr::base("U")],
+            Scalar::and(Scalar::eq(Scalar::attr(1, 1), Scalar::attr(2, 1)), positive),
+            vec![Scalar::attr(1, 2), Scalar::attr(2, 2)],
+        );
+        [gather, join]
+    }
+
+    /// Where one block ends and the next begins: the indices `i` whose
+    /// first value does not sit one `Value` past row `i − 1`'s last.
+    fn block_starts(rows: &[SharedRow]) -> Vec<usize> {
+        (1..rows.len())
+            .filter(|&i| {
+                let before = &rows[i - 1];
+                !std::ptr::eq(before.as_ptr().wrapping_add(before.len()), rows[i].as_ptr())
+            })
+            .collect()
+    }
+
+    /// The rows a search builds share one block: row 1's first value sits
+    /// one `Value` past row 0's last, over the mirror and row by row.
+    #[test]
+    fn built_rows_are_contiguous() {
+        let db = int_db(6);
+        for columnar in [true, false] {
+            let opts = EvalOptions {
+                columnar,
+                ..EvalOptions::default()
+            };
+            for expr in gather_and_join() {
+                let rows = eval_with(&expr, &db, opts).unwrap().0.rows;
+                assert!(rows.len() >= 5, "{expr}");
+                assert!(std::ptr::eq(
+                    &rows[1][0],
+                    (&rows[0][1] as *const Value).wrapping_add(1)
+                ));
+                assert!(block_starts(&rows).is_empty(), "{expr} columnar={columnar}");
+            }
+        }
+    }
+
+    /// One row past the cap starts a second block; the rows and their
+    /// order are the oracle's.
+    #[test]
+    fn a_block_holds_at_most_a_morsel_of_rows() {
+        let morsel = crate::parallel::MORSEL_ROWS;
+        let db = int_db(morsel as i64 + 2);
+        for columnar in [true, false] {
+            let opts = EvalOptions {
+                columnar,
+                ..EvalOptions::default()
+            };
+            for expr in gather_and_join() {
+                let rows = eval_with(&expr, &db, opts).unwrap().0.rows;
+                let oracle = crate::reference::eval_reference(&expr, &db, opts).unwrap();
+                assert_eq!(rows.len(), morsel + 1);
+                assert_eq!(rows, oracle.rows, "{expr} columnar={columnar}");
+                assert_eq!(block_starts(&rows), vec![morsel]);
+            }
+        }
     }
 }

@@ -12,7 +12,12 @@
 //! What survives is inserted into that same set as it arrives; a failed
 //! insert is a repeat across variants or morsels, and the rows that get
 //! in are the next delta. The known relation grows in place, in arrival
-//! order, and is sorted once when the fixpoint ends.
+//! order, and is sorted once when the fixpoint ends. Both locals are
+//! reference-counted: a variant reads `known` or the delta by one
+//! refcount, and between rounds `known` has one owner, so growing it
+//! copies nothing.
+
+use std::sync::Arc;
 
 use eds_lera::{infer_schema, Expr};
 
@@ -76,12 +81,12 @@ fn eval_fix_naive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Re
         )?
     };
     let mut known = Relation::empty(schema);
-    let saved = ctx.locals.insert(key.clone(), known.clone());
+    let saved = ctx.locals.remove(&key);
 
     let result = (|| {
         for _round in 0..ctx.opts.fix.max_iterations {
             ctx.stats.fix_iterations += 1;
-            ctx.locals.insert(key.clone(), known.clone());
+            ctx.locals.insert(key.clone(), Arc::new(known.clone()));
             let new = eval_expr(body, ctx)?;
             let merged = sorted_dedup(known.rows.iter().cloned().chain(new.rows).collect());
             if merged == known.rows {
@@ -142,7 +147,10 @@ fn eval_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResul
         known.rows.extend(eval_expr(b, ctx)?.rows);
     }
     known.rows.retain(|r| known_set.insert(r.clone()));
-    let delta = known.clone();
+    // The first delta is the seed itself, shared with `known`.
+    let schema = Arc::clone(&known.schema);
+    let known = Arc::new(known);
+    let delta = Arc::clone(&known);
 
     // Pre-compute, per recursive branch, one variant per occurrence of
     // the recursion variable with that occurrence renamed to the delta.
@@ -166,15 +174,20 @@ fn eval_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResul
                 fresh.extend(rows.into_iter().filter(|r| known_set.insert(r.clone())));
             }
             let unbound = || EngineError::UnknownRelation(key.clone());
+            // The old delta goes first: it may be the seed, which `known`
+            // shares, and `known` is then its one owner again — it grows
+            // (or leaves) in place, never copied.
+            ctx.locals.remove(&delta_key);
             if fresh.is_empty() {
                 // Sorted once, at exit: the canonical order.
-                let mut known = ctx.locals.remove(&key).ok_or_else(unbound)?;
+                let known = ctx.locals.remove(&key).ok_or_else(unbound)?;
+                let mut known = Arc::unwrap_or_clone(known);
                 known.rows.sort_unstable();
                 return Ok(known);
             }
+            let delta = Arc::new(Relation::from_shared(Arc::clone(&schema), fresh));
             let known = ctx.locals.get_mut(&key).ok_or_else(unbound)?;
-            known.rows.extend(fresh.iter().cloned());
-            let delta = Relation::from_shared(known.schema.clone(), fresh);
+            Arc::make_mut(known).rows.extend(delta.rows.iter().cloned());
             ctx.locals.insert(delta_key.clone(), delta);
         }
         Err(EngineError::FixpointDiverged {
@@ -188,7 +201,7 @@ fn eval_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResul
     result
 }
 
-fn restore_local(ctx: &mut Ctx<'_>, key: &str, saved: Option<Relation>) {
+fn restore_local(ctx: &mut Ctx<'_>, key: &str, saved: Option<Arc<Relation>>) {
     match saved {
         Some(rel) => {
             ctx.locals.insert(key.to_owned(), rel);

@@ -17,7 +17,10 @@
 //! benchmark's peak memory past its bound.) Its row order — inputs
 //! enumerated left to right, last input fastest — is the order the
 //! executor promises under every configuration, so suites compare rows
-//! *and* order, and ask for the answer once per plan.
+//! *and* order, and ask for the answer once per plan. It keeps its own
+//! context (its locals, owned, and its iteration cap); of the executor
+//! it uses only `bind_fields`, which resolves named field accesses
+//! against the catalog.
 //!
 //! Keep this module dumb: any "optimization" added here erodes its value
 //! as an independent oracle (CI greps it for the executor's strategy
@@ -26,11 +29,11 @@
 use std::collections::BTreeMap;
 
 use eds_adt::{AdtError, EvalContext, Value};
-use eds_lera::{infer_schema, Expr, LeraError, Scalar, Schema};
+use eds_lera::{infer_schema, Expr, LeraError, Scalar, Schema, SchemaCtx};
 
 use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{bind_fields, Ctx, EvalOptions};
+use crate::eval::{bind_fields, EvalOptions};
 use crate::relation::{Relation, Row, SharedRow};
 
 /// Evaluate a plan with the reference strategies. Of `opts` only
@@ -38,15 +41,39 @@ use crate::relation::{Relation, Row, SharedRow};
 /// recursion is [`EngineError::FixpointDiverged`] — so the answer does
 /// not depend on how the executor is configured.
 pub fn eval_reference(expr: &Expr, db: &Database, opts: EvalOptions) -> EngineResult<Relation> {
-    let mut ctx = Ctx::new(db, opts);
-    ref_expr(expr, &mut ctx)
+    let mut oracle = Oracle {
+        db,
+        locals: BTreeMap::new(),
+        max_iterations: opts.fix.max_iterations,
+    };
+    ref_expr(expr, &mut oracle)
+}
+
+/// The oracle's own evaluation context — none of the executor's: the
+/// database, the relations bound to recursion variables right now (by
+/// upper-case name), and the fixpoint iteration cap.
+struct Oracle<'a> {
+    db: &'a Database,
+    locals: BTreeMap<String, Relation>,
+    max_iterations: usize,
+}
+
+impl Oracle<'_> {
+    /// Schema context over the catalog plus the locals bound right now.
+    fn schema_ctx(&self) -> SchemaCtx<'_> {
+        let mut sc = SchemaCtx::new(&self.db.catalog);
+        for (name, rel) in &self.locals {
+            sc = sc.with_local(name, (*rel.schema).clone());
+        }
+        sc
+    }
 }
 
 fn is_true(v: &Value) -> bool {
     matches!(v, Value::Bool(true))
 }
 
-fn ref_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
+fn ref_expr(expr: &Expr, ctx: &mut Oracle<'_>) -> EngineResult<Relation> {
     match expr {
         Expr::Base(name) => {
             let key = name.to_ascii_uppercase();
@@ -60,10 +87,10 @@ fn ref_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
         }
         Expr::Filter { input, pred } => {
             let rel = ref_expr(input, ctx)?;
-            let pred = bind_fields(pred, std::slice::from_ref(&*rel.schema), ctx)?;
+            let pred = bind_fields(pred, std::slice::from_ref(&*rel.schema), &ctx.db.catalog)?;
             let mut out = Relation::empty(rel.schema.clone());
             for row in &rel.rows {
-                if is_true(&eval_scalar(&pred, &[row], ctx)?) {
+                if is_true(&eval_scalar(&pred, &[row], ctx.db)?) {
                     out.push_shared(row.clone());
                 }
             }
@@ -71,24 +98,24 @@ fn ref_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
         }
         Expr::Project { input, exprs } => {
             let rel = ref_expr(input, ctx)?;
-            let schema = infer_schema(expr, &ctx.schema_ctx_for_fix())?;
+            let schema = infer_schema(expr, &ctx.schema_ctx())?;
             let exprs = exprs
                 .iter()
-                .map(|e| bind_fields(e, std::slice::from_ref(&*rel.schema), ctx))
+                .map(|e| bind_fields(e, std::slice::from_ref(&*rel.schema), &ctx.db.catalog))
                 .collect::<EngineResult<Vec<_>>>()?;
             let mut out = Relation::empty(schema);
             for row in &rel.rows {
                 let new_row = exprs
                     .iter()
-                    .map(|e| eval_scalar(e, &[row], ctx))
+                    .map(|e| eval_scalar(e, &[row], ctx.db))
                     .collect::<EngineResult<Row>>()?;
                 out.push(new_row);
             }
             Ok(out)
         }
         Expr::Join { left, right, pred } => {
-            let l_arity = infer_schema(left, &ctx.schema_ctx_for_fix())?.arity();
-            let r_arity = infer_schema(right, &ctx.schema_ctx_for_fix())?.arity();
+            let l_arity = infer_schema(left, &ctx.schema_ctx())?.arity();
+            let r_arity = infer_schema(right, &ctx.schema_ctx())?.arity();
             let mut proj = Vec::new();
             for a in 1..=l_arity {
                 proj.push(Scalar::attr(1, a));
@@ -159,12 +186,12 @@ fn ref_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
                 .map(|i| ref_expr(i, ctx))
                 .collect::<EngineResult<Vec<_>>>()?;
             let schemas: Vec<Schema> = rels.iter().map(|r| (*r.schema).clone()).collect();
-            let pred = bind_fields(pred, &schemas, ctx)?;
+            let pred = bind_fields(pred, &schemas, &ctx.db.catalog)?;
             let proj = proj
                 .iter()
-                .map(|e| bind_fields(e, &schemas, ctx))
+                .map(|e| bind_fields(e, &schemas, &ctx.db.catalog))
                 .collect::<EngineResult<Vec<_>>>()?;
-            let out_schema = infer_schema(expr, &ctx.schema_ctx_for_fix())?;
+            let out_schema = infer_schema(expr, &ctx.schema_ctx())?;
             let mut out = Relation::empty(out_schema);
 
             if pred.is_false() || rels.iter().any(Relation::is_empty) {
@@ -174,10 +201,10 @@ fn ref_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
             'outer: loop {
                 let tuple_refs: Vec<&[Value]> =
                     rels.iter().zip(&idx).map(|(r, &i)| &*r.rows[i]).collect();
-                if is_true(&eval_scalar(&pred, &tuple_refs, ctx)?) {
+                if is_true(&eval_scalar(&pred, &tuple_refs, ctx.db)?) {
                     let row = proj
                         .iter()
-                        .map(|e| eval_scalar(e, &tuple_refs, ctx))
+                        .map(|e| eval_scalar(e, &tuple_refs, ctx.db))
                         .collect::<EngineResult<Row>>()?;
                     out.push(row);
                 }
@@ -195,7 +222,7 @@ fn ref_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
             Ok(out)
         }
         Expr::Fix { name, body } => {
-            let schema = infer_schema(expr, &ctx.schema_ctx_for_fix())?;
+            let schema = infer_schema(expr, &ctx.schema_ctx())?;
             ref_fix(name, body, schema, ctx)
         }
         Expr::Nest {
@@ -205,7 +232,7 @@ fn ref_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
             kind,
         } => {
             let rel = ref_expr(input, ctx)?;
-            let out_schema = infer_schema(expr, &ctx.schema_ctx_for_fix())?;
+            let out_schema = infer_schema(expr, &ctx.schema_ctx())?;
             let mut groups: BTreeMap<Row, Vec<Value>> = BTreeMap::new();
             for row in &rel.rows {
                 let key: Row = group.iter().map(|&g| row[g - 1].clone()).collect();
@@ -226,7 +253,7 @@ fn ref_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
         }
         Expr::Unnest { input, attr } => {
             let rel = ref_expr(input, ctx)?;
-            let out_schema = infer_schema(expr, &ctx.schema_ctx_for_fix())?;
+            let out_schema = infer_schema(expr, &ctx.schema_ctx())?;
             let mut out = Relation::empty(out_schema);
             for row in &rel.rows {
                 let (_, elems) = row[attr - 1].as_coll().map_err(EngineError::Adt)?;
@@ -253,7 +280,12 @@ fn sorted_dedup(mut rows: Vec<SharedRow>) -> Vec<SharedRow> {
 /// recursive branch once per occurrence of `name` in it, that
 /// occurrence reading only what the previous round added, until a round
 /// adds nothing.
-fn ref_fix(name: &str, body: &Expr, schema: Schema, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
+fn ref_fix(
+    name: &str,
+    body: &Expr,
+    schema: Schema,
+    ctx: &mut Oracle<'_>,
+) -> EngineResult<Relation> {
     let key = name.to_ascii_uppercase();
     let delta_key = format!("{key}#DELTA");
     let branches: Vec<&Expr> = match body {
@@ -278,7 +310,7 @@ fn ref_fix(name: &str, body: &Expr, schema: Schema, ctx: &mut Ctx<'_>) -> Engine
 
     let saved = [ctx.locals.remove(&key), ctx.locals.remove(&delta_key)];
     let result = (|| {
-        for _round in 0..ctx.opts.fix.max_iterations {
+        for _round in 0..ctx.max_iterations {
             ctx.locals.insert(key.clone(), known.clone());
             ctx.locals.insert(delta_key.clone(), delta.clone());
             let mut fresh = Vec::new();
@@ -296,7 +328,7 @@ fn ref_fix(name: &str, body: &Expr, schema: Schema, ctx: &mut Ctx<'_>) -> Engine
         }
         Err(EngineError::FixpointDiverged {
             name: name.to_owned(),
-            limit: ctx.opts.fix.max_iterations,
+            limit: ctx.max_iterations,
         })
     })();
 
@@ -355,7 +387,7 @@ fn rename_base(e: &mut Expr, name: &str, skip: &mut usize, to: &str) -> bool {
 /// interpreted (per-row tree-walking) evaluator. Operators and `INSERT
 /// ... VALUES` run compiled programs ([`crate::compile`]); this one
 /// shares no code with them, which is what makes the oracle independent.
-fn eval_scalar(s: &Scalar, tuples: &[&[Value]], ctx: &Ctx<'_>) -> EngineResult<Value> {
+fn eval_scalar(s: &Scalar, tuples: &[&[Value]], db: &Database) -> EngineResult<Value> {
     match s {
         Scalar::Attr { rel, attr } => {
             let row = tuples.get(rel - 1).ok_or_else(|| {
@@ -374,11 +406,8 @@ fn eval_scalar(s: &Scalar, tuples: &[&[Value]], ctx: &Ctx<'_>) -> EngineResult<V
             })
         }
         Scalar::Const(v) => Ok(v.clone()),
-        Scalar::Param(i) => ctx
-            .params
-            .get(*i as usize)
-            .cloned()
-            .ok_or(EngineError::UnboundParam(*i)),
+        // The oracle evaluates no bind array.
+        Scalar::Param(i) => Err(EngineError::UnboundParam(*i)),
         Scalar::Field { name, .. } => Err(EngineError::Lera(LeraError::UnknownAttribute {
             name: name.clone(),
             receiver: "unbound field access at runtime".into(),
@@ -386,14 +415,14 @@ fn eval_scalar(s: &Scalar, tuples: &[&[Value]], ctx: &Ctx<'_>) -> EngineResult<V
         Scalar::Call { func, args } => {
             let vals = args
                 .iter()
-                .map(|a| eval_scalar(a, tuples, ctx))
+                .map(|a| eval_scalar(a, tuples, db))
                 .collect::<EngineResult<Vec<Value>>>()?;
             match (func.as_str(), &vals[..]) {
                 ("GETFIELD", [receiver, idx]) => {
                     let idx = idx.as_int().map_err(EngineError::Adt)? as usize;
-                    getfield(receiver, idx, ctx)
+                    getfield(receiver, idx, db)
                 }
-                ("VALUE", [v]) => deref_value(v, ctx),
+                ("VALUE", [v]) => deref_value(v, db),
                 ("GETFIELD" | "VALUE", _) => Err(EngineError::Adt(AdtError::Arity {
                     function: func.clone(),
                     expected: if func == "GETFIELD" { 2 } else { 1 },
@@ -401,28 +430,27 @@ fn eval_scalar(s: &Scalar, tuples: &[&[Value]], ctx: &Ctx<'_>) -> EngineResult<V
                 })),
                 _ => {
                     let ec = EvalContext {
-                        objects: &ctx.db.objects,
-                        types: &ctx.db.catalog.types,
+                        objects: &db.objects,
+                        types: &db.catalog.types,
                     };
-                    ctx.db
-                        .functions
+                    db.functions
                         .call(func, &vals, &ec)
                         .map_err(EngineError::Adt)
                 }
             }
         }
         Scalar::Cmp { op, left, right } => {
-            let l = eval_scalar(left, tuples, ctx)?;
-            let r = eval_scalar(right, tuples, ctx)?;
+            let l = eval_scalar(left, tuples, db)?;
+            let r = eval_scalar(right, tuples, db)?;
             Ok(op.eval(&l, &r))
         }
         Scalar::And(a, b) => {
-            let va = eval_scalar(a, tuples, ctx)?;
+            let va = eval_scalar(a, tuples, db)?;
             // Short-circuit FALSE without evaluating the right side.
             if matches!(va, Value::Bool(false)) {
                 return Ok(Value::Bool(false));
             }
-            let vb = eval_scalar(b, tuples, ctx)?;
+            let vb = eval_scalar(b, tuples, db)?;
             Ok(match (va, vb) {
                 (_, Value::Bool(false)) => Value::Bool(false),
                 (Value::Bool(true), Value::Bool(true)) => Value::Bool(true),
@@ -430,18 +458,18 @@ fn eval_scalar(s: &Scalar, tuples: &[&[Value]], ctx: &Ctx<'_>) -> EngineResult<V
             })
         }
         Scalar::Or(a, b) => {
-            let va = eval_scalar(a, tuples, ctx)?;
+            let va = eval_scalar(a, tuples, db)?;
             if matches!(va, Value::Bool(true)) {
                 return Ok(Value::Bool(true));
             }
-            let vb = eval_scalar(b, tuples, ctx)?;
+            let vb = eval_scalar(b, tuples, db)?;
             Ok(match (va, vb) {
                 (_, Value::Bool(true)) => Value::Bool(true),
                 (Value::Bool(false), Value::Bool(false)) => Value::Bool(false),
                 _ => Value::Null,
             })
         }
-        Scalar::Not(a) => Ok(match eval_scalar(a, tuples, ctx)? {
+        Scalar::Not(a) => Ok(match eval_scalar(a, tuples, db)? {
             Value::Bool(b) => Value::Bool(!b),
             Value::Null => Value::Null,
             other => {
@@ -455,7 +483,7 @@ fn eval_scalar(s: &Scalar, tuples: &[&[Value]], ctx: &Ctx<'_>) -> EngineResult<V
 /// references dereference first, collections map the access over their
 /// elements ("the system will automatically apply the appropriate type
 /// conversion", Section 2.1).
-fn getfield(v: &Value, idx1: usize, ctx: &Ctx<'_>) -> EngineResult<Value> {
+fn getfield(v: &Value, idx1: usize, db: &Database) -> EngineResult<Value> {
     match v {
         Value::Null => Ok(Value::Null),
         Value::Tuple(items) => idx1
@@ -469,18 +497,13 @@ fn getfield(v: &Value, idx1: usize, ctx: &Ctx<'_>) -> EngineResult<Value> {
                 })
             }),
         Value::Object(oid) => {
-            let inner = ctx
-                .db
-                .objects
-                .value(*oid)
-                .map_err(EngineError::Adt)?
-                .clone();
-            getfield(&inner, idx1, ctx)
+            let inner = db.objects.value(*oid).map_err(EngineError::Adt)?.clone();
+            getfield(&inner, idx1, db)
         }
         Value::Coll(kind, items) => {
             let mapped = items
                 .iter()
-                .map(|e| getfield(e, idx1, ctx))
+                .map(|e| getfield(e, idx1, db))
                 .collect::<EngineResult<Vec<_>>>()?;
             Ok(Value::coll(*kind, mapped))
         }
@@ -493,19 +516,14 @@ fn getfield(v: &Value, idx1: usize, ctx: &Ctx<'_>) -> EngineResult<Value> {
 }
 
 /// `VALUE` with collection mapping.
-fn deref_value(v: &Value, ctx: &Ctx<'_>) -> EngineResult<Value> {
+fn deref_value(v: &Value, db: &Database) -> EngineResult<Value> {
     match v {
         Value::Null => Ok(Value::Null),
-        Value::Object(oid) => ctx
-            .db
-            .objects
-            .value(*oid)
-            .cloned()
-            .map_err(EngineError::Adt),
+        Value::Object(oid) => db.objects.value(*oid).cloned().map_err(EngineError::Adt),
         Value::Coll(kind, items) => {
             let mapped = items
                 .iter()
-                .map(|e| deref_value(e, ctx))
+                .map(|e| deref_value(e, db))
                 .collect::<EngineResult<Vec<_>>>()?;
             Ok(Value::coll(*kind, mapped))
         }

@@ -1,33 +1,190 @@
 //! In-memory relations with shared (reference-counted) rows.
 //!
-//! Rows are stored behind [`Arc`] so that row-preserving operators
-//! (filter, join combination, union, fixpoint accumulation) share tuples
-//! instead of deep-cloning every `Value`. The schema is shared the same
-//! way: cloning a [`Relation`] is two pointer-vector copies, never a
-//! traversal of string or collection values.
+//! A row is a view into a reference-counted block of values, so
+//! row-preserving operators (filter, join combination, union, fixpoint
+//! accumulation) share tuples instead of deep-cloning every `Value`. A
+//! stored row is a block of its own; the rows an operator builds are cut
+//! from one block per [`MORSEL_ROWS`] rows (`RowBlocks`), so building
+//! them costs one allocation per block rather than one per row. The
+//! schema is shared the same way: cloning a [`Relation`] is two
+//! pointer-vector copies, never a traversal of string or collection
+//! values.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use eds_adt::Value;
 use eds_lera::Schema;
 
 use crate::hash::{Fold, FoldSet};
+use crate::parallel::MORSEL_ROWS;
 
 /// A row: one value per attribute.
 pub type Row = Vec<Value>;
 
-/// A reference-counted row, shared between relations. Stored as a slice
-/// (`Arc<[Value]>`), not `Arc<Vec<Value>>`: one allocation per row
-/// instead of two, and one less indirection on every access.
-pub type SharedRow = Arc<[Value]>;
+/// A reference-counted row, shared between relations: the values
+/// `start .. start + len` of a shared block. It dereferences to
+/// `[Value]`, and equality, order, hashing, `Borrow<[Value]>` and
+/// `Debug` are the slice's, so a row reads the same whichever block it
+/// sits in and a row-keyed set is probed by `&[Value]`. A block stays
+/// allocated while any of its rows is alive. Offsets are `u32`: a
+/// block of 2³² values would be 192 GiB.
+#[derive(Clone)]
+pub struct SharedRow {
+    block: Arc<[Value]>,
+    start: u32,
+    len: u32,
+}
 
-/// Drain a scratch buffer into a shared row. `vec::Drain` is a
-/// `TrustedLen` iterator, so the `Arc<[Value]>` is allocated exactly
-/// once — half the allocator traffic of `Arc::new(vec)` per
-/// materialized row, which dominates projection-heavy operators.
+impl Deref for SharedRow {
+    type Target = [Value];
+
+    #[inline]
+    fn deref(&self) -> &[Value] {
+        let start = self.start as usize;
+        &self.block[start..start + self.len as usize]
+    }
+}
+
+impl Borrow<[Value]> for SharedRow {
+    #[inline]
+    fn borrow(&self) -> &[Value] {
+        self
+    }
+}
+
+impl PartialEq for SharedRow {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SharedRow {}
+
+impl PartialOrd for SharedRow {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for SharedRow {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl Hash for SharedRow {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for SharedRow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl SharedRow {
+    /// A whole block as one row.
+    fn whole(block: Arc<[Value]>) -> Self {
+        let len = block.len() as u32;
+        SharedRow {
+            block,
+            start: 0,
+            len,
+        }
+    }
+}
+
+/// A one-row block.
+impl From<Vec<Value>> for SharedRow {
+    fn from(row: Vec<Value>) -> Self {
+        SharedRow::whole(row.into())
+    }
+}
+
+/// A one-row block.
+impl FromIterator<Value> for SharedRow {
+    fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Self {
+        SharedRow::whole(values.into_iter().collect())
+    }
+}
+
+/// Drain a scratch buffer into a one-row block. `vec::Drain` is a
+/// `TrustedLen` iterator, so the block is allocated exactly once — half
+/// the allocator traffic of `Arc::new(vec)`.
 #[inline]
 pub fn shared_row(scratch: &mut Vec<Value>) -> SharedRow {
     scratch.drain(..).collect()
+}
+
+/// Rows built into shared blocks of at most [`MORSEL_ROWS`] rows, in
+/// arrival order. A row's values are appended to the open block's
+/// buffer; the block is allocated once — and cut into its rows — when it
+/// is full, when a row of another width arrives, when an existing row is
+/// pushed whole (so order holds), and at the end.
+#[derive(Default)]
+pub(crate) struct RowBlocks {
+    rows: Vec<SharedRow>,
+    open: Vec<Value>,
+    open_rows: usize,
+    width: usize,
+}
+
+impl RowBlocks {
+    /// Room for `rows` more rows of `width` values each.
+    pub(crate) fn reserve(&mut self, rows: usize, width: usize) {
+        self.rows.reserve(rows);
+        self.open.reserve(rows.min(MORSEL_ROWS) * width);
+    }
+
+    /// Append the row whose values `row` holds, leaving it empty.
+    #[inline]
+    pub(crate) fn push_values(&mut self, row: &mut Row) {
+        if self.open_rows == MORSEL_ROWS || (self.open_rows > 0 && row.len() != self.width) {
+            self.cut();
+        }
+        self.width = row.len();
+        self.open.append(row);
+        self.open_rows += 1;
+    }
+
+    /// Append an existing row whole (no copy).
+    #[inline]
+    pub(crate) fn push(&mut self, row: SharedRow) {
+        self.cut();
+        self.rows.push(row);
+    }
+
+    /// The rows, in arrival order.
+    pub(crate) fn into_rows(mut self) -> Vec<SharedRow> {
+        self.cut();
+        self.rows
+    }
+
+    /// Allocate the open block and cut it into its rows.
+    fn cut(&mut self) {
+        if self.open_rows == 0 {
+            return;
+        }
+        let block: Arc<[Value]> = self.open.drain(..).collect();
+        let len = self.width as u32;
+        self.rows
+            .extend((0..self.open_rows as u32).map(|k| SharedRow {
+                block: Arc::clone(&block),
+                start: k * len,
+                len,
+            }));
+        self.open_rows = 0;
+    }
 }
 
 /// An in-memory relation with bag semantics (ESQL query blocks produce
@@ -76,9 +233,9 @@ impl Relation {
         self.rows.is_empty()
     }
 
-    /// Append an owned row. Goes through [`shared_row`] so the
-    /// `Arc<[Value]>` is allocated in a single `TrustedLen` collect
-    /// instead of the `From<Vec>` round trip.
+    /// Append an owned row as a one-row block. Goes through
+    /// [`shared_row`] so the block is allocated in a single `TrustedLen`
+    /// collect instead of the `From<Vec>` round trip.
     pub fn push(&mut self, mut row: Row) {
         self.rows.push(shared_row(&mut row));
     }
@@ -146,6 +303,7 @@ impl Relation {
 mod tests {
     use super::*;
     use eds_adt::{Field, Type};
+    use std::hash::BuildHasher;
 
     fn schema2() -> Schema {
         Schema::new(vec![Field::new("a", Type::Int), Field::new("b", Type::Int)])
@@ -181,7 +339,88 @@ mod tests {
     fn shared_rows_are_not_deep_copied() {
         let a = r(vec![(1, 2)]);
         let b = a.clone();
-        assert!(Arc::ptr_eq(&a.rows[0], &b.rows[0]));
-        assert!(Arc::ptr_eq(&a.schema, &b.schema));
+        assert!(std::ptr::eq(&a.rows[0][..], &b.rows[0][..]));
+        assert!(std::ptr::eq(&*a.schema, &*b.schema));
+    }
+
+    /// Rows `(k, k + 1)` for `k` in `ks`, built into shared blocks.
+    fn block_rows(ks: impl IntoIterator<Item = i64>) -> Vec<SharedRow> {
+        let mut blocks = RowBlocks::default();
+        for k in ks {
+            blocks.push_values(&mut vec![Value::Int(k), Value::Int(k + 1)]);
+        }
+        blocks.into_rows()
+    }
+
+    /// A row is its values, wherever it sits: a view into the middle of
+    /// a block and a one-row block holding the same values are equal,
+    /// hash alike, order alike, print alike and are found by the same
+    /// slice probe.
+    #[test]
+    fn a_block_view_is_its_values() {
+        let rows = block_rows([0, 5, 9]);
+        let view = &rows[1];
+        assert!(std::ptr::eq(&rows[0][1], view.as_ptr().wrapping_sub(1)));
+        let values = vec![Value::Int(5), Value::Int(6)];
+        let single = SharedRow::from(values.clone());
+        assert_eq!(*view, single);
+        assert_eq!(**view, values[..]);
+
+        let fold = Fold::default();
+        assert_eq!(fold.hash_one(view), fold.hash_one(&single));
+        assert_eq!(fold.hash_one(view), fold.hash_one(&values[..]));
+
+        assert_eq!(view.cmp(&single), Ordering::Equal);
+        for other in [&rows[0], &rows[2]] {
+            assert_eq!(view.cmp(other), single.cmp(other));
+        }
+        let mut sorted = vec![rows[2].clone(), single.clone(), rows[0].clone()];
+        sorted.sort_unstable();
+        assert_eq!(sorted, rows);
+
+        assert_eq!(format!("{view:?}"), format!("{single:?}"));
+        assert_eq!(format!("{view:?}"), format!("{:?}", &values[..]));
+
+        let by_view: FoldSet<SharedRow> = [view.clone()].into_iter().collect();
+        let by_single: FoldSet<SharedRow> = [single].into_iter().collect();
+        assert!(by_view.contains(&values[..]));
+        assert!(by_single.contains(&values[..]));
+        assert!(!by_view.contains(&rows[0][..]));
+    }
+
+    /// A block lives as long as any of its rows: a row kept past the
+    /// relation it came from still reads its values.
+    #[test]
+    fn a_view_outlives_its_relation() {
+        let kept = {
+            let rel = Relation::from_shared(schema2(), block_rows(0..4));
+            rel.rows[2].clone()
+        };
+        assert_eq!(*kept, [Value::Int(2), Value::Int(3)]);
+    }
+
+    /// A block holds at most `MORSEL_ROWS` rows, and a row of another
+    /// width or a row pushed whole starts a new one; order holds.
+    #[test]
+    fn blocks_cut_at_the_cap_and_on_a_whole_row() {
+        let rows = block_rows(0..MORSEL_ROWS as i64 + 1);
+        let adjacent = |a: &SharedRow, b: &SharedRow| {
+            std::ptr::eq(a[..].as_ptr().wrapping_add(a.len()), b[..].as_ptr())
+        };
+        let cuts: Vec<usize> = (1..rows.len())
+            .filter(|&i| !adjacent(&rows[i - 1], &rows[i]))
+            .collect();
+        assert_eq!(cuts, vec![MORSEL_ROWS]);
+
+        let mut blocks = RowBlocks::default();
+        blocks.push_values(&mut vec![Value::Int(1)]);
+        blocks.push(SharedRow::from(vec![Value::Int(2)]));
+        blocks.push_values(&mut vec![Value::Int(3)]);
+        blocks.push_values(&mut vec![Value::Int(4), Value::Int(5)]);
+        blocks.push_values(&mut vec![]);
+        let rows = blocks.into_rows();
+        let lens: Vec<usize> = rows.iter().map(|r| r.len()).collect();
+        assert_eq!(lens, [1, 1, 1, 2, 0]);
+        assert_eq!(*rows[3], [Value::Int(4), Value::Int(5)]);
     }
 }

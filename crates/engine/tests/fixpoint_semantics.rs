@@ -2,9 +2,9 @@
 //! multiple recursive branches, and nested recursion scopes.
 
 use eds_adt::Value;
-use eds_engine::{eval, eval_with, Database, EvalOptions, FixMode, FixOptions};
+use eds_engine::{eval, eval_reference, eval_with, Database, EvalOptions, FixMode, FixOptions};
 use eds_esql::parse_query;
-use eds_lera::{translate_query, SchemaCtx};
+use eds_lera::{translate_query, Expr, Scalar, SchemaCtx};
 
 fn tc_db(edges: &[(i64, i64)]) -> Database {
     let mut db = Database::new();
@@ -115,6 +115,61 @@ fn view_over_recursive_view() {
             vec![Value::Int(1), Value::Int(4)],
         ]
     );
+}
+
+/// `fix(R, EDGE ∪ R ⋈ EDGE)`: the transitive closure of `EDGE`.
+fn tc_fix() -> Expr {
+    let step = Expr::search(
+        vec![Expr::base("R"), Expr::base("EDGE")],
+        Scalar::eq(Scalar::attr(1, 2), Scalar::attr(2, 1)),
+        vec![Scalar::attr(1, 1), Scalar::attr(2, 2)],
+    );
+    Expr::Fix {
+        name: "R".into(),
+        body: Box::new(Expr::Union(vec![Expr::base("EDGE"), step])),
+    }
+}
+
+/// A fixpoint's locals are shared with the operators that read them and
+/// grow in place between rounds; neither may leak across fixpoints. Two
+/// plans pin it against the oracle, under both strategies: the view
+/// queried inside a `union` with the view itself, and a closure whose
+/// recursive branch first evaluates an inner `fix` that rebinds `R` —
+/// the outer `R` read right after it must be the outer one again.
+#[test]
+fn locals_are_restored_around_a_shadowing_fix() {
+    let db = tc_db(&[(1, 2), (2, 3), (3, 4), (4, 2), (7, 8)]);
+    let q = parse_query("SELECT S, D FROM TC UNION SELECT S, D FROM TC WHERE S = 2 ;").unwrap();
+    let (union, _) = translate_query(&q, &SchemaCtx::new(&db.catalog)).unwrap();
+    // `fix(R, EDGE ∪ π(fix(R, …) ⋈ R))`: paths through any closure pair.
+    let shadowed = Expr::Fix {
+        name: "R".into(),
+        body: Box::new(Expr::Union(vec![
+            Expr::base("EDGE"),
+            Expr::search(
+                vec![tc_fix(), Expr::base("R")],
+                Scalar::eq(Scalar::attr(1, 2), Scalar::attr(2, 1)),
+                vec![Scalar::attr(1, 1), Scalar::attr(2, 2)],
+            ),
+        ])),
+    };
+    let closure_rows = closure(&db, FixMode::SemiNaive);
+    for mode in [FixMode::Naive, FixMode::SemiNaive] {
+        let opts = EvalOptions {
+            fix: FixOptions {
+                mode,
+                max_iterations: 10_000,
+            },
+            ..Default::default()
+        };
+        for expr in [&union, &shadowed] {
+            let got = eval_with(expr, &db, opts).unwrap().0;
+            let oracle = eval_reference(expr, &db, opts).unwrap();
+            assert_eq!(got.rows, oracle.rows, "{mode:?}: {expr}");
+        }
+        let got = eval_with(&shadowed, &db, opts).unwrap().0;
+        assert_eq!(got.sorted_rows(), closure_rows, "{mode:?}");
+    }
 }
 
 #[test]
