@@ -488,3 +488,40 @@ fn seeded_parameter_does_less_work_than_the_full_closure() {
         "seeded {seeded:?} vs full closure {full:?}"
     );
 }
+
+/// A prepared statement reports the SQL names in scope: a view's declared
+/// column list and `AS` aliases, whatever the base columns are called.
+#[test]
+fn prepared_schemas_use_sql_names() {
+    let mut dbms = Dbms::new().unwrap();
+    dbms.execute_ddl(
+        "TABLE R ( K : INT, A : REAL ) ;
+         CREATE VIEW V (Key, Amount) AS SELECT K, A FROM R ;
+         CREATE VIEW W (X) AS SELECT K AS Kay FROM R ;
+         CREATE VIEW U AS SELECT K AS Kay, A FROM R WHERE A > 0.5 ;
+         CREATE VIEW UV AS SELECT Key FROM V ;",
+    )
+    .unwrap();
+    let cases: [(&str, &[&str]); 5] = [
+        // A declared column list.
+        ("SELECT Key, Amount FROM V ;", &["Key", "Amount"]),
+        // A declared column list over an alias inside the view.
+        ("SELECT X FROM W ;", &["X"]),
+        // No column list: the view's own aliases name its columns.
+        ("SELECT Kay, A FROM U ;", &["Kay", "A"]),
+        // No column list over a view with one.
+        ("SELECT Key FROM UV ;", &["Key"]),
+        // An alias in the query itself.
+        ("SELECT Amount AS Z FROM V WHERE Key = ? ;", &["Z"]),
+    ];
+    for (sql, names) in cases {
+        assert_eq!(dbms.prepare(sql).unwrap().schema.names(), names, "{sql}");
+        let stmt = dbms.prepare_stmt(sql).unwrap();
+        assert_eq!(stmt.schema().names(), names, "{sql}");
+    }
+    // The base table's name does not leak through a view.
+    assert!(dbms.prepare("SELECT K FROM UV ;").is_err());
+    let schema = dbms.prepare("SELECT Key, Amount FROM V ;").unwrap().schema;
+    let types: Vec<_> = schema.fields.iter().map(|f| f.ty.to_string()).collect();
+    assert_eq!(types, ["INT", "REAL"]);
+}

@@ -6,6 +6,7 @@
 //! name, view expansion, recursion detection, and attribute-as-function
 //! resolution on object and tuple types.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use eds_adt::{Field, MethodSig, Type, TypeBody, TypeDef, TypeRegistry};
@@ -34,6 +35,17 @@ impl TableSchema {
     /// Number of columns.
     pub fn arity(&self) -> usize {
         self.columns.len()
+    }
+}
+
+/// The key relation names are stored under (ASCII upper case),
+/// borrowed when `name` already has that form, so a lookup by a
+/// canonical name allocates nothing.
+pub fn lookup_key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_lowercase()) {
+        Cow::Owned(name.to_ascii_uppercase())
+    } else {
+        Cow::Borrowed(name)
     }
 }
 
@@ -175,25 +187,27 @@ impl Catalog {
 
     /// Schema of a base table.
     pub fn table(&self, name: &str) -> Option<&TableSchema> {
-        self.tables.get(&name.to_ascii_uppercase())
+        self.tables.get(lookup_key(name).as_ref())
     }
 
     /// Declaration of a view.
     pub fn view(&self, name: &str) -> Option<&ViewDecl> {
-        self.views.get(&name.to_ascii_uppercase())
+        self.views.get(lookup_key(name).as_ref())
     }
 
     /// Schema of any relation: base table, or a view whose schema has been
     /// inferred.
     pub fn relation(&self, name: &str) -> Option<&TableSchema> {
-        self.table(name)
-            .or_else(|| self.view_schemas.get(&name.to_ascii_uppercase()))
+        let key = lookup_key(name);
+        self.tables
+            .get(key.as_ref())
+            .or_else(|| self.view_schemas.get(key.as_ref()))
     }
 
     /// Whether `name` refers to any relation.
     pub fn is_relation(&self, name: &str) -> bool {
-        let key = name.to_ascii_uppercase();
-        self.tables.contains_key(&key) || self.views.contains_key(&key)
+        let key = lookup_key(name);
+        self.tables.contains_key(key.as_ref()) || self.views.contains_key(key.as_ref())
     }
 
     /// Names of all base tables (sorted).

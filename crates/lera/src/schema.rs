@@ -8,7 +8,8 @@
 
 use std::collections::HashMap;
 
-use eds_adt::{Field, Type, Value};
+use eds_adt::{CollKind, Field, Type, Value};
+use eds_esql::catalog::lookup_key;
 use eds_esql::Catalog;
 
 use crate::error::{LeraError, LeraResult};
@@ -79,13 +80,20 @@ impl<'a> SchemaCtx<'a> {
 
     /// Schema of a locally-bound name (a recursion variable), if any.
     pub fn local_schema(&self, name: &str) -> Option<Schema> {
-        self.locals.get(&name.to_ascii_uppercase()).cloned()
+        self.local(name).cloned()
+    }
+
+    fn local(&self, name: &str) -> Option<&Schema> {
+        if self.locals.is_empty() {
+            return None;
+        }
+        self.locals.get(lookup_key(name).as_ref())
     }
 
     /// Schema of a named relation: local binding, base table, or view
     /// with a registered schema.
     pub fn relation_schema(&self, name: &str) -> LeraResult<Schema> {
-        if let Some(s) = self.locals.get(&name.to_ascii_uppercase()) {
+        if let Some(s) = self.local(name) {
             return Ok(s.clone());
         }
         self.catalog
@@ -168,30 +176,7 @@ pub fn infer_schema(expr: &Expr, ctx: &SchemaCtx<'_>) -> LeraResult<Schema> {
             group,
             nested,
             kind,
-        } => {
-            let in_schema = infer_schema(input, ctx)?;
-            let mut fields = Vec::with_capacity(group.len() + 1);
-            for &g in group {
-                fields.push(in_schema.field(g)?.clone());
-            }
-            let elem_ty = if nested.len() == 1 {
-                in_schema.field(nested[0])?.ty.clone()
-            } else {
-                Type::Tuple(
-                    nested
-                        .iter()
-                        .map(|&n| in_schema.field(n).cloned())
-                        .collect::<LeraResult<Vec<_>>>()?,
-                )
-            };
-            let name = if nested.len() == 1 {
-                in_schema.field(nested[0])?.name.clone()
-            } else {
-                "Nested".to_owned()
-            };
-            fields.push(Field::new(name, Type::Coll(*kind, Box::new(elem_ty))));
-            Ok(Schema::new(fields))
-        }
+        } => nest_schema(&infer_schema(input, ctx)?, group, nested, *kind),
         Expr::Unnest { input, attr } => {
             let in_schema = infer_schema(input, ctx)?;
             let coll_field = in_schema.field(*attr)?;
@@ -231,6 +216,31 @@ pub fn search_schema(
         let name = synth_name(e, inputs).unwrap_or_else(|| format!("expr{}", i + 1));
         fields.push(Field::new(name, ty));
     }
+    Ok(Schema::new(fields))
+}
+
+/// Output schema of a `nest` over an input whose schema is known: the
+/// `group` attributes, then one collection of the `nested` ones (a
+/// single nested attribute keeps its name and type as the element).
+pub fn nest_schema(
+    input: &Schema,
+    group: &[usize],
+    nested: &[usize],
+    kind: CollKind,
+) -> LeraResult<Schema> {
+    let mut fields = Vec::with_capacity(group.len() + 1);
+    for &g in group {
+        fields.push(input.field(g)?.clone());
+    }
+    let (name, elem_ty) = if let [n] = nested {
+        let f = input.field(*n)?;
+        (f.name.clone(), f.ty.clone())
+    } else {
+        let elems = nested.iter().map(|&n| input.field(n).cloned());
+        let elems = elems.collect::<LeraResult<Vec<_>>>()?;
+        ("Nested".to_owned(), Type::Tuple(elems))
+    };
+    fields.push(Field::new(name, Type::Coll(kind, Box::new(elem_ty))));
     Ok(Schema::new(fields))
 }
 
@@ -390,7 +400,6 @@ fn deref_type(ty: &Type, ctx: &SchemaCtx<'_>) -> LeraResult<Type> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eds_adt::CollKind;
     use eds_esql::install_source;
 
     fn catalog() -> Catalog {

@@ -11,65 +11,56 @@
 //! LERA expression as a sub-relation — which deliberately leaves the
 //! merging rules (Figure 7) something to normalize. Recursive views
 //! translate to `fix` (Section 3.2).
+//!
+//! Schemas are derived bottom-up, once: a query block's output schema is
+//! typed ([`search_schema`], [`nest_schema`]) against the schemas its
+//! inputs' translation already returned, never re-inferred from the
+//! expression just built, so a stack of `n` views costs `n` block
+//! translations rather than `n (n + 1) / 2`. Output columns carry the
+//! SQL names in scope: a view's declared column list and `AS` aliases.
 
-use eds_adt::{CollKind, Type};
-use eds_esql::ast::{BinOp, Expr as Ast, Query, SelectCore, SelectItem, ViewDecl};
+use eds_adt::CollKind;
+use eds_esql::ast::{BinOp, Expr as Ast, Query, SelectCore, SelectItem, TableRef, ViewDecl};
 
 use crate::error::{LeraError, LeraResult};
 use crate::expr::Expr;
 use crate::scalar::{CmpOp, Scalar};
-use crate::schema::{infer_scalar_type, Schema, SchemaCtx};
+use crate::schema::{infer_scalar_type, nest_schema, search_schema, Schema, SchemaCtx};
 
-/// One relation visible in a query block's scope.
-struct ScopeEntry {
-    /// The name the relation is referenced by (alias or relation name).
-    binding: String,
-    /// Its schema.
-    schema: Schema,
+/// The relations visible in a query block's scope, in `FROM` order: the
+/// name each is referenced by (alias or relation name) and its schema.
+struct Scope<'s> {
+    bindings: Vec<&'s str>,
+    schemas: &'s [Schema],
 }
 
-struct Scope {
-    entries: Vec<ScopeEntry>,
-}
-
-impl Scope {
-    fn schemas(&self) -> Vec<Schema> {
-        self.entries.iter().map(|e| e.schema.clone()).collect()
-    }
-
+impl Scope<'_> {
     /// Resolve `[qualifier.]name` to a 1-based `(rel, attr)` pair.
-    fn resolve_column(
-        &self,
-        qualifier: Option<&str>,
-        name: &str,
-    ) -> LeraResult<(usize, usize, Type)> {
-        let mut hits = Vec::new();
-        for (rel_idx, entry) in self.entries.iter().enumerate() {
-            if let Some(q) = qualifier {
-                if !entry.binding.eq_ignore_ascii_case(q) {
-                    continue;
-                }
+    fn resolve_column(&self, qualifier: Option<&str>, name: &str) -> LeraResult<(usize, usize)> {
+        let mut hit = None;
+        for (rel_idx, (binding, schema)) in self.bindings.iter().zip(self.schemas).enumerate() {
+            if qualifier.is_some_and(|q| !binding.eq_ignore_ascii_case(q)) {
+                continue;
             }
-            if let Some((attr_idx, field)) = entry
-                .schema
+            let found = schema
                 .fields
                 .iter()
-                .enumerate()
-                .find(|(_, f)| f.name.eq_ignore_ascii_case(name))
-            {
-                hits.push((rel_idx + 1, attr_idx + 1, field.ty.clone()));
+                .position(|f| f.name.eq_ignore_ascii_case(name));
+            if let Some(attr_idx) = found {
+                if hit.is_some() {
+                    return Err(LeraError::Esql(eds_esql::EsqlError::AmbiguousColumn(
+                        name.to_owned(),
+                    )));
+                }
+                hit = Some((rel_idx + 1, attr_idx + 1));
             }
         }
-        match hits.len() {
-            1 => Ok(hits.remove(0)),
-            0 => Err(LeraError::Esql(eds_esql::EsqlError::UnknownColumn {
+        hit.ok_or_else(|| {
+            LeraError::Esql(eds_esql::EsqlError::UnknownColumn {
                 qualifier: qualifier.map(str::to_owned),
                 name: name.to_owned(),
-            })),
-            _ => Err(LeraError::Esql(eds_esql::EsqlError::AmbiguousColumn(
-                name.to_owned(),
-            ))),
-        }
+            })
+        })
     }
 }
 
@@ -131,9 +122,9 @@ fn apply_view_columns(mut schema: Schema, columns: &[String]) -> LeraResult<Sche
 
 fn translate_recursive_view(decl: &ViewDecl, ctx: &SchemaCtx<'_>) -> LeraResult<(Expr, Schema)> {
     // Collect the union branches of the defining query.
-    fn branches(q: &Query, out: &mut Vec<SelectCore>) {
+    fn branches<'q>(q: &'q Query, out: &mut Vec<&'q SelectCore>) {
         match q {
-            Query::Select(c) => out.push(c.clone()),
+            Query::Select(c) => out.push(c),
             Query::Union(a, b) => {
                 branches(a, out);
                 branches(b, out);
@@ -149,23 +140,27 @@ fn translate_recursive_view(decl: &ViewDecl, ctx: &SchemaCtx<'_>) -> LeraResult<
             .any(|t| t.name.eq_ignore_ascii_case(&decl.name))
     };
 
-    // 1. Infer the schema from the seed (non-recursive) branches.
-    let seed = all
+    // 1. The schema comes from the first seed (non-recursive) branch. It
+    //    names no recursion variable, so its translation is final.
+    let seed_at = all
         .iter()
-        .find(|c| !is_recursive_branch(c))
+        .position(|c| !is_recursive_branch(c))
         .ok_or_else(|| {
             LeraError::Type(format!(
                 "recursive view {} has no non-recursive branch",
                 decl.name
             ))
         })?;
-    let (_, seed_schema) = translate_select(seed, ctx)?;
+    let (seed, seed_schema) = translate_select(all[seed_at], ctx)?;
     let local_schema = apply_view_columns(seed_schema, &decl.columns)?;
 
-    // 2. Translate every branch with the recursion variable in scope.
+    // 2. Translate the other branches with the recursion variable in scope.
     let rec_ctx = ctx.with_local(&decl.name, local_schema.clone());
     let mut items = Vec::with_capacity(all.len());
-    for branch in &all {
+    for (i, branch) in all.into_iter().enumerate() {
+        if i == seed_at {
+            continue;
+        }
         let (e, s) = translate_select(branch, &rec_ctx)?;
         if s.arity() != local_schema.arity() {
             return Err(LeraError::Type(format!(
@@ -177,6 +172,7 @@ fn translate_recursive_view(decl: &ViewDecl, ctx: &SchemaCtx<'_>) -> LeraResult<
         }
         items.push(e);
     }
+    items.insert(seed_at, seed);
 
     let body = if items.len() == 1 {
         items.remove(0)
@@ -199,55 +195,56 @@ fn translate_from_item(name: &str, ctx: &SchemaCtx<'_>) -> LeraResult<(Expr, Sch
     if let Some(schema) = ctx.local_schema(name) {
         return Ok((Expr::base(name), schema));
     }
-    if ctx.catalog.table(name).is_some() {
-        let schema = ctx.relation_schema(name)?;
-        return Ok((Expr::base(name), schema));
+    if let Some(table) = ctx.catalog.table(name) {
+        return Ok((Expr::base(name), Schema::new(table.columns.clone())));
     }
     if let Some(view) = ctx.catalog.view(name) {
-        let view = view.clone();
-        return translate_view(&view, ctx);
+        return translate_view(view, ctx);
     }
     Err(LeraError::UnknownRelation(name.to_owned()))
+}
+
+/// The top-level conjuncts of `e`, left to right.
+fn split_ands<'e>(e: &'e Ast, out: &mut Vec<&'e Ast>) {
+    match e {
+        Ast::Binary {
+            op: BinOp::And,
+            left,
+            right,
+        } => {
+            split_ands(left, out);
+            split_ands(right, out);
+        }
+        other => out.push(other),
+    }
 }
 
 fn translate_select(core: &SelectCore, ctx: &SchemaCtx<'_>) -> LeraResult<(Expr, Schema)> {
     // FROM clause: inputs and scope.
     let mut inputs = Vec::with_capacity(core.from.len());
-    let mut entries = Vec::with_capacity(core.from.len());
+    let mut schemas = Vec::with_capacity(core.from.len());
     for t in &core.from {
         let (e, s) = translate_from_item(&t.name, ctx)?;
         inputs.push(e);
-        entries.push(ScopeEntry {
-            binding: t.binding_name().to_owned(),
-            schema: s,
-        });
+        schemas.push(s);
     }
-    let scope = Scope { entries };
+    let scope = Scope {
+        bindings: core.from.iter().map(TableRef::binding_name).collect(),
+        schemas: &schemas,
+    };
 
     // `e IN (SELECT ...)` at a top-level conjunct position becomes a join
     // against the (deduplicated) subquery — "sub-query elimination": the
     // merging rules then collapse the subquery like any other view.
-    let mut where_conjuncts: Vec<Ast> = Vec::new();
+    let mut where_conjuncts = Vec::new();
     if let Some(w) = &core.where_clause {
-        fn split_ands(e: &Ast, out: &mut Vec<Ast>) {
-            match e {
-                Ast::Binary {
-                    op: BinOp::And,
-                    left,
-                    right,
-                } => {
-                    split_ands(left, out);
-                    split_ands(right, out);
-                }
-                other => out.push(other.clone()),
-            }
-        }
         split_ands(w, &mut where_conjuncts);
     }
     let mut extra_eqs: Vec<Scalar> = Vec::new();
-    let mut kept_conjuncts: Vec<Ast> = Vec::new();
+    let mut sub_schemas = Vec::new();
+    let mut kept_conjuncts = Vec::new();
     for c in where_conjuncts {
-        if let Ast::InQuery { expr, query } = &c {
+        if let Ast::InQuery { expr, query } = c {
             let (sub_expr, sub_schema) = translate_query(query, ctx)?;
             if sub_schema.arity() != 1 {
                 return Err(LeraError::Type(format!(
@@ -259,8 +256,8 @@ fn translate_select(core: &SelectCore, ctx: &SchemaCtx<'_>) -> LeraResult<(Expr,
             // subquery input is invisible to name resolution (so
             // unqualified columns stay unambiguous).
             let tested = resolve_expr(expr, &scope, ctx)?;
-            let _ = sub_schema; // arity checked above; names not exposed
             inputs.push(Expr::Dedup(Box::new(sub_expr)));
+            sub_schemas.push(sub_schema);
             extra_eqs.push(Scalar::eq(tested, Scalar::attr(inputs.len(), 1)));
         } else {
             kept_conjuncts.push(c);
@@ -268,74 +265,74 @@ fn translate_select(core: &SelectCore, ctx: &SchemaCtx<'_>) -> LeraResult<(Expr,
     }
 
     // WHERE clause.
-    let schemas = scope.schemas();
     let mut pred_parts: Vec<Scalar> = kept_conjuncts
-        .iter()
+        .into_iter()
         .map(|c| resolve_expr(c, &scope, ctx))
         .collect::<LeraResult<Vec<_>>>()?;
     pred_parts.extend(extra_eqs);
     let pred = Scalar::conjoin(pred_parts);
 
     // Projections.
-    let mut proj = Vec::new();
+    let mut proj = Vec::with_capacity(core.projections.len());
+    let mut aliases = Vec::with_capacity(core.projections.len());
     for item in &core.projections {
         match item {
             SelectItem::Wildcard => {
                 for (rel, schema) in schemas.iter().enumerate() {
                     for attr in 1..=schema.arity() {
-                        proj.push((Scalar::attr(rel + 1, attr), None));
+                        proj.push(Scalar::attr(rel + 1, attr));
+                        aliases.push(None);
                     }
                 }
             }
             SelectItem::Expr { expr, alias } => {
-                proj.push((resolve_expr(expr, &scope, ctx)?, alias.clone()));
+                proj.push(resolve_expr(expr, &scope, ctx)?);
+                aliases.push(alias.as_deref());
             }
         }
     }
+    let group_exprs = core
+        .group_by
+        .iter()
+        .map(|g| resolve_expr(g, &scope, ctx))
+        .collect::<LeraResult<Vec<_>>>()?;
 
-    let (expr, schema) = if core.group_by.is_empty() {
-        let exprs: Vec<Scalar> = proj.iter().map(|(e, _)| e.clone()).collect();
-        let e = Expr::search(inputs, pred, exprs.clone());
-        let mut schema = crate::schema::infer_schema(&e, ctx)?;
-        rename_aliased(&mut schema, &proj);
-        (e, schema)
+    // The output schema is typed against the inputs' schemas as their
+    // translation returned them: nothing below this block is inferred
+    // again. Both shapes yield one output column per projection item.
+    schemas.extend(sub_schemas);
+    let (expr, mut schema) = if group_exprs.is_empty() {
+        let schema = search_schema(Some(&proj), &schemas, ctx)?;
+        (Expr::search(inputs, pred, proj), schema)
     } else {
-        translate_group_by(core, inputs, pred, proj.clone(), &scope, ctx)?
+        translate_group_by(inputs, &schemas, pred, proj, group_exprs, ctx)?
     };
+    for (f, alias) in schema.fields.iter_mut().zip(aliases) {
+        if let Some(a) = alias {
+            a.clone_into(&mut f.name);
+        }
+    }
 
     // HAVING applies after grouping.
-    let (expr, schema) = match &core.having {
+    let expr = match &core.having {
         Some(h) => {
             let having_scope = Scope {
-                entries: vec![ScopeEntry {
-                    binding: String::new(),
-                    schema: schema.clone(),
-                }],
+                bindings: vec![""],
+                schemas: std::slice::from_ref(&schema),
             };
             let pred = resolve_expr(h, &having_scope, ctx)?;
-            (
-                Expr::Filter {
-                    input: Box::new(expr),
-                    pred,
-                },
-                schema,
-            )
+            Expr::Filter {
+                input: Box::new(expr),
+                pred,
+            }
         }
-        None => (expr, schema),
+        None => expr,
     };
 
     if core.distinct {
         Ok((Expr::Dedup(Box::new(expr)), schema))
     } else {
         Ok((expr, schema))
-    }
-}
-
-fn rename_aliased(schema: &mut Schema, proj: &[(Scalar, Option<String>)]) {
-    for (f, (_, alias)) in schema.fields.iter_mut().zip(proj) {
-        if let Some(a) = alias {
-            f.name = a.clone();
-        }
     }
 }
 
@@ -357,24 +354,18 @@ enum GroupItem {
 /// which become a `project` above the nest — in the ESQL model,
 /// aggregation is just collection-function application.
 fn translate_group_by(
-    core: &SelectCore,
     inputs: Vec<Expr>,
+    input_schemas: &[Schema],
     pred: Scalar,
-    proj: Vec<(Scalar, Option<String>)>,
-    scope: &Scope,
+    proj: Vec<Scalar>,
+    group_exprs: Vec<Scalar>,
     ctx: &SchemaCtx<'_>,
 ) -> LeraResult<(Expr, Schema)> {
-    let group_exprs: Vec<Scalar> = core
-        .group_by
-        .iter()
-        .map(|g| resolve_expr(g, scope, ctx))
-        .collect::<LeraResult<Vec<_>>>()?;
-
     // Classify projection items; all constructors must collect the same
     // detail expression with the same kind.
     let mut detail: Option<(Scalar, CollKind)> = None;
     let mut groups_used: Vec<Scalar> = Vec::new();
-    let mut items: Vec<(GroupItem, Option<String>)> = Vec::new();
+    let mut items: Vec<GroupItem> = Vec::with_capacity(proj.len());
 
     fn note_detail(
         detail: &mut Option<(Scalar, CollKind)>,
@@ -394,43 +385,27 @@ fn translate_group_by(
         }
     }
 
-    for (e, alias) in proj {
-        match &e {
-            Scalar::Call { func, args } if args.len() == 1 && coll_ctor(func).is_some() => {
-                note_detail(&mut detail, &args[0], coll_ctor(func).unwrap())?;
-                items.push((GroupItem::Collection, alias));
+    for e in proj {
+        let item = if let Some((arg, kind)) = coll_ctor(&e) {
+            note_detail(&mut detail, arg, kind)?;
+            GroupItem::Collection
+        } else if let Some((func, (arg, kind))) = aggregate_of(&e) {
+            note_detail(&mut detail, arg, kind)?;
+            GroupItem::Aggregated(func.to_owned())
+        } else if group_exprs.contains(&e) {
+            match groups_used.iter().position(|g| g == &e) {
+                Some(p) => GroupItem::Group(p),
+                None => {
+                    groups_used.push(e);
+                    GroupItem::Group(groups_used.len() - 1)
+                }
             }
-            Scalar::Call { func, args }
-                if args.len() == 1
-                    && matches!(&args[0], Scalar::Call { func: inner, args: ia }
-                        if ia.len() == 1 && coll_ctor(inner).is_some()) =>
-            {
-                let Scalar::Call {
-                    func: inner,
-                    args: ia,
-                } = &args[0]
-                else {
-                    unreachable!()
-                };
-                note_detail(&mut detail, &ia[0], coll_ctor(inner).unwrap())?;
-                items.push((GroupItem::Aggregated(func.clone()), alias));
-            }
-            _ if group_exprs.contains(&e) => {
-                let pos = match groups_used.iter().position(|g| g == &e) {
-                    Some(p) => p,
-                    None => {
-                        groups_used.push(e.clone());
-                        groups_used.len() - 1
-                    }
-                };
-                items.push((GroupItem::Group(pos), alias));
-            }
-            _ => {
-                return Err(LeraError::Type(format!(
-                    "projection '{e}' is neither a GROUP BY expression nor a collection constructor"
-                )))
-            }
-        }
+        } else {
+            return Err(LeraError::Type(format!(
+                "projection '{e}' is neither a GROUP BY expression nor a collection constructor"
+            )));
+        };
+        items.push(item);
     }
     let (nested_expr, kind) = detail.ok_or_else(|| {
         LeraError::Type(
@@ -439,87 +414,104 @@ fn translate_group_by(
     })?;
 
     // Unprojected GROUP BY expressions still determine the partition.
-    for gexpr in &group_exprs {
-        if !groups_used.contains(gexpr) {
-            groups_used.push(gexpr.clone());
+    for gexpr in group_exprs {
+        if !groups_used.contains(&gexpr) {
+            groups_used.push(gexpr);
         }
     }
 
     // Inner search computes group attributes then the detail attribute.
-    let mut search_proj: Vec<Scalar> = groups_used.clone();
-    search_proj.push(nested_expr);
-    let search = Expr::search(inputs, pred, search_proj);
-
     let g = groups_used.len();
+    let mut search_proj = groups_used;
+    search_proj.push(nested_expr);
+    let group: Vec<usize> = (1..=g).collect();
+    let nested = vec![g + 1];
+    let searched = search_schema(Some(&search_proj), input_schemas, ctx)?;
+    let nest_out = nest_schema(&searched, &group, &nested, kind)?;
     let nest = Expr::Nest {
-        input: Box::new(search),
-        group: (1..=g).collect(),
-        nested: vec![g + 1],
+        input: Box::new(Expr::search(inputs, pred, search_proj)),
+        group,
+        nested,
         kind,
     };
 
     // A projection above the nest reorders outputs and applies aggregate
     // functions; omitted when the nest output already matches.
     let matches_nest_layout = items.len() == g + 1
-        && items.iter().enumerate().all(|(i, (item, _))| match item {
+        && items.iter().enumerate().all(|(i, item)| match item {
             GroupItem::Group(p) => *p == i,
             GroupItem::Collection => i == g,
             GroupItem::Aggregated(_) => false,
         });
-
-    let (expr, aliases): (Expr, Vec<Option<String>>) = if matches_nest_layout {
-        (nest, items.into_iter().map(|(_, a)| a).collect())
-    } else {
-        let exprs: Vec<Scalar> = items
-            .iter()
-            .map(|(item, _)| match item {
-                GroupItem::Group(i) => Scalar::attr(1, i + 1),
-                GroupItem::Collection => Scalar::attr(1, g + 1),
-                GroupItem::Aggregated(f) => Scalar::call(f, vec![Scalar::attr(1, g + 1)]),
-            })
-            .collect();
-        (
-            Expr::Project {
-                input: Box::new(nest),
-                exprs,
-            },
-            items.into_iter().map(|(_, a)| a).collect(),
-        )
-    };
-
-    let mut schema = crate::schema::infer_schema(&expr, ctx)?;
-    for (f, alias) in schema.fields.iter_mut().zip(aliases) {
-        if let Some(a) = alias {
-            f.name = a;
-        }
+    if matches_nest_layout {
+        return Ok((nest, nest_out));
     }
-    Ok((expr, schema))
+    let exprs: Vec<Scalar> = items
+        .into_iter()
+        .map(|item| match item {
+            GroupItem::Group(i) => Scalar::attr(1, i + 1),
+            GroupItem::Collection => Scalar::attr(1, g + 1),
+            GroupItem::Aggregated(f) => Scalar::call(&f, vec![Scalar::attr(1, g + 1)]),
+        })
+        .collect();
+    let schema = search_schema(Some(&exprs), std::slice::from_ref(&nest_out), ctx)?;
+    Ok((
+        Expr::Project {
+            input: Box::new(nest),
+            exprs,
+        },
+        schema,
+    ))
 }
 
-fn coll_ctor(func: &str) -> Option<CollKind> {
-    match func.to_ascii_uppercase().as_str() {
-        "MAKESET" => Some(CollKind::Set),
-        "MAKEBAG" => Some(CollKind::Bag),
-        "MAKELIST" => Some(CollKind::List),
-        _ => None,
-    }
+/// `MakeSet(x)`, `MakeBag(x)` or `MakeList(x)`: the collected expression
+/// and the collection kind.
+fn coll_ctor(e: &Scalar) -> Option<(&Scalar, CollKind)> {
+    let Scalar::Call { func, args } = e else {
+        return None;
+    };
+    let [arg] = args.as_slice() else {
+        return None;
+    };
+    let kind = [
+        ("MAKESET", CollKind::Set),
+        ("MAKEBAG", CollKind::Bag),
+        ("MAKELIST", CollKind::List),
+    ]
+    .into_iter()
+    .find_map(|(ctor, kind)| func.eq_ignore_ascii_case(ctor).then_some(kind))?;
+    Some((arg, kind))
+}
+
+/// `F(MakeSet(x))`: a function of a collection constructor, its name and
+/// what the constructor collects.
+fn aggregate_of(e: &Scalar) -> Option<(&str, (&Scalar, CollKind))> {
+    let Scalar::Call { func, args } = e else {
+        return None;
+    };
+    let [arg] = args.as_slice() else {
+        return None;
+    };
+    Some((func, coll_ctor(arg)?))
 }
 
 /// Translate a constant ESQL expression (no column references) — the
 /// value expressions of `INSERT ... VALUES`.
 pub fn translate_const_expr(e: &Ast, ctx: &SchemaCtx<'_>) -> LeraResult<Scalar> {
-    let scope = Scope { entries: vec![] };
+    let scope = Scope {
+        bindings: Vec::new(),
+        schemas: &[],
+    };
     resolve_expr(e, &scope, ctx)
 }
 
 /// Resolve an ESQL expression to a LERA scalar, inserting `VALUE` and
 /// `PROJECT` conversions ("one role of the LERA rewriter is to correctly
 /// infer types and add the necessary conversion functions", Section 3.3).
-fn resolve_expr(e: &Ast, scope: &Scope, ctx: &SchemaCtx<'_>) -> LeraResult<Scalar> {
-    let schemas = scope.schemas();
+fn resolve_expr(e: &Ast, scope: &Scope<'_>, ctx: &SchemaCtx<'_>) -> LeraResult<Scalar> {
     match e {
         Ast::Column { qualifier, name } => {
-            let (rel, attr, _) = scope.resolve_column(qualifier.as_deref(), name)?;
+            let (rel, attr) = scope.resolve_column(qualifier.as_deref(), name)?;
             Ok(Scalar::attr(rel, attr))
         }
         Ast::Int(i) => Ok(Scalar::lit(*i)),
@@ -573,7 +565,7 @@ fn resolve_expr(e: &Ast, scope: &Scope, ctx: &SchemaCtx<'_>) -> LeraResult<Scala
                 .collect::<LeraResult<Vec<_>>>()?;
             // Attribute applied as a function: Salary(Refactor).
             if resolved.len() == 1 {
-                if let Ok(arg_ty) = infer_scalar_type(&resolved[0], &schemas, ctx) {
+                if let Ok(arg_ty) = infer_scalar_type(&resolved[0], scope.schemas, ctx) {
                     if let Some((needs_deref, _, _)) = ctx.catalog.attribute_of(&arg_ty, name) {
                         let receiver = if needs_deref {
                             Scalar::call("VALUE", vec![resolved[0].clone()])
@@ -592,6 +584,7 @@ fn resolve_expr(e: &Ast, scope: &Scope, ctx: &SchemaCtx<'_>) -> LeraResult<Scala
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eds_adt::Type;
     use eds_esql::{install_source, parse_query, parse_statement, Catalog, Stmt};
 
     fn catalog() -> Catalog {
