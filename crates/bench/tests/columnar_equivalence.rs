@@ -413,3 +413,130 @@ fn database_mirrors_are_invalidated_by_every_mutation() {
     dbms.db.relation_mut("M").unwrap().push(vec![Value::Int(9)]);
     assert_eq!(dbms.query(q).unwrap().len(), 1);
 }
+
+/// Rows per zone of an `Int` column's zone map (the engine's private
+/// `ZONE_ROWS`, one selection strip).
+const ZONE: usize = 1_024;
+
+/// Zone-map edges. `ZONED` grows to 3 zones and 17 rows: `K` is a
+/// sorted key (whole zones skipped or taken), `S` is sorted with NULLs
+/// on the zone boundaries (a zone every value passes still holds a
+/// NULL), `R` holds random values with the same NULLs, and `X` is
+/// random except for zone 1, which holds `i64::MIN` and `i64::MAX` (its
+/// width overflows, so the order comparisons fall back to a compare).
+/// The mirror is built before the last rows arrive, and the `INSERT`s
+/// that follow cross from zone 2 into zone 3. Every operator is checked
+/// against each zone's `min − 1`, `min`, `min + 1`, `max − 1`, `max`,
+/// `max + 1` (a NULL's `0` included) and both extremes, as a literal and
+/// as a `?` bind: columnar on and off, against the reference
+/// interpreter.
+#[test]
+fn zone_edges_match_on_every_path() {
+    use eds_lera::{CmpOp, Scalar};
+    use eds_testkit::rng::StdRng;
+
+    let n = 3 * ZONE + 17;
+    let mut rng = StdRng::seed_from_u64(0x20E5);
+    let boundary = |i: usize| i.is_multiple_of(ZONE) || i % ZONE == ZONE - 1;
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|i| {
+            let null_or = |v: i64| {
+                if boundary(i) {
+                    Value::Null
+                } else {
+                    Value::Int(v)
+                }
+            };
+            let x = match i {
+                1_100 => i64::MIN,
+                1_900 => i64::MAX,
+                _ => rng.gen_range(-40..40i64),
+            };
+            vec![
+                Value::Int(i as i64),
+                null_or(2 * i as i64 - 3_000),
+                null_or(rng.gen_range(-50..50i64)),
+                Value::Int(x),
+            ]
+        })
+        .collect();
+    let mut dbms = Dbms::new().unwrap();
+    dbms.execute_ddl("TABLE ZONED (K : INT, S : INT, R : INT, X : INT);")
+        .unwrap();
+    let first_touch = 3 * ZONE - 5;
+    dbms.insert_all("ZONED", rows[..first_touch].iter().cloned())
+        .unwrap();
+    let touch = Expr::search(
+        vec![Expr::base("ZONED")],
+        Scalar::cmp(CmpOp::Ge, Scalar::attr(1, 1), Scalar::lit(0)),
+        vec![Scalar::attr(1, 1)],
+    );
+    assert_equivalent("first touch", &dbms, &touch);
+    dbms.insert_all("ZONED", rows[first_touch..].iter().cloned())
+        .unwrap();
+    let mirror = dbms.db.columnar("ZONED").expect("mirror maintained");
+    assert_eq!(mirror.len(), n);
+    assert_eq!(
+        *mirror,
+        ColumnarRelation::build(dbms.db.relation("ZONED").unwrap()).unwrap(),
+        "the grown mirror, zones included, equals a rebuilt one"
+    );
+
+    let search =
+        |pred: Scalar| Expr::search(vec![Expr::base("ZONED")], pred, vec![Scalar::attr(1, 1)]);
+    let col_off = EvalOptions {
+        columnar: false,
+        ..EvalOptions::default()
+    };
+    let col_on = EvalOptions {
+        columnar: true,
+        ..EvalOptions::default()
+    };
+    for j in 0..4 {
+        let payload = |row: &Vec<Value>| match row[j] {
+            Value::Int(v) => v,
+            _ => 0,
+        };
+        let mut ks = vec![i64::MIN, i64::MAX];
+        for zone in rows.chunks(ZONE) {
+            let min = zone.iter().map(payload).min().unwrap();
+            let max = zone.iter().map(payload).max().unwrap();
+            for bound in [min, max] {
+                ks.extend(
+                    [bound.checked_sub(1), Some(bound), bound.checked_add(1)]
+                        .into_iter()
+                        .flatten(),
+                );
+            }
+        }
+        ks.sort_unstable();
+        ks.dedup();
+        for op in CmpOp::ALL {
+            let bound = search(Scalar::cmp(op, Scalar::attr(1, j + 1), Scalar::param(0)));
+            for &k in &ks {
+                let literal = search(Scalar::cmp(op, Scalar::attr(1, j + 1), Scalar::lit(k)));
+                let id = format!("column {j} {} {k}", op.symbol());
+                assert_equivalent(&id, &dbms, &literal);
+                let oracle = eds_engine::eval_reference(&literal, &dbms.db, col_off).unwrap();
+                for opts in [col_off, col_on] {
+                    let (got, _) =
+                        eds_engine::eval_with_params(&bound, &dbms.db, opts, &[Value::Int(k)])
+                            .unwrap();
+                    assert_eq!(got.rows, oracle.rows, "{id} as a bind under {opts:?}");
+                }
+            }
+        }
+    }
+
+    // Conjunctions mixing verdicts: a zone one kernel skips, takes or
+    // tests beside another kernel's.
+    for sql in [
+        "SELECT K FROM ZONED WHERE K >= 1024 AND X > 0 ;",
+        "SELECT K FROM ZONED WHERE K < 2048 AND S > -3000 ;",
+        "SELECT K FROM ZONED WHERE K >= 2000 AND K < 3080 AND R <> 3 ;",
+        "SELECT K FROM ZONED WHERE S >= -3000 AND X <= 39 ;",
+        "SELECT K FROM ZONED WHERE K > 3071 AND R < 50 ;",
+    ] {
+        check(&dbms, sql);
+    }
+}

@@ -71,7 +71,10 @@ impl eds_rewrite::SchemaProvider for CatalogSchemaProvider<'_> {
 pub struct Prepared {
     /// The canonical LERA plan straight out of translation.
     pub expr: Expr,
-    /// Its output schema.
+    /// Its output schema, named by the SQL names in scope: a view's
+    /// declared column list, an `AS` alias. The result a query returns
+    /// is positional (see [`PreparedStmt::execute`]); these are its
+    /// columns' names.
     pub schema: Schema,
     /// Original source text.
     pub sql: String,
@@ -120,7 +123,9 @@ impl PreparedStmt {
         &self.sql
     }
 
-    /// Output schema.
+    /// Output schema, named by the SQL names in scope (see
+    /// [`Prepared::schema`]): the names of the positional result
+    /// [`PreparedStmt::execute`] returns.
     pub fn schema(&self) -> &Schema {
         &self.schema
     }
@@ -139,6 +144,14 @@ impl PreparedStmt {
     /// (numbered left to right in source order). The array length must
     /// equal [`PreparedStmt::param_count`] exactly —
     /// [`CoreError::BindMismatch`] otherwise.
+    ///
+    /// The result's columns are positional: column `i` is select-list
+    /// item `i`, typed as field `i` of [`PreparedStmt::schema`]. The
+    /// names on the returned [`Relation`] are the engine's, inferred
+    /// from the rewritten plan — `SELECT Key AS Z FROM V` over a view
+    /// `V (Key) AS SELECT K FROM R` returns a column named `K` — so read
+    /// names from [`PreparedStmt::schema`], which says `Z`. The same
+    /// holds for [`Dbms::query`] and [`Dbms::prepare`].
     pub fn execute(&self, dbms: &Dbms, params: &[eds_adt::Value]) -> CoreResult<Relation> {
         self.execute_with_stats(dbms, params).map(|(rel, _)| rel)
     }
@@ -479,7 +492,9 @@ impl Dbms {
         Ok(eval_with(expr, &self.db, self.eval_options)?)
     }
 
-    /// Full pipeline: parse → translate → rewrite → execute.
+    /// Full pipeline: parse → translate → rewrite → execute. The
+    /// result's columns are positional; [`Dbms::prepare`] names them
+    /// (see [`PreparedStmt::execute`]).
     pub fn query(&self, sql: &str) -> CoreResult<Relation> {
         self.run_query(&parse_query(sql)?)
     }

@@ -525,3 +525,40 @@ fn prepared_schemas_use_sql_names() {
     let types: Vec<_> = schema.fields.iter().map(|f| f.ty.to_string()).collect();
     assert_eq!(types, ["INT", "REAL"]);
 }
+
+/// Two names for one column: the prepared schema carries the SQL names
+/// (`Z`, a view's `Key`), while a result `Relation`'s columns are
+/// positional — column `i` is select-list item `i`, typed as the prepared
+/// schema's field `i` — and its names are the ones the engine infers from
+/// the rewritten plan (here the base table's `K` and `A`), whichever of
+/// `query`, `execute` or `execute_with_stats` produced it.
+#[test]
+fn result_columns_are_positional_and_the_prepared_schema_names_them() {
+    let mut dbms = Dbms::new().unwrap();
+    dbms.execute_ddl(
+        "TABLE R ( K : INT, A : REAL ) ;
+         CREATE VIEW V (Key, Amount) AS SELECT K, A FROM R ;
+         INSERT INTO R VALUES (1, 0.25) ;
+         INSERT INTO R VALUES (2, 0.75) ;",
+    )
+    .unwrap();
+    let sql = "SELECT Amount AS Z, Key FROM V WHERE Key = ? ;";
+    let stmt = dbms.prepare_stmt(sql).unwrap();
+    assert_eq!(stmt.schema().names(), ["Z", "Key"]);
+    assert_eq!(dbms.prepare(sql).unwrap().schema.names(), ["Z", "Key"]);
+    let got = stmt.execute(&dbms, &[Value::Int(2)]).unwrap();
+    assert_eq!(got.schema.names(), ["A", "K"]);
+    let types = |fields: &[eds_adt::Field]| -> Vec<String> {
+        fields.iter().map(|f| f.ty.to_string()).collect()
+    };
+    assert_eq!(types(&got.schema.fields), types(&stmt.schema().fields));
+    assert_eq!(got.rows.len(), 1);
+    assert_eq!(got.rows[0].to_vec(), [Value::real(0.75), Value::Int(2)]);
+    let (with_stats, _) = stmt.execute_with_stats(&dbms, &[Value::Int(2)]).unwrap();
+    assert_eq!(with_stats.schema.names(), ["A", "K"]);
+    let queried = dbms
+        .query("SELECT Amount AS Z, Key FROM V WHERE Key = 2 ;")
+        .unwrap();
+    assert_eq!(queried.schema.names(), ["A", "K"]);
+    assert_eq!(queried.rows, got.rows);
+}

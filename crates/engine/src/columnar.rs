@@ -19,6 +19,10 @@
 //! returns `None` and the engine never asks again until the table
 //! changes.
 //!
+//! Each `Int` column also keeps a zone map — the min and max payload of
+//! every `ZONE_ROWS` rows — which lets a comparison against a constant
+//! skip or take a whole selection strip without reading its rows.
+//!
 //! [`SharedRow`]: crate::relation::SharedRow
 
 use std::collections::HashMap;
@@ -57,11 +61,30 @@ impl NullBitmap {
     /// bits of any other are peeled off with `trailing_zeros` — a sparse
     /// NULL pattern pays per NULL, not per row.
     pub(crate) fn for_each_null(&self, lo: usize, hi: usize, mut f: impl FnMut(usize)) {
-        if !self.any || lo >= hi {
-            return;
+        for (w, mut bits) in self.words_in(lo, hi) {
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
         }
-        let (first, last) = (lo / 64, (hi - 1) / 64);
-        for w in first..=last {
+    }
+
+    /// Is any row in `[lo, hi)` NULL? One load per word, none at all
+    /// for a column without NULLs.
+    pub(crate) fn any_in(&self, lo: usize, hi: usize) -> bool {
+        self.words_in(lo, hi).any(|(_, bits)| bits != 0)
+    }
+
+    /// The words covering `[lo, hi)` with their index, masked to the
+    /// range's bits; nothing when the column has no NULL.
+    fn words_in(&self, lo: usize, hi: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let (first, last) = (lo / 64, hi.saturating_sub(1) / 64);
+        let words = if self.any && lo < hi {
+            first..last + 1
+        } else {
+            0..0
+        };
+        words.map(move |w| {
             let mut bits = self.words[w];
             if w == first {
                 bits &= u64::MAX << (lo % 64);
@@ -69,11 +92,8 @@ impl NullBitmap {
             if w == last {
                 bits &= u64::MAX >> (63 - (hi - 1) % 64);
             }
-            while bits != 0 {
-                f(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
+            (w, bits)
+        })
     }
 
     /// Record row `i` as appended, growing the word vector as needed so
@@ -90,6 +110,49 @@ impl NullBitmap {
     }
 }
 
+/// Rows per zone of an `Int` column. Equal to the selection strip of
+/// [`ColumnarPred::select_range`](crate::compile::ColumnarPred::select_range)
+/// and a divisor of [`MORSEL_ROWS`](crate::parallel::MORSEL_ROWS), so a
+/// morsel's strips each cover exactly one zone.
+pub(crate) const ZONE_ROWS: usize = 1024;
+
+/// A zone map (Moerkotte's *small materialized aggregates*): the
+/// minimum and maximum payload of every [`ZONE_ROWS`] rows of an `Int`
+/// column, the last zone covering what rows there are. A NULL row's
+/// `0` payload counts, so a zone's bounds hold every payload in it —
+/// conservative, never wrong: a comparison no value in the zone can
+/// pass rejects the zone whole, NULLs included.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Zones(Vec<(i64, i64)>);
+
+impl Zones {
+    fn with_capacity(n: usize) -> Zones {
+        Zones(Vec::with_capacity(n.div_ceil(ZONE_ROWS)))
+    }
+
+    /// Record payload `x` appended as row `i`.
+    fn push(&mut self, i: usize, x: i64) {
+        match self.0.last_mut() {
+            Some((min, max)) if !i.is_multiple_of(ZONE_ROWS) => {
+                *min = (*min).min(x);
+                *max = (*max).max(x);
+            }
+            _ => self.0.push((x, x)),
+        }
+    }
+
+    /// The `(min, max)` over every zone `[lo, hi)` overlaps: one zone for
+    /// an aligned strip, their fold for one that straddles a boundary.
+    /// `lo < hi <= len` of the column.
+    pub(crate) fn span(&self, lo: usize, hi: usize) -> (i64, i64) {
+        self.0[lo / ZONE_ROWS..hi.div_ceil(ZONE_ROWS)]
+            .iter()
+            .fold((i64::MAX, i64::MIN), |(min, max), &(zmin, zmax)| {
+                (min.min(zmin), max.max(zmax))
+            })
+    }
+}
+
 /// One attribute of a columnar mirror. Typed variants hold the decoded
 /// payloads contiguously (null rows hold a default payload and set their
 /// bitmap bit); `Spill` keeps the original [`Value`]s for shapes the
@@ -102,6 +165,8 @@ pub(crate) enum Column {
         values: Vec<i64>,
         /// Null positions.
         nulls: NullBitmap,
+        /// Min and max payload per [`ZONE_ROWS`] rows.
+        zones: Zones,
     },
     /// `Value::Str` column, interned: `ids[i]` indexes `pool`, which
     /// holds each distinct string once. Comparisons against a constant
@@ -127,7 +192,7 @@ impl Column {
     /// value the mirror was built from).
     pub(crate) fn value(&self, i: usize) -> Value {
         match self {
-            Column::Int { values, nulls } => {
+            Column::Int { values, nulls, .. } => {
                 if nulls.is_null(i) {
                     Value::Null
                 } else {
@@ -157,7 +222,7 @@ impl Column {
     /// repeated row without building a `Value`.
     pub(crate) fn hash_at<H: Hasher>(&self, i: usize, h: &mut H) {
         match self {
-            Column::Int { values, nulls } => (nulls.is_null(i), values[i]).hash(h),
+            Column::Int { values, nulls, .. } => (nulls.is_null(i), values[i]).hash(h),
             Column::Str { ids, nulls, .. } => (nulls.is_null(i), ids[i]).hash(h),
             Column::Spill(values) => values[i].hash(h),
         }
@@ -167,7 +232,7 @@ impl Column {
     /// [`Column::hash_at`] hashes, which is `Value` equality.
     pub(crate) fn eq_at(&self, a: usize, b: usize) -> bool {
         match self {
-            Column::Int { values, nulls } => {
+            Column::Int { values, nulls, .. } => {
                 (nulls.is_null(a), values[a]) == (nulls.is_null(b), values[b])
             }
             Column::Str { ids, nulls, .. } => {
@@ -193,28 +258,39 @@ impl Column {
     }
 
     /// Append `v` as row `i` — the one decode path, shared by
-    /// [`build_column`] and [`ColumnarRelation::push_row`]. Callers must
-    /// have established [`Column::accepts`] first (the kind scan, or the
-    /// per-row check), so a mismatch never leaves a column half-appended.
+    /// [`build_column`] and [`ColumnarRelation::push_row`], and the one
+    /// place an `Int` column's zones grow. Callers must have established
+    /// [`Column::accepts`] first (the kind scan, or the per-row check),
+    /// so a mismatch never leaves a column half-appended: a typed column
+    /// then meets only its own kind or NULL, and decodes anything else
+    /// as NULL.
     fn push(&mut self, v: &Value, i: usize) {
-        match (self, v) {
-            (Column::Int { values, nulls }, Value::Int(x)) => {
-                values.push(*x);
-                nulls.push(i, false);
+        debug_assert!(self.accepts(v));
+        match self {
+            Column::Int {
+                values,
+                nulls,
+                zones,
+            } => {
+                let (x, null) = match v {
+                    Value::Int(x) => (*x, false),
+                    _ => (0, true),
+                };
+                values.push(x);
+                nulls.push(i, null);
+                zones.push(i, x);
             }
-            (Column::Int { values, nulls }, Value::Null) => {
-                values.push(0);
-                nulls.push(i, true);
-            }
-            (
-                Column::Str {
-                    ids,
-                    pool,
-                    lookup,
-                    nulls,
-                },
-                Value::Str(s),
-            ) => {
+            Column::Str {
+                ids,
+                pool,
+                lookup,
+                nulls,
+            } => {
+                let Value::Str(s) = v else {
+                    ids.push(0);
+                    nulls.push(i, true);
+                    return;
+                };
                 let id = match lookup.get(s.as_str()) {
                     Some(&id) => id,
                     None => {
@@ -228,12 +304,7 @@ impl Column {
                 ids.push(id);
                 nulls.push(i, false);
             }
-            (Column::Str { ids, nulls, .. }, Value::Null) => {
-                ids.push(0);
-                nulls.push(i, true);
-            }
-            (Column::Spill(values), v) => values.push(v.clone()),
-            _ => unreachable!("caller admitted only values of the column's kind"),
+            Column::Spill(values) => values.push(v.clone()),
         }
     }
 }
@@ -372,6 +443,7 @@ fn build_column(rows: &[crate::relation::SharedRow], j: usize, n: usize) -> Colu
         Some(Value::Int(_)) => Column::Int {
             values: Vec::with_capacity(n),
             nulls: NullBitmap::with_capacity(n),
+            zones: Zones::with_capacity(n),
         },
         Some(Value::Str(_)) => Column::Str {
             ids: Vec::with_capacity(n),
@@ -494,6 +566,58 @@ mod tests {
                 assert_eq!(&full.row(i), row, "case {case} row {i}");
             }
         }
+    }
+
+    /// Zones follow the rows through `push_row`: a mirror grown row by
+    /// row across four zones and a bit, with NULLs (payload `0`) on zone
+    /// boundaries and scattered, equals a rebuilt one, each zone's span is
+    /// the min and max of its payloads, and a range straddling a boundary
+    /// folds both zones.
+    #[test]
+    fn zones_survive_push_row() {
+        use eds_testkit::rng::StdRng;
+        let mut rng = StdRng::seed_from_u64(0x2035);
+        let n = 4 * ZONE_ROWS + 3;
+        let rows: Vec<Row> = (0..n)
+            .map(|i| {
+                let null = i > 0 && (i.is_multiple_of(ZONE_ROWS) || rng.gen_bool(0.01));
+                let shift = 5_000 * (i / ZONE_ROWS) as i64;
+                vec![if null {
+                    Value::Null
+                } else {
+                    Value::Int(rng.gen_range(-1_000..1_000i64) + shift)
+                }]
+            })
+            .collect();
+        let mut grown = ColumnarRelation::build(&Relation::new(schema(&["x"]), rows[..1].to_vec()))
+            .expect("typed");
+        for row in &rows[1..] {
+            assert!(grown.push_row(row));
+        }
+        let full =
+            ColumnarRelation::build(&Relation::new(schema(&["x"]), rows.clone())).expect("typed");
+        assert_eq!(grown, full);
+        let Some(Column::Int { zones, .. }) = grown.column(0) else {
+            panic!("expected an Int column");
+        };
+        let payload = |row: &Row| match row[0] {
+            Value::Int(x) => x,
+            _ => 0,
+        };
+        let mut spans = Vec::new();
+        for (z, chunk) in rows.chunks(ZONE_ROWS).enumerate() {
+            let min = chunk.iter().map(payload).min().unwrap();
+            let max = chunk.iter().map(payload).max().unwrap();
+            let lo = z * ZONE_ROWS;
+            assert_eq!(zones.span(lo, lo + chunk.len()), (min, max), "zone {z}");
+            assert_eq!(zones.span(lo, lo + 1), (min, max), "zone {z}, one row");
+            spans.push((min, max));
+        }
+        // Zone 1 starts with a NULL: its `0` widens the span below the
+        // zone's values.
+        assert_eq!(spans[1].0, 0);
+        let folded = (spans[0].0.min(spans[1].0), spans[0].1.max(spans[1].1));
+        assert_eq!(zones.span(ZONE_ROWS - 1, ZONE_ROWS + 1), folded);
     }
 
     /// `for_each_null` over `[lo, hi)` visits exactly the rows the

@@ -22,6 +22,7 @@
 //! executors — and so the two evaluators — on the full workload suite.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use eds_adt::{
@@ -29,9 +30,10 @@ use eds_adt::{
 };
 use eds_lera::{CmpOp, LeraError, Scalar};
 
-use crate::columnar::{Column, ColumnarRelation, NullBitmap};
+use crate::columnar::{Column, ColumnarRelation, NullBitmap, Zones, ZONE_ROWS};
 use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
+use crate::parallel::MORSEL_ROWS;
 
 /// The immutable evaluation environment a compiled program runs against:
 /// the slices of a [`Database`] that scalar evaluation can touch. `Sync`,
@@ -611,7 +613,9 @@ impl CompiledProj {
 /// Selection semantics match the row path exactly: a row is selected
 /// iff every conjunct evaluates to `TRUE` (NULL and FALSE both drop the
 /// row), so kernels only ever *remove* indices and their order of
-/// application cannot change the result.
+/// application cannot change the result — nor can a zone map's verdict,
+/// which only ever skips rows no kernel would keep or keeps rows every
+/// kernel would (see [`ColumnarPred::select_range`]).
 pub struct ColumnarPred<'c> {
     kernels: Vec<Kern<'c>>,
 }
@@ -626,10 +630,12 @@ enum Kern<'c> {
     /// Conjunct is never TRUE (NULL/FALSE constant result): selects
     /// nothing.
     NeverTrue,
-    /// `Int` column vs integer constant.
+    /// `Int` column vs integer constant; the column's zone map gives
+    /// each strip a [`Verdict`] before a row is read.
     IntConst {
         values: &'c [i64],
         nulls: &'c NullBitmap,
+        zones: &'c Zones,
         op: CmpOp,
         k: i64,
     },
@@ -649,6 +655,41 @@ enum Kern<'c> {
         bn: &'c NullBitmap,
         op: CmpOp,
     },
+}
+
+/// What one kernel can tell about a strip before reading a row of it.
+enum Verdict {
+    /// No row of the strip can pass: the strip selects nothing.
+    Skip,
+    /// Every row passes — no NULL, every payload on the right side of
+    /// the constant: the kernel need not run on this strip.
+    Take,
+    /// Rows must be tested. `sign`: an order comparison whose constant
+    /// lies inside the strip's zone, and the zone's width `max − min`
+    /// fits an `i64`, so every `k − v` and `v − k` does too and the test
+    /// may read the sign of a difference (see [`ColumnarPred::apply`]).
+    Test { sign: bool },
+}
+
+/// The verdict of `v op k` over a strip whose payloads all lie in
+/// `[min, max]` and which holds a NULL iff `nulls`. A NULL fails every
+/// comparison, so it can only demote `Take` to `Test`.
+fn int_verdict(op: CmpOp, k: i64, (min, max): (i64, i64), nulls: bool) -> Verdict {
+    let (none, all) = match op {
+        CmpOp::Eq => (k < min || k > max, min == k && max == k),
+        CmpOp::Ne => (min == k && max == k, k < min || k > max),
+        CmpOp::Lt => (min >= k, max < k),
+        CmpOp::Le => (min > k, max <= k),
+        CmpOp::Gt => (max <= k, min > k),
+        CmpOp::Ge => (max < k, min >= k),
+    };
+    match (none, all) {
+        (true, _) => Verdict::Skip,
+        (false, true) if !nulls => Verdict::Take,
+        _ => Verdict::Test {
+            sign: !all && max.checked_sub(min).is_some(),
+        },
+    }
 }
 
 /// Lanes per unrolled strip of the flag kernels. 16 `u8` flags is one
@@ -703,12 +744,7 @@ fn and_map2<A: Copy, B: Copy>(flags: &mut [u8], a: &[A], b: &[B], test: impl Fn(
 /// instantiates [`and_map`] with a monomorphic branch-free test, so the
 /// loop body contains exactly one compare + one AND per lane.
 #[inline]
-fn and_cmp<T: Copy>(
-    flags: &mut [u8],
-    vals: &[T],
-    op: CmpOp,
-    ord: impl Fn(T) -> std::cmp::Ordering + Copy,
-) {
+fn and_cmp<T: Copy>(flags: &mut [u8], vals: &[T], op: CmpOp, ord: impl Fn(T) -> Ordering + Copy) {
     match op {
         CmpOp::Eq => and_map(flags, vals, move |v| ord(v).is_eq()),
         CmpOp::Ne => and_map(flags, vals, move |v| ord(v).is_ne()),
@@ -726,7 +762,7 @@ fn and_cmp2<A: Copy, B: Copy>(
     a: &[A],
     b: &[B],
     op: CmpOp,
-    ord: impl Fn(A, B) -> std::cmp::Ordering + Copy,
+    ord: impl Fn(A, B) -> Ordering + Copy,
 ) {
     match op {
         CmpOp::Eq => and_map2(flags, a, b, move |x, y| ord(x, y).is_eq()),
@@ -746,23 +782,50 @@ fn and_not_null(flags: &mut [u8], nulls: &NullBitmap, lo: usize) {
     nulls.for_each_null(lo, lo + flags.len(), |i| flags[i - lo] = 0);
 }
 
-/// Append `base + j` for every set flag `j`, ascending. Flags are
-/// exactly `0` or `1`, so eight of them read as one `u64` that is zero
-/// when the whole group was rejected (one compare skips it) and whose
-/// lowest set bit is otherwise the next survivor.
+/// Keep the indices `i` of `sel` whose `ord(i)` — `None` for a NULL
+/// operand — satisfies `op`. As in [`and_cmp`], the operator is matched
+/// once, outside the loop: each arm is a monomorphic `retain`.
+#[inline]
+fn retain_cmp(sel: &mut Vec<u32>, op: CmpOp, ord: impl Fn(usize) -> Option<Ordering> + Copy) {
+    let holds = |i: &u32, test: fn(Ordering) -> bool| ord(*i as usize).is_some_and(test);
+    match op {
+        CmpOp::Eq => sel.retain(|i| holds(i, Ordering::is_eq)),
+        CmpOp::Ne => sel.retain(|i| holds(i, Ordering::is_ne)),
+        CmpOp::Lt => sel.retain(|i| holds(i, Ordering::is_lt)),
+        CmpOp::Gt => sel.retain(|i| holds(i, Ordering::is_gt)),
+        CmpOp::Le => sel.retain(|i| holds(i, Ordering::is_le)),
+        CmpOp::Ge => sel.retain(|i| holds(i, Ordering::is_ge)),
+    }
+}
+
+/// How many of `flags` are set. Flags are exactly `0` or `1`, so eight
+/// of them read as one `u64` whose byte sum (at most 8, no carry) one
+/// multiply by `0x0101…01` gathers into the top byte.
+#[inline]
+fn count_survivors(flags: &[u8]) -> usize {
+    let (groups, rest) = flags.as_chunks::<8>();
+    let bytes = |g: &[u8; 8]| u64::from_ne_bytes(*g).wrapping_mul(0x0101_0101_0101_0101) >> 56;
+    let dense: u64 = groups.iter().map(bytes).sum();
+    dense as usize + rest.iter().map(|&f| usize::from(f)).sum::<usize>()
+}
+
+/// Append `base + j` for every set flag `j`, ascending. Eight flags
+/// read as one `u64` that is zero when the whole group was rejected
+/// (one compare skips it) and whose lowest set bit is otherwise the
+/// next survivor.
 #[inline]
 fn push_survivors(flags: &[u8], base: usize, out: &mut Vec<u32>) {
-    let mut groups = flags.chunks_exact(8);
+    let (groups, rest) = flags.as_chunks::<8>();
     let mut at = base;
-    for group in &mut groups {
-        let mut word = u64::from_le_bytes(group.try_into().expect("chunk of 8"));
+    for group in groups {
+        let mut word = u64::from_le_bytes(*group);
         while word != 0 {
             out.push((at + word.trailing_zeros() as usize / 8) as u32);
             word &= word - 1;
         }
         at += 8;
     }
-    for (j, flag) in groups.remainder().iter().enumerate() {
+    for (j, flag) in rest.iter().enumerate() {
         if *flag != 0 {
             out.push((at + j) as u32);
         }
@@ -773,13 +836,38 @@ fn push_survivors(flags: &[u8], base: usize, out: &mut Vec<u32>) {
 /// stack array that stays in L1 across every kernel pass and the final
 /// extraction, so adding a conjunct never adds a full-width pass over
 /// a heap flag vector — only over the (typed, contiguous) column data
-/// it actually reads.
-const SELECT_STRIP: usize = 1024;
+/// it actually reads. One strip is one zone of an `Int` column, so a
+/// strip's [`Verdict`] reads one zone.
+const SELECT_STRIP: usize = ZONE_ROWS;
+
+const _: () = assert!(MORSEL_ROWS.is_multiple_of(SELECT_STRIP));
 
 impl ColumnarPred<'_> {
+    /// What `kern`'s zone map says about the strip `[lo, hi)`. Only an
+    /// `Int`-vs-constant kernel has one; the others are `Take` when they
+    /// hold for every row, `Skip` when for none, and `Test` otherwise.
+    fn verdict(kern: &Kern<'_>, lo: usize, hi: usize) -> Verdict {
+        match kern {
+            Kern::AllTrue => Verdict::Take,
+            Kern::NeverTrue => Verdict::Skip,
+            Kern::IntConst {
+                nulls,
+                zones,
+                op,
+                k,
+                ..
+            } => int_verdict(*op, *k, zones.span(lo, hi), nulls.any_in(lo, hi)),
+            Kern::StrPool { .. } | Kern::IntInt { .. } => Verdict::Test { sign: false },
+        }
+    }
+
     /// Apply one kernel to the strip `[lo, hi)`, AND-ing its verdict
-    /// into `flags` (one byte per row of the strip).
-    fn apply(kern: &Kern<'_>, flags: &mut [u8], lo: usize, hi: usize) {
+    /// into `flags` (one byte per row of the strip). With `sign` (see
+    /// [`Verdict::Test`]) an `Int` order comparison tests the sign of
+    /// `k − v` or `v − k` — `k ± 1` for the non-strict forms — which
+    /// SSE2's packed 64-bit subtract serves where it has no packed
+    /// 64-bit signed compare.
+    fn apply(kern: &Kern<'_>, sign: bool, flags: &mut [u8], lo: usize, hi: usize) {
         match kern {
             Kern::AllTrue | Kern::NeverTrue => {}
             Kern::IntConst {
@@ -787,9 +875,25 @@ impl ColumnarPred<'_> {
                 nulls,
                 op,
                 k,
+                ..
             } => {
-                let k = *k;
-                and_cmp(flags, &values[lo..hi], *op, move |v: i64| v.cmp(&k));
+                let (vals, k) = (&values[lo..hi], *k);
+                // With `sign`, `k` lies inside the zone: `k − 1` (`Ge`)
+                // and `k + 1` (`Le`) stay inside it, and no difference
+                // of two of its values overflows.
+                match (op, sign) {
+                    (CmpOp::Gt, true) => and_map(flags, vals, move |v| k.wrapping_sub(v) < 0),
+                    (CmpOp::Ge, true) => {
+                        let c = k - 1;
+                        and_map(flags, vals, move |v| c.wrapping_sub(v) < 0);
+                    }
+                    (CmpOp::Lt, true) => and_map(flags, vals, move |v| v.wrapping_sub(k) < 0),
+                    (CmpOp::Le, true) => {
+                        let c = k + 1;
+                        and_map(flags, vals, move |v| v.wrapping_sub(c) < 0);
+                    }
+                    _ => and_cmp(flags, vals, *op, move |v: i64| v.cmp(&k)),
+                }
                 and_not_null(flags, nulls, lo);
             }
             Kern::StrPool { ids, nulls, truth } => {
@@ -816,8 +920,9 @@ impl ColumnarPred<'_> {
 
     /// Apply one kernel to a sparse (absolute-index) survivor list,
     /// dropping rows it rejects. Operator dispatch is hoisted out of
-    /// the per-row loop exactly as in [`Self::apply`]; each arm is a
-    /// monomorphic `retain` over the (already small) index list.
+    /// the per-row loop exactly as in [`Self::apply`]: each comparison
+    /// arm is a monomorphic `retain` ([`retain_cmp`]) over the (already
+    /// small) index list.
     fn retain_sparse(kern: &Kern<'_>, sel: &mut Vec<u32>) {
         match kern {
             Kern::AllTrue | Kern::NeverTrue => {}
@@ -826,17 +931,14 @@ impl ColumnarPred<'_> {
                 nulls,
                 op,
                 k,
-            } => sel.retain(|&i| {
-                let i = i as usize;
-                !nulls.is_null(i) && op.holds(values[i].cmp(k))
-            }),
+                ..
+            } => retain_cmp(sel, *op, |i| (!nulls.is_null(i)).then(|| values[i].cmp(k))),
             Kern::StrPool { ids, nulls, truth } => sel.retain(|&i| {
                 let i = i as usize;
                 !nulls.is_null(i) && truth[ids[i] as usize]
             }),
-            Kern::IntInt { a, b, an, bn, op } => sel.retain(|&i| {
-                let i = i as usize;
-                !an.is_null(i) && !bn.is_null(i) && op.holds(a[i].cmp(&b[i]))
+            Kern::IntInt { a, b, an, bn, op } => retain_cmp(sel, *op, |i| {
+                (!an.is_null(i) && !bn.is_null(i)).then(|| a[i].cmp(&b[i]))
             }),
         }
     }
@@ -846,42 +948,56 @@ impl ColumnarPred<'_> {
     /// error lower to kernels.
     ///
     /// Evaluation is strip-at-a-time and **adaptive**. Each
-    /// `SELECT_STRIP`-row strip starts on a byte-per-row selection
-    /// *flag* buffer: kernels make contiguous branchless passes AND-ing
-    /// their verdict into the flags (`and_map`/`and_map2`), so
-    /// column data streams through typed slices in strict ascending
-    /// order — the layout the compiler auto-vectorizes — while the
-    /// flag buffer lives on the stack and never leaves L1. After each
-    /// dense pass the strip's survivor count (an L1 byte sum) decides
-    /// whether to stay dense or pivot: once fewer than a quarter of the
-    /// strip survives, the survivors are extracted into a sparse index
-    /// list and the remaining kernels run as per-index gathers
-    /// (`retain_sparse`), so a highly selective leading
-    /// conjunct — `B = 3` in front of a tail of near-vacuous range
-    /// checks, say — spares the tail its full-width passes.
+    /// `SELECT_STRIP`-row strip first asks every kernel for its
+    /// `Verdict`, read off the zone map without touching a row: one
+    /// `Skip` drops the strip, and a strip every kernel `Take`s is
+    /// selected whole. The kernels left to `Test` start on a
+    /// byte-per-row selection *flag* buffer: they make contiguous
+    /// branchless passes AND-ing their verdict into the flags
+    /// (`and_map`/`and_map2`), so column data streams through typed
+    /// slices in strict ascending order — the layout the compiler
+    /// auto-vectorizes — while the flag buffer lives on the stack and
+    /// never leaves L1. After each dense pass the strip's survivor count
+    /// decides whether to stay dense or pivot: once fewer than a quarter
+    /// of the strip survives, the survivors are extracted into a sparse
+    /// index list and the remaining kernels run as per-index gathers
+    /// (`retain_sparse`), so a highly selective leading conjunct —
+    /// `B = 3` in front of a tail of near-vacuous range checks, say —
+    /// spares the tail its full-width passes.
     pub fn select_range(&self, lo: usize, hi: usize) -> Vec<u32> {
-        if hi <= lo || self.kernels.iter().any(|k| matches!(k, Kern::NeverTrue)) {
-            return Vec::new();
-        }
         let mut out = Vec::new();
         let mut flags = [1u8; SELECT_STRIP];
         let mut sparse: Vec<u32> = Vec::new();
-        let mut strip_lo = lo;
-        while strip_lo < hi {
-            let strip_hi = (strip_lo + SELECT_STRIP).min(hi);
+        let mut tests: Vec<(&Kern<'_>, bool)> = Vec::with_capacity(self.kernels.len());
+        let mut strip_hi = lo;
+        'strips: while strip_hi < hi {
+            let strip_lo = strip_hi;
+            strip_hi = (strip_lo + SELECT_STRIP).min(hi);
+            tests.clear();
+            for kern in &self.kernels {
+                match Self::verdict(kern, strip_lo, strip_hi) {
+                    Verdict::Skip => continue 'strips,
+                    Verdict::Take => {}
+                    Verdict::Test { sign } => tests.push((kern, sign)),
+                }
+            }
+            if tests.is_empty() {
+                out.extend(strip_lo as u32..strip_hi as u32);
+                continue;
+            }
             let n = strip_hi - strip_lo;
             let f = &mut flags[..n];
             f.fill(1);
             let mut dense = true;
             let mut dead = false;
-            let mut kerns = self.kernels.iter();
-            while let Some(kern) = kerns.next() {
+            let mut kerns = tests.iter();
+            while let Some(&(kern, sign)) = kerns.next() {
                 if dense {
-                    Self::apply(kern, f, strip_lo, strip_hi);
+                    Self::apply(kern, sign, f, strip_lo, strip_hi);
                     if kerns.len() == 0 {
                         break;
                     }
-                    let survivors: usize = f.iter().map(|&x| x as usize).sum();
+                    let survivors = count_survivors(f);
                     if survivors == 0 {
                         dead = true;
                         break;
@@ -906,7 +1022,6 @@ impl ColumnarPred<'_> {
                     out.extend_from_slice(&sparse);
                 }
             }
-            strip_lo = strip_hi;
         }
         out
     }
@@ -1067,9 +1182,17 @@ fn lower_col_const<'c>(op: CmpOp, col: &'c Column, k: &Value) -> Option<Kern<'c>
         // NULL comparand: the comparison is NULL for every row, which a
         // qualification treats as "not selected".
         (_, Value::Null) => Some(Kern::NeverTrue),
-        (Column::Int { values, nulls }, Value::Int(i)) => Some(Kern::IntConst {
+        (
+            Column::Int {
+                values,
+                nulls,
+                zones,
+            },
+            Value::Int(i),
+        ) => Some(Kern::IntConst {
             values,
             nulls,
+            zones,
             op,
             k: *i,
         }),
@@ -1097,10 +1220,12 @@ fn lower_col_col<'c>(op: CmpOp, ca: &'c Column, cb: &'c Column) -> Option<Kern<'
             Column::Int {
                 values: a,
                 nulls: an,
+                ..
             },
             Column::Int {
                 values: b,
                 nulls: bn,
+                ..
             },
         ) => Some(Kern::IntInt { a, b, an, bn, op }),
         _ => None,
@@ -1255,5 +1380,91 @@ fn deref_cow<'v>(v: Cow<'v, Value>, env: &EvalEnv<'v>) -> EngineResult<Cow<'v, V
             Ok(Cow::Owned(Value::coll(kind, mapped)))
         }
         other => Ok(other),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::relation::{Relation, Row};
+    use eds_adt::{Field, Type};
+    use eds_lera::Schema;
+    use eds_testkit::rng::StdRng;
+
+    /// Over aligned and unaligned ranges of a mirror of three zones and
+    /// 17 rows — a sorted key, a clustered column with NULLs, random
+    /// values with NULLs, and small values beside `i64::MIN` /
+    /// `i64::MAX` — `select_range(lo, hi)` selects exactly the rows the
+    /// row path keeps, one conjunction of one or two comparisons at a
+    /// time.
+    #[test]
+    fn unaligned_select_range_equals_a_row_by_row_filter() {
+        let mut rng = StdRng::seed_from_u64(0x5E1E);
+        let n = 3 * ZONE_ROWS + 17;
+        let rows: Vec<Row> = (0..n as i64)
+            .map(|i| {
+                let gap = |v: i64, null: bool| if null { Value::Null } else { Value::Int(v) };
+                let c = rng.gen_range(-20..20i64);
+                let d = match i % 500 {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    _ => rng.gen_range(-3..3i64),
+                };
+                vec![
+                    Value::Int(i),
+                    gap(i / 300, i % 97 == 5),
+                    gap(c, rng.gen_bool(0.05)),
+                    Value::Int(d),
+                ]
+            })
+            .collect();
+        let fields = ["a", "b", "c", "d"].map(|f| Field::new(f, Type::Any));
+        let rel = Relation::new(Schema::new(fields.to_vec()), rows.clone());
+        let cols = ColumnarRelation::build(&rel).expect("typed");
+        let db = Database::new();
+        let env = EvalEnv::of(&db);
+        let mut ranges = vec![
+            (0, n),
+            (ZONE_ROWS, 2 * ZONE_ROWS),
+            (1_000, 1_050),
+            (n - 1, n),
+        ];
+        for _ in 0..300 {
+            let lo = rng.gen_range(0..n);
+            ranges.push((lo, rng.gen_range(lo..n + 1)));
+        }
+        for (case, (lo, hi)) in ranges.into_iter().enumerate() {
+            let mut conjunct = || {
+                let k = match rng.gen_range(0..4u8) {
+                    0 => rng.gen_range(-25..25i64),
+                    1 => rng.gen_range(0..n as i64 + 2),
+                    2 => i64::MIN,
+                    _ => i64::MAX,
+                };
+                let op = CmpOp::ALL[rng.gen_range(0..6usize)];
+                Scalar::cmp(
+                    op,
+                    Scalar::attr(1, rng.gen_range(1..5usize)),
+                    Scalar::lit(k),
+                )
+            };
+            let mut pred = conjunct();
+            if case % 2 == 1 {
+                pred = Scalar::and(pred, conjunct());
+            }
+            let compiled = CompiledPred::compile(&pred, &env);
+            let lowered = compiled
+                .columnar(&cols, &[])
+                .expect("every conjunct has a kernel");
+            let want: Vec<u32> = (lo..hi)
+                .filter(|&i| compiled.eval_bool(&[&rows[i]], &env).unwrap())
+                .map(|i| i as u32)
+                .collect();
+            assert_eq!(
+                lowered.select_range(lo, hi),
+                want,
+                "case {case}: {pred:?} over [{lo}, {hi})"
+            );
+        }
     }
 }

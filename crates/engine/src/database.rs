@@ -4,6 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use eds_adt::{FunctionRegistry, ObjectStore, Oid, Value};
+use eds_esql::catalog::lookup_key;
 use eds_esql::{Catalog, Stmt, TableSchema};
 use eds_lera::{Schema, SchemaCtx};
 
@@ -77,17 +78,17 @@ impl Database {
     /// exist or is not column-friendly (empty, or every attribute
     /// spills) — negative results are cached too.
     pub fn columnar(&self, name: &str) -> Option<Arc<ColumnarRelation>> {
-        let key = name.to_ascii_uppercase();
+        let key = lookup_key(name);
         let cache = self.columnar.lock();
         let mut cache = cache.unwrap_or_else(PoisonError::into_inner);
-        if let Some(entry) = cache.get(&key) {
+        if let Some(entry) = cache.get(key.as_ref()) {
             return entry.clone();
         }
         let built = self
             .relations
-            .get(&key)
+            .get(key.as_ref())
             .and_then(|rel| ColumnarRelation::build(rel).map(Arc::new));
-        cache.insert(key, built.clone());
+        cache.insert(key.into_owned(), built.clone());
         built
     }
 
@@ -95,14 +96,14 @@ impl Database {
     /// and cached until the table is mutated. `None` when no such table
     /// exists (views and recursion variables have no stored rows).
     pub fn table_stats(&self, name: &str) -> Option<Arc<TableStats>> {
-        let key = name.to_ascii_uppercase();
+        let key = lookup_key(name);
         let cache = self.stats.lock();
         let mut cache = cache.unwrap_or_else(PoisonError::into_inner);
-        if let Some(entry) = cache.get(&key) {
+        if let Some(entry) = cache.get(key.as_ref()) {
             return Some(entry.clone());
         }
-        let built = Arc::new(TableStats::build(self.relations.get(&key)?));
-        cache.insert(key, built.clone());
+        let built = Arc::new(TableStats::build(self.relations.get(key.as_ref())?));
+        cache.insert(key.into_owned(), built.clone());
         Some(built)
     }
 
@@ -251,7 +252,7 @@ impl Database {
 
     /// Stored relation by name.
     pub fn relation(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(&name.to_ascii_uppercase())
+        self.relations.get(lookup_key(name).as_ref())
     }
 
     /// Mutable stored relation (for bulk loading in benchmarks). The
