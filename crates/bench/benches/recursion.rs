@@ -1,22 +1,13 @@
 //! Experiment F9 — fixpoint reduction: the Alexander invocation rule
 //! (Figure 9), crossed with naive vs semi-naive fixpoint evaluation.
 //! Graph-size sweep for the bound query `TC(Src = c)`, counted in
-//! logical work (`EvalStats::cross_product`).
+//! logical work (`EvalStats::cross_product`). The executor runs the
+//! semi-naive columns; the naive ones are the definition of `fix`,
+//! written out by [`eds_bench::naive_fix`].
 
-use eds_bench::graph_dbms;
-use eds_engine::{EvalOptions, FixMode, FixOptions};
+use eds_bench::{graph_dbms, naive_fix};
 use eds_testkit::bench::{BenchmarkId, Criterion};
 use eds_testkit::{criterion_group, criterion_main};
-
-fn opts(mode: FixMode) -> EvalOptions {
-    EvalOptions {
-        fix: FixOptions {
-            mode,
-            max_iterations: 100_000,
-        },
-        ..Default::default()
-    }
-}
 
 fn series() {
     println!("\n# F9 fixpoint reduction: cross product, TC(Src = n-10)");
@@ -25,21 +16,25 @@ fn series() {
         "nodes", "naive", "seminaive", "naive+alex", "semi+alex"
     );
     for nodes in [20i64, 40, 60] {
-        let mut dbms = graph_dbms(nodes, nodes / 4, 7);
+        let dbms = graph_dbms(nodes, nodes / 4, 7);
         let sql = format!("SELECT Dst FROM TC WHERE Src = {} ;", nodes - 10);
         let prepared = dbms.prepare(&sql).unwrap();
         let rewritten = dbms.rewrite(&prepared).unwrap();
 
-        let run = |expr: &eds_lera::Expr, mode: FixMode, dbms: &mut eds_core::Dbms| {
-            dbms.eval_options = opts(mode);
+        let naive = |expr: &eds_lera::Expr| {
+            let (rel, cross_product) = naive_fix(expr, &dbms.db).unwrap();
+            (rel.deduped().len(), cross_product)
+        };
+        let semi = |expr: &eds_lera::Expr| {
             let (rel, stats) = dbms.run_expr_with_stats(expr).unwrap();
             (rel.deduped().len(), stats.cross_product)
         };
-        let (n1, a) = run(&prepared.expr, FixMode::Naive, &mut dbms);
-        let (n2, b) = run(&prepared.expr, FixMode::SemiNaive, &mut dbms);
-        let (n3, c) = run(&rewritten.expr, FixMode::Naive, &mut dbms);
-        let (n4, d) = run(&rewritten.expr, FixMode::SemiNaive, &mut dbms);
+        let (n1, a) = naive(&prepared.expr);
+        let (n2, b) = semi(&prepared.expr);
+        let (n3, c) = naive(&rewritten.expr);
+        let (n4, d) = semi(&rewritten.expr);
         assert!(n1 == n2 && n2 == n3 && n3 == n4, "all strategies agree");
+        assert!(b < a && d < c, "semi-naive does less logical work");
         println!("{nodes:<7} {a:>14} {b:>14} {c:>14} {d:>14}");
     }
     println!();
@@ -51,22 +46,15 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
 
     let nodes = 40i64;
-    let mut dbms = graph_dbms(nodes, 10, 7);
+    let dbms = graph_dbms(nodes, 10, 7);
     let sql = format!("SELECT Dst FROM TC WHERE Src = {} ;", nodes - 10);
     let prepared = dbms.prepare(&sql).unwrap();
     let rewritten = dbms.rewrite(&prepared).unwrap();
 
-    for (label, expr, mode) in [
-        ("naive_base", prepared.expr.clone(), FixMode::Naive),
-        ("seminaive_base", prepared.expr.clone(), FixMode::SemiNaive),
-        ("naive_alexander", (*rewritten.expr).clone(), FixMode::Naive),
-        (
-            "seminaive_alexander",
-            (*rewritten.expr).clone(),
-            FixMode::SemiNaive,
-        ),
+    for (label, expr) in [
+        ("seminaive_base", prepared.expr.clone()),
+        ("seminaive_alexander", (*rewritten.expr).clone()),
     ] {
-        dbms.eval_options = opts(mode);
         let d = &dbms;
         group.bench_with_input(BenchmarkId::new("exec", label), &expr, |b, e| {
             b.iter(|| d.run_expr(e).unwrap());

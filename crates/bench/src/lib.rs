@@ -7,10 +7,12 @@
 
 #![warn(missing_docs)]
 
-use eds_adt::Value;
+use std::collections::HashSet;
+
+use eds_adt::{Field, Value};
 use eds_core::Dbms;
-use eds_engine::{eval_reference, Database, EvalOptions, EvalStats};
-use eds_lera::Expr;
+use eds_engine::{eval_reference, Database, EngineResult, EvalOptions, EvalStats, Relation};
+use eds_lera::{infer_schema, Expr, SchemaCtx};
 use eds_testkit::StdRng;
 
 /// The differential check every executor suite makes, with the oracle
@@ -44,6 +46,82 @@ pub fn assert_matches_oracle(
             stats
         })
         .collect()
+}
+
+/// The naive fixpoint iteration — the definition of `fix` — written out
+/// over the public executor: F9's naive columns, and one side of the
+/// check that semi-naive evaluation computes the same set. `plan` must
+/// be shaped `search((fix(R, body)), pred, proj)` and read `db`.
+///
+/// The stored tables `body` reads are copied, as bags, into a fresh
+/// database next to a table named for `R` (a fresh one, because `R` is
+/// often named like a catalog view). Each round evaluates `body` over
+/// them and inserts the rows `R` does not hold yet; the first round that
+/// adds nothing ends the loop, and the outer `search` is evaluated over
+/// the final `R`. Returns its answer and the plan's logical work: the
+/// [`EvalStats::cross_product`] of every round and of the outer search,
+/// summed.
+pub fn naive_fix(plan: &Expr, db: &Database) -> EngineResult<(Relation, u64)> {
+    let Expr::Search { inputs, pred, proj } = plan else {
+        panic!("naive_fix wants search((fix(R, body)), pred, proj), got {plan}");
+    };
+    let [fix @ Expr::Fix { name, body }] = inputs.as_slice() else {
+        panic!("naive_fix wants one fix input, got {plan}");
+    };
+    let table = |t: &str, fields: &[Field]| {
+        let cols: Vec<String> = fields
+            .iter()
+            .enumerate()
+            .map(|(i, f)| format!("C{i} : {}", f.ty))
+            .collect();
+        format!("TABLE {t} ({});", cols.join(", "))
+    };
+    let mut ddl = table(
+        name,
+        &infer_schema(fix, &SchemaCtx::new(&db.catalog))?.fields,
+    );
+    let mut tables = Vec::new();
+    let mut stack = vec![&**body];
+    while let Some(e) = stack.pop() {
+        match e {
+            Expr::Base(t) if !t.eq_ignore_ascii_case(name) && !tables.contains(t) => {
+                if let Some(schema) = db.catalog.table(t) {
+                    ddl.push_str(&table(t, &schema.columns));
+                    tables.push(t.clone());
+                }
+            }
+            other => stack.extend(other.children()),
+        }
+    }
+    let mut scratch = Database::new();
+    scratch.execute_ddl(&ddl)?;
+    for t in &tables {
+        let rows = db.relation(t).map_or(&[][..], |r| &r.rows);
+        scratch.insert_all(t, rows.iter().map(|r| r.to_vec()))?;
+    }
+
+    let opts = EvalOptions::default();
+    let mut cross_product = 0u64;
+    let mut known = HashSet::new();
+    for _round in 0..opts.max_iterations {
+        let (derived, work) = eds_engine::eval_with(body, &scratch, opts)?;
+        cross_product = cross_product.saturating_add(work.cross_product);
+        let fresh: Vec<_> = derived
+            .rows
+            .into_iter()
+            .filter(|r| known.insert(r.clone()))
+            .collect();
+        if fresh.is_empty() {
+            let outer = Expr::search(vec![Expr::base(name)], pred.clone(), proj.clone());
+            let (answer, work) = eds_engine::eval_with(&outer, &scratch, opts)?;
+            return Ok((answer, cross_product.saturating_add(work.cross_product)));
+        }
+        scratch.insert_all(name, fresh.iter().map(|r| r.to_vec()))?;
+    }
+    Err(eds_engine::EngineError::FixpointDiverged {
+        name: name.clone(),
+        limit: opts.max_iterations,
+    })
 }
 
 /// The film database of Figure 2 scaled to `films` films and

@@ -2,7 +2,7 @@
 //! workload must return *byte-identical* results — same rows, same
 //! order — as both the row-at-a-time path (`columnar: false`) and the
 //! seed reference interpreter (`eds_engine::reference`), across
-//! fixpoint modes and parallelism, with the same work counters
+//! parallelism, with the same work counters
 //! on both executor paths. The fixtures are chosen to hit every kernel
 //! and every fallback: typed INT/CHAR columns, NULL bitmaps, REAL/BOOL,
 //! mid-column type spills and enum/ADT/collection spill columns,
@@ -12,27 +12,20 @@
 use eds_adt::Value;
 use eds_bench::{assert_matches_oracle, film_dbms, scan_dbms};
 use eds_core::Dbms;
-use eds_engine::{ColumnarRelation, EvalOptions, FixMode, FixOptions};
+use eds_engine::{ColumnarRelation, EvalOptions};
 use eds_lera::Expr;
 
 /// Every physical configuration, columnar off; [`assert_equivalent`]
 /// toggles it on beside each.
 fn all_configs() -> Vec<EvalOptions> {
-    let mut out = Vec::new();
-    for fix_mode in [FixMode::Naive, FixMode::SemiNaive] {
-        for parallelism in [1usize, 4] {
-            out.push(EvalOptions {
-                fix: FixOptions {
-                    mode: fix_mode,
-                    ..Default::default()
-                },
-                parallelism,
-                columnar: false,
-                opt_level: Default::default(),
-            });
-        }
-    }
-    out
+    [1usize, 4]
+        .into_iter()
+        .map(|parallelism| EvalOptions {
+            parallelism,
+            columnar: false,
+            ..Default::default()
+        })
+        .collect()
 }
 
 /// Columnar on must equal columnar off must equal the reference

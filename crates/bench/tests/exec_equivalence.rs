@@ -2,29 +2,25 @@
 //! results — same rows, same order — as the reference executor (the seed
 //! tree-walking interpreter preserved in `eds_engine::reference`, which
 //! has one strategy and is asked once per plan) in every physical
-//! configuration of the executor: both fixpoint modes, parallelism 1 and
-//! 4, columnar off and on.
+//! configuration of the executor: parallelism 1 and 4, columnar off and
+//! on.
 
-use eds_bench::{assert_matches_oracle, exec_workloads};
+use eds_bench::{assert_matches_oracle, exec_workloads, naive_fix};
 use eds_core::{Dbms, LintPolicy};
-use eds_engine::{eval_reference, EngineError, EvalOptions, EvalStats, FixMode, FixOptions};
+use eds_engine::{eval_reference, EngineError, EvalOptions, EvalStats};
 use eds_lera::{expr_to_term, infer_schema, Expr, Scalar, SchemaCtx};
 
+/// The executor's physical configurations: parallelism {1, 4} ×
+/// columnar {off, on}.
 fn all_configs() -> Vec<EvalOptions> {
     let mut out = Vec::new();
-    for fix_mode in [FixMode::Naive, FixMode::SemiNaive] {
-        for parallelism in [1usize, 4] {
-            for columnar in [false, true] {
-                out.push(EvalOptions {
-                    fix: FixOptions {
-                        mode: fix_mode,
-                        ..Default::default()
-                    },
-                    parallelism,
-                    columnar,
-                    opt_level: Default::default(),
-                });
-            }
+    for parallelism in [1usize, 4] {
+        for columnar in [false, true] {
+            out.push(EvalOptions {
+                parallelism,
+                columnar,
+                ..Default::default()
+            });
         }
     }
     out
@@ -32,13 +28,10 @@ fn all_configs() -> Vec<EvalOptions> {
 
 /// A recursion limit too small for `expr`'s fixpoint is a divergence —
 /// from the oracle, which reads that one field of its options, as from
-/// the executor under either fixpoint strategy.
+/// the executor in every configuration.
 fn assert_diverges_alike(id: &str, dbms: &Dbms, expr: &Expr) {
     let one_round = |opts: EvalOptions| EvalOptions {
-        fix: FixOptions {
-            max_iterations: 1,
-            ..opts.fix
-        },
+        max_iterations: 1,
         ..opts
     };
     let diverged = |got: Result<_, EngineError>, who: &str| {
@@ -62,8 +55,8 @@ fn has_fix(expr: &Expr) -> bool {
 }
 
 /// Every benchmark workload, pre- and post-rewrite, across all configs:
-/// the oracle's schema, rows and order under both fixpoint modes,
-/// parallelism {1, 4} and columnar {off, on} — the
+/// the oracle's schema, rows and order under parallelism {1, 4} and
+/// columnar {off, on} — the
 /// oracle itself has one strategy and is asked once per plan. The
 /// recursive workloads also hit the recursion limit alike.
 #[test]
@@ -83,6 +76,48 @@ fn workloads_match_reference_in_every_configuration() {
         }
     }
     assert!(recursive >= 2, "a recursive workload, raw and rewritten");
+}
+
+/// The three fixpoint strategies return the same set for the bound
+/// closure of 48 random graphs, canonical and rewritten: the executor's
+/// semi-naive evaluation, the oracle's (semi-naive too, with its own
+/// delta variants) and the naive iteration written out by
+/// [`naive_fix`] — the definition of `fix`, so it stays one side.
+#[test]
+fn fixpoint_strategies_agree() {
+    let mut rng = eds_testkit::StdRng::seed_from_u64(0xE0_0003);
+    for _ in 0..48 {
+        let n_edges = rng.gen_range(1usize..20);
+        let edges: Vec<(i64, i64)> = (0..n_edges)
+            .map(|_| (rng.gen_range(0i64..12), rng.gen_range(0i64..12)))
+            .collect();
+        let src = rng.gen_range(0i64..12);
+        let mut dbms = Dbms::new().unwrap();
+        dbms.execute_ddl(
+            "TABLE EDGE (S : INT, D : INT);
+             CREATE VIEW TC (S, D) AS
+             ( SELECT S, D FROM EDGE
+               UNION SELECT A.S, B.D FROM TC A, TC B WHERE A.D = B.S ) ;",
+        )
+        .unwrap();
+        for (s, d) in &edges {
+            dbms.insert("EDGE", vec![(*s).into(), (*d).into()]).unwrap();
+        }
+        let sql = format!("SELECT D FROM TC WHERE S = {src} ;");
+        let prepared = dbms.prepare(&sql).unwrap();
+        let rewritten = dbms.rewrite(&prepared).unwrap();
+
+        let want = dbms.run_expr(&prepared.expr).unwrap().sorted_rows();
+        for (form, plan) in [("raw", &prepared.expr), ("rewritten", &rewritten.expr)] {
+            let id = format!("{sql} {edges:?} {form}");
+            let executor = dbms.run_expr(plan).unwrap().sorted_rows();
+            let oracle = eval_reference(plan, &dbms.db, EvalOptions::default()).unwrap();
+            let (naive, _) = naive_fix(plan, &dbms.db).unwrap();
+            assert_eq!(executor, want, "{id}: executor");
+            assert_eq!(oracle.sorted_rows(), want, "{id}: oracle");
+            assert_eq!(naive.sorted_rows(), want, "{id}: naive iteration");
+        }
+    }
 }
 
 /// The rewritten plan must produce the same rows as the raw plan — the
@@ -394,7 +429,7 @@ fn default_joins_return_the_oracles_rows_in_its_order() {
             let plan = dbms.rewrite_uncached(&prepared).unwrap().expr;
             plans.push((name, std::sync::Arc::unwrap_or_clone(plan)));
         }
-        let configs = sink_configs();
+        let configs = all_configs();
         for (form, plan) in &plans {
             let id = format!("{id}/{form}");
             let stats = assert_matches_oracle(&id, &dbms.db, plan, &configs);
@@ -404,22 +439,6 @@ fn default_joins_return_the_oracles_rows_in_its_order() {
             );
         }
     }
-}
-
-/// The configurations a join or a set-mode sink must agree across:
-/// parallelism {1, 4} × columnar {off, on}.
-fn sink_configs() -> Vec<EvalOptions> {
-    let mut out = Vec::new();
-    for parallelism in [1usize, 4] {
-        for columnar in [false, true] {
-            out.push(EvalOptions {
-                parallelism,
-                columnar,
-                ..Default::default()
-            });
-        }
-    }
-    out
 }
 
 /// Every layout a set sink keys on, more than two morsels deep: `T`
@@ -500,7 +519,7 @@ fn set_sinks_match_the_reference() {
     use eds_bench::literal_sql;
 
     let dbms = distinct_dbms();
-    let configs = sink_configs();
+    let configs = all_configs();
     let statements = [
         ("distinct_int", "SELECT DISTINCT I FROM T WHERE K >= 40 ;"),
         ("distinct_int_rows", "SELECT DISTINCT I FROM T ;"),

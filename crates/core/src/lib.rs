@@ -277,9 +277,9 @@ pub struct Dbms {
     pub rewriter: QueryRewriter,
     /// Declared integrity constraints.
     pub constraints: ConstraintStore,
-    /// Session options: the engine's physical knobs (fixpoint and join
-    /// strategy, parallelism, columnar) plus the rewriter's
-    /// optimization level.
+    /// Session options: the engine's physical knobs (fixpoint round
+    /// cap, parallelism, columnar) plus the rewriter's optimization
+    /// level.
     pub eval_options: EvalOptions,
 }
 

@@ -56,7 +56,7 @@ use crate::compile::{
 };
 use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
-use crate::fixpoint::{eval_fix, FixOptions};
+use crate::fixpoint::eval_fix;
 use crate::hash::{Fold, FoldMap, FoldSet};
 use crate::parallel::{run_morsel_ranges, run_morsels};
 use crate::relation::{shared_row, Relation, Row, RowBlocks, SharedRow};
@@ -115,8 +115,10 @@ impl std::fmt::Display for OptLevel {
 /// Evaluation options.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalOptions {
-    /// Fixpoint strategy.
-    pub fix: FixOptions,
+    /// Safety bound on fixpoint rounds: a `fix` that is still growing
+    /// after this many is [`EngineError::FixpointDiverged`]. Defaults to
+    /// 100 000.
+    pub max_iterations: usize,
     /// Worker threads for partitioned operators. `1` (the default) is
     /// fully sequential; higher values let large scans, pre-selections
     /// and join enumerations be drained morsel-by-morsel by the calling
@@ -139,7 +141,7 @@ pub struct EvalOptions {
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
-            fix: FixOptions::default(),
+            max_iterations: 100_000,
             parallelism: 1,
             columnar: true,
             opt_level: OptLevel::default(),

@@ -1,11 +1,12 @@
 //! Fixpoint evaluation: `fix(R, E(R))` computes the relation `R = E(R)`
 //! (Section 3.2).
 //!
-//! Two strategies are provided. *Naive* re-evaluates the whole body each
-//! round. *Semi-naive* differentiates the body: each recursive branch is
-//! re-evaluated once per occurrence of the recursion variable, with that
-//! occurrence bound to the delta of the previous round — the standard
-//! optimization the Alexander/magic-sets transformation composes with.
+//! Evaluation is semi-naive: each recursive branch is re-evaluated once
+//! per occurrence of the recursion variable, with that occurrence bound
+//! to the delta of the previous round — the standard optimization the
+//! Alexander/magic-sets transformation composes with. (The naive
+//! iteration, which re-evaluates the whole body each round, is the
+//! definition of `fix`; F9's `eds_bench::naive_fix` writes it out.)
 //! The delta is built as a set: each variant is evaluated against the
 //! rows already known, so a derivation the fixpoint already has — or
 //! one its morsel already produced — is dropped before it becomes a row.
@@ -26,85 +27,8 @@ use crate::eval::{eval_expr, eval_set, Ctx};
 use crate::hash::FoldSet;
 use crate::relation::{Relation, SharedRow};
 
-/// Fixpoint evaluation strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FixMode {
-    /// Recompute `E(R)` in full each round.
-    Naive,
-    /// Differential evaluation per occurrence of the recursion variable.
-    #[default]
-    SemiNaive,
-}
-
-/// Fixpoint options.
-#[derive(Debug, Clone, Copy)]
-pub struct FixOptions {
-    /// Strategy.
-    pub mode: FixMode,
-    /// Safety bound on rounds.
-    pub max_iterations: usize,
-}
-
-impl Default for FixOptions {
-    fn default() -> Self {
-        FixOptions {
-            mode: FixMode::SemiNaive,
-            max_iterations: 100_000,
-        }
-    }
-}
-
 /// Evaluate `fix(name, body)`.
 pub(crate) fn eval_fix(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
-    match ctx.opts.fix.mode {
-        FixMode::Naive => eval_fix_naive(name, body, ctx),
-        FixMode::SemiNaive => eval_fix_seminaive(name, body, ctx),
-    }
-}
-
-fn sorted_dedup(mut rows: Vec<SharedRow>) -> Vec<SharedRow> {
-    rows.sort_unstable();
-    rows.dedup();
-    rows
-}
-
-fn eval_fix_naive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
-    let key = name.to_ascii_uppercase();
-    let schema = {
-        let sc = ctx.schema_ctx_for_fix();
-        infer_schema(
-            &Expr::Fix {
-                name: name.to_owned(),
-                body: Box::new(body.clone()),
-            },
-            &sc,
-        )?
-    };
-    let mut known = Relation::empty(schema);
-    let saved = ctx.locals.remove(&key);
-
-    let result = (|| {
-        for _round in 0..ctx.opts.fix.max_iterations {
-            ctx.stats.fix_iterations += 1;
-            ctx.locals.insert(key.clone(), Arc::new(known.clone()));
-            let new = eval_expr(body, ctx)?;
-            let merged = sorted_dedup(known.rows.iter().cloned().chain(new.rows).collect());
-            if merged == known.rows {
-                return Ok(known);
-            }
-            known = Relation::from_shared(known.schema.clone(), merged);
-        }
-        Err(EngineError::FixpointDiverged {
-            name: name.to_owned(),
-            limit: ctx.opts.fix.max_iterations,
-        })
-    })();
-
-    restore_local(ctx, &key, saved);
-    result
-}
-
-fn eval_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
     let key = name.to_ascii_uppercase();
     let delta_key = format!("{key}#DELTA");
 
@@ -166,7 +90,7 @@ fn eval_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResul
     let saved_delta = ctx.locals.insert(delta_key.clone(), delta);
 
     let result = (|| {
-        for _round in 0..ctx.opts.fix.max_iterations {
+        for _round in 0..ctx.opts.max_iterations {
             ctx.stats.fix_iterations += 1;
             let mut fresh: Vec<SharedRow> = Vec::new();
             for variant in &variants {
@@ -192,7 +116,7 @@ fn eval_fix_seminaive(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResul
         }
         Err(EngineError::FixpointDiverged {
             name: name.to_owned(),
-            limit: ctx.opts.fix.max_iterations,
+            limit: ctx.opts.max_iterations,
         })
     })();
 

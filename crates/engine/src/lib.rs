@@ -12,8 +12,7 @@
 //!   ([`EvalStats::cross_product`], a plan's logical work),
 //!   `nest`/`unnest`, three-valued qualifications, collection
 //!   broadcasting of field access and ordered comparisons;
-//! * [`fixpoint`] — semi-naive `fix` evaluation by default, naive on
-//!   request ([`FixMode`]);
+//! * [`fixpoint`] — semi-naive `fix` evaluation;
 //! * [`mod@reference`] — the per-tuple interpreter every differential suite
 //!   compares the executor against.
 
@@ -53,7 +52,6 @@ pub use error::{EngineError, EngineResult};
 pub use eval::{
     eval, eval_const_scalar, eval_with, eval_with_params, EvalOptions, EvalStats, OptLevel,
 };
-pub use fixpoint::{FixMode, FixOptions};
 pub use parallel::{parallel_stats, shutdown_pool, ParallelStats, MORSEL_ROWS};
 pub use reference::eval_reference;
 pub use relation::{Relation, Row, SharedRow};

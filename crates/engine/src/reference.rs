@@ -6,11 +6,11 @@
 //! interpreted `eval_scalar` per row, quadratic set operations, every
 //! `search` the cross product of its inputs with the qualification
 //! checked on each combination, every `fix` the semi-naive iteration on
-//! sorted vectors. It ignores the executor's join strategy, fixpoint
-//! strategy, parallelism and columnar settings on purpose, and shares
-//! no code with `fixpoint.rs`: an oracle that splits equi-conjuncts or
-//! keys a table the way the executor does, or builds its delta variants
-//! with the executor's helpers, is wrong where the executor is wrong.
+//! sorted vectors. It ignores the executor's parallelism and columnar
+//! settings on purpose, and shares no code with `fixpoint.rs`: an
+//! oracle that splits equi-conjuncts or keys a table the way the
+//! executor does, or builds its delta variants with the executor's
+//! helpers, is wrong where the executor is wrong.
 //! (The naive iteration would be dumber still, but it materialises the
 //! body's whole bag every round — 17 296 rows for the 1 128 pairs of a
 //! 48-node chain's closure — and that alone moved the end-to-end
@@ -37,14 +37,14 @@ use crate::eval::{bind_fields, EvalOptions};
 use crate::relation::{Relation, Row, SharedRow};
 
 /// Evaluate a plan with the reference strategies. Of `opts` only
-/// `fix.max_iterations` is read — a resource limit, past which a
+/// `max_iterations` is read — a resource limit, past which a
 /// recursion is [`EngineError::FixpointDiverged`] — so the answer does
 /// not depend on how the executor is configured.
 pub fn eval_reference(expr: &Expr, db: &Database, opts: EvalOptions) -> EngineResult<Relation> {
     let mut oracle = Oracle {
         db,
         locals: BTreeMap::new(),
-        max_iterations: opts.fix.max_iterations,
+        max_iterations: opts.max_iterations,
     };
     ref_expr(expr, &mut oracle)
 }

@@ -2,7 +2,7 @@
 //! multiple recursive branches, and nested recursion scopes.
 
 use eds_adt::Value;
-use eds_engine::{eval, eval_reference, eval_with, Database, EvalOptions, FixMode, FixOptions};
+use eds_engine::{eval, eval_reference, Database, EvalOptions};
 use eds_esql::parse_query;
 use eds_lera::{translate_query, Expr, Scalar, SchemaCtx};
 
@@ -21,32 +21,22 @@ fn tc_db(edges: &[(i64, i64)]) -> Database {
     db
 }
 
-fn closure(db: &Database, mode: FixMode) -> Vec<Vec<Value>> {
+/// `TC`'s closure from the executor, which must return the oracle's
+/// rows in its order.
+fn closure(db: &Database) -> Vec<Vec<Value>> {
     let q = parse_query("SELECT S, D FROM TC ;").unwrap();
     let ctx = SchemaCtx::new(&db.catalog);
     let (expr, _) = translate_query(&q, &ctx).unwrap();
-    eval_with(
-        &expr,
-        db,
-        EvalOptions {
-            fix: FixOptions {
-                mode,
-                max_iterations: 10_000,
-            },
-            ..Default::default()
-        },
-    )
-    .unwrap()
-    .0
-    .sorted_rows()
+    let got = eval(&expr, db).unwrap();
+    let oracle = eval_reference(&expr, db, EvalOptions::default()).unwrap();
+    assert_eq!(got.rows, oracle.rows, "{expr}");
+    got.sorted_rows()
 }
 
 #[test]
 fn self_loop_terminates() {
     let db = tc_db(&[(1, 1)]);
-    for mode in [FixMode::Naive, FixMode::SemiNaive] {
-        assert_eq!(closure(&db, mode), vec![vec![Value::Int(1), Value::Int(1)]]);
-    }
+    assert_eq!(closure(&db), vec![vec![Value::Int(1), Value::Int(1)]]);
 }
 
 #[test]
@@ -58,15 +48,13 @@ fn two_cycle_reaches_everything_within_it() {
         vec![2.into(), 1.into()],
         vec![2.into(), 2.into()],
     ];
-    for mode in [FixMode::Naive, FixMode::SemiNaive] {
-        assert_eq!(closure(&db, mode), expected);
-    }
+    assert_eq!(closure(&db), expected);
 }
 
 #[test]
 fn disconnected_components_stay_disconnected() {
     let db = tc_db(&[(1, 2), (10, 11), (11, 12)]);
-    let rows = closure(&db, FixMode::SemiNaive);
+    let rows = closure(&db);
     assert!(rows.contains(&vec![10.into(), 12.into()]));
     assert!(!rows
         .iter()
@@ -132,10 +120,10 @@ fn tc_fix() -> Expr {
 
 /// A fixpoint's locals are shared with the operators that read them and
 /// grow in place between rounds; neither may leak across fixpoints. Two
-/// plans pin it against the oracle, under both strategies: the view
-/// queried inside a `union` with the view itself, and a closure whose
-/// recursive branch first evaluates an inner `fix` that rebinds `R` —
-/// the outer `R` read right after it must be the outer one again.
+/// plans pin it against the oracle: the view queried inside a `union`
+/// with the view itself, and a closure whose recursive branch first
+/// evaluates an inner `fix` that rebinds `R` — the outer `R` read right
+/// after it must be the outer one again.
 #[test]
 fn locals_are_restored_around_a_shadowing_fix() {
     let db = tc_db(&[(1, 2), (2, 3), (3, 4), (4, 2), (7, 8)]);
@@ -153,29 +141,18 @@ fn locals_are_restored_around_a_shadowing_fix() {
             ),
         ])),
     };
-    let closure_rows = closure(&db, FixMode::SemiNaive);
-    for mode in [FixMode::Naive, FixMode::SemiNaive] {
-        let opts = EvalOptions {
-            fix: FixOptions {
-                mode,
-                max_iterations: 10_000,
-            },
-            ..Default::default()
-        };
-        for expr in [&union, &shadowed] {
-            let got = eval_with(expr, &db, opts).unwrap().0;
-            let oracle = eval_reference(expr, &db, opts).unwrap();
-            assert_eq!(got.rows, oracle.rows, "{mode:?}: {expr}");
-        }
-        let got = eval_with(&shadowed, &db, opts).unwrap().0;
-        assert_eq!(got.sorted_rows(), closure_rows, "{mode:?}");
+    let closure_rows = closure(&db);
+    for expr in [&union, &shadowed] {
+        let got = eval(expr, &db).unwrap();
+        let oracle = eval_reference(expr, &db, EvalOptions::default()).unwrap();
+        assert_eq!(got.rows, oracle.rows, "{expr}");
     }
+    let got = eval(&shadowed, &db).unwrap();
+    assert_eq!(got.sorted_rows(), closure_rows);
 }
 
 #[test]
 fn empty_seed_yields_empty_fixpoint() {
     let db = tc_db(&[]);
-    for mode in [FixMode::Naive, FixMode::SemiNaive] {
-        assert!(closure(&db, mode).is_empty());
-    }
+    assert!(closure(&db).is_empty());
 }

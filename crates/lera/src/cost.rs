@@ -11,10 +11,11 @@
 //! (build, probe, emit), an unlinked step the product of what reaches it
 //! — `CostModel::search_work`. The estimator prices the executor that
 //! runs, with one exception: a `fix` is priced as `fix_rounds` rounds
-//! of its whole body — the naive iteration — while the engine's default
-//! fixpoint is semi-naive, which re-evaluates each recursive branch over
-//! the last round's delta only. The model therefore over-prices a
-//! recursion under the default.
+//! of its whole body — the naive iteration, which the engine does not
+//! run (only F9's written-out loop in `eds-bench` does) — while the
+//! engine's fixpoint is semi-naive, which re-evaluates each recursive
+//! branch over the last round's delta only. The model therefore
+//! over-prices every recursion.
 //!
 //! The model is catalog-backed: the engine feeds it per-relation
 //! [`RelationStats`] (row counts plus per-column distinct-count/min-max

@@ -5,7 +5,7 @@
 use eds_adt::AdtError;
 use eds_adt::Value;
 use eds_core::{CoreError, Dbms};
-use eds_engine::{eval_reference, EngineError, EvalOptions, FixMode, FixOptions};
+use eds_engine::{eval_reference, EngineError, EvalOptions};
 use eds_esql::EsqlError;
 use eds_rewrite::{Limit, RewriteError};
 
@@ -87,10 +87,7 @@ fn divergent_fixpoint_hits_iteration_bound() {
     .unwrap();
     dbms.insert("SEEDS", vec![0.into()]).unwrap();
     dbms.eval_options = EvalOptions {
-        fix: FixOptions {
-            mode: FixMode::SemiNaive,
-            max_iterations: 25,
-        },
+        max_iterations: 25,
         ..Default::default()
     };
     let prepared = dbms.prepare("SELECT X FROM NATS ;").unwrap();
