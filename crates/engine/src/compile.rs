@@ -13,6 +13,15 @@
 //!   pointing into the input rows or the object store, so a comparison
 //!   such as `Salary(Refactor) > 20000` copies nothing.
 //!
+//! A qualification ([`CompiledPred`]) is not lowered whole. Each
+//! conjunct's fast form — a comparison between attribute slots,
+//! literals, `?` parameters and object-attribute fetches — is read off
+//! the bound `Scalar`, and the conjunct's general program is built on
+//! first need: when the conjunct has no fast form, or when a row falls
+//! outside it (an unbound `?`, a dangling OID, a bad `GETFIELD` index).
+//! A predicate every row decides on its fast forms, as a prepared point
+//! lookup or range scan does, builds no program at all.
+//!
 //! Semantics (three-valued logic, broadcast comparisons, collection
 //! mapping, and every error message) are identical to the interpreted
 //! `eval_scalar` of [`crate::reference`], which nothing on the query or
@@ -23,7 +32,7 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use eds_adt::{
     AdtError, EvalContext, FunctionRegistry, NativeFn, ObjectStore, TypeRegistry, Value,
@@ -202,15 +211,16 @@ impl CompiledScalar {
                 left: Box::new(Self::compile(left, env)),
                 right: Box::new(Self::compile(right, env)),
             },
-            Scalar::And(_, _) => {
+            Scalar::And(_, _) | Scalar::Or(_, _) => {
+                let and = matches!(s, Scalar::And(..));
                 let mut operands = Vec::new();
-                flatten_and(s, env, &mut operands);
-                CompiledScalar::Conj(operands)
-            }
-            Scalar::Or(_, _) => {
-                let mut operands = Vec::new();
-                flatten_or(s, env, &mut operands);
-                CompiledScalar::Disj(operands)
+                flatten(s, and, &mut operands);
+                let operands = operands.into_iter().map(|o| Self::compile(o, env));
+                if and {
+                    CompiledScalar::Conj(operands.collect())
+                } else {
+                    CompiledScalar::Disj(operands.collect())
+                }
             }
             Scalar::Not(a) => CompiledScalar::Not(Box::new(Self::compile(a, env))),
         }
@@ -385,9 +395,9 @@ impl Truth {
 /// A fast operand reference: an access path the hot loop can resolve to a
 /// borrowed [`Value`] with no recursion and no [`Cow`] bookkeeping. `None`
 /// from [`FastRef::get`] means "shape not covered" (bad index, dangling
-/// OID, collection receiver, …) and the caller re-runs the general
+/// OID, collection receiver, …) and the caller runs the general
 /// program, which reproduces the exact interpreter result or error.
-enum FastRef {
+enum FastRef<'s> {
     /// `tuples[rel0][attr0]` (0-based).
     Slot { rel0: usize, attr0: usize },
     /// `GETFIELD(VALUE(tuples[rel0][attr0]), idx0 + 1)` where the slot
@@ -398,37 +408,37 @@ enum FastRef {
         attr0: usize,
         idx0: usize,
     },
-    /// A literal.
-    Konst(Value),
+    /// A literal, borrowed from the bound qualification.
+    Konst(&'s Value),
     /// A statement parameter — resolved from the environment's bind
     /// array per evaluation, so the fast path serves every execution of
     /// a prepared statement without re-classification.
     Param(u16),
 }
 
-impl FastRef {
-    fn of(p: &CompiledScalar) -> Option<FastRef> {
-        match p {
-            CompiledScalar::Attr { rel, attr } if *rel >= 1 && *attr >= 1 => Some(FastRef::Slot {
-                rel0: rel - 1,
-                attr0: attr - 1,
-            }),
-            CompiledScalar::Const(v) => Some(FastRef::Konst(v.clone())),
-            CompiledScalar::Param(i) => Some(FastRef::Param(*i)),
-            CompiledScalar::GetField { input, idx1 } if *idx1 >= 1 => match input.as_ref() {
-                CompiledScalar::ValueOf(inner) => match inner.as_ref() {
-                    CompiledScalar::Attr { rel, attr } if *rel >= 1 && *attr >= 1 => {
-                        Some(FastRef::DerefField {
-                            rel0: rel - 1,
-                            attr0: attr - 1,
-                            idx0: idx1 - 1,
-                        })
-                    }
-                    _ => None,
-                },
+impl<'s> FastRef<'s> {
+    /// The fast form of a bound operand, read off the `Scalar` itself:
+    /// the shapes [`CompiledScalar::compile`] lowers to `Attr`, `Const`,
+    /// `Param` and `GetField { ValueOf(Attr) }`.
+    fn of(s: &'s Scalar) -> Option<FastRef<'s>> {
+        let slot = |s: &Scalar| match s {
+            Scalar::Attr { rel, attr } if *rel >= 1 && *attr >= 1 => Some((rel - 1, attr - 1)),
+            _ => None,
+        };
+        match s {
+            Scalar::Const(v) => Some(FastRef::Konst(v)),
+            Scalar::Param(i) => Some(FastRef::Param(*i)),
+            Scalar::Call { func, args } if func == "GETFIELD" => match &args[..] {
+                [Scalar::Call { func, args }, Scalar::Const(Value::Int(i))] if func == "VALUE" => {
+                    let ([inner], Some(idx0)) = (&args[..], (*i as usize).checked_sub(1)) else {
+                        return None;
+                    };
+                    let (rel0, attr0) = slot(inner)?;
+                    Some(FastRef::DerefField { rel0, attr0, idx0 })
+                }
                 _ => None,
             },
-            _ => None,
+            _ => slot(s).map(|(rel0, attr0)| FastRef::Slot { rel0, attr0 }),
         }
     }
 
@@ -445,9 +455,9 @@ impl FastRef {
     fn get<'v>(&'v self, tuples: &[&'v [Value]], env: &EvalEnv<'v>) -> Option<&'v Value> {
         match self {
             FastRef::Slot { rel0, attr0 } => tuples.get(*rel0)?.get(*attr0),
-            FastRef::Konst(v) => Some(v),
+            FastRef::Konst(v) => Some(*v),
             // An unbound parameter returns None: the general program
-            // re-runs and reports the UnboundParam error.
+            // runs and reports the UnboundParam error.
             FastRef::Param(i) => env.params.get(*i as usize),
             FastRef::DerefField { rel0, attr0, idx0 } => match tuples.get(*rel0)?.get(*attr0)? {
                 Value::Object(oid) => match env.objects.value(*oid) {
@@ -461,41 +471,47 @@ impl FastRef {
 }
 
 /// Pre-classified fast form of one conjunct.
-enum FastQual {
+enum FastQual<'s> {
     /// Literal `TRUE` — no per-row work at all.
     True,
     /// A comparison between two fast references.
     Cmp {
         op: CmpOp,
-        left: FastRef,
-        right: FastRef,
+        left: FastRef<'s>,
+        right: FastRef<'s>,
     },
 }
 
-/// One conjunct of a qualification: the fast form when the shape allows
-/// it, plus the general program as semantic authority and fallback.
-struct Conjunct {
-    fast: Option<FastQual>,
-    general: CompiledScalar,
+/// One conjunct of a qualification: the bound `Scalar`, its fast form
+/// when the shape has one, and the general program — the semantic
+/// authority — built from the `Scalar` on first need: for a conjunct
+/// with no fast form, or the first row its fast form declines. The
+/// parallel lanes share that one build.
+struct Conjunct<'s> {
+    bound: &'s Scalar,
+    fast: Option<FastQual<'s>>,
+    general: OnceLock<CompiledScalar>,
 }
 
-impl Conjunct {
-    fn new(general: CompiledScalar) -> Conjunct {
-        let fast = match &general {
-            CompiledScalar::Const(Value::Bool(true)) => Some(FastQual::True),
-            CompiledScalar::Cmp { op, left, right } => {
-                match (FastRef::of(left), FastRef::of(right)) {
-                    (Some(l), Some(r)) => Some(FastQual::Cmp {
-                        op: *op,
-                        left: l,
-                        right: r,
-                    }),
-                    _ => None,
-                }
-            }
+impl<'s> Conjunct<'s> {
+    fn new(bound: &'s Scalar) -> Conjunct<'s> {
+        let fast = match bound {
+            Scalar::Const(Value::Bool(true)) => Some(FastQual::True),
+            Scalar::Cmp { op, left, right } => match (FastRef::of(left), FastRef::of(right)) {
+                (Some(l), Some(r)) => Some(FastQual::Cmp {
+                    op: *op,
+                    left: l,
+                    right: r,
+                }),
+                _ => None,
+            },
             _ => None,
         };
-        Conjunct { fast, general }
+        Conjunct {
+            bound,
+            fast,
+            general: OnceLock::new(),
+        }
     }
 
     /// What the fast form alone decides: `None` when the conjunct has
@@ -521,7 +537,10 @@ impl Conjunct {
         // No fast form, or an access shape it does not cover: the
         // general program (pure re-evaluation; reproduces the
         // interpreter's result or error exactly).
-        Ok(Truth::of(self.general.eval(tuples, env)?.as_ref()))
+        let general = self
+            .general
+            .get_or_init(|| CompiledScalar::compile(self.bound, env));
+        Ok(Truth::of(general.eval(tuples, env)?.as_ref()))
     }
 
     /// Is this a comparison whose every attribute reference reads input
@@ -536,22 +555,30 @@ impl Conjunct {
     }
 }
 
-/// A compiled qualification: the conjunct list of the predicate, each
-/// with a pre-classified fast path. Evaluation order, short-circuiting
-/// and errors match folding the interpreter's binary `AND` (FALSE
-/// short-circuits; NULL and non-boolean survivors poison the result to
-/// NULL, which a qualification treats as "not selected").
-pub struct CompiledPred {
-    conjuncts: Vec<Conjunct>,
+/// A compiled qualification: the conjunct list of the bound predicate,
+/// each with its fast form classified from the `Scalar` and its general
+/// program built on first need — for a conjunct with no fast form, or on
+/// the first row its fast form declines — and shared by the parallel
+/// lanes. A qualification every row decides on its fast forms, as the
+/// prepared point lookups and range scans are, builds no program.
+/// Evaluation order, short-circuiting and errors match folding the
+/// interpreter's binary `AND` (FALSE short-circuits; NULL and
+/// non-boolean survivors poison the result to NULL, which a
+/// qualification treats as "not selected").
+pub struct CompiledPred<'s> {
+    conjuncts: Vec<Conjunct<'s>>,
 }
 
-impl CompiledPred {
-    /// Lower a bound predicate.
-    pub fn compile(s: &Scalar, env: &EvalEnv<'_>) -> CompiledPred {
-        let mut programs = Vec::new();
-        flatten_and(s, env, &mut programs);
+impl<'s> CompiledPred<'s> {
+    /// Classify a bound predicate's conjuncts. Nothing is lowered yet: a
+    /// general program is compiled, against the environment of the
+    /// evaluation that first needs it, only where a fast form is absent
+    /// or declines a row.
+    pub fn compile(s: &'s Scalar) -> CompiledPred<'s> {
+        let mut conjuncts = Vec::new();
+        flatten(s, true, &mut conjuncts);
         CompiledPred {
-            conjuncts: programs.into_iter().map(Conjunct::new).collect(),
+            conjuncts: conjuncts.into_iter().map(Conjunct::new).collect(),
         }
     }
 
@@ -842,6 +869,17 @@ const SELECT_STRIP: usize = ZONE_ROWS;
 
 const _: () = assert!(MORSEL_ROWS.is_multiple_of(SELECT_STRIP));
 
+/// A dense strip pivots to a sparse survivor list once at most
+/// `1 / SPARSE_PIVOT` of it survives. Each later kernel then costs a
+/// `retain` step per survivor instead of a branch-free pass per row.
+/// Measured on the 2-core bench host (DESIGN §4 has the table): a dense
+/// `IntConst` pass with its survivor count is ≈ 0.65 ns/row; a `retain`
+/// is ≈ 5 ns per survivor when it keeps nearly all of them — the
+/// near-vacuous tail the sparse list exists for — and ≈ 13 ns when it
+/// keeps half, a branch it mispredicts. The pivot is the first
+/// break-even, 0.65 / 5 ≈ 1/8.
+const SPARSE_PIVOT: usize = 8;
+
 impl ColumnarPred<'_> {
     /// What `kern`'s zone map says about the strip `[lo, hi)`. Only an
     /// `Int`-vs-constant kernel has one; the others are `Take` when they
@@ -958,12 +996,12 @@ impl ColumnarPred<'_> {
     /// slices in strict ascending order — the layout the compiler
     /// auto-vectorizes — while the flag buffer lives on the stack and
     /// never leaves L1. After each dense pass the strip's survivor count
-    /// decides whether to stay dense or pivot: once fewer than a quarter
-    /// of the strip survives, the survivors are extracted into a sparse
-    /// index list and the remaining kernels run as per-index gathers
-    /// (`retain_sparse`), so a highly selective leading conjunct —
-    /// `B = 3` in front of a tail of near-vacuous range checks, say —
-    /// spares the tail its full-width passes.
+    /// decides whether to stay dense or pivot: once at most
+    /// `1 / SPARSE_PIVOT` of the strip survives, the survivors are
+    /// extracted into a sparse index list and the remaining kernels run
+    /// as per-index gathers (`retain_sparse`), so a highly selective
+    /// leading conjunct — `B = 3` in front of a tail of near-vacuous
+    /// range checks, say — spares the tail its full-width passes.
     pub fn select_range(&self, lo: usize, hi: usize) -> Vec<u32> {
         let mut out = Vec::new();
         let mut flags = [1u8; SELECT_STRIP];
@@ -1002,7 +1040,7 @@ impl ColumnarPred<'_> {
                         dead = true;
                         break;
                     }
-                    if survivors * 4 <= n {
+                    if survivors * SPARSE_PIVOT <= n {
                         sparse.clear();
                         push_survivors(f, strip_lo, &mut sparse);
                         dense = false;
@@ -1027,7 +1065,7 @@ impl ColumnarPred<'_> {
     }
 }
 
-impl CompiledPred {
+impl CompiledPred<'_> {
     /// Lower this predicate onto a columnar mirror, or `None` when any
     /// conjunct falls outside the typed kernel set (deref chains,
     /// function calls, disjunctions, spill columns, …) — the caller
@@ -1079,7 +1117,7 @@ impl CompiledPred {
 /// authority on results and errors.
 pub struct LocalPred<'p> {
     rel0: usize,
-    conjuncts: Vec<&'p Conjunct>,
+    conjuncts: Vec<&'p Conjunct<'p>>,
 }
 
 impl LocalPred<'_> {
@@ -1125,7 +1163,7 @@ enum Opnd<'v> {
 /// the columnar lowering cannot serve (slots of another input than
 /// `rel0`, deref chains) and for unbound parameters — the row path then
 /// reports the error.
-fn operand<'v>(r: &'v FastRef, rel0: usize, params: &'v [Value]) -> Option<Opnd<'v>> {
+fn operand<'v>(r: &'v FastRef<'_>, rel0: usize, params: &'v [Value]) -> Option<Opnd<'v>> {
     match r {
         FastRef::Slot { rel0: r0, attr0 } if *r0 == rel0 => Some(Opnd::Col(*attr0)),
         FastRef::Konst(k) => Some(Opnd::Val(k)),
@@ -1137,7 +1175,7 @@ fn operand<'v>(r: &'v FastRef, rel0: usize, params: &'v [Value]) -> Option<Opnd<
 /// One kernel per conjunct over `cols`, the mirror of input `rel0`, or
 /// `None` as soon as a conjunct has none.
 fn lower_all<'p, 'c>(
-    conjuncts: impl Iterator<Item = &'p Conjunct>,
+    conjuncts: impl Iterator<Item = &'p Conjunct<'p>>,
     rel0: usize,
     cols: &'c ColumnarRelation,
     params: &[Value],
@@ -1149,7 +1187,7 @@ fn lower_all<'p, 'c>(
 }
 
 fn lower_conjunct<'c>(
-    c: &Conjunct,
+    c: &Conjunct<'_>,
     rel0: usize,
     cols: &'c ColumnarRelation,
     params: &[Value],
@@ -1244,23 +1282,14 @@ impl CompiledProj {
     }
 }
 
-fn flatten_and(s: &Scalar, env: &EvalEnv<'_>, out: &mut Vec<CompiledScalar>) {
-    match s {
-        Scalar::And(a, b) => {
-            flatten_and(a, env, out);
-            flatten_and(b, env, out);
+/// The operands of a nested `AND` (`and`) or `OR` chain, left to right.
+fn flatten<'s>(s: &'s Scalar, and: bool, out: &mut Vec<&'s Scalar>) {
+    match (s, and) {
+        (Scalar::And(a, b), true) | (Scalar::Or(a, b), false) => {
+            flatten(a, and, out);
+            flatten(b, and, out);
         }
-        other => out.push(CompiledScalar::compile(other, env)),
-    }
-}
-
-fn flatten_or(s: &Scalar, env: &EvalEnv<'_>, out: &mut Vec<CompiledScalar>) {
-    match s {
-        Scalar::Or(a, b) => {
-            flatten_or(a, env, out);
-            flatten_or(b, env, out);
-        }
-        other => out.push(CompiledScalar::compile(other, env)),
+        (other, _) => out.push(other),
     }
 }
 
@@ -1396,7 +1425,10 @@ mod tests {
     /// values with NULLs, and small values beside `i64::MIN` /
     /// `i64::MAX` — `select_range(lo, hi)` selects exactly the rows the
     /// row path keeps, one conjunction of one or two comparisons at a
-    /// time.
+    /// time. Then both sides of the dense → sparse pivot: over one strip
+    /// the first kernel leaves exactly one row fewer than, as many as
+    /// and one more than `1 / SPARSE_PIVOT` of it (and the old quarter),
+    /// and an `IntConst`, a `StrPool` and an `IntInt` kernel follow.
     #[test]
     fn unaligned_select_range_equals_a_row_by_row_filter() {
         let mut rng = StdRng::seed_from_u64(0x5E1E);
@@ -1452,7 +1484,7 @@ mod tests {
             if case % 2 == 1 {
                 pred = Scalar::and(pred, conjunct());
             }
-            let compiled = CompiledPred::compile(&pred, &env);
+            let compiled = CompiledPred::compile(&pred);
             let lowered = compiled
                 .columnar(&cols, &[])
                 .expect("every conjunct has a kernel");
@@ -1465,6 +1497,48 @@ mod tests {
                 want,
                 "case {case}: {pred:?} over [{lo}, {hi})"
             );
+        }
+
+        let n = SELECT_STRIP;
+        let rows: Vec<Row> = (0..n as i64)
+            .map(|i| {
+                let c = rng.gen_range(-3..3i64);
+                let c = if rng.gen_bool(0.05) {
+                    Value::Null
+                } else {
+                    Value::Int(c)
+                };
+                let tag = ["x", "y", "z"][rng.gen_range(0..3usize)];
+                vec![
+                    Value::Int(i),
+                    c,
+                    Value::str(tag),
+                    Value::Int(rng.gen_range(-3..3i64)),
+                ]
+            })
+            .collect();
+        let fields = ["a", "c", "tag", "d"].map(|f| Field::new(f, Type::Any));
+        let rel = Relation::new(Schema::new(fields.to_vec()), rows.clone());
+        let cols = ColumnarRelation::build(&rel).expect("typed");
+        let tail = [
+            Scalar::cmp(CmpOp::Ge, Scalar::attr(1, 2), Scalar::lit(-2)),
+            Scalar::cmp(CmpOp::Ne, Scalar::attr(1, 3), Scalar::lit(Value::str("x"))),
+            Scalar::cmp(CmpOp::Le, Scalar::attr(1, 2), Scalar::attr(1, 4)),
+        ];
+        for pivot in [n / SPARSE_PIVOT, n / 4] {
+            for survivors in [pivot - 1, pivot, pivot + 1] {
+                let first =
+                    Scalar::cmp(CmpOp::Lt, Scalar::attr(1, 1), Scalar::lit(survivors as i64));
+                let pred = tail.iter().cloned().fold(first, Scalar::and);
+                let compiled = CompiledPred::compile(&pred);
+                let lowered = compiled.columnar(&cols, &[]).expect("four kernels");
+                let want: Vec<u32> = (0..n)
+                    .filter(|&i| compiled.eval_bool(&[&rows[i]], &env).unwrap())
+                    .map(|i| i as u32)
+                    .collect();
+                assert!(!want.is_empty() && want.len() < survivors);
+                assert_eq!(lowered.select_range(0, n), want, "{survivors} survivors");
+            }
         }
     }
 }

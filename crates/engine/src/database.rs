@@ -10,7 +10,7 @@ use eds_lera::{Schema, SchemaCtx};
 
 use crate::columnar::ColumnarRelation;
 use crate::error::{EngineError, EngineResult};
-use crate::relation::{Relation, Row};
+use crate::relation::{shared_row, Relation, Row};
 use crate::stats::TableStats;
 
 /// An in-memory database instance.
@@ -135,7 +135,7 @@ impl Database {
                     .catalog
                     .table(&t.name)
                     .map(|s| Schema::new(s.columns.clone()))
-                    .expect("just installed");
+                    .ok_or_else(|| EngineError::UnknownRelation(t.name.clone()))?;
                 let key = t.name.to_ascii_uppercase();
                 self.relations.insert(key.clone(), Relation::empty(schema));
                 self.invalidate_columnar(&key);
@@ -185,7 +185,7 @@ impl Database {
     /// away. Only when a value does not fit its column's layout (or the
     /// cached entry is stale or negative) is the entry dropped so the
     /// next scan rebuilds from the rows.
-    pub fn insert(&mut self, table: &str, row: Row) -> EngineResult<()> {
+    pub fn insert(&mut self, table: &str, mut row: Row) -> EngineResult<()> {
         let key = table.to_ascii_uppercase();
         let rel = self
             .relations
@@ -199,8 +199,8 @@ impl Database {
             });
         }
         let prev_len = rel.len();
-        rel.push(row);
-        let appended = rel.rows.last().expect("just pushed").clone();
+        let appended = shared_row(&mut row);
+        rel.push_shared(appended.clone());
         let cache = self.columnar.get_mut();
         let cache = cache.unwrap_or_else(PoisonError::into_inner);
         if let Some(entry) = cache.get_mut(&key) {

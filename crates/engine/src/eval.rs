@@ -39,7 +39,7 @@
 //! The original per-tuple tree-walking interpreter is preserved verbatim
 //! in [`crate::reference`] for differential testing.
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
@@ -224,7 +224,7 @@ pub fn eval_with_params(
 /// over no input tuples, so a stray attribute reference or `?` is a
 /// typed error.
 pub fn eval_const_scalar(s: &Scalar, db: &Database) -> EngineResult<Value> {
-    let bound = bind_fields(s, &[], &db.catalog)?;
+    let bound = bind_fields(s, &[] as &[Schema], &db.catalog)?;
     let env = EvalEnv::of(db);
     CompiledScalar::compile(&bound, &env).eval_owned(&[], &env)
 }
@@ -705,10 +705,10 @@ fn eval_search<S: Sink>(
         .iter()
         .map(|i| eval_input(i, ctx))
         .collect::<EngineResult<Vec<_>>>()?;
-    let schemas: Vec<Schema> = rels.iter().map(|r| (*r.schema).clone()).collect();
+    let schemas: Vec<&Schema> = rels.iter().map(|r| &*r.schema).collect();
     let bound_pred = bind_fields(pred, &schemas, &ctx.db.catalog)?;
     let env = EvalEnv::with_params(ctx.db, ctx.params);
-    let cpred = CompiledPred::compile(&bound_pred, &env);
+    let cpred = CompiledPred::compile(&bound_pred);
     let every_attr: Vec<Scalar>;
     let targets = match proj {
         Some(proj) => proj,
@@ -794,7 +794,7 @@ fn project_into(
 fn select_project<S: Sink>(
     input: &Expr,
     rel: &Relation,
-    cpred: &CompiledPred,
+    cpred: &CompiledPred<'_>,
     cproj: &[CompiledProj],
     env: &EvalEnv<'_>,
     ctx: &Ctx<'_>,
@@ -936,7 +936,7 @@ fn fused_scan_nest(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Option<Relati
         return Ok(Some(out));
     }
     let env = EvalEnv::with_params(ctx.db, ctx.params);
-    let cpred = CompiledPred::compile(&bound, &env);
+    let cpred = CompiledPred::compile(&bound);
     let Some(cols) = base_columnar(base, ctx, rel.len()) else {
         return Ok(None);
     };
@@ -1124,7 +1124,7 @@ struct Step<'r> {
 /// one tuple buffer, extended and overwritten in place.
 struct Enumeration<'a, 'r, S> {
     steps: &'a [Step<'r>],
-    cpred: &'a CompiledPred,
+    cpred: &'a CompiledPred<'a>,
     cproj: &'a [CompiledProj],
     env: &'a EvalEnv<'a>,
     hasher: &'a Fold,
@@ -1190,7 +1190,7 @@ impl<S: Sink> Enumeration<'_, '_, S> {
 fn streamed_join<S: Sink>(
     inputs: &[&Expr],
     rels: &[Input<'_>],
-    cpred: &CompiledPred,
+    cpred: &CompiledPred<'_>,
     cproj: &[CompiledProj],
     env: &EvalEnv<'_>,
     ctx: &Ctx<'_>,
@@ -1268,7 +1268,7 @@ fn streamed_join<S: Sink>(
 /// tree.
 pub(crate) fn bind_fields<'s>(
     s: &'s Scalar,
-    inputs: &[Schema],
+    inputs: &[impl Borrow<Schema>],
     catalog: &Catalog,
 ) -> EngineResult<Cow<'s, Scalar>> {
     let mut has_field = false;
@@ -1284,7 +1284,7 @@ pub(crate) fn bind_fields<'s>(
 
 fn bind_fields_inner(
     s: &Scalar,
-    inputs: &[Schema],
+    inputs: &[impl Borrow<Schema>],
     sc: &SchemaCtx<'_>,
 ) -> Result<Scalar, LeraError> {
     Ok(match s {

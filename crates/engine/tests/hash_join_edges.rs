@@ -4,7 +4,7 @@
 //! and order — at parallelism 1 and 4.
 
 use eds_adt::Value;
-use eds_engine::{eval_reference, eval_with, Database, EvalOptions};
+use eds_engine::{eval_reference, eval_with, Database, EngineError, EvalOptions, MORSEL_ROWS};
 use eds_lera::{CmpOp, Expr, Scalar};
 
 /// Two tables whose keys exercise the awkward cases: NULLs on both sides,
@@ -336,7 +336,7 @@ fn a_parameter_preselects_once_bound_and_errors_unbound() {
         };
         let unbound = eval_with(&search(Scalar::param(0)), &db, opts);
         assert!(
-            matches!(unbound, Err(eds_engine::EngineError::UnboundParam(0))),
+            matches!(unbound, Err(EngineError::UnboundParam(0))),
             "columnar {columnar}: {unbound:?}"
         );
     }
@@ -592,4 +592,176 @@ fn an_error_on_a_dropped_row_disappears_and_none_appears() {
     let kept = search(None);
     assert!(eval_reference(&kept, &db, EvalOptions::default()).is_err());
     assert!(eval_with(&kept, &db, EvalOptions::default()).is_err());
+}
+
+/// `P(K, Who, N)` over two morsels and a bit, `Who` a `Person` whose
+/// value is a `(Name, Salary)` tuple on most rows but NULL on every 50th
+/// and a list of two such tuples on every 50th after that — values the
+/// fast form of `Salary(Who)` declines — beside `Q(K, V)` on every
+/// 40th key. Both are INT-keyed, so both have a mirror.
+fn person_db() -> Database {
+    let mut db = Database::new();
+    db.execute_ddl(
+        "TYPE Person OBJECT TUPLE ( Name : CHAR, Salary : NUMERIC ) ;
+         TABLE P ( K : INT, Who : Person, N : INT ) ;
+         TABLE Q ( K : INT, V : INT ) ;",
+    )
+    .unwrap();
+    let person = |i: i64| {
+        Value::Tuple(vec![
+            Value::str(format!("P{i}")),
+            Value::Int(1_000 * (i % 6)),
+        ])
+    };
+    for i in 0..(2 * MORSEL_ROWS + 5) as i64 {
+        let who = match i % 50 {
+            7 => Value::Null,
+            13 => db.create_object("Person", Value::list(vec![person(i), person(i + 4)])),
+            _ => db.create_object("Person", person(i)),
+        };
+        db.insert("P", vec![i.into(), who, (i % 7).into()]).unwrap();
+        if i % 40 == 0 {
+            db.insert("Q", vec![i.into(), (i % 11).into()]).unwrap();
+        }
+    }
+    db
+}
+
+/// Evaluate the plan `with` builds over `?0 … ?k` against `binds` under
+/// parallelism {1, 4} × columnar {off, on}, and the oracle over the same
+/// plan with each bound `?i` written as its literal (a `?` past the end
+/// of `binds` stays one, unbound for the oracle too). The answer — rows
+/// and their order, or the error — is the oracle's under every
+/// configuration, and so are the work counters of every run that
+/// answered. Returns the oracle's rows.
+fn declines_like_the_oracle(
+    db: &Database,
+    params: u16,
+    with: impl Fn(&[Scalar]) -> Expr,
+    binds: &[Value],
+) -> Result<Vec<Vec<Value>>, EngineError> {
+    let slots = |literal: bool| -> Vec<Scalar> {
+        (0..params)
+            .map(|i| match binds.get(i as usize) {
+                Some(v) if literal => Scalar::lit(v.clone()),
+                _ => Scalar::param(i),
+            })
+            .collect()
+    };
+    let oracle = eval_reference(&with(&slots(true)), db, EvalOptions::default());
+    let plan = with(&slots(false));
+    let mut work = None;
+    for parallelism in [1usize, 4] {
+        for columnar in [false, true] {
+            let opts = EvalOptions {
+                parallelism,
+                columnar,
+                ..Default::default()
+            };
+            let got = eds_engine::eval_with_params(&plan, db, opts, binds);
+            match (&got, &oracle) {
+                (Ok((rel, stats)), Ok(want)) => {
+                    assert_eq!(rel.rows, want.rows, "{plan} under {opts:?}");
+                    assert_eq!(stats, work.get_or_insert(*stats), "{plan} under {opts:?}");
+                }
+                (Err(e), Err(want)) => assert_eq!(e, want, "{plan} under {opts:?}"),
+                _ => panic!("{plan} under {opts:?}: {got:?}, the oracle {oracle:?}"),
+            }
+        }
+    }
+    oracle.map(|rel| rel.rows.iter().map(|r| r.to_vec()).collect())
+}
+
+/// A conjunct's general program is built on the first row its fast form
+/// declines — or at once, when it has none — and the lanes of a
+/// parallel run share that one build: an unbound `?`, a `Salary(Who)`
+/// whose object is NULL or a list rather than a tuple, a `GETFIELD`
+/// index past the tuple, and `OR` / function-call conjuncts, each over
+/// one input and as a join, give the oracle's answer.
+#[test]
+fn the_general_program_is_built_where_a_fast_form_declines() {
+    let db = person_db();
+    let n = (2 * MORSEL_ROWS + 5) as i64;
+    let one = |pred: Scalar| Expr::search(vec![Expr::base("P")], pred, vec![Scalar::attr(1, 1)]);
+    let join = |pred: Scalar| {
+        Expr::search(
+            vec![Expr::base("P"), Expr::base("Q")],
+            Scalar::and(attr_eq(1, 1, 2, 1), pred),
+            vec![Scalar::attr(1, 1), Scalar::attr(2, 2)],
+        )
+    };
+    let from = |k: &Scalar| Scalar::cmp(CmpOp::Ge, Scalar::attr(1, 1), k.clone());
+    // An unbound `?1`: nothing reaches it while `K >= ?0` is FALSE on
+    // every row, the first row that passes reports it.
+    for shape in [one, join] {
+        let unbound = |p: &[Scalar]| {
+            shape(Scalar::and(
+                from(&p[0]),
+                Scalar::cmp(CmpOp::Lt, Scalar::attr(1, 3), p[1].clone()),
+            ))
+        };
+        assert_eq!(
+            declines_like_the_oracle(&db, 2, unbound, &[n.into()]),
+            Ok(vec![])
+        );
+        assert_eq!(
+            declines_like_the_oracle(&db, 2, unbound, &[(n - 40).into()]),
+            Err(EngineError::UnboundParam(1))
+        );
+    }
+    // `Salary(Who) > 3000` on a NULL or a list of tuples: no error.
+    let salary = Scalar::cmp(
+        CmpOp::Gt,
+        Scalar::field(Scalar::attr(1, 2), "Salary"),
+        Scalar::lit(3_000),
+    );
+    let rows = declines_like_the_oracle(&db, 0, |_| one(salary.clone()), &[]).unwrap();
+    let lists = (0..n).filter(|i| i % 50 == 13).count();
+    let tuples = (0..n)
+        .filter(|i| !matches!(i % 50, 7 | 13) && i % 6 >= 4)
+        .count();
+    assert!(rows.len() >= tuples && rows.len() <= tuples + lists);
+    let joined = declines_like_the_oracle(&db, 0, |_| join(salary.clone()), &[]).unwrap();
+    assert!(!joined.is_empty() && joined.len() < rows.len());
+    // `GETFIELD(VALUE(Who), 3)` is past every tuple: the first row the
+    // qualification reaches it on reports the index.
+    for shape in [one, join] {
+        let third = |p: &[Scalar]| {
+            let field = Scalar::call(
+                "GETFIELD",
+                vec![
+                    Scalar::call("VALUE", vec![Scalar::attr(1, 2)]),
+                    Scalar::lit(3),
+                ],
+            );
+            shape(Scalar::and(
+                from(&p[0]),
+                Scalar::cmp(CmpOp::Gt, field, Scalar::lit(0)),
+            ))
+        };
+        assert_eq!(
+            declines_like_the_oracle(&db, 1, third, &[n.into()]),
+            Ok(vec![])
+        );
+        assert!(matches!(
+            declines_like_the_oracle(&db, 1, third, &[(n - 40).into()]),
+            Err(EngineError::Adt(eds_adt::AdtError::IndexOutOfBounds {
+                index: 3,
+                len: 2
+            }))
+        ));
+    }
+    // No fast form at all: a disjunction and a comparison of a call.
+    for shape in [one, join] {
+        let general = |p: &[Scalar]| {
+            let or = Scalar::Or(
+                Box::new(Scalar::eq(Scalar::attr(1, 3), Scalar::lit(3))),
+                Box::new(Scalar::cmp(CmpOp::Lt, Scalar::attr(1, 1), Scalar::lit(10))),
+            );
+            let plus = Scalar::call("+", vec![Scalar::attr(1, 1), Scalar::lit(1)]);
+            shape(Scalar::and(or, Scalar::cmp(CmpOp::Gt, plus, p[0].clone())))
+        };
+        let rows = declines_like_the_oracle(&db, 1, general, &[100.into()]).unwrap();
+        assert!(!rows.is_empty());
+    }
 }

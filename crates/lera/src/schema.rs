@@ -6,6 +6,7 @@
 //! `PROJECT` conversions, and what the engine uses to resolve named field
 //! accesses to positions.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use eds_adt::{CollKind, Field, Type, Value};
@@ -199,15 +200,17 @@ pub fn infer_schema(expr: &Expr, ctx: &SchemaCtx<'_>) -> LeraResult<Schema> {
 /// known: the target list `proj` typed against them, or — `None`, the
 /// `filter` / `join` shape — every attribute of every input in input
 /// order. [`infer_schema`] is this applied bottom-up; an executor that
-/// holds its evaluated inputs calls it directly and infers nothing
-/// below the operator twice.
+/// holds its evaluated inputs calls it directly, with their schemas
+/// borrowed, and infers nothing below the operator twice.
 pub fn search_schema(
     proj: Option<&[Scalar]>,
-    inputs: &[Schema],
+    inputs: &[impl Borrow<Schema>],
     ctx: &SchemaCtx<'_>,
 ) -> LeraResult<Schema> {
     let Some(exprs) = proj else {
-        let fields = inputs.iter().flat_map(|s| s.fields.iter().cloned());
+        let fields = inputs
+            .iter()
+            .flat_map(|s| s.borrow().fields.iter().cloned());
         return Ok(Schema::new(fields.collect()));
     };
     let mut fields = Vec::with_capacity(exprs.len());
@@ -244,11 +247,11 @@ pub fn nest_schema(
     Ok(Schema::new(fields))
 }
 
-fn synth_name(e: &Scalar, inputs: &[Schema]) -> Option<String> {
+fn synth_name(e: &Scalar, inputs: &[impl Borrow<Schema>]) -> Option<String> {
     match e {
         Scalar::Attr { rel, attr } => inputs
             .get(rel - 1)
-            .and_then(|s| s.fields.get(attr - 1))
+            .and_then(|s| s.borrow().fields.get(attr - 1))
             .map(|f| f.name.clone()),
         Scalar::Field { name, .. } => Some(name.clone()),
         Scalar::Call { func, args } => {
@@ -288,8 +291,12 @@ pub fn type_of_value(v: &Value) -> Type {
 }
 
 /// Infer the type of a scalar expression against the schemas of the
-/// enclosing operator's inputs.
-pub fn infer_scalar_type(e: &Scalar, inputs: &[Schema], ctx: &SchemaCtx<'_>) -> LeraResult<Type> {
+/// enclosing operator's inputs (owned or borrowed).
+pub fn infer_scalar_type(
+    e: &Scalar,
+    inputs: &[impl Borrow<Schema>],
+    ctx: &SchemaCtx<'_>,
+) -> LeraResult<Type> {
     match e {
         Scalar::Attr { rel, attr } => {
             let schema = inputs.get(rel - 1).ok_or(LeraError::BadAttrRef {
@@ -297,7 +304,7 @@ pub fn infer_scalar_type(e: &Scalar, inputs: &[Schema], ctx: &SchemaCtx<'_>) -> 
                 attr: *attr,
                 context: format!("{} input relations", inputs.len()),
             })?;
-            Ok(schema.field(*attr)?.ty.clone())
+            Ok(schema.borrow().field(*attr)?.ty.clone())
         }
         Scalar::Const(v) => Ok(type_of_value(v)),
         // A parameter's type is unknown until bind time.
