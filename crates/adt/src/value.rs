@@ -364,12 +364,14 @@ impl CmpOp {
     /// whose outcome set has `<` and `>` exchanged.
     #[inline]
     pub fn flipped(self) -> CmpOp {
-        let m = self.outcomes();
-        let mirrored = (m & 0b010) | (m & 0b001) << 2 | (m & 0b100) >> 2;
-        CmpOp::ALL
-            .into_iter()
-            .find(|op| op.outcomes() == mirrored)
-            .expect("the six outcome sets are closed under mirroring")
+        match self {
+            CmpOp::Eq => CmpOp::Eq,
+            CmpOp::Ne => CmpOp::Ne,
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+        }
     }
 
     /// Evaluate `l op r` to a [`Value`]: NULL when a side is NULL

@@ -105,7 +105,7 @@ fn exec_suite(group: &mut BenchmarkGroup<'_>) {
 
 /// Cost-guided plan choice: each workload's canonical plan has a shape
 /// saturation flattens or merges, and `OptLevel::Full`'s
-/// statistics-backed exploration may keep another one. The committed
+/// cost-guided exploration may keep another one. The committed
 /// `<id>/seq` baseline is the **Simple** plan on the default engine
 /// configuration (re-record with `EDS_EXEC_BASELINE=1`); `<id>/p1`
 /// measures the **Full** plan — the before/after pair the `opt_level`

@@ -36,7 +36,7 @@
 //! The `ol_*` workloads measure cost-guided plan choice (kind
 //! `opt_level`): `<id>/seq` is the `OptLevel::Simple` plan (pure
 //! saturation) and `<id>/p1` the `OptLevel::Full` plan the
-//! statistics-backed exploration picked, both on the same engine
+//! cost-guided exploration picked, both on the same engine
 //! configuration. They are excluded from the exec medians and
 //! summarized under `median_speedup_opt_level` — about 1x since the
 //! default executor hashes (the same-host check that `Full` is never the

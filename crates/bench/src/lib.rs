@@ -363,13 +363,14 @@ pub fn simple_table(rows: i64) -> Dbms {
     dbms
 }
 
-/// A join-order-sensitive 3-way join: `R ⋈ S` (through a view `RS`)
-/// joined with a small `T`. The canonical plan nests the view's search
-/// inside the outer one; syntactic saturation *flattens* it into one
-/// 3-way search, which the executor evaluates as a full cross product —
-/// `|R|·|S|·|T|` combinations instead of `|R|·|S| + |R⋈S|·|T|`. The
-/// statistics-backed estimator sees the difference, so `OptLevel::Full`
-/// keeps the nested shape; the opt-level experiment's first workload.
+/// A 3-way join: `R ⋈ S` (through a view `RS`) joined with a small
+/// `T`. The canonical plan nests the view's search inside the outer
+/// one; syntactic saturation *flattens* it into one 3-way search. Under
+/// the paper's cross-product executor that cost `|R|·|S|·|T|`
+/// combinations instead of `|R|·|S| + |R⋈S|·|T|`; the default executor
+/// hashes on the linking equalities, the estimator prices the flattened
+/// plan below the nested one, and `OptLevel::Full` emits `Simple`'s
+/// plan. The opt-level experiment's first workload.
 pub fn join3_dbms(rows: i64, keys: i64, small: i64) -> Dbms {
     let mut dbms = Dbms::new().expect("default rules load");
     dbms.execute_ddl(
@@ -420,11 +421,12 @@ pub fn filter_pushdown_dbms(union_rows: i64, big_rows: i64) -> Dbms {
     dbms
 }
 
-/// The opt-level workload suite: `(id, dbms, sql)` triples where the
-/// statistics-backed `Full` level picks a measurably cheaper plan than
-/// `Simple`'s pure saturation. Shared by the `exec` bench (kind
-/// `opt_level` in `BENCH_exec.json`), the differential suites and the
-/// CI gate.
+/// The opt-level workload suite: `(id, dbms, sql)` triples built so
+/// that `Simple`'s pure saturation picked the wrong plan for the paper's
+/// cross-product executor. On the default executor `Full` emits a
+/// different plan on `ol_pushdown` only and `Simple`'s on `ol_join3`
+/// (EXPERIMENTS E18). Shared by the `exec` bench (kind `opt_level` in
+/// `BENCH_exec.json`), the differential suites and the CI gate.
 pub fn opt_level_workloads() -> Vec<(&'static str, Dbms, String)> {
     vec![
         (

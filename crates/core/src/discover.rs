@@ -33,7 +33,7 @@ pub struct LeraCostOracle {
 impl LeraCostOracle {
     /// Wrap a cost model, forcing a positive predicate-operator weight
     /// (a zero weight cannot rank candidates whose selectivity the
-    /// sketches do not separate).
+    /// constants do not separate).
     pub fn new(mut model: CostModel) -> Self {
         if model.pred_op_weight <= 0.0 {
             model.pred_op_weight = 1.0;

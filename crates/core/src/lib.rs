@@ -36,7 +36,7 @@ use std::sync::PoisonError;
 use eds_engine::{eval_with, Database, EvalOptions, EvalStats, Relation, Row};
 pub use eds_engine::{parallel_stats, OptLevel, ParallelStats};
 use eds_esql::{parse_query, Stmt};
-use eds_lera::{expr_to_term, translate_query, CostModel, Estimate, Expr, Schema, SchemaCtx};
+use eds_lera::{expr_to_term, translate_query, Expr, Schema, SchemaCtx};
 
 pub use discover::{HarnessOracle, LeraCostOracle};
 pub use eds_rewrite::discover::{DiscoverOptions, Discovery, Fragment, Funnel};
@@ -388,12 +388,12 @@ impl Dbms {
     }
 
     /// Discover new prover-certified, cost-decreasing rewrite rules
-    /// against the current knowledge base, cost-ranked with statistics
-    /// from the stored data (see [`eds_rewrite::discover`]). The result
+    /// against the current knowledge base, cost-ranked with the stored
+    /// tables' cardinalities (see [`eds_rewrite::discover`]). The result
     /// renders to a `.rules` source loadable with
     /// [`Dbms::add_rule_source_checked`].
     pub fn discover(&self, opts: &DiscoverOptions) -> Discovery {
-        self.rewriter.discover(opts, self.cost_model())
+        self.rewriter.discover(opts, stats_cost_model(&self.db))
     }
 
     /// Declare integrity constraints written in the rule language
@@ -515,25 +515,6 @@ impl Dbms {
     /// prepared at.
     pub fn set_opt_level(&mut self, level: OptLevel) {
         self.eval_options.opt_level = level;
-    }
-
-    /// A cost model whose base-relation statistics reflect the currently
-    /// stored data: exact cardinalities plus the engine's per-attribute
-    /// distinct-count/min-max sketches.
-    pub fn cost_model(&self) -> CostModel {
-        stats_cost_model(&self.db)
-    }
-
-    /// Estimate a query's plan cost before and after rewriting (the
-    /// logical-optimizer quality signal the benchmark harness tracks).
-    pub fn analyze(&self, sql: &str) -> CoreResult<(Estimate, Estimate)> {
-        let prepared = self.prepare(sql)?;
-        let rewritten = self.rewrite(&prepared)?;
-        let model = self.cost_model();
-        Ok((
-            model.estimate(&prepared.expr),
-            model.estimate(&rewritten.expr),
-        ))
     }
 
     /// Human-readable before/after explanation of a query's rewrite at

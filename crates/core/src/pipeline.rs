@@ -178,15 +178,13 @@ impl ExploreStats {
     }
 }
 
-/// A [`CostModel`] whose base-relation statistics reflect the currently
-/// stored data: exact cardinalities plus the engine's per-attribute
-/// distinct-count/min-max sketches. Views and unknown names are left to
-/// the model's defaults.
+/// A [`CostModel`] holding the exact cardinality of every stored table.
+/// Views and unknown names are left to the model's defaults.
 pub fn stats_cost_model(db: &Database) -> CostModel {
     let mut model = CostModel::new();
     for name in db.catalog.table_names() {
-        if let Some(ts) = db.table_stats(name) {
-            model.set_stats(name, ts.relation_stats());
+        if let Some(card) = db.cardinality(name) {
+            model.set_card(name, card as f64);
         }
     }
     model
@@ -625,8 +623,8 @@ impl QueryRewriter {
     ///   trap).
     /// * [`OptLevel::Simple`] — bounded syntactic saturation.
     /// * [`OptLevel::Full`] — `Simple` plus candidate exploration at the
-    ///   declared choice-point blocks, scored with a statistics-backed
-    ///   cost model built from the engine's sketches.
+    ///   declared choice-point blocks, scored with a cost model holding
+    ///   the stored tables' exact cardinalities.
     pub fn run(
         &self,
         term: Term,

@@ -652,25 +652,6 @@ fn aggregates_survive_rewriting() {
 }
 
 #[test]
-fn analyze_reports_cost_improvement() {
-    let mut dbms = film_dbms();
-    dbms.execute_ddl(
-        "CREATE VIEW Adventure (Numf, Title) AS \
-         SELECT Numf, Title FROM FILM WHERE MEMBER('Adventure', Categories) ;",
-    )
-    .unwrap();
-    let (before, after) = dbms
-        .analyze("SELECT Title FROM Adventure WHERE Numf = 3 ;")
-        .unwrap();
-    assert!(
-        after.cost < before.cost,
-        "rewrite should reduce estimated cost: {} !< {}",
-        after.cost,
-        before.cost
-    );
-}
-
-#[test]
 fn merging_respects_duplicate_elimination_boundaries() {
     // SearchMerge must not merge across DEDUP: the distinct view's
     // duplicate elimination is semantically load-bearing.

@@ -11,7 +11,6 @@ use eds_lera::{Schema, SchemaCtx};
 use crate::columnar::ColumnarRelation;
 use crate::error::{EngineError, EngineResult};
 use crate::relation::{shared_row, Relation, Row};
-use crate::stats::TableStats;
 
 /// An in-memory database instance.
 #[derive(Debug)]
@@ -30,18 +29,15 @@ pub struct Database {
     /// ([`Database::relation_mut`], [`Database::truncate`]) invalidate
     /// the touched table's entry — and only that entry, so mirrors of
     /// unrelated tables survive. `None` records "not column-friendly"
-    /// so an all-spill table is not re-scanned on every query.
+    /// so an all-spill table is not re-scanned on every query. This is
+    /// the only per-table cache derived from the rows: the cost model
+    /// reads nothing but [`Database::cardinality`], which is exact.
     ///
-    /// Entries of this map and of `stats` are inserted whole, after the
-    /// build: a thread that panics holding either lock leaves the map as
-    /// it found it, so readers recover a poisoned lock
-    /// ([`PoisonError::into_inner`]) instead of failing every later join.
+    /// Entries are inserted whole, after the build: a thread that panics
+    /// holding the lock leaves the map as it found it, so readers recover
+    /// a poisoned lock ([`PoisonError::into_inner`]) instead of failing
+    /// every later join.
     columnar: Mutex<HashMap<String, Option<Arc<ColumnarRelation>>>>,
-    /// Per-table statistics sketches for the cost-guided rewriter (see
-    /// [`crate::stats`]), cached with the same lifecycle as the columnar
-    /// mirrors: built lazily by [`Database::table_stats`], maintained
-    /// incrementally on [`Database::insert`], dropped on bulk mutation.
-    stats: Mutex<HashMap<String, Arc<TableStats>>>,
 }
 
 impl Default for Database {
@@ -59,18 +55,14 @@ impl Database {
             functions: FunctionRegistry::with_builtins(),
             relations: HashMap::new(),
             columnar: Mutex::new(HashMap::new()),
-            stats: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Drop the cached columnar mirror and statistics of `key` (already
-    /// uppercased), called from every path that can change the stored
-    /// rows.
+    /// Drop the cached columnar mirror of `key` (already uppercased),
+    /// called from every path that can change the stored rows.
     fn invalidate_columnar(&mut self, key: &str) {
         let columnar = self.columnar.get_mut();
         columnar.unwrap_or_else(PoisonError::into_inner).remove(key);
-        let stats = self.stats.get_mut();
-        stats.unwrap_or_else(PoisonError::into_inner).remove(key);
     }
 
     /// Columnar mirror of a stored base table, built on first use and
@@ -90,21 +82,6 @@ impl Database {
             .and_then(|rel| ColumnarRelation::build(rel).map(Arc::new));
         cache.insert(key.into_owned(), built.clone());
         built
-    }
-
-    /// Statistics sketches for a stored base table, built on first use
-    /// and cached until the table is mutated. `None` when no such table
-    /// exists (views and recursion variables have no stored rows).
-    pub fn table_stats(&self, name: &str) -> Option<Arc<TableStats>> {
-        let key = lookup_key(name);
-        let cache = self.stats.lock();
-        let mut cache = cache.unwrap_or_else(PoisonError::into_inner);
-        if let Some(entry) = cache.get(key.as_ref()) {
-            return Some(entry.clone());
-        }
-        let built = Arc::new(TableStats::build(self.relations.get(key.as_ref())?));
-        cache.insert(key.into_owned(), built.clone());
-        Some(built)
     }
 
     /// Parse and install DDL from `src`; storage is allocated for tables,
@@ -214,15 +191,6 @@ impl Database {
             };
             if !maintained {
                 cache.remove(&key);
-            }
-        }
-        let stats = self.stats.get_mut();
-        let stats = stats.unwrap_or_else(PoisonError::into_inner);
-        if let Some(entry) = stats.get_mut(&key) {
-            if entry.card == prev_len as u64 {
-                Arc::make_mut(entry).observe_row(&appended);
-            } else {
-                stats.remove(&key);
             }
         }
         Ok(())
@@ -450,49 +418,20 @@ mod tests {
         let poisoner = std::thread::scope(|s| {
             s.spawn(|| {
                 let _mirrors = db.columnar.lock().unwrap();
-                let _stats = db.stats.lock().unwrap();
-                panic!("poisoning both cache locks (expected by this test)");
+                panic!("poisoning the mirror cache lock (expected by this test)");
             })
             .join()
         });
         assert!(poisoner.is_err());
-        assert!(db.columnar.is_poisoned() && db.stats.is_poisoned());
+        assert!(db.columnar.is_poisoned());
         // Reads are served, from the very entry cached before.
         let after = db.columnar("P").expect("mirror still served");
         assert!(Arc::ptr_eq(&before, &after));
-        assert_eq!(db.table_stats("P").expect("stats still built").card, 1);
         // So are the write paths that maintain or drop entries.
         db.insert("P", vec![2.into()]).unwrap();
         assert_eq!(db.columnar("P").expect("maintained").len(), 2);
-        assert_eq!(db.table_stats("P").expect("maintained").card, 2);
         db.truncate("P").unwrap();
-        assert_eq!(db.table_stats("P").expect("rebuilt").card, 0);
-    }
-
-    #[test]
-    fn table_stats_maintained_on_insert_dropped_on_truncate() {
-        let mut db = Database::new();
-        db.execute_ddl("TABLE S (K : INT, V : INT);").unwrap();
-        for i in 0..10 {
-            db.insert("S", vec![Value::Int(i), Value::Int(i % 3)])
-                .unwrap();
-        }
-        let first = db.table_stats("S").expect("stored table");
-        assert_eq!(first.card, 10);
-        assert_eq!(first.columns[0].distinct(), 10.0);
-        assert_eq!(first.columns[1].distinct(), 3.0);
-        // Insert maintains the cached sketch in place (no rebuild).
-        db.insert("S", vec![Value::Int(99), Value::Int(7)]).unwrap();
-        let second = db.table_stats("S").expect("still cached");
-        assert_eq!(second.card, 11);
-        assert_eq!(second.columns[0].max, Some(99.0));
-        assert_eq!(second.columns[1].distinct(), 4.0);
-        // Truncate drops the entry; the rebuild sees an empty table.
-        db.truncate("S").unwrap();
-        let third = db.table_stats("S").expect("rebuilt");
-        assert_eq!(third.card, 0);
-        // Views have no stored rows, hence no stats.
-        assert!(db.table_stats("NOPE").is_none());
+        assert!(db.columnar("P").is_none(), "an empty table has no mirror");
     }
 
     #[test]

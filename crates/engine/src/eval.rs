@@ -80,7 +80,7 @@ pub enum OptLevel {
     #[default]
     Simple,
     /// `Simple` plus cost-guided exploration: keep candidate rewrites at
-    /// choice-point blocks, score them with the statistics-backed cost
+    /// choice-point blocks, score them with the cardinality-backed cost
     /// model, emit the cheapest.
     Full,
 }

@@ -43,7 +43,6 @@ mod hash;
 pub mod parallel;
 pub mod reference;
 pub mod relation;
-pub mod stats;
 
 pub use columnar::ColumnarRelation;
 pub use compile::{CompiledScalar, EvalEnv};
@@ -55,4 +54,3 @@ pub use eval::{
 pub use parallel::{parallel_stats, shutdown_pool, ParallelStats, MORSEL_ROWS};
 pub use reference::eval_reference;
 pub use relation::{Relation, Row, SharedRow};
-pub use stats::{ColumnSketch, TableStats};

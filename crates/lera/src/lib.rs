@@ -37,7 +37,7 @@ pub mod schema;
 pub mod term_bridge;
 pub mod translate;
 
-pub use cost::{ColumnStats, CostModel, Estimate, RelationStats};
+pub use cost::{CostModel, Estimate};
 pub use display::pretty;
 pub use error::{LeraError, LeraResult};
 pub use expr::Expr;
