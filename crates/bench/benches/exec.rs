@@ -63,10 +63,32 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
+/// With `EDS_EXEC_BASELINE=1` the run also records each columnar scan
+/// under `<id>/seq` on the sequential row-at-a-time path (columnar off,
+/// parallelism 1): the committed `before` baseline of the `scan_*` and
+/// `scan1m_*` workloads.
+fn bench_row_baseline(group: &mut BenchmarkGroup<'_>, id: &str, dbms: &Dbms, expr: &Expr) {
+    if !std::env::var("EDS_EXEC_BASELINE").is_ok_and(|v| v != "0") {
+        return;
+    }
+    let opts = EvalOptions {
+        parallelism: 1,
+        columnar: false,
+        ..Default::default()
+    };
+    assert_matches_oracle(id, &dbms.db, expr, &[opts]);
+    group.bench_with_input(BenchmarkId::new(id, "seq"), expr, |b, e| {
+        b.iter(|| eds_engine::eval_with(e, &dbms.db, opts).unwrap());
+    });
+}
+
 fn exec_suite(group: &mut BenchmarkGroup<'_>) {
     for (id, dbms, sql) in exec_workloads() {
         let prepared = dbms.prepare(&sql).unwrap();
         let rewritten = dbms.rewrite(&prepared).unwrap();
+        if id.starts_with("scan_") {
+            bench_row_baseline(group, id, &dbms, &rewritten.expr);
+        }
         bench_plan(group, id, &dbms, &rewritten.expr, EvalOptions::default());
     }
 
@@ -77,26 +99,10 @@ fn exec_suite(group: &mut BenchmarkGroup<'_>) {
     {
         let (dbms, queries) = exec_workloads_1m();
         group.sample_size(10);
-        // With `EDS_EXEC_BASELINE=1` the run also records each query
-        // under `<id>/seq` on the sequential row-at-a-time path
-        // (columnar off, parallelism 1) — the committed `before`
-        // baseline for these workloads, like `EDS_COLUMNAR=0` was for
-        // the 16 k scans.
-        let record_baseline = std::env::var("EDS_EXEC_BASELINE").is_ok_and(|v| v != "0");
         for (id, sql) in queries {
             let prepared = dbms.prepare(&sql).unwrap();
             let rewritten = dbms.rewrite(&prepared).unwrap();
-            if record_baseline {
-                let opts = EvalOptions {
-                    parallelism: 1,
-                    columnar: false,
-                    ..Default::default()
-                };
-                assert_matches_oracle(id, &dbms.db, &rewritten.expr, &[opts]);
-                group.bench_with_input(BenchmarkId::new(id, "seq"), &rewritten.expr, |b, e| {
-                    b.iter(|| eds_engine::eval_with(e, &dbms.db, opts).unwrap());
-                });
-            }
+            bench_row_baseline(group, id, &dbms, &rewritten.expr);
             bench_plan(group, id, &dbms, &rewritten.expr, EvalOptions::default());
         }
         group.sample_size(15);

@@ -506,6 +506,11 @@ pub fn exec_workloads() -> Vec<(&'static str, Dbms, String)> {
             scan_dbms(16_000, 7),
             "SELECT G, MakeSet(K) FROM SCAN WHERE A > 900 GROUP BY G ;".to_owned(),
         ),
+        (
+            "scan_distinct",
+            scan_dbms(16_000, 7),
+            "SELECT DISTINCT B FROM SCAN WHERE K >= 50 ;".to_owned(),
+        ),
     ]
 }
 
@@ -517,8 +522,12 @@ pub fn exec_workloads() -> Vec<(&'static str, Dbms, String)> {
 /// crossover the `EXPERIMENTS.md` entry records. Kept separate from
 /// [`exec_workloads`], whose entries are addressed by index.
 pub fn exec_workloads_1m() -> (Dbms, Vec<(&'static str, String)>) {
-    let dbms = scan_dbms(1_000_000, 7);
-    let queries = vec![
+    (scan_dbms(1_000_000, 7), exec_queries_1m())
+}
+
+/// The `(id, sql)` pairs of [`exec_workloads_1m`], without its table.
+pub fn exec_queries_1m() -> Vec<(&'static str, String)> {
+    vec![
         (
             "scan1m_int_filter",
             "SELECT K FROM SCAN WHERE A > 800 AND B < 300 ;".to_owned(),
@@ -531,8 +540,7 @@ pub fn exec_workloads_1m() -> (Dbms, Vec<(&'static str, String)>) {
             "scan1m_group_agg",
             "SELECT G, MakeSet(K) FROM SCAN WHERE A > 900 GROUP BY G ;".to_owned(),
         ),
-    ];
-    (dbms, queries)
+    ]
 }
 
 /// ESQL literal spelling of a bind value; used to build the

@@ -1,12 +1,16 @@
 //! Smoke guard over the committed benchmark report: `BENCH_exec.json`
-//! must stay parseable and every entry's `speedup` must be a finite
+//! must stay parseable, every entry's `speedup` must be a finite
 //! number, so a botched bench regeneration fails CI loudly instead of
-//! shipping NaN/Infinity into the report.
+//! shipping NaN/Infinity into the report, and every executor workload
+//! must have an entry, so one added without regenerating the report
+//! fails too.
 //!
 //! Hand-rolled mini JSON validation — the workspace deliberately has no
 //! serde dependency.
 
 use std::path::PathBuf;
+
+use eds_bench::{exec_queries_1m, exec_workloads};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -129,4 +133,28 @@ fn check_report(name: &str) {
 #[test]
 fn bench_exec_report_is_sane() {
     check_report("BENCH_exec.json");
+}
+
+/// Every `"id": "<workload>"` of a report, in order.
+fn entry_ids(json: &str) -> Vec<&str> {
+    json.split("\"id\": \"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+        .collect()
+}
+
+#[test]
+fn every_exec_workload_has_a_report_entry() {
+    let path = repo_root().join("BENCH_exec.json");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{} unreadable: {e}", path.display()));
+    let ids = entry_ids(&text);
+    let workloads = exec_workloads().into_iter().map(|(id, ..)| id);
+    for id in workloads.chain(exec_queries_1m().into_iter().map(|(id, _)| id)) {
+        assert!(
+            ids.contains(&id),
+            "BENCH_exec.json has no entry for exec workload {id}: regenerate it \
+             (cargo bench -p eds-bench --bench exec && cargo run -p eds-bench --bin bench_report_exec)"
+        );
+    }
 }

@@ -533,3 +533,138 @@ fn zone_edges_match_on_every_path() {
         check(&dbms, sql);
     }
 }
+
+/// Slots per selected row up to which a one-`Int`-column DISTINCT, and a
+/// fused GROUP BY on one `Int` column, address the zone span directly
+/// (the engine's private `DENSE_DISTINCT` and `DENSE_GROUP`).
+const DENSE_DISTINCT: usize = 64;
+const DENSE_GROUP: usize = 8;
+
+/// `DK` holds two morsels and a bit, so at parallelism 4 each morsel's
+/// gather addresses its own span: `N` is small and signed, NULL on both
+/// edges of every selection strip and every 37th row; `M` is negative
+/// throughout; `W` is small except for `i64::MIN` at row 10 and
+/// `i64::MAX` at row 4 000, so its span overflows over the whole table,
+/// is too wide over the morsel holding row 4 000 alone, and is dense over
+/// the last morsel. Members are listed in row order (`MakeList`).
+fn dense_key_dbms() -> Dbms {
+    let mut dbms = Dbms::new().unwrap();
+    dbms.execute_ddl("TABLE DK (K : INT, N : INT, M : INT, W : INT);")
+        .unwrap();
+    let n = 2 * eds_engine::MORSEL_ROWS + 900;
+    dbms.insert_all(
+        "DK",
+        (0..n).map(|i| {
+            let edge = i % ZONE == 0 || i % ZONE == ZONE - 1 || i % 37 == 3;
+            let i = i as i64;
+            let w = match i {
+                10 => i64::MIN,
+                4_000 => i64::MAX,
+                _ => i % 5,
+            };
+            vec![
+                Value::Int(i),
+                if edge {
+                    Value::Null
+                } else {
+                    Value::Int((i * 13 % 41) - 20)
+                },
+                Value::Int(-1_000 - i * 7 % 300),
+                Value::Int(w),
+            ]
+        }),
+    )
+    .unwrap();
+    dbms
+}
+
+/// DISTINCT and GROUP BY over one `Int` key, on the dense path and off
+/// it: NULLs (a NULL flag, a NULL group), negative payloads, a span
+/// from `i64::MIN` to `i64::MAX` that must fall back, selections that
+/// start and end inside a strip, and empty selections — rows, order and
+/// `EvalStats` equal with columnar on and off and to the reference, at
+/// parallelism 1 and 4.
+#[test]
+fn dense_int_keys_match_on_every_path() {
+    let dbms = dense_key_dbms();
+    for sql in [
+        "SELECT DISTINCT N FROM DK WHERE K >= 0 ;",
+        "SELECT DISTINCT N FROM DK WHERE K >= 1500 AND K < 3100 ;",
+        "SELECT DISTINCT M FROM DK WHERE K >= 0 ;",
+        "SELECT DISTINCT W FROM DK WHERE K >= 0 ;",
+        "SELECT DISTINCT W FROM DK WHERE K >= 2048 ;",
+        "SELECT DISTINCT N FROM DK WHERE K < 0 ;",
+        "SELECT DISTINCT N FROM DK WHERE N > 100 ;",
+        "SELECT N, MakeList(K) FROM DK WHERE K >= 0 GROUP BY N ;",
+        "SELECT N, MakeList(M) FROM DK WHERE K >= 1500 AND K < 3100 GROUP BY N ;",
+        "SELECT M, MakeSet(K) FROM DK WHERE K >= 100 GROUP BY M ;",
+        "SELECT N, MakeBag(W) FROM DK WHERE M > -1100 GROUP BY N ;",
+        "SELECT W, MakeList(K) FROM DK WHERE K >= 0 GROUP BY W ;",
+        "SELECT W, MakeList(N) FROM DK WHERE K >= 4096 GROUP BY W ;",
+        "SELECT N, MakeList(K) FROM DK WHERE K < 0 GROUP BY N ;",
+    ] {
+        check(&dbms, sql);
+    }
+}
+
+/// The left operand of `difference` / `intersect` is a set-mode gather
+/// too: a one-`Int`-column search over `DK`, with NULLs, less (or
+/// intersected with) another.
+#[test]
+fn set_operations_over_a_dense_int_key_match() {
+    use eds_lera::{CmpOp, Scalar};
+    let dbms = dense_key_dbms();
+    let n_where = |op: CmpOp, k: i64| {
+        Expr::search(
+            vec![Expr::base("DK")],
+            Scalar::cmp(op, Scalar::attr(1, 1), Scalar::lit(k)),
+            vec![Scalar::attr(1, 2)],
+        )
+    };
+    for (lo, hi) in [(7, 1_000), (0, 0), (3_000, 4_500)] {
+        let (a, b) = (
+            Box::new(n_where(CmpOp::Ge, lo)),
+            Box::new(n_where(CmpOp::Lt, hi)),
+        );
+        let except = Expr::Difference(a.clone(), b.clone());
+        assert_equivalent(&format!("{except}"), &dbms, &except);
+        let intersect = Expr::Intersect(a, b);
+        assert_equivalent(&format!("{intersect}"), &dbms, &intersect);
+    }
+}
+
+/// Spans of one slot below, at and one above each density bound, over a
+/// 300-row selection whose key holds a NULL and runs from −100: the
+/// paths on either side of a bound agree with the row path and the
+/// reference.
+#[test]
+fn spans_around_the_density_bounds_match() {
+    let n = 300usize;
+    for (per_row, sql) in [
+        (DENSE_DISTINCT, "SELECT DISTINCT X FROM EDGE WHERE K >= 0 ;"),
+        (
+            DENSE_GROUP,
+            "SELECT X, MakeList(K) FROM EDGE WHERE K >= 0 GROUP BY X ;",
+        ),
+    ] {
+        for slots in [per_row * n - 1, per_row * n, per_row * n + 1] {
+            let max = -100 + slots as i64 - 1;
+            let mut dbms = Dbms::new().unwrap();
+            dbms.execute_ddl("TABLE EDGE (K : INT, X : INT);").unwrap();
+            dbms.insert_all(
+                "EDGE",
+                (0..n as i64).map(|i| {
+                    let x = match i {
+                        0 => Value::Int(-100),
+                        1 => Value::Int(max),
+                        5 => Value::Null,
+                        _ => Value::Int(-100 + i * 7_919 % (max + 101)),
+                    };
+                    vec![Value::Int(i), x]
+                }),
+            )
+            .unwrap();
+            check(&dbms, sql);
+        }
+    }
+}

@@ -128,6 +128,10 @@ const PINS: &[Pin] = &[
      "NEST(SEARCH(LIST(SCAN), (1.2 > 900), LIST(1.5, 1.1)), LIST(2), LIST(1), SET)"),
     ("scan_group_agg", "full", 79, 0, 5,
      "NEST(SEARCH(LIST(SCAN), (1.2 > 900), LIST(1.5, 1.1)), LIST(2), LIST(1), SET)"),
+    ("scan_distinct", "simple", 79, 0, 5,
+     "DEDUP(SEARCH(LIST(SCAN), (1.1 >= 50), LIST(1.3)))"),
+    ("scan_distinct", "full", 79, 0, 5,
+     "DEDUP(SEARCH(LIST(SCAN), (1.1 >= 50), LIST(1.3)))"),
     ("ol_join3", "simple", 163, 1, 12,
      "SEARCH(LIST(R, S, T), ((2.2 = 3.1) AND (1.1 = 2.1)), LIST(3.2))"),
     ("ol_join3", "full", 163, 1, 12,

@@ -8,8 +8,9 @@
 //! mirror + empty selections in most morsels), and `GROUP BY` with an
 //! order-preserving `MakeList` collection, where the fused scan+nest
 //! path must collect items in global row order even though morsels
-//! complete out of order, and a nonlinear fixpoint whose delta spans
-//! morsels, so one row is derived in several of them.
+//! complete out of order, a nonlinear fixpoint whose delta spans
+//! morsels, so one row is derived in several of them, and DISTINCT /
+//! GROUP BY over one `Int` key whose morsels address their own spans.
 
 use eds_adt::Value;
 use eds_bench::assert_matches_oracle;
@@ -218,4 +219,54 @@ fn nonlinear_fixpoint_drops_repeats_across_morsels_and_variants() {
     let stats = assert_matches_oracle("tc", &dbms.db, &plan, &configs);
     assert_eq!(stats[0], stats[1]);
     assert!(stats[0].fix_iterations >= 2, "{:?}", stats[0]);
+}
+
+/// Five-and-a-bit morsels keyed by `D`, whose values shift by morsel
+/// (`10 · morsel + i % 7 − 30`, negative in the first three) and which
+/// is NULL on every morsel boundary and every 101st row; `E` is `i % 3`
+/// except for one row of morsel 2 holding `2^61`, so that morsel's span
+/// is too wide to address and the others' are not. A DISTINCT gathers
+/// each morsel's keys into its own bitmap (or, for morsel 2, its code
+/// set) and the sort above merges them; a GROUP BY lists members in
+/// global row order. Rows, order and every work counter agree under
+/// every worker count, columnar on and off.
+#[test]
+fn dense_int_keys_match_under_every_worker_count() {
+    let mut dbms = Dbms::new().unwrap();
+    dbms.execute_ddl("TABLE LANES (K : INT, D : INT, E : INT);")
+        .unwrap();
+    let n = 5 * MORSEL_ROWS + 7;
+    let wide = 2 * MORSEL_ROWS + 5;
+    dbms.insert_all(
+        "LANES",
+        (0..n).map(|i| {
+            let d = if i % MORSEL_ROWS == 0 || i % 101 == 50 {
+                Value::Null
+            } else {
+                Value::Int(10 * (i / MORSEL_ROWS) as i64 + (i % 7) as i64 - 30)
+            };
+            let e = if i == wide { 1 << 61 } else { (i % 3) as i64 };
+            vec![Value::Int(i as i64), d, Value::Int(e)]
+        }),
+    )
+    .unwrap();
+    let configs = morsel_configs();
+    for sql in [
+        "SELECT DISTINCT D FROM LANES WHERE K >= 0 ;",
+        "SELECT DISTINCT D FROM LANES WHERE K >= 1000 AND K < 9000 ;",
+        "SELECT DISTINCT E FROM LANES WHERE K >= 0 ;",
+        "SELECT D, MakeList(K) FROM LANES WHERE K >= 0 GROUP BY D ;",
+        "SELECT D, MakeList(E) FROM LANES WHERE K >= 3000 GROUP BY D ;",
+        "SELECT E, MakeList(K) FROM LANES WHERE K >= 4000 GROUP BY E ;",
+    ] {
+        let prepared = dbms.prepare(sql).unwrap();
+        let rewritten = dbms.rewrite(&prepared).unwrap();
+        for (plan, expr) in [("raw", &prepared.expr), ("rewritten", &rewritten.expr)] {
+            let id = format!("{sql} [{plan}]");
+            let stats = assert_matches_oracle(&id, &dbms.db, expr, &configs);
+            for (s, opts) in stats.iter().zip(&configs) {
+                assert_eq!(*s, stats[0], "{id}: work counters under {opts:?}");
+            }
+        }
+    }
 }

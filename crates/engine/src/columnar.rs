@@ -21,7 +21,9 @@
 //!
 //! Each `Int` column also keeps a zone map — the min and max payload of
 //! every `ZONE_ROWS` rows — which lets a comparison against a constant
-//! skip or take a whole selection strip without reading its rows.
+//! skip or take a whole selection strip without reading its rows, and
+//! lets a DISTINCT or GROUP BY on the column address a key by
+//! `payload − min` when the selection's span is dense (`DenseKey`).
 //!
 //! [`SharedRow`]: crate::relation::SharedRow
 
@@ -153,6 +155,35 @@ impl Zones {
     }
 }
 
+/// Selected rows of an `Int` column addressed by payload: every payload
+/// from the first selected row to the last lies in `[min, min + slots)`,
+/// so `payload − min` indexes a bitmap or an array of `slots` entries
+/// directly, and the entries read in ascending index order are the keys
+/// in ascending order. NULL rows have no slot.
+pub(crate) struct DenseKey<'c> {
+    values: &'c [i64],
+    nulls: &'c NullBitmap,
+    min: i64,
+    /// Entries the key needs: `max − min + 1`.
+    pub(crate) slots: usize,
+}
+
+impl DenseKey<'_> {
+    /// Row `i`'s slot, `None` when it is NULL. `i` is one of the rows
+    /// the key was made for.
+    #[inline]
+    pub(crate) fn slot(&self, i: usize) -> Option<usize> {
+        // In range by the zone map: `0 <= payload − min < slots`.
+        (!self.nulls.is_null(i)).then(|| self.values[i].wrapping_sub(self.min) as usize)
+    }
+
+    /// The key of slot `s` (`s < slots`, so `min + s <= max`).
+    #[inline]
+    pub(crate) fn key(&self, s: usize) -> i64 {
+        self.min.wrapping_add(s as i64)
+    }
+}
+
 /// One attribute of a columnar mirror. Typed variants hold the decoded
 /// payloads contiguously (null rows hold a default payload and set their
 /// bitmap bit); `Spill` keeps the original [`Value`]s for shapes the
@@ -226,6 +257,37 @@ impl Column {
             Column::Str { ids, nulls, .. } => (nulls.is_null(i), ids[i]).hash(h),
             Column::Spill(values) => values[i].hash(h),
         }
+    }
+
+    /// Direct addressing for the selected rows `sel` (a selection
+    /// vector, ascending) of an `Int` column, when the zone span over
+    /// them holds at most `per_row` payloads per selected row; `None` for
+    /// any other layout, an empty selection, or a wider or overflowing
+    /// span.
+    pub(crate) fn dense_key(&self, sel: &[u32], per_row: usize) -> Option<DenseKey<'_>> {
+        let Column::Int {
+            values,
+            nulls,
+            zones,
+        } = self
+        else {
+            return None;
+        };
+        let (&first, &last) = (sel.first()?, sel.last()?);
+        // `max − min` overflows for a span from `i64::MIN` to `i64::MAX`.
+        let (min, max) = zones.span(first as usize, last as usize + 1);
+        let slots = usize::try_from(max.checked_sub(min)?)
+            .ok()?
+            .checked_add(1)?;
+        if slots > per_row.saturating_mul(sel.len()) {
+            return None;
+        }
+        Some(DenseKey {
+            values,
+            nulls,
+            min,
+            slots,
+        })
     }
 
     /// Do rows `a` and `b` hold equal values? Decided on the codes
@@ -618,6 +680,52 @@ mod tests {
         assert_eq!(spans[1].0, 0);
         let folded = (spans[0].0.min(spans[1].0), spans[0].1.max(spans[1].1));
         assert_eq!(zones.span(ZONE_ROWS - 1, ZONE_ROWS + 1), folded);
+    }
+
+    /// `dense_key` takes a span of up to `per_row` slots per selected row
+    /// and no more, reads the span of the zones from the first selected
+    /// row to the last (a NULL's `0` included), refuses a span from
+    /// `i64::MIN` to `i64::MAX`, an empty selection and a `Str` column,
+    /// and addresses every selected row by `payload − min`.
+    #[test]
+    fn dense_key_addresses_spans_up_to_the_limit() {
+        let n = 3 * ZONE_ROWS;
+        // Zone 0 runs −10..=10 with a NULL, zone 1 is 0..=99, zone 2
+        // holds both extremes.
+        let rows: Vec<Row> = (0..n)
+            .map(|i| {
+                let x = match (i / ZONE_ROWS, i % ZONE_ROWS) {
+                    (0, 7) => Value::Null,
+                    (0, j) => Value::Int(j as i64 % 21 - 10),
+                    (1, j) => Value::Int(j as i64 % 100),
+                    (_, 0) => Value::Int(i64::MIN),
+                    (_, 1) => Value::Int(i64::MAX),
+                    (_, j) => Value::Int(j as i64),
+                };
+                vec![x, Value::str("s")]
+            })
+            .collect();
+        let cols = ColumnarRelation::build(&Relation::new(schema(&["x", "s"]), rows.clone()))
+            .expect("typed");
+        let (x, s) = (cols.column(0).unwrap(), cols.column(1).unwrap());
+        // Zone 0: 21 slots over 3 selected rows is 7 a row.
+        let sel = [2u32, 7, 900];
+        assert!(x.dense_key(&sel, 6).is_none());
+        let key = x.dense_key(&sel, 7).expect("21 slots, 7 a row");
+        assert_eq!(key.slots, 21);
+        assert_eq!(key.slot(7), None);
+        for &i in &[2usize, 900] {
+            let s = key.slot(i).expect("not NULL");
+            assert_eq!(Value::Int(key.key(s)), rows[i][0]);
+        }
+        // Zones 0 and 1: −10..=99.
+        let key = x.dense_key(&[5, 1_500], 55).expect("110 slots");
+        assert_eq!((key.slots, key.key(0)), (110, -10));
+        assert!(x.dense_key(&[5, 1_500], 54).is_none());
+        // Zone 2 overflows; nothing is dense on no rows or a string.
+        assert!(x.dense_key(&[2_100, 2_200], usize::MAX).is_none());
+        assert!(x.dense_key(&[], usize::MAX).is_none());
+        assert!(s.dense_key(&[0, 1], usize::MAX).is_none());
     }
 
     /// `for_each_null` over `[lo, hi)` visits exactly the rows the

@@ -28,7 +28,10 @@
 //!   `search` whose morsels drop a row the caller already has, or one
 //!   the morsel already produced, *before* allocating it — over a
 //!   columnar mirror by the projected columns' codes, without building a
-//!   `Value` — and count it as emitted all the same;
+//!   `Value`, or for one `Int` column whose zone span is dense in the
+//!   selection by a bitmap over the span — and count it as emitted all
+//!   the same. The rows come out in no promised order: every caller
+//!   sorts them;
 //! * scans, pre-selection and the join enumeration are
 //!   morsel-partitioned across scoped helper threads when
 //!   [`EvalOptions::parallelism`] > 1 and the input spans more than one
@@ -50,7 +53,7 @@ use eds_lera::{
     infer_scalar_type, infer_schema, search_schema, Expr, LeraError, Scalar, Schema, SchemaCtx,
 };
 
-use crate::columnar::{CodedRow, Column, ColumnarRelation};
+use crate::columnar::{CodedRow, Column, ColumnarRelation, DenseKey};
 use crate::compile::{
     ColumnarPred, CompiledPred, CompiledProj, CompiledScalar, EvalEnv, LocalPred,
 };
@@ -313,7 +316,7 @@ fn select_partitioned(
     parallelism: usize,
 ) -> EngineResult<Vec<u32>> {
     let parts = run_morsel_ranges(len, parallelism, |lo, hi| Ok(pred.select_range(lo, hi)))?;
-    Ok(parts.into_iter().flatten().collect())
+    Ok(parts.concat())
 }
 
 /// An operator input, read without copying its row vector where it
@@ -468,7 +471,9 @@ pub(crate) fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation
 /// Evaluate `expr` as a set less the rows of `known`: no row of the
 /// result is in `known`, and none repeats within a morsel of a
 /// `search` — rows of different morsels can, so the caller sorts and
-/// dedups. A `filter` / `project` / `join` / `search` fills set-mode
+/// dedups. Their order is not promised: key order where a morsel
+/// addressed a dense `Int` span, first occurrence elsewhere. A
+/// `filter` / `project` / `join` / `search` fills set-mode
 /// sinks, so a dropped row is never allocated; any other operator is
 /// evaluated as a bag and then filtered the same way. Work counters read as under
 /// [`eval_expr`]: a dropped row still counts as emitted.
@@ -578,6 +583,17 @@ impl Sink for Bag {
     }
 }
 
+/// Slots per selected row up to which a one-`Int`-column set-mode gather
+/// marks a bitmap over the zone span rather than inserting codes into a
+/// hash set (DESIGN §4, "Set semantics at the sink").
+const DENSE_DISTINCT: usize = 64;
+
+/// Slots per selected row up to which a fused `GROUP BY` on one `Int`
+/// column finds a row's group through an array indexed by its slot in
+/// the zone span rather than through a hash map (DESIGN §4, "Columnar
+/// storage").
+const DENSE_GROUP: usize = 8;
+
 /// Set mode: a qualifying row the caller already has (`known`), or one
 /// this morsel already kept, is dropped before it is allocated — probed
 /// as `&[Value]` (`SharedRow: Borrow<[Value]>`) straight from the
@@ -603,6 +619,42 @@ impl<'k> Distinct<'k> {
 
     fn is_new(&self, row: &[Value]) -> bool {
         !self.known.contains(row) && !self.seen.contains(row)
+    }
+
+    /// The one-`Int`-column gather over a dense span: each selected row
+    /// sets the bit of its slot (or the NULL flag), and one row per set
+    /// bit is built — NULL first, then the keys ascending — and checked
+    /// against `known`.
+    fn gather_dense(&mut self, key: &DenseKey<'_>, idxs: &[u32]) {
+        let mut marks = vec![0u64; key.slots.div_ceil(64)];
+        let mut null = false;
+        for &i in idxs {
+            match key.slot(i as usize) {
+                Some(s) => marks[s / 64] |= 1 << (s % 64),
+                None => null = true,
+            }
+        }
+        let kept = marks.iter().map(|w| w.count_ones() as usize).sum::<usize>() + null as usize;
+        self.rows.reserve(kept, 1);
+        let mut scratch: Row = Vec::with_capacity(1);
+        let mut keep = |v: Value| {
+            scratch.push(v);
+            if self.known.contains(&scratch[..]) {
+                scratch.clear();
+            } else {
+                self.rows.push_values(&mut scratch);
+            }
+        };
+        if null {
+            keep(Value::Null);
+        }
+        for (w, &word) in marks.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                keep(Value::Int(key.key(w * 64 + bits.trailing_zeros() as usize)));
+                bits &= bits - 1;
+            }
+        }
     }
 }
 
@@ -630,9 +682,20 @@ impl Sink for Distinct<'_> {
     /// ([`Column::eq_at`]), so a repeat is found without building a
     /// `Value`, and only a first occurrence is built — or forwarded —
     /// and checked against `known`. The code set is this gather's
-    /// `seen`, so a built row goes straight into a shared block.
+    /// `seen`, so a built row goes straight into a shared block. One
+    /// `Int` target, built rather than forwarded, whose zone span holds
+    /// at most [`DENSE_DISTINCT`] slots per selected row is marked in a
+    /// bitmap instead ([`Distinct::gather_dense`]).
     fn gather(&mut self, from: &Gather<'_>, idxs: &[u32]) {
         self.offered += idxs.len() as u64;
+        let dense = match (&from.columns[..], from.forward) {
+            ([column], false) => column.dense_key(idxs, DENSE_DISTINCT),
+            _ => None,
+        };
+        if let Some(key) = dense {
+            self.gather_dense(&key, idxs);
+            return;
+        }
         let mut codes: FoldSet<CodedRow<'_>> = FoldSet::default();
         let mut scratch: Row = Vec::with_capacity(from.columns.len());
         for &i in idxs {
@@ -889,12 +952,75 @@ fn emit_groups<K: Ord + Hash>(
     }
     let mut entries: Vec<(K, Vec<Value>)> = groups.into_iter().collect();
     entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    for (key, items) in entries {
-        let mut row = key_row(key);
+    let groups = entries
+        .into_iter()
+        .map(|(key, items)| (key_row(key), items));
+    emit_sorted_groups(groups, kind, out, stats);
+}
+
+/// Append one `key attributes ++ [collection of items]` row per group,
+/// in the order given.
+fn emit_sorted_groups(
+    groups: impl Iterator<Item = (Row, Vec<Value>)>,
+    kind: CollKind,
+    out: &mut Relation,
+    stats: &mut EvalStats,
+) {
+    for (mut row, items) in groups {
         row.push(Value::coll(kind, items));
         out.push(row);
         stats.rows_emitted += 1;
     }
+}
+
+/// Group the selected rows `sel` (ascending) by one `Int` column whose
+/// zone span over them is dense: each item goes to its key's slot (or
+/// the NULL group) in selection order, and the non-empty groups come out
+/// NULL first, then by ascending key — the order [`emit_groups`]' key
+/// sort gives, since `Value::Null` sorts before every `Value::Int`.
+fn emit_dense_groups(
+    key: &DenseKey<'_>,
+    sel: &[u32],
+    item_of: impl Fn(usize) -> Value,
+    kind: CollKind,
+    out: &mut Relation,
+    stats: &mut EvalStats,
+) {
+    // Two passes over the selection: the first counts each slot's rows
+    // into `group_of`, which then holds the index of the slot's group in
+    // `groups` (four bytes a slot, `NONE` for an empty one), each group
+    // allocated once at its size and in key order; the second fills them.
+    const NONE: u32 = u32::MAX;
+    let mut group_of = vec![0u32; key.slots];
+    let mut null_rows = 0;
+    for &i in sel {
+        match key.slot(i as usize) {
+            Some(s) => group_of[s] += 1,
+            None => null_rows += 1,
+        }
+    }
+    let mut groups: Vec<(Value, Vec<Value>)> = Vec::new();
+    for (s, g) in group_of.iter_mut().enumerate() {
+        if *g == 0 {
+            *g = NONE;
+        } else {
+            groups.push((Value::Int(key.key(s)), Vec::with_capacity(*g as usize)));
+            *g = groups.len() as u32 - 1;
+        }
+    }
+    let mut nulls = Vec::with_capacity(null_rows);
+    for &i in sel {
+        let i = i as usize;
+        match key.slot(i) {
+            Some(s) => groups[group_of[s] as usize].1.push(item_of(i)),
+            None => nulls.push(item_of(i)),
+        }
+    }
+    let groups = std::iter::once((Value::Null, nulls))
+        .filter(|(_, items)| !items.is_empty())
+        .chain(groups)
+        .map(|(k, items)| (vec![k], items));
+    emit_sorted_groups(groups, kind, out, stats);
 }
 
 /// Fused scan+nest: when `Nest` consumes a single-base select-project
@@ -982,6 +1108,13 @@ fn fused_scan_nest(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Option<Relati
     let selected = sel.iter().map(|&i| i as usize);
     if let [g] = group[..] {
         let gcol = col_of[g - 1];
+        if let Some(key) = cols
+            .column(gcol)
+            .and_then(|c| c.dense_key(&sel, DENSE_GROUP))
+        {
+            emit_dense_groups(&key, &sel, item_of, *kind, &mut out, &mut ctx.stats);
+            return Ok(Some(out));
+        }
         let pairs = selected.map(|i| (cols.value_at(i, gcol), item_of(i)));
         emit_groups(pairs, |k| vec![k], *kind, &mut out, &mut ctx.stats);
     } else {
@@ -1057,7 +1190,7 @@ fn preselect(
         }
         Ok(kept)
     })?;
-    Ok(Survivors::Picked(parts.into_iter().flatten().collect()))
+    Ok(Survivors::Picked(parts.concat()))
 }
 
 /// Hash of a link key, `None` when it can equal nothing: a NULL (`=` is
