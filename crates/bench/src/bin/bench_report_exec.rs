@@ -5,7 +5,8 @@
 //!   seed tree-walking executor (ids `<workload>/seq`; committed,
 //!   regenerated only when a PR intentionally re-baselines). The
 //!   `scan_*` workloads arrived with the columnar layer, so their
-//!   baseline is the row-at-a-time path (`EDS_COLUMNAR=0`) instead;
+//!   baseline is the row-at-a-time path (columnar off, recorded by an
+//!   `EDS_EXEC_BASELINE=1` run) instead;
 //! * `target/bench-tsv/exec.tsv` — medians from the current tree, written
 //!   by `cargo bench -p eds-bench --bench exec` (ids `<workload>/p1`,
 //!   `EvalOptions::parallelism` 1).
@@ -156,7 +157,7 @@ fn main() {
     json.push_str(
         "  \"note\": \"before = seed tree-walking executor (committed baseline, sequential), \
          except the scan_* workloads, introduced with the columnar layer, whose baseline is the \
-         row-at-a-time executor (EDS_COLUMNAR=0) on the same tree; after = overhauled executor \
+         row-at-a-time executor (columnar off, recorded with EDS_EXEC_BASELINE=1) on the same tree; after = overhauled executor \
          at EvalOptions.parallelism 1, under the same options on both sides: the executor \
          selects join inputs first and hashes on linking equalities (film_join against the \
          seed's hash enumeration). Every configuration is asserted byte-identical to the \

@@ -671,14 +671,24 @@ mod tests {
         );
     }
 
+    /// Under parallelism {1, 4} × columnar {on, off}: `em_stack_point`'s
+    /// 4 000-row base table is two morsels, so parallelism 4 runs its
+    /// scans on the morsel scheduler.
     #[test]
     fn execute_many_workloads_bind_correctly() {
-        for (id, dbms, sql, binds) in execute_many_workloads() {
+        for (id, mut dbms, sql, binds) in execute_many_workloads() {
             let stmt = dbms.prepare_stmt(&sql).unwrap();
-            for b in &binds {
-                let got = stmt.execute(&dbms, b).unwrap();
-                let want = dbms.query(&literal_sql(&sql, b)).unwrap();
-                assert_eq!(got.rows, want.rows, "{id} binds {b:?}");
+            for parallelism in [1, 4] {
+                for columnar in [true, false] {
+                    dbms.eval_options.parallelism = parallelism;
+                    dbms.eval_options.columnar = columnar;
+                    for b in &binds {
+                        let got = stmt.execute(&dbms, b).unwrap();
+                        let want = dbms.query(&literal_sql(&sql, b)).unwrap();
+                        let tag = format!("p={parallelism} columnar={columnar}");
+                        assert_eq!(got.rows, want.rows, "{id} binds {b:?} {tag}");
+                    }
+                }
             }
         }
     }

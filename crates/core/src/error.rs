@@ -44,7 +44,7 @@ pub enum CoreError {
         /// Values the bind array supplied.
         got: usize,
     },
-    /// An `EDS_*` environment variable is set to a value that does not
+    /// `EDS_OPT_LEVEL` or `EDS_LINT` is set to a value that does not
     /// parse; [`Dbms::new`](crate::Dbms::new) refuses to start rather
     /// than fall back to a default the user did not ask for.
     BadEnvValue {

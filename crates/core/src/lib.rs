@@ -219,8 +219,8 @@ pub enum Executed {
 }
 
 /// The session configuration the process environment asks for, over
-/// the library defaults. Every `EDS_*` knob is read here and nowhere
-/// else.
+/// the library defaults. The library's two `EDS_*` knobs,
+/// `EDS_OPT_LEVEL` and `EDS_LINT`, are read here and nowhere else.
 fn config_from_env() -> CoreResult<(EvalOptions, LintPolicy)> {
     fn knob<T>(
         var: &'static str,
@@ -241,22 +241,10 @@ fn config_from_env() -> CoreResult<(EvalOptions, LintPolicy)> {
             }),
         }
     }
-    let defaults = EvalOptions::default();
-    let opts = EvalOptions {
-        parallelism: knob("EDS_PARALLELISM", "a positive integer", |v| {
-            v.parse().ok().filter(|&p| p >= 1)
-        })?
-        .unwrap_or(defaults.parallelism),
-        opt_level: knob("EDS_OPT_LEVEL", "none, simple or full", OptLevel::parse)?
-            .unwrap_or(defaults.opt_level),
-        columnar: knob("EDS_COLUMNAR", "0 or 1", |v| match v {
-            "0" => Some(false),
-            "1" => Some(true),
-            _ => None,
-        })?
-        .unwrap_or(defaults.columnar),
-        ..defaults
-    };
+    let mut opts = EvalOptions::default();
+    if let Some(level) = knob("EDS_OPT_LEVEL", "none, simple or full", OptLevel::parse)? {
+        opts.opt_level = level;
+    }
     let lint = knob("EDS_LINT", "deny, warn or off", |v| {
         match v.to_ascii_lowercase().as_str() {
             "deny" => Some(LintPolicy::Deny),
@@ -285,11 +273,13 @@ pub struct Dbms {
 
 impl Dbms {
     /// A DBMS with the built-in optimization knowledge base. The one
-    /// place the process environment is read: `EDS_PARALLELISM`,
-    /// `EDS_OPT_LEVEL` and `EDS_COLUMNAR` override the
-    /// [`EvalOptions`] defaults, `EDS_LINT` the rewriter's
-    /// [`QueryRewriter::lint_policy`]; a value that does not parse is a
-    /// [`CoreError::BadEnvValue`], never a silent default.
+    /// place the process environment is read, for two variables:
+    /// `EDS_OPT_LEVEL` overrides [`EvalOptions::opt_level`] and
+    /// `EDS_LINT` the rewriter's [`QueryRewriter::lint_policy`]; a value
+    /// that does not parse is a [`CoreError::BadEnvValue`], never a
+    /// silent default. The executor's own settings
+    /// ([`EvalOptions::parallelism`], [`EvalOptions::columnar`]) are set
+    /// on [`Dbms::eval_options`] by the caller.
     pub fn new() -> CoreResult<Self> {
         let (eval_options, lint_policy) = config_from_env()?;
         let mut rewriter = QueryRewriter::with_default_rules()?;

@@ -108,22 +108,9 @@ struct PlanCache {
     explore: ExploreStats,
 }
 
-impl PlanCache {
-    /// Drop every entry (counted as evictions) when the map holds more
-    /// than `limit`.
-    fn evict_above(&mut self, limit: usize) {
-        if self.map.len() > limit {
-            self.stats.evictions += self.map.len() as u64;
-            self.map.clear();
-        }
-    }
-}
-
-/// Default plan-cache capacity: cached rewrites above this count evict
-/// the whole cache (simple, and a workload with more than this many
+/// Plan-cache capacity: cached rewrites above this count evict the
+/// whole cache (simple, and a workload with more than this many
 /// distinct prepared shapes is already re-preparing, not re-executing).
-/// Overridable per rewriter with [`QueryRewriter::set_plan_cache_cap`]
-/// (0 disables caching).
 const PLAN_CACHE_CAP: usize = 256;
 
 /// Plan-cache effectiveness counters, exposed for tests and the bench
@@ -204,8 +191,6 @@ pub struct QueryRewriter {
     /// [`QueryRewriter::invalidate_plan_cache`], by catalog/constraint
     /// changes in the embedding DBMS.
     cache: Mutex<PlanCache>,
-    /// Capacity of the plan cache (0 disables caching entirely).
-    plan_cache_cap: usize,
     /// Invalidation events so far. The one counter outside the lock:
     /// `PreparedStmt::execute` reads it on every call.
     epoch: AtomicU64,
@@ -219,7 +204,6 @@ impl fmt::Debug for QueryRewriter {
             .field("methods", &self.methods)
             .field("lint_policy", &self.lint_policy)
             .field("plan_cache_len", &self.plan_cache_len())
-            .field("plan_cache_cap", &self.plan_cache_cap)
             .field("plan_cache_stats", &self.plan_cache_stats())
             .finish()
     }
@@ -237,7 +221,6 @@ impl Clone for QueryRewriter {
             // Counters start at zero with it — they describe this
             // instance's cache, not its lineage.
             cache: Mutex::default(),
-            plan_cache_cap: self.plan_cache_cap,
             epoch: AtomicU64::new(0),
         }
     }
@@ -254,7 +237,6 @@ impl QueryRewriter {
             methods,
             lint_policy: LintPolicy::default(),
             cache: Mutex::default(),
-            plan_cache_cap: PLAN_CACHE_CAP,
             epoch: AtomicU64::new(0),
         }
     }
@@ -515,17 +497,9 @@ impl QueryRewriter {
         self.epoch.load(Ordering::Relaxed)
     }
 
-    /// The plan cache's capacity (entries; 0 = caching disabled).
+    /// The plan cache's capacity in entries.
     pub fn plan_cache_cap(&self) -> usize {
-        self.plan_cache_cap
-    }
-
-    /// Change the plan cache's capacity. Shrinking below the current
-    /// size clears the cache (counted as evictions), matching what the
-    /// next insert would do.
-    pub fn set_plan_cache_cap(&mut self, cap: usize) {
-        self.plan_cache_cap = cap;
-        self.cache().evict_above(cap);
+        PLAN_CACHE_CAP
     }
 
     /// Snapshot of the hit/miss/eviction/invalidation counters.
@@ -585,9 +559,6 @@ impl QueryRewriter {
         level: OptLevel,
         prepared: bool,
     ) -> CoreResult<RewriteOutcome> {
-        if self.plan_cache_cap == 0 {
-            return self.run(term, db, constraints, level, false);
-        }
         let key = (level, term);
         let mut cache = self.cache();
         if let Some(hit) = cache.map.get(&key).cloned() {
@@ -603,7 +574,11 @@ impl QueryRewriter {
         drop(cache);
         let out = self.run(key.1.clone(), db, constraints, level, false)?;
         let mut cache = self.cache();
-        cache.evict_above(self.plan_cache_cap - 1);
+        if cache.map.len() >= PLAN_CACHE_CAP {
+            // A full cache drops every entry, each counted as an eviction.
+            cache.stats.evictions += cache.map.len() as u64;
+            cache.map.clear();
+        }
         cache.map.insert(key, out.clone());
         Ok(out)
     }

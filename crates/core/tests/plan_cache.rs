@@ -272,36 +272,23 @@ fn counters_track_hits_misses_and_invalidations() {
     );
 }
 
+/// The capacity is a constant: 257 distinct shapes never hit, the cache
+/// never holds more than 256 entries, and the 257th miss clears all 256
+/// (each counted as an eviction) before it caches its own plan.
 #[test]
 fn capacity_is_configurable_and_evictions_are_counted() {
-    let mut dbms = film_dbms();
-    assert_eq!(dbms.rewriter.plan_cache_cap(), 256, "the default");
-    dbms.rewriter.set_plan_cache_cap(3);
-    assert_eq!(dbms.rewriter.plan_cache_cap(), 3);
-
-    for i in 0..7 {
+    let dbms = film_dbms();
+    assert_eq!(dbms.rewriter.plan_cache_cap(), 256);
+    for i in 0..257 {
         let p = dbms
             .prepare(&format!("SELECT Title FROM FILM WHERE Numf = {i} ;"))
             .unwrap();
         dbms.rewrite(&p).unwrap();
-        assert!(dbms.rewriter.plan_cache_len() <= 3, "cap violated at {i}");
+        assert!(dbms.rewriter.plan_cache_len() <= 256, "cap violated at {i}");
+        let evictions = dbms.rewriter.plan_cache_stats().evictions;
+        assert_eq!(evictions, if i < 256 { 0 } else { 256 }, "at {i}");
     }
     let stats = dbms.rewriter.plan_cache_stats();
-    assert_eq!(stats.misses, 7, "distinct shapes never hit");
-    // Inserts 1,2,3 fill; the 4th and 7th insert each clear 3 entries.
-    assert_eq!(stats.evictions, 6);
-
-    // Cap 0 disables caching entirely.
-    dbms.rewriter.set_plan_cache_cap(0);
-    assert_eq!(dbms.rewriter.plan_cache_len(), 0);
-    let p = dbms.prepare(QUERY).unwrap();
-    dbms.rewrite(&p).unwrap();
-    dbms.rewrite(&p).unwrap();
-    assert_eq!(dbms.rewriter.plan_cache_len(), 0, "cap 0 must not fill");
-    let disabled = dbms.rewriter.plan_cache_stats();
-    assert_eq!(
-        (disabled.hits, disabled.misses),
-        (stats.hits, stats.misses),
-        "cap 0 must bypass the counters too"
-    );
+    assert_eq!(stats.misses, 257, "distinct shapes never hit");
+    assert_eq!(dbms.rewriter.plan_cache_len(), 1);
 }

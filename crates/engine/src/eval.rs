@@ -50,7 +50,8 @@ use std::sync::Arc;
 use eds_adt::{CollKind, Value};
 use eds_esql::Catalog;
 use eds_lera::{
-    infer_scalar_type, infer_schema, search_schema, Expr, LeraError, Scalar, Schema, SchemaCtx,
+    infer_scalar_type, nest_schema, search_schema, unnest_schema, Expr, LeraError, Scalar, Schema,
+    SchemaCtx,
 };
 
 use crate::columnar::{CodedRow, Column, ColumnarRelation, DenseKey};
@@ -265,7 +266,7 @@ impl Ctx<'_> {
     /// binds them; a name already in that form is one probe, any other
     /// is compared case-blind against the few names bound — neither
     /// allocates.
-    fn local(&self, name: &str) -> Option<&Arc<Relation>> {
+    pub(crate) fn local(&self, name: &str) -> Option<&Arc<Relation>> {
         if self.locals.is_empty() {
             return None;
         }
@@ -274,16 +275,6 @@ impl Ctx<'_> {
                 .iter()
                 .find_map(|(k, rel)| k.eq_ignore_ascii_case(name).then_some(rel))
         })
-    }
-
-    /// Schema context over the catalog plus the fixpoint locals bound
-    /// right now.
-    pub(crate) fn schema_ctx_for_fix(&self) -> SchemaCtx<'_> {
-        let mut sc = SchemaCtx::new(&self.db.catalog);
-        for (name, rel) in &self.locals {
-            sc = sc.with_local(name, (*rel.schema).clone());
-        }
-        sc
     }
 }
 
@@ -418,7 +409,7 @@ pub(crate) fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation
                 return Ok(out);
             }
             let rel = eval_input(input, ctx)?;
-            let mut out = Relation::empty(infer_schema(expr, &ctx.schema_ctx_for_fix())?);
+            let mut out = Relation::empty(nest_schema(&rel.schema, group, nested, *kind)?);
             let item_of = |row: &SharedRow| {
                 if nested.len() == 1 {
                     row[nested[0] - 1].clone()
@@ -444,7 +435,7 @@ pub(crate) fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation
         }
         Expr::Unnest { input, attr } => {
             let rel = eval_input(input, ctx)?;
-            let out_schema = infer_schema(expr, &ctx.schema_ctx_for_fix())?;
+            let out_schema = unnest_schema(&rel.schema, *attr, &SchemaCtx::new(&ctx.db.catalog))?;
             let mut out = Relation::empty(out_schema);
             for row in &rel.rows {
                 let (_, elems) = row[attr - 1].as_coll().map_err(EngineError::Adt)?;
@@ -1055,7 +1046,12 @@ fn fused_scan_nest(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Option<Relati
         _ => return Ok(None),
     };
     let rel = eval_input(base, ctx)?;
-    let mut out = Relation::empty(infer_schema(expr, &ctx.schema_ctx_for_fix())?);
+    let searched = search_schema(
+        Some(proj),
+        &[&*rel.schema],
+        &SchemaCtx::new(&ctx.db.catalog),
+    )?;
+    let mut out = Relation::empty(nest_schema(&searched, group, nested, *kind)?);
     let bound = bind_fields(pred, std::slice::from_ref(&*rel.schema), &ctx.db.catalog)?;
     // `Search` short-circuits FALSE/empty before counting any work.
     if rel.is_empty() || bound.is_false() {

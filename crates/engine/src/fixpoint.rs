@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use eds_lera::{infer_schema, Expr};
+use eds_lera::{Expr, LeraError, SchemaCtx};
 
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{eval_expr, eval_set, Ctx};
@@ -49,15 +49,19 @@ pub(crate) fn eval_fix(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResu
         .collect();
     let mut seeds = seed_branches.into_iter();
     let Some(first_seed) = seeds.next() else {
-        // Least fixpoint from the empty relation: no seed means empty.
-        let sc = ctx.schema_ctx_for_fix();
-        let schema = infer_schema(
-            &Expr::Fix {
-                name: name.to_owned(),
-                body: Box::new(body.clone()),
-            },
-            &sc,
-        )?;
+        // Least fixpoint from the empty relation: no seed means empty,
+        // typed as the relation the name already denotes — a bound
+        // local, or a catalog table or view.
+        if let Some(rel) = ctx.local(name) {
+            return Ok(Relation::empty(Arc::clone(&rel.schema)));
+        }
+        let schema = SchemaCtx::new(&ctx.db.catalog)
+            .relation_schema(name)
+            .map_err(|_| {
+                LeraError::Type(format!(
+                    "cannot infer schema of fix({name}, ...): every branch is recursive"
+                ))
+            })?;
         return Ok(Relation::empty(schema));
     };
 

@@ -1,10 +1,10 @@
 //! Fixpoint corner cases: cycles, self-loops, mutual reachability,
 //! multiple recursive branches, and nested recursion scopes.
 
-use eds_adt::Value;
-use eds_engine::{eval, eval_reference, Database, EvalOptions};
+use eds_adt::{CollKind, Value};
+use eds_engine::{eval, eval_reference, eval_with, Database, EngineError, EvalOptions};
 use eds_esql::parse_query;
-use eds_lera::{translate_query, Expr, Scalar, SchemaCtx};
+use eds_lera::{infer_schema, translate_query, Expr, LeraError, Scalar, SchemaCtx};
 
 fn tc_db(edges: &[(i64, i64)]) -> Database {
     let mut db = Database::new();
@@ -155,4 +155,120 @@ fn locals_are_restored_around_a_shadowing_fix() {
 fn empty_seed_yields_empty_fixpoint() {
     let db = tc_db(&[]);
     assert!(closure(&db).is_empty());
+}
+
+/// `nest` and `unnest` type their output from the relation they just
+/// evaluated, not by re-inferring the plan below them: over a derived
+/// input (a projection that reorders `EDGE`), on the fused columnar
+/// scan+nest and on the row path, and inside a recursive body — both
+/// branches of a `fix` — the schema is `infer_schema`'s and the rows
+/// are the oracle's.
+#[test]
+fn nest_and_unnest_type_from_their_evaluated_input() {
+    let db = tc_db(&[(1, 2), (1, 3), (2, 3), (3, 1), (4, 4)]);
+    let sc = SchemaCtx::new(&db.catalog);
+    let swapped = |from: Expr| {
+        Expr::search(
+            vec![from],
+            Scalar::true_(),
+            vec![Scalar::attr(1, 2), Scalar::attr(1, 1)],
+        )
+    };
+    let nest = |input: Expr| Expr::Nest {
+        input: Box::new(input),
+        group: vec![1],
+        nested: vec![2],
+        kind: CollKind::Set,
+    };
+    let unnest = |input: Expr| Expr::Unnest {
+        input: Box::new(input),
+        attr: 2,
+    };
+    let step = Expr::search(
+        vec![Expr::base("R"), Expr::base("EDGE")],
+        Scalar::eq(Scalar::attr(1, 2), Scalar::attr(2, 1)),
+        vec![Scalar::attr(1, 1), Scalar::attr(2, 2)],
+    );
+    let recursive = Expr::Fix {
+        name: "R".into(),
+        body: Box::new(Expr::Union(vec![
+            unnest(nest(swapped(Expr::base("EDGE")))),
+            unnest(nest(swapped(step))),
+        ])),
+    };
+    let plans = [
+        nest(swapped(Expr::base("EDGE"))),
+        unnest(nest(swapped(Expr::base("EDGE")))),
+        recursive.clone(),
+        nest(recursive),
+    ];
+    for expr in &plans {
+        let want = infer_schema(expr, &sc).unwrap();
+        let oracle = eval_reference(expr, &db, EvalOptions::default()).unwrap();
+        for columnar in [true, false] {
+            let opts = EvalOptions {
+                columnar,
+                ..EvalOptions::default()
+            };
+            let got = eval_with(expr, &db, opts).unwrap().0;
+            assert_eq!(*got.schema, want, "{expr} (columnar {columnar})");
+            assert_eq!(got.rows, oracle.rows, "{expr} (columnar {columnar})");
+        }
+    }
+}
+
+/// A `fix` whose every branch is recursive is the empty relation, typed
+/// as what its name already denotes: an enclosing `fix`'s local or a
+/// catalog table. A name that denotes nothing is the typed error
+/// `infer_schema` gives, from the executor and the oracle alike.
+#[test]
+fn a_seedless_fix_is_typed_by_its_name_or_refused() {
+    let db = tc_db(&[(1, 2), (2, 3)]);
+    let sc = SchemaCtx::new(&db.catalog);
+    let seedless = |name: &str| Expr::Fix {
+        name: name.into(),
+        body: Box::new(Expr::search(
+            vec![Expr::base(name)],
+            Scalar::true_(),
+            vec![Scalar::attr(1, 2), Scalar::attr(1, 1)],
+        )),
+    };
+    // `fix(R, EDGE ∪ π(fix(R, π R) ⋈ R))`: the inner `R` is the outer one.
+    let inner = Expr::Fix {
+        name: "R".into(),
+        body: Box::new(Expr::Union(vec![
+            Expr::base("EDGE"),
+            Expr::search(
+                vec![seedless("R"), Expr::base("R")],
+                Scalar::eq(Scalar::attr(1, 2), Scalar::attr(2, 1)),
+                vec![Scalar::attr(1, 1), Scalar::attr(2, 2)],
+            ),
+        ])),
+    };
+    for expr in [seedless("EDGE"), inner] {
+        let got = eval(&expr, &db).unwrap();
+        let oracle = eval_reference(&expr, &db, EvalOptions::default()).unwrap();
+        assert_eq!(*got.schema, infer_schema(&expr, &sc).unwrap(), "{expr}");
+        assert_eq!(got.rows, oracle.rows, "{expr}");
+    }
+    assert!(eval(&seedless("EDGE"), &db).unwrap().is_empty());
+
+    let unknown = seedless("NOWHERE");
+    let want = "cannot infer schema of fix(NOWHERE, ...): every branch is recursive";
+    for (who, got) in [
+        ("executor", eval(&unknown, &db)),
+        (
+            "oracle",
+            eval_reference(&unknown, &db, EvalOptions::default()),
+        ),
+    ] {
+        assert!(
+            matches!(&got, Err(EngineError::Lera(LeraError::Type(m))) if m == want),
+            "the {who} returned {got:?}"
+        );
+    }
+    assert!(matches!(
+        infer_schema(&unknown, &sc),
+        Err(LeraError::Type(m)) if m == want
+    ));
 }

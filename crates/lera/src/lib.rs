@@ -43,7 +43,8 @@ pub use error::{LeraError, LeraResult};
 pub use expr::Expr;
 pub use scalar::{CmpOp, Scalar};
 pub use schema::{
-    infer_scalar_type, infer_schema, nest_schema, search_schema, type_of_value, Schema, SchemaCtx,
+    infer_scalar_type, infer_schema, nest_schema, search_schema, type_of_value, unnest_schema,
+    Schema, SchemaCtx,
 };
 pub use term_bridge::{
     expr_from_term, expr_to_term, is_operator_term, scalar_from_term, scalar_to_term,

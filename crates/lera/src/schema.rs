@@ -178,21 +178,7 @@ pub fn infer_schema(expr: &Expr, ctx: &SchemaCtx<'_>) -> LeraResult<Schema> {
             nested,
             kind,
         } => nest_schema(&infer_schema(input, ctx)?, group, nested, *kind),
-        Expr::Unnest { input, attr } => {
-            let in_schema = infer_schema(input, ctx)?;
-            let coll_field = in_schema.field(*attr)?;
-            let elem_ty = match ctx.catalog.types.resolve(&coll_field.ty)? {
-                Type::Coll(_, elem) | Type::AnyColl(elem) => *elem,
-                other => {
-                    return Err(LeraError::Type(format!(
-                        "unnest on non-collection attribute of type {other}"
-                    )))
-                }
-            };
-            let mut fields = in_schema.fields.clone();
-            fields[*attr - 1] = Field::new(coll_field.name.clone(), elem_ty);
-            Ok(Schema::new(fields))
-        }
+        Expr::Unnest { input, attr } => unnest_schema(&infer_schema(input, ctx)?, *attr, ctx),
     }
 }
 
@@ -244,6 +230,24 @@ pub fn nest_schema(
         ("Nested".to_owned(), Type::Tuple(elems))
     };
     fields.push(Field::new(name, Type::Coll(kind, Box::new(elem_ty))));
+    Ok(Schema::new(fields))
+}
+
+/// Output schema of an `unnest` over an input whose schema is known:
+/// the input's attributes, with the collection at `attr` replaced by
+/// its element type.
+pub fn unnest_schema(input: &Schema, attr: usize, ctx: &SchemaCtx<'_>) -> LeraResult<Schema> {
+    let coll_field = input.field(attr)?;
+    let elem_ty = match ctx.catalog.types.resolve(&coll_field.ty)? {
+        Type::Coll(_, elem) | Type::AnyColl(elem) => *elem,
+        other => {
+            return Err(LeraError::Type(format!(
+                "unnest on non-collection attribute of type {other}"
+            )))
+        }
+    };
+    let mut fields = input.fields.clone();
+    fields[attr - 1] = Field::new(coll_field.name.clone(), elem_ty);
     Ok(Schema::new(fields))
 }
 

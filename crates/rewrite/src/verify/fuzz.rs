@@ -574,8 +574,10 @@ impl Gen {
                 if required_out.is_some_and(|r| r != group_p.len() + 1) {
                     return Err("NEST output arity conflicts with the context".to_owned());
                 }
-                let in_arity = nested_p.iter().chain(&group_p).copied().max().unwrap() as usize;
-                Ok((nested_p, group_p, in_arity))
+                let Some(&in_arity) = nested_p.iter().chain(&group_p).max() else {
+                    return Err("malformed NEST attribute lists".to_owned());
+                };
+                Ok((nested_p, group_p, in_arity as usize))
             }
         }
     }
@@ -859,6 +861,8 @@ impl Gen {
     /// shapes on which contradiction detection must not over-claim (and
     /// the repeats it must drop). Operators are read off the shared
     /// table, so the conjunction is TRUE at the witness by construction.
+    /// Neither side of a comparison is NULL and three operators hold
+    /// under any ordering, so the `TRUE` fallbacks are never taken.
     fn gen_window(&mut self, env: &[usize]) -> Term {
         let rel = 1 + self.rng.below(env.len() as u64);
         let attr = 1 + self.rng.below(env[rel as usize - 1] as u64);
@@ -870,12 +874,13 @@ impl Gen {
         let bounds = (0..3)
             .map(|_| {
                 let k = [&witness, &twin][self.rng.below(2) as usize];
-                let ord = witness.sql_cmp(k).expect("neither side is NULL");
-                let op = CmpOp::ALL
-                    .into_iter()
-                    .filter(|op| op.holds(ord))
-                    .nth(self.rng.below(3) as usize)
-                    .expect("three operators hold under any ordering");
+                let Some(ord) = witness.sql_cmp(k) else {
+                    return Term::atom("TRUE");
+                };
+                let mut holding = CmpOp::ALL.into_iter().filter(|op| op.holds(ord));
+                let Some(op) = holding.nth(self.rng.below(3) as usize) else {
+                    return Term::atom("TRUE");
+                };
                 Term::app(
                     op.symbol(),
                     vec![Term::attr(rel as i64, attr as i64), Term::Const(k.clone())],
