@@ -295,7 +295,7 @@ impl TypeRegistry {
             (Value::Int(_), Type::Int | Type::Numeric) => true,
             (Value::Real(_), Type::Real | Type::Numeric) => true,
             (Value::Str(_), Type::Char) => true,
-            (Value::Enum(n, _), Type::Named(tn)) => self.isa_named(n, tn),
+            (Value::Enum(e), Type::Named(tn)) => self.isa_named(&e.0, tn),
             (Value::Enum(..), Type::Char) => true,
             (Value::Tuple(vals), Type::Tuple(fields)) => {
                 vals.len() == fields.len()
@@ -318,7 +318,7 @@ impl TypeRegistry {
                 Ok(def) => match &def.body {
                     TypeBody::Enumeration(vals) => {
                         matches!(v, Value::Str(s) if vals.contains(s))
-                            || matches!(v, Value::Enum(n, _) if n == tn)
+                            || matches!(v, Value::Enum(e) if &e.0 == tn)
                     }
                     TypeBody::Structure(inner) => self.value_isa(v, inner, object_type_of),
                 },

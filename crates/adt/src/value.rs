@@ -69,7 +69,8 @@ pub enum Value {
     /// Character string (CHAR, and the `Text` example type).
     Str(String),
     /// Value of an enumeration type: the type name plus the chosen literal.
-    Enum(String, String),
+    /// Boxed, so the two strings do not widen every other value.
+    Enum(Box<(String, String)>),
     /// Tuple of positionally-stored attribute values; attribute names live
     /// in the schema/type, not in the value.
     Tuple(Vec<Value>),
@@ -79,6 +80,9 @@ pub enum Value {
     /// Reference to an object in the object store.
     Object(Oid),
 }
+
+// Every stored row and every result row pays this width once per value.
+const _: () = assert!(size_of::<Value>() == 32);
 
 /// `f64` wrapper with total ordering (via `f64::total_cmp`) so `Value` can
 /// be `Ord` and participate in canonical set representations.
@@ -212,7 +216,7 @@ impl Value {
     pub fn as_str(&self) -> AdtResult<&str> {
         match self {
             Value::Str(s) => Ok(s),
-            Value::Enum(_, s) => Ok(s),
+            Value::Enum(e) => Ok(&e.1),
             other => Err(AdtError::TypeMismatch {
                 function: "as_str".into(),
                 expected: "CHAR".into(),
@@ -448,7 +452,7 @@ impl fmt::Display for Value {
             Value::Int(i) => write!(f, "{i}"),
             Value::Real(r) => write!(f, "{}", r.0),
             Value::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
-            Value::Enum(_, lit) => write!(f, "'{}'", lit.replace('\'', "''")),
+            Value::Enum(e) => write!(f, "'{}'", e.1.replace('\'', "''")),
             Value::Tuple(t) => {
                 f.write_str("<")?;
                 join(f, t)?;

@@ -668,3 +668,59 @@ fn spans_around_the_density_bounds_match() {
         }
     }
 }
+
+/// One-column targets over each kind of column: INT, REAL, BOOL, a
+/// column of NULLs, STRING and OBJECT, each but the NULL one holding
+/// NULLs too. A one-value row of a plain value (NULL, BOOL, INT, REAL,
+/// OBJECT) is held inline and a `STRING` row is cut from a block, so a
+/// `STRING` column with NULLs interleaves the two in one result. Each is
+/// read as a bag, as a set and inside a `fix`, over the mirror and row by
+/// row: rows and order are the reference's.
+#[test]
+fn one_column_targets_match_on_every_path() {
+    let mut dbms = Dbms::new().unwrap();
+    dbms.execute_ddl(
+        "TYPE Person OBJECT TUPLE (Name : CHAR) ;
+         TABLE ONE (K : INT, Nxt : INT, I : INT, R : REAL, B : BOOL,
+                    Z : INT, S : CHAR, O : Person) ;",
+    )
+    .unwrap();
+    let people: Vec<Value> = (0..4)
+        .map(|p| dbms.create_object("Person", Value::Tuple(vec![Value::str(format!("P{p}"))])))
+        .collect();
+    let n = 40i64;
+    dbms.insert_all(
+        "ONE",
+        (0..n).map(|k| {
+            let or_null = |v: Value| if k % 4 == 1 { Value::Null } else { v };
+            vec![
+                Value::Int(k),
+                Value::Int((k * 7 + 3) % n),
+                or_null(Value::Int(k % 6)),
+                or_null(Value::real((k % 5) as f64 * 0.5)),
+                or_null(Value::Bool(k % 3 == 0)),
+                Value::Null,
+                or_null(Value::str(format!("s{}", k % 6))),
+                or_null(people[(k % 4) as usize].clone()),
+            ]
+        }),
+    )
+    .unwrap();
+    for c in ["I", "R", "B", "Z", "S", "O"] {
+        dbms.execute_ddl(&format!(
+            "CREATE VIEW FIX_{c} (X) AS
+             ( SELECT {c} FROM ONE WHERE K < 6
+               UNION
+               SELECT T2.{c} FROM FIX_{c}, ONE T1, ONE T2
+               WHERE FIX_{c}.X = T1.{c} AND T1.Nxt = T2.K ) ;"
+        ))
+        .unwrap();
+        check(&dbms, &format!("SELECT {c} FROM ONE WHERE K >= 3 ;"));
+        check(&dbms, &format!("SELECT {c} FROM ONE ;"));
+        check(
+            &dbms,
+            &format!("SELECT DISTINCT {c} FROM ONE WHERE K >= 3 ;"),
+        );
+        check(&dbms, &format!("SELECT X FROM FIX_{c} ;"));
+    }
+}

@@ -605,7 +605,7 @@ mod tests {
                             _ => match rng.gen_range(0..if i == 0 { 3 } else { 5u8 }) {
                                 0 => Value::real(1.5),
                                 1 => Value::Bool(true),
-                                2 => Value::Enum("G".into(), "A".into()),
+                                2 => Value::Enum(Box::new(("G".into(), "A".into()))),
                                 3 => Value::Int(1),
                                 _ => Value::str("x"),
                             },
@@ -913,7 +913,7 @@ mod tests {
         let rel = Relation::new(
             schema(&["e", "c", "i"]),
             vec![vec![
-                Value::Enum("Grade".into(), "A".into()),
+                Value::Enum(Box::new(("Grade".into(), "A".into()))),
                 Value::set(vec![Value::Int(1)]),
                 Value::Int(7),
             ]],

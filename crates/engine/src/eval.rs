@@ -18,11 +18,12 @@
 //!   object store instead of re-walking the `Scalar` AST and cloning per
 //!   tuple;
 //! * rows are shared ([`SharedRow`], a view into a reference-counted
-//!   block), so row-preserving operators pass rows along instead of
-//!   deep-copying values, and the rows a morsel builds are cut from one
-//!   block per [`MORSEL_ROWS`](crate::parallel::MORSEL_ROWS) rows
-//!   (`RowBlocks`) — one allocation per block, not per row; a
-//!   fixpoint's locals are read by refcount, not copied;
+//!   block, or one plain value held inline), so row-preserving operators
+//!   pass rows along instead of deep-copying values, and the rows a
+//!   morsel builds are cut from one block per
+//!   [`MORSEL_ROWS`](crate::parallel::MORSEL_ROWS) rows (`RowBlocks`) —
+//!   one allocation per block, not per row; a fixpoint's locals are read
+//!   by refcount, not copied;
 //! * set semantics are kept at the sink: `dedup`, the left operand of
 //!   `difference` / `intersect` and the semi-naive delta evaluate a
 //!   `search` whose morsels drop a row the caller already has, or one
@@ -548,14 +549,20 @@ impl Sink for Bag {
     }
 
     fn gather(&mut self, from: &Gather<'_>, idxs: &[u32]) {
+        self.reserve(idxs.len());
         if from.forward {
-            self.reserve(idxs.len(), 0);
             for &i in idxs {
                 self.push(from.rows[i as usize].clone());
             }
             return;
         }
-        self.reserve(idxs.len(), from.columns.len());
+        // An `Int` column holds only plain values: every row is inline.
+        if let [column @ Column::Int { .. }] = from.columns[..] {
+            for &i in idxs {
+                self.push_inline(column.value(i as usize));
+            }
+            return;
+        }
         let mut scratch: Row = Vec::with_capacity(from.columns.len());
         for &i in idxs {
             from.fill(i as usize, &mut scratch);
@@ -589,8 +596,8 @@ const DENSE_GROUP: usize = 8;
 /// this morsel already kept, is dropped before it is allocated — probed
 /// as `&[Value]` (`SharedRow: Borrow<[Value]>`) straight from the
 /// scratch buffer or the input row. A row offered one at a time is a
-/// block of its own, because it enters `seen` as it arrives; the rows of
-/// a gather share blocks.
+/// block of its own (or inline), because it enters `seen` as it arrives;
+/// the rows of a gather share blocks.
 struct Distinct<'k> {
     known: &'k FoldSet<SharedRow>,
     seen: FoldSet<SharedRow>,
@@ -614,8 +621,8 @@ impl<'k> Distinct<'k> {
 
     /// The one-`Int`-column gather over a dense span: each selected row
     /// sets the bit of its slot (or the NULL flag), and one row per set
-    /// bit is built — NULL first, then the keys ascending — and checked
-    /// against `known`.
+    /// bit is built inline — NULL first, then the keys ascending — and
+    /// checked against `known`.
     fn gather_dense(&mut self, key: &DenseKey<'_>, idxs: &[u32]) {
         let mut marks = vec![0u64; key.slots.div_ceil(64)];
         let mut null = false;
@@ -626,14 +633,10 @@ impl<'k> Distinct<'k> {
             }
         }
         let kept = marks.iter().map(|w| w.count_ones() as usize).sum::<usize>() + null as usize;
-        self.rows.reserve(kept, 1);
-        let mut scratch: Row = Vec::with_capacity(1);
+        self.rows.reserve(kept);
         let mut keep = |v: Value| {
-            scratch.push(v);
-            if self.known.contains(&scratch[..]) {
-                scratch.clear();
-            } else {
-                self.rows.push_values(&mut scratch);
+            if !self.known.contains(std::slice::from_ref(&v)) {
+                self.rows.push_inline(v);
             }
         };
         if null {

@@ -5,16 +5,18 @@
 //! accumulation) share tuples instead of deep-cloning every `Value`. A
 //! stored row is a block of its own; the rows an operator builds are cut
 //! from one block per [`MORSEL_ROWS`] rows (`RowBlocks`), so building
-//! them costs one allocation per block rather than one per row. The
-//! schema is shared the same way: cloning a [`Relation`] is two
-//! pointer-vector copies, never a traversal of string or collection
-//! values.
+//! them costs one allocation per block rather than one per row. A row of
+//! one value that owns no heap memory holds that value itself, with no
+//! block and no refcount. The schema is shared the same way: cloning a
+//! [`Relation`] is two pointer-vector copies, never a traversal of string
+//! or collection values.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
+use std::slice;
 use std::sync::Arc;
 
 use eds_adt::Value;
@@ -26,27 +28,44 @@ use crate::parallel::MORSEL_ROWS;
 /// A row: one value per attribute.
 pub type Row = Vec<Value>;
 
-/// A reference-counted row, shared between relations: the values
-/// `start .. start + len` of a shared block. It dereferences to
-/// `[Value]`, and equality, order, hashing, `Borrow<[Value]>` and
-/// `Debug` are the slice's, so a row reads the same whichever block it
-/// sits in and a row-keyed set is probed by `&[Value]`. A block stays
-/// allocated while any of its rows is alive. Offsets are `u32`: a
-/// block of 2³² values would be 192 GiB.
+/// A shared row. It dereferences to `[Value]`, and equality, order,
+/// hashing, `Borrow<[Value]>` and `Debug` are the slice's, so a row reads
+/// the same however it is held and a row-keyed set is probed by
+/// `&[Value]`. Cloning a row never allocates.
 #[derive(Clone)]
-pub struct SharedRow {
-    block: Arc<[Value]>,
-    start: u32,
-    len: u32,
+pub struct SharedRow(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// A one-value row whose value owns no heap memory (NULL, BOOL, INT,
+    /// REAL, OBJECT): copied on clone, so it needs no block. A `STRING`,
+    /// tuple or collection would be deep-copied, so such a row is a view.
+    Inline(Value),
+    /// The values `start .. start + len` of a shared block. The block
+    /// stays allocated while any of its rows is alive. Offsets are `u32`:
+    /// a block of 2³² values would be 128 GiB.
+    View {
+        block: Arc<[Value]>,
+        start: u32,
+        len: u32,
+    },
 }
+
+// Every stored row and every result row pays this width once.
+const _: () = assert!(size_of::<SharedRow>() == 32);
 
 impl Deref for SharedRow {
     type Target = [Value];
 
     #[inline]
     fn deref(&self) -> &[Value] {
-        let start = self.start as usize;
-        &self.block[start..start + self.len as usize]
+        match &self.0 {
+            Repr::Inline(value) => slice::from_ref(value),
+            Repr::View { block, start, len } => {
+                let start = *start as usize;
+                &block[start..start + *len as usize]
+            }
+        }
     }
 }
 
@@ -92,69 +111,102 @@ impl fmt::Debug for SharedRow {
     }
 }
 
+/// Whether a value owns no heap memory, so a row of it alone is held
+/// inline.
+#[inline]
+fn plain(value: &Value) -> bool {
+    matches!(
+        value,
+        Value::Null | Value::Bool(_) | Value::Int(_) | Value::Real(_) | Value::Object(_)
+    )
+}
+
+/// The value of a row that is one plain value, taken out of it.
+#[inline]
+fn take_plain(row: &mut Row) -> Option<Value> {
+    match &row[..] {
+        [value] if plain(value) => row.pop(),
+        _ => None,
+    }
+}
+
 impl SharedRow {
     /// A whole block as one row.
     fn whole(block: Arc<[Value]>) -> Self {
         let len = block.len() as u32;
-        SharedRow {
+        SharedRow(Repr::View {
             block,
             start: 0,
             len,
-        }
+        })
     }
 }
 
-/// A one-row block.
+/// An inline row, or else a one-row block.
 impl From<Vec<Value>> for SharedRow {
-    fn from(row: Vec<Value>) -> Self {
-        SharedRow::whole(row.into())
+    fn from(mut row: Vec<Value>) -> Self {
+        shared_row(&mut row)
     }
 }
 
-/// A one-row block.
-impl FromIterator<Value> for SharedRow {
-    fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Self {
-        SharedRow::whole(values.into_iter().collect())
-    }
-}
-
-/// Drain a scratch buffer into a one-row block. `vec::Drain` is a
+/// Take the row a scratch buffer holds: inline when it is one plain
+/// value, else drained into a one-row block. `vec::Drain` is a
 /// `TrustedLen` iterator, so the block is allocated exactly once — half
 /// the allocator traffic of `Arc::new(vec)`.
 #[inline]
 pub fn shared_row(scratch: &mut Vec<Value>) -> SharedRow {
-    scratch.drain(..).collect()
+    match take_plain(scratch) {
+        Some(value) => SharedRow(Repr::Inline(value)),
+        None => SharedRow::whole(scratch.drain(..).collect()),
+    }
 }
 
 /// Rows built into shared blocks of at most [`MORSEL_ROWS`] rows, in
 /// arrival order. A row's values are appended to the open block's
 /// buffer; the block is allocated once — and cut into its rows — when it
-/// is full, when a row of another width arrives, when an existing row is
-/// pushed whole (so order holds), and at the end.
+/// is full, when a row of another width arrives, when a row is pushed
+/// whole or inline (so order holds), and at the end.
 #[derive(Default)]
 pub(crate) struct RowBlocks {
     rows: Vec<SharedRow>,
     open: Vec<Value>,
     open_rows: usize,
     width: usize,
+    /// Rows the open buffer makes room for when a view row first needs
+    /// it; an inline row needs none.
+    room: usize,
 }
 
 impl RowBlocks {
-    /// Room for `rows` more rows of `width` values each.
-    pub(crate) fn reserve(&mut self, rows: usize, width: usize) {
+    /// Room for `rows` more rows.
+    pub(crate) fn reserve(&mut self, rows: usize) {
         self.rows.reserve(rows);
-        self.open.reserve(rows.min(MORSEL_ROWS) * width);
+        self.room = rows.min(MORSEL_ROWS);
     }
 
     /// Append the row whose values `row` holds, leaving it empty.
     #[inline]
     pub(crate) fn push_values(&mut self, row: &mut Row) {
+        if let Some(value) = take_plain(row) {
+            self.push_inline(value);
+            return;
+        }
         if self.open_rows == MORSEL_ROWS || (self.open_rows > 0 && row.len() != self.width) {
             self.cut();
+        }
+        if self.open.capacity() == 0 {
+            self.open.reserve(self.room * row.len());
         }
         self.width = row.len();
         self.open.append(row);
         self.open_rows += 1;
+    }
+
+    /// Append the one-value row `value`, held inline: meant for a value
+    /// that owns no heap memory, or cloning the row deep-copies it.
+    #[inline]
+    pub(crate) fn push_inline(&mut self, value: Value) {
+        self.push(SharedRow(Repr::Inline(value)));
     }
 
     /// Append an existing row whole (no copy).
@@ -177,12 +229,13 @@ impl RowBlocks {
         }
         let block: Arc<[Value]> = self.open.drain(..).collect();
         let len = self.width as u32;
-        self.rows
-            .extend((0..self.open_rows as u32).map(|k| SharedRow {
+        self.rows.extend((0..self.open_rows as u32).map(|k| {
+            SharedRow(Repr::View {
                 block: Arc::clone(&block),
                 start: k * len,
                 len,
-            }));
+            })
+        }));
         self.open_rows = 0;
     }
 }
@@ -233,9 +286,7 @@ impl Relation {
         self.rows.is_empty()
     }
 
-    /// Append an owned row as a one-row block. Goes through
-    /// [`shared_row`] so the block is allocated in a single `TrustedLen`
-    /// collect instead of the `From<Vec>` round trip.
+    /// Append an owned row, inline or as a one-row block ([`shared_row`]).
     pub fn push(&mut self, mut row: Row) {
         self.rows.push(shared_row(&mut row));
     }
@@ -397,6 +448,123 @@ mod tests {
             rel.rows[2].clone()
         };
         assert_eq!(*kept, [Value::Int(2), Value::Int(3)]);
+    }
+
+    /// One plain value of each kind.
+    fn plain_values() -> Vec<Value> {
+        vec![
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(-3),
+            Value::real(2.5),
+            Value::Object(eds_adt::Oid(7)),
+        ]
+    }
+
+    /// A view of `value` in the middle of a three-value block.
+    fn view_of(value: &Value) -> SharedRow {
+        SharedRow(Repr::View {
+            block: vec![Value::Int(0), value.clone(), Value::Int(2)].into(),
+            start: 1,
+            len: 1,
+        })
+    }
+
+    fn is_inline(row: &SharedRow) -> bool {
+        matches!(row.0, Repr::Inline(_))
+    }
+
+    /// An inline row and a view of the same value are equal, hash alike,
+    /// order alike against every other row, print alike and are found by
+    /// the same slice probe.
+    #[test]
+    fn an_inline_row_is_its_value() {
+        let fold = Fold::default();
+        let values = plain_values();
+        for value in &values {
+            let inline = SharedRow::from(vec![value.clone()]);
+            let view = view_of(value);
+            assert!(is_inline(&inline) && !is_inline(&view));
+            assert_eq!(inline, view);
+            assert_eq!(&*inline, slice::from_ref(value));
+            assert_eq!(fold.hash_one(&inline), fold.hash_one(&view));
+            assert_eq!(
+                fold.hash_one(&inline),
+                fold.hash_one(slice::from_ref(value))
+            );
+            for other in &values {
+                let other = view_of(other);
+                assert_eq!(inline.cmp(&other), view.cmp(&other));
+            }
+            assert_eq!(format!("{inline:?}"), format!("{view:?}"));
+            let set: FoldSet<SharedRow> = [inline].into_iter().collect();
+            assert!(set.contains(&view[..]));
+        }
+    }
+
+    /// A one-value row whose value owns heap memory stays a view, so
+    /// cloning it never deep-copies; every way in agrees.
+    #[test]
+    fn a_one_value_string_tuple_or_collection_row_is_a_view() {
+        let heavy = [
+            Value::str("s"),
+            Value::Tuple(vec![Value::Int(1)]),
+            Value::set(vec![Value::Int(1)]),
+        ];
+        for value in heavy.iter().chain(&plain_values()) {
+            let mut blocks = RowBlocks::default();
+            blocks.push_values(&mut vec![value.clone()]);
+            let rows = [
+                SharedRow::from(vec![value.clone()]),
+                shared_row(&mut vec![value.clone()]),
+                blocks.into_rows().remove(0),
+            ];
+            for row in &rows {
+                assert_eq!(is_inline(row), plain(value), "{value:?}");
+                assert_eq!(&**row, slice::from_ref(value));
+            }
+        }
+    }
+
+    /// Inline rows, rows cut from a block and rows pushed whole come out
+    /// in arrival order: an inline row cuts the open block first.
+    #[test]
+    fn blocks_keep_arrival_order_around_inline_rows() {
+        let whole = SharedRow::from(vec![Value::str("whole"), Value::Int(0)]);
+        let arrivals: Vec<Row> = vec![
+            vec![Value::Int(1)],
+            vec![Value::str("a")],
+            vec![Value::str("b")],
+            vec![Value::Null],
+            vec![Value::Int(2), Value::str("c")],
+            vec![Value::real(0.5)],
+            vec![Value::str("d")],
+            vec![Value::Object(eds_adt::Oid(3))],
+            whole.to_vec(),
+            vec![Value::str("e")],
+        ];
+        let mut blocks = RowBlocks::default();
+        blocks.reserve(arrivals.len());
+        for row in &arrivals {
+            if row[..] == whole[..] {
+                blocks.push(whole.clone());
+            } else {
+                blocks.push_values(&mut row.clone());
+            }
+        }
+        let rows = blocks.into_rows();
+        let got: Vec<Row> = rows.iter().map(|r| r.to_vec()).collect();
+        assert_eq!(got, arrivals);
+        let inline: Vec<bool> = rows.iter().map(is_inline).collect();
+        assert_eq!(
+            inline,
+            [true, false, false, true, false, true, false, true, false, false]
+        );
+        // The two adjacent `STRING` rows share a block.
+        assert!(std::ptr::eq(
+            rows[1].as_ptr().wrapping_add(1),
+            rows[2].as_ptr()
+        ));
     }
 
     /// A block holds at most `MORSEL_ROWS` rows, and a row of another
