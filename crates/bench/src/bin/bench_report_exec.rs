@@ -26,10 +26,12 @@
 //! `<id>/p1` is `PreparedStmt::execute` cycling the same binds. They
 //! are excluded from the exec medians and summarized separately under
 //! `median_speedup_execute_many`. With `--check-prepared-floor` the
-//! run fails (exit 1) when any workload listed in
-//! `crates/bench/baselines/prepared_floors.tsv` falls below its
-//! committed minimum speedup, or when fewer than two `execute_many`
-//! workloads are present at all. When the current run's TSV carries a
+//! run writes no report: it prints each workload listed in
+//! `crates/bench/baselines/prepared_floors.tsv` beside its committed
+//! minimum speedup and fails (exit 1) when one falls below it, or when
+//! fewer than two `execute_many` workloads are present at all — so
+//! gating an `EDS_EXEC_ONLY=em` run cannot shrink the committed report
+//! to its five entries. When the current run's TSV carries a
 //! fresh `em_*/seq` median (an `EDS_EXEC_BASELINE=1` run), it takes
 //! precedence over the committed one so that gate compares two
 //! medians from the same host.
@@ -89,24 +91,27 @@ fn median(mut xs: Vec<f64>) -> f64 {
     }
 }
 
-fn main() {
-    let check_prepared_floor = std::env::args().any(|a| a == "--check-prepared-floor");
-    let root = workspace_root();
-    let before = read_tsv(&root.join("crates/bench/baselines/before/exec.tsv"));
-    let after = read_tsv(&root.join("target/bench-tsv/exec.tsv"));
-    let mut prepared_speedups: BTreeMap<String, f64> = BTreeMap::new();
-    let mut opt_level_speedups: BTreeMap<String, f64> = BTreeMap::new();
+/// One workload's before/after medians.
+struct Entry {
+    id: String,
+    kind: &'static str,
+    before_ns: f64,
+    p1: f64,
+}
 
+impl Entry {
+    fn speedup(&self) -> f64 {
+        self.before_ns / self.p1
+    }
+}
+
+/// Every workload of the baseline that the current run measured, in
+/// baseline order.
+fn entries(before: &BTreeMap<String, f64>, after: &BTreeMap<String, f64>) -> Vec<Entry> {
     // Workloads in baseline order: `<workload>/seq` in the before file.
-    let workloads: Vec<String> = before
-        .keys()
-        .filter_map(|id| id.strip_suffix("/seq").map(str::to_owned))
-        .collect();
-
-    let mut entries = String::new();
-    let mut speedups_p1: Vec<f64> = Vec::new();
-    let mut first = true;
-    for w in &workloads {
+    let workloads = before.keys().filter_map(|id| id.strip_suffix("/seq"));
+    let mut out = Vec::new();
+    for w in workloads {
         // For the em_* workloads an `EDS_EXEC_BASELINE=1` run records a
         // fresh `<id>/seq` alongside `<id>/p1`; prefer it over the
         // committed number so the floor gate compares two medians from
@@ -131,27 +136,42 @@ fn main() {
         } else {
             "exec"
         };
-        let s1 = before_ns / p1;
-        if kind == "execute_many" {
-            prepared_speedups.insert(w.clone(), s1);
-        }
-        if kind == "opt_level" {
-            opt_level_speedups.insert(w.clone(), s1);
-        }
-        if !first {
-            entries.push_str(",\n");
-        }
-        first = false;
-        if kind == "exec" {
-            speedups_p1.push(s1);
-        }
-        let _ = write!(
-            entries,
-            "    {{\"id\": \"{w}\", \"kind\": \"{kind}\", \"before_ns\": {before_ns:.1}, \
-             \"after_p1_ns\": {p1:.1}, \"speedup_p1\": {s1:.2}}}"
-        );
+        out.push(Entry {
+            id: w.to_owned(),
+            kind,
+            before_ns,
+            p1,
+        });
     }
+    out
+}
 
+/// The median speedup over the entries of one kind, `None` when the run
+/// measured none of them.
+fn median_speedup(entries: &[Entry], kind: &str) -> Option<f64> {
+    let speedups: Vec<f64> = entries
+        .iter()
+        .filter(|e| e.kind == kind)
+        .map(Entry::speedup)
+        .collect();
+    (!speedups.is_empty()).then(|| median(speedups))
+}
+
+fn report(entries: &[Entry]) -> String {
+    let rows: Vec<String> = entries
+        .iter()
+        .map(|e| {
+            format!(
+                "    {{\"id\": \"{}\", \"kind\": \"{}\", \"before_ns\": {:.1}, \
+                 \"after_p1_ns\": {:.1}, \"speedup_p1\": {:.2}}}",
+                e.id,
+                e.kind,
+                e.before_ns,
+                e.p1,
+                e.speedup()
+            )
+        })
+        .collect();
     let mut json = String::from("{\n");
     json.push_str("  \"unit\": \"ns/iter (median)\",\n");
     json.push_str(
@@ -168,61 +188,75 @@ fn main() {
          OptLevel::Simple plan, after = the OptLevel::Full plan on the same engine \
          configuration); all three kinds are excluded from the exec medians.\",\n",
     );
-    let _ = write!(json, "  \"entries\": [\n{entries}\n  ]");
-    // An `EDS_EXEC_ONLY=em` run measures only the execute_many suite, so
-    // the exec medians may have nothing to summarize.
-    if !speedups_p1.is_empty() {
-        let _ = write!(
-            json,
-            ",\n  \"median_speedup_exec_p1\": {:.2}",
-            median(speedups_p1)
-        );
-    }
-    if !prepared_speedups.is_empty() {
-        let _ = write!(
-            json,
-            ",\n  \"median_speedup_execute_many\": {:.2}",
-            median(prepared_speedups.values().copied().collect())
-        );
-    }
-    if !opt_level_speedups.is_empty() {
-        let _ = write!(
-            json,
-            ",\n  \"median_speedup_opt_level\": {:.2}",
-            median(opt_level_speedups.values().copied().collect())
-        );
+    let _ = write!(json, "  \"entries\": [\n{}\n  ]", rows.join(",\n"));
+    // A run that measured only some kinds has nothing to summarize for
+    // the others.
+    for (kind, key) in [
+        ("exec", "median_speedup_exec_p1"),
+        ("execute_many", "median_speedup_execute_many"),
+        ("opt_level", "median_speedup_opt_level"),
+    ] {
+        if let Some(m) = median_speedup(entries, kind) {
+            let _ = write!(json, ",\n  \"{key}\": {m:.2}");
+        }
     }
     json.push_str("\n}\n");
+    json
+}
 
+/// Print each committed floor beside the measured speedup; `false` when
+/// one is missed or fewer than two `execute_many` workloads were
+/// measured.
+fn floors_hold(root: &Path, entries: &[Entry]) -> bool {
+    let prepared: BTreeMap<&str, f64> = entries
+        .iter()
+        .filter(|e| e.kind == "execute_many")
+        .map(|e| (e.id.as_str(), e.speedup()))
+        .collect();
+    let mut violations: Vec<String> = Vec::new();
+    if prepared.len() < 2 {
+        violations.push(format!(
+            "only {} execute_many workload(s) measured, need at least 2",
+            prepared.len()
+        ));
+    }
+    let floors = read_tsv(&root.join("crates/bench/baselines/prepared_floors.tsv"));
+    for (id, floor) in &floors {
+        match prepared.get(id.as_str()) {
+            None => violations.push(format!("{id}: not measured (floor {floor:.1}x)")),
+            Some(&s) if s < *floor => {
+                violations.push(format!("{id}: speedup {s:.2}x below floor {floor:.1}x"));
+            }
+            Some(&s) => println!("{id}: speedup {s:.2}x, floor {floor:.1}x"),
+        }
+    }
+    if violations.is_empty() {
+        println!("every prepared-statement floor holds");
+        return true;
+    }
+    eprintln!("prepared-statement amortization below its committed floor:");
+    for v in &violations {
+        eprintln!("  {v}");
+    }
+    false
+}
+
+fn main() {
+    let check_prepared_floor = std::env::args().any(|a| a == "--check-prepared-floor");
+    let root = workspace_root();
+    let before = read_tsv(&root.join("crates/bench/baselines/before/exec.tsv"));
+    let after = read_tsv(&root.join("target/bench-tsv/exec.tsv"));
+    let entries = entries(&before, &after);
+    if check_prepared_floor {
+        // A gate reads the run; the report is the plain run's to write.
+        if !floors_hold(&root, &entries) {
+            std::process::exit(1);
+        }
+        return;
+    }
+    let json = report(&entries);
     let out = root.join("BENCH_exec.json");
     fs::write(&out, &json).unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
     println!("wrote {}", out.display());
     print!("{json}");
-
-    if check_prepared_floor {
-        let mut floor_violations: Vec<String> = Vec::new();
-        if prepared_speedups.len() < 2 {
-            floor_violations.push(format!(
-                "only {} execute_many workload(s) measured, need at least 2",
-                prepared_speedups.len()
-            ));
-        }
-        let floors = read_tsv(&root.join("crates/bench/baselines/prepared_floors.tsv"));
-        for (id, floor) in &floors {
-            match prepared_speedups.get(id) {
-                None => floor_violations.push(format!("{id}: not measured (floor {floor:.1}x)")),
-                Some(&s) if s < *floor => {
-                    floor_violations.push(format!("{id}: speedup {s:.2}x below floor {floor:.1}x"));
-                }
-                Some(_) => {}
-            }
-        }
-        if !floor_violations.is_empty() {
-            eprintln!("prepared-statement amortization below its committed floor:");
-            for v in &floor_violations {
-                eprintln!("  {v}");
-            }
-            std::process::exit(1);
-        }
-    }
 }

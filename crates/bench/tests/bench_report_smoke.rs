@@ -158,3 +158,81 @@ fn every_exec_workload_has_a_report_entry() {
         );
     }
 }
+
+/// `bench_report_exec --check-prepared-floor` in a workspace of its own
+/// (a `Cargo.lock`, both committed baselines, and the TSV of an
+/// `EDS_EXEC_ONLY=em` run): the gate prints its verdict and writes no
+/// `BENCH_exec.json`, whether the floors hold or not; the plain run is
+/// the one that writes the report.
+#[test]
+fn the_floor_gate_writes_no_report() {
+    let dir = std::env::temp_dir().join(format!("eds-floor-gate-{}", std::process::id()));
+    let baselines = dir.join("crates/bench/baselines");
+    std::fs::create_dir_all(baselines.join("before")).unwrap();
+    std::fs::create_dir_all(dir.join("target/bench-tsv")).unwrap();
+    std::fs::write(dir.join("Cargo.lock"), "").unwrap();
+    let committed = repo_root().join("crates/bench/baselines");
+    for file in ["before/exec.tsv", "prepared_floors.tsv"] {
+        std::fs::copy(committed.join(file), baselines.join(file)).unwrap();
+    }
+    let floors = std::fs::read_to_string(committed.join("prepared_floors.tsv")).unwrap();
+    // Each `em_*` workload at twice its floor, or one at half of it.
+    let em_run = |missed: Option<&str>| {
+        let mut tsv = String::new();
+        for line in floors.lines() {
+            let (id, floor) = line.split_once('\t').unwrap();
+            let floor: f64 = floor.trim().parse().unwrap();
+            let speedup = if Some(id) == missed {
+                floor / 2.0
+            } else {
+                floor * 2.0
+            };
+            tsv.push_str(&format!(
+                "{id}/seq\t{:.1}\n{id}/p1\t1000.0\n",
+                1000.0 * speedup
+            ));
+        }
+        std::fs::write(dir.join("target/bench-tsv/exec.tsv"), tsv).unwrap();
+    };
+    let run = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_bench_report_exec"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .unwrap()
+    };
+    let report = dir.join("BENCH_exec.json");
+
+    em_run(None);
+    let held = run(&["--check-prepared-floor"]);
+    let stdout = String::from_utf8_lossy(&held.stdout);
+    assert!(held.status.success(), "{stdout}");
+    assert!(
+        stdout.contains("every prepared-statement floor holds"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("em_stack_point: speedup 10.00x, floor 5.0x"),
+        "{stdout}"
+    );
+    assert!(!report.exists(), "the gate wrote {}", report.display());
+
+    em_run(Some("em_wide_pred"));
+    let missed = run(&["--check-prepared-floor"]);
+    let stderr = String::from_utf8_lossy(&missed.stderr);
+    assert_eq!(missed.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("em_wide_pred: speedup 1.75x below floor 3.5x"),
+        "{stderr}"
+    );
+    assert!(
+        !report.exists(),
+        "the failed gate wrote {}",
+        report.display()
+    );
+
+    assert!(run(&[]).status.success());
+    let text = std::fs::read_to_string(&report).unwrap();
+    assert_eq!(entry_ids(&text).len(), floors.lines().count());
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -543,16 +543,51 @@ impl<'s> Conjunct<'s> {
         Ok(Truth::of(general.eval(tuples, env)?.as_ref()))
     }
 
-    /// Is this a comparison whose every attribute reference reads input
-    /// `rel0` (and at least one does)? Such a conjunct can be decided
-    /// from that input's row alone, before any join.
-    fn reads_only(&self, rel0: usize) -> bool {
+    /// The one input (0-based) this comparison reads when every
+    /// attribute reference reads it and at least one does: such a
+    /// conjunct can be decided from that input's row alone, before any
+    /// join.
+    fn only_input(&self) -> Option<usize> {
         let Some(FastQual::Cmp { left, right, .. }) = &self.fast else {
-            return false;
+            return None;
         };
         let mut inputs = [left.input(), right.input()].into_iter().flatten();
-        inputs.next() == Some(rel0) && inputs.all(|i| i == rel0)
+        let first = inputs.next()?;
+        inputs.all(|i| i == first).then_some(first)
     }
+
+    /// `i.a = j.b` between plain attributes of two different inputs, as
+    /// 0-based `(input, attribute)` pairs.
+    fn link(&self) -> Option<[(usize, usize); 2]> {
+        match &self.fast {
+            Some(FastQual::Cmp {
+                op: CmpOp::Eq,
+                left: FastRef::Slot { rel0: i, attr0: a },
+                right: FastRef::Slot { rel0: j, attr0: b },
+            }) if i != j => Some([(*i, *a), (*j, *b)]),
+            _ => None,
+        }
+    }
+}
+
+/// Fold conjuncts as the interpreter's binary `AND` does: `true` only
+/// when every one is `TRUE`; FALSE short-circuits, NULL and non-boolean
+/// results poison the result without skipping later conjuncts.
+#[inline]
+fn all_true<'c, 's: 'c>(
+    conjuncts: impl Iterator<Item = &'c Conjunct<'s>>,
+    tuples: &[&[Value]],
+    env: &EvalEnv<'_>,
+) -> EngineResult<bool> {
+    let mut all_true = true;
+    for c in conjuncts {
+        match c.truth(tuples, env)? {
+            Truth::True => {}
+            Truth::False => return Ok(false),
+            Truth::Other => all_true = false,
+        }
+    }
+    Ok(all_true)
 }
 
 /// A compiled qualification: the conjunct list of the bound predicate,
@@ -586,15 +621,7 @@ impl<'s> CompiledPred<'s> {
     /// `TRUE`.
     #[inline]
     pub fn eval_bool(&self, tuples: &[&[Value]], env: &EvalEnv<'_>) -> EngineResult<bool> {
-        let mut all_true = true;
-        for c in &self.conjuncts {
-            match c.truth(tuples, env)? {
-                Truth::True => {}
-                Truth::False => return Ok(false),
-                Truth::Other => all_true = false,
-            }
-        }
-        Ok(all_true)
+        all_true(self.conjuncts.iter(), tuples, env)
     }
 }
 
@@ -1085,17 +1112,11 @@ impl CompiledPred<'_> {
     }
 
     /// The equality conjuncts `i.a = j.b` between plain attributes of two
-    /// different inputs, as 0-based `(input, attribute)` pairs in the
-    /// order written — what a join step can key a table on.
-    pub fn links(&self) -> impl Iterator<Item = [(usize, usize); 2]> + '_ {
-        self.conjuncts.iter().filter_map(|c| match &c.fast {
-            Some(FastQual::Cmp {
-                op: CmpOp::Eq,
-                left: FastRef::Slot { rel0: i, attr0: a },
-                right: FastRef::Slot { rel0: j, attr0: b },
-            }) if i != j => Some([(*i, *a), (*j, *b)]),
-            _ => None,
-        })
+    /// different inputs, each with its position in the conjunct list, as
+    /// 0-based `(input, attribute)` pairs in the order written — what a
+    /// join step can key a table on.
+    pub fn links(&self) -> impl Iterator<Item = (usize, [(usize, usize); 2])> + '_ {
+        (self.conjuncts.iter().enumerate()).filter_map(|(at, c)| Some((at, c.link()?)))
     }
 
     /// The conjuncts input `rel0` (0-based) can be pre-selected by: the
@@ -1104,16 +1125,48 @@ impl CompiledPred<'_> {
         let conjuncts = self.conjuncts.iter();
         LocalPred {
             rel0,
-            conjuncts: conjuncts.filter(|c| c.reads_only(rel0)).collect(),
+            conjuncts: conjuncts.filter(|c| c.only_input() == Some(rel0)).collect(),
         }
     }
+
+    /// What a streamed join still checks on a complete combination: every
+    /// conjunct, in the order written, except the links its steps
+    /// compared at the probe (`linked`, positions from
+    /// [`links`](CompiledPred::links)) and the local conjuncts of each
+    /// input `k` whose pre-selection decided them TRUE on every survivor
+    /// (`settled[k]`). Only conjuncts known to be TRUE are left out, so
+    /// the fold's result and errors are the whole qualification's.
+    pub fn residual(&self, linked: &[usize], settled: &[bool]) -> Residual<'_> {
+        let conjuncts = self.conjuncts.iter().enumerate();
+        let open = conjuncts.filter(|(at, c)| {
+            let local = c.only_input().and_then(|k| settled.get(k).copied());
+            !linked.contains(at) && local != Some(true)
+        });
+        Residual {
+            conjuncts: open.map(|(_, c)| c).collect(),
+        }
+    }
+}
+
+/// What pre-selection's fast forms tell of one row of a join input.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Preselected {
+    /// A conjunct is FALSE or NULL on it: the row joins nothing.
+    Dropped,
+    /// Every conjunct is TRUE on it.
+    Settled,
+    /// Kept, but a fast form declined it (unbound `?`, dangling OID, a
+    /// non-tuple object): the conjuncts stay in the join's check.
+    Open,
 }
 
 /// The part of an n-ary `search` qualification that one input's rows
 /// decide alone. A conjunction needs every conjunct TRUE, so a row one of
 /// these rejects (FALSE *or* NULL) joins nothing and can be dropped
-/// before the join; a row the fast forms cannot decide is kept, and the
-/// whole qualification — re-checked on every combination — stays the
+/// before the join. When every survivor was decided TRUE — always over
+/// the columnar kernels, on the row path unless a fast form declined a
+/// row — the conjuncts leave the join's per-combination check
+/// ([`CompiledPred::residual`]); otherwise they stay in it, the
 /// authority on results and errors.
 pub struct LocalPred<'p> {
     rel0: usize,
@@ -1141,13 +1194,36 @@ impl LocalPred<'_> {
         lower_all(self.conjuncts.iter().copied(), self.rel0, cols, params)
     }
 
-    /// Can the row in `tuples[self.input()]` still satisfy the
-    /// qualification? `false` only when a conjunct decides it is not
-    /// TRUE; no other slot of `tuples` is read.
+    /// What the fast forms decide of the row in `tuples[self.input()]`:
+    /// dropped as soon as one is FALSE or NULL, settled when all are
+    /// TRUE, open when none dropped it but one declined. No other slot of
+    /// `tuples` is read.
     #[inline]
-    pub fn keeps(&self, tuples: &[&[Value]], env: &EvalEnv<'_>) -> bool {
-        let mut decided = self.conjuncts.iter();
-        decided.all(|c| !matches!(c.fast_truth(tuples, env), Some(Truth::False | Truth::Other)))
+    pub fn keeps(&self, tuples: &[&[Value]], env: &EvalEnv<'_>) -> Preselected {
+        let mut kept = Preselected::Settled;
+        for c in &self.conjuncts {
+            match c.fast_truth(tuples, env) {
+                Some(Truth::True) => {}
+                Some(Truth::False | Truth::Other) => return Preselected::Dropped,
+                None => kept = Preselected::Open,
+            }
+        }
+        kept
+    }
+}
+
+/// The conjuncts a streamed join checks on each complete combination
+/// ([`CompiledPred::residual`]).
+pub struct Residual<'p> {
+    conjuncts: Vec<&'p Conjunct<'p>>,
+}
+
+impl Residual<'_> {
+    /// Evaluate as a qualification, as [`CompiledPred::eval_bool`] does:
+    /// `true` at once when nothing is left.
+    #[inline]
+    pub fn eval_bool(&self, tuples: &[&[Value]], env: &EvalEnv<'_>) -> EngineResult<bool> {
+        all_true(self.conjuncts.iter().copied(), tuples, env)
     }
 }
 

@@ -4,9 +4,11 @@
 //! what the merging rules exist to produce — is evaluated for what its
 //! qualification allows: each input is pre-selected by the conjuncts
 //! that read it alone, inputs join left-deep in the order written
-//! through a table of key hashes wherever an equality links the next
-//! one, and combinations stream depth-first into the target list
-//! without being materialised. Join *order* and everything above the
+//! through a slot array over one `INT` key's span or a table of key
+//! hashes wherever equalities link the next one, and combinations
+//! stream depth-first into the target list without being materialised;
+//! each conjunct is decided once, at pre-selection, at the probe or on
+//! the complete combination. Join *order* and everything above the
 //! operator stay the rewriter's business. The paper's baseline — the
 //! cross product with a post-filter, under which the work counters read
 //! the logical quality of a plan directly — is not executed: its work is
@@ -57,7 +59,8 @@ use eds_lera::{
 
 use crate::columnar::{CodedRow, Column, ColumnarRelation, DenseKey};
 use crate::compile::{
-    ColumnarPred, CompiledPred, CompiledProj, CompiledScalar, EvalEnv, LocalPred,
+    ColumnarPred, CompiledPred, CompiledProj, CompiledScalar, EvalEnv, LocalPred, Preselected,
+    Residual,
 };
 use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
@@ -165,9 +168,9 @@ pub struct EvalStats {
     pub rows_emitted: u64,
     /// Combinations the executor examined. One input: its rows. Two or
     /// more: the first input's survivors of its local conjuncts plus
-    /// every candidate a later step enumerated (a linked step's table
-    /// hits, a cross step's survivors) — a property of the executor as
-    /// much as of the plan.
+    /// every candidate a later step enumerated (a slot array's key
+    /// matches, a hashed table's hash matches, a cross step's survivors)
+    /// — a property of the executor as much as of the plan.
     pub combinations_tried: u64,
     /// The same operators' *logical* work: the product of their input
     /// sizes (saturating), the combinations the paper's baseline — a
@@ -1159,37 +1162,45 @@ impl Survivors {
 /// it alone: the columnar kernels over the mirror when the input is a
 /// stored table and every such conjunct has one, their fast forms row by
 /// row otherwise. Both decide the same rows, so the survivors — and the
-/// work counters downstream — do not depend on the path.
+/// work counters downstream — do not depend on the path. The flag says
+/// whether the conjuncts were decided TRUE on every survivor: always over
+/// the kernels, on the row path unless a fast form declined a row.
 fn preselect(
     input: &Expr,
     rel: &Relation,
     local: &LocalPred<'_>,
     env: &EvalEnv<'_>,
     ctx: &Ctx<'_>,
-) -> EngineResult<Survivors> {
+) -> EngineResult<(Survivors, bool)> {
     if local.is_empty() {
-        return Ok(Survivors::All(rel.len()));
+        return Ok((Survivors::All(rel.len()), true));
     }
     let parallelism = ctx.opts.parallelism;
     if let Some(cols) = base_columnar(input, ctx, rel.len()) {
         if let Some(kernels) = local.columnar(&cols, ctx.params) {
             let sel = select_partitioned(&kernels, cols.len(), parallelism)?;
-            return Ok(Survivors::Picked(sel));
+            return Ok((Survivors::Picked(sel), true));
         }
     }
     let parts = run_morsel_ranges(rel.len(), parallelism, |lo, hi| {
         // Only the input's own slot is read.
         let mut tuple: Vec<&[Value]> = vec![&[]; local.input() + 1];
         let mut kept: Vec<u32> = Vec::new();
+        let mut settled = true;
         for i in lo..hi {
             tuple[local.input()] = &rel.rows[i];
-            if local.keeps(&tuple, env) {
-                kept.push(i as u32);
+            match local.keeps(&tuple, env) {
+                Preselected::Dropped => continue,
+                Preselected::Settled => {}
+                Preselected::Open => settled = false,
             }
+            kept.push(i as u32);
         }
-        Ok(kept)
+        Ok((kept, settled))
     })?;
-    Ok(Survivors::Picked(parts.concat()))
+    let settled = parts.iter().all(|(_, settled)| *settled);
+    let kept = parts.into_iter().flat_map(|(kept, _)| kept).collect();
+    Ok((Survivors::Picked(kept), settled))
 }
 
 /// Hash of a link key, `None` when it can equal nothing: a NULL (`=` is
@@ -1197,7 +1208,7 @@ fn preselect(
 /// compare numerically ([`Value::sql_cmp`]), so both hash as the `f64`
 /// the comparison reads; every other kind compares — and hashes —
 /// structurally. Equal keys always collide; the converse is left to the
-/// re-check.
+/// probe's key comparison.
 fn key_hash<'v>(hasher: &Fold, key: impl Iterator<Item = Option<&'v Value>>) -> Option<u64> {
     let mut h = hasher.build_hasher();
     for v in key {
@@ -1211,27 +1222,143 @@ fn key_hash<'v>(hasher: &Fold, key: impl Iterator<Item = Option<&'v Value>>) -> 
     Some(h.finish())
 }
 
-/// One input's survivors by the hash of their link attributes, sorted:
-/// the survivors of one hash are one run, in ascending order. An equal
-/// hash makes a *candidate* — the whole qualification is re-checked on
-/// it — so keys are neither stored nor compared.
-type LinkTable = Vec<(u64, u32)>;
+/// Slots per survivor up to which a step linked by one equality whose
+/// survivors' keys are all `INT` (or NULL) addresses its candidates
+/// through a slot array over the keys' span rather than a hash table
+/// (DESIGN §4, "Select first, then stream").
+const DENSE_LINK: usize = 16;
 
-fn link_table(
-    rows: &[SharedRow],
-    survivors: &Survivors,
-    links: &[Link],
-    hasher: &Fold,
-) -> LinkTable {
-    let mut table: LinkTable = (0..survivors.len())
-        .filter_map(|j| {
-            let row = &rows[survivors.row(j)];
-            let h = key_hash(hasher, links.iter().map(|l| row.get(l.inner)))?;
-            Some((h, j as u32))
-        })
-        .collect();
-    table.sort_unstable();
-    table
+/// Keys a slot array holds lie strictly inside ±2⁵³, where every `INT`
+/// is an `f64` exactly: a REAL equals at most one of them.
+const EXACT_F64: i64 = 1 << 53;
+
+/// A step's survivors by key: a slot array over one `INT` key's span, or
+/// the survivors sorted by the hash of their keys.
+enum LinkTable {
+    Slots(SlotArray),
+    /// `(key hash, survivor)`, sorted: the survivors of one hash are one
+    /// run, in ascending order. An equal hash makes a *candidate*, whose
+    /// keys the probe compares.
+    Hashed(Vec<(u64, u32)>),
+}
+
+/// Survivors in ascending key order, then ascending survivor order (a
+/// counting sort is stable): slot `s` — key `min + s` — owns
+/// `order[starts[s]..starts[s + 1]]`. NULL keys have no slot.
+struct SlotArray {
+    min: i64,
+    starts: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl SlotArray {
+    /// The survivors whose key equals `key` under [`Value::sql_cmp`], in
+    /// ascending order.
+    #[inline]
+    fn candidates(&self, key: &Value) -> &[u32] {
+        let run = slot_of(key, self.min).and_then(|s| {
+            let (lo, hi) = (*self.starts.get(s)?, *self.starts.get(s + 1)?);
+            self.order.get(lo as usize..hi as usize)
+        });
+        run.unwrap_or_default()
+    }
+}
+
+impl LinkTable {
+    fn build(
+        rows: &[SharedRow],
+        survivors: &Survivors,
+        links: &[Link],
+        hasher: &Fold,
+    ) -> LinkTable {
+        if let [link] = links {
+            if let Some(slots) = SlotArray::build(rows, survivors, link.inner) {
+                return LinkTable::Slots(slots);
+            }
+        }
+        let mut table: Vec<(u64, u32)> = (0..survivors.len())
+            .filter_map(|j| {
+                let row = &rows[survivors.row(j)];
+                let h = key_hash(hasher, links.iter().map(|l| row.get(l.inner)))?;
+                Some((h, j as u32))
+            })
+            .collect();
+        table.sort_unstable();
+        LinkTable::Hashed(table)
+    }
+}
+
+impl SlotArray {
+    /// The slot array over attribute `inner` of the survivors, `None`
+    /// unless every key is an `INT` strictly inside ±2⁵³ or NULL (or
+    /// absent) and their span holds at most [`DENSE_LINK`] slots per
+    /// survivor.
+    fn build(rows: &[SharedRow], survivors: &Survivors, inner: usize) -> Option<SlotArray> {
+        // `i64::MIN` lies outside ±2⁵³: it marks a survivor with no key.
+        const NO_KEY: i64 = i64::MIN;
+        let keys = (0..survivors.len()).map(|j| match rows[survivors.row(j)].get(inner) {
+            Some(Value::Int(k)) if k.unsigned_abs() < EXACT_F64.unsigned_abs() => Some(*k),
+            None | Some(Value::Null) => Some(NO_KEY),
+            Some(_) => None,
+        });
+        let keys: Vec<i64> = keys.collect::<Option<_>>()?;
+        let keyed = keys.iter().filter(|&&k| k != NO_KEY);
+        let (min, max) = keyed.fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        // Both ends lie inside ±2⁵³, so `max − min + 1` does not
+        // overflow; no key at all is an empty span.
+        let span = if min <= max {
+            (max - min + 1) as usize
+        } else {
+            0
+        };
+        if span > DENSE_LINK.saturating_mul(keys.len()) {
+            return None;
+        }
+        // Count each slot's keys at `starts[s + 2]`, sum them so that
+        // `starts[s + 1]` is where slot `s` begins, then place the
+        // survivors with it as the cursor: afterwards `starts[s]` is
+        // where slot `s` begins and `starts[s + 1]` where it ends.
+        let slot = |k: i64| (k != NO_KEY).then(|| (k - min) as usize);
+        let mut starts = vec![0u32; span + 2];
+        for s in keys.iter().filter_map(|&k| slot(k)) {
+            starts[s + 2] += 1;
+        }
+        for s in 2..starts.len() {
+            starts[s] += starts[s - 1];
+        }
+        let mut order = vec![0u32; starts[span + 1] as usize];
+        for (j, s) in keys
+            .iter()
+            .enumerate()
+            .filter_map(|(j, &k)| Some((j, slot(k)?)))
+        {
+            order[starts[s + 1] as usize] = j as u32;
+            starts[s + 1] += 1;
+        }
+        starts.truncate(span + 1);
+        Some(SlotArray { min, starts, order })
+    }
+}
+
+/// The slot of a probe key in a slot array whose first slot is key
+/// `min`, `None` when the key equals none of its keys under
+/// [`Value::sql_cmp`]: not a number, or a REAL that is fractional, NaN,
+/// `-0.0` (which orders below `0`) or outside ±2⁵³.
+#[inline]
+fn slot_of(key: &Value, min: i64) -> Option<usize> {
+    let k = match key {
+        Value::Int(k) => *k,
+        Value::Real(r) => {
+            let r = r.0;
+            let integral = r.fract() == 0.0 && r.abs() < EXACT_F64 as f64;
+            if !integral || (r == 0.0 && r.is_sign_negative()) {
+                return None;
+            }
+            r as i64
+        }
+        _ => return None,
+    };
+    usize::try_from(k.checked_sub(min)?).ok()
 }
 
 /// One equality between an attribute of an input already in the tuple
@@ -1256,7 +1383,7 @@ struct Step<'r> {
 /// one tuple buffer, extended and overwritten in place.
 struct Enumeration<'a, 'r, S> {
     steps: &'a [Step<'r>],
-    cpred: &'a CompiledPred<'a>,
+    residual: &'a Residual<'a>,
     cproj: &'a [CompiledProj],
     env: &'a EvalEnv<'a>,
     hasher: &'a Fold,
@@ -1268,38 +1395,64 @@ struct Enumeration<'a, 'r, S> {
 
 impl<S: Sink> Enumeration<'_, '_, S> {
     /// Extend `tuple[..depth]` by every candidate of the remaining
-    /// steps; a complete tuple is checked against the **whole**
-    /// qualification — hashes collide, and NULL or mixed-kind keys are
-    /// its business — and projected in place.
+    /// steps whose link keys equal the tuple's; a complete tuple is
+    /// checked against the conjuncts nothing has settled yet — neither
+    /// pre-selection nor a probe — and projected in place.
     fn descend(&mut self, depth: usize) -> EngineResult<()> {
         let steps = self.steps;
         let Some(step) = steps.get(depth - 1) else {
-            if self.cpred.eval_bool(&self.tuple, self.env)? {
+            if self.residual.eval_bool(&self.tuple, self.env)? {
                 project_into(self.cproj, &self.tuple, self.env, &mut self.scratch)?;
                 self.sink.keep(&mut self.scratch);
             }
             return Ok(());
         };
-        if let Some(table) = &step.table {
-            let key = step
-                .links
-                .iter()
-                .map(|l| self.tuple[l.outer.0].get(l.outer.1));
-            let Some(h) = key_hash(self.hasher, key) else {
-                return Ok(());
-            };
-            let run = &table[table.partition_point(|&(hash, _)| hash < h)..];
-            for &(_, j) in run.iter().take_while(|&&(hash, _)| hash == h) {
-                self.tried += 1;
-                self.tuple[depth] = &step.rows[step.survivors.row(j as usize)];
-                self.descend(depth + 1)?;
+        match &step.table {
+            Some(LinkTable::Slots(slots)) => {
+                // One link: the key's slot holds exactly its equals.
+                let key = step
+                    .links
+                    .first()
+                    .and_then(|l| self.tuple[l.outer.0].get(l.outer.1));
+                for &j in key.map_or(&[][..], |k| slots.candidates(k)) {
+                    self.tried += 1;
+                    self.tuple[depth] = &step.rows[step.survivors.row(j as usize)];
+                    self.descend(depth + 1)?;
+                }
             }
-        } else {
-            // No equality links this input: a cross step.
-            for j in 0..step.survivors.len() {
-                self.tried += 1;
-                self.tuple[depth] = &step.rows[step.survivors.row(j)];
-                self.descend(depth + 1)?;
+            Some(LinkTable::Hashed(table)) => {
+                let key = step
+                    .links
+                    .iter()
+                    .map(|l| self.tuple[l.outer.0].get(l.outer.1));
+                let Some(h) = key_hash(self.hasher, key) else {
+                    return Ok(());
+                };
+                let run = &table[table.partition_point(|&(hash, _)| hash < h)..];
+                for &(_, j) in run.iter().take_while(|&&(hash, _)| hash == h) {
+                    self.tried += 1;
+                    let row = &step.rows[step.survivors.row(j as usize)];
+                    // Hashes collide (INT keys past 2⁵³ hash as one
+                    // `f64`): a candidate joins only when its keys equal
+                    // the tuple's.
+                    let equal = step.links.iter().all(|l| {
+                        let outer = self.tuple[l.outer.0].get(l.outer.1);
+                        let eq = outer.zip(row.get(l.inner)).and_then(|(a, b)| a.sql_eq(b));
+                        eq == Some(true)
+                    });
+                    if equal {
+                        self.tuple[depth] = row;
+                        self.descend(depth + 1)?;
+                    }
+                }
+            }
+            None => {
+                // No equality links this input: a cross step.
+                for j in 0..step.survivors.len() {
+                    self.tried += 1;
+                    self.tuple[depth] = &step.rows[step.survivors.row(j)];
+                    self.descend(depth + 1)?;
+                }
             }
         }
         Ok(())
@@ -1313,8 +1466,11 @@ impl<S: Sink> Enumeration<'_, '_, S> {
 /// equality links it, looping over them otherwise; combinations are
 /// enumerated depth-first over one tuple buffer, morsel-partitioned on
 /// the first input's survivors and merged in order — the cross product's
-/// row-major order. Returns one sink per morsel and the combinations
-/// examined: first-input survivors plus candidates enumerated.
+/// row-major order. Each conjunct is decided in one place: a local one at
+/// pre-selection when it decided every survivor, a link at the probe, the
+/// rest on each complete combination. Returns one sink per morsel and the
+/// combinations examined: first-input survivors plus candidates
+/// enumerated.
 ///
 /// Relative to the cross product with a post-filter an error can only
 /// disappear (a combination that would have raised it is never formed),
@@ -1329,12 +1485,14 @@ fn streamed_join<S: Sink>(
     new_sink: &(impl Fn() -> S + Sync),
 ) -> EngineResult<(Vec<S>, u64)> {
     let mut selected = Vec::with_capacity(rels.len());
+    let mut settled = Vec::with_capacity(rels.len());
     for (k, (input, rel)) in inputs.iter().zip(rels).enumerate() {
-        let survivors = preselect(input, rel, &cpred.local(k), env, ctx)?;
+        let (survivors, decided) = preselect(input, rel, &cpred.local(k), env, ctx)?;
         if survivors.len() == 0 {
             return Ok((Vec::new(), 0));
         }
         selected.push(survivors);
+        settled.push(decided);
     }
     let mut later = selected.into_iter();
     let Some(first) = later.next() else {
@@ -1342,26 +1500,31 @@ fn streamed_join<S: Sink>(
     };
 
     let hasher = Fold::default();
+    let mut linked = Vec::new();
     let steps: Vec<Step<'_>> = later
         .zip(&rels[1..])
         .zip(1..)
         .map(|((survivors, rel), k)| {
             let links: Vec<Link> = cpred
                 .links()
-                .filter_map(|[a, b]| match (a.0 == k, b.0 == k) {
-                    (false, true) if a.0 < k => Some(Link {
-                        outer: a,
-                        inner: b.1,
-                    }),
-                    (true, false) if b.0 < k => Some(Link {
-                        outer: b,
-                        inner: a.1,
-                    }),
-                    _ => None,
+                .filter_map(|(at, [a, b])| {
+                    let link = match (a.0 == k, b.0 == k) {
+                        (false, true) if a.0 < k => Link {
+                            outer: a,
+                            inner: b.1,
+                        },
+                        (true, false) if b.0 < k => Link {
+                            outer: b,
+                            inner: a.1,
+                        },
+                        _ => return None,
+                    };
+                    linked.push(at);
+                    Some(link)
                 })
                 .collect();
-            let table =
-                (!links.is_empty()).then(|| link_table(&rel.rows, &survivors, &links, &hasher));
+            let table = (!links.is_empty())
+                .then(|| LinkTable::build(&rel.rows, &survivors, &links, &hasher));
             Step {
                 rows: &rel.rows,
                 survivors,
@@ -1370,11 +1533,12 @@ fn streamed_join<S: Sink>(
             }
         })
         .collect();
+    let residual = cpred.residual(&linked, &settled);
 
     let parts = run_morsel_ranges(first.len(), ctx.opts.parallelism, |lo, hi| {
         let mut e = Enumeration {
             steps: &steps,
-            cpred,
+            residual: &residual,
             cproj,
             env,
             hasher: &hasher,
@@ -1598,6 +1762,74 @@ mod tests {
                 assert_eq!(rows, oracle.rows, "{expr} columnar={columnar}");
                 assert_eq!(block_starts(&rows), vec![morsel]);
             }
+        }
+    }
+
+    /// The layout a one-link step takes over `keys`: the slot array's
+    /// `(min, starts, order)`, or `None` for the hashed table.
+    fn slot_layout(keys: &[Value]) -> Option<(i64, Vec<u32>, Vec<u32>)> {
+        let rows: Vec<SharedRow> = keys
+            .iter()
+            .map(|k| SharedRow::from(vec![k.clone()]))
+            .collect();
+        let link = Link {
+            outer: (0, 0),
+            inner: 0,
+        };
+        let survivors = Survivors::All(rows.len());
+        match LinkTable::build(&rows, &survivors, &[link], &Fold::default()) {
+            LinkTable::Slots(SlotArray { min, starts, order }) => Some((min, starts, order)),
+            LinkTable::Hashed(_) => None,
+        }
+    }
+
+    /// The slot array holds INT keys strictly inside ±2⁵³ over at most
+    /// `DENSE_LINK` slots a survivor, in key order and then survivor
+    /// order, NULLs left out; every other key set is hashed.
+    #[test]
+    fn a_slot_array_takes_dense_int_keys_only() {
+        let ints = |ks: &[i64]| ks.iter().map(|&k| Value::Int(k)).collect::<Vec<_>>();
+        let (min, starts, order) =
+            slot_layout(&[Value::Int(7), Value::Null, Value::Int(5), Value::Int(7)]).unwrap();
+        assert_eq!((min, starts, order), (5, vec![0, 1, 1, 3], vec![2, 0, 3]));
+        let (_, starts, order) = slot_layout(&[Value::Null, Value::Null]).unwrap();
+        assert_eq!((starts, order), (vec![0], vec![]));
+        // Two survivors span at most `2 · DENSE_LINK` slots.
+        let widest = 2 * DENSE_LINK as i64 - 1;
+        assert!(slot_layout(&ints(&[0, widest])).is_some());
+        assert!(slot_layout(&ints(&[0, widest + 1])).is_none());
+        let edge = (1i64 << 53) - 1;
+        assert!(slot_layout(&ints(&[edge, edge - 1])).is_some());
+        assert!(slot_layout(&ints(&[-edge, -edge + 1])).is_some());
+        for far in [edge + 1, -edge - 1, i64::MIN, i64::MAX] {
+            assert!(slot_layout(&ints(&[far, 0])).is_none(), "{far}");
+            assert!(slot_layout(&ints(&[far])).is_none(), "{far}");
+        }
+        for other in [Value::real(1.0), Value::str("1"), Value::Bool(true)] {
+            assert!(
+                slot_layout(&[Value::Int(1), other.clone()]).is_none(),
+                "{other:?}"
+            );
+        }
+    }
+
+    /// A probe key reaches the one slot whose INT it equals under
+    /// `sql_cmp`, and no slot when it equals none.
+    #[test]
+    fn a_probe_key_finds_the_slot_it_equals() {
+        let edge = (1i64 << 53) as f64;
+        assert_eq!(slot_of(&Value::Int(7), 5), Some(2));
+        assert_eq!(slot_of(&Value::real(7.0), 5), Some(2));
+        assert_eq!(slot_of(&Value::real(0.0), 0), Some(0));
+        assert_eq!(slot_of(&Value::Int(4), 5), None);
+        assert_eq!(slot_of(&Value::Int(i64::MIN), 5), None);
+        for miss in [7.5, -0.0, f64::NAN, f64::INFINITY, edge, -edge, 1e300] {
+            assert_eq!(slot_of(&Value::real(miss), 0), None, "{miss}");
+            let equal = (-100..100).any(|k| Value::real(miss).sql_eq(&Value::Int(k)) == Some(true));
+            assert!(!equal, "{miss}");
+        }
+        for other in [Value::Null, Value::str("7"), Value::Bool(true)] {
+            assert_eq!(slot_of(&other, 5), None, "{other:?}");
         }
     }
 }

@@ -8,8 +8,8 @@
 //! from std's `RandomState`, so bucket layout differs between runs, but
 //! this is *not* a keyed PRF: it resists nothing adversarial, only
 //! accidental clustering. Equal keys hash alike, which is all a set
-//! needs for its answers; the join link table additionally re-checks the
-//! whole qualification on every hash match, so a collision there costs
+//! needs for its answers; the join's hashed link table compares each
+//! hash match's keys before the match joins, so a collision there costs
 //! a candidate, never a wrong row.
 
 use std::collections::hash_map::RandomState;

@@ -6,9 +6,10 @@
 //! join order and everything above the operator to the rewriter:
 //!
 //! * [`database::Database`] — catalog + object store + stored relations;
-//! * [`mod@eval`] — `search` that selects each input first and probes a
-//!   hash table wherever an equality links two inputs, reporting beside
-//!   its own work the paper's cross product
+//! * [`mod@eval`] — `search` that selects each input first, probes a
+//!   slot array or a hash table wherever equalities link two inputs and
+//!   re-checks on a combination only what neither settled, reporting
+//!   beside its own work the paper's cross product
 //!   ([`EvalStats::cross_product`], a plan's logical work),
 //!   `nest`/`unnest`, three-valued qualifications, collection
 //!   broadcasting of field access and ordered comparisons;

@@ -765,3 +765,252 @@ fn the_general_program_is_built_where_a_fast_form_declines() {
         assert!(!rows.is_empty());
     }
 }
+
+// ---------------------------------------------------------------------
+// Where each conjunct is decided: a step linked by one INT key probes a
+// slot array over the key's span, a hashed step compares the keys of
+// each candidate, and a complete combination re-checks only what
+// neither pre-selection nor a probe settled.
+// ---------------------------------------------------------------------
+
+/// `L(K, A)` probing `R(K, B)` on `L.K = R.K`, with the keys given and
+/// each row's position as its payload.
+fn keyed_db(l: &[Value], r: &[Value]) -> Database {
+    let mut db = Database::new();
+    db.execute_ddl(
+        "TABLE L ( K : NUMERIC, A : INT ) ;
+         TABLE R ( K : NUMERIC, B : INT ) ;",
+    )
+    .unwrap();
+    for (table, keys) in [("L", l), ("R", r)] {
+        let rows = keys.iter().zip(0i64..);
+        db.insert_all(table, rows.map(|(k, i)| vec![k.clone(), Value::Int(i)]))
+            .unwrap();
+    }
+    db
+}
+
+/// The `(A, B)` pairs whose keys are equal under `sql_cmp`, in the cross
+/// product's row-major order: the answer counted without the executor.
+fn equal_pairs(l: &[Value], r: &[Value]) -> Vec<Vec<Value>> {
+    let mut pairs = Vec::new();
+    for (a, lk) in (0i64..).zip(l) {
+        for (b, rk) in (0i64..).zip(r) {
+            if lk.sql_eq(rk) == Some(true) {
+                pairs.push(vec![Value::Int(a), Value::Int(b)]);
+            }
+        }
+    }
+    pairs
+}
+
+#[test]
+fn a_real_probe_meets_int_keys_through_the_slot_array() {
+    // Each key 0..8 twice, so that a slot holds two candidates, and a
+    // NULL: every key an INT inside ±2⁵³ over a span of 9 slots.
+    let mut r: Vec<Value> = (0..9).chain(0..9).map(Value::Int).collect();
+    r.insert(4, Value::Null);
+    let edge = (1i64 << 53) as f64;
+    let l = [
+        Value::real(2.0),
+        Value::real(2.5),
+        Value::real(-0.0),
+        Value::real(0.0),
+        Value::real(f64::NAN),
+        Value::real(edge),
+        Value::real(-edge),
+        Value::real(1e300),
+        Value::Int(3),
+        Value::Null,
+        Value::str("2"),
+        Value::real(8.0),
+    ];
+    let db = keyed_db(&l, &r);
+    let (rows, tried) = streams_like_the_oracle(&db, &equi_join(None), &[]);
+    let expected = equal_pairs(&l, &r);
+    // 2.0, +0.0, 3 and 8.0 meet their INT twice each; -0.0 orders below
+    // 0, and nothing else is an integral number inside the span.
+    assert_eq!(expected.len(), 4 * 2);
+    assert_eq!(rows, expected);
+    assert_eq!(tried, l.len() as u64 + 8);
+}
+
+#[test]
+fn null_keys_on_either_side_of_a_slot_array_meet_nothing() {
+    let key = |i: i64| {
+        if i % 3 == 0 {
+            Value::Null
+        } else {
+            Value::Int(i % 7)
+        }
+    };
+    let l: Vec<Value> = (0..40).map(key).collect();
+    let r: Vec<Value> = (0..25).map(|i| key(i + 1)).collect();
+    let db = keyed_db(&l, &r);
+    let (rows, tried) = streams_like_the_oracle(&db, &equi_join(None), &[]);
+    let expected = equal_pairs(&l, &r);
+    assert!(!expected.is_empty());
+    assert_eq!(rows, expected);
+    assert_eq!(tried, l.len() as u64 + expected.len() as u64);
+    // All NULL on the build side: a table with no key at all.
+    let nulls = vec![Value::Null; 5];
+    let db = keyed_db(&l, &nulls);
+    let (rows, tried) = streams_like_the_oracle(&db, &equi_join(None), &[]);
+    assert!(rows.is_empty());
+    assert_eq!(tried, l.len() as u64);
+}
+
+#[test]
+fn far_or_wide_keys_fall_back_to_the_hashed_table() {
+    let edge = 1i64 << 53;
+    // At ±2⁵³ the neighbours hash as one `f64`: the hashed table offers
+    // both as candidates (the count says which table ran) and the probe
+    // tells them apart.
+    for sign in [1, -1] {
+        let keys = [Value::Int(sign * edge), Value::Int(sign * (edge + 1))];
+        let db = keyed_db(&keys, &keys);
+        let (rows, tried) = streams_like_the_oracle(&db, &equi_join(None), &[]);
+        assert_eq!(rows, ints(&[&[0, 0], &[1, 1]]));
+        assert_eq!(tried, 2 + 2 * 2, "both neighbours are candidates");
+    }
+    // `i64::MIN` to `i64::MAX` overflows a span's width.
+    let keys: Vec<Value> = [i64::MIN, 0, i64::MAX, 0].map(Value::Int).to_vec();
+    let db = keyed_db(&keys, &keys);
+    let (rows, tried) = streams_like_the_oracle(&db, &equi_join(None), &[]);
+    assert_eq!(rows, equal_pairs(&keys, &keys));
+    assert_eq!(tried, 4 + 6);
+    // Four survivors over 65 slots: one more than 16 a survivor.
+    let r: Vec<Value> = [0, 64, 1, 64].map(Value::Int).to_vec();
+    let l: Vec<Value> = [64, 1, 2, 0, 64].map(Value::Int).to_vec();
+    let db = keyed_db(&l, &r);
+    let (rows, tried) = streams_like_the_oracle(&db, &equi_join(None), &[]);
+    assert_eq!(rows, equal_pairs(&l, &r));
+    assert_eq!(rows.len(), 6);
+    assert_eq!(tried, 5 + 6);
+}
+
+#[test]
+fn a_fixpoint_local_is_keyed_through_the_slot_array() {
+    // One chain of 30 nodes and two shortcuts, with node `i` numbered
+    // `at(i)`: small numbers put every round's keys in a slot array,
+    // even numbers from 2⁵³ up (each an `f64` exactly, no two hashing
+    // alike) put them all in the hashed table. The closure and the
+    // combinations tried are the same either way.
+    let closure = |at: &dyn Fn(i64) -> i64| {
+        let mut db = Database::new();
+        db.execute_ddl("TABLE EDGE ( Src : INT, Dst : INT ) ;")
+            .unwrap();
+        let edges = (0..29i64).map(|i| (i, i + 1)).chain([(3, 17), (5, 25)]);
+        for (a, b) in edges {
+            db.insert("EDGE", vec![at(a).into(), at(b).into()]).unwrap();
+        }
+        let step = Expr::search(
+            vec![Expr::base("EDGE"), Expr::base("TC")],
+            attr_eq(1, 2, 2, 1),
+            vec![Scalar::attr(1, 1), Scalar::attr(2, 2)],
+        );
+        let fix = Expr::Fix {
+            name: "TC".into(),
+            body: Box::new(Expr::Union(vec![Expr::base("EDGE"), step])),
+        };
+        streams_like_the_oracle(&db, &fix, &[])
+    };
+    let (dense, dense_tried) = closure(&|i| i);
+    let far = |i: i64| (1i64 << 53) + 2 * i;
+    let (hashed, hashed_tried) = closure(&far);
+    assert_eq!(dense.len(), 30 * 29 / 2);
+    let renumbered: Vec<Vec<Value>> = dense
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|v| match v {
+                    Value::Int(i) => Value::Int(far(*i)),
+                    other => other.clone(),
+                })
+                .collect()
+        })
+        .collect();
+    assert_eq!(hashed, renumbered);
+    assert_eq!(dense_tried, hashed_tried);
+}
+
+#[test]
+fn the_hashed_path_compares_keys_exactly() {
+    let mut db = Database::new();
+    db.execute_ddl(
+        "TABLE L ( K1 : INT, K2 : INT, A : INT ) ;
+         TABLE R ( K1 : INT, K2 : INT, B : INT ) ;",
+    )
+    .unwrap();
+    // 2⁵³ and 2⁵³ + 1 hash alike (both as one `f64`) but are not equal.
+    let edge = 1i64 << 53;
+    for (table, k) in [("L", edge), ("L", edge + 1), ("R", edge), ("R", edge + 1)] {
+        let payload = Value::Int(k - edge);
+        db.insert(table, vec![k.into(), 7.into(), payload]).unwrap();
+    }
+    // Two links into R: a hashed table whatever the keys.
+    let expr = Expr::search(
+        vec![Expr::base("L"), Expr::base("R")],
+        Scalar::and(attr_eq(1, 1, 2, 1), attr_eq(2, 2, 1, 2)),
+        vec![Scalar::attr(1, 3), Scalar::attr(2, 3)],
+    );
+    let (rows, tried) = streams_like_the_oracle(&db, &expr, &[]);
+    assert_eq!(rows, ints(&[&[0, 0], &[1, 1]]));
+    assert_eq!(tried, 2 + 2 * 2, "each L row meets both R rows' hash");
+}
+
+#[test]
+fn a_local_conjunct_a_fast_form_declines_stays_in_the_check() {
+    // `P(K, Who)` beside `Q(K)`: `Who` is a `Person` tuple on most rows,
+    // a list of two on one (no tuple to read `Salary` from) and a
+    // dangling reference on another when `dangling` — each a row the
+    // fast form of `Salary(Who) > 3000` declines at pre-selection.
+    let db = |dangling: bool| {
+        let mut db = Database::new();
+        db.execute_ddl(
+            "TYPE Person OBJECT TUPLE ( Name : CHAR, Salary : NUMERIC ) ;
+             TABLE P ( K : INT, Who : Person ) ;
+             TABLE Q ( K : INT ) ;",
+        )
+        .unwrap();
+        let person =
+            |i: i64| Value::Tuple(vec![Value::str(format!("P{i}")), Value::Int(i * 1_000)]);
+        for i in 0..8i64 {
+            let who = match i {
+                2 => db.create_object("Person", Value::list(vec![person(5), person(6)])),
+                5 if dangling => Value::Object(eds_adt::Oid(9_999)),
+                _ => db.create_object("Person", person(i)),
+            };
+            db.insert("P", vec![i.into(), who]).unwrap();
+        }
+        db.insert_all("Q", (0..8i64).map(|i| vec![Value::Int(i)]))
+            .unwrap();
+        db
+    };
+    let salary = |rel: usize| {
+        Scalar::cmp(
+            CmpOp::Gt,
+            Scalar::field(Scalar::attr(rel, 2), "Salary"),
+            Scalar::lit(3_000),
+        )
+    };
+    // P probing Q, and Q probing P: the local conjunct on either side.
+    let p_first = Expr::search(
+        vec![Expr::base("P"), Expr::base("Q")],
+        Scalar::and(attr_eq(1, 1, 2, 1), salary(1)),
+        vec![Scalar::attr(1, 1)],
+    );
+    let p_second = Expr::search(
+        vec![Expr::base("Q"), Expr::base("P")],
+        Scalar::and(salary(2), attr_eq(1, 1, 2, 1)),
+        vec![Scalar::attr(2, 1)],
+    );
+    for expr in [&p_first, &p_second] {
+        // The list's salaries compare to a list of truths, not TRUE.
+        let rows = declines_like_the_oracle(&db(false), 0, |_| expr.clone(), &[]).unwrap();
+        assert_eq!(rows, ints(&[&[4], &[5], &[6], &[7]]), "{expr}");
+        // The dangling reference joins Q's row 5 and reports.
+        let dangling = declines_like_the_oracle(&db(true), 0, |_| expr.clone(), &[]);
+        assert!(dangling.is_err(), "{expr}: {dangling:?}");
+    }
+}
