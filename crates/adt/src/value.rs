@@ -68,9 +68,6 @@ pub enum Value {
     Real(OrderedF64),
     /// Character string (CHAR, and the `Text` example type).
     Str(String),
-    /// Value of an enumeration type: the type name plus the chosen literal.
-    /// Boxed, so the two strings do not widen every other value.
-    Enum(Box<(String, String)>),
     /// Tuple of positionally-stored attribute values; attribute names live
     /// in the schema/type, not in the value.
     Tuple(Vec<Value>),
@@ -162,7 +159,6 @@ impl Value {
             Value::Int(_) => "INT",
             Value::Real(_) => "REAL",
             Value::Str(_) => "CHAR",
-            Value::Enum(..) => "ENUM",
             Value::Tuple(_) => "TUPLE",
             Value::Coll(k, _) => k.name(),
             Value::Object(_) => "OBJECT",
@@ -212,11 +208,10 @@ impl Value {
         }
     }
 
-    /// Interpret as a string if possible (enum literals coerce).
+    /// Interpret as a string if possible.
     pub fn as_str(&self) -> AdtResult<&str> {
         match self {
             Value::Str(s) => Ok(s),
-            Value::Enum(e) => Ok(&e.1),
             other => Err(AdtError::TypeMismatch {
                 function: "as_str".into(),
                 expected: "CHAR".into(),
@@ -452,7 +447,6 @@ impl fmt::Display for Value {
             Value::Int(i) => write!(f, "{i}"),
             Value::Real(r) => write!(f, "{}", r.0),
             Value::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
-            Value::Enum(e) => write!(f, "'{}'", e.1.replace('\'', "''")),
             Value::Tuple(t) => {
                 f.write_str("<")?;
                 join(f, t)?;

@@ -3,15 +3,12 @@
 //! Measures execution of *rewritten* plans (the post-optimizer hot
 //! path): object-dereferencing filters, n-ary joins, merged view
 //! stacks, union pushdown output, recursive fixpoints, and duplicate
-//! elimination — plus million-row columnar scans exercising the morsel
-//! scheduler end to end. Every workload
-//! runs at `parallelism` 1 (`<id>/p1`); the committed
+//! elimination — plus million-row columnar scans. Every workload is
+//! recorded as `<id>/p1`; the committed
 //! `crates/bench/baselines/before/exec.tsv` holds the same plans
 //! measured on the seed tree-walking executor (`<id>/seq`; the scan
-//! workloads baseline against the sequential row-at-a-time path
-//! instead — re-record with `EDS_EXEC_BASELINE=1`). Parallel speed-up
-//! is not measured here: the bench host's core count clamps the worker
-//! policy, so `e2e/`'s `engine.p2_speedup` is the one reading.
+//! workloads baseline against the row-at-a-time path instead —
+//! re-record with `EDS_EXEC_BASELINE=1`).
 //!
 //! Before timing, each configuration asserts that the overhauled
 //! executor returns *byte-identical* rows — values and order — to the
@@ -35,7 +32,6 @@ fn bench_plan(
     expr: &Expr,
     opts: EvalOptions,
 ) {
-    assert_eq!(opts.parallelism, 1, "{id}/p1 is the sequential reading");
     assert_matches_oracle(id, &dbms.db, expr, &[opts]);
     group.bench_with_input(BenchmarkId::new(id, "p1"), expr, |b, e| {
         b.iter(|| eds_engine::eval_with(e, &dbms.db, opts).unwrap());
@@ -64,15 +60,14 @@ fn bench(c: &mut Criterion) {
 }
 
 /// With `EDS_EXEC_BASELINE=1` the run also records each columnar scan
-/// under `<id>/seq` on the sequential row-at-a-time path (columnar off,
-/// parallelism 1): the committed `before` baseline of the `scan_*` and
+/// under `<id>/seq` on the row-at-a-time path (columnar off): the
+/// committed `before` baseline of the `scan_*` and
 /// `scan1m_*` workloads.
 fn bench_row_baseline(group: &mut BenchmarkGroup<'_>, id: &str, dbms: &Dbms, expr: &Expr) {
     if !std::env::var("EDS_EXEC_BASELINE").is_ok_and(|v| v != "0") {
         return;
     }
     let opts = EvalOptions {
-        parallelism: 1,
         columnar: false,
         ..Default::default()
     };

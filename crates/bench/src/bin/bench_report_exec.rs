@@ -8,8 +8,7 @@
 //!   baseline is the row-at-a-time path (columnar off, recorded by an
 //!   `EDS_EXEC_BASELINE=1` run) instead;
 //! * `target/bench-tsv/exec.tsv` — medians from the current tree, written
-//!   by `cargo bench -p eds-bench --bench exec` (ids `<workload>/p1`,
-//!   `EvalOptions::parallelism` 1).
+//!   by `cargo bench -p eds-bench --bench exec` (ids `<workload>/p1`).
 //!
 //! Output: `BENCH_exec.json` at the workspace root with per-workload
 //! before/after medians and speedups, plus the median speedup over the
@@ -31,10 +30,11 @@
 //! minimum speedup and fails (exit 1) when one falls below it, or when
 //! fewer than two `execute_many` workloads are present at all — so
 //! gating an `EDS_EXEC_ONLY=em` run cannot shrink the committed report
-//! to its five entries. When the current run's TSV carries a
-//! fresh `em_*/seq` median (an `EDS_EXEC_BASELINE=1` run), it takes
-//! precedence over the committed one so that gate compares two
-//! medians from the same host.
+//! to its five entries. The gate reads the `execute_many` workloads
+//! only, so the others an `em` run leaves out draw no warning. When the
+//! current run's TSV carries a fresh `em_*/seq` median (an
+//! `EDS_EXEC_BASELINE=1` run), it takes precedence over the committed
+//! one so that gate compares two medians from the same host.
 //!
 //! The `ol_*` workloads measure cost-guided plan choice (kind
 //! `opt_level`): `<id>/seq` is the `OptLevel::Simple` plan (pure
@@ -105,13 +105,30 @@ impl Entry {
     }
 }
 
-/// Every workload of the baseline that the current run measured, in
-/// baseline order.
-fn entries(before: &BTreeMap<String, f64>, after: &BTreeMap<String, f64>) -> Vec<Entry> {
+/// What a workload measures, read off its id.
+fn kind_of(w: &str) -> &'static str {
+    if w == "repeat_rewrite" {
+        "rewrite"
+    } else if w.starts_with("em_") {
+        "execute_many"
+    } else if w.starts_with("ol_") {
+        "opt_level"
+    } else {
+        "exec"
+    }
+}
+
+/// Every workload of the baseline whose kind `wanted` accepts and that
+/// the current run measured, in baseline order.
+fn entries(
+    before: &BTreeMap<String, f64>,
+    after: &BTreeMap<String, f64>,
+    wanted: impl Fn(&str) -> bool,
+) -> Vec<Entry> {
     // Workloads in baseline order: `<workload>/seq` in the before file.
     let workloads = before.keys().filter_map(|id| id.strip_suffix("/seq"));
     let mut out = Vec::new();
-    for w in workloads {
+    for w in workloads.filter(|w| wanted(kind_of(w))) {
         // For the em_* workloads an `EDS_EXEC_BASELINE=1` run records a
         // fresh `<id>/seq` alongside `<id>/p1`; prefer it over the
         // committed number so the floor gate compares two medians from
@@ -127,18 +144,9 @@ fn entries(before: &BTreeMap<String, f64>, after: &BTreeMap<String, f64>) -> Vec
             eprintln!("warning: {w}/p1 missing from current run, skipping");
             continue;
         };
-        let kind = if w == "repeat_rewrite" {
-            "rewrite"
-        } else if w.starts_with("em_") {
-            "execute_many"
-        } else if w.starts_with("ol_") {
-            "opt_level"
-        } else {
-            "exec"
-        };
         out.push(Entry {
             id: w.to_owned(),
-            kind,
+            kind: kind_of(w),
             before_ns,
             p1,
         });
@@ -204,13 +212,12 @@ fn report(entries: &[Entry]) -> String {
     json
 }
 
-/// Print each committed floor beside the measured speedup; `false` when
-/// one is missed or fewer than two `execute_many` workloads were
-/// measured.
+/// Print each committed floor beside the measured speedup of the
+/// `execute_many` `entries`; `false` when one is missed or fewer than two
+/// were measured.
 fn floors_hold(root: &Path, entries: &[Entry]) -> bool {
     let prepared: BTreeMap<&str, f64> = entries
         .iter()
-        .filter(|e| e.kind == "execute_many")
         .map(|e| (e.id.as_str(), e.speedup()))
         .collect();
     let mut violations: Vec<String> = Vec::new();
@@ -246,15 +253,15 @@ fn main() {
     let root = workspace_root();
     let before = read_tsv(&root.join("crates/bench/baselines/before/exec.tsv"));
     let after = read_tsv(&root.join("target/bench-tsv/exec.tsv"));
-    let entries = entries(&before, &after);
     if check_prepared_floor {
+        let entries = entries(&before, &after, |kind| kind == "execute_many");
         // A gate reads the run; the report is the plain run's to write.
         if !floors_hold(&root, &entries) {
             std::process::exit(1);
         }
         return;
     }
-    let json = report(&entries);
+    let json = report(&entries(&before, &after, |_| true));
     let out = root.join("BENCH_exec.json");
     fs::write(&out, &json).unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
     println!("wrote {}", out.display());

@@ -514,12 +514,9 @@ pub fn exec_workloads() -> Vec<(&'static str, Dbms, String)> {
     ]
 }
 
-/// The morsel-scheduler workload suite: one million-row `SCAN` table
-/// shared by several queries (`(id, sql)` pairs), so the exec bench can
-/// measure the morsel executor on inputs hundreds of morsels deep. At
-/// 16 k rows a scan is ~8 morsels and scheduling overhead is visible;
-/// at 1 M rows (489 morsels) the parallel path has room to win — the
-/// crossover the `EXPERIMENTS.md` entry records. Kept separate from
+/// The large-scan workload suite: one million-row `SCAN` table shared by
+/// several queries (`(id, sql)` pairs), so the exec bench can measure
+/// the executor on inputs hundreds of blocks deep. Kept separate from
 /// [`exec_workloads`], whose entries are addressed by index.
 pub fn exec_workloads_1m() -> (Dbms, Vec<(&'static str, String)>) {
     (scan_dbms(1_000_000, 7), exec_queries_1m())
@@ -671,23 +668,19 @@ mod tests {
         );
     }
 
-    /// Under parallelism {1, 4} × columnar {on, off}: `em_stack_point`'s
-    /// 4 000-row base table is two morsels, so parallelism 4 runs its
-    /// scans on the morsel scheduler.
+    /// Under columnar {on, off}: `em_stack_point`'s 4 000-row base table
+    /// is two blocks.
     #[test]
     fn execute_many_workloads_bind_correctly() {
         for (id, mut dbms, sql, binds) in execute_many_workloads() {
             let stmt = dbms.prepare_stmt(&sql).unwrap();
-            for parallelism in [1, 4] {
-                for columnar in [true, false] {
-                    dbms.eval_options.parallelism = parallelism;
-                    dbms.eval_options.columnar = columnar;
-                    for b in &binds {
-                        let got = stmt.execute(&dbms, b).unwrap();
-                        let want = dbms.query(&literal_sql(&sql, b)).unwrap();
-                        let tag = format!("p={parallelism} columnar={columnar}");
-                        assert_eq!(got.rows, want.rows, "{id} binds {b:?} {tag}");
-                    }
+            for columnar in [true, false] {
+                dbms.eval_options.columnar = columnar;
+                for b in &binds {
+                    let got = stmt.execute(&dbms, b).unwrap();
+                    let want = dbms.query(&literal_sql(&sql, b)).unwrap();
+                    let tag = format!("columnar={columnar}");
+                    assert_eq!(got.rows, want.rows, "{id} binds {b:?} {tag}");
                 }
             }
         }

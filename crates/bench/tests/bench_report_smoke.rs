@@ -20,7 +20,7 @@ fn repo_root() -> PathBuf {
 }
 
 /// Extract every `"key": <number>` pair from a JSON text (the exec
-/// report holds a flat entry list with per-parallelism columns; a
+/// report holds a flat entry list with per-workload columns; a
 /// generic scan needs no schema). Non-numeric values parse to NaN so
 /// they fail the finiteness assertions downstream.
 fn numeric_pairs(json: &str) -> Vec<(String, f64)> {
@@ -161,9 +161,10 @@ fn every_exec_workload_has_a_report_entry() {
 
 /// `bench_report_exec --check-prepared-floor` in a workspace of its own
 /// (a `Cargo.lock`, both committed baselines, and the TSV of an
-/// `EDS_EXEC_ONLY=em` run): the gate prints its verdict and writes no
-/// `BENCH_exec.json`, whether the floors hold or not; the plain run is
-/// the one that writes the report.
+/// `EDS_EXEC_ONLY=em` run): the gate prints its verdict, warns about no
+/// workload the run left out, and writes no `BENCH_exec.json`, whether
+/// the floors hold or not; the plain run is the one that writes the
+/// report.
 #[test]
 fn the_floor_gate_writes_no_report() {
     let dir = std::env::temp_dir().join(format!("eds-floor-gate-{}", std::process::id()));
@@ -207,6 +208,8 @@ fn the_floor_gate_writes_no_report() {
     let held = run(&["--check-prepared-floor"]);
     let stdout = String::from_utf8_lossy(&held.stdout);
     assert!(held.status.success(), "{stdout}");
+    let stderr = String::from_utf8_lossy(&held.stderr);
+    assert!(!stderr.contains("missing"), "{stderr}");
     assert!(
         stdout.contains("every prepared-statement floor holds"),
         "{stdout}"

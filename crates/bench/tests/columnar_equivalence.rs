@@ -1,9 +1,8 @@
 //! Columnar differential suite: with `EvalOptions.columnar` on, every
 //! workload must return *byte-identical* results — same rows, same
 //! order — as both the row-at-a-time path (`columnar: false`) and the
-//! seed reference interpreter (`eds_engine::reference`), across
-//! parallelism, with the same work counters
-//! on both executor paths. The fixtures are chosen to hit every kernel
+//! seed reference interpreter (`eds_engine::reference`), with the same
+//! work counters on both executor paths. The fixtures are chosen to hit every kernel
 //! and every fallback: typed INT/CHAR columns, NULL bitmaps, REAL/BOOL,
 //! mid-column type spills and enum/ADT/collection spill columns,
 //! kind-mismatch and NULL-constant predicates, deref predicates (row
@@ -15,41 +14,19 @@ use eds_core::Dbms;
 use eds_engine::{ColumnarRelation, EvalOptions};
 use eds_lera::Expr;
 
-/// Every physical configuration, columnar off; [`assert_equivalent`]
-/// toggles it on beside each.
-fn all_configs() -> Vec<EvalOptions> {
-    [1usize, 4]
-        .into_iter()
-        .map(|parallelism| EvalOptions {
-            parallelism,
-            columnar: false,
-            ..Default::default()
-        })
-        .collect()
-}
-
 /// Columnar on must equal columnar off must equal the reference
 /// interpreter — rows and order, byte for byte — and the two executor
 /// paths must report the same work counters.
 fn assert_equivalent(id: &str, dbms: &Dbms, expr: &Expr) {
-    let row_configs = all_configs();
-    let side_by_side: Vec<EvalOptions> = row_configs
-        .iter()
-        .flat_map(|&row| {
-            let col = EvalOptions {
-                columnar: true,
-                ..row
-            };
-            [row, col]
-        })
-        .collect();
+    let side_by_side = [false, true].map(|columnar| EvalOptions {
+        columnar,
+        ..Default::default()
+    });
     let stats = assert_matches_oracle(id, &dbms.db, expr, &side_by_side);
-    for (pair, row_opts) in stats.chunks(2).zip(&row_configs) {
-        assert_eq!(
-            pair[0], pair[1],
-            "{id}: work counters differ between the row and columnar paths under {row_opts:?}"
-        );
-    }
+    assert_eq!(
+        stats[0], stats[1],
+        "{id}: work counters differ between the row and columnar paths"
+    );
 }
 
 fn check(dbms: &Dbms, sql: &str) {
@@ -155,7 +132,7 @@ fn shapes_without_a_kernel_fall_back_to_the_row_path() {
     )
     .unwrap();
     let words = ["ash", "birch", "cedar"];
-    // 2 500 rows: more than one morsel, more than one strip.
+    // 2 500 rows: more than one block, more than one strip.
     for i in 0..2_500i64 {
         // One NULL per row at most, rotating through the nullable columns.
         let hole = |col: i64, v: Value| if i % 11 == col { Value::Null } else { v };
@@ -213,8 +190,7 @@ fn shapes_without_a_kernel_fall_back_to_the_row_path() {
 /// extracted eight flags per compare: a table whose filtered columns
 /// are NULL every 13th row *and* in whole-word runs (two all-NULL
 /// words, then all-valid words with only the 1-in-13), 2 500 rows long
-/// so the last selection strip — and at `parallelism` 4 the last
-/// morsel — ends mid-word and mid-group.
+/// so the last selection strip ends mid-word and mid-group.
 #[test]
 fn sparse_and_whole_word_nulls_match_on_every_path() {
     let mut dbms = Dbms::new().unwrap();
@@ -540,18 +516,17 @@ fn zone_edges_match_on_every_path() {
 const DENSE_DISTINCT: usize = 64;
 const DENSE_GROUP: usize = 8;
 
-/// `DK` holds two morsels and a bit, so at parallelism 4 each morsel's
-/// gather addresses its own span: `N` is small and signed, NULL on both
+/// `DK` holds two blocks and a bit: `N` is small and signed, NULL on both
 /// edges of every selection strip and every 37th row; `M` is negative
 /// throughout; `W` is small except for `i64::MIN` at row 10 and
 /// `i64::MAX` at row 4 000, so its span overflows over the whole table,
-/// is too wide over the morsel holding row 4 000 alone, and is dense over
-/// the last morsel. Members are listed in row order (`MakeList`).
+/// is too wide over a selection holding row 4 000 alone, and is dense
+/// past it. Members are listed in row order (`MakeList`).
 fn dense_key_dbms() -> Dbms {
     let mut dbms = Dbms::new().unwrap();
     dbms.execute_ddl("TABLE DK (K : INT, N : INT, M : INT, W : INT);")
         .unwrap();
-    let n = 2 * eds_engine::MORSEL_ROWS + 900;
+    let n = 2 * eds_engine::BLOCK_ROWS + 900;
     dbms.insert_all(
         "DK",
         (0..n).map(|i| {
@@ -582,8 +557,7 @@ fn dense_key_dbms() -> Dbms {
 /// it: NULLs (a NULL flag, a NULL group), negative payloads, a span
 /// from `i64::MIN` to `i64::MAX` that must fall back, selections that
 /// start and end inside a strip, and empty selections — rows, order and
-/// `EvalStats` equal with columnar on and off and to the reference, at
-/// parallelism 1 and 4.
+/// `EvalStats` equal with columnar on and off and to the reference.
 #[test]
 fn dense_int_keys_match_on_every_path() {
     let dbms = dense_key_dbms();

@@ -2,28 +2,21 @@
 //! results — same rows, same order — as the reference executor (the seed
 //! tree-walking interpreter preserved in `eds_engine::reference`, which
 //! has one strategy and is asked once per plan) in every physical
-//! configuration of the executor: parallelism 1 and 4, columnar off and
-//! on.
+//! configuration of the executor: columnar off and on.
 
 use eds_bench::{assert_matches_oracle, exec_workloads, naive_fix};
 use eds_core::{Dbms, LintPolicy};
 use eds_engine::{eval_reference, EngineError, EvalOptions, EvalStats};
 use eds_lera::{expr_to_term, infer_schema, Expr, Scalar, SchemaCtx};
 
-/// The executor's physical configurations: parallelism {1, 4} ×
-/// columnar {off, on}.
+/// The executor's physical configurations: columnar {off, on}.
 fn all_configs() -> Vec<EvalOptions> {
-    let mut out = Vec::new();
-    for parallelism in [1usize, 4] {
-        for columnar in [false, true] {
-            out.push(EvalOptions {
-                parallelism,
-                columnar,
-                ..Default::default()
-            });
-        }
-    }
-    out
+    [false, true]
+        .map(|columnar| EvalOptions {
+            columnar,
+            ..Default::default()
+        })
+        .to_vec()
 }
 
 /// A recursion limit too small for `expr`'s fixpoint is a divergence —
@@ -55,8 +48,7 @@ fn has_fix(expr: &Expr) -> bool {
 }
 
 /// Every benchmark workload, pre- and post-rewrite, across all configs:
-/// the oracle's schema, rows and order under parallelism {1, 4} and
-/// columnar {off, on} — the
+/// the oracle's schema, rows and order under columnar {off, on} — the
 /// oracle itself has one strategy and is asked once per plan. The
 /// recursive workloads also hit the recursion limit alike.
 #[test]
@@ -252,27 +244,24 @@ fn codd_primitives_match_the_search_they_normalize_into() {
         let oracle = |e: &Expr| eval_reference(e, &dbms.db, EvalOptions::default()).unwrap();
         let (primitive_oracle, search_oracle) = (oracle(&primitive), oracle(&normalized));
         for columnar in [false, true] {
-            for parallelism in [1usize, 2] {
-                let opts = EvalOptions {
-                    parallelism,
-                    columnar,
-                    ..Default::default()
-                };
-                let run = |e: &Expr| eds_engine::eval_with(e, &dbms.db, opts).unwrap().0;
-                let (as_primitives, as_search) = (run(&primitive), run(&normalized));
-                assert_eq!(
-                    as_primitives.rows, as_search.rows,
-                    "{id}: primitive and SEARCH forms diverge under {opts:?}"
+            let opts = EvalOptions {
+                columnar,
+                ..Default::default()
+            };
+            let run = |e: &Expr| eds_engine::eval_with(e, &dbms.db, opts).unwrap().0;
+            let (as_primitives, as_search) = (run(&primitive), run(&normalized));
+            assert_eq!(
+                as_primitives.rows, as_search.rows,
+                "{id}: primitive and SEARCH forms diverge under {opts:?}"
+            );
+            for (form, got, reference) in [
+                ("primitive", &as_primitives, &primitive_oracle),
+                ("SEARCH", &as_search, &search_oracle),
+            ] {
+                assert!(
+                    got.bag_eq(reference),
+                    "{id}: {form} form diverges from the reference under {opts:?}"
                 );
-                for (form, got, reference) in [
-                    ("primitive", &as_primitives, &primitive_oracle),
-                    ("SEARCH", &as_search, &search_oracle),
-                ] {
-                    assert!(
-                        got.bag_eq(reference),
-                        "{id}: {form} form diverges from the reference under {opts:?}"
-                    );
-                }
             }
         }
     }
@@ -377,15 +366,14 @@ fn filter_and_search_work_counters_are_pinned() {
 /// statements of the end-to-end benchmark (`dim_join`, `film_join`,
 /// `tc_unbound`, `ol_join3`, `ol_pushdown`), canonical and rewritten at
 /// both levels: the rows *and their order* are the reference
-/// interpreter's, under parallelism {1, 4} × columnar {off, on} — and
+/// interpreter's, under columnar {off, on} — and
 /// the work counters do not depend on which path pre-selection took.
 #[test]
 fn default_joins_return_the_oracles_rows_in_its_order() {
     use eds_bench::{film_dbms, filter_pushdown_dbms, graph_dbms, join3_dbms, scan_dbms};
     use eds_core::OptLevel;
 
-    // More than one morsel of SCAN survives `A > 300`, so the
-    // enumeration itself is partitioned at parallelism 4.
+    // More than one block of SCAN survives `A > 300`.
     let mut dim = scan_dbms(5_000, 7);
     dim.execute_ddl("TABLE DIM (G : INT, Label : CHAR);")
         .unwrap();
@@ -441,7 +429,7 @@ fn default_joins_return_the_oracles_rows_in_its_order() {
     }
 }
 
-/// Every layout a set sink keys on, more than two morsels deep: `T`
+/// Every layout a set sink keys on, more than two blocks deep: `T`
 /// has an INT and a CHAR column with NULLs (and `''`) and a spill
 /// column of REAL `0.0` / `-0.0` / NaN, BOOL and INT beside REAL; `P`
 /// repeats whole rows; `DIM` repeats labels; `TC` is a recursive view.

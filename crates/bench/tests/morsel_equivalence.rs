@@ -1,36 +1,29 @@
-//! Morsel-scheduler differential suite: under every worker count the
-//! morsel executor must return *byte-identical* results — same rows,
-//! same order — as the seed reference interpreter. The fixtures target
-//! the scheduler's failure modes specifically: skewed datasets whose
-//! matches are concentrated in one morsel (an out-of-order merge would
-//! reorder the output), inputs around the one-morsel boundary (empty,
-//! one row, exactly `MORSEL_ROWS`), all-NULL filter columns (spilled
-//! mirror + empty selections in most morsels), and `GROUP BY` with an
+//! Large-input differential suite: with the columnar path on and off
+//! the executor must return *byte-identical* results — same rows, same
+//! order — as the seed reference interpreter, over inputs of several
+//! [`BLOCK_ROWS`] blocks: skewed datasets whose matches are concentrated
+//! in the first block and the last row, inputs around one block (empty,
+//! one row, exactly `BLOCK_ROWS` and one more), all-NULL filter columns
+//! (a spilled mirror and empty selections), `GROUP BY` with an
 //! order-preserving `MakeList` collection, where the fused scan+nest
-//! path must collect items in global row order even though morsels
-//! complete out of order, a nonlinear fixpoint whose delta spans
-//! morsels, so one row is derived in several of them, and DISTINCT /
-//! GROUP BY over one `Int` key whose morsels address their own spans.
+//! path must collect items in row order, a nonlinear fixpoint whose
+//! delta derives one row many times over, and DISTINCT / GROUP BY over
+//! one `Int` key whose span is dense or, for one column, too wide to
+//! address.
 
 use eds_adt::Value;
 use eds_bench::assert_matches_oracle;
 use eds_core::Dbms;
-use eds_engine::{EvalOptions, MORSEL_ROWS};
+use eds_engine::{EvalOptions, BLOCK_ROWS};
 
-/// Worker requests from sequential (1) to past the host's core count
-/// (8), with the columnar path toggled both ways.
+/// The columnar path toggled both ways.
 fn morsel_configs() -> Vec<EvalOptions> {
-    let mut out = Vec::new();
-    for parallelism in [1usize, 3, 4, 8] {
-        for columnar in [false, true] {
-            out.push(EvalOptions {
-                parallelism,
-                columnar,
-                ..Default::default()
-            });
-        }
-    }
-    out
+    [false, true]
+        .map(|columnar| EvalOptions {
+            columnar,
+            ..Default::default()
+        })
+        .to_vec()
 }
 
 fn check(dbms: &Dbms, sql: &str) {
@@ -46,19 +39,18 @@ fn check(dbms: &Dbms, sql: &str) {
     );
 }
 
-/// Five-and-a-bit morsels whose matches are pathologically placed: the
-/// `A = 1` rows all sit in morsel 0 plus one straggler in the final
-/// partial morsel, so a scheduler that merged results in completion
-/// order instead of morsel order would almost surely misplace the tail.
+/// Five-and-a-bit blocks whose matches are pathologically placed: the
+/// `A = 1` rows all sit in the first block plus one straggler in the
+/// final partial block.
 fn skewed_dbms() -> Dbms {
     let mut dbms = Dbms::new().unwrap();
     dbms.execute_ddl("TABLE SKEW (K : INT, G : INT, A : INT, Tag : CHAR);")
         .unwrap();
-    let n = (5 * MORSEL_ROWS + 7) as i64;
+    let n = (5 * BLOCK_ROWS + 7) as i64;
     dbms.insert_all(
         "SKEW",
         (0..n).map(|i| {
-            let a = if i < MORSEL_ROWS as i64 || i == n - 1 {
+            let a = if i < BLOCK_ROWS as i64 || i == n - 1 {
                 1
             } else {
                 1_000 + i
@@ -79,15 +71,15 @@ fn skewed_dbms() -> Dbms {
 fn skewed_filters_merge_in_row_order() {
     let dbms = skewed_dbms();
     for sql in [
-        // All matches in morsel 0 plus one in the last partial morsel.
+        // All matches in the first block plus one in the last.
         "SELECT K FROM SKEW WHERE A = 1 ;",
-        // Matches only outside morsel 0.
+        // Matches only outside the first block.
         "SELECT K FROM SKEW WHERE A > 1000 AND K < 6000 ;",
-        // Interned-string kernel across all morsels.
+        // Interned-string kernel across all blocks.
         "SELECT K FROM SKEW WHERE Tag = 'hot' ;",
-        // Dedup above a parallel scan.
+        // Dedup above a large scan.
         "SELECT DISTINCT Tag FROM SKEW WHERE A = 1 ;",
-        // Predicate selecting nothing: every morsel's slot is empty.
+        // Predicate selecting nothing.
         "SELECT K FROM SKEW WHERE A = -5 ;",
     ] {
         check(&dbms, sql);
@@ -98,14 +90,14 @@ fn skewed_filters_merge_in_row_order() {
 fn fused_group_by_collects_in_global_row_order() {
     let dbms = skewed_dbms();
     // LIST keeps insertion order, so the fused scan+nest path must
-    // append group members in global row order even though the morsels
-    // that found them finish in any order. Every group spans every
-    // morsel (G = K % 3).
+    // append group members in row order. Every group spans every block
+    // (G = K % 3).
     check(
         &dbms,
         "SELECT G, MakeList(K) FROM SKEW WHERE A >= 1 GROUP BY G ;",
     );
-    // Skewed variant: list contents come from morsel 0 and the tail.
+    // Skewed variant: list contents come from the first block and the
+    // tail.
     check(
         &dbms,
         "SELECT G, MakeList(K) FROM SKEW WHERE A = 1 GROUP BY G ;",
@@ -129,11 +121,10 @@ fn boundary_cardinalities_match_everywhere() {
     .unwrap();
     dbms.insert("ONE", vec![Value::Int(1), Value::Int(10)])
         .unwrap();
-    // Exactly one morsel, and one row past it: the sequential fast path
-    // on one side of the boundary, a two-morsel parallel run just above.
+    // Exactly one block, and one row past it.
     dbms.insert_all(
         "EXACT",
-        (0..=MORSEL_ROWS as i64).map(|i| vec![Value::Int(i), Value::Int(i % 7)]),
+        (0..=BLOCK_ROWS as i64).map(|i| vec![Value::Int(i), Value::Int(i % 7)]),
     )
     .unwrap();
     for sql in [
@@ -152,11 +143,11 @@ fn boundary_cardinalities_match_everywhere() {
 fn all_null_columns_match_under_every_worker_count() {
     let mut dbms = Dbms::new().unwrap();
     dbms.execute_ddl("TABLE HOLES (K : INT, V : INT);").unwrap();
-    // Two-and-a-half morsels of NULLs in the filter column: the mirror
-    // spills V, and most morsels produce empty selections.
+    // Two-and-a-half blocks of NULLs in the filter column: the mirror
+    // spills V, and the selections are empty.
     dbms.insert_all(
         "HOLES",
-        (0..(2 * MORSEL_ROWS + MORSEL_ROWS / 2) as i64).map(|i| vec![Value::Int(i), Value::Null]),
+        (0..(2 * BLOCK_ROWS + BLOCK_ROWS / 2) as i64).map(|i| vec![Value::Int(i), Value::Null]),
     )
     .unwrap();
     check(&dbms, "SELECT K FROM HOLES WHERE V = 1 ;");
@@ -180,13 +171,12 @@ fn joins_over_morsel_sized_inputs_match() {
     );
 }
 
-/// A nonlinear closure whose first delta spans two morsels: `EDGE` runs
+/// A nonlinear closure whose first delta spans two blocks: `EDGE` runs
 /// from 2 sources through 525 middles to 2 sinks, so each
-/// source-to-sink path is derived once per middle, from every morsel,
-/// and by both variants of `TC T1, TC T2` (the delta joined to itself
-/// is read through either occurrence). The semi-naive fixpoint must drop
-/// every such repeat, under every worker count, and count the same work
-/// at one worker as at four.
+/// source-to-sink path is derived once per middle and by both variants
+/// of `TC T1, TC T2` (the delta joined to itself is read through either
+/// occurrence). The semi-naive fixpoint must drop every such repeat, and
+/// count the same work with the columnar path on as off.
 #[test]
 fn nonlinear_fixpoint_drops_repeats_across_morsels_and_variants() {
     let mut dbms = Dbms::new().unwrap();
@@ -208,42 +198,37 @@ fn nonlinear_fixpoint_drops_repeats_across_morsels_and_variants() {
         }),
     )
     .unwrap();
-    assert!(dbms.db.relation("EDGE").unwrap().len() > MORSEL_ROWS);
+    assert!(dbms.db.relation("EDGE").unwrap().len() > BLOCK_ROWS);
 
     // The rewriter leaves an unbound closure as it is: one plan.
     let plan = dbms.prepare("SELECT Src, Dst FROM TC ;").unwrap().expr;
-    let configs = [1, 4].map(|parallelism| EvalOptions {
-        parallelism,
-        ..Default::default()
-    });
-    let stats = assert_matches_oracle("tc", &dbms.db, &plan, &configs);
+    let stats = assert_matches_oracle("tc", &dbms.db, &plan, &morsel_configs());
     assert_eq!(stats[0], stats[1]);
     assert!(stats[0].fix_iterations >= 2, "{:?}", stats[0]);
 }
 
-/// Five-and-a-bit morsels keyed by `D`, whose values shift by morsel
-/// (`10 · morsel + i % 7 − 30`, negative in the first three) and which
-/// is NULL on every morsel boundary and every 101st row; `E` is `i % 3`
-/// except for one row of morsel 2 holding `2^61`, so that morsel's span
-/// is too wide to address and the others' are not. A DISTINCT gathers
-/// each morsel's keys into its own bitmap (or, for morsel 2, its code
-/// set) and the sort above merges them; a GROUP BY lists members in
-/// global row order. Rows, order and every work counter agree under
-/// every worker count, columnar on and off.
+/// Five-and-a-bit blocks keyed by `D`, whose values shift by block
+/// (`10 · block + i % 7 − 30`, negative in the first three) and which is
+/// NULL on every block boundary and every 101st row; `E` is `i % 3`
+/// except for one row of block 2 holding `2^61`, so `E`'s span is too
+/// wide to address and `D`'s is not. A DISTINCT gathers `D`'s keys into
+/// a bitmap and `E`'s into a code set; a GROUP BY lists members in row
+/// order. Rows, order and every work counter agree, columnar on and
+/// off.
 #[test]
 fn dense_int_keys_match_under_every_worker_count() {
     let mut dbms = Dbms::new().unwrap();
     dbms.execute_ddl("TABLE LANES (K : INT, D : INT, E : INT);")
         .unwrap();
-    let n = 5 * MORSEL_ROWS + 7;
-    let wide = 2 * MORSEL_ROWS + 5;
+    let n = 5 * BLOCK_ROWS + 7;
+    let wide = 2 * BLOCK_ROWS + 5;
     dbms.insert_all(
         "LANES",
         (0..n).map(|i| {
-            let d = if i % MORSEL_ROWS == 0 || i % 101 == 50 {
+            let d = if i % BLOCK_ROWS == 0 || i % 101 == 50 {
                 Value::Null
             } else {
-                Value::Int(10 * (i / MORSEL_ROWS) as i64 + (i % 7) as i64 - 30)
+                Value::Int(10 * (i / BLOCK_ROWS) as i64 + (i % 7) as i64 - 30)
             };
             let e = if i == wide { 1 << 61 } else { (i % 3) as i64 };
             vec![Value::Int(i as i64), d, Value::Int(e)]

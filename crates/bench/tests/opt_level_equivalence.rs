@@ -2,8 +2,7 @@
 //! `OptLevel::Full`'s cost-guided exploration emits must be
 //! row-identical (as a multiset) to `OptLevel::Simple`'s saturation
 //! output, to `OptLevel::None`'s, and to the reference interpreter —
-//! across the bench workloads and both parallelism and columnar
-//! configurations. The estimator may pick *worse* plans without
+//! across the bench workloads and both columnar configurations. The estimator may pick *worse* plans without
 //! breaking anything; it must never pick *wrong* ones. Two cases pin
 //! what `Full` decides on the opt-level workloads, so a change to the
 //! estimator that moves a pick fails here rather than only in the
@@ -16,17 +15,12 @@ use eds_lera::Expr;
 use eds_rewrite::Exploration;
 
 fn configs() -> Vec<EvalOptions> {
-    let mut out = Vec::new();
-    for parallelism in [1usize, 4] {
-        for columnar in [false, true] {
-            out.push(EvalOptions {
-                parallelism,
-                columnar,
-                ..Default::default()
-            });
-        }
-    }
-    out
+    [false, true]
+        .map(|columnar| EvalOptions {
+            columnar,
+            ..Default::default()
+        })
+        .to_vec()
 }
 
 /// Rows of `expr` under `opts`, sorted so plans that legitimately

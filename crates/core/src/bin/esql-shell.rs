@@ -16,7 +16,7 @@
 //! .lint                 statically analyze the knowledge base
 //! .verify [seed]        semantically verify it (prover + differential fuzzer)
 //! .level [none|simple|full]  show or set the optimization level
-//! .stats                session options; cache, exploration and executor counters
+//! .stats                session options; cache and exploration counters
 //! .prepare <name> <query ;>   prepare a `?`-parameterized statement
 //! .exec <name> [value ...]    execute it with bind values
 //! .tables               list tables and views
@@ -182,7 +182,7 @@ fn meta_command(dbms: &mut Dbms, stmts: &mut HashMap<String, PreparedStmt>, cmd:
              .verify [seed]          semantically verify it (prover + fuzzer)\n\
              .discover [seed]        search for new prover-certified rules\n\
              .level [none|simple|full]  show or set the optimization level\n\
-             .stats                  session options; cache, exploration and executor counters\n\
+             .stats                  session options; cache and exploration counters\n\
              .prepare <name> <query ;>   prepare a ?-parameterized statement\n\
              .exec <name> [value ...]    execute it with bind values"
         ),
@@ -218,8 +218,7 @@ fn meta_command(dbms: &mut Dbms, stmts: &mut HashMap<String, PreparedStmt>, cmd:
         ".stats" => {
             let o = dbms.eval_options;
             println!(
-                "options:    parallelism {}, columnar {}, opt level {}, lint {}",
-                o.parallelism,
+                "options:    columnar {}, opt level {}, lint {}",
                 if o.columnar { "on" } else { "off" },
                 o.opt_level,
                 format!("{:?}", dbms.rewriter.lint_policy).to_lowercase()
@@ -242,11 +241,6 @@ fn meta_command(dbms: &mut Dbms, stmts: &mut HashMap<String, PreparedStmt>, cmd:
                 "explore:    {} candidate(s) scored, {} check(s) spent, \
                  {} budget stop(s), {} win(s)",
                 ex.candidates, ex.checks, ex.budget_stops, ex.wins
-            );
-            let ps = eds_core::parallel_stats();
-            println!(
-                "executor:   {} parallel run(s), {} morsel(s) dispatched (process-wide)",
-                ps.parallel_runs, ps.morsels_dispatched
             );
         }
         ".prepare" => match rest.split_once(char::is_whitespace) {

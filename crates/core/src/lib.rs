@@ -33,8 +33,8 @@ pub mod verify;
 
 use std::sync::PoisonError;
 
+pub use eds_engine::OptLevel;
 use eds_engine::{eval_with, Database, EvalOptions, EvalStats, Relation, Row};
-pub use eds_engine::{parallel_stats, OptLevel, ParallelStats};
 use eds_esql::{parse_query, Stmt};
 use eds_lera::{expr_to_term, translate_query, Expr, Schema, SchemaCtx};
 
@@ -265,9 +265,8 @@ pub struct Dbms {
     pub rewriter: QueryRewriter,
     /// Declared integrity constraints.
     pub constraints: ConstraintStore,
-    /// Session options: the engine's physical knobs (fixpoint round
-    /// cap, parallelism, columnar) plus the rewriter's optimization
-    /// level.
+    /// Session options: the engine's fixpoint round cap and columnar
+    /// setting plus the rewriter's optimization level.
     pub eval_options: EvalOptions,
 }
 
@@ -277,9 +276,9 @@ impl Dbms {
     /// `EDS_OPT_LEVEL` overrides [`EvalOptions::opt_level`] and
     /// `EDS_LINT` the rewriter's [`QueryRewriter::lint_policy`]; a value
     /// that does not parse is a [`CoreError::BadEnvValue`], never a
-    /// silent default. The executor's own settings
-    /// ([`EvalOptions::parallelism`], [`EvalOptions::columnar`]) are set
-    /// on [`Dbms::eval_options`] by the caller.
+    /// silent default. The executor's own setting
+    /// ([`EvalOptions::columnar`]) is set on [`Dbms::eval_options`] by
+    /// the caller.
     pub fn new() -> CoreResult<Self> {
         let (eval_options, lint_policy) = config_from_env()?;
         let mut rewriter = QueryRewriter::with_default_rules()?;

@@ -187,7 +187,7 @@ fn every_env_knob_is_honoured_and_the_retired_one_ignored() {
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(
-        stdout.contains("parallelism 1, columnar on, opt level simple, lint warn"),
+        stdout.contains("options:    columnar on, opt level simple, lint warn"),
         "{stdout}"
     );
     assert!(stdout.contains("added."), "warn accepts: {stdout}");
@@ -196,7 +196,7 @@ fn every_env_knob_is_honoured_and_the_retired_one_ignored() {
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(
-        stdout.contains("parallelism 1, columnar on, opt level full, lint deny"),
+        stdout.contains("options:    columnar on, opt level full, lint deny"),
         "{stdout}"
     );
     assert!(!stdout.contains("added."), "deny rejects: {stdout}");

@@ -3,8 +3,8 @@
 //! prepared-side plan-cache counters, epoch invalidation, parameter-independence
 //! of value-dependent rewrites, and a differential suite asserting
 //! `stmt.execute(&binds)` is byte-identical to running the
-//! literal-substituted SQL through the reference interpreter across
-//! parallelism {1,4} x columnar {off,on}; and Figure-9 seeding of a
+//! literal-substituted SQL through the reference interpreter with
+//! columnar off and on; and Figure-9 seeding of a
 //! recursive view under `?`, pinned against the literal text.
 
 use eds_adt::Value;
@@ -238,8 +238,8 @@ fn value_dependent_folding_defers_to_bind_time() {
 }
 
 /// Every (query, binds) pair must be byte-identical to the reference
-/// interpreter running the literal-substituted SQL, for parallelism
-/// {1,4} x columnar {off,on}.
+/// interpreter running the literal-substituted SQL, with columnar off
+/// and on.
 #[test]
 fn differential_binds_vs_literal_substitution() {
     let cases: &[(&str, &[&[Value]])] = &[
@@ -279,23 +279,19 @@ fn differential_binds_vs_literal_substitution() {
     ];
 
     let mut dbms = emp_dbms();
-    for &parallelism in &[1usize, 4] {
-        for &columnar in &[false, true] {
-            dbms.eval_options.parallelism = parallelism;
-            dbms.eval_options.columnar = columnar;
-            for (sql, bind_sets) in cases {
-                let stmt = dbms.prepare_stmt(sql).unwrap();
-                for binds in *bind_sets {
-                    let got = stmt.execute(&dbms, binds).unwrap();
-                    let literal_sql = substitute(sql, binds);
-                    let rewritten = dbms.rewrite(&dbms.prepare(&literal_sql).unwrap()).unwrap();
-                    let want =
-                        eval_reference(&rewritten.expr, &dbms.db, dbms.eval_options).unwrap();
-                    assert_eq!(
-                        got.rows, want.rows,
-                        "p={parallelism} columnar={columnar} sql={sql} binds={binds:?}"
-                    );
-                }
+    for &columnar in &[false, true] {
+        dbms.eval_options.columnar = columnar;
+        for (sql, bind_sets) in cases {
+            let stmt = dbms.prepare_stmt(sql).unwrap();
+            for binds in *bind_sets {
+                let got = stmt.execute(&dbms, binds).unwrap();
+                let literal_sql = substitute(sql, binds);
+                let rewritten = dbms.rewrite(&dbms.prepare(&literal_sql).unwrap()).unwrap();
+                let want = eval_reference(&rewritten.expr, &dbms.db, dbms.eval_options).unwrap();
+                assert_eq!(
+                    got.rows, want.rows,
+                    "columnar={columnar} sql={sql} binds={binds:?}"
+                );
             }
         }
     }
@@ -423,21 +419,17 @@ fn recursive_view_seeds_under_a_parameter_like_under_a_literal() {
                 assert_eq!(outer == "TRUE", lit_outer == "TRUE", "{sql}");
             }
 
-            for &parallelism in &[1usize, 4] {
-                for &columnar in &[false, true] {
-                    dbms.eval_options.parallelism = parallelism;
-                    dbms.eval_options.columnar = columnar;
-                    let tag = format!("{sql} {array:?} p={parallelism} columnar={columnar}");
-                    let (got, got_stats) = stmt.execute_with_stats(&dbms, &array).unwrap();
-                    let want =
-                        eval_reference(&canonical.expr, &dbms.db, dbms.eval_options).unwrap();
-                    assert!(got.bag_eq(&want), "{tag}: differs from the reference");
-                    if same_plan {
-                        let (lit_rel, lit_stats) = dbms.run_expr_with_stats(&literal_plan).unwrap();
-                        assert_eq!(got.rows, lit_rel.rows, "{tag}: rows or order");
-                        assert_eq!(got_stats, lit_stats, "{tag}: work counters");
-                        assert_eq!(got.rows, dbms.query(&literal_sql).unwrap().rows, "{tag}");
-                    }
+            for &columnar in &[false, true] {
+                dbms.eval_options.columnar = columnar;
+                let tag = format!("{sql} {array:?} columnar={columnar}");
+                let (got, got_stats) = stmt.execute_with_stats(&dbms, &array).unwrap();
+                let want = eval_reference(&canonical.expr, &dbms.db, dbms.eval_options).unwrap();
+                assert!(got.bag_eq(&want), "{tag}: differs from the reference");
+                if same_plan {
+                    let (lit_rel, lit_stats) = dbms.run_expr_with_stats(&literal_plan).unwrap();
+                    assert_eq!(got.rows, lit_rel.rows, "{tag}: rows or order");
+                    assert_eq!(got_stats, lit_stats, "{tag}: work counters");
+                    assert_eq!(got.rows, dbms.query(&literal_sql).unwrap().rows, "{tag}");
                 }
             }
         }

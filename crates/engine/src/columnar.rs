@@ -113,9 +113,8 @@ impl NullBitmap {
 }
 
 /// Rows per zone of an `Int` column. Equal to the selection strip of
-/// [`ColumnarPred::select_range`](crate::compile::ColumnarPred::select_range)
-/// and a divisor of [`MORSEL_ROWS`](crate::parallel::MORSEL_ROWS), so a
-/// morsel's strips each cover exactly one zone.
+/// [`ColumnarPred::select_range`](crate::compile::ColumnarPred::select_range),
+/// so a scan from row 0 reads each strip's verdict off one zone.
 pub(crate) const ZONE_ROWS: usize = 1024;
 
 /// A zone map (Moerkotte's *small materialized aggregates*): the
@@ -605,7 +604,7 @@ mod tests {
                             _ => match rng.gen_range(0..if i == 0 { 3 } else { 5u8 }) {
                                 0 => Value::real(1.5),
                                 1 => Value::Bool(true),
-                                2 => Value::Enum(Box::new(("G".into(), "A".into()))),
+                                2 => Value::Tuple(vec![Value::Int(1)]),
                                 3 => Value::Int(1),
                                 _ => Value::str("x"),
                             },
@@ -911,9 +910,9 @@ mod tests {
     #[test]
     fn adt_shapes_spill() {
         let rel = Relation::new(
-            schema(&["e", "c", "i"]),
+            schema(&["t", "c", "i"]),
             vec![vec![
-                Value::Enum(Box::new(("Grade".into(), "A".into()))),
+                Value::Tuple(vec![Value::str("A")]),
                 Value::set(vec![Value::Int(1)]),
                 Value::Int(7),
             ]],

@@ -31,8 +31,9 @@
 //! executors — and so the two evaluators — on the full workload suite.
 
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::cmp::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use eds_adt::{
     AdtError, EvalContext, FunctionRegistry, NativeFn, ObjectStore, TypeRegistry, Value,
@@ -42,11 +43,9 @@ use eds_lera::{CmpOp, LeraError, Scalar};
 use crate::columnar::{Column, ColumnarRelation, NullBitmap, Zones, ZONE_ROWS};
 use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
-use crate::parallel::MORSEL_ROWS;
 
 /// The immutable evaluation environment a compiled program runs against:
-/// the slices of a [`Database`] that scalar evaluation can touch. `Sync`,
-/// so partitioned operators can evaluate one program from many threads.
+/// the slices of a [`Database`] that scalar evaluation can touch.
 #[derive(Clone, Copy)]
 pub struct EvalEnv<'a> {
     /// Object store for `VALUE`/field dereferences.
@@ -485,12 +484,11 @@ enum FastQual<'s> {
 /// One conjunct of a qualification: the bound `Scalar`, its fast form
 /// when the shape has one, and the general program — the semantic
 /// authority — built from the `Scalar` on first need: for a conjunct
-/// with no fast form, or the first row its fast form declines. The
-/// parallel lanes share that one build.
+/// with no fast form, or the first row its fast form declines.
 struct Conjunct<'s> {
     bound: &'s Scalar,
     fast: Option<FastQual<'s>>,
-    general: OnceLock<CompiledScalar>,
+    general: OnceCell<CompiledScalar>,
 }
 
 impl<'s> Conjunct<'s> {
@@ -510,7 +508,7 @@ impl<'s> Conjunct<'s> {
         Conjunct {
             bound,
             fast,
-            general: OnceLock::new(),
+            general: OnceCell::new(),
         }
     }
 
@@ -593,9 +591,9 @@ fn all_true<'c, 's: 'c>(
 /// A compiled qualification: the conjunct list of the bound predicate,
 /// each with its fast form classified from the `Scalar` and its general
 /// program built on first need — for a conjunct with no fast form, or on
-/// the first row its fast form declines — and shared by the parallel
-/// lanes. A qualification every row decides on its fast forms, as the
-/// prepared point lookups and range scans are, builds no program.
+/// the first row its fast form declines. A qualification every row
+/// decides on its fast forms, as the prepared point lookups and range
+/// scans are, builds no program.
 /// Evaluation order, short-circuiting and errors match folding the
 /// interpreter's binary `AND` (FALSE short-circuits; NULL and
 /// non-boolean survivors poison the result to NULL, which a
@@ -893,8 +891,6 @@ fn push_survivors(flags: &[u8], base: usize, out: &mut Vec<u32>) {
 /// it actually reads. One strip is one zone of an `Int` column, so a
 /// strip's [`Verdict`] reads one zone.
 const SELECT_STRIP: usize = ZONE_ROWS;
-
-const _: () = assert!(MORSEL_ROWS.is_multiple_of(SELECT_STRIP));
 
 /// A dense strip pivots to a sparse survivor list once at most
 /// `1 / SPARSE_PIVOT` of it survives. Each later kernel then costs a

@@ -21,26 +21,21 @@
 //!   tuple;
 //! * rows are shared ([`SharedRow`], a view into a reference-counted
 //!   block, or one plain value held inline), so row-preserving operators
-//!   pass rows along instead of deep-copying values, and the rows a
-//!   morsel builds are cut from one block per
-//!   [`MORSEL_ROWS`](crate::parallel::MORSEL_ROWS) rows (`RowBlocks`) —
+//!   pass rows along instead of deep-copying values, and the rows an
+//!   operator builds are cut from one block per
+//!   [`BLOCK_ROWS`](crate::relation::BLOCK_ROWS) rows (`RowBlocks`) —
 //!   one allocation per block, not per row; a fixpoint's locals are read
 //!   by refcount, not copied;
 //! * set semantics are kept at the sink: `dedup`, the left operand of
 //!   `difference` / `intersect` and the semi-naive delta evaluate a
-//!   `search` whose morsels drop a row the caller already has, or one
-//!   the morsel already produced, *before* allocating it — over a
-//!   columnar mirror by the projected columns' codes, without building a
-//!   `Value`, or for one `Int` column whose zone span is dense in the
-//!   selection by a bitmap over the span — and count it as emitted all
-//!   the same. The rows come out in no promised order: every caller
-//!   sorts them;
-//! * scans, pre-selection and the join enumeration are
-//!   morsel-partitioned across scoped helper threads when
-//!   [`EvalOptions::parallelism`] > 1 and the input spans more than one
-//!   morsel (see [`crate::parallel`]). Morsels are contiguous runs
-//!   merged in input order, so results (and result *order*) are
-//!   identical to the sequential plan.
+//!   `search` whose sink drops a row the caller already has, or one it
+//!   already produced, *before* allocating it — over a columnar mirror
+//!   by the projected columns' codes, without building a `Value`, or for
+//!   one `Int` column whose zone span is dense in the selection by a
+//!   bitmap over the span — and count it as emitted all the same. The
+//!   rows come out in no promised order: every caller sorts them;
+//! * every operator runs on the calling thread, one pass over its input
+//!   into one sink (DESIGN §4, "One lane").
 //!
 //! The original per-tuple tree-walking interpreter is preserved verbatim
 //! in [`crate::reference`] for differential testing.
@@ -59,14 +54,12 @@ use eds_lera::{
 
 use crate::columnar::{CodedRow, Column, ColumnarRelation, DenseKey};
 use crate::compile::{
-    ColumnarPred, CompiledPred, CompiledProj, CompiledScalar, EvalEnv, LocalPred, Preselected,
-    Residual,
+    CompiledPred, CompiledProj, CompiledScalar, EvalEnv, LocalPred, Preselected, Residual,
 };
 use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::fixpoint::eval_fix;
 use crate::hash::{Fold, FoldMap, FoldSet};
-use crate::parallel::{run_morsel_ranges, run_morsels};
 use crate::relation::{shared_row, Relation, Row, RowBlocks, SharedRow};
 
 /// How hard the rewriter works before a statement reaches the executor.
@@ -127,11 +120,8 @@ pub struct EvalOptions {
     /// after this many is [`EngineError::FixpointDiverged`]. Defaults to
     /// 100 000.
     pub max_iterations: usize,
-    /// Worker threads for partitioned operators. `1` (the default) is
-    /// fully sequential; higher values let large scans, pre-selections
-    /// and join enumerations be drained morsel-by-morsel by the calling
-    /// thread and scoped helpers (see [`crate::parallel`]) and merged in
-    /// input order, preserving both results and result order exactly.
+    /// Read by nothing; kept for `e2e`'s side pass until ROADMAP item
+    /// 9(a) deletes it.
     pub parallelism: usize,
     /// Use columnar mirrors of stored base tables where the operator
     /// and predicate shapes allow it: a one-input `search` qualification
@@ -157,11 +147,10 @@ impl Default for EvalOptions {
     }
 }
 
-/// Work counters, for the benchmark harness. Parallel partitions count
-/// locally and are summed in partition order, so totals are identical to
-/// a sequential run. Only `search` and `join` count combinations: a
-/// `filter` or `project` counts 0 in both join counters, and so does a
-/// `search` whose qualification is FALSE or one of whose inputs is empty.
+/// Work counters, for the benchmark harness. Only `search` and `join`
+/// count combinations: a `filter` or `project` counts 0 in both join
+/// counters, and so does a `search` whose qualification is FALSE or one
+/// of whose inputs is empty.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Rows produced by all operators (intermediate + final).
@@ -196,6 +185,26 @@ struct Work {
     tried: u64,
     cross_product: u64,
 }
+
+/// Read by nothing; kept for `e2e`'s side pass until ROADMAP item 9(a)
+/// deletes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ParallelStats {
+    /// Always 0.
+    pub morsels_dispatched: u64,
+    /// Always 0.
+    pub parallel_runs: u64,
+}
+
+/// Read by nothing; kept for `e2e`'s side pass until ROADMAP item 9(a)
+/// deletes it. Returns [`ParallelStats::default`].
+pub fn parallel_stats() -> ParallelStats {
+    ParallelStats::default()
+}
+
+/// Does nothing. Read by nothing; kept for `e2e`'s side pass until
+/// ROADMAP item 9(a) deletes it.
+pub fn shutdown_pool() {}
 
 /// Evaluate a plan against a database.
 pub fn eval(expr: &Expr, db: &Database) -> EngineResult<Relation> {
@@ -301,19 +310,6 @@ fn base_columnar(input: &Expr, ctx: &Ctx<'_>, expect_len: usize) -> Option<Arc<C
     (cols.len() == expect_len).then_some(cols)
 }
 
-/// Run a lowered predicate over `[0, len)`, morsel-partitioned into
-/// contiguous index ranges like the row operators partition their rows;
-/// morsels merge in order, so the selection vector is ascending — the
-/// exact sequential scan order.
-fn select_partitioned(
-    pred: &ColumnarPred<'_>,
-    len: usize,
-    parallelism: usize,
-) -> EngineResult<Vec<u32>> {
-    let parts = run_morsel_ranges(len, parallelism, |lo, hi| Ok(pred.select_range(lo, hi)))?;
-    Ok(parts.concat())
-}
-
 /// An operator input, read without copying its row vector where it
 /// already exists: a stored table is borrowed from the database, a
 /// fixpoint local is shared by refcount (its binding changes between
@@ -366,7 +362,7 @@ pub(crate) fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation
             Err(EngineError::UnknownRelation(name.to_owned()))
         }
         Expr::Filter { .. } | Expr::Project { .. } | Expr::Join { .. } | Expr::Search { .. } => {
-            eval_into(expr, ctx, &Bag::default)
+            eval_into(expr, ctx, Bag::default())
         }
         Expr::Union(items) => {
             let mut out: Option<Relation> = None;
@@ -399,7 +395,6 @@ pub(crate) fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation
             let intersect = matches!(expr, Expr::Intersect(..));
             ra.rows.retain(|r| other.contains(&**r) == intersect);
             ra.rows.sort_unstable();
-            ra.rows.dedup();
             Ok(ra)
         }
         Expr::Fix { name, body } => eval_fix(name, body, ctx),
@@ -452,63 +447,57 @@ pub(crate) fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation
             }
             Ok(out)
         }
-        // Morsels hand back no repeats of their own; the sort drops the
-        // ones that span morsels and gives the canonical order.
+        // The sink hands back no repeats; the sort gives the canonical
+        // order.
         Expr::Dedup(input) => {
             let mut rel = eval_set(input, &FoldSet::default(), ctx)?;
             rel.rows.sort_unstable();
-            rel.rows.dedup();
             Ok(rel)
         }
     }
 }
 
 /// Evaluate `expr` as a set less the rows of `known`: no row of the
-/// result is in `known`, and none repeats within a morsel of a
-/// `search` — rows of different morsels can, so the caller sorts and
-/// dedups. Their order is not promised: key order where a morsel
-/// addressed a dense `Int` span, first occurrence elsewhere. A
-/// `filter` / `project` / `join` / `search` fills set-mode
-/// sinks, so a dropped row is never allocated; any other operator is
-/// evaluated as a bag and then filtered the same way. Work counters read as under
-/// [`eval_expr`]: a dropped row still counts as emitted.
+/// result is in `known`, and none repeats. Their order is not promised —
+/// key order where a gather addressed a dense `Int` span, first
+/// occurrence elsewhere — so the caller sorts. A `filter` / `project` /
+/// `join` / `search` fills a set-mode sink, so a dropped row is never
+/// allocated; any other operator is evaluated as a bag and then filtered
+/// the same way. Work counters read as under [`eval_expr`]: a dropped
+/// row still counts as emitted.
 pub(crate) fn eval_set(
     expr: &Expr,
     known: &FoldSet<SharedRow>,
     ctx: &mut Ctx<'_>,
 ) -> EngineResult<Relation> {
-    eval_into(expr, ctx, &|| Distinct::new(known))
+    eval_into(expr, ctx, Distinct::new(known))
 }
 
-/// The result rows of a search operator, into sinks `new_sink` makes.
+/// The result rows of a search operator, into `sink`.
 /// `filter`, `project` and `join` are `search` restricted to an identity
 /// target list, a TRUE qualification, or two inputs — the `normalize`
 /// block rewrites all three into it — so they evaluate through it. Only
 /// `search` (and `join`, which is one) reports its [`Work`]. Any other
 /// operator is evaluated as a bag and its rows pass through one sink
 /// ([`Sink::settle`]).
-fn eval_into<S: Sink>(
-    expr: &Expr,
-    ctx: &mut Ctx<'_>,
-    new_sink: &(impl Fn() -> S + Sync),
-) -> EngineResult<Relation> {
+fn eval_into<S: Sink>(expr: &Expr, ctx: &mut Ctx<'_>, sink: S) -> EngineResult<Relation> {
     let (rel, work) = match expr {
         Expr::Filter { input, pred } => (
-            eval_search(&[input], pred, None, ctx, new_sink)?.0,
+            eval_search(&[input], pred, None, ctx, sink)?.0,
             Work::default(),
         ),
         Expr::Project { input, exprs } => {
-            let (rel, _) = eval_search(&[input], &Scalar::true_(), Some(exprs), ctx, new_sink)?;
+            let (rel, _) = eval_search(&[input], &Scalar::true_(), Some(exprs), ctx, sink)?;
             (rel, Work::default())
         }
-        Expr::Join { left, right, pred } => eval_search(&[left, right], pred, None, ctx, new_sink)?,
+        Expr::Join { left, right, pred } => eval_search(&[left, right], pred, None, ctx, sink)?,
         Expr::Search { inputs, pred, proj } => {
             let inputs: Vec<&Expr> = inputs.iter().collect();
-            eval_search(&inputs, pred, Some(proj), ctx, new_sink)?
+            eval_search(&inputs, pred, Some(proj), ctx, sink)?
         }
         other => {
             let mut rel = eval_expr(other, ctx)?;
-            rel.rows = new_sink().settle(rel.rows);
+            rel.rows = sink.settle(rel.rows);
             return Ok(rel);
         }
     };
@@ -516,16 +505,16 @@ fn eval_into<S: Sink>(
     Ok(rel)
 }
 
-/// Where one morsel of a `search` puts its qualifying rows. Every kernel
-/// is generic over it, so each mode compiles to its own loop and bag
-/// mode ([`Bag`]) is a plain push, with no per-row test of the mode.
-trait Sink: Send {
+/// Where a `search` puts its qualifying rows. Every kernel is generic
+/// over it, so each mode compiles to its own loop and bag mode ([`Bag`])
+/// is a plain push, with no per-row test of the mode.
+trait Sink {
     /// Take the row whose values `scratch` holds, leaving it empty.
     fn keep(&mut self, scratch: &mut Row);
     /// Take an input row whole (an identity target list).
     fn forward(&mut self, row: &SharedRow);
     /// Take the selected rows `idxs` of a stored table through its
-    /// mirror. A morsel offers through this alone or through
+    /// mirror. A search offers through this alone, once, or through
     /// [`Sink::keep`] / [`Sink::forward`] alone.
     fn gather(&mut self, from: &Gather<'_>, idxs: &[u32]);
     /// The rows kept, and how many qualifying rows were offered —
@@ -596,7 +585,7 @@ const DENSE_DISTINCT: usize = 64;
 const DENSE_GROUP: usize = 8;
 
 /// Set mode: a qualifying row the caller already has (`known`), or one
-/// this morsel already kept, is dropped before it is allocated — probed
+/// this sink already kept, is dropped before it is allocated — probed
 /// as `&[Value]` (`SharedRow: Borrow<[Value]>`) straight from the
 /// scratch buffer or the input row. A row offered one at a time is a
 /// block of its own (or inline), because it enters `seen` as it arrives;
@@ -750,16 +739,16 @@ impl Gather<'_> {
 
 /// The compound `search` operator — the one select/project/join
 /// implementation. `proj: None` emits every attribute of every input in
-/// input order (`filter`, `join`). Each morsel's qualifying rows go to
-/// a sink `new_sink` makes. Returns the result together with the work
-/// done; `rows_emitted` is counted here, whether the work is counted is
-/// the calling operator's decision.
+/// input order (`filter`, `join`). The qualifying rows go to `sink`.
+/// Returns the result together with the work done; `rows_emitted` is
+/// counted here, whether the work is counted is the calling operator's
+/// decision.
 fn eval_search<S: Sink>(
     inputs: &[&Expr],
     pred: &Scalar,
     proj: Option<&[Scalar]>,
     ctx: &mut Ctx<'_>,
-    new_sink: &(impl Fn() -> S + Sync),
+    sink: S,
 ) -> EngineResult<(Relation, Work)> {
     let rels = inputs
         .iter()
@@ -804,21 +793,15 @@ fn eval_search<S: Sink>(
     let cross_product = rels
         .iter()
         .fold(1u64, |n, r| n.saturating_mul(r.len() as u64));
-    let (parts, tried) = if let [rel] = &rels[..] {
-        let parts = select_project(inputs[0], rel, &cpred, &cproj, &env, ctx, new_sink)?;
-        (parts, rel.len() as u64)
+    let (sink, tried) = if let [rel] = &rels[..] {
+        let sink = select_project(inputs[0], rel, &cpred, &cproj, &env, ctx, sink)?;
+        (sink, rel.len() as u64)
     } else {
-        streamed_join(inputs, &rels, &cpred, &cproj, &env, ctx, new_sink)?
+        streamed_join(inputs, &rels, &cpred, &cproj, &env, ctx, sink)?
     };
-    for part in parts {
-        let (mut rows, offered) = part.finish();
-        ctx.stats.rows_emitted += offered;
-        if out.rows.is_empty() {
-            out.rows = rows;
-        } else {
-            out.rows.append(&mut rows);
-        }
-    }
+    let (rows, offered) = sink.finish();
+    ctx.stats.rows_emitted += offered;
+    out.rows = rows;
     Ok((
         out,
         Work {
@@ -845,7 +828,7 @@ fn project_into(
 
 /// The one-input select-project kernel — every `filter`, `project` and
 /// single-input `search` (what filter pushdown + projection merging
-/// produce) runs here. Returns one sink per morsel, in input order.
+/// produce) runs here. Returns `sink` with the qualifying rows.
 ///
 /// Columnar path: over a stored table whose qualification lowers fully
 /// to typed kernels, the kernels compute a selection vector over the
@@ -858,10 +841,9 @@ fn select_project<S: Sink>(
     cproj: &[CompiledProj],
     env: &EvalEnv<'_>,
     ctx: &Ctx<'_>,
-    new_sink: &(impl Fn() -> S + Sync),
-) -> EngineResult<Vec<S>> {
+    mut sink: S,
+) -> EngineResult<S> {
     let rows = &rel.rows;
-    let parallelism = ctx.opts.parallelism;
     // Identity target list: every target copies the input row's
     // attributes in order, so the output rows *are* the qualifying
     // input rows — forward the shared allocations by refcount. (The
@@ -885,18 +867,15 @@ fn select_project<S: Sink>(
         .as_deref()
         .and_then(|cols| Some((cols, cpred.columnar(cols, ctx.params)?)));
     let Some((cols, colpred)) = lowered else {
-        return run_morsels(rows, parallelism, |part| {
-            let mut sink = new_sink();
-            let mut scratch: Row = Vec::with_capacity(cproj.len());
-            for row in part {
-                if cpred.eval_bool(&[&row[..]], env)? {
-                    project(row, &mut sink, &mut scratch)?;
-                }
+        let mut scratch: Row = Vec::with_capacity(cproj.len());
+        for row in rows {
+            if cpred.eval_bool(&[&row[..]], env)? {
+                project(row, &mut sink, &mut scratch)?;
             }
-            Ok(sink)
-        });
+        }
+        return Ok(sink);
     };
-    let sel = select_partitioned(&colpred, cols.len(), parallelism)?;
+    let sel = colpred.select_range(0, cols.len());
     // Slot-only targets gather straight from the columns (contiguous
     // reads, no per-row compiled-program dispatch); anything fancier
     // evaluates the compiled projection over the selected rows.
@@ -905,31 +884,19 @@ fn select_project<S: Sink>(
         .map(|p| p.slot0().and_then(|a| cols.column(a)))
         .collect();
     let Some(columns) = columns else {
-        return run_morsels(&sel, parallelism, |idxs| {
-            let mut sink = new_sink();
-            let mut scratch: Row = Vec::with_capacity(cproj.len());
-            for &i in idxs {
-                project(&rows[i as usize], &mut sink, &mut scratch)?;
-            }
-            Ok(sink)
-        });
+        let mut scratch: Row = Vec::with_capacity(cproj.len());
+        for &i in &sel {
+            project(&rows[i as usize], &mut sink, &mut scratch)?;
+        }
+        return Ok(sink);
     };
     let from = Gather {
         rows,
         columns,
         forward: identity,
     };
-    if identity {
-        // Forwarding is a refcount per row: one part.
-        let mut sink = new_sink();
-        sink.gather(&from, &sel);
-        return Ok(vec![sink]);
-    }
-    run_morsels(&sel, parallelism, |idxs| {
-        let mut sink = new_sink();
-        sink.gather(&from, idxs);
-        Ok(sink)
-    })
+    sink.gather(&from, &sel);
+    Ok(sink)
 }
 
 /// Group `(key, item)` pairs in one hash pass, sort the groups once —
@@ -1090,7 +1057,7 @@ fn fused_scan_nest(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Option<Relati
         return Ok(None);
     }
 
-    let sel = select_partitioned(&colpred, cols.len(), ctx.opts.parallelism)?;
+    let sel = colpred.select_range(0, cols.len());
     ctx.stats.add_search(Work {
         tried: rel.len() as u64,
         cross_product: rel.len() as u64,
@@ -1171,36 +1138,29 @@ fn preselect(
     local: &LocalPred<'_>,
     env: &EvalEnv<'_>,
     ctx: &Ctx<'_>,
-) -> EngineResult<(Survivors, bool)> {
+) -> (Survivors, bool) {
     if local.is_empty() {
-        return Ok((Survivors::All(rel.len()), true));
+        return (Survivors::All(rel.len()), true);
     }
-    let parallelism = ctx.opts.parallelism;
     if let Some(cols) = base_columnar(input, ctx, rel.len()) {
         if let Some(kernels) = local.columnar(&cols, ctx.params) {
-            let sel = select_partitioned(&kernels, cols.len(), parallelism)?;
-            return Ok((Survivors::Picked(sel), true));
+            return (Survivors::Picked(kernels.select_range(0, cols.len())), true);
         }
     }
-    let parts = run_morsel_ranges(rel.len(), parallelism, |lo, hi| {
-        // Only the input's own slot is read.
-        let mut tuple: Vec<&[Value]> = vec![&[]; local.input() + 1];
-        let mut kept: Vec<u32> = Vec::new();
-        let mut settled = true;
-        for i in lo..hi {
-            tuple[local.input()] = &rel.rows[i];
-            match local.keeps(&tuple, env) {
-                Preselected::Dropped => continue,
-                Preselected::Settled => {}
-                Preselected::Open => settled = false,
-            }
-            kept.push(i as u32);
+    // Only the input's own slot is read.
+    let mut tuple: Vec<&[Value]> = vec![&[]; local.input() + 1];
+    let mut kept: Vec<u32> = Vec::new();
+    let mut settled = true;
+    for (i, row) in rel.rows.iter().enumerate() {
+        tuple[local.input()] = row;
+        match local.keeps(&tuple, env) {
+            Preselected::Dropped => continue,
+            Preselected::Settled => {}
+            Preselected::Open => settled = false,
         }
-        Ok((kept, settled))
-    })?;
-    let settled = parts.iter().all(|(_, settled)| *settled);
-    let kept = parts.into_iter().flat_map(|(kept, _)| kept).collect();
-    Ok((Survivors::Picked(kept), settled))
+        kept.push(i as u32);
+    }
+    (Survivors::Picked(kept), settled)
 }
 
 /// Hash of a link key, `None` when it can equal nothing: a NULL (`=` is
@@ -1379,8 +1339,8 @@ struct Step<'r> {
     table: Option<LinkTable>,
 }
 
-/// Depth-first enumeration state of one morsel of a streamed `search`:
-/// one tuple buffer, extended and overwritten in place.
+/// Depth-first enumeration state of a streamed `search`: one tuple
+/// buffer, extended and overwritten in place.
 struct Enumeration<'a, 'r, S> {
     steps: &'a [Step<'r>],
     residual: &'a Residual<'a>,
@@ -1464,13 +1424,12 @@ impl<S: Sink> Enumeration<'_, '_, S> {
 /// ([`preselect`]); inputs join left-deep in the order written, a step
 /// probing a [`LinkTable`] over the next input's survivors where an
 /// equality links it, looping over them otherwise; combinations are
-/// enumerated depth-first over one tuple buffer, morsel-partitioned on
-/// the first input's survivors and merged in order — the cross product's
+/// enumerated depth-first over one tuple buffer, in the cross product's
 /// row-major order. Each conjunct is decided in one place: a local one at
 /// pre-selection when it decided every survivor, a link at the probe, the
-/// rest on each complete combination. Returns one sink per morsel and the
-/// combinations examined: first-input survivors plus candidates
-/// enumerated.
+/// rest on each complete combination. Returns `sink` with the qualifying
+/// rows and the combinations examined: first-input survivors plus
+/// candidates enumerated.
 ///
 /// Relative to the cross product with a post-filter an error can only
 /// disappear (a combination that would have raised it is never formed),
@@ -1482,21 +1441,21 @@ fn streamed_join<S: Sink>(
     cproj: &[CompiledProj],
     env: &EvalEnv<'_>,
     ctx: &Ctx<'_>,
-    new_sink: &(impl Fn() -> S + Sync),
-) -> EngineResult<(Vec<S>, u64)> {
+    sink: S,
+) -> EngineResult<(S, u64)> {
     let mut selected = Vec::with_capacity(rels.len());
     let mut settled = Vec::with_capacity(rels.len());
     for (k, (input, rel)) in inputs.iter().zip(rels).enumerate() {
-        let (survivors, decided) = preselect(input, rel, &cpred.local(k), env, ctx)?;
+        let (survivors, decided) = preselect(input, rel, &cpred.local(k), env, ctx);
         if survivors.len() == 0 {
-            return Ok((Vec::new(), 0));
+            return Ok((sink, 0));
         }
         selected.push(survivors);
         settled.push(decided);
     }
     let mut later = selected.into_iter();
     let Some(first) = later.next() else {
-        return Ok((Vec::new(), 0));
+        return Ok((sink, 0));
     };
 
     let hasher = Fold::default();
@@ -1535,26 +1494,22 @@ fn streamed_join<S: Sink>(
         .collect();
     let residual = cpred.residual(&linked, &settled);
 
-    let parts = run_morsel_ranges(first.len(), ctx.opts.parallelism, |lo, hi| {
-        let mut e = Enumeration {
-            steps: &steps,
-            residual: &residual,
-            cproj,
-            env,
-            hasher: &hasher,
-            tuple: vec![&[]; rels.len()],
-            sink: new_sink(),
-            scratch: Vec::with_capacity(cproj.len()),
-            tried: (hi - lo) as u64,
-        };
-        for j in lo..hi {
-            e.tuple[0] = &rels[0].rows[first.row(j)];
-            e.descend(1)?;
-        }
-        Ok((e.sink, e.tried))
-    })?;
-    let tried = parts.iter().map(|(_, tried)| tried).sum();
-    Ok((parts.into_iter().map(|(sink, _)| sink).collect(), tried))
+    let mut e = Enumeration {
+        steps: &steps,
+        residual: &residual,
+        cproj,
+        env,
+        hasher: &hasher,
+        tuple: vec![&[]; rels.len()],
+        sink,
+        scratch: Vec::with_capacity(cproj.len()),
+        tried: first.len() as u64,
+    };
+    for j in 0..first.len() {
+        e.tuple[0] = &rels[0].rows[first.row(j)];
+        e.descend(1)?;
+    }
+    Ok((e.sink, e.tried))
 }
 
 /// Resolve named field accesses (`PROJECT(e, Name)`) to positional
@@ -1748,8 +1703,8 @@ mod tests {
     /// order are the oracle's.
     #[test]
     fn a_block_holds_at_most_a_morsel_of_rows() {
-        let morsel = crate::parallel::MORSEL_ROWS;
-        let db = int_db(morsel as i64 + 2);
+        let cap = crate::relation::BLOCK_ROWS;
+        let db = int_db(cap as i64 + 2);
         for columnar in [true, false] {
             let opts = EvalOptions {
                 columnar,
@@ -1758,9 +1713,9 @@ mod tests {
             for expr in gather_and_join() {
                 let rows = eval_with(&expr, &db, opts).unwrap().0.rows;
                 let oracle = crate::reference::eval_reference(&expr, &db, opts).unwrap();
-                assert_eq!(rows.len(), morsel + 1);
+                assert_eq!(rows.len(), cap + 1);
                 assert_eq!(rows, oracle.rows, "{expr} columnar={columnar}");
-                assert_eq!(block_starts(&rows), vec![morsel]);
+                assert_eq!(block_starts(&rows), vec![cap]);
             }
         }
     }

@@ -9,9 +9,9 @@
 //! definition of `fix`; F9's `eds_bench::naive_fix` writes it out.)
 //! The delta is built as a set: each variant is evaluated against the
 //! rows already known, so a derivation the fixpoint already has — or
-//! one its morsel already produced — is dropped before it becomes a row.
+//! one the variant already produced — is dropped before it becomes a row.
 //! What survives is inserted into that same set as it arrives; a failed
-//! insert is a repeat across variants or morsels, and the rows that get
+//! insert is a repeat across variants, and the rows that get
 //! in are the next delta. The known relation grows in place, in arrival
 //! order, and is sorted once when the fixpoint ends. Both locals are
 //! reference-counted: a variant reads `known` or the delta by one
@@ -67,8 +67,8 @@ pub(crate) fn eval_fix(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResu
 
     // Seed: the non-recursive branches. `known_set` is the set the
     // fixpoint computes: a row joins `known` (and the next delta) when
-    // its insert succeeds, so a repeat — within the seed, across
-    // variants or across morsels — is dropped there.
+    // its insert succeeds, so a repeat — within the seed or across
+    // variants — is dropped there.
     let mut known_set: FoldSet<SharedRow> = FoldSet::default();
     let mut known = eval_expr(first_seed, ctx)?;
     for b in seeds {

@@ -41,7 +41,6 @@ pub mod error;
 pub mod eval;
 pub mod fixpoint;
 mod hash;
-pub mod parallel;
 pub mod reference;
 pub mod relation;
 
@@ -50,8 +49,8 @@ pub use compile::{CompiledScalar, EvalEnv};
 pub use database::Database;
 pub use error::{EngineError, EngineResult};
 pub use eval::{
-    eval, eval_const_scalar, eval_with, eval_with_params, EvalOptions, EvalStats, OptLevel,
+    eval, eval_const_scalar, eval_with, eval_with_params, parallel_stats, shutdown_pool,
+    EvalOptions, EvalStats, OptLevel, ParallelStats,
 };
-pub use parallel::{parallel_stats, shutdown_pool, ParallelStats, MORSEL_ROWS};
 pub use reference::eval_reference;
-pub use relation::{Relation, Row, SharedRow};
+pub use relation::{Relation, Row, SharedRow, BLOCK_ROWS};

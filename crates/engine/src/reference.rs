@@ -6,8 +6,8 @@
 //! interpreted `eval_scalar` per row, quadratic set operations, every
 //! `search` the cross product of its inputs with the qualification
 //! checked on each combination, every `fix` the semi-naive iteration on
-//! sorted vectors. It ignores the executor's parallelism and columnar
-//! settings on purpose, and shares no code with `fixpoint.rs`: an
+//! sorted vectors. It ignores the executor's columnar
+//! setting on purpose, and shares no code with `fixpoint.rs`: an
 //! oracle that splits equi-conjuncts or keys a table the way the
 //! executor does, or builds its delta variants with the executor's
 //! helpers, is wrong where the executor is wrong.

@@ -4,7 +4,7 @@
 //! row-preserving operators (filter, join combination, union, fixpoint
 //! accumulation) share tuples instead of deep-cloning every `Value`. A
 //! stored row is a block of its own; the rows an operator builds are cut
-//! from one block per [`MORSEL_ROWS`] rows (`RowBlocks`), so building
+//! from one block per [`BLOCK_ROWS`] rows (`RowBlocks`), so building
 //! them costs one allocation per block rather than one per row. A row of
 //! one value that owns no heap memory holds that value itself, with no
 //! block and no refcount. The schema is shared the same way: cloning a
@@ -23,7 +23,6 @@ use eds_adt::Value;
 use eds_lera::Schema;
 
 use crate::hash::{Fold, FoldSet};
-use crate::parallel::MORSEL_ROWS;
 
 /// A row: one value per attribute.
 pub type Row = Vec<Value>;
@@ -161,7 +160,12 @@ pub fn shared_row(scratch: &mut Vec<Value>) -> SharedRow {
     }
 }
 
-/// Rows built into shared blocks of at most [`MORSEL_ROWS`] rows, in
+/// Rows per block an operator builds (`RowBlocks`): one allocation
+/// serves up to this many result rows, and bounds the buffer a block is
+/// built in.
+pub const BLOCK_ROWS: usize = 2048;
+
+/// Rows built into shared blocks of at most [`BLOCK_ROWS`] rows, in
 /// arrival order. A row's values are appended to the open block's
 /// buffer; the block is allocated once — and cut into its rows — when it
 /// is full, when a row of another width arrives, when a row is pushed
@@ -181,7 +185,7 @@ impl RowBlocks {
     /// Room for `rows` more rows.
     pub(crate) fn reserve(&mut self, rows: usize) {
         self.rows.reserve(rows);
-        self.room = rows.min(MORSEL_ROWS);
+        self.room = rows.min(BLOCK_ROWS);
     }
 
     /// Append the row whose values `row` holds, leaving it empty.
@@ -191,7 +195,7 @@ impl RowBlocks {
             self.push_inline(value);
             return;
         }
-        if self.open_rows == MORSEL_ROWS || (self.open_rows > 0 && row.len() != self.width) {
+        if self.open_rows == BLOCK_ROWS || (self.open_rows > 0 && row.len() != self.width) {
             self.cut();
         }
         if self.open.capacity() == 0 {
@@ -567,18 +571,18 @@ mod tests {
         ));
     }
 
-    /// A block holds at most `MORSEL_ROWS` rows, and a row of another
+    /// A block holds at most `BLOCK_ROWS` rows, and a row of another
     /// width or a row pushed whole starts a new one; order holds.
     #[test]
     fn blocks_cut_at_the_cap_and_on_a_whole_row() {
-        let rows = block_rows(0..MORSEL_ROWS as i64 + 1);
+        let rows = block_rows(0..BLOCK_ROWS as i64 + 1);
         let adjacent = |a: &SharedRow, b: &SharedRow| {
             std::ptr::eq(a[..].as_ptr().wrapping_add(a.len()), b[..].as_ptr())
         };
         let cuts: Vec<usize> = (1..rows.len())
             .filter(|&i| !adjacent(&rows[i - 1], &rows[i]))
             .collect();
-        assert_eq!(cuts, vec![MORSEL_ROWS]);
+        assert_eq!(cuts, vec![BLOCK_ROWS]);
 
         let mut blocks = RowBlocks::default();
         blocks.push_values(&mut vec![Value::Int(1)]);

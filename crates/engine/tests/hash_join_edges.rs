@@ -1,10 +1,10 @@
 //! Hash-join key edge cases: NULL join keys, mixed-type keys, and
 //! qualifications the key extractor cannot hash (non-equality conjuncts).
 //! Every query must return exactly the reference executor's rows — values
-//! and order — at parallelism 1 and 4.
+//! and order.
 
 use eds_adt::Value;
-use eds_engine::{eval_reference, eval_with, Database, EngineError, EvalOptions, MORSEL_ROWS};
+use eds_engine::{eval_reference, eval_with, Database, EngineError, EvalOptions, BLOCK_ROWS};
 use eds_lera::{CmpOp, Expr, Scalar};
 
 /// Two tables whose keys exercise the awkward cases: NULLs on both sides,
@@ -42,21 +42,14 @@ fn edge_db() -> Database {
     db
 }
 
-/// Evaluate at parallelism 1 and 4; assert each run returns the
-/// reference interpreter's rows in its order, then return them sorted.
+/// Evaluate; assert the run returns the reference interpreter's rows in
+/// its order, then return them sorted.
 fn agrees_with_the_reference(db: &Database, expr: &Expr) -> Vec<Vec<Value>> {
     let reference = eval_reference(expr, db, EvalOptions::default()).expect("reference evaluates");
-    for parallelism in [1usize, 4] {
-        let opts = EvalOptions {
-            parallelism,
-            ..Default::default()
-        };
-        let rel = eval_with(expr, db, opts).expect("evaluates").0;
-        assert_eq!(
-            rel.rows, reference.rows,
-            "diverges from reference under {opts:?}"
-        );
-    }
+    let rel = eval_with(expr, db, EvalOptions::default())
+        .expect("evaluates")
+        .0;
+    assert_eq!(rel.rows, reference.rows, "diverges from reference");
     reference.sorted_rows()
 }
 
@@ -223,8 +216,8 @@ fn an_int_meets_its_real_twin_and_null_meets_nothing() {
 // against the oracle (`eval_reference`).
 // ---------------------------------------------------------------------
 
-/// The executor under parallelism {1, 4} × columnar {off, on}: rows *and
-/// order* are the oracle's (asked when there are no binds: it takes
+/// The executor under columnar {off, on}: rows *and order* are the
+/// oracle's (asked when there are no binds: it takes
 /// none), and neither they nor the work counters depend on the path
 /// pre-selection took. Returns the rows and `combinations_tried`.
 fn streams_like_the_oracle(db: &Database, expr: &Expr, params: &[Value]) -> (Vec<Vec<Value>>, u64) {
@@ -232,24 +225,20 @@ fn streams_like_the_oracle(db: &Database, expr: &Expr, params: &[Value]) -> (Vec
         .is_empty()
         .then(|| eval_reference(expr, db, EvalOptions::default()).expect("oracle evaluates"));
     let mut first = None;
-    for parallelism in [1usize, 4] {
-        for columnar in [false, true] {
-            let opts = EvalOptions {
-                parallelism,
-                columnar,
-                ..Default::default()
-            };
-            let (rel, stats) =
-                eds_engine::eval_with_params(expr, db, opts, params).expect("evaluates");
-            if let Some(oracle) = &oracle {
-                assert_eq!(rel.rows, oracle.rows, "rows or order differ under {opts:?}");
-            }
-            let (rows, work) = first.get_or_insert((rel.rows.clone(), stats));
-            assert_eq!(rel.rows, *rows, "rows or order moved under {opts:?}");
-            assert_eq!(stats, *work, "work moved under {opts:?}");
+    for columnar in [false, true] {
+        let opts = EvalOptions {
+            columnar,
+            ..Default::default()
+        };
+        let (rel, stats) = eds_engine::eval_with_params(expr, db, opts, params).expect("evaluates");
+        if let Some(oracle) = &oracle {
+            assert_eq!(rel.rows, oracle.rows, "rows or order differ under {opts:?}");
         }
+        let (rows, work) = first.get_or_insert((rel.rows.clone(), stats));
+        assert_eq!(rel.rows, *rows, "rows or order moved under {opts:?}");
+        assert_eq!(stats, *work, "work moved under {opts:?}");
     }
-    let (rows, stats) = first.expect("four configurations ran");
+    let (rows, stats) = first.expect("two configurations ran");
     let rows = rows.iter().map(|r| r.to_vec()).collect();
     (rows, stats.combinations_tried)
 }
@@ -594,7 +583,7 @@ fn an_error_on_a_dropped_row_disappears_and_none_appears() {
     assert!(eval_with(&kept, &db, EvalOptions::default()).is_err());
 }
 
-/// `P(K, Who, N)` over two morsels and a bit, `Who` a `Person` whose
+/// `P(K, Who, N)` over two blocks and a bit, `Who` a `Person` whose
 /// value is a `(Name, Salary)` tuple on most rows but NULL on every 50th
 /// and a list of two such tuples on every 50th after that — values the
 /// fast form of `Salary(Who)` declines — beside `Q(K, V)` on every
@@ -613,7 +602,7 @@ fn person_db() -> Database {
             Value::Int(1_000 * (i % 6)),
         ])
     };
-    for i in 0..(2 * MORSEL_ROWS + 5) as i64 {
+    for i in 0..(2 * BLOCK_ROWS + 5) as i64 {
         let who = match i % 50 {
             7 => Value::Null,
             13 => db.create_object("Person", Value::list(vec![person(i), person(i + 4)])),
@@ -628,7 +617,7 @@ fn person_db() -> Database {
 }
 
 /// Evaluate the plan `with` builds over `?0 … ?k` against `binds` under
-/// parallelism {1, 4} × columnar {off, on}, and the oracle over the same
+/// columnar {off, on}, and the oracle over the same
 /// plan with each bound `?i` written as its literal (a `?` past the end
 /// of `binds` stays one, unbound for the oracle too). The answer — rows
 /// and their order, or the error — is the oracle's under every
@@ -651,37 +640,33 @@ fn declines_like_the_oracle(
     let oracle = eval_reference(&with(&slots(true)), db, EvalOptions::default());
     let plan = with(&slots(false));
     let mut work = None;
-    for parallelism in [1usize, 4] {
-        for columnar in [false, true] {
-            let opts = EvalOptions {
-                parallelism,
-                columnar,
-                ..Default::default()
-            };
-            let got = eds_engine::eval_with_params(&plan, db, opts, binds);
-            match (&got, &oracle) {
-                (Ok((rel, stats)), Ok(want)) => {
-                    assert_eq!(rel.rows, want.rows, "{plan} under {opts:?}");
-                    assert_eq!(stats, work.get_or_insert(*stats), "{plan} under {opts:?}");
-                }
-                (Err(e), Err(want)) => assert_eq!(e, want, "{plan} under {opts:?}"),
-                _ => panic!("{plan} under {opts:?}: {got:?}, the oracle {oracle:?}"),
+    for columnar in [false, true] {
+        let opts = EvalOptions {
+            columnar,
+            ..Default::default()
+        };
+        let got = eds_engine::eval_with_params(&plan, db, opts, binds);
+        match (&got, &oracle) {
+            (Ok((rel, stats)), Ok(want)) => {
+                assert_eq!(rel.rows, want.rows, "{plan} under {opts:?}");
+                assert_eq!(stats, work.get_or_insert(*stats), "{plan} under {opts:?}");
             }
+            (Err(e), Err(want)) => assert_eq!(e, want, "{plan} under {opts:?}"),
+            _ => panic!("{plan} under {opts:?}: {got:?}, the oracle {oracle:?}"),
         }
     }
     oracle.map(|rel| rel.rows.iter().map(|r| r.to_vec()).collect())
 }
 
 /// A conjunct's general program is built on the first row its fast form
-/// declines — or at once, when it has none — and the lanes of a
-/// parallel run share that one build: an unbound `?`, a `Salary(Who)`
+/// declines — or at once, when it has none: an unbound `?`, a `Salary(Who)`
 /// whose object is NULL or a list rather than a tuple, a `GETFIELD`
 /// index past the tuple, and `OR` / function-call conjuncts, each over
 /// one input and as a join, give the oracle's answer.
 #[test]
 fn the_general_program_is_built_where_a_fast_form_declines() {
     let db = person_db();
-    let n = (2 * MORSEL_ROWS + 5) as i64;
+    let n = (2 * BLOCK_ROWS + 5) as i64;
     let one = |pred: Scalar| Expr::search(vec![Expr::base("P")], pred, vec![Scalar::attr(1, 1)]);
     let join = |pred: Scalar| {
         Expr::search(

@@ -278,7 +278,6 @@ pub fn type_of_value(v: &Value) -> Type {
         Value::Int(_) => Type::Int,
         Value::Real(_) => Type::Real,
         Value::Str(_) => Type::Char,
-        Value::Enum(e) => Type::Named(e.0.clone()),
         Value::Tuple(items) => Type::Tuple(
             items
                 .iter()

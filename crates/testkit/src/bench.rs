@@ -182,30 +182,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Re-record the median already measured under `from` as a second
-    /// row named `to`, without running anything. For configurations that
-    /// are *provably identical* on the current host (e.g. a parallelism
-    /// knob clamped to one worker by the core count): measuring both
-    /// would report the same computation twice, so the harness records
-    /// the one honest median under both ids. Returns `false` when `from`
-    /// has not been measured in this group.
-    pub fn copy_result(&mut self, from: &BenchmarkId, to: BenchmarkId) -> bool {
-        let from = from.to_string();
-        let found = self
-            .criterion
-            .results
-            .iter()
-            .find(|r| r.group == self.name && r.id == from)
-            .map(|r| r.median_ns);
-        match found {
-            Some(median_ns) => {
-                self.criterion.record(&self.name, to.to_string(), median_ns);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// End the group (kept for criterion compatibility).
     pub fn finish(&mut self) {}
 
@@ -312,30 +288,6 @@ mod tests {
         assert_eq!(count, 1);
         assert_eq!(c.results.len(), 1);
         assert_eq!(c.results[0].id, "inc/1");
-    }
-
-    #[test]
-    fn copy_result_duplicates_without_rerunning() {
-        let mut c = Criterion {
-            quick: true,
-            results: Vec::new(),
-        };
-        let mut count = 0;
-        {
-            let mut g = c.benchmark_group("t");
-            g.bench_with_input(BenchmarkId::new("w", "p1"), &1, |b, _| {
-                b.iter(|| {
-                    count += 1;
-                });
-            });
-            assert!(g.copy_result(&BenchmarkId::new("w", "p1"), BenchmarkId::new("w", "p4")));
-            assert!(!g.copy_result(&BenchmarkId::new("nope", "p1"), BenchmarkId::new("w", "p8")));
-            g.finish();
-        }
-        assert_eq!(count, 1, "the copy must not re-run the closure");
-        assert_eq!(c.results.len(), 2);
-        assert_eq!(c.results[0].median_ns, c.results[1].median_ns);
-        assert_eq!(c.results[1].id, "w/p4");
     }
 
     #[test]
