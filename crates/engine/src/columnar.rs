@@ -113,8 +113,8 @@ impl NullBitmap {
 }
 
 /// Rows per zone of an `Int` column. Equal to the selection strip of
-/// [`ColumnarPred::select_range`](crate::compile::ColumnarPred::select_range),
-/// so a scan from row 0 reads each strip's verdict off one zone.
+/// [`ColumnarPred::select`](crate::compile::ColumnarPred::select), so
+/// a scan reads each strip's verdict off one zone.
 pub(crate) const ZONE_ROWS: usize = 1024;
 
 /// A zone map (Moerkotte's *small materialized aggregates*): the
@@ -143,8 +143,8 @@ impl Zones {
     }
 
     /// The `(min, max)` over every zone `[lo, hi)` overlaps: one zone for
-    /// an aligned strip, their fold for one that straddles a boundary.
-    /// `lo < hi <= len` of the column.
+    /// a selection strip, their fold for the selected rows of a
+    /// [`Column::dense_key`]. `lo < hi <= len` of the column.
     pub(crate) fn span(&self, lo: usize, hi: usize) -> (i64, i64) {
         self.0[lo / ZONE_ROWS..hi.div_ceil(ZONE_ROWS)]
             .iter()

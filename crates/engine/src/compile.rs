@@ -655,6 +655,57 @@ impl CompiledProj {
     }
 }
 
+/// A compiled target list. When every target is a plain attribute, a
+/// combination's values are cloned straight from its tuple's slots: no
+/// `EngineResult` per value and no general program. A slot the tuple
+/// does not have sends the combination to the targets' programs, which
+/// raise the typed [`LeraError::BadAttrRef`].
+pub struct CompiledTargets {
+    targets: Vec<CompiledProj>,
+    /// Every target is a plain attribute.
+    slots: bool,
+}
+
+impl CompiledTargets {
+    /// A target list of compiled targets, in order.
+    pub fn new(targets: Vec<CompiledProj>) -> CompiledTargets {
+        let slots = targets.iter().all(|p| p.slot.is_some());
+        CompiledTargets { targets, slots }
+    }
+
+    /// The compiled targets, in order.
+    pub fn targets(&self) -> &[CompiledProj] {
+        &self.targets
+    }
+
+    /// Append the targets' values over one combination to `scratch`.
+    #[inline]
+    pub fn eval_into(
+        &self,
+        tuples: &[&[Value]],
+        env: &EvalEnv<'_>,
+        scratch: &mut Vec<Value>,
+    ) -> EngineResult<()> {
+        let start = scratch.len();
+        if self.slots {
+            let copied = self.targets.iter().all(|p| {
+                let value = p
+                    .slot
+                    .and_then(|(rel0, attr0)| tuples.get(rel0)?.get(attr0));
+                value.map(|v| scratch.push(v.clone())).is_some()
+            });
+            if copied {
+                return Ok(());
+            }
+            scratch.truncate(start);
+        }
+        for p in &self.targets {
+            scratch.push(p.eval_owned(tuples, env)?);
+        }
+        Ok(())
+    }
+}
+
 /// A qualification lowered onto a columnar mirror: one typed `Kern`
 /// per conjunct, run over a *selection vector* of candidate row indices.
 /// Lowering succeeds only when **every** conjunct maps to a kernel, so
@@ -667,9 +718,11 @@ impl CompiledProj {
 /// row), so kernels only ever *remove* indices and their order of
 /// application cannot change the result — nor can a zone map's verdict,
 /// which only ever skips rows no kernel would keep or keeps rows every
-/// kernel would (see [`ColumnarPred::select_range`]).
+/// kernel would (see [`ColumnarPred::select`]).
 pub struct ColumnarPred<'c> {
     kernels: Vec<Kern<'c>>,
+    /// Rows of the mirror the kernels read.
+    len: usize,
 }
 
 /// One conjunct's typed kernel over column storage. Constants are
@@ -1004,12 +1057,13 @@ impl ColumnarPred<'_> {
         }
     }
 
-    /// Indices in `[lo, hi)` (ascending) whose rows satisfy every
+    /// Indices of the mirror's rows (ascending) that satisfy every
     /// conjunct. Infallible by construction: only conjuncts that cannot
     /// error lower to kernels.
     ///
     /// Evaluation is strip-at-a-time and **adaptive**. Each
-    /// `SELECT_STRIP`-row strip first asks every kernel for its
+    /// `SELECT_STRIP`-row strip — one zone, the last one possibly
+    /// short — first asks every kernel for its
     /// `Verdict`, read off the zone map without touching a row: one
     /// `Skip` drops the strip, and a strip every kernel `Take`s is
     /// selected whole. The kernels left to `Test` start on a
@@ -1025,15 +1079,13 @@ impl ColumnarPred<'_> {
     /// as per-index gathers (`retain_sparse`), so a highly selective
     /// leading conjunct — `B = 3` in front of a tail of near-vacuous
     /// range checks, say — spares the tail its full-width passes.
-    pub fn select_range(&self, lo: usize, hi: usize) -> Vec<u32> {
+    pub fn select(&self) -> Vec<u32> {
         let mut out = Vec::new();
         let mut flags = [1u8; SELECT_STRIP];
         let mut sparse: Vec<u32> = Vec::new();
         let mut tests: Vec<(&Kern<'_>, bool)> = Vec::with_capacity(self.kernels.len());
-        let mut strip_hi = lo;
-        'strips: while strip_hi < hi {
-            let strip_lo = strip_hi;
-            strip_hi = (strip_lo + SELECT_STRIP).min(hi);
+        'strips: for strip_lo in (0..self.len).step_by(SELECT_STRIP) {
+            let strip_hi = (strip_lo + SELECT_STRIP).min(self.len);
             tests.clear();
             for kern in &self.kernels {
                 match Self::verdict(kern, strip_lo, strip_hi) {
@@ -1255,6 +1307,7 @@ fn lower_all<'p, 'c>(
     let kernels = conjuncts.map(|c| lower_conjunct(c, rel0, cols, params));
     Some(ColumnarPred {
         kernels: kernels.collect::<Option<_>>()?,
+        len: cols.len(),
     })
 }
 
@@ -1492,83 +1545,83 @@ mod tests {
     use eds_lera::Schema;
     use eds_testkit::rng::StdRng;
 
-    /// Over aligned and unaligned ranges of a mirror of three zones and
-    /// 17 rows — a sorted key, a clustered column with NULLs, random
-    /// values with NULLs, and small values beside `i64::MIN` /
-    /// `i64::MAX` — `select_range(lo, hi)` selects exactly the rows the
-    /// row path keeps, one conjunction of one or two comparisons at a
-    /// time. Then both sides of the dense → sparse pivot: over one strip
-    /// the first kernel leaves exactly one row fewer than, as many as
-    /// and one more than `1 / SPARSE_PIVOT` of it (and the old quarter),
-    /// and an `IntConst`, a `StrPool` and an `IntInt` kernel follow.
+    /// Over mirrors of three zones and 17 rows, exactly one and two
+    /// zones, one zone less a row, and shorter than one strip — a sorted
+    /// key, a clustered column with NULLs, random values with NULLs, and
+    /// small values beside `i64::MIN` / `i64::MAX` — `select()` selects
+    /// exactly the rows the row path keeps, one conjunction of one or
+    /// two comparisons at a time. Then both sides of the dense → sparse
+    /// pivot: over one strip the first kernel leaves exactly one row
+    /// fewer than, as many as and one more than `1 / SPARSE_PIVOT` of it
+    /// (and the old quarter), and an `IntConst`, a `StrPool` and an
+    /// `IntInt` kernel follow.
     #[test]
-    fn unaligned_select_range_equals_a_row_by_row_filter() {
+    fn select_equals_a_row_by_row_filter() {
         let mut rng = StdRng::seed_from_u64(0x5E1E);
-        let n = 3 * ZONE_ROWS + 17;
-        let rows: Vec<Row> = (0..n as i64)
-            .map(|i| {
-                let gap = |v: i64, null: bool| if null { Value::Null } else { Value::Int(v) };
-                let c = rng.gen_range(-20..20i64);
-                let d = match i % 500 {
-                    0 => i64::MIN,
-                    1 => i64::MAX,
-                    _ => rng.gen_range(-3..3i64),
-                };
-                vec![
-                    Value::Int(i),
-                    gap(i / 300, i % 97 == 5),
-                    gap(c, rng.gen_bool(0.05)),
-                    Value::Int(d),
-                ]
-            })
-            .collect();
-        let fields = ["a", "b", "c", "d"].map(|f| Field::new(f, Type::Any));
-        let rel = Relation::new(Schema::new(fields.to_vec()), rows.clone());
-        let cols = ColumnarRelation::build(&rel).expect("typed");
         let db = Database::new();
         let env = EvalEnv::of(&db);
-        let mut ranges = vec![
-            (0, n),
-            (ZONE_ROWS, 2 * ZONE_ROWS),
-            (1_000, 1_050),
-            (n - 1, n),
+        let lengths = [
+            3 * ZONE_ROWS + 17,
+            ZONE_ROWS,
+            2 * ZONE_ROWS,
+            ZONE_ROWS - 1,
+            50,
+            1,
         ];
-        for _ in 0..300 {
-            let lo = rng.gen_range(0..n);
-            ranges.push((lo, rng.gen_range(lo..n + 1)));
-        }
-        for (case, (lo, hi)) in ranges.into_iter().enumerate() {
-            let mut conjunct = || {
-                let k = match rng.gen_range(0..4u8) {
-                    0 => rng.gen_range(-25..25i64),
-                    1 => rng.gen_range(0..n as i64 + 2),
-                    2 => i64::MIN,
-                    _ => i64::MAX,
-                };
-                let op = CmpOp::ALL[rng.gen_range(0..6usize)];
-                Scalar::cmp(
-                    op,
-                    Scalar::attr(1, rng.gen_range(1..5usize)),
-                    Scalar::lit(k),
-                )
-            };
-            let mut pred = conjunct();
-            if case % 2 == 1 {
-                pred = Scalar::and(pred, conjunct());
-            }
-            let compiled = CompiledPred::compile(&pred);
-            let lowered = compiled
-                .columnar(&cols, &[])
-                .expect("every conjunct has a kernel");
-            let want: Vec<u32> = (lo..hi)
-                .filter(|&i| compiled.eval_bool(&[&rows[i]], &env).unwrap())
-                .map(|i| i as u32)
+        for n in lengths {
+            let rows: Vec<Row> = (0..n as i64)
+                .map(|i| {
+                    let gap = |v: i64, null: bool| if null { Value::Null } else { Value::Int(v) };
+                    let c = rng.gen_range(-20..20i64);
+                    let d = match i % 500 {
+                        0 => i64::MIN,
+                        1 => i64::MAX,
+                        _ => rng.gen_range(-3..3i64),
+                    };
+                    vec![
+                        Value::Int(i),
+                        gap(i / 300, i % 97 == 5),
+                        gap(c, rng.gen_bool(0.05)),
+                        Value::Int(d),
+                    ]
+                })
                 .collect();
-            assert_eq!(
-                lowered.select_range(lo, hi),
-                want,
-                "case {case}: {pred:?} over [{lo}, {hi})"
-            );
+            let fields = ["a", "b", "c", "d"].map(|f| Field::new(f, Type::Any));
+            let rel = Relation::new(Schema::new(fields.to_vec()), rows.clone());
+            let cols = ColumnarRelation::build(&rel).expect("typed");
+            for case in 0..60 {
+                let mut conjunct = || {
+                    let k = match rng.gen_range(0..4u8) {
+                        0 => rng.gen_range(-25..25i64),
+                        1 => rng.gen_range(0..n as i64 + 2),
+                        2 => i64::MIN,
+                        _ => i64::MAX,
+                    };
+                    let op = CmpOp::ALL[rng.gen_range(0..6usize)];
+                    Scalar::cmp(
+                        op,
+                        Scalar::attr(1, rng.gen_range(1..5usize)),
+                        Scalar::lit(k),
+                    )
+                };
+                let mut pred = conjunct();
+                if case % 2 == 1 {
+                    pred = Scalar::and(pred, conjunct());
+                }
+                let compiled = CompiledPred::compile(&pred);
+                let lowered = compiled
+                    .columnar(&cols, &[])
+                    .expect("every conjunct has a kernel");
+                let want: Vec<u32> = (0..n)
+                    .filter(|&i| compiled.eval_bool(&[&rows[i]], &env).unwrap())
+                    .map(|i| i as u32)
+                    .collect();
+                assert_eq!(
+                    lowered.select(),
+                    want,
+                    "case {case}: {pred:?} over {n} rows"
+                );
+            }
         }
 
         let n = SELECT_STRIP;
@@ -1609,7 +1662,7 @@ mod tests {
                     .map(|i| i as u32)
                     .collect();
                 assert!(!want.is_empty() && want.len() < survivors);
-                assert_eq!(lowered.select_range(0, n), want, "{survivors} survivors");
+                assert_eq!(lowered.select(), want, "{survivors} survivors");
             }
         }
     }

@@ -28,9 +28,10 @@
 //!   by refcount, not copied;
 //! * set semantics are kept at the sink: `dedup`, the left operand of
 //!   `difference` / `intersect` and the semi-naive delta evaluate a
-//!   `search` whose sink drops a row the caller already has, or one it
-//!   already produced, *before* allocating it — over a columnar mirror
-//!   by the projected columns' codes, without building a `Value`, or for
+//!   `search` whose sink drops a row already in the caller's set (for
+//!   the delta, the fixpoint's one set of known rows, which the sink
+//!   fills as rows arrive) *before* allocating it — over a columnar
+//!   mirror by the projected columns' codes, without building a `Value`, or for
 //!   one `Int` column whose zone span is dense in the selection by a
 //!   bitmap over the span — and count it as emitted all the same. The
 //!   rows come out in no promised order: every caller sorts them;
@@ -54,7 +55,8 @@ use eds_lera::{
 
 use crate::columnar::{CodedRow, Column, ColumnarRelation, DenseKey};
 use crate::compile::{
-    CompiledPred, CompiledProj, CompiledScalar, EvalEnv, LocalPred, Preselected, Residual,
+    CompiledPred, CompiledProj, CompiledScalar, CompiledTargets, EvalEnv, LocalPred, Preselected,
+    Residual,
 };
 use crate::database::Database;
 use crate::error::{EngineError, EngineResult};
@@ -383,7 +385,7 @@ pub(crate) fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation
             out.ok_or_else(|| EngineError::Lera(LeraError::Type("empty union".into())))
         }
         Expr::Difference(a, b) | Expr::Intersect(a, b) => {
-            let mut ra = eval_set(a, &FoldSet::default(), ctx)?;
+            let mut ra = eval_set(a, &mut FoldSet::default(), ctx)?;
             let rb = eval_input(b, ctx)?;
             if ra.schema.arity() != rb.schema.arity() {
                 return Err(EngineError::Lera(LeraError::Type(format!(
@@ -450,27 +452,32 @@ pub(crate) fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation
         // The sink hands back no repeats; the sort gives the canonical
         // order.
         Expr::Dedup(input) => {
-            let mut rel = eval_set(input, &FoldSet::default(), ctx)?;
+            let mut rel = eval_set(input, &mut FoldSet::default(), ctx)?;
             rel.rows.sort_unstable();
             Ok(rel)
         }
     }
 }
 
-/// Evaluate `expr` as a set less the rows of `known`: no row of the
-/// result is in `known`, and none repeats. Their order is not promised —
-/// key order where a gather addressed a dense `Int` span, first
-/// occurrence elsewhere — so the caller sorts. A `filter` / `project` /
-/// `join` / `search` fills a set-mode sink, so a dropped row is never
-/// allocated; any other operator is evaluated as a bag and then filtered
-/// the same way. Work counters read as under [`eval_expr`]: a dropped
-/// row still counts as emitted.
+/// Evaluate `expr` as a set less the rows already in `set`: no row of
+/// the result was in `set`, and none repeats. A row offered one at a
+/// time — by a join, the row path, or an operator that is not a search —
+/// is probed once and, when new, inserted into `set` as it arrives, so a
+/// fixpoint passes its one set and takes the result as its delta. The
+/// columnar gather paths (`dedup`, `difference` / `intersect`, which pass
+/// a fresh set) dedup by code and do not insert (see [`Distinct`]).
+/// The rows' order is not promised — key order where a gather addressed
+/// a dense `Int` span, first occurrence elsewhere — so the caller sorts.
+/// A `filter` / `project` / `join` / `search` fills a set-mode sink, so
+/// a dropped row is never allocated; any other operator is evaluated as
+/// a bag and then filtered the same way. Work counters read as under
+/// [`eval_expr`]: a dropped row still counts as emitted.
 pub(crate) fn eval_set(
     expr: &Expr,
-    known: &FoldSet<SharedRow>,
+    set: &mut FoldSet<SharedRow>,
     ctx: &mut Ctx<'_>,
 ) -> EngineResult<Relation> {
-    eval_into(expr, ctx, Distinct::new(known))
+    eval_into(expr, ctx, Distinct::new(set))
 }
 
 /// The result rows of a search operator, into `sink`.
@@ -584,37 +591,39 @@ const DENSE_DISTINCT: usize = 64;
 /// storage").
 const DENSE_GROUP: usize = 8;
 
-/// Set mode: a qualifying row the caller already has (`known`), or one
-/// this sink already kept, is dropped before it is allocated — probed
-/// as `&[Value]` (`SharedRow: Borrow<[Value]>`) straight from the
-/// scratch buffer or the input row. A row offered one at a time is a
-/// block of its own (or inline), because it enters `seen` as it arrives;
-/// the rows of a gather share blocks.
+/// Set mode: a qualifying row already in `set` — the caller's, or one
+/// this sink kept — is dropped before it is allocated, probed as
+/// `&[Value]` (`SharedRow: Borrow<[Value]>`) straight from the scratch
+/// buffer or the input row; a first occurrence is inserted into `set`.
+/// A row offered one at a time is a block of its own (or inline),
+/// because it enters `set` as it arrives; the rows of a gather share
+/// blocks.
+///
+/// A gather dedups through its own code set and checks each first
+/// occurrence against `set` without inserting it. That is exact because
+/// a gather reads a stored table's mirror and so is reached only through
+/// `dedup` and the set operators, whose set is fresh and dropped with
+/// the sink — never through a semi-naive variant, which reads a fixpoint
+/// local, and locals have no mirror.
 struct Distinct<'k> {
-    known: &'k FoldSet<SharedRow>,
-    seen: FoldSet<SharedRow>,
+    set: &'k mut FoldSet<SharedRow>,
     rows: RowBlocks,
     offered: u64,
 }
 
 impl<'k> Distinct<'k> {
-    fn new(known: &'k FoldSet<SharedRow>) -> Distinct<'k> {
+    fn new(set: &'k mut FoldSet<SharedRow>) -> Distinct<'k> {
         Distinct {
-            known,
-            seen: FoldSet::default(),
+            set,
             rows: RowBlocks::default(),
             offered: 0,
         }
     }
 
-    fn is_new(&self, row: &[Value]) -> bool {
-        !self.known.contains(row) && !self.seen.contains(row)
-    }
-
     /// The one-`Int`-column gather over a dense span: each selected row
     /// sets the bit of its slot (or the NULL flag), and one row per set
     /// bit is built inline — NULL first, then the keys ascending — and
-    /// checked against `known`.
+    /// checked against `set`.
     fn gather_dense(&mut self, key: &DenseKey<'_>, idxs: &[u32]) {
         let mut marks = vec![0u64; key.slots.div_ceil(64)];
         let mut null = false;
@@ -627,7 +636,7 @@ impl<'k> Distinct<'k> {
         let kept = marks.iter().map(|w| w.count_ones() as usize).sum::<usize>() + null as usize;
         self.rows.reserve(kept);
         let mut keep = |v: Value| {
-            if !self.known.contains(std::slice::from_ref(&v)) {
+            if !self.set.contains(std::slice::from_ref(&v)) {
                 self.rows.push_inline(v);
             }
         };
@@ -647,19 +656,19 @@ impl<'k> Distinct<'k> {
 impl Sink for Distinct<'_> {
     fn keep(&mut self, scratch: &mut Row) {
         self.offered += 1;
-        if !self.is_new(scratch) {
+        if self.set.contains(&scratch[..]) {
             scratch.clear();
             return;
         }
         let row = shared_row(scratch);
-        self.seen.insert(row.clone());
+        self.set.insert(row.clone());
         self.rows.push(row);
     }
 
     fn forward(&mut self, row: &SharedRow) {
         self.offered += 1;
-        if self.is_new(row) {
-            self.seen.insert(row.clone());
+        if !self.set.contains(&**row) {
+            self.set.insert(row.clone());
             self.rows.push(row.clone());
         }
     }
@@ -667,11 +676,11 @@ impl Sink for Distinct<'_> {
     /// Keyed on the target columns' codes: equal codes are equal values
     /// ([`Column::eq_at`]), so a repeat is found without building a
     /// `Value`, and only a first occurrence is built — or forwarded —
-    /// and checked against `known`. The code set is this gather's
-    /// `seen`, so a built row goes straight into a shared block. One
-    /// `Int` target, built rather than forwarded, whose zone span holds
-    /// at most [`DENSE_DISTINCT`] slots per selected row is marked in a
-    /// bitmap instead ([`Distinct::gather_dense`]).
+    /// and checked against `set`. The code set dedups this gather, so a
+    /// built row goes straight into a shared block. One `Int` target,
+    /// built rather than forwarded, whose zone span holds at most
+    /// [`DENSE_DISTINCT`] slots per selected row is marked in a bitmap
+    /// instead ([`Distinct::gather_dense`]).
     fn gather(&mut self, from: &Gather<'_>, idxs: &[u32]) {
         self.offered += idxs.len() as u64;
         let dense = match (&from.columns[..], from.forward) {
@@ -691,12 +700,12 @@ impl Sink for Distinct<'_> {
             }
             if from.forward {
                 let row = &from.rows[i];
-                if !self.known.contains(&**row) {
+                if !self.set.contains(&**row) {
                     self.rows.push(row.clone());
                 }
             } else {
                 from.fill(i, &mut scratch);
-                if self.known.contains(&scratch[..]) {
+                if self.set.contains(&scratch[..]) {
                     scratch.clear();
                 } else {
                     self.rows.push_values(&mut scratch);
@@ -710,11 +719,8 @@ impl Sink for Distinct<'_> {
     }
 
     fn settle(self, rows: Vec<SharedRow>) -> Vec<SharedRow> {
-        let mut seen: FoldSet<&[Value]> =
-            FoldSet::with_capacity_and_hasher(rows.len(), Fold::default());
-        rows.iter()
-            .filter(|r| !self.known.contains(&***r) && seen.insert(&***r))
-            .cloned()
+        rows.into_iter()
+            .filter(|r| self.set.insert(r.clone()))
             .collect()
     }
 }
@@ -771,7 +777,8 @@ fn eval_search<S: Sink>(
     let cproj = targets
         .iter()
         .map(|e| bind_fields(e, &schemas, &ctx.db.catalog).map(|b| CompiledProj::compile(&b, &env)))
-        .collect::<EngineResult<Vec<_>>>()?;
+        .collect::<EngineResult<Vec<_>>>()
+        .map(CompiledTargets::new)?;
     // The output schema follows from the evaluated inputs' schemas —
     // nothing below this operator is inferred a second time. A `filter`
     // shares its input's.
@@ -811,21 +818,6 @@ fn eval_search<S: Sink>(
     ))
 }
 
-/// Evaluate the target list over one qualifying combination, into
-/// `scratch`.
-#[inline]
-fn project_into(
-    cproj: &[CompiledProj],
-    tuple: &[&[Value]],
-    env: &EvalEnv<'_>,
-    scratch: &mut Row,
-) -> EngineResult<()> {
-    for p in cproj {
-        scratch.push(p.eval_owned(tuple, env)?);
-    }
-    Ok(())
-}
-
 /// The one-input select-project kernel — every `filter`, `project` and
 /// single-input `search` (what filter pushdown + projection merging
 /// produce) runs here. Returns `sink` with the qualifying rows.
@@ -838,7 +830,7 @@ fn select_project<S: Sink>(
     input: &Expr,
     rel: &Relation,
     cpred: &CompiledPred<'_>,
-    cproj: &[CompiledProj],
+    cproj: &CompiledTargets,
     env: &EvalEnv<'_>,
     ctx: &Ctx<'_>,
     mut sink: S,
@@ -850,14 +842,18 @@ fn select_project<S: Sink>(
     // per-row arity check is a fat-pointer read and guarantees slot
     // copies cannot have fallen back to the general program.)
     let arity = rel.schema.arity();
-    let identity = cproj.len() == arity
-        && cproj.iter().enumerate().all(|(i, p)| p.slot0() == Some(i))
+    let targets = cproj.targets();
+    let identity = targets.len() == arity
+        && targets
+            .iter()
+            .enumerate()
+            .all(|(i, p)| p.slot0() == Some(i))
         && rows.iter().all(|r| r.len() == arity);
     let project = |row: &SharedRow, sink: &mut S, scratch: &mut Row| -> EngineResult<()> {
         if identity {
             sink.forward(row);
         } else {
-            project_into(cproj, &[&row[..]], env, scratch)?;
+            cproj.eval_into(&[&row[..]], env, scratch)?;
             sink.keep(scratch);
         }
         Ok(())
@@ -867,7 +863,7 @@ fn select_project<S: Sink>(
         .as_deref()
         .and_then(|cols| Some((cols, cpred.columnar(cols, ctx.params)?)));
     let Some((cols, colpred)) = lowered else {
-        let mut scratch: Row = Vec::with_capacity(cproj.len());
+        let mut scratch: Row = Vec::with_capacity(targets.len());
         for row in rows {
             if cpred.eval_bool(&[&row[..]], env)? {
                 project(row, &mut sink, &mut scratch)?;
@@ -875,16 +871,16 @@ fn select_project<S: Sink>(
         }
         return Ok(sink);
     };
-    let sel = colpred.select_range(0, cols.len());
+    let sel = colpred.select();
     // Slot-only targets gather straight from the columns (contiguous
     // reads, no per-row compiled-program dispatch); anything fancier
     // evaluates the compiled projection over the selected rows.
-    let columns: Option<Vec<&Column>> = cproj
+    let columns: Option<Vec<&Column>> = targets
         .iter()
         .map(|p| p.slot0().and_then(|a| cols.column(a)))
         .collect();
     let Some(columns) = columns else {
-        let mut scratch: Row = Vec::with_capacity(cproj.len());
+        let mut scratch: Row = Vec::with_capacity(targets.len());
         for &i in &sel {
             project(&rows[i as usize], &mut sink, &mut scratch)?;
         }
@@ -1057,7 +1053,7 @@ fn fused_scan_nest(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Option<Relati
         return Ok(None);
     }
 
-    let sel = colpred.select_range(0, cols.len());
+    let sel = colpred.select();
     ctx.stats.add_search(Work {
         tried: rel.len() as u64,
         cross_product: rel.len() as u64,
@@ -1144,7 +1140,7 @@ fn preselect(
     }
     if let Some(cols) = base_columnar(input, ctx, rel.len()) {
         if let Some(kernels) = local.columnar(&cols, ctx.params) {
-            return (Survivors::Picked(kernels.select_range(0, cols.len())), true);
+            return (Survivors::Picked(kernels.select()), true);
         }
     }
     // Only the input's own slot is read.
@@ -1344,7 +1340,7 @@ struct Step<'r> {
 struct Enumeration<'a, 'r, S> {
     steps: &'a [Step<'r>],
     residual: &'a Residual<'a>,
-    cproj: &'a [CompiledProj],
+    cproj: &'a CompiledTargets,
     env: &'a EvalEnv<'a>,
     hasher: &'a Fold,
     tuple: Vec<&'r [Value]>,
@@ -1362,7 +1358,8 @@ impl<S: Sink> Enumeration<'_, '_, S> {
         let steps = self.steps;
         let Some(step) = steps.get(depth - 1) else {
             if self.residual.eval_bool(&self.tuple, self.env)? {
-                project_into(self.cproj, &self.tuple, self.env, &mut self.scratch)?;
+                self.cproj
+                    .eval_into(&self.tuple, self.env, &mut self.scratch)?;
                 self.sink.keep(&mut self.scratch);
             }
             return Ok(());
@@ -1438,7 +1435,7 @@ fn streamed_join<S: Sink>(
     inputs: &[&Expr],
     rels: &[Input<'_>],
     cpred: &CompiledPred<'_>,
-    cproj: &[CompiledProj],
+    cproj: &CompiledTargets,
     env: &EvalEnv<'_>,
     ctx: &Ctx<'_>,
     sink: S,
@@ -1502,7 +1499,7 @@ fn streamed_join<S: Sink>(
         hasher: &hasher,
         tuple: vec![&[]; rels.len()],
         sink,
-        scratch: Vec::with_capacity(cproj.len()),
+        scratch: Vec::with_capacity(cproj.targets().len()),
         tried: first.len() as u64,
     };
     for j in 0..first.len() {

@@ -1,23 +1,32 @@
 //! Fixpoint evaluation: `fix(R, E(R))` computes the relation `R = E(R)`
 //! (Section 3.2).
 //!
-//! Evaluation is semi-naive: each recursive branch is re-evaluated once
-//! per occurrence of the recursion variable, with that occurrence bound
-//! to the delta of the previous round — the standard optimization the
+//! Evaluation is semi-naive — the standard optimization the
 //! Alexander/magic-sets transformation composes with. (The naive
 //! iteration, which re-evaluates the whole body each round, is the
-//! definition of `fix`; F9's `eds_bench::naive_fix` writes it out.)
-//! The delta is built as a set: each variant is evaluated against the
-//! rows already known, so a derivation the fixpoint already has — or
-//! one the variant already produced — is dropped before it becomes a row.
-//! What survives is inserted into that same set as it arrives; a failed
-//! insert is a repeat across variants, and the rows that get
-//! in are the next delta. The known relation grows in place, in arrival
-//! order, and is sorted once when the fixpoint ends. Both locals are
-//! reference-counted: a variant reads `known` or the delta by one
-//! refcount, and between rounds `known` has one owner, so growing it
-//! copies nothing.
+//! definition of `fix`; F9's `eds_bench::naive_fix` writes it out.) A
+//! recursive branch with `n` occurrences of the recursion variable `R`
+//! is re-evaluated as `n` variants: variant `i` binds occurrence `i` to
+//! the delta of the previous round (`R#DELTA`), the occurrences before
+//! it to the rows known before that round (`R#OLD`), and those after it
+//! to every row known (`R`). A derivation that uses a delta row is
+//! produced by the variant of its first delta occurrence and by no
+//! other, so Δ ⋈ Δ is joined once a round; a linear branch has one
+//! variant, which reads the delta alone.
+//!
+//! The delta is built as a set: every variant is evaluated into the
+//! fixpoint's one set of known rows (`eval::eval_set`), so a derivation the
+//! fixpoint already has — or one a variant of this round already
+//! produced — is dropped before it becomes a row, and a new one enters
+//! the set as it arrives; the rows the variants return are the next
+//! delta. The known relation grows in place, in arrival order, and is
+//! sorted once when the fixpoint ends. The three locals are
+//! reference-counted: a variant reads each by one refcount, and between
+//! rounds `known` and `R#OLD` have one owner, so each grows in place by
+//! one refcount per row of the delta — `R#OLD` only when a branch is
+//! nonlinear, since no other variant reads it.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use eds_lera::{Expr, LeraError, SchemaCtx};
@@ -31,6 +40,7 @@ use crate::relation::{Relation, SharedRow};
 pub(crate) fn eval_fix(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation> {
     let key = name.to_ascii_uppercase();
     let delta_key = format!("{key}#DELTA");
+    let old_key = format!("{key}#OLD");
 
     // Split the body into branches (a union, or a single expression).
     let branches: Vec<&Expr> = match body {
@@ -65,10 +75,10 @@ pub(crate) fn eval_fix(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResu
         return Ok(Relation::empty(schema));
     };
 
-    // Seed: the non-recursive branches. `known_set` is the set the
-    // fixpoint computes: a row joins `known` (and the next delta) when
-    // its insert succeeds, so a repeat — within the seed or across
-    // variants — is dropped there.
+    // Seed: the non-recursive branches, evaluated as a bag (a branch
+    // over a stored table gathers from its mirror, which inserts into
+    // no set) and inserted into `known_set`, the set the fixpoint
+    // computes.
     let mut known_set: FoldSet<SharedRow> = FoldSet::default();
     let mut known = eval_expr(first_seed, ctx)?;
     for b in seeds {
@@ -81,38 +91,53 @@ pub(crate) fn eval_fix(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResu
     let delta = Arc::clone(&known);
 
     // Pre-compute, per recursive branch, one variant per occurrence of
-    // the recursion variable with that occurrence renamed to the delta.
+    // the recursion variable (see the module documentation).
+    let mut nonlinear = false;
     let variants: Vec<Expr> = rec_branches
         .iter()
         .flat_map(|b| {
             let occurrences = count_occurrences(b, name);
-            (0..occurrences).map(|i| replace_nth_base(b, name, i, &delta_key))
+            nonlinear |= occurrences > 1;
+            (0..occurrences).map(|i| delta_variant(b, name, i, &old_key, &delta_key))
         })
         .collect();
 
     let saved_known = ctx.locals.insert(key.clone(), known);
     let saved_delta = ctx.locals.insert(delta_key.clone(), delta);
+    // Nothing was known before the seed. Only a nonlinear branch reads
+    // `R#OLD`, so a linear fixpoint binds no such local.
+    let saved_old = nonlinear.then(|| {
+        let old = Arc::new(Relation::empty(Arc::clone(&schema)));
+        ctx.locals.insert(old_key.clone(), old)
+    });
 
     let result = (|| {
         for _round in 0..ctx.opts.max_iterations {
             ctx.stats.fix_iterations += 1;
             let mut fresh: Vec<SharedRow> = Vec::new();
             for variant in &variants {
-                let rows = eval_set(variant, &known_set, ctx)?.rows;
-                fresh.extend(rows.into_iter().filter(|r| known_set.insert(r.clone())));
+                fresh.extend(eval_set(variant, &mut known_set, ctx)?.rows);
             }
             let unbound = || EngineError::UnknownRelation(key.clone());
             // The old delta goes first: it may be the seed, which `known`
             // shares, and `known` is then its one owner again — it grows
             // (or leaves) in place, never copied.
-            ctx.locals.remove(&delta_key);
+            let stale = ctx.locals.remove(&delta_key).ok_or_else(unbound)?;
             if fresh.is_empty() {
+                drop(stale);
                 // Sorted once, at exit: the canonical order.
                 let known = ctx.locals.remove(&key).ok_or_else(unbound)?;
                 let mut known = Arc::unwrap_or_clone(known);
                 known.rows.sort_unstable();
                 return Ok(known);
             }
+            // `R#OLD`, which only a nonlinear branch reads, grows by
+            // the old delta.
+            if nonlinear {
+                let old = ctx.locals.get_mut(&old_key).ok_or_else(unbound)?;
+                Arc::make_mut(old).rows.extend(stale.rows.iter().cloned());
+            }
+            drop(stale);
             let delta = Arc::new(Relation::from_shared(Arc::clone(&schema), fresh));
             let known = ctx.locals.get_mut(&key).ok_or_else(unbound)?;
             Arc::make_mut(known).rows.extend(delta.rows.iter().cloned());
@@ -126,6 +151,9 @@ pub(crate) fn eval_fix(name: &str, body: &Expr, ctx: &mut Ctx<'_>) -> EngineResu
 
     restore_local(ctx, &key, saved_known);
     restore_local(ctx, &delta_key, saved_delta);
+    if let Some(saved) = saved_old {
+        restore_local(ctx, &old_key, saved);
+    }
     result
 }
 
@@ -154,81 +182,88 @@ pub(crate) fn count_occurrences(e: &Expr, name: &str) -> usize {
     }
 }
 
-/// Replace the `n`-th occurrence (0-based, pre-order) of `Base(name)`
-/// with `Base(replacement)`.
-pub(crate) fn replace_nth_base(e: &Expr, name: &str, n: usize, replacement: &str) -> Expr {
-    fn walk(e: &Expr, name: &str, counter: &mut usize, n: usize, replacement: &str) -> Expr {
-        match e {
-            Expr::Base(b) if b.eq_ignore_ascii_case(name) => {
-                let hit = *counter == n;
-                *counter += 1;
-                if hit {
-                    Expr::Base(replacement.to_owned())
-                } else {
-                    e.clone()
+/// Semi-naive variant `i` of a recursive branch: the occurrences of
+/// `Base(name)` (0-based, pre-order) before the `i`-th become
+/// `Base(old)`, the `i`-th becomes `Base(delta)`, and those after it
+/// stay.
+pub(crate) fn delta_variant(e: &Expr, name: &str, i: usize, old: &str, delta: &str) -> Expr {
+    struct Variant<'a> {
+        name: &'a str,
+        i: usize,
+        old: &'a str,
+        delta: &'a str,
+        seen: usize,
+    }
+    impl Variant<'_> {
+        fn walk(&mut self, e: &Expr) -> Expr {
+            match e {
+                Expr::Base(b) if b.eq_ignore_ascii_case(self.name) => {
+                    let k = self.seen;
+                    self.seen += 1;
+                    match k.cmp(&self.i) {
+                        Ordering::Less => Expr::Base(self.old.to_owned()),
+                        Ordering::Equal => Expr::Base(self.delta.to_owned()),
+                        Ordering::Greater => e.clone(),
+                    }
                 }
+                Expr::Fix { name: inner, .. } if inner.eq_ignore_ascii_case(self.name) => e.clone(),
+                Expr::Base(_) => e.clone(),
+                Expr::Filter { input, pred } => Expr::Filter {
+                    input: Box::new(self.walk(input)),
+                    pred: pred.clone(),
+                },
+                Expr::Project { input, exprs } => Expr::Project {
+                    input: Box::new(self.walk(input)),
+                    exprs: exprs.clone(),
+                },
+                Expr::Join { left, right, pred } => Expr::Join {
+                    left: Box::new(self.walk(left)),
+                    right: Box::new(self.walk(right)),
+                    pred: pred.clone(),
+                },
+                Expr::Union(items) => Expr::Union(items.iter().map(|i| self.walk(i)).collect()),
+                Expr::Difference(a, b) => {
+                    Expr::Difference(Box::new(self.walk(a)), Box::new(self.walk(b)))
+                }
+                Expr::Intersect(a, b) => {
+                    Expr::Intersect(Box::new(self.walk(a)), Box::new(self.walk(b)))
+                }
+                Expr::Search { inputs, pred, proj } => Expr::Search {
+                    inputs: inputs.iter().map(|i| self.walk(i)).collect(),
+                    pred: pred.clone(),
+                    proj: proj.clone(),
+                },
+                Expr::Fix { name: inner, body } => Expr::Fix {
+                    name: inner.clone(),
+                    body: Box::new(self.walk(body)),
+                },
+                Expr::Nest {
+                    input,
+                    group,
+                    nested,
+                    kind,
+                } => Expr::Nest {
+                    input: Box::new(self.walk(input)),
+                    group: group.clone(),
+                    nested: nested.clone(),
+                    kind: *kind,
+                },
+                Expr::Unnest { input, attr } => Expr::Unnest {
+                    input: Box::new(self.walk(input)),
+                    attr: *attr,
+                },
+                Expr::Dedup(input) => Expr::Dedup(Box::new(self.walk(input))),
             }
-            Expr::Fix { name: inner, .. } if inner.eq_ignore_ascii_case(name) => e.clone(),
-            Expr::Base(_) => e.clone(),
-            Expr::Filter { input, pred } => Expr::Filter {
-                input: Box::new(walk(input, name, counter, n, replacement)),
-                pred: pred.clone(),
-            },
-            Expr::Project { input, exprs } => Expr::Project {
-                input: Box::new(walk(input, name, counter, n, replacement)),
-                exprs: exprs.clone(),
-            },
-            Expr::Join { left, right, pred } => Expr::Join {
-                left: Box::new(walk(left, name, counter, n, replacement)),
-                right: Box::new(walk(right, name, counter, n, replacement)),
-                pred: pred.clone(),
-            },
-            Expr::Union(items) => Expr::Union(
-                items
-                    .iter()
-                    .map(|i| walk(i, name, counter, n, replacement))
-                    .collect(),
-            ),
-            Expr::Difference(a, b) => Expr::Difference(
-                Box::new(walk(a, name, counter, n, replacement)),
-                Box::new(walk(b, name, counter, n, replacement)),
-            ),
-            Expr::Intersect(a, b) => Expr::Intersect(
-                Box::new(walk(a, name, counter, n, replacement)),
-                Box::new(walk(b, name, counter, n, replacement)),
-            ),
-            Expr::Search { inputs, pred, proj } => Expr::Search {
-                inputs: inputs
-                    .iter()
-                    .map(|i| walk(i, name, counter, n, replacement))
-                    .collect(),
-                pred: pred.clone(),
-                proj: proj.clone(),
-            },
-            Expr::Fix { name: inner, body } => Expr::Fix {
-                name: inner.clone(),
-                body: Box::new(walk(body, name, counter, n, replacement)),
-            },
-            Expr::Nest {
-                input,
-                group,
-                nested,
-                kind,
-            } => Expr::Nest {
-                input: Box::new(walk(input, name, counter, n, replacement)),
-                group: group.clone(),
-                nested: nested.clone(),
-                kind: *kind,
-            },
-            Expr::Unnest { input, attr } => Expr::Unnest {
-                input: Box::new(walk(input, name, counter, n, replacement)),
-                attr: *attr,
-            },
-            Expr::Dedup(input) => Expr::Dedup(Box::new(walk(input, name, counter, n, replacement))),
         }
     }
-    let mut counter = 0;
-    walk(e, name, &mut counter, n, replacement)
+    let mut variant = Variant {
+        name,
+        i,
+        old,
+        delta,
+        seen: 0,
+    };
+    variant.walk(e)
 }
 
 #[cfg(test)]
@@ -245,8 +280,10 @@ mod tests {
         );
         assert_eq!(count_occurrences(&e, "R"), 2);
         assert_eq!(count_occurrences(&e, "S"), 1);
-        let replaced = replace_nth_base(&e, "R", 1, "DELTA");
-        assert_eq!(replaced.base_relations(), vec!["R", "S", "DELTA"]);
+        let first = delta_variant(&e, "R", 0, "OLD", "DELTA");
+        assert_eq!(first.base_relations(), vec!["DELTA", "S", "R"]);
+        let second = delta_variant(&e, "R", 1, "OLD", "DELTA");
+        assert_eq!(second.base_relations(), vec!["OLD", "S", "DELTA"]);
     }
 
     #[test]

@@ -556,3 +556,51 @@ fn hash_join_cross_product_fallback() {
     // No equality links B: a cross step examines every pair.
     assert_eq!((stats.combinations_tried, stats.cross_product), (2 + 4, 4));
 }
+
+/// A target list of plain attributes copies slots straight from each
+/// combination; a slot a row does not have falls back to the general
+/// program, which reports the typed error the oracle does — on the join
+/// path and on the one-input row path, under columnar {off, on}, without
+/// a panic. `T` holds one row shorter than its schema.
+#[test]
+fn a_slot_past_a_rows_arity_is_a_typed_error() {
+    use eds_engine::EngineError;
+    use eds_lera::{Expr, LeraError, Scalar};
+
+    let mut db = Database::new();
+    db.execute_ddl("TABLE T (A : INT, B : INT); TABLE U (A : INT, C : INT);")
+        .unwrap();
+    for i in 0..4i64 {
+        db.insert("T", vec![Value::Int(i), Value::Int(10 * i)])
+            .unwrap();
+        db.insert("U", vec![Value::Int(i), Value::Int(-i)]).unwrap();
+    }
+    db.relation_mut("T").unwrap().push(vec![Value::Int(2)]);
+    let join = Expr::search(
+        vec![Expr::base("T"), Expr::base("U")],
+        Scalar::eq(Scalar::attr(1, 1), Scalar::attr(2, 1)),
+        vec![Scalar::attr(2, 2), Scalar::attr(1, 2)],
+    );
+    let rows = Expr::search(
+        vec![Expr::base("T")],
+        Scalar::cmp(eds_lera::CmpOp::Ge, Scalar::attr(1, 1), Scalar::lit(0)),
+        vec![Scalar::attr(1, 1), Scalar::attr(1, 2)],
+    );
+    let bad = |got: Result<_, EngineError>| {
+        matches!(got, Err(EngineError::Lera(LeraError::BadAttrRef { .. })))
+    };
+    for plan in [join, rows] {
+        assert!(
+            bad(eval_reference(&plan, &db, EvalOptions::default()).map(|_| ())),
+            "oracle: {plan}"
+        );
+        for columnar in [false, true] {
+            let opts = EvalOptions {
+                columnar,
+                ..EvalOptions::default()
+            };
+            let got = eval_with(&plan, &db, opts);
+            assert!(bad(got.map(|_| ())), "{plan} columnar={columnar}");
+        }
+    }
+}
