@@ -51,14 +51,38 @@ pub fn build_and(mut conjuncts: Vec<Term>) -> Term {
     }
 }
 
-/// Map every `ATTR(rel, attr)` node through `f`.
-pub fn map_attr_refs(t: &Term, f: &impl Fn(i64, i64) -> Term) -> Term {
-    if let Some((rel, attr)) = t.as_attr() {
-        return f(rel, attr);
+/// `t` with each child mapped through `f`: `t` itself, shared and not
+/// rebuilt, when every child comes back equal.
+fn map_children(t: &Term, f: impl Fn(&Term) -> Term) -> Term {
+    let Term::App(h, args) = t else {
+        return t.clone();
+    };
+    let mut rebuilt: Option<Vec<Term>> = None;
+    for (i, a) in args.iter().enumerate() {
+        let mapped = f(a);
+        match &mut rebuilt {
+            Some(out) => out.push(mapped),
+            None if mapped != *a => {
+                let mut out = Vec::with_capacity(args.len());
+                out.extend_from_slice(&args[..i]);
+                out.push(mapped);
+                rebuilt = Some(out);
+            }
+            None => {}
+        }
     }
-    match t {
-        Term::App(h, args) => Term::App(*h, args.iter().map(|a| map_attr_refs(a, f)).collect()),
-        other => other.clone(),
+    match rebuilt {
+        Some(out) => Term::App(*h, out.into()),
+        None => t.clone(),
+    }
+}
+
+/// Map every `ATTR(rel, attr)` node through `f`, which answers `None`
+/// to keep a reference as it is. Returns `t` itself when nothing changed.
+pub fn map_attr_refs(t: &Term, f: &impl Fn(i64, i64) -> Option<Term>) -> Term {
+    match t.as_attr() {
+        Some((rel, attr)) => f(rel, attr).unwrap_or_else(|| t.clone()),
+        None => map_children(t, |a| map_attr_refs(a, f)),
     }
 }
 
@@ -78,9 +102,12 @@ pub fn collect_attr_refs(t: &Term) -> Vec<(i64, i64)> {
     out
 }
 
-/// Shift all relation indices by `delta`.
+/// Shift all relation indices by `delta` (`t` itself for a zero shift).
 pub fn shift_rels(t: &Term, delta: i64) -> Term {
-    map_attr_refs(t, &|rel, attr| Term::attr(rel + delta, attr))
+    if delta == 0 {
+        return t.clone();
+    }
+    map_attr_refs(t, &|rel, attr| Some(Term::attr(rel + delta, attr)))
 }
 
 /// Resolve an argument that should denote a list: a bound collection
@@ -149,11 +176,11 @@ fn substitute(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResu
     }
     let new = map_attr_refs(&t, &|rel, attr| {
         if rel <= k {
-            Term::attr(rel, attr)
+            None
         } else if rel == k + 1 {
-            shift_rels(&b[(attr - 1) as usize], k)
+            Some(shift_rels(&b[(attr - 1) as usize], k))
         } else {
-            Term::attr(rel + m - 1, attr)
+            Some(Term::attr(rel + m - 1, attr))
         }
     });
     bind_output(&args[4], new, binds, "SUBSTITUTE")
@@ -250,7 +277,7 @@ fn splitnest(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResul
                 .all(|&(rel, attr)| rel == k && attr >= 1 && attr <= gl);
         if pushable {
             pushed.push(map_attr_refs(&c, &|_, attr| {
-                Term::attr(1, group[(attr - 1) as usize])
+                Some(Term::attr(1, group[(attr - 1) as usize]))
             }));
         } else {
             rest.push(c);
@@ -423,13 +450,7 @@ fn addconstraints(args: &[Term], binds: &mut Bindings, env: &dyn TermEnv) -> RwR
 fn subst_var(t: &Term, var: &str, replacement: &Term) -> Term {
     match t {
         Term::Var(v) if v == var => replacement.clone(),
-        Term::App(h, args) => Term::App(
-            *h,
-            args.iter()
-                .map(|a| subst_var(a, var, replacement))
-                .collect(),
-        ),
-        other => other.clone(),
+        _ => map_children(t, |a| subst_var(a, var, replacement)),
     }
 }
 
@@ -550,10 +571,7 @@ fn subst_term(t: &Term, from: &Term, to: &Term) -> Term {
     if t == from {
         return to.clone();
     }
-    match t {
-        Term::App(h, args) => Term::App(*h, args.iter().map(|a| subst_term(a, from, to)).collect()),
-        other => other.clone(),
-    }
+    map_children(t, |a| subst_term(a, from, to))
 }
 
 /// `SIMPLIFYQ(f, f')`: conjunct-level simplification — drop `TRUE` and
@@ -700,6 +718,61 @@ mod tests {
             assert!(got.ptr_eq(subject), "{got} was rebuilt");
         }
         assert_eq!(args[1].to_string(), "((2.1 = 4.1) AND (2.1 = 3.1))");
+    }
+
+    #[test]
+    fn unchanged_subterms_are_returned_not_rebuilt() {
+        // (1.1 = 5) AND (2.2 > 1.3): a zero shift is the identity on the
+        // allocation, and a remap keeps every subterm it does not change.
+        let left = Term::app("=", vec![Term::attr(1, 1), Term::int(5)]);
+        let right = Term::app(">", vec![Term::attr(2, 2), Term::attr(1, 3)]);
+        let q = Term::app("AND", vec![left.clone(), right.clone()]);
+        assert!(shift_rels(&q, 0).ptr_eq(&q));
+        assert_eq!(shift_rels(&q, 1).to_string(), "((2.1 = 5) AND (3.2 > 2.3))");
+        assert!(map_attr_refs(&q, &|_, _| None).ptr_eq(&q));
+        let moved = map_attr_refs(&q, &|rel, attr| (rel == 2).then(|| Term::attr(4, attr)));
+        assert_eq!(moved.to_string(), "((1.1 = 5) AND (4.2 > 1.3))");
+        assert!(moved.at(&[0]).unwrap().ptr_eq(&left));
+        assert!(moved.at(&[1, 1]).unwrap().ptr_eq(right.at(&[1]).unwrap()));
+
+        assert!(subst_var(&q, "x", &Term::attr(1, 1)).ptr_eq(&q));
+        assert!(subst_term(&q, &Term::attr(9, 9), &Term::int(0)).ptr_eq(&q));
+        let folded = subst_term(&q, &Term::attr(2, 2), &Term::int(7));
+        assert_eq!(folded.to_string(), "((1.1 = 5) AND (7 > 1.3))");
+        assert!(folded.at(&[0]).unwrap().ptr_eq(&left));
+
+        // SearchMerge over a one-input list (a view-stack level): SHIFT by
+        // |x*| = 0 hands the inner qualification on as it is.
+        let inner_q = Term::app(">", vec![Term::attr(1, 2), Term::int(0)]);
+        let inner = Term::app(
+            "SEARCH",
+            vec![
+                Term::list(vec![Term::atom("R")]),
+                inner_q.clone(),
+                Term::list(vec![Term::attr(1, 1), Term::attr(1, 2)]),
+            ],
+        );
+        let outer = Term::app(
+            "SEARCH",
+            vec![
+                Term::list(vec![inner]),
+                Term::app("=", vec![Term::attr(1, 1), Term::int(3)]),
+                Term::list(vec![Term::attr(1, 2)]),
+            ],
+        );
+        let rw = crate::QueryRewriter::with_default_rules().unwrap();
+        let rule = rw.rules().get("SearchMerge").unwrap();
+        let mut stats = eds_rewrite::RewriteStats::default();
+        let env = BasicEnv::new();
+        let (merged, _) =
+            eds_rewrite::apply_rule_once(rule, &outer, rw.methods(), &env, &mut stats)
+                .unwrap()
+                .expect("SearchMerge fires");
+        assert_eq!(
+            merged.to_string(),
+            "SEARCH(LIST(R), ((1.1 = 3) AND (1.2 > 0)), LIST(1.2))"
+        );
+        assert!(merged.at(&[1, 1]).unwrap().ptr_eq(&inner_q));
     }
 
     #[test]

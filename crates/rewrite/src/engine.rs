@@ -3,16 +3,27 @@
 //!
 //! The scanner is a recursive pre-order walk (outermost-leftmost, the
 //! paper's application order) with one O(1) acceleration built on the
-//! term representation, the **head gate**: a rule whose LHS is an
-//! application `F(...)` can only match at `F` nodes, so a term — and,
-//! inside the walk, any subtree — whose cached functor fingerprint lacks
-//! `F`'s bit is skipped without being visited.
+//! term representation, the **left-hand-side gate** ([`lhs_gate`]). A
+//! structural match meets every functor and every Boolean constant of
+//! its pattern inside the subterm it matches, so a term — and, inside
+//! the walk, any subtree — whose cached fingerprint lacks one of the
+//! LHS's bits holds no match and is skipped without being visited:
+//! `f AND TRUE` is tried only where an `AND` and a `TRUE` both occur.
+//! The gate is tested at the root and on every descent, so every node
+//! offered to the matcher (an application of the LHS's head) passed it.
+//! A node the gate turns away cannot raise
+//! [`RewriteError::MatchTooWide`]; no match was possible there anyway.
+//!
+//! A failed match allocates no bindings: one scan threads one pair of
+//! [`Bindings`] through every node it tries — the matcher's working set,
+//! which the unwind contract leaves empty after every failed node, and
+//! the copy each candidate is checked on, refilled in place with
+//! [`Clone::clone_from`].
 
 use crate::error::{RewriteError, RwResult};
 use crate::matching::{match_term, Control};
 use crate::methods::{eval_constraint, normalize_builtins, MethodRegistry, TermEnv};
 use crate::rule::Rule;
-use crate::symbol::Symbol;
 use crate::term::{Bindings, Term};
 
 /// Counters accumulated while rewriting; `condition_checks` implements the
@@ -61,6 +72,24 @@ pub struct Application {
     pub path: Vec<usize>,
 }
 
+/// The left-hand-side gate: can a rule whose LHS has fingerprint `mask`
+/// (`rule.lhs.fingerprint()`) match at or below `node`? `false` is
+/// definite — some functor or Boolean constant of the LHS occurs nowhere
+/// in `node` — and `true` may be a Bloom false positive.
+pub fn lhs_gate(node: &Term, mask: u64) -> bool {
+    node.fingerprint() & mask == mask
+}
+
+/// The two substitutions one scan reuses at every node it tries.
+#[derive(Default)]
+struct Scratch {
+    /// The matcher's working set; the unwind contract leaves it empty
+    /// after every failed node.
+    binds: Bindings,
+    /// The copy constraints and methods work on, refilled per candidate.
+    candidate: Bindings,
+}
+
 /// Try `rule` at exactly one position: enumerate matches, filter through
 /// constraints and methods, build the replacement. `Ok(None)` when no
 /// accepted match exists at this node.
@@ -70,19 +99,21 @@ fn match_at(
     methods: &MethodRegistry,
     env: &dyn TermEnv,
     rejected: &mut u64,
+    scratch: &mut Scratch,
 ) -> RwResult<Option<Term>> {
     let mut rewritten: Option<Term> = None;
     let mut failure: Option<RewriteError> = None;
 
-    let mut binds = Bindings::new();
+    let Scratch { binds, candidate } = scratch;
+    debug_assert!(binds.is_empty(), "a failed node left bindings behind");
     let mut sink = |b: &mut Bindings| {
         // Constraints and methods are extension code holding `&mut
         // Bindings`: they work on a copy, so the matcher's working set
         // is as it was when a rejected candidate makes it move on.
-        let mut candidate = b.clone();
+        candidate.clone_from(b);
         // 1. Constraints.
         for c in &rule.constraints {
-            match eval_constraint(c, &mut candidate, methods, env) {
+            match eval_constraint(c, candidate, methods, env) {
                 Ok(true) => {}
                 Ok(false) => {
                     *rejected += 1;
@@ -96,7 +127,7 @@ fn match_at(
         }
         // 2. Methods (may bind output variables).
         for m in &rule.methods {
-            match methods.call(&m.name, &m.args, &mut candidate, env) {
+            match methods.call(&m.name, &m.args, candidate, env) {
                 Ok(true) => {}
                 Ok(false) => {
                     *rejected += 1;
@@ -129,7 +160,7 @@ fn match_at(
         rewritten = Some(built);
         Control::Stop
     };
-    if let Control::TooWide(elements) = match_term(&rule.lhs, sub, &mut binds, &mut sink) {
+    if let Control::TooWide(elements) = match_term(&rule.lhs, sub, binds, &mut sink) {
         return Err(RewriteError::MatchTooWide {
             rule: rule.name.clone(),
             elements,
@@ -142,36 +173,34 @@ fn match_at(
     Ok(rewritten)
 }
 
-/// Pre-order walk of the whole subtree at `node`, pruning subtrees whose
-/// fingerprint proves the rule head absent. Returns the replacement and
-/// the (root-relative) path of the first accepted match.
+/// Pre-order walk of the whole subtree at `node`, which passed the gate,
+/// descending only into children that pass it too. Returns the
+/// replacement and the (root-relative) path of the first accepted match.
 fn walk(
     rule: &Rule,
     node: &Term,
-    head: Option<Symbol>,
     path: &mut Vec<usize>,
     methods: &MethodRegistry,
     env: &dyn TermEnv,
     rejected: &mut u64,
+    scratch: &mut Scratch,
 ) -> RwResult<Option<(Term, Vec<usize>)>> {
-    let try_here = match head {
+    let try_here = match rule.lhs.head() {
         Some(h) => node.head() == Some(h),
         None => true,
     };
     if try_here {
-        if let Some(new_sub) = match_at(rule, node, methods, env, rejected)? {
+        if let Some(new_sub) = match_at(rule, node, methods, env, rejected, scratch)? {
             return Ok(Some((new_sub, path.clone())));
         }
     }
     if let Term::App(_, args) = node {
         for (i, a) in args.iter().enumerate() {
-            if let Some(h) = head {
-                if !a.may_contain(h) {
-                    continue;
-                }
+            if !lhs_gate(a, rule.lhs.fingerprint()) {
+                continue;
             }
             path.push(i);
-            let found = walk(rule, a, head, path, methods, env, rejected)?;
+            let found = walk(rule, a, path, methods, env, rejected, scratch)?;
             path.pop();
             if found.is_some() {
                 return Ok(found);
@@ -196,21 +225,18 @@ pub fn apply_rule_once(
     stats: &mut RewriteStats,
 ) -> RwResult<Option<(Term, Application)>> {
     stats.condition_checks += 1;
-    let lhs_head = rule.lhs.head();
-    if let Some(h) = lhs_head {
-        if !term.may_contain(h) {
-            return Ok(None);
-        }
+    if !lhs_gate(term, rule.lhs.fingerprint()) {
+        return Ok(None);
     }
     let mut rejected = 0;
     let found = walk(
         rule,
         term,
-        lhs_head,
         &mut Vec::new(),
         methods,
         env,
         &mut rejected,
+        &mut Scratch::default(),
     )?;
     stats.rejected += rejected;
     Ok(found.map(|(new_sub, path)| {
@@ -417,9 +443,64 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("Halve") && err.to_string().contains("21"));
+        // The gate admitted the node that raised it.
+        assert!(lhs_gate(
+            union_of(21).at(&[0]).unwrap(),
+            rule.lhs.fingerprint()
+        ));
         // Within the cap the rule applies as before.
         let out = apply(&rule, &union_of(20)).expect("rule fires");
         assert_eq!(out.to_string(), "WRAP(PAIR(SET))");
+
+        // A node the gate turns away is not matched, so it cannot raise
+        // the error: here no `G` occurs, and no match was possible.
+        let tagged = Rule::simple(
+            "HalveTagged",
+            Term::app(
+                "UNION",
+                vec![
+                    Term::set(vec![Term::seq("x"), Term::seq("y")]),
+                    Term::app("G", vec![Term::var("z")]),
+                ],
+            ),
+            Term::var("z"),
+        );
+        let branches: Vec<Term> = (0..21).map(|i| Term::atom(format!("R{i}"))).collect();
+        let subject = Term::app("UNION", vec![Term::set(branches), Term::atom("H")]);
+        let mut sink = |_: &mut Bindings| Control::Stop;
+        let unguarded = match_term(&tagged.lhs, &subject, &mut Bindings::new(), &mut sink);
+        assert_eq!(unguarded, Control::TooWide(21));
+        assert!(!lhs_gate(&subject, tagged.lhs.fingerprint()));
+        assert_eq!(apply(&tagged, &subject), None);
+    }
+
+    #[test]
+    fn the_gate_needs_every_functor_and_boolean_constant_of_the_lhs() {
+        // AndTrue: f AND TRUE --> f. A conjunction with no TRUE below is
+        // turned away at the root, for one condition check and no scan.
+        let rule = Rule::simple(
+            "AndTrue",
+            Term::app("AND", vec![Term::var("f"), Term::bool(true)]),
+            Term::var("f"),
+        );
+        let mask = rule.lhs.fingerprint();
+        let eq = |j: i64| Term::app("=", vec![Term::attr(1, j), Term::int(j)]);
+        let plain = Term::app("AND", vec![eq(1), Term::app("AND", vec![eq(2), eq(3)])]);
+        assert!(!lhs_gate(&plain, mask));
+        let env = BasicEnv::new();
+        let methods = MethodRegistry::with_builtins();
+        let mut stats = RewriteStats::default();
+        let out = apply_rule_once(&rule, &plain, &methods, &env, &mut stats).unwrap();
+        assert_eq!((out, stats.condition_checks), (None, 1));
+        // The same conjunction with a TRUE conjunct deep inside: the gate
+        // admits the root and the path down to it, and the rule fires there.
+        let with_true = plain.replace_at(&[1, 1], Term::app("AND", vec![eq(3), Term::bool(true)]));
+        assert!(lhs_gate(&with_true, mask) && !lhs_gate(with_true.at(&[0]).unwrap(), mask));
+        let (rewritten, app) = apply_rule_once(&rule, &with_true, &methods, &env, &mut stats)
+            .unwrap()
+            .expect("AndTrue fires");
+        assert_eq!(app.path, vec![1, 1]);
+        assert_eq!(rewritten, plain);
     }
 
     #[test]

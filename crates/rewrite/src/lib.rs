@@ -69,7 +69,7 @@ pub use discover::{
     Discovered, Discovery, Fragment, Funnel, NoDifferential, NodeCountCost,
 };
 pub use dsl::{parse_source, parse_source_spanned, parse_term, SourceItem, Span, SpannedItem};
-pub use engine::{apply_rule_once, Application, RewriteStats};
+pub use engine::{apply_rule_once, lhs_gate, Application, RewriteStats};
 pub use error::{RewriteError, RwResult};
 pub use fixes::{apply_fixes, Fix, FixOutcome, FixTarget};
 pub use matching::{all_matches, find_match, match_term, Control};

@@ -20,10 +20,14 @@
 //!   cloning a term is one reference-count bump and [`Term::replace_at`]
 //!   rebuilds only the spine from the root to the replaced position;
 //! * every `App` node caches its subtree size, a structural hash, a
-//!   64-bit functor Bloom fingerprint, and a groundness flag. Equality
-//!   short-circuits on the hash, [`Term::size`] and [`Term::is_ground`]
-//!   are O(1), and the engine prunes whole subtrees that cannot contain a
-//!   rule's head functor via the fingerprint.
+//!   64-bit Bloom fingerprint of the functors and Boolean constants
+//!   below it, and a groundness flag. Equality short-circuits on the
+//!   hash, [`Term::size`] and [`Term::is_ground`] are O(1), and the
+//!   engine prunes whole subtrees that cannot hold a rule's left-hand
+//!   side via the fingerprint (`engine::lhs_gate`);
+//! * [`Bindings`] are two small vectors whose `clone_from` refills the
+//!   target in place, so the engine checks every candidate match on one
+//!   reused copy.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -36,6 +40,11 @@ use crate::symbol::{well_known, Symbol, ToSymbol};
 /// Functor names reserved for collection constructors; they get segment
 /// (and for `SET`/`BAG` commutative) matching semantics.
 pub const COLLECTION_FUNCTORS: [&str; 3] = ["LIST", "SET", "BAG"];
+
+/// The fingerprint bits of the Boolean constants: those of the symbols
+/// their literals are written as.
+const TRUE_BIT: u64 = Symbol::fp_bit_of("TRUE");
+const FALSE_BIT: u64 = Symbol::fp_bit_of("FALSE");
 
 /// A term.
 #[derive(Debug, Clone)]
@@ -66,7 +75,7 @@ pub struct Args {
     size: usize,
     /// Order-sensitive combination of the children's structural hashes.
     hash: u64,
-    /// OR of the children's functor fingerprints.
+    /// OR of the children's fingerprints.
     fp: u64,
     /// True when no child contains a variable of either kind.
     ground: bool,
@@ -310,21 +319,18 @@ impl Term {
         }
     }
 
-    /// Bloom fingerprint of the functors applied anywhere in this term:
-    /// bit `fp_bit(F)` is set iff some `App` node below (or at) this term
-    /// has head `F`. No false negatives — a clear bit proves absence.
+    /// Bloom fingerprint of the functors and Boolean constants anywhere
+    /// in this term: bit `fp_bit(F)` is set iff some `App` node below (or
+    /// at) this term has head `F`, and a `TRUE` / `FALSE` constant sets
+    /// the bit of the symbol `TRUE` / `FALSE`. No false negatives — a
+    /// clear bit proves absence.
     pub fn fingerprint(&self) -> u64 {
         match self {
             Term::App(head, args) => head.fp_bit() | args.fp,
+            Term::Const(Value::Bool(true)) => TRUE_BIT,
+            Term::Const(Value::Bool(false)) => FALSE_BIT,
             _ => 0,
         }
-    }
-
-    /// Can an application of `head` occur anywhere in this term? O(1)
-    /// conservative test: `false` is definite, `true` may be a Bloom
-    /// false positive.
-    pub fn may_contain(&self, head: Symbol) -> bool {
-        self.fingerprint() & head.fp_bit() != 0
     }
 
     /// Is one application a reference-count clone of the other — same
@@ -444,9 +450,10 @@ impl Ord for Term {
 /// Two small insertion-ordered vectors probed linearly by [`Symbol`]
 /// (a pointer comparison): the widest builtin rule binds ten names, so a
 /// probe is a handful of compares with no hashing, a copy is two
-/// allocations, and the matcher backtracks by removing the entry it
-/// pushed last. Equality ignores insertion order.
-#[derive(Debug, Clone, Default)]
+/// allocations (none when [`Clone::clone_from`] refills a copy that
+/// already had the room), and the matcher backtracks by removing the
+/// entry it pushed last. Equality ignores insertion order.
+#[derive(Debug, Default)]
 pub struct Bindings {
     vars: Vec<(Symbol, Term)>,
     seqs: Vec<(Symbol, Vec<Term>)>,
@@ -460,6 +467,28 @@ fn put<T>(entries: &mut Vec<(Symbol, T)>, name: Symbol, value: T) {
     match slot(entries, name) {
         Some(i) => entries[i].1 = value,
         None => entries.push((name, value)),
+    }
+}
+
+impl Clone for Bindings {
+    fn clone(&self) -> Self {
+        Bindings {
+            vars: self.vars.clone(),
+            seqs: self.seqs.clone(),
+        }
+    }
+
+    /// Refill `self` in place: both vectors, and each segment vector
+    /// `self` already holds, keep their allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.vars.clone_from(&source.vars);
+        self.seqs.truncate(source.seqs.len());
+        let kept = self.seqs.len();
+        for ((name, seg), (src_name, src_seg)) in self.seqs.iter_mut().zip(&source.seqs) {
+            *name = *src_name;
+            seg.clone_from(src_seg);
+        }
+        self.seqs.extend_from_slice(&source.seqs[kept..]);
     }
 }
 
@@ -776,14 +805,74 @@ mod tests {
     #[test]
     fn fingerprint_proves_absence() {
         let t = Term::app("SEARCH", vec![Term::list(vec![Term::atom("FILM")])]);
-        assert!(t.may_contain(Symbol::intern("FILM")));
-        assert!(t.may_contain(Symbol::intern("LIST")));
-        assert!(t.may_contain(Symbol::intern("SEARCH")));
-        // Not guaranteed false for arbitrary symbols (Bloom), but a
-        // symbol with a distinct bit must be reported absent.
-        let absent = Symbol::intern("DEFINITELY_NOT_PRESENT_F");
-        if absent.fp_bit() & t.fingerprint() == 0 {
-            assert!(!t.may_contain(absent));
+        let bit = |name: &str| Symbol::intern(name).fp_bit();
+        // Exactly the bits of the three functors: every other bit is
+        // clear, and a clear bit proves absence.
+        assert_eq!(t.fingerprint(), bit("SEARCH") | bit("LIST") | bit("FILM"));
+    }
+
+    #[test]
+    fn boolean_constants_reach_every_ancestor() {
+        // SEARCH(LIST(R), NOT((1.1 = 2) AND TRUE), LIST(1.1)): TRUE's bit
+        // is set on each node from the constant up to the root, and on
+        // no node beside that path.
+        let eq = Term::app("=", vec![Term::attr(1, 1), Term::int(2)]);
+        let and = Term::app("AND", vec![eq.clone(), Term::bool(true)]);
+        let not = Term::app("NOT", vec![and.clone()]);
+        let root = Term::app(
+            "SEARCH",
+            vec![
+                Term::list(vec![Term::atom("R")]),
+                not.clone(),
+                Term::list(vec![Term::attr(1, 1)]),
+            ],
+        );
+        assert_eq!(TRUE_BIT, Symbol::intern("TRUE").fp_bit());
+        assert_eq!(FALSE_BIT, Symbol::intern("FALSE").fp_bit());
+        assert_eq!(Term::bool(true).fingerprint(), TRUE_BIT);
+        assert_eq!(Term::bool(false).fingerprint(), FALSE_BIT);
+        for ancestor in [&and, &not, &root] {
+            assert_ne!(ancestor.fingerprint() & TRUE_BIT, 0, "{ancestor}");
+        }
+        assert_eq!(eq.fingerprint() & TRUE_BIT, 0);
+        assert_eq!(root.at(&[0]).unwrap().fingerprint() & TRUE_BIT, 0);
+        // Other constants set no bit.
+        for leaf in [Term::int(1), Term::str("TRUE"), Term::Const(Value::Null)] {
+            assert_eq!(leaf.fingerprint(), 0, "{leaf}");
+        }
+        let falsified = root.replace_at(&[1, 0, 1], Term::bool(false));
+        assert_ne!(falsified.fingerprint() & FALSE_BIT, 0);
+    }
+
+    #[test]
+    fn bindings_clone_from_equals_clone_and_keeps_capacity() {
+        let mut wide = Bindings::new();
+        for (i, n) in ["a", "b", "c", "d"].into_iter().enumerate() {
+            wide.bind(n, Term::int(i as i64));
+        }
+        wide.bind_seq("x", vec![Term::int(1), Term::int(2), Term::int(3)]);
+        wide.bind_seq("y", vec![Term::atom("R")]);
+        let mut narrow = Bindings::new();
+        narrow.bind("q", Term::atom("Q"));
+        narrow.bind_seq("x", vec![Term::int(9)]);
+
+        let mut copy = wide.clone();
+        assert_eq!(copy, wide);
+        let room = (copy.vars.capacity(), copy.seqs.capacity());
+        let (vars_at, seqs_at) = (copy.vars.as_ptr(), copy.seqs.as_ptr());
+        // A segment refilled in place keeps its own buffer too.
+        let seg_at = copy.seqs[0].1.as_ptr();
+        copy.clone_from(&narrow);
+        assert_eq!(copy.seqs[0].1.as_ptr(), seg_at);
+        for source in [&narrow, &wide, &Bindings::new(), &narrow] {
+            copy.clone_from(source);
+            assert_eq!(copy, source.clone());
+            assert_eq!(
+                copy.names().collect::<Vec<_>>(),
+                source.names().collect::<Vec<_>>()
+            );
+            assert_eq!((copy.vars.capacity(), copy.seqs.capacity()), room);
+            assert_eq!((copy.vars.as_ptr(), copy.seqs.as_ptr()), (vars_at, seqs_at));
         }
     }
 
