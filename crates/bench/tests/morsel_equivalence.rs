@@ -17,7 +17,7 @@ use eds_core::Dbms;
 use eds_engine::{EvalOptions, BLOCK_ROWS};
 
 /// The columnar path toggled both ways.
-fn morsel_configs() -> Vec<EvalOptions> {
+fn columnar_configs() -> Vec<EvalOptions> {
     [false, true]
         .map(|columnar| EvalOptions {
             columnar,
@@ -27,7 +27,7 @@ fn morsel_configs() -> Vec<EvalOptions> {
 }
 
 fn check(dbms: &Dbms, sql: &str) {
-    let configs = morsel_configs();
+    let configs = columnar_configs();
     let prepared = dbms.prepare(sql).unwrap();
     assert_matches_oracle(&format!("{sql} [raw]"), &dbms.db, &prepared.expr, &configs);
     let rewritten = dbms.rewrite(&prepared).unwrap();
@@ -202,7 +202,7 @@ fn nonlinear_fixpoint_drops_repeats_across_morsels_and_variants() {
 
     // The rewriter leaves an unbound closure as it is: one plan.
     let plan = dbms.prepare("SELECT Src, Dst FROM TC ;").unwrap().expr;
-    let stats = assert_matches_oracle("tc", &dbms.db, &plan, &morsel_configs());
+    let stats = assert_matches_oracle("tc", &dbms.db, &plan, &columnar_configs());
     assert_eq!(stats[0], stats[1]);
     assert!(stats[0].fix_iterations >= 2, "{:?}", stats[0]);
 }
@@ -235,7 +235,7 @@ fn dense_int_keys_match_under_every_worker_count() {
         }),
     )
     .unwrap();
-    let configs = morsel_configs();
+    let configs = columnar_configs();
     for sql in [
         "SELECT DISTINCT D FROM LANES WHERE K >= 0 ;",
         "SELECT DISTINCT D FROM LANES WHERE K >= 1000 AND K < 9000 ;",

@@ -21,7 +21,9 @@
 use eds_adt::Value;
 use eds_lera::Scalar;
 use eds_rewrite::methods::{bind_output, resolve, MethodSig};
-use eds_rewrite::{algebra, Bindings, MethodRegistry, RewriteError, RwResult, Term, TermEnv};
+use eds_rewrite::{
+    algebra, Bindings, MethodRegistry, RewriteError, RwResult, Term, TermEnv, TermSet,
+};
 
 use crate::magic;
 
@@ -581,28 +583,41 @@ fn subst_term(t: &Term, from: &Term, to: &Term) -> Term {
 /// `x = 'a' ∧ x = 'b'`, `x < x`) — the same call the linter makes of
 /// rule constraints. `f` is a qualification, which rejects a row on
 /// UNKNOWN as on FALSE, so that is all the collapse needs. Fails when `f`
-/// is already simplified.
+/// is already simplified: nothing dropped and nothing clashing, a clash
+/// on `f` = `FALSE` itself, or `f` = `TRUE` alone.
+///
+/// One walk of the `AND` spine, a dedup through a hash set (a term's
+/// hash is cached and its equality short-circuits on it) and one pass
+/// of `contradicts`: O(n) expected in the number of conjuncts, so every
+/// offer of the rule costs what the qualification's width costs, once.
 fn simplifyq(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResult<bool> {
     if args.len() != 2 {
         return Err(method_err("SIMPLIFYQ", "expected 2 arguments"));
     }
     let f = resolve(&args[0], binds);
-    let original = flatten_and(&f);
-
+    let mut spine = vec![&f];
+    let mut seen = TermSet::default();
     let mut kept: Vec<&Term> = Vec::new();
-    for c in &original {
-        if c.as_const() != Some(&Value::Bool(true)) && !kept.contains(&c) {
-            kept.push(c);
+    let mut dropped = false;
+    while let Some(t) = spine.pop() {
+        if let Some(("AND", [a, b])) = t.as_app() {
+            spine.extend([b, a]);
+        } else if t.as_const() == Some(&Value::Bool(true)) || !seen.insert(t) {
+            dropped = true;
+        } else {
+            kept.push(t);
         }
     }
     let simplified = if algebra::contradicts(&kept) {
+        if f.as_const() == Some(&Value::Bool(false)) {
+            return Ok(false);
+        }
         Term::bool(false)
+    } else if !dropped || f.as_const() == Some(&Value::Bool(true)) {
+        return Ok(false);
     } else {
         build_and(kept.into_iter().cloned().collect())
     };
-    if flatten_and(&simplified) == original {
-        return Ok(false);
-    }
     bind_output(&args[1], simplified, binds, "SIMPLIFYQ")
 }
 
@@ -1007,6 +1022,47 @@ mod tests {
         )
         .unwrap();
         assert!(!ok);
+    }
+
+    /// `SIMPLIFYQ` on `f`: the bound `f'`, or `None` when it declines.
+    fn simplify(f: Term) -> Option<Term> {
+        let mut binds = Bindings::new();
+        binds.bind("f", f);
+        let args = vec![Term::var("f"), Term::var("out")];
+        call("SIMPLIFYQ", args, &mut binds)
+            .unwrap()
+            .then(|| binds.get("out").unwrap().clone())
+    }
+
+    #[test]
+    fn simplifyq_early_exit_keeps_the_no_ops() {
+        let x_gt = Term::app(">", vec![Term::attr(1, 1), Term::int(3)]);
+        let x_lt = Term::app("<", vec![Term::attr(1, 1), Term::int(2)]);
+        let y_ne = Term::app("<>", vec![Term::attr(1, 2), Term::int(0)]);
+        // `TRUE` and `FALSE` alone are already simple.
+        assert_eq!(simplify(Term::bool(true)), None);
+        assert_eq!(simplify(Term::bool(false)), None);
+        // `TRUE AND TRUE` drops both and rebuilds the empty conjunction.
+        let tt = build_and(vec![Term::bool(true), Term::bool(true)]);
+        assert_eq!(simplify(tt), Some(Term::bool(true)));
+        // Duplicates only: first occurrences kept, in order.
+        let dup = build_and(vec![x_gt.clone(), y_ne.clone(), x_gt.clone()]);
+        assert_eq!(
+            simplify(dup),
+            Some(build_and(vec![x_gt.clone(), y_ne.clone()]))
+        );
+        // A clash collapses whatever the spine's shape, and `FALSE AND
+        // FALSE` is not `FALSE`.
+        let right_deep = Term::app(
+            "AND",
+            vec![y_ne.clone(), Term::app("AND", vec![x_gt.clone(), x_lt])],
+        );
+        assert_eq!(simplify(right_deep), Some(Term::bool(false)));
+        let ff = build_and(vec![Term::bool(false), Term::bool(false)]);
+        assert_eq!(simplify(ff), Some(Term::bool(false)));
+        // Nothing dropped and nothing clashing, in any shape: declined.
+        let clean = Term::app("AND", vec![x_gt, y_ne]);
+        assert_eq!(simplify(clean), None);
     }
 
     #[test]

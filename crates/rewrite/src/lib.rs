@@ -83,7 +83,7 @@ pub use strategy::{
     RuleSet, RunOutcome, Sequence, Strategy,
 };
 pub use symbol::{Symbol, ToSymbol};
-pub use term::{Args, Bindings, Term};
+pub use term::{Args, Bindings, Term, TermHasher, TermMap, TermSet};
 pub use trace::{Trace, TraceEvent};
 pub use verify::{
     equiv::{check_rule, Outcome as EquivOutcome},

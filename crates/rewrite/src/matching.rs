@@ -13,7 +13,7 @@
 //! through the whole enumeration, and whoever binds a name removes it
 //! again before reporting [`Control::Continue`].
 
-use crate::symbol::{well_known, Symbol};
+use crate::symbol::well_known;
 use crate::term::{Bindings, Term};
 
 /// Continue enumeration or stop?
@@ -169,6 +169,8 @@ fn match_segments(
 /// patterns may match any remaining subject element; remaining elements
 /// are distributed over the sequence variables. With `canonical_order`
 /// (sets), collected segments are sorted so bindings are deterministic.
+/// Both kinds of pattern are read off `pats` in place: a match that
+/// fails on an element pattern allocates nothing.
 fn match_multiset(
     pats: &[Term],
     subs: &[Term],
@@ -176,55 +178,47 @@ fn match_multiset(
     sink: &mut MatchSink<'_>,
     canonical_order: bool,
 ) -> Control {
-    // Split patterns into element patterns and sequence variables.
-    let elem_pats: Vec<&Term> = pats
-        .iter()
-        .filter(|p| !matches!(p, Term::SeqVar(_)))
-        .collect();
-    let seq_vars: Vec<Symbol> = pats
-        .iter()
-        .filter_map(|p| match p {
-            Term::SeqVar(v) => Some(*v),
-            _ => None,
-        })
-        .collect();
-
+    let seq_vars = pats.iter().filter(|p| matches!(p, Term::SeqVar(_))).count();
+    let elem_pats = pats.len() - seq_vars;
     // Without sequence variables the counts must agree exactly.
-    if seq_vars.is_empty() && elem_pats.len() != subs.len() {
+    if seq_vars == 0 && elem_pats != subs.len() {
         return Control::Continue;
     }
-    if elem_pats.len() > subs.len() {
+    if elem_pats > subs.len() {
         return Control::Continue;
     }
 
-    match_elems(&elem_pats, subs, &seq_vars, binds, sink, canonical_order)
+    match_elems(pats, pats, subs, binds, sink, canonical_order)
 }
 
+/// Match the element patterns of `todo` (its `SeqVar` entries are
+/// stepped over) against `remaining`, then distribute what is left over
+/// the sequence variables of the whole pattern list `pats`.
 fn match_elems(
-    elem_pats: &[&Term],
+    todo: &[Term],
+    pats: &[Term],
     remaining: &[Term],
-    seq_vars: &[Symbol],
     binds: &mut Bindings,
     sink: &mut MatchSink<'_>,
     canonical_order: bool,
 ) -> Control {
-    match elem_pats.split_first() {
-        None => distribute_rest(remaining, seq_vars, binds, sink, canonical_order),
-        Some((p0, prest)) => {
-            for (i, candidate) in remaining.iter().enumerate() {
-                let mut inner = |b: &mut Bindings| {
-                    let mut rest: Vec<Term> = remaining.to_vec();
-                    rest.remove(i);
-                    match_elems(prest, &rest, seq_vars, b, sink, canonical_order)
-                };
-                let ctl = match_term(p0, candidate, binds, &mut inner);
-                if ctl != Control::Continue {
-                    return ctl;
-                }
-            }
-            Control::Continue
+    let next = todo.iter().position(|p| !matches!(p, Term::SeqVar(_)));
+    let Some(at) = next else {
+        return distribute_rest(remaining, pats, binds, sink, canonical_order);
+    };
+    let (p0, prest) = (&todo[at], &todo[at + 1..]);
+    for (i, candidate) in remaining.iter().enumerate() {
+        let mut inner = |b: &mut Bindings| {
+            let mut rest: Vec<Term> = remaining.to_vec();
+            rest.remove(i);
+            match_elems(prest, pats, &rest, b, sink, canonical_order)
+        };
+        let ctl = match_term(p0, candidate, binds, &mut inner);
+        if ctl != Control::Continue {
+            return ctl;
         }
     }
+    Control::Continue
 }
 
 /// Is `bound` the multiset `elems`?
@@ -238,23 +232,28 @@ fn same_multiset(bound: &[Term], elems: &[Term]) -> bool {
     bound == elems
 }
 
-/// Distribute the leftover multiset elements over the sequence variables.
+/// Distribute the leftover multiset elements over the sequence variables
+/// of `pats` (its other entries are stepped over), in pattern order.
 fn distribute_rest(
     remaining: &[Term],
-    seq_vars: &[Symbol],
+    pats: &[Term],
     binds: &mut Bindings,
     sink: &mut MatchSink<'_>,
     canonical_order: bool,
 ) -> Control {
-    match seq_vars.split_first() {
-        None => {
+    let mut seq_vars = pats.iter().enumerate().filter_map(|(i, p)| match p {
+        Term::SeqVar(v) => Some((i, v)),
+        _ => None,
+    });
+    match (seq_vars.next(), seq_vars.next().is_some()) {
+        (None, _) => {
             if remaining.is_empty() {
                 sink(binds)
             } else {
                 Control::Continue
             }
         }
-        Some((v, [])) => {
+        (Some((_, v)), false) => {
             // Single (last) sequence variable takes everything left.
             if let Some(bound) = binds.get_seq(v) {
                 return if same_multiset(bound, remaining) {
@@ -274,7 +273,8 @@ fn distribute_rest(
             }
             ctl
         }
-        Some((v, vrest)) => {
+        (Some((at, v)), true) => {
+            let vrest = &pats[at + 1..];
             // Enumerate subsets for `v` (by index mask); small collections
             // only in practice — rules use at most two collection variables.
             let n = remaining.len();

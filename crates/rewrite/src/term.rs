@@ -29,8 +29,9 @@
 //!   target in place, so the engine checks every candidate match on one
 //!   reused copy.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use eds_adt::Value;
@@ -412,6 +413,35 @@ impl Hash for Term {
         state.write_u64(self.hash64());
     }
 }
+
+/// A hasher for keys built of terms: a term writes its cached structural
+/// hash as one word, so one widening multiply per word is all the mixing
+/// a set needs (std's keyed SipHash would hash each hash again). Equal
+/// keys hash alike; nothing here resists a chosen collision.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TermHasher(u64);
+
+impl Hasher for TermHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        let p = u128::from(self.0 ^ i) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A set keyed through [`TermHasher`].
+pub type TermSet<T> = HashSet<T, BuildHasherDefault<TermHasher>>;
+/// A map keyed through [`TermHasher`].
+pub type TermMap<K, V> = HashMap<K, V, BuildHasherDefault<TermHasher>>;
 
 impl PartialOrd for Term {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
