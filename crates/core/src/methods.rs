@@ -18,6 +18,8 @@
 //! | `EQSUBST(f, f')` | equality substitution of constants | implicit knowledge (Fig 11) |
 //! | `SIMPLIFYQ(f, f')` | conjunct-level simplification and inconsistency detection | simplification (Fig 12) |
 
+use std::borrow::Cow;
+
 use eds_adt::Value;
 use eds_lera::Scalar;
 use eds_rewrite::methods::{bind_output, resolve, MethodSig};
@@ -27,16 +29,32 @@ use eds_rewrite::{
 
 use crate::magic;
 
+#[cfg(test)]
+mod oracle;
+
+/// Visit the conjuncts of a qualification in place, left to right: the
+/// leaves of its `AND` spine. Every method that reads a qualification
+/// walks it through here and copies a conjunct only to bind an output.
+fn for_each_conjunct<'a>(f: &'a Term, visit: &mut impl FnMut(&'a Term)) {
+    match f.as_app() {
+        Some(("AND", [a, b])) => {
+            for_each_conjunct(a, visit);
+            for_each_conjunct(b, visit);
+        }
+        _ => visit(f),
+    }
+}
+
+/// The conjuncts of a qualification, in order, read in place.
+fn conjuncts_of(f: &Term) -> Vec<&Term> {
+    let mut out = Vec::new();
+    for_each_conjunct(f, &mut |c| out.push(c));
+    out
+}
+
 /// Split a qualification term into its conjuncts.
 pub fn flatten_and(t: &Term) -> Vec<Term> {
-    match t.as_app() {
-        Some(("AND", [a, b])) => {
-            let mut out = flatten_and(a);
-            out.extend(flatten_and(b));
-            out
-        }
-        _ => vec![t.clone()],
-    }
+    conjuncts_of(t).into_iter().cloned().collect()
 }
 
 /// Rebuild a conjunction (TRUE for no conjuncts).
@@ -88,20 +106,14 @@ pub fn map_attr_refs(t: &Term, f: &impl Fn(i64, i64) -> Option<Term>) -> Term {
     }
 }
 
-/// Collect every `(rel, attr)` reference.
-pub fn collect_attr_refs(t: &Term) -> Vec<(i64, i64)> {
-    let mut out = Vec::new();
-    fn walk(t: &Term, out: &mut Vec<(i64, i64)>) {
-        if let Some(ra) = t.as_attr() {
-            out.push(ra);
-            return;
-        }
-        if let Term::App(_, args) = t {
-            args.iter().for_each(|a| walk(a, out));
-        }
+/// Does some `(rel, attr)` reference of `t`, visited in order, satisfy
+/// `p`? Stops at the first that does; `p` may also just observe.
+fn any_attr_ref(t: &Term, p: &mut impl FnMut(i64, i64) -> bool) -> bool {
+    match (t.as_attr(), t) {
+        (Some((rel, attr)), _) => p(rel, attr),
+        (None, Term::App(_, args)) => args.iter().any(|a| any_attr_ref(a, p)),
+        (None, _) => false,
     }
-    walk(t, &mut out);
-    out
 }
 
 /// Shift all relation indices by `delta` (`t` itself for a zero shift).
@@ -112,13 +124,33 @@ pub fn shift_rels(t: &Term, delta: i64) -> Term {
     map_attr_refs(t, &|rel, attr| Some(Term::attr(rel + delta, attr)))
 }
 
-/// Resolve an argument that should denote a list: a bound collection
-/// variable segment or a `LIST` term.
-fn resolve_list(arg: &Term, binds: &Bindings) -> Option<Vec<Term>> {
-    let r = resolve(arg, binds);
-    match r.as_app() {
-        Some(("LIST", items)) => Some(items.to_vec()),
-        _ => None,
+/// An argument under the bindings, read in place where it can be: a
+/// variable's binding, a constant or a ground term is borrowed, and only
+/// a term with variables inside is resolved into a new one.
+fn arg<'a>(t: &'a Term, binds: &'a Bindings) -> Cow<'a, Term> {
+    match t {
+        Term::Var(v) => Cow::Borrowed(binds.get(v).unwrap_or(t)),
+        _ if t.is_ground() => Cow::Borrowed(t),
+        _ => Cow::Owned(resolve(t, binds)),
+    }
+}
+
+/// The items of an argument that should denote a list — a bound
+/// collection variable's segment or a `LIST` term — read in place where
+/// [`arg`] can.
+fn list_arg<'a>(t: &'a Term, binds: &'a Bindings) -> Option<Cow<'a, [Term]>> {
+    fn items(t: &Term) -> Option<&[Term]> {
+        match t.as_app() {
+            Some(("LIST", items)) => Some(items),
+            _ => None,
+        }
+    }
+    if let Term::SeqVar(v) = t {
+        return binds.get_seq(v).map(Cow::Borrowed);
+    }
+    match arg(t, binds) {
+        Cow::Borrowed(r) => items(r).map(Cow::Borrowed),
+        Cow::Owned(r) => items(&r).map(|items| Cow::Owned(items.to_vec())),
     }
 }
 
@@ -155,25 +187,27 @@ pub fn register_core_methods(reg: &mut MethodRegistry) {
 /// inner search. References `rel <= k` (into `x*`) are unchanged;
 /// `rel == k+1` (the inner search's output) inline the inner projection
 /// expression shifted by `k`; `rel > k+1` shift by `|z| - 1`.
+///
+/// Only the lengths of `x*` and `z` matter and `b` is indexed where it
+/// is bound, so the method copies no list.
 fn substitute(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResult<bool> {
     if args.len() != 5 {
         return Err(method_err("SUBSTITUTE", "expected 5 arguments"));
     }
-    let t = resolve(&args[0], binds);
-    let xs = resolve_list(&args[1], binds)
-        .ok_or_else(|| method_err("SUBSTITUTE", "x* must resolve to a list"))?;
-    let z = resolve_list(&args[2], binds)
-        .ok_or_else(|| method_err("SUBSTITUTE", "z must resolve to a list"))?;
-    let b = resolve_list(&args[3], binds)
+    let t = arg(&args[0], binds);
+    let k = list_arg(&args[1], binds)
+        .ok_or_else(|| method_err("SUBSTITUTE", "x* must resolve to a list"))?
+        .len() as i64;
+    let m = list_arg(&args[2], binds)
+        .ok_or_else(|| method_err("SUBSTITUTE", "z must resolve to a list"))?
+        .len() as i64;
+    let b = list_arg(&args[3], binds)
         .ok_or_else(|| method_err("SUBSTITUTE", "b must resolve to a list"))?;
-    let k = xs.len() as i64;
-    let m = z.len() as i64;
 
     // Reject out-of-range references into the inner projection.
-    if collect_attr_refs(&t)
-        .iter()
-        .any(|&(rel, attr)| rel == k + 1 && (attr < 1 || attr as usize > b.len()))
-    {
+    if any_attr_ref(&t, &mut |rel, attr| {
+        rel == k + 1 && (attr < 1 || attr as usize > b.len())
+    }) {
         return Ok(false);
     }
     let new = map_attr_refs(&t, &|rel, attr| {
@@ -195,10 +229,12 @@ fn shift(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResult<bo
     if args.len() != 3 {
         return Err(method_err("SHIFT", "expected 3 arguments"));
     }
-    let t = resolve(&args[0], binds);
-    let xs = resolve_list(&args[1], binds)
-        .ok_or_else(|| method_err("SHIFT", "x* must resolve to a list"))?;
-    bind_output(&args[2], shift_rels(&t, xs.len() as i64), binds, "SHIFT")
+    let t = arg(&args[0], binds);
+    let k = list_arg(&args[1], binds)
+        .ok_or_else(|| method_err("SHIFT", "x* must resolve to a list"))?
+        .len() as i64;
+    let shifted = shift_rels(&t, k);
+    bind_output(&args[2], shifted, binds, "SHIFT")
 }
 
 /// `SCHEMA(z, e')`: identity projection list for the relation term (or
@@ -207,10 +243,10 @@ fn schema(args: &[Term], binds: &mut Bindings, env: &dyn TermEnv) -> RwResult<bo
     if args.len() != 2 {
         return Err(method_err("SCHEMA", "expected 2 arguments"));
     }
-    let z = resolve(&args[0], binds);
-    let inputs: Vec<Term> = match z.as_app() {
-        Some(("LIST", items)) => items.to_vec(),
-        _ => vec![z.clone()],
+    let z = arg(&args[0], binds);
+    let inputs: &[Term] = match z.as_app() {
+        Some(("LIST", items)) => items,
+        _ => std::slice::from_ref(&*z),
     };
     let mut proj = Vec::new();
     for (i, input) in inputs.iter().enumerate() {
@@ -232,16 +268,14 @@ fn refer(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResult<bo
     if args.len() != 2 {
         return Err(method_err("REFER", "expected 2 arguments"));
     }
-    let attrs = resolve_list(&args[0], binds)
+    let attrs = list_arg(&args[0], binds)
         .ok_or_else(|| method_err("REFER", "first argument must be an index list"))?;
     let indices: Vec<i64> = attrs
         .iter()
         .filter_map(|t| t.as_const().and_then(|v| v.as_int().ok()))
         .collect();
-    let f = resolve(&args[1], binds);
-    Ok(collect_attr_refs(&f)
-        .iter()
-        .any(|(_, attr)| indices.contains(attr)))
+    let f = arg(&args[1], binds);
+    Ok(any_attr_ref(&f, &mut |_, attr| indices.contains(&attr)))
 }
 
 // --------------------------------------------------------- nest pushing
@@ -257,34 +291,34 @@ fn splitnest(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResul
     if args.len() != 6 {
         return Err(method_err("SPLITNEST", "expected 6 arguments"));
     }
-    let f = resolve(&args[0], binds);
-    let xs = resolve_list(&args[1], binds)
-        .ok_or_else(|| method_err("SPLITNEST", "x* must resolve to a list"))?;
-    let group = resolve_list(&args[3], binds)
-        .ok_or_else(|| method_err("SPLITNEST", "group positions must be a list"))?;
-    let group: Vec<i64> = group
+    let f = arg(&args[0], binds);
+    let k = list_arg(&args[1], binds)
+        .ok_or_else(|| method_err("SPLITNEST", "x* must resolve to a list"))?
+        .len() as i64
+        + 1;
+    let group: Vec<i64> = list_arg(&args[3], binds)
+        .ok_or_else(|| method_err("SPLITNEST", "group positions must be a list"))?
         .iter()
         .filter_map(|t| t.as_const().and_then(|v| v.as_int().ok()))
         .collect();
-    let k = xs.len() as i64 + 1;
     let gl = group.len() as i64;
 
     let mut pushed = Vec::new();
     let mut rest = Vec::new();
-    for c in flatten_and(&f) {
-        let refs = collect_attr_refs(&c);
-        let pushable = !refs.is_empty()
-            && refs
-                .iter()
-                .all(|&(rel, attr)| rel == k && attr >= 1 && attr <= gl);
-        if pushable {
-            pushed.push(map_attr_refs(&c, &|_, attr| {
+    for_each_conjunct(&f, &mut |c| {
+        let mut refs = 0;
+        let stray = any_attr_ref(c, &mut |rel, attr| {
+            refs += 1;
+            !(rel == k && attr >= 1 && attr <= gl)
+        });
+        if refs > 0 && !stray {
+            pushed.push(map_attr_refs(c, &|_, attr| {
                 Some(Term::attr(1, group[(attr - 1) as usize]))
             }));
         } else {
-            rest.push(c);
+            rest.push(c.clone());
         }
-    }
+    });
     if pushed.is_empty() {
         return Ok(false);
     }
@@ -311,9 +345,9 @@ fn seed_comparand(t: &Term) -> Option<Scalar> {
 /// Bound conjuncts of `f` for the relation at position `k`: conjuncts of
 /// the form `ATTR(k, j) = c` (either orientation) with `c` a constant or
 /// a statement parameter. Returns `(j, c, conjunct)` triples.
-fn bound_conjuncts(f: &Term, k: i64) -> Vec<(usize, Scalar, Term)> {
+fn bound_conjuncts(f: &Term, k: i64) -> Vec<(usize, Scalar, &Term)> {
     let mut out = Vec::new();
-    for c in flatten_and(f) {
+    for_each_conjunct(f, &mut |c| {
         if let Some(("=", [l, r])) = c.as_app() {
             let pair = match (l.as_attr(), r.as_attr()) {
                 (Some((rel, j)), _) if rel == k => seed_comparand(r).map(|v| (j, v)),
@@ -321,10 +355,10 @@ fn bound_conjuncts(f: &Term, k: i64) -> Vec<(usize, Scalar, Term)> {
                 _ => None,
             };
             if let Some((j, v)) = pair {
-                out.push((j as usize, v, c.clone()));
+                out.push((j as usize, v, c));
             }
         }
-    }
+    });
     out
 }
 
@@ -337,11 +371,12 @@ fn adornment(args: &[Term], binds: &mut Bindings, env: &dyn TermEnv) -> RwResult
     if args.len() != 4 {
         return Err(method_err("ADORNMENT", "expected 4 arguments"));
     }
-    let xs = resolve_list(&args[0], binds)
-        .ok_or_else(|| method_err("ADORNMENT", "x* must resolve to a list"))?;
-    let r = resolve(&args[1], binds);
-    let f = resolve(&args[2], binds);
-    let k = xs.len() as i64 + 1;
+    let k = list_arg(&args[0], binds)
+        .ok_or_else(|| method_err("ADORNMENT", "x* must resolve to a list"))?
+        .len() as i64
+        + 1;
+    let r = arg(&args[1], binds);
+    let f = arg(&args[2], binds);
     let bound = bound_conjuncts(&f, k);
     if bound.is_empty() {
         return Ok(false);
@@ -372,16 +407,17 @@ fn alexander(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResul
     if args.len() != 7 {
         return Err(method_err("ALEXANDER", "expected 7 arguments"));
     }
-    let r = resolve(&args[0], binds);
-    let e = resolve(&args[1], binds);
-    let xs = resolve_list(&args[2], binds)
-        .ok_or_else(|| method_err("ALEXANDER", "x* must resolve to a list"))?;
-    let f = resolve(&args[3], binds);
+    let r = arg(&args[0], binds);
+    let e = arg(&args[1], binds);
+    let k = list_arg(&args[2], binds)
+        .ok_or_else(|| method_err("ALEXANDER", "x* must resolve to a list"))?
+        .len() as i64
+        + 1;
+    let f = arg(&args[3], binds);
     let name = match r.as_app() {
         Some((n, [])) => n.to_owned(),
         _ => return Ok(false),
     };
-    let k = xs.len() as i64 + 1;
     let bound = bound_conjuncts(&f, k);
     if bound.is_empty() {
         return Ok(false);
@@ -394,58 +430,73 @@ fn alexander(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResul
         return Ok(false);
     };
     let u = eds_lera::expr_to_term(&reduced);
-    let removed: Vec<&Term> = bound.iter().map(|(_, _, c)| c).collect();
-    let remaining: Vec<Term> = flatten_and(&f)
+    let removed: Vec<&Term> = bound.iter().map(|(_, _, c)| *c).collect();
+    let remaining: Vec<Term> = conjuncts_of(&f)
         .into_iter()
-        .filter(|c| !removed.contains(&c))
+        .filter(|c| !removed.contains(c))
+        .cloned()
         .collect();
     Ok(bind_output(&args[5], u, binds, "ALEXANDER")?
         && bind_output(&args[6], build_and(remaining), binds, "ALEXANDER")?)
 }
 
 // ------------------------------------------------------ semantic rules
+//
+// The three methods below are offered every qualification of every
+// search and usually derive nothing. Each reads `f` in place and decides
+// whether anything new would be derived before it builds a term: the
+// conjuncts already present go into a `TermSet` only once a candidate
+// exists, and `f` is copied into `f'` only when the method binds it.
 
 /// `ADDCONSTRAINTS(l, f, f')`: for every attribute reference in `f`,
 /// instantiate the integrity constraints applicable to its type (via
 /// `ISA`, so supertype constraints reach subtypes) and conjoin the ones
-/// not already present. Fails when nothing new is added.
+/// not already present. Fails when nothing new is added. Asks the
+/// environment for an input's schema once, and only when `f` refers to
+/// that input.
 fn addconstraints(args: &[Term], binds: &mut Bindings, env: &dyn TermEnv) -> RwResult<bool> {
     if args.len() != 3 {
         return Err(method_err("ADDCONSTRAINTS", "expected 3 arguments"));
     }
-    let inputs = resolve_list(&args[0], binds)
+    let inputs = list_arg(&args[0], binds)
         .ok_or_else(|| method_err("ADDCONSTRAINTS", "l must resolve to a list"))?;
-    let f = resolve(&args[1], binds);
-    let schemas: Vec<Option<Vec<eds_adt::Type>>> =
-        inputs.iter().map(|i| env.rel_schema(i)).collect();
-
-    let mut conjuncts = flatten_and(&f);
-    let existing = conjuncts.clone();
-    let mut added = false;
-
-    let mut seen_refs: Vec<(i64, i64)> = Vec::new();
-    for (rel, attr) in collect_attr_refs(&f) {
-        if seen_refs.contains(&(rel, attr)) {
-            continue;
+    let f = arg(&args[1], binds);
+    let mut schemas: Vec<Option<Option<Vec<eds_adt::Type>>>> = Vec::new();
+    let mut instantiated: Vec<(i64, i64)> = Vec::new();
+    let mut present: Option<TermSet<Cow<Term>>> = None;
+    let mut added: Vec<Term> = Vec::new();
+    any_attr_ref(&f, &mut |rel, attr| {
+        let Some(input) = usize::try_from(rel - 1).ok().filter(|&i| i < inputs.len()) else {
+            return false;
+        };
+        if schemas.is_empty() {
+            schemas.resize(inputs.len(), None);
         }
-        seen_refs.push((rel, attr));
-        let Some(Some(schema)) = schemas.get((rel - 1) as usize) else {
-            continue;
+        let schema = schemas[input].get_or_insert_with(|| env.rel_schema(&inputs[input]));
+        let Some(ty) = schema.as_ref().and_then(|s| s.get((attr - 1) as usize)) else {
+            return false;
         };
-        let Some(ty) = schema.get((attr - 1) as usize) else {
-            continue;
-        };
-        for template in env.constraints_for(ty) {
+        let templates = env.constraints_for(ty);
+        // A reference met again instantiates what its first meeting did.
+        if templates.is_empty() || instantiated.contains(&(rel, attr)) {
+            return false;
+        }
+        instantiated.push((rel, attr));
+        let present = present
+            .get_or_insert_with(|| conjuncts_of(&f).into_iter().map(Cow::Borrowed).collect());
+        for template in templates {
             let inst = subst_var(&template, "x", &Term::attr(rel, attr));
-            if !existing.contains(&inst) && !conjuncts.contains(&inst) {
-                conjuncts.push(inst);
-                added = true;
+            if present.insert(Cow::Owned(inst.clone())) {
+                added.push(inst);
             }
         }
-    }
-    if !added {
+        false
+    });
+    if added.is_empty() {
         return Ok(false);
     }
+    let mut conjuncts = flatten_and(&f);
+    conjuncts.append(&mut added);
     bind_output(&args[2], build_and(conjuncts), binds, "ADDCONSTRAINTS")
 }
 
@@ -458,63 +509,64 @@ fn subst_var(t: &Term, var: &str, replacement: &Term) -> Term {
 
 /// `TRANSITIVITY(f, f')`: one step of the Figure-11 transitivity rules —
 /// `x = y ∧ y = z` adds `x = z`; `INCLUDE(x,y) ∧ INCLUDE(y,z)` adds
-/// `INCLUDE(x,z)`. Fails when nothing new can be derived.
+/// `INCLUDE(x,z)`. Fails when nothing new can be derived, at once when
+/// `f` holds fewer than two of either kind of conjunct.
 fn transitivity(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResult<bool> {
     if args.len() != 2 {
         return Err(method_err("TRANSITIVITY", "expected 2 arguments"));
     }
-    let f = resolve(&args[0], binds);
-    let mut conjuncts = flatten_and(&f);
-
-    // Equalities in both orientations.
-    let mut eqs: Vec<(Term, Term)> = Vec::new();
-    let mut includes: Vec<(Term, Term)> = Vec::new();
-    for c in &conjuncts {
-        match c.as_app() {
-            Some(("=", [l, r])) => {
-                eqs.push((l.clone(), r.clone()));
-                eqs.push((r.clone(), l.clone()));
-            }
-            Some(("INCLUDE", [l, r])) => includes.push((l.clone(), r.clone())),
-            _ => {}
-        }
-    }
-
-    let has_eq = |cs: &[Term], a: &Term, b: &Term| {
-        cs.iter().any(|c| match c.as_app() {
-            Some(("=", [l, r])) => (l == a && r == b) || (l == b && r == a),
-            _ => false,
-        })
-    };
-    let mut added = false;
-    let snapshot = eqs.clone();
-    for (a, b) in &snapshot {
-        for (c, d) in &snapshot {
-            if b == c && a != d && !has_eq(&conjuncts, a, d) {
-                // Avoid deriving trivial const = const chains.
-                if a.as_const().is_some() && d.as_const().is_some() {
-                    continue;
-                }
-                conjuncts.push(Term::app("=", vec![a.clone(), d.clone()]));
-                added = true;
-            }
-        }
-    }
-    let inc_snapshot = includes.clone();
-    for (a, b) in &inc_snapshot {
-        for (c, d) in &inc_snapshot {
-            if b == c && a != d {
-                let derived = Term::app("INCLUDE", vec![a.clone(), d.clone()]);
-                if !conjuncts.contains(&derived) {
-                    conjuncts.push(derived);
-                    added = true;
-                }
-            }
-        }
-    }
-    if !added {
+    let f = arg(&args[0], binds);
+    let (mut n_eq, mut n_inc) = (0, 0);
+    for_each_conjunct(&f, &mut |c| match c.as_app() {
+        Some(("=", [_, _])) => n_eq += 1,
+        Some(("INCLUDE", [_, _])) => n_inc += 1,
+        _ => {}
+    });
+    if n_eq < 2 && n_inc < 2 {
         return Ok(false);
     }
+    // Equalities in both orientations, inclusions as written.
+    let mut eqs: Vec<(&Term, &Term)> = Vec::with_capacity(2 * n_eq);
+    let mut includes: Vec<(&Term, &Term)> = Vec::with_capacity(n_inc);
+    for_each_conjunct(&f, &mut |c| match c.as_app() {
+        Some(("=", [l, r])) => eqs.extend([(l, r), (r, l)]),
+        Some(("INCLUDE", [l, r])) => includes.push((l, r)),
+        _ => {}
+    });
+
+    let mut derived = Vec::new();
+    // Every equality present, original or derived, in both orientations.
+    let mut eq_present: Option<TermSet<(&Term, &Term)>> = None;
+    for &(a, b) in &eqs {
+        for &(c, d) in &eqs {
+            // Trivial const = const chains are not derived.
+            if b != c || a == d || (a.as_const().is_some() && d.as_const().is_some()) {
+                continue;
+            }
+            let present = eq_present.get_or_insert_with(|| eqs.iter().copied().collect());
+            if present.insert((a, d)) {
+                present.insert((d, a));
+                derived.push(Term::app("=", vec![a.clone(), d.clone()]));
+            }
+        }
+    }
+    let mut inc_present: Option<TermSet<(&Term, &Term)>> = None;
+    for &(a, b) in &includes {
+        for &(c, d) in &includes {
+            if b != c || a == d {
+                continue;
+            }
+            let present = inc_present.get_or_insert_with(|| includes.iter().copied().collect());
+            if present.insert((a, d)) {
+                derived.push(Term::app("INCLUDE", vec![a.clone(), d.clone()]));
+            }
+        }
+    }
+    if derived.is_empty() {
+        return Ok(false);
+    }
+    let mut conjuncts = flatten_and(&f);
+    conjuncts.append(&mut derived);
     bind_output(&args[1], build_and(conjuncts), binds, "TRANSITIVITY")
 }
 
@@ -522,51 +574,65 @@ fn transitivity(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwRe
 /// `(X = Y) ∧ p(X)` adds `p(Y)`. Constants substitute for terms, and
 /// term-for-term substitution is applied in both directions (so
 /// `1.3 = 1.4 ∧ 1.3 > 100` derives `1.4 > 100`, exposing cross-conjunct
-/// contradictions to the simplifier). Fails when nothing new is derived.
+/// contradictions to the simplifier). Fails when nothing new is derived,
+/// at once when `f` holds no equality to substitute by.
 fn eqsubst(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResult<bool> {
     if args.len() != 2 {
         return Err(method_err("EQSUBST", "expected 2 arguments"));
     }
-    let f = resolve(&args[0], binds);
-    let mut conjuncts = flatten_and(&f);
+    let f = arg(&args[0], binds);
 
     // (from, to) substitution pairs from equality conjuncts.
-    let mut substitutions: Vec<(Term, Term)> = Vec::new();
-    for c in &conjuncts {
+    let mut substitutions: Vec<(&Term, &Term)> = Vec::new();
+    for_each_conjunct(&f, &mut |c| {
         if let Some(("=", [l, r])) = c.as_app() {
             match (l.as_const(), r.as_const()) {
-                (None, Some(_)) => substitutions.push((l.clone(), r.clone())),
-                (Some(_), None) => substitutions.push((r.clone(), l.clone())),
-                (None, None) => {
-                    // Term-for-term: both directions.
-                    substitutions.push((l.clone(), r.clone()));
-                    substitutions.push((r.clone(), l.clone()));
-                }
+                (None, Some(_)) => substitutions.push((l, r)),
+                (Some(_), None) => substitutions.push((r, l)),
+                // Term-for-term: both directions.
+                (None, None) => substitutions.extend([(l, r), (r, l)]),
                 (Some(_), Some(_)) => {}
             }
         }
+    });
+    if substitutions.is_empty() {
+        return Ok(false);
     }
-    let mut added = false;
-    let snapshot = conjuncts.clone();
-    for (from, to) in &substitutions {
-        for c in &snapshot {
+    let conjuncts = conjuncts_of(&f);
+    let mut present: Option<TermSet<Cow<Term>>> = None;
+    let mut derived = Vec::new();
+    for &(from, to) in &substitutions {
+        for &c in &conjuncts {
             // Skip the defining equality itself.
             if let Some(("=", [l, r])) = c.as_app() {
                 if (l == from && r == to) || (r == from && l == to) {
                     continue;
                 }
             }
-            let derived = subst_term(c, from, to);
-            if derived != *c && !conjuncts.contains(&derived) {
-                conjuncts.push(derived);
-                added = true;
+            if !occurs(from, c) {
+                continue;
+            }
+            let d = subst_term(c, from, to);
+            let present = present
+                .get_or_insert_with(|| conjuncts.iter().map(|&c| Cow::Borrowed(c)).collect());
+            if present.insert(Cow::Owned(d.clone())) {
+                derived.push(d);
             }
         }
     }
-    if !added {
+    if derived.is_empty() {
         return Ok(false);
     }
-    bind_output(&args[1], build_and(conjuncts), binds, "EQSUBST")
+    let mut out: Vec<Term> = conjuncts.into_iter().cloned().collect();
+    out.append(&mut derived);
+    bind_output(&args[1], build_and(out), binds, "EQSUBST")
+}
+
+/// Does `from` occur in `t` (is some subterm of `t` equal to it)?
+fn occurs(from: &Term, t: &Term) -> bool {
+    t == from
+        || matches!(t, Term::App(_, args) if t.size() > from.size()
+            && args.iter().any(|a| occurs(from, a)))
 }
 
 fn subst_term(t: &Term, from: &Term, to: &Term) -> Term {
@@ -594,20 +660,17 @@ fn simplifyq(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResul
     if args.len() != 2 {
         return Err(method_err("SIMPLIFYQ", "expected 2 arguments"));
     }
-    let f = resolve(&args[0], binds);
-    let mut spine = vec![&f];
+    let f = arg(&args[0], binds);
     let mut seen = TermSet::default();
     let mut kept: Vec<&Term> = Vec::new();
     let mut dropped = false;
-    while let Some(t) = spine.pop() {
-        if let Some(("AND", [a, b])) = t.as_app() {
-            spine.extend([b, a]);
-        } else if t.as_const() == Some(&Value::Bool(true)) || !seen.insert(t) {
+    for_each_conjunct(&f, &mut |t| {
+        if t.as_const() == Some(&Value::Bool(true)) || !seen.insert(t) {
             dropped = true;
         } else {
             kept.push(t);
         }
-    }
+    });
     let simplified = if algebra::contradicts(&kept) {
         if f.as_const() == Some(&Value::Bool(false)) {
             return Ok(false);
@@ -625,6 +688,7 @@ fn simplifyq(args: &[Term], binds: &mut Bindings, _env: &dyn TermEnv) -> RwResul
 mod tests {
     use super::*;
     use eds_rewrite::BasicEnv;
+    use eds_testkit::rng::StdRng;
 
     fn call(name: &str, args: Vec<Term>, binds: &mut Bindings) -> RwResult<bool> {
         let mut reg = MethodRegistry::with_builtins();
@@ -1121,5 +1185,186 @@ mod tests {
         )
         .unwrap();
         assert!(!ok);
+    }
+
+    /// A [`BasicEnv`] that knows two relations' schemas — `R(INT, CHAR)`
+    /// and `S(CHAR)` — and holds one integrity constraint, `x > 0` for an
+    /// `INT`.
+    struct OneConstraintEnv(BasicEnv);
+
+    impl TermEnv for OneConstraintEnv {
+        fn functions(&self) -> &eds_adt::FunctionRegistry {
+            self.0.functions()
+        }
+        fn objects(&self) -> &eds_adt::ObjectStore {
+            self.0.objects()
+        }
+        fn types(&self) -> &eds_adt::TypeRegistry {
+            self.0.types()
+        }
+        fn rel_schema(&self, term: &Term) -> Option<Vec<eds_adt::Type>> {
+            use eds_adt::Type;
+            match term.as_app() {
+                Some(("R", [])) => Some(vec![Type::Int, Type::Char]),
+                Some(("S", [])) => Some(vec![Type::Char]),
+                _ => None,
+            }
+        }
+        fn constraints_for(&self, ty: &eds_adt::Type) -> Vec<Term> {
+            match ty {
+                eds_adt::Type::Int => vec![Term::app(">", vec![Term::var("x"), Term::int(0)])],
+                _ => Vec::new(),
+            }
+        }
+    }
+
+    /// Operands where repeats, orientation and constant equality matter:
+    /// four attributes, and INT, REAL (`-0.0`, `0.0`, NaN), STRING and
+    /// NULL constants.
+    fn random_operand(rng: &mut StdRng) -> Term {
+        match rng.gen_range(0..11) {
+            0..=5 => Term::attr(rng.gen_range(1..3), rng.gen_range(1..3)),
+            6 => Term::int(rng.gen_range(0..2)),
+            7 => Term::Const(Value::real([-0.0, 0.0, f64::NAN][rng.gen_range(0..3)])),
+            8 => Term::str("a"),
+            9 => Term::Const(Value::Null),
+            _ => Term::app("+", vec![Term::attr(1, 1), Term::int(1)]),
+        }
+    }
+
+    /// A random qualification over `=`, `<>`, `<` and `INCLUDE`, with
+    /// duplicate conjuncts, constant = constant, `TRUE` and `x > 0` (what
+    /// [`OneConstraintEnv`] instantiates), on a random `AND` spine shape.
+    fn random_qualification(rng: &mut StdRng) -> Term {
+        let mut conjuncts: Vec<Term> = Vec::new();
+        for _ in 0..rng.gen_range(1..8) {
+            let c = match rng.gen_range(0..12) {
+                0 if !conjuncts.is_empty() => conjuncts[rng.gen_range(0..conjuncts.len())].clone(),
+                1 => Term::bool(true),
+                2 => Term::app("=", vec![Term::int(1), Term::int(rng.gen_range(1..3))]),
+                3..=6 => Term::app("=", vec![random_operand(rng), random_operand(rng)]),
+                7 => Term::app("<>", vec![random_operand(rng), random_operand(rng)]),
+                8 => Term::app("<", vec![random_operand(rng), random_operand(rng)]),
+                // The constraint's instance on an attribute, present already.
+                9 => Term::app(">", vec![random_operand(rng), Term::int(0)]),
+                _ => Term::app("INCLUDE", vec![random_operand(rng), random_operand(rng)]),
+            };
+            conjuncts.push(c);
+        }
+        fn spine(rng: &mut StdRng, cs: &[Term]) -> Term {
+            if cs.len() == 1 {
+                return cs[0].clone();
+            }
+            let cut = rng.gen_range(1..cs.len());
+            let (l, r) = cs.split_at(cut);
+            Term::app("AND", vec![spine(rng, l), spine(rng, r)])
+        }
+        spine(rng, &conjuncts)
+    }
+
+    #[test]
+    fn in_place_methods_agree_with_the_oracles() {
+        type Method = fn(&[Term], &mut Bindings, &dyn TermEnv) -> RwResult<bool>;
+        let pairs: [(&str, Method, Method); 4] = [
+            ("ADDCONSTRAINTS", addconstraints, oracle::addconstraints),
+            ("TRANSITIVITY", transitivity, oracle::transitivity),
+            ("EQSUBST", eqsubst, oracle::eqsubst),
+            ("SUBSTITUTE", substitute, oracle::substitute),
+        ];
+        let env = OneConstraintEnv(BasicEnv::new());
+        let inputs = [Term::atom("R"), Term::atom("S"), Term::atom("T")];
+        let mut rng = StdRng::seed_from_u64(0x0047_0E05);
+        let mut outcomes = std::collections::BTreeMap::new();
+        for case in 0..20_000 {
+            let (name, method, oracle_method) = pairs[case % pairs.len()];
+            let mut binds = Bindings::new();
+            let f = random_qualification(&mut rng);
+            binds.bind("f", f.clone());
+            let list = |rng: &mut StdRng, len: usize| -> Vec<Term> {
+                (0..len)
+                    .map(|_| inputs[rng.gen_range(0..inputs.len())].clone())
+                    .collect()
+            };
+            // A list argument: a bound segment, a bound `LIST`, a `LIST`
+            // written in the call, or (rarely) no list at all.
+            let list_arg = |rng: &mut StdRng, binds: &mut Bindings, name: &str| {
+                let len = rng.gen_range(0..3);
+                let items = list(rng, len);
+                match rng.gen_range(0..16) {
+                    0 => {
+                        binds.bind(name, Term::int(0));
+                        Term::var(name)
+                    }
+                    1..=5 => {
+                        binds.bind_seq(name, items);
+                        Term::seq(name)
+                    }
+                    6..=10 => {
+                        binds.bind(name, Term::list(items));
+                        Term::var(name)
+                    }
+                    _ => Term::list(items),
+                }
+            };
+            // Now and then the output position holds a constant.
+            let out = if rng.gen_range(0..30) == 0 {
+                Term::bool(true)
+            } else {
+                Term::var("out")
+            };
+            let args = match name {
+                "ADDCONSTRAINTS" => vec![list_arg(&mut rng, &mut binds, "l"), Term::var("f"), out],
+                "SUBSTITUTE" => {
+                    let xs = list_arg(&mut rng, &mut binds, "xs");
+                    let z = list_arg(&mut rng, &mut binds, "z");
+                    let b: Vec<Term> = (0..rng.gen_range(0..3))
+                        .map(|_| random_operand(&mut rng))
+                        .collect();
+                    if rng.gen_range(0..16) == 0 {
+                        binds.bind("b", Term::atom("R"));
+                    } else {
+                        binds.bind("b", Term::list(b));
+                    }
+                    vec![Term::var("f"), xs, z, Term::var("b"), out]
+                }
+                _ => vec![Term::var("f"), out],
+            };
+            // Now and then the output is already bound, making the call a
+            // check; or the argument count is wrong.
+            match rng.gen_range(0..20) {
+                0 => binds.bind("out", f.clone()),
+                1 => binds.bind("out", random_qualification(&mut rng)),
+                _ => {}
+            }
+            let args = if rng.gen_range(0..50) == 0 {
+                args[1..].to_vec()
+            } else {
+                args
+            };
+            let mut want_binds = binds.clone();
+            let want = oracle_method(&args, &mut want_binds, &env);
+            let got = method(&args, &mut binds, &env);
+            assert_eq!(got, want, "case {case}: {name} on {f}");
+            let (got_out, want_out) = (binds.get("out"), want_binds.get("out"));
+            assert!(
+                got_out == want_out,
+                "case {case}: {name} on {f} bound {} where the oracle bound {}",
+                got_out.map_or("nothing".into(), ToString::to_string),
+                want_out.map_or("nothing".into(), ToString::to_string),
+            );
+            let outcome = match want {
+                Ok(true) => "binds",
+                Ok(false) => "declines",
+                Err(_) => "fails",
+            };
+            *outcomes.entry((name, outcome)).or_insert(0) += 1;
+        }
+        // Every method binds, declines and fails often enough to count.
+        for (name, _, _) in pairs {
+            for outcome in ["binds", "declines", "fails"] {
+                let n = outcomes.get(&(name, outcome)).copied().unwrap_or(0);
+                assert!(n > 100, "{name} {outcome} {n} times: {outcomes:?}");
+            }
+        }
     }
 }
