@@ -5,11 +5,11 @@
 //! in the first block and the last row, inputs around one block (empty,
 //! one row, exactly `BLOCK_ROWS` and one more), all-NULL filter columns
 //! (a spilled mirror and empty selections), `GROUP BY` with an
-//! order-preserving `MakeList` collection, where the fused scan+nest
-//! path must collect items in row order, a nonlinear fixpoint whose
-//! delta derives one row many times over, and DISTINCT / GROUP BY over
-//! one `Int` key whose span is dense or, for one column, too wide to
-//! address.
+//! order-preserving `MakeList` collection, where grouping straight from
+//! the columns must collect items in row order, a nonlinear fixpoint
+//! whose delta derives one row many times over, and DISTINCT / GROUP BY
+//! over one `Int` key whose span is dense or, for one column, too wide
+//! to address.
 
 use eds_adt::Value;
 use eds_bench::assert_matches_oracle;
@@ -89,9 +89,9 @@ fn skewed_filters_merge_in_row_order() {
 #[test]
 fn fused_group_by_collects_in_global_row_order() {
     let dbms = skewed_dbms();
-    // LIST keeps insertion order, so the fused scan+nest path must
-    // append group members in row order. Every group spans every block
-    // (G = K % 3).
+    // LIST keeps insertion order, so grouping straight from the columns
+    // must append group members in row order. Every group spans every
+    // block (G = K % 3).
     check(
         &dbms,
         "SELECT G, MakeList(K) FROM SKEW WHERE A >= 1 GROUP BY G ;",

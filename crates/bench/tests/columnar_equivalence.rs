@@ -511,8 +511,9 @@ fn zone_edges_match_on_every_path() {
 }
 
 /// Slots per selected row up to which a one-`Int`-column DISTINCT, and a
-/// fused GROUP BY on one `Int` column, address the zone span directly
-/// (the engine's private `DENSE_DISTINCT` and `DENSE_GROUP`).
+/// GROUP BY on one `Int` column grouped from the columns, address the
+/// zone span directly (the engine's private `DENSE_DISTINCT` and
+/// `DENSE_GROUP`).
 const DENSE_DISTINCT: usize = 64;
 const DENSE_GROUP: usize = 8;
 

@@ -729,3 +729,155 @@ fn the_nonlinear_closure_joins_each_delta_combination_once() {
         assert_eq!(stats, pinned, "under {opts:?}");
     }
 }
+
+/// The `nest` of `plan`, wherever it sits.
+fn find_nest(plan: &Expr) -> Option<&Expr> {
+    if matches!(plan, Expr::Nest { .. }) {
+        return Some(plan);
+    }
+    plan.children().into_iter().find_map(find_nest)
+}
+
+/// `plan` with every `nest` over a one-input `search` reading that
+/// input directly: the `search` of the plans below keeps every row and
+/// attribute, so the answer is the same. Walks the shapes those plans
+/// have: `search`, `project`, `union` and `fix`.
+fn nest_the_input(plan: &Expr) -> Expr {
+    let go = |e: &Expr| nest_the_input(e);
+    match plan {
+        Expr::Nest {
+            input,
+            group,
+            nested,
+            kind,
+        } => {
+            let input = match &**input {
+                Expr::Search { inputs, .. } if inputs.len() == 1 => inputs[0].clone(),
+                other => go(other),
+            };
+            Expr::Nest {
+                input: Box::new(input),
+                group: group.clone(),
+                nested: nested.clone(),
+                kind: *kind,
+            }
+        }
+        Expr::Search { inputs, pred, proj } => Expr::Search {
+            inputs: inputs.iter().map(go).collect(),
+            pred: pred.clone(),
+            proj: proj.clone(),
+        },
+        Expr::Project { input, exprs } => Expr::Project {
+            input: Box::new(go(input)),
+            exprs: exprs.clone(),
+        },
+        Expr::Union(items) => Expr::Union(items.iter().map(go).collect()),
+        Expr::Fix { name, body } => Expr::Fix {
+            name: name.clone(),
+            body: Box::new(go(body)),
+        },
+        other => other.clone(),
+    }
+}
+
+/// GROUP BY wherever its `nest` can sit: over a linked join, over a
+/// search whose target is computed (so it runs the row path), and over a
+/// recursion local — a `nest` inside a recursive view's body, which the
+/// semi-naive variants read through the delta, once through an identity
+/// `search` and once directly. Rows and their order are the oracle's
+/// under columnar {off, on}, and the work counters are pinned.
+#[test]
+fn grouping_matches_the_reference_wherever_the_nest_sits() {
+    let mut dbms = distinct_dbms();
+    dbms.execute_ddl(
+        "CREATE VIEW CNT (Src, Dst) AS
+         ( SELECT Src, Dst FROM EDGE
+           UNION
+           SELECT Src, COUNT(MakeSet(Dst)) FROM CNT GROUP BY Src ) ;",
+    )
+    .unwrap();
+    let join =
+        "SELECT Label, MakeList(K) FROM T, DIM WHERE T.G = DIM.G AND K > 10 GROUP BY Label ;";
+    let computed = "SELECT S, MakeList(K * 2) FROM T WHERE G < 12 GROUP BY S ;";
+    let local = "SELECT Src, Dst FROM CNT ;";
+    // (statement, form, rows emitted, combinations tried, cross product,
+    // fixpoint rounds)
+    let pinned = [
+        (join, "raw", 4_993, 9_978, 80_000, 0),
+        (join, "rewritten", 4_993, 9_978, 80_000, 0),
+        (computed, "raw", 3_759, 5_000, 5_000, 0),
+        (computed, "rewritten", 3_759, 5_000, 5_000, 0),
+        (local, "raw", 308, 178, 178, 3),
+        (local, "rewritten", 308, 243, 243, 3),
+        (local, "direct", 237, 107, 107, 3),
+    ];
+    let configs = all_configs();
+    for (sql, form, rows_emitted, combinations_tried, cross_product, fix_iterations) in pinned {
+        let prepared = dbms.prepare(sql).unwrap();
+        let plan = match form {
+            "raw" => prepared.expr.clone(),
+            "rewritten" => std::sync::Arc::unwrap_or_clone(dbms.rewrite(&prepared).unwrap().expr),
+            _ => nest_the_input(&prepared.expr),
+        };
+        let id = format!("{sql} {form}");
+        let Some(Expr::Nest { input, .. }) = find_nest(&plan) else {
+            panic!("{id}: no nest in {plan:?}")
+        };
+        match &**input {
+            Expr::Search { inputs, .. } if sql == join => assert_eq!(inputs.len(), 2),
+            Expr::Search { proj, .. } if sql == computed => {
+                assert!(proj.iter().any(|e| !matches!(e, Scalar::Attr { .. })));
+            }
+            Expr::Search { inputs, .. } if form != "direct" => {
+                assert!(matches!(&inputs[..], [Expr::Base(name)] if name == "CNT"));
+            }
+            Expr::Base(name) => assert_eq!(name, "CNT"),
+            other => panic!("{id}: the nest reads {other:?}"),
+        }
+        let want = EvalStats {
+            rows_emitted,
+            combinations_tried,
+            cross_product,
+            fix_iterations,
+        };
+        for (stats, opts) in assert_matches_oracle(&id, &dbms.db, &plan, &configs)
+            .into_iter()
+            .zip(&configs)
+        {
+            assert_eq!(stats, want, "{id} under {opts:?}");
+        }
+    }
+}
+
+/// A `nest` whose group attribute is 0 or one past its input's arity is
+/// the oracle's typed error, over a search and over a stored table, in
+/// every configuration: never a panic.
+#[test]
+fn a_nest_attribute_out_of_range_is_the_oracles_error() {
+    use eds_adt::CollKind;
+    let dbms = distinct_dbms();
+    let search = dbms
+        .prepare("SELECT I, S FROM T WHERE K >= 40 ;")
+        .unwrap()
+        .expr;
+    for input in [search, Expr::base("P")] {
+        for group in [0, 3] {
+            let nest = Expr::Nest {
+                input: Box::new(input.clone()),
+                group: vec![group],
+                nested: vec![1],
+                kind: CollKind::List,
+            };
+            let want = eval_reference(&nest, &dbms.db, EvalOptions::default())
+                .expect_err("the oracle refuses the attribute");
+            for opts in all_configs() {
+                let got = eds_engine::eval_with(&nest, &dbms.db, opts).map(|r| r.0);
+                assert_eq!(
+                    got,
+                    Err(want.clone()),
+                    "group {group} of {input:?} under {opts:?}"
+                );
+            }
+        }
+    }
+}

@@ -30,7 +30,14 @@ impl TermEnv for CoreEnv<'_> {
         &self.db.catalog.types
     }
 
+    /// A relation name's column types are read from the catalog
+    /// entry; any other term is converted to a plan and its schema
+    /// inferred.
     fn rel_schema(&self, term: &Term) -> Option<Vec<Type>> {
+        if let Some((name, [])) = term.as_app() {
+            let columns = &self.db.catalog.relation(name)?.columns;
+            return Some(columns.iter().map(|f| f.ty.clone()).collect());
+        }
         let expr = expr_from_term(term).ok()?;
         let ctx = SchemaCtx::new(&self.db.catalog);
         let schema = infer_schema(&expr, &ctx).ok()?;

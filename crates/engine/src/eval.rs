@@ -35,6 +35,9 @@
 //!   one `Int` column whose zone span is dense in the selection by a
 //!   bitmap over the span — and count it as emitted all the same. The
 //!   rows come out in no promised order: every caller sorts them;
+//! * so is grouping: a `nest` evaluates its input into a sink that adds
+//!   each qualifying row's item to its key's group and keeps no row —
+//!   over a columnar mirror straight from the key and item columns;
 //! * every operator runs on the calling thread, one pass over its input
 //!   into one sink (DESIGN §4, "One lane").
 //!
@@ -400,39 +403,26 @@ pub(crate) fn eval_expr(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Relation
             Ok(ra)
         }
         Expr::Fix { name, body } => eval_fix(name, body, ctx),
+        // The rows are grouped as they arrive ([`Group`]): in the sink
+        // of the search that produces them, or where a stored table or a
+        // fixpoint local already holds them.
         Expr::Nest {
             input,
             group,
             nested,
             kind,
         } => {
-            if let Some(out) = fused_scan_nest(expr, ctx)? {
-                return Ok(out);
-            }
-            let rel = eval_input(input, ctx)?;
-            let mut out = Relation::empty(nest_schema(&rel.schema, group, nested, *kind)?);
-            let item_of = |row: &SharedRow| {
-                if nested.len() == 1 {
-                    row[nested[0] - 1].clone()
-                } else {
-                    Value::Tuple(nested.iter().map(|&n| row[n - 1].clone()).collect())
+            let sink = Group::new(group, nested, *kind);
+            let rel = match &**input {
+                Expr::Base(_) => {
+                    let rel = eval_input(input, ctx)?;
+                    Relation::from_shared(Arc::clone(&rel.schema), sink.grouped(&rel.rows))
                 }
+                _ => eval_into(input, ctx, sink)?,
             };
-            // Keys are *borrowed* from the input rows (no per-row key
-            // allocation or deep clone); the dominant single-attribute
-            // GROUP BY hashes the bare value.
-            if let [g] = group[..] {
-                let pairs = rel.rows.iter().map(|row| (&row[g - 1], item_of(row)));
-                emit_groups(pairs, |k| vec![k.clone()], *kind, &mut out, &mut ctx.stats);
-            } else {
-                let pairs = rel.rows.iter().map(|row| {
-                    let key: Vec<&Value> = group.iter().map(|&g| &row[g - 1]).collect();
-                    (key, item_of(row))
-                });
-                let key_row = |k: Vec<&Value>| k.into_iter().cloned().collect();
-                emit_groups(pairs, key_row, *kind, &mut out, &mut ctx.stats);
-            }
-            Ok(out)
+            let schema = nest_schema(&rel.schema, group, nested, *kind)?;
+            ctx.stats.rows_emitted += rel.len() as u64;
+            Ok(Relation::from_shared(schema, rel.rows))
         }
         Expr::Unnest { input, attr } => {
             let rel = eval_input(input, ctx)?;
@@ -585,12 +575,6 @@ impl Sink for Bag {
 /// hash set (DESIGN §4, "Set semantics at the sink").
 const DENSE_DISTINCT: usize = 64;
 
-/// Slots per selected row up to which a fused `GROUP BY` on one `Int`
-/// column finds a row's group through an array indexed by its slot in
-/// the zone span rather than through a hash map (DESIGN §4, "Columnar
-/// storage").
-const DENSE_GROUP: usize = 8;
-
 /// Set mode: a qualifying row already in `set` — the caller's, or one
 /// this sink kept — is dropped before it is allocated, probed as
 /// `&[Value]` (`SharedRow: Borrow<[Value]>`) straight from the scratch
@@ -722,6 +706,202 @@ impl Sink for Distinct<'_> {
         rows.into_iter()
             .filter(|r| self.set.insert(r.clone()))
             .collect()
+    }
+}
+
+/// Slots per selected row up to which a gather grouping by one `Int`
+/// column finds a row's group through an array indexed by its slot in
+/// the zone span rather than through a hash map (DESIGN §4, "Grouping is
+/// a sink").
+const DENSE_GROUP: usize = 8;
+
+/// No group: the end of a hash's chain in [`Group`].
+const NO_GROUP: u32 = u32::MAX;
+
+/// Group mode, the sink of the input of a `nest`: each qualifying row
+/// joins the group of its key — the attributes `group` — with its item,
+/// the attributes `nested` (one value, or a tuple of several), and no
+/// row is kept. [`Sink::finish`] hands back one `key ++ [collection of
+/// items]` row per group, NULL first, then by key; the items stay in
+/// arrival order, which `MakeList` keeps. Attributes are 1-based, as in
+/// the plan: a row without one of them (or an attribute 0) joins no
+/// group, and the `nest` reports the typed error when it types its
+/// result.
+struct Group<'a> {
+    group: &'a [usize],
+    nested: &'a [usize],
+    kind: CollKind,
+    /// The row width every attribute read needs; `usize::MAX` when one
+    /// is 0.
+    width: usize,
+    /// Each group's key and items, in order of first arrival.
+    groups: Vec<(Row, Vec<Value>)>,
+    /// The newest group of each key hash. `chain[g]` is the group that
+    /// held the hash before group `g` did, or [`NO_GROUP`].
+    heads: FoldMap<u64, u32>,
+    chain: Vec<u32>,
+    offered: u64,
+}
+
+/// A row's item: its one `nested` value, or the tuple of several.
+#[inline]
+fn item(nested: &[usize], value: impl Fn(usize) -> Value) -> Value {
+    match nested {
+        [n] => value(*n),
+        _ => Value::Tuple(nested.iter().map(|&n| value(n)).collect()),
+    }
+}
+
+impl<'a> Group<'a> {
+    fn new(group: &'a [usize], nested: &'a [usize], kind: CollKind) -> Group<'a> {
+        let width = group.iter().chain(nested);
+        let width = width.map(|&a| if a == 0 { usize::MAX } else { a }).max();
+        Group {
+            group,
+            nested,
+            kind,
+            width: width.unwrap_or(0),
+            groups: Vec::new(),
+            heads: FoldMap::default(),
+            chain: Vec::new(),
+            offered: 0,
+        }
+    }
+
+    /// The group rows of `rows`, which are not counted.
+    fn grouped(mut self, rows: &[SharedRow]) -> Vec<SharedRow> {
+        for row in rows {
+            self.add(row);
+        }
+        self.finish().0
+    }
+
+    /// Add `row`'s item to the group of its key. The key is hashed and
+    /// compared where it lies; only a new group's key is cloned.
+    fn add(&mut self, row: &[Value]) {
+        self.offered += 1;
+        if row.len() < self.width {
+            return;
+        }
+        let mut h = self.heads.hasher().build_hasher();
+        for &g in self.group {
+            row[g - 1].hash(&mut h);
+        }
+        let head = self.heads.entry(h.finish()).or_insert(NO_GROUP);
+        let mut at = *head;
+        while at != NO_GROUP {
+            let key = &self.groups[at as usize].0;
+            if key.iter().zip(self.group).all(|(k, &g)| *k == row[g - 1]) {
+                break;
+            }
+            at = self.chain[at as usize];
+        }
+        if at == NO_GROUP {
+            at = self.groups.len() as u32;
+            self.chain.push(*head);
+            *head = at;
+            let key = self.group.iter().map(|&g| row[g - 1].clone()).collect();
+            self.groups.push((key, Vec::new()));
+        }
+        let items = &mut self.groups[at as usize].1;
+        items.push(item(self.nested, |n| row[n - 1].clone()));
+    }
+
+    /// The one-`Int`-key gather over a dense span. Two passes over the
+    /// selection: the first counts each slot's rows into `group_of`,
+    /// which then holds the index of the slot's group (`NO_GROUP` for an
+    /// empty slot), each group allocated once at its size — NULL first,
+    /// then in key order; the second fills them.
+    fn gather_dense(&mut self, key: &DenseKey<'_>, idxs: &[u32], item_of: impl Fn(usize) -> Value) {
+        let mut group_of = vec![0u32; key.slots];
+        let mut null_rows = 0;
+        for &i in idxs {
+            match key.slot(i as usize) {
+                Some(s) => group_of[s] += 1,
+                None => null_rows += 1,
+            }
+        }
+        let null_group = self.groups.len();
+        if null_rows > 0 {
+            self.groups
+                .push((vec![Value::Null], Vec::with_capacity(null_rows)));
+        }
+        for (s, g) in group_of.iter_mut().enumerate() {
+            if *g == 0 {
+                *g = NO_GROUP;
+            } else {
+                let items = Vec::with_capacity(*g as usize);
+                self.groups.push((vec![Value::Int(key.key(s))], items));
+                *g = self.groups.len() as u32 - 1;
+            }
+        }
+        for &i in idxs {
+            let i = i as usize;
+            let at = key.slot(i).map_or(null_group, |s| group_of[s] as usize);
+            self.groups[at].1.push(item_of(i));
+        }
+    }
+}
+
+impl Sink for Group<'_> {
+    fn keep(&mut self, scratch: &mut Row) {
+        self.add(scratch);
+        scratch.clear();
+    }
+
+    fn forward(&mut self, row: &SharedRow) {
+        self.add(row);
+    }
+
+    /// Grouped straight from the columns, in target order: the rows are
+    /// never built. One `Int` key whose zone span holds at most
+    /// [`DENSE_GROUP`] slots per selected row is addressed by slot
+    /// ([`Group::gather_dense`]); any other key is hashed by its code
+    /// ([`CodedRow`]), so only a new group's key is built.
+    fn gather(&mut self, from: &Gather<'_>, idxs: &[u32]) {
+        self.offered += idxs.len() as u64;
+        if from.columns.len() < self.width {
+            return;
+        }
+        let column = |a: usize| from.columns[a - 1];
+        let nested = self.nested;
+        let item_of = |i: usize| item(nested, |n| column(n).value(i));
+        if let [g] = self.group[..] {
+            if let Some(key) = column(g).dense_key(idxs, DENSE_GROUP) {
+                self.gather_dense(&key, idxs, item_of);
+                return;
+            }
+        }
+        let key_columns: Vec<&Column> = self.group.iter().map(|&g| column(g)).collect();
+        let mut index: FoldMap<CodedRow<'_>, u32> = FoldMap::default();
+        let groups = &mut self.groups;
+        for &i in idxs {
+            let i = i as usize;
+            let at = *index
+                .entry(CodedRow::new(&key_columns, i))
+                .or_insert_with(|| {
+                    let key = key_columns.iter().map(|c| c.value(i)).collect();
+                    groups.push((key, Vec::new()));
+                    groups.len() as u32 - 1
+                });
+            groups[at as usize].1.push(item_of(i));
+        }
+    }
+
+    /// Each group row is a block of its own, so a row kept downstream
+    /// keeps no other group's items alive.
+    fn finish(mut self) -> (Vec<SharedRow>, u64) {
+        self.groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let kind = self.kind;
+        let rows = self.groups.into_iter().map(|(mut row, items)| {
+            row.push(Value::coll(kind, items));
+            shared_row(&mut row)
+        });
+        (rows.collect(), self.offered)
+    }
+
+    fn settle(self, rows: Vec<SharedRow>) -> Vec<SharedRow> {
+        self.grouped(&rows)
     }
 }
 
@@ -893,206 +1073,6 @@ fn select_project<S: Sink>(
     };
     sink.gather(&from, &sel);
     Ok(sink)
-}
-
-/// Group `(key, item)` pairs in one hash pass, sort the groups once —
-/// `OrderedF64`'s Eq/Hash agree with its total order, so this emits the
-/// exact lexicographic key order a `BTreeMap` would — and append one
-/// `key attributes ++ [collection of items]` row per group.
-fn emit_groups<K: Ord + Hash>(
-    pairs: impl Iterator<Item = (K, Value)>,
-    key_row: impl Fn(K) -> Row,
-    kind: CollKind,
-    out: &mut Relation,
-    stats: &mut EvalStats,
-) {
-    let mut groups: FoldMap<K, Vec<Value>> = FoldMap::default();
-    for (key, item) in pairs {
-        groups.entry(key).or_default().push(item);
-    }
-    let mut entries: Vec<(K, Vec<Value>)> = groups.into_iter().collect();
-    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let groups = entries
-        .into_iter()
-        .map(|(key, items)| (key_row(key), items));
-    emit_sorted_groups(groups, kind, out, stats);
-}
-
-/// Append one `key attributes ++ [collection of items]` row per group,
-/// in the order given.
-fn emit_sorted_groups(
-    groups: impl Iterator<Item = (Row, Vec<Value>)>,
-    kind: CollKind,
-    out: &mut Relation,
-    stats: &mut EvalStats,
-) {
-    for (mut row, items) in groups {
-        row.push(Value::coll(kind, items));
-        out.push(row);
-        stats.rows_emitted += 1;
-    }
-}
-
-/// Group the selected rows `sel` (ascending) by one `Int` column whose
-/// zone span over them is dense: each item goes to its key's slot (or
-/// the NULL group) in selection order, and the non-empty groups come out
-/// NULL first, then by ascending key — the order [`emit_groups`]' key
-/// sort gives, since `Value::Null` sorts before every `Value::Int`.
-fn emit_dense_groups(
-    key: &DenseKey<'_>,
-    sel: &[u32],
-    item_of: impl Fn(usize) -> Value,
-    kind: CollKind,
-    out: &mut Relation,
-    stats: &mut EvalStats,
-) {
-    // Two passes over the selection: the first counts each slot's rows
-    // into `group_of`, which then holds the index of the slot's group in
-    // `groups` (four bytes a slot, `NONE` for an empty one), each group
-    // allocated once at its size and in key order; the second fills them.
-    const NONE: u32 = u32::MAX;
-    let mut group_of = vec![0u32; key.slots];
-    let mut null_rows = 0;
-    for &i in sel {
-        match key.slot(i as usize) {
-            Some(s) => group_of[s] += 1,
-            None => null_rows += 1,
-        }
-    }
-    let mut groups: Vec<(Value, Vec<Value>)> = Vec::new();
-    for (s, g) in group_of.iter_mut().enumerate() {
-        if *g == 0 {
-            *g = NONE;
-        } else {
-            groups.push((Value::Int(key.key(s)), Vec::with_capacity(*g as usize)));
-            *g = groups.len() as u32 - 1;
-        }
-    }
-    let mut nulls = Vec::with_capacity(null_rows);
-    for &i in sel {
-        let i = i as usize;
-        match key.slot(i) {
-            Some(s) => groups[group_of[s] as usize].1.push(item_of(i)),
-            None => nulls.push(item_of(i)),
-        }
-    }
-    let groups = std::iter::once((Value::Null, nulls))
-        .filter(|(_, items)| !items.is_empty())
-        .chain(groups)
-        .map(|(k, items)| (vec![k], items));
-    emit_sorted_groups(groups, kind, out, stats);
-}
-
-/// Fused scan+nest: when `Nest` consumes a single-base select-project
-/// (`Search` with one `Base` input) whose qualification lowers fully to
-/// columnar kernels and whose projected columns are plain slot
-/// references, group straight from the columns over the selection
-/// vector — the intermediate filtered/projected rows are never
-/// materialized. Results, result order and work counters are identical
-/// to the unfused pipeline: the skipped `Search` still counts its
-/// `rows_emitted` and both join counters, groups sort by key exactly
-/// as the row-path `Nest` sorts them, and any shape the fusion does not
-/// cover returns `None` to fall back untouched — re-evaluating the
-/// inner `Base` on fallback is a borrow, so a failed attempt costs
-/// nothing and cannot double-count work.
-fn fused_scan_nest(expr: &Expr, ctx: &mut Ctx<'_>) -> EngineResult<Option<Relation>> {
-    let Expr::Nest {
-        input,
-        group,
-        nested,
-        kind,
-    } = expr
-    else {
-        return Ok(None);
-    };
-    if !ctx.opts.columnar {
-        return Ok(None);
-    }
-    let (base, pred, proj) = match &**input {
-        Expr::Search { inputs, pred, proj } if matches!(inputs[..], [Expr::Base(_)]) => {
-            (&inputs[0], pred, proj)
-        }
-        _ => return Ok(None),
-    };
-    let rel = eval_input(base, ctx)?;
-    let searched = search_schema(
-        Some(proj),
-        &[&*rel.schema],
-        &SchemaCtx::new(&ctx.db.catalog),
-    )?;
-    let mut out = Relation::empty(nest_schema(&searched, group, nested, *kind)?);
-    let bound = bind_fields(pred, std::slice::from_ref(&*rel.schema), &ctx.db.catalog)?;
-    // `Search` short-circuits FALSE/empty before counting any work.
-    if rel.is_empty() || bound.is_false() {
-        return Ok(Some(out));
-    }
-    let env = EvalEnv::with_params(ctx.db, ctx.params);
-    let cpred = CompiledPred::compile(&bound);
-    let Some(cols) = base_columnar(base, ctx, rel.len()) else {
-        return Ok(None);
-    };
-    let Some(colpred) = cpred.columnar(&cols, ctx.params) else {
-        return Ok(None);
-    };
-    // Map `Nest` attributes (1-based into the intermediate schema) to
-    // base columns through the projection: every target must be an
-    // infallible in-bounds slot copy.
-    let mut col_of = Vec::with_capacity(proj.len());
-    for e in proj {
-        let b = bind_fields(e, std::slice::from_ref(&*rel.schema), &ctx.db.catalog)?;
-        match CompiledProj::compile(&b, &env)
-            .slot0()
-            .filter(|&a| a < cols.arity())
-        {
-            Some(a) => col_of.push(a),
-            None => return Ok(None),
-        }
-    }
-    let width = col_of.len();
-    if group.iter().chain(nested).any(|&a| a == 0 || a > width) {
-        return Ok(None);
-    }
-
-    let sel = colpred.select();
-    ctx.stats.add_search(Work {
-        tried: rel.len() as u64,
-        cross_product: rel.len() as u64,
-    });
-    // The intermediate select-project rows are never built, but the
-    // unfused pipeline would have emitted them.
-    ctx.stats.rows_emitted += sel.len() as u64;
-
-    let item_cols: Vec<usize> = nested.iter().map(|&n| col_of[n - 1]).collect();
-    let item_of = |i: usize| {
-        if let [c] = item_cols[..] {
-            cols.value_at(i, c)
-        } else {
-            Value::Tuple(item_cols.iter().map(|&c| cols.value_at(i, c)).collect())
-        }
-    };
-    let selected = sel.iter().map(|&i| i as usize);
-    if let [g] = group[..] {
-        let gcol = col_of[g - 1];
-        if let Some(key) = cols
-            .column(gcol)
-            .and_then(|c| c.dense_key(&sel, DENSE_GROUP))
-        {
-            emit_dense_groups(&key, &sel, item_of, *kind, &mut out, &mut ctx.stats);
-            return Ok(Some(out));
-        }
-        let pairs = selected.map(|i| (cols.value_at(i, gcol), item_of(i)));
-        emit_groups(pairs, |k| vec![k], *kind, &mut out, &mut ctx.stats);
-    } else {
-        let pairs = selected.map(|i| {
-            let key: Row = group
-                .iter()
-                .map(|&g| cols.value_at(i, col_of[g - 1]))
-                .collect();
-            (key, item_of(i))
-        });
-        emit_groups(pairs, |k| k, *kind, &mut out, &mut ctx.stats);
-    }
-    Ok(Some(out))
 }
 
 /// The rows of one join input its local conjuncts left, ascending by

@@ -159,10 +159,10 @@ fn empty_seed_yields_empty_fixpoint() {
 
 /// `nest` and `unnest` type their output from the relation they just
 /// evaluated, not by re-inferring the plan below them: over a derived
-/// input (a projection that reorders `EDGE`), on the fused columnar
-/// scan+nest and on the row path, and inside a recursive body — both
-/// branches of a `fix` — the schema is `infer_schema`'s and the rows
-/// are the oracle's.
+/// input (a projection that reorders `EDGE`), grouped from the columns
+/// of a stored table and on the row path, and inside a recursive body —
+/// both branches of a `fix` — the schema is `infer_schema`'s and the
+/// rows are the oracle's.
 #[test]
 fn nest_and_unnest_type_from_their_evaluated_input() {
     let db = tc_db(&[(1, 2), (1, 3), (2, 3), (3, 1), (4, 4)]);
