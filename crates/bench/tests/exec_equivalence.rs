@@ -881,3 +881,197 @@ fn a_nest_attribute_out_of_range_is_the_oracles_error() {
         }
     }
 }
+
+/// `T (K, A, S)`: 40 rows, `A` cycling through 0..7 and `S` through
+/// `'a'`..`'d'`, so `T` has a columnar mirror.
+fn mixed_dbms() -> Dbms {
+    use eds_adt::Value;
+    let mut dbms = Dbms::new().unwrap();
+    dbms.execute_ddl("TABLE T (K : INT, A : INT, S : CHAR);")
+        .unwrap();
+    for k in 0..40i64 {
+        let s = ["a", "b", "c", "d"][(k % 4) as usize];
+        let row = vec![Value::Int(k), Value::Int(k % 7), Value::str(s)];
+        dbms.insert("T", row).unwrap();
+    }
+    dbms
+}
+
+/// `pred` with every `?i` replaced by `params[i]`: the oracle's plan.
+fn bound(pred: &Scalar, params: &[eds_adt::Value]) -> Scalar {
+    let sub = |s: &Scalar| bound(s, params);
+    match pred {
+        Scalar::Param(i) => Scalar::Const(params[*i as usize].clone()),
+        Scalar::And(a, b) => Scalar::and(sub(a), sub(b)),
+        Scalar::Or(a, b) => Scalar::Or(Box::new(sub(a)), Box::new(sub(b))),
+        Scalar::Not(a) => Scalar::Not(Box::new(sub(a))),
+        Scalar::Cmp { op, left, right } => Scalar::cmp(*op, sub(left), sub(right)),
+        Scalar::Call { func, args } => Scalar::call(func, args.iter().map(sub).collect()),
+        other => other.clone(),
+    }
+}
+
+/// One-input qualifications that mix kernel conjuncts with one no kernel
+/// covers — a `MEMBER` list, an `OR`, a `?`-only conjunct bound TRUE,
+/// bound FALSE and unbound, a bare `TRUE` — under an identity target
+/// list and a reordering one, over the mirrored table `T` and over a
+/// fixpoint local, as a bag and as a set: the rows and their order are
+/// the oracle's (with the binds written in) under columnar {off, on}, an
+/// unbound `?` is an error on both sides, and the work counters do not
+/// depend on the configuration — over `T` they are the input's rows, its
+/// cross product, and every qualifying row emitted; over the local they
+/// are pinned at what the row-by-row path counted ([`FIXPOINT_WORK`]).
+#[test]
+fn one_input_qualifications_mixing_kernels_match_the_oracle() {
+    use eds_adt::Value;
+    use eds_lera::CmpOp;
+    let dbms = mixed_dbms();
+    let attr = |a| Scalar::attr(1, a);
+    let lit = |v: i64| Scalar::lit(v);
+    let from = Scalar::cmp(CmpOp::Ge, attr(1), lit(3));
+    let letters = |ls: &[&str]| {
+        let items = ls.iter().map(|l| Scalar::lit(Value::str(*l))).collect();
+        Scalar::call("MAKELIST", items)
+    };
+    let member = Scalar::call("MEMBER", vec![attr(3), letters(&["a", "b", "c"])]);
+    let either = Scalar::Or(
+        Box::new(Scalar::eq(attr(2), lit(1))),
+        Box::new(Scalar::eq(attr(3), Scalar::lit(Value::str("d")))),
+    );
+    let param = Scalar::eq(Scalar::param(0), lit(3));
+    let quals: Vec<(Scalar, Vec<Value>)> = vec![
+        (Scalar::and(from.clone(), member.clone()), vec![]),
+        (
+            Scalar::and(member, Scalar::cmp(CmpOp::Lt, attr(2), lit(5))),
+            vec![],
+        ),
+        (Scalar::and(either, from.clone()), vec![]),
+        (
+            Scalar::and(param.clone(), from.clone()),
+            vec![Value::Int(3)],
+        ),
+        (
+            Scalar::and(from.clone(), param.clone()),
+            vec![Value::Int(4)],
+        ),
+        (Scalar::and(param, from.clone()), vec![]),
+        (Scalar::and(Scalar::true_(), from), vec![]),
+        (Scalar::true_(), vec![]),
+    ];
+    let identity = vec![attr(1), attr(2), attr(3)];
+    let reordered = vec![attr(2), attr(1), attr(3)];
+    let n = 40;
+    let mut fixpoint_work = FIXPOINT_WORK.iter();
+    for (pred, params) in &quals {
+        for proj in [&identity, &reordered] {
+            let search = |input: Expr, pred: Scalar| Expr::search(vec![input], pred, proj.clone());
+            let scan = search(Expr::base("T"), pred.clone());
+            let closure = Expr::Fix {
+                name: "R".into(),
+                body: Box::new(Expr::Union(vec![
+                    Expr::base("T"),
+                    search(Expr::base("R"), pred.clone()),
+                ])),
+            };
+            let plans = [
+                (scan.clone(), true),
+                (Expr::Dedup(Box::new(scan)), true),
+                (closure, false),
+            ];
+            for (plan, over_t) in plans {
+                let id = format!("{plan} with {params:?}");
+                let mut oracle_plan = plan.clone();
+                let mut has_param = false;
+                pred.visit(&mut |s| has_param |= matches!(s, Scalar::Param(_)));
+                let unbound = params.is_empty() && has_param;
+                if !unbound {
+                    rebind(&mut oracle_plan, params);
+                }
+                let oracle = eval_reference(&oracle_plan, &dbms.db, EvalOptions::default());
+                let mut stats = Vec::new();
+                for opts in all_configs() {
+                    let got = eds_engine::eval_with_params(&plan, &dbms.db, opts, params);
+                    if unbound {
+                        assert!(oracle.is_err() && got.is_err(), "{id} under {opts:?}");
+                        continue;
+                    }
+                    let oracle = oracle.as_ref().unwrap_or_else(|e| panic!("{id}: {e}"));
+                    let (rel, s) = got.unwrap_or_else(|e| panic!("{id} under {opts:?}: {e}"));
+                    assert_eq!(rel.rows, oracle.rows, "{id} under {opts:?}");
+                    stats.push(s);
+                }
+                if unbound {
+                    continue;
+                }
+                assert_eq!(stats[0], stats[1], "{id}: counters follow the path");
+                if over_t {
+                    let bag =
+                        eval_reference(&search_of(&oracle_plan), &dbms.db, EvalOptions::default());
+                    let want = EvalStats {
+                        rows_emitted: bag.unwrap().len() as u64,
+                        combinations_tried: n,
+                        cross_product: n,
+                        fix_iterations: 0,
+                    };
+                    assert_eq!(stats[0], want, "{id}");
+                } else {
+                    let &(rows_emitted, tried, fix_iterations) =
+                        fixpoint_work.next().expect("a pin per fixpoint case");
+                    let want = EvalStats {
+                        rows_emitted,
+                        combinations_tried: tried,
+                        cross_product: tried,
+                        fix_iterations,
+                    };
+                    assert_eq!(stats[0], want, "{id}");
+                }
+            }
+        }
+    }
+    assert!(fixpoint_work.next().is_none(), "a pin per fixpoint case");
+}
+
+/// `rows_emitted`, `combinations_tried` (= `cross_product`) and
+/// `fix_iterations` of the fixpoint cases above, in the order they run
+/// (each qualification under the identity, then the reordering target
+/// list; the unbound `?` has none) — what the one-input row path of
+/// `select_project` counted before selection joined the `search`
+/// pipeline.
+const FIXPOINT_WORK: [(u64, u64, u64); 14] = [
+    (27, 40, 1),
+    (40, 64, 2),
+    (22, 40, 1),
+    (22, 58, 2),
+    (14, 40, 1),
+    (19, 53, 2),
+    (37, 40, 1),
+    (55, 73, 2),
+    (0, 40, 1),
+    (0, 40, 1),
+    (37, 40, 1),
+    (55, 73, 2),
+    (40, 40, 1),
+    (73, 73, 2),
+];
+
+/// The `search` a plan is or wraps in a `dedup`.
+fn search_of(plan: &Expr) -> Expr {
+    match plan {
+        Expr::Dedup(inner) => (**inner).clone(),
+        other => other.clone(),
+    }
+}
+
+/// Write `params` into every `search` qualification of `plan`.
+fn rebind(plan: &mut Expr, params: &[eds_adt::Value]) {
+    match plan {
+        Expr::Search { inputs, pred, .. } => {
+            *pred = bound(pred, params);
+            inputs.iter_mut().for_each(|i| rebind(i, params));
+        }
+        Expr::Dedup(inner) => rebind(inner, params),
+        Expr::Fix { body, .. } => rebind(body, params),
+        Expr::Union(items) => items.iter_mut().for_each(|i| rebind(i, params)),
+        _ => {}
+    }
+}

@@ -469,45 +469,70 @@ impl<'s> FastRef<'s> {
     }
 }
 
-/// Pre-classified fast form of one conjunct.
-enum FastQual<'s> {
-    /// Literal `TRUE` — no per-row work at all.
-    True,
-    /// A comparison between two fast references.
-    Cmp {
-        op: CmpOp,
-        left: FastRef<'s>,
-        right: FastRef<'s>,
-    },
+/// The fast form of one conjunct: a comparison between two fast
+/// references.
+struct FastCmp<'s> {
+    op: CmpOp,
+    left: FastRef<'s>,
+    right: FastRef<'s>,
+}
+
+/// What a conjunct reads: no input, input `k` alone through its fast
+/// form, or anything else.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Reads {
+    Nothing,
+    One(usize),
+    Other,
 }
 
 /// One conjunct of a qualification: the bound `Scalar`, its fast form
-/// when the shape has one, and the general program — the semantic
-/// authority — built from the `Scalar` on first need: for a conjunct
-/// with no fast form, or the first row its fast form declines.
+/// when the shape has one, what it reads, and the general program — the
+/// semantic authority — built on first need.
 struct Conjunct<'s> {
     bound: &'s Scalar,
-    fast: Option<FastQual<'s>>,
+    fast: Option<FastCmp<'s>>,
+    reads: Reads,
     general: OnceCell<CompiledScalar>,
 }
 
 impl<'s> Conjunct<'s> {
     fn new(bound: &'s Scalar) -> Conjunct<'s> {
         let fast = match bound {
-            Scalar::Const(Value::Bool(true)) => Some(FastQual::True),
-            Scalar::Cmp { op, left, right } => match (FastRef::of(left), FastRef::of(right)) {
-                (Some(l), Some(r)) => Some(FastQual::Cmp {
-                    op: *op,
-                    left: l,
-                    right: r,
-                }),
-                _ => None,
-            },
+            Scalar::Cmp { op, left, right } => {
+                FastRef::of(left)
+                    .zip(FastRef::of(right))
+                    .map(|(left, right)| FastCmp {
+                        op: *op,
+                        left,
+                        right,
+                    })
+            }
             _ => None,
+        };
+        let reads = match &fast {
+            Some(FastCmp { left, right, .. }) => {
+                let mut inputs = [left.input(), right.input()].into_iter().flatten();
+                match inputs.next() {
+                    None => Reads::Nothing,
+                    Some(k) if inputs.all(|i| i == k) => Reads::One(k),
+                    Some(_) => Reads::Other,
+                }
+            }
+            None => {
+                let mut reads = Reads::Nothing;
+                bound.visit(&mut |n| {
+                    if matches!(n, Scalar::Attr { .. } | Scalar::Field { .. }) {
+                        reads = Reads::Other;
+                    }
+                });
+                reads
+            }
         };
         Conjunct {
             bound,
             fast,
+            reads,
             general: OnceCell::new(),
         }
     }
@@ -518,13 +543,9 @@ impl<'s> Conjunct<'s> {
     /// errors.
     #[inline]
     fn fast_truth(&self, tuples: &[&[Value]], env: &EvalEnv<'_>) -> Option<Truth> {
-        match self.fast.as_ref()? {
-            FastQual::True => Some(Truth::True),
-            FastQual::Cmp { op, left, right } => {
-                let (l, r) = (left.get(tuples, env)?, right.get(tuples, env)?);
-                Some(Truth::of(&op.eval(l, r)))
-            }
-        }
+        let FastCmp { op, left, right } = self.fast.as_ref()?;
+        let (l, r) = (left.get(tuples, env)?, right.get(tuples, env)?);
+        Some(Truth::of(&op.eval(l, r)))
     }
 
     #[inline]
@@ -541,24 +562,11 @@ impl<'s> Conjunct<'s> {
         Ok(Truth::of(general.eval(tuples, env)?.as_ref()))
     }
 
-    /// The one input (0-based) this comparison reads when every
-    /// attribute reference reads it and at least one does: such a
-    /// conjunct can be decided from that input's row alone, before any
-    /// join.
-    fn only_input(&self) -> Option<usize> {
-        let Some(FastQual::Cmp { left, right, .. }) = &self.fast else {
-            return None;
-        };
-        let mut inputs = [left.input(), right.input()].into_iter().flatten();
-        let first = inputs.next()?;
-        inputs.all(|i| i == first).then_some(first)
-    }
-
     /// `i.a = j.b` between plain attributes of two different inputs, as
     /// 0-based `(input, attribute)` pairs.
     fn link(&self) -> Option<[(usize, usize); 2]> {
         match &self.fast {
-            Some(FastQual::Cmp {
+            Some(FastCmp {
                 op: CmpOp::Eq,
                 left: FastRef::Slot { rel0: i, attr0: a },
                 right: FastRef::Slot { rel0: j, attr0: b },
@@ -568,36 +576,18 @@ impl<'s> Conjunct<'s> {
     }
 }
 
-/// Fold conjuncts as the interpreter's binary `AND` does: `true` only
-/// when every one is `TRUE`; FALSE short-circuits, NULL and non-boolean
-/// results poison the result without skipping later conjuncts.
-#[inline]
-fn all_true<'c, 's: 'c>(
-    conjuncts: impl Iterator<Item = &'c Conjunct<'s>>,
-    tuples: &[&[Value]],
-    env: &EvalEnv<'_>,
-) -> EngineResult<bool> {
-    let mut all_true = true;
-    for c in conjuncts {
-        match c.truth(tuples, env)? {
-            Truth::True => {}
-            Truth::False => return Ok(false),
-            Truth::Other => all_true = false,
-        }
-    }
-    Ok(all_true)
-}
-
-/// A compiled qualification: the conjunct list of the bound predicate,
-/// each with its fast form classified from the `Scalar` and its general
-/// program built on first need — for a conjunct with no fast form, or on
-/// the first row its fast form declines. A qualification every row
-/// decides on its fast forms, as the prepared point lookups and range
-/// scans are, builds no program.
-/// Evaluation order, short-circuiting and errors match folding the
-/// interpreter's binary `AND` (FALSE short-circuits; NULL and
-/// non-boolean survivors poison the result to NULL, which a
-/// qualification treats as "not selected").
+/// A compiled qualification: the bound predicate's conjuncts, less any
+/// literal `TRUE`, each with its fast form, where it is decided, and its
+/// general program built on first need. Each conjunct is decided in
+/// exactly one place: once per execution when it reads no input
+/// ([`constants`](CompiledPred::constants)), at pre-selection when it
+/// compares one input's fields ([`local`](CompiledPred::local)), at a
+/// join's probe when it links two ([`links`](CompiledPred::links)), else
+/// on each combination ([`residual`](CompiledPred::residual)), in the
+/// order written, folded as the interpreter's binary `AND`. Only what
+/// cannot raise an error runs out of that order, so against the whole
+/// qualification on every combination an error can disappear, never
+/// appear.
 pub struct CompiledPred<'s> {
     conjuncts: Vec<Conjunct<'s>>,
 }
@@ -610,16 +600,61 @@ impl<'s> CompiledPred<'s> {
     pub fn compile(s: &'s Scalar) -> CompiledPred<'s> {
         let mut conjuncts = Vec::new();
         flatten(s, true, &mut conjuncts);
+        conjuncts.retain(|c| !c.is_true());
         CompiledPred {
             conjuncts: conjuncts.into_iter().map(Conjunct::new).collect(),
         }
     }
 
-    /// Evaluate as a qualification: `true` only when every conjunct is
-    /// `TRUE`.
-    #[inline]
-    pub fn eval_bool(&self, tuples: &[&[Value]], env: &EvalEnv<'_>) -> EngineResult<bool> {
-        all_true(self.conjuncts.iter(), tuples, env)
+    /// Decide the conjuncts that read no input (`? = 3`) against `env`:
+    /// `false` as soon as one is FALSE or NULL, else the positions of
+    /// those TRUE are appended to `decided`. One that raises an error is
+    /// left to the residual.
+    pub fn constants(&self, env: &EvalEnv<'_>, decided: &mut Vec<usize>) -> bool {
+        for (at, c) in self.conjuncts.iter().enumerate() {
+            if c.reads != Reads::Nothing {
+                continue;
+            }
+            match c.truth(&[], env) {
+                Ok(Truth::True) => decided.push(at),
+                Ok(Truth::False | Truth::Other) => return false,
+                Err(_) => {}
+            }
+        }
+        true
+    }
+
+    /// The equality conjuncts `i.a = j.b` between plain attributes of two
+    /// different inputs, each with its position in the conjunct list, as
+    /// 0-based `(input, attribute)` pairs in the order written — what a
+    /// join step can key a table on.
+    pub fn links(&self) -> impl Iterator<Item = (usize, [(usize, usize); 2])> + '_ {
+        (self.conjuncts.iter().enumerate()).filter_map(|(at, c)| Some((at, c.link()?)))
+    }
+
+    /// The conjuncts input `rel0` (0-based) can be pre-selected by: the
+    /// comparisons whose attribute references all read that input.
+    pub fn local(&self, rel0: usize) -> LocalPred<'_> {
+        LocalPred {
+            rel0,
+            conjuncts: &self.conjuncts,
+        }
+    }
+
+    /// What is still checked on each complete combination: every
+    /// conjunct, in the order written, but those at the positions
+    /// `decided` (constants found TRUE, links compared at the probe) and
+    /// the local ones of each input `k` whose pre-selection decided them
+    /// TRUE on every survivor (`settled(k)`).
+    pub fn residual(&self, decided: &[usize], settled: impl Fn(usize) -> bool) -> Residual<'_> {
+        let conjuncts = self.conjuncts.iter().enumerate();
+        let open = conjuncts.filter(|(at, c)| {
+            let preselected = matches!(c.reads, Reads::One(k) if settled(k));
+            !preselected && !decided.contains(at)
+        });
+        Residual {
+            conjuncts: open.map(|(_, c)| c).collect(),
+        }
     }
 }
 
@@ -706,12 +741,9 @@ impl CompiledTargets {
     }
 }
 
-/// A qualification lowered onto a columnar mirror: one typed `Kern`
-/// per conjunct, run over a *selection vector* of candidate row indices.
-/// Lowering succeeds only when **every** conjunct maps to a kernel, so
-/// evaluation can never error and never disagree with the row path —
-/// any conjunct the typed layout does not cover sends the whole
-/// predicate back to [`CompiledPred::eval_bool`].
+/// One input's local conjuncts lowered onto its columnar mirror, one
+/// typed `Kern` each ([`LocalPred::columnar`]): evaluation can never
+/// error and never disagree with the fast forms.
 ///
 /// Selection semantics match the row path exactly: a row is selected
 /// iff every conjunct evaluates to `TRUE` (NULL and FALSE both drop the
@@ -729,11 +761,7 @@ pub struct ColumnarPred<'c> {
 /// decoded at lowering time; per-row work is a slice read, a null-bit
 /// test and a primitive comparison.
 enum Kern<'c> {
-    /// Conjunct is TRUE for every row (literal `TRUE`, or a
-    /// constant-constant comparison that evaluated to TRUE).
-    AllTrue,
-    /// Conjunct is never TRUE (NULL/FALSE constant result): selects
-    /// nothing.
+    /// Conjunct is never TRUE (a NULL comparand): selects nothing.
     NeverTrue,
     /// `Int` column vs integer constant; the column's zone map gives
     /// each strip a [`Verdict`] before a row is read.
@@ -958,11 +986,10 @@ const SPARSE_PIVOT: usize = 8;
 
 impl ColumnarPred<'_> {
     /// What `kern`'s zone map says about the strip `[lo, hi)`. Only an
-    /// `Int`-vs-constant kernel has one; the others are `Take` when they
-    /// hold for every row, `Skip` when for none, and `Test` otherwise.
+    /// `Int`-vs-constant kernel has one; the others are `Skip` when they
+    /// hold for no row, and `Test` otherwise.
     fn verdict(kern: &Kern<'_>, lo: usize, hi: usize) -> Verdict {
         match kern {
-            Kern::AllTrue => Verdict::Take,
             Kern::NeverTrue => Verdict::Skip,
             Kern::IntConst {
                 nulls,
@@ -983,7 +1010,7 @@ impl ColumnarPred<'_> {
     /// 64-bit signed compare.
     fn apply(kern: &Kern<'_>, sign: bool, flags: &mut [u8], lo: usize, hi: usize) {
         match kern {
-            Kern::AllTrue | Kern::NeverTrue => {}
+            Kern::NeverTrue => {}
             Kern::IntConst {
                 values,
                 nulls,
@@ -1039,7 +1066,7 @@ impl ColumnarPred<'_> {
     /// small) index list.
     fn retain_sparse(kern: &Kern<'_>, sel: &mut Vec<u32>) {
         match kern {
-            Kern::AllTrue | Kern::NeverTrue => {}
+            Kern::NeverTrue => {}
             Kern::IntConst {
                 values,
                 nulls,
@@ -1140,91 +1167,40 @@ impl ColumnarPred<'_> {
     }
 }
 
-impl CompiledPred<'_> {
-    /// Lower this predicate onto a columnar mirror, or `None` when any
-    /// conjunct falls outside the typed kernel set (deref chains,
-    /// function calls, disjunctions, spill columns, …) — the caller
-    /// then uses the row path for the whole predicate, preserving
-    /// evaluation order, errors and results exactly.
-    /// `params` is the statement's bind array: a `?` operand is resolved
-    /// to its bound value *at lowering time* — per execution — so the
-    /// kernel it selects is the same typed constant kernel a literal
-    /// would get, while the compiled predicate itself stays
-    /// bind-independent.
-    pub fn columnar<'c>(
-        &self,
-        cols: &'c ColumnarRelation,
-        params: &[Value],
-    ) -> Option<ColumnarPred<'c>> {
-        lower_all(self.conjuncts.iter(), 0, cols, params)
-    }
-
-    /// The equality conjuncts `i.a = j.b` between plain attributes of two
-    /// different inputs, each with its position in the conjunct list, as
-    /// 0-based `(input, attribute)` pairs in the order written — what a
-    /// join step can key a table on.
-    pub fn links(&self) -> impl Iterator<Item = (usize, [(usize, usize); 2])> + '_ {
-        (self.conjuncts.iter().enumerate()).filter_map(|(at, c)| Some((at, c.link()?)))
-    }
-
-    /// The conjuncts input `rel0` (0-based) can be pre-selected by: the
-    /// comparisons whose attribute references all read that input.
-    pub fn local(&self, rel0: usize) -> LocalPred<'_> {
-        let conjuncts = self.conjuncts.iter();
-        LocalPred {
-            rel0,
-            conjuncts: conjuncts.filter(|c| c.only_input() == Some(rel0)).collect(),
-        }
-    }
-
-    /// What a streamed join still checks on a complete combination: every
-    /// conjunct, in the order written, except the links its steps
-    /// compared at the probe (`linked`, positions from
-    /// [`links`](CompiledPred::links)) and the local conjuncts of each
-    /// input `k` whose pre-selection decided them TRUE on every survivor
-    /// (`settled[k]`). Only conjuncts known to be TRUE are left out, so
-    /// the fold's result and errors are the whole qualification's.
-    pub fn residual(&self, linked: &[usize], settled: &[bool]) -> Residual<'_> {
-        let conjuncts = self.conjuncts.iter().enumerate();
-        let open = conjuncts.filter(|(at, c)| {
-            let local = c.only_input().and_then(|k| settled.get(k).copied());
-            !linked.contains(at) && local != Some(true)
-        });
-        Residual {
-            conjuncts: open.map(|(_, c)| c).collect(),
-        }
-    }
-}
-
-/// What pre-selection's fast forms tell of one row of a join input.
+/// What pre-selection's fast forms tell of one row of a `search` input.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Preselected {
-    /// A conjunct is FALSE or NULL on it: the row joins nothing.
+    /// A conjunct is FALSE or NULL on it: the row qualifies in no
+    /// combination.
     Dropped,
     /// Every conjunct is TRUE on it.
     Settled,
     /// Kept, but a fast form declined it (unbound `?`, dangling OID, a
-    /// non-tuple object): the conjuncts stay in the join's check.
+    /// non-tuple object): the conjuncts stay in the residual.
     Open,
 }
 
-/// The part of an n-ary `search` qualification that one input's rows
-/// decide alone. A conjunction needs every conjunct TRUE, so a row one of
-/// these rejects (FALSE *or* NULL) joins nothing and can be dropped
-/// before the join. When every survivor was decided TRUE — always over
-/// the columnar kernels, on the row path unless a fast form declined a
-/// row — the conjuncts leave the join's per-combination check
-/// ([`CompiledPred::residual`]); otherwise they stay in it, the
-/// authority on results and errors.
+/// The conjuncts of a `search` qualification one input's rows decide
+/// alone, a filter over the qualification's. A row one of them rejects
+/// (FALSE *or* NULL) qualifies in no combination. When every survivor
+/// was decided TRUE they leave the residual; otherwise they stay in it,
+/// the authority on results and errors.
 pub struct LocalPred<'p> {
     rel0: usize,
-    conjuncts: Vec<&'p Conjunct<'p>>,
+    conjuncts: &'p [Conjunct<'p>],
 }
 
-impl LocalPred<'_> {
+impl<'p> LocalPred<'p> {
+    fn iter(&self) -> impl Iterator<Item = &'p Conjunct<'p>> + 'p {
+        let k = self.rel0;
+        self.conjuncts
+            .iter()
+            .filter(move |c| c.reads == Reads::One(k))
+    }
+
     /// No conjunct constrains the input alone.
     pub fn is_empty(&self) -> bool {
-        self.conjuncts.is_empty()
+        self.iter().next().is_none()
     }
 
     /// The input (0-based) these conjuncts read.
@@ -1232,14 +1208,22 @@ impl LocalPred<'_> {
         self.rel0
     }
 
-    /// Lower onto the input's columnar mirror: `None` unless every
-    /// conjunct has a kernel (see [`CompiledPred::columnar`]).
+    /// Lower onto the input's columnar mirror: one typed kernel per
+    /// conjunct, or `None` as soon as one has none. A `?` is resolved
+    /// against `params` here, per execution, so it gets the kernel a
+    /// literal would.
     pub fn columnar<'c>(
         &self,
         cols: &'c ColumnarRelation,
         params: &[Value],
     ) -> Option<ColumnarPred<'c>> {
-        lower_all(self.conjuncts.iter().copied(), self.rel0, cols, params)
+        let kernels = self
+            .iter()
+            .map(|c| lower_conjunct(c, self.rel0, cols, params));
+        Some(ColumnarPred {
+            kernels: kernels.collect::<Option<_>>()?,
+            len: cols.len(),
+        })
     }
 
     /// What the fast forms decide of the row in `tuples[self.input()]`:
@@ -1249,7 +1233,7 @@ impl LocalPred<'_> {
     #[inline]
     pub fn keeps(&self, tuples: &[&[Value]], env: &EvalEnv<'_>) -> Preselected {
         let mut kept = Preselected::Settled;
-        for c in &self.conjuncts {
+        for c in self.iter() {
             match c.fast_truth(tuples, env) {
                 Some(Truth::True) => {}
                 Some(Truth::False | Truth::Other) => return Preselected::Dropped,
@@ -1260,18 +1244,30 @@ impl LocalPred<'_> {
     }
 }
 
-/// The conjuncts a streamed join checks on each complete combination
+/// The conjuncts a `search` checks on each complete combination
 /// ([`CompiledPred::residual`]).
 pub struct Residual<'p> {
     conjuncts: Vec<&'p Conjunct<'p>>,
 }
 
 impl Residual<'_> {
-    /// Evaluate as a qualification, as [`CompiledPred::eval_bool`] does:
-    /// `true` at once when nothing is left.
+    /// Nothing is left to check.
+    pub fn is_empty(&self) -> bool {
+        self.conjuncts.is_empty()
+    }
+
+    /// `true` only when every conjunct left is `TRUE`.
     #[inline]
     pub fn eval_bool(&self, tuples: &[&[Value]], env: &EvalEnv<'_>) -> EngineResult<bool> {
-        all_true(self.conjuncts.iter().copied(), tuples, env)
+        let mut all_true = true;
+        for c in &self.conjuncts {
+            match c.truth(tuples, env)? {
+                Truth::True => {}
+                Truth::False => return Ok(false),
+                Truth::Other => all_true = false,
+            }
+        }
+        Ok(all_true)
     }
 }
 
@@ -1296,43 +1292,18 @@ fn operand<'v>(r: &'v FastRef<'_>, rel0: usize, params: &'v [Value]) -> Option<O
     }
 }
 
-/// One kernel per conjunct over `cols`, the mirror of input `rel0`, or
-/// `None` as soon as a conjunct has none.
-fn lower_all<'p, 'c>(
-    conjuncts: impl Iterator<Item = &'p Conjunct<'p>>,
-    rel0: usize,
-    cols: &'c ColumnarRelation,
-    params: &[Value],
-) -> Option<ColumnarPred<'c>> {
-    let kernels = conjuncts.map(|c| lower_conjunct(c, rel0, cols, params));
-    Some(ColumnarPred {
-        kernels: kernels.collect::<Option<_>>()?,
-        len: cols.len(),
-    })
-}
-
 fn lower_conjunct<'c>(
     c: &Conjunct<'_>,
     rel0: usize,
     cols: &'c ColumnarRelation,
     params: &[Value],
 ) -> Option<Kern<'c>> {
-    match c.fast.as_ref()? {
-        FastQual::True => Some(Kern::AllTrue),
-        FastQual::Cmp { op, left, right } => {
-            match (operand(left, rel0, params)?, operand(right, rel0, params)?) {
-                (Opnd::Col(a), Opnd::Val(k)) => lower_col_const(*op, cols.column(a)?, k),
-                (Opnd::Val(k), Opnd::Col(a)) => lower_col_const(op.flipped(), cols.column(a)?, k),
-                (Opnd::Col(a), Opnd::Col(b)) => {
-                    lower_col_col(*op, cols.column(a)?, cols.column(b)?)
-                }
-                (Opnd::Val(k1), Opnd::Val(k2)) => Some(match op.eval(k1, k2) {
-                    Value::Bool(true) => Kern::AllTrue,
-                    // FALSE, NULL, or a broadcast collection: never TRUE.
-                    _ => Kern::NeverTrue,
-                }),
-            }
-        }
+    let FastCmp { op, left, right } = c.fast.as_ref()?;
+    match (operand(left, rel0, params)?, operand(right, rel0, params)?) {
+        (Opnd::Col(a), Opnd::Val(k)) => lower_col_const(*op, cols.column(a)?, k),
+        (Opnd::Val(k), Opnd::Col(a)) => lower_col_const(op.flipped(), cols.column(a)?, k),
+        (Opnd::Col(a), Opnd::Col(b)) => lower_col_col(*op, cols.column(a)?, cols.column(b)?),
+        (Opnd::Val(_), Opnd::Val(_)) => None,
     }
 }
 
@@ -1545,6 +1516,34 @@ mod tests {
     use eds_lera::Schema;
     use eds_testkit::rng::StdRng;
 
+    /// The rows `pred` selects row by row, read two ways that must agree:
+    /// the general program of the whole qualification, and the fast
+    /// forms of its conjuncts, which decide every one of these rows.
+    fn row_by_row(
+        compiled: &CompiledPred<'_>,
+        pred: &Scalar,
+        rows: &[Row],
+        env: &EvalEnv<'_>,
+    ) -> Vec<u32> {
+        let general = CompiledScalar::compile(pred, env);
+        let local = compiled.local(0);
+        let selected = |row: &Row| {
+            let want = general.eval_bool(&[row], env).unwrap();
+            let fast = local.keeps(&[row], env);
+            let decided = if want {
+                Preselected::Settled
+            } else {
+                Preselected::Dropped
+            };
+            assert_eq!(fast, decided, "{pred:?} on {row:?}");
+            want
+        };
+        (0..rows.len())
+            .filter(|&i| selected(&rows[i]))
+            .map(|i| i as u32)
+            .collect()
+    }
+
     /// Over mirrors of three zones and 17 rows, exactly one and two
     /// zones, one zone less a row, and shorter than one strip — a sorted
     /// key, a clustered column with NULLs, random values with NULLs, and
@@ -1610,12 +1609,10 @@ mod tests {
                 }
                 let compiled = CompiledPred::compile(&pred);
                 let lowered = compiled
+                    .local(0)
                     .columnar(&cols, &[])
                     .expect("every conjunct has a kernel");
-                let want: Vec<u32> = (0..n)
-                    .filter(|&i| compiled.eval_bool(&[&rows[i]], &env).unwrap())
-                    .map(|i| i as u32)
-                    .collect();
+                let want = row_by_row(&compiled, &pred, &rows, &env);
                 assert_eq!(
                     lowered.select(),
                     want,
@@ -1656,11 +1653,11 @@ mod tests {
                     Scalar::cmp(CmpOp::Lt, Scalar::attr(1, 1), Scalar::lit(survivors as i64));
                 let pred = tail.iter().cloned().fold(first, Scalar::and);
                 let compiled = CompiledPred::compile(&pred);
-                let lowered = compiled.columnar(&cols, &[]).expect("four kernels");
-                let want: Vec<u32> = (0..n)
-                    .filter(|&i| compiled.eval_bool(&[&rows[i]], &env).unwrap())
-                    .map(|i| i as u32)
-                    .collect();
+                let lowered = compiled
+                    .local(0)
+                    .columnar(&cols, &[])
+                    .expect("four kernels");
+                let want = row_by_row(&compiled, &pred, &rows, &env);
                 assert!(!want.is_empty() && want.len() < survivors);
                 assert_eq!(lowered.select(), want, "{survivors} survivors");
             }

@@ -1,15 +1,21 @@
 //! Evaluation of LERA plans.
 //!
 //! The compound `search` — select, project and join in one operator,
-//! what the merging rules exist to produce — is evaluated for what its
-//! qualification allows: each input is pre-selected by the conjuncts
-//! that read it alone, inputs join left-deep in the order written
-//! through a slot array over one `INT` key's span or a table of key
-//! hashes wherever equalities link the next one, and combinations
-//! stream depth-first into the target list without being materialised;
-//! each conjunct is decided once, at pre-selection, at the probe or on
-//! the complete combination. Join *order* and everything above the
-//! operator stay the rewriter's business. The paper's baseline — the
+//! what the merging rules exist to produce — is evaluated by one
+//! pipeline for any number of inputs, for what its qualification
+//! allows: the conjuncts that read no input are decided once, each input
+//! is pre-selected by the conjuncts that read it alone (typed kernels
+//! over a stored table's columnar mirror, else their fast forms row by
+//! row), inputs join left-deep in the order written through a slot array
+//! over one `INT` key's span or a table of key hashes wherever
+//! equalities link the next one, and combinations stream depth-first
+//! into the target list without being materialised — one input is the
+//! case with no join step, gathered straight from its mirror when
+//! nothing is left to check and the targets copy slots. Each conjunct is
+//! decided in exactly one place, so an error can disappear (a row
+//! dropped first never reaches the conjunct that would raise it) but
+//! never appear. Join *order* and everything above the operator stay
+//! the rewriter's business. The paper's baseline — the
 //! cross product with a post-filter, under which the work counters read
 //! the logical quality of a plan directly — is not executed: its work is
 //! the product of the input sizes, which every run reports beside its
@@ -129,12 +135,12 @@ pub struct EvalOptions {
     /// 9(a) deletes it.
     pub parallelism: usize,
     /// Use columnar mirrors of stored base tables where the operator
-    /// and predicate shapes allow it: a one-input `search` qualification
-    /// whose conjuncts all lower to typed kernels runs over contiguous
-    /// columns and gathers surviving rows from the shared row store, and
-    /// so does the pre-selection of a join input by its local conjuncts.
-    /// Results, result order, work counters and errors are identical to
-    /// the row path (differential-tested); defaults to on.
+    /// and predicate shapes allow it: an input whose local conjuncts all
+    /// lower to typed kernels is pre-selected over contiguous columns,
+    /// and a one-input `search` with nothing left to check gathers its
+    /// slot-copy targets from the mirror. Results, result order, work
+    /// counters and errors are identical to the row path
+    /// (differential-tested); defaults to on.
     pub columnar: bool,
     /// Rewriter effort for statements evaluated through this option bag
     /// (see [`OptLevel`]); read by the `Dbms` facade, not the executor.
@@ -980,12 +986,7 @@ fn eval_search<S: Sink>(
     let cross_product = rels
         .iter()
         .fold(1u64, |n, r| n.saturating_mul(r.len() as u64));
-    let (sink, tried) = if let [rel] = &rels[..] {
-        let sink = select_project(inputs[0], rel, &cpred, &cproj, &env, ctx, sink)?;
-        (sink, rel.len() as u64)
-    } else {
-        streamed_join(inputs, &rels, &cpred, &cproj, &env, ctx, sink)?
-    };
+    let (sink, tried) = streamed_search(inputs, &rels, &cpred, &cproj, &env, ctx, sink)?;
     let (rows, offered) = sink.finish();
     ctx.stats.rows_emitted += offered;
     out.rows = rows;
@@ -998,85 +999,8 @@ fn eval_search<S: Sink>(
     ))
 }
 
-/// The one-input select-project kernel — every `filter`, `project` and
-/// single-input `search` (what filter pushdown + projection merging
-/// produce) runs here. Returns `sink` with the qualifying rows.
-///
-/// Columnar path: over a stored table whose qualification lowers fully
-/// to typed kernels, the kernels compute a selection vector over the
-/// columns and projection runs only over the selected rows. Otherwise
-/// the compiled qualification runs row by row.
-fn select_project<S: Sink>(
-    input: &Expr,
-    rel: &Relation,
-    cpred: &CompiledPred<'_>,
-    cproj: &CompiledTargets,
-    env: &EvalEnv<'_>,
-    ctx: &Ctx<'_>,
-    mut sink: S,
-) -> EngineResult<S> {
-    let rows = &rel.rows;
-    // Identity target list: every target copies the input row's
-    // attributes in order, so the output rows *are* the qualifying
-    // input rows — forward the shared allocations by refcount. (The
-    // per-row arity check is a fat-pointer read and guarantees slot
-    // copies cannot have fallen back to the general program.)
-    let arity = rel.schema.arity();
-    let targets = cproj.targets();
-    let identity = targets.len() == arity
-        && targets
-            .iter()
-            .enumerate()
-            .all(|(i, p)| p.slot0() == Some(i))
-        && rows.iter().all(|r| r.len() == arity);
-    let project = |row: &SharedRow, sink: &mut S, scratch: &mut Row| -> EngineResult<()> {
-        if identity {
-            sink.forward(row);
-        } else {
-            cproj.eval_into(&[&row[..]], env, scratch)?;
-            sink.keep(scratch);
-        }
-        Ok(())
-    };
-    let mirror = base_columnar(input, ctx, rows.len());
-    let lowered = mirror
-        .as_deref()
-        .and_then(|cols| Some((cols, cpred.columnar(cols, ctx.params)?)));
-    let Some((cols, colpred)) = lowered else {
-        let mut scratch: Row = Vec::with_capacity(targets.len());
-        for row in rows {
-            if cpred.eval_bool(&[&row[..]], env)? {
-                project(row, &mut sink, &mut scratch)?;
-            }
-        }
-        return Ok(sink);
-    };
-    let sel = colpred.select();
-    // Slot-only targets gather straight from the columns (contiguous
-    // reads, no per-row compiled-program dispatch); anything fancier
-    // evaluates the compiled projection over the selected rows.
-    let columns: Option<Vec<&Column>> = targets
-        .iter()
-        .map(|p| p.slot0().and_then(|a| cols.column(a)))
-        .collect();
-    let Some(columns) = columns else {
-        let mut scratch: Row = Vec::with_capacity(targets.len());
-        for &i in &sel {
-            project(&rows[i as usize], &mut sink, &mut scratch)?;
-        }
-        return Ok(sink);
-    };
-    let from = Gather {
-        rows,
-        columns,
-        forward: identity,
-    };
-    sink.gather(&from, &sel);
-    Ok(sink)
-}
-
-/// The rows of one join input its local conjuncts left, ascending by
-/// row index. `All(n)` when nothing constrains the input alone: no index
+/// The rows of one input its local conjuncts left, ascending by row
+/// index. `All(n)` when nothing constrains the input alone: no index
 /// vector is built for it.
 enum Survivors {
     All(usize),
@@ -1101,25 +1025,25 @@ impl Survivors {
     }
 }
 
-/// Pre-select one input of an n-ary `search` by the conjuncts that read
-/// it alone: the columnar kernels over the mirror when the input is a
-/// stored table and every such conjunct has one, their fast forms row by
-/// row otherwise. Both decide the same rows, so the survivors — and the
-/// work counters downstream — do not depend on the path. The flag says
-/// whether the conjuncts were decided TRUE on every survivor: always over
-/// the kernels, on the row path unless a fast form declined a row.
+/// Pre-select one input of a `search` by the conjuncts that read it
+/// alone: the columnar kernels over its mirror — asked of `mirror` only
+/// when such a conjunct exists — when it has one and every such conjunct
+/// has a kernel, their fast forms row by row otherwise. Both decide the
+/// same rows, so the survivors — and the work counters downstream — do
+/// not depend on the path. The flag says whether the conjuncts were
+/// decided TRUE on every survivor: always over the kernels, on the row
+/// path unless a fast form declined a row.
 fn preselect(
-    input: &Expr,
     rel: &Relation,
+    mirror: impl FnOnce() -> Option<Arc<ColumnarRelation>>,
     local: &LocalPred<'_>,
     env: &EvalEnv<'_>,
-    ctx: &Ctx<'_>,
 ) -> (Survivors, bool) {
     if local.is_empty() {
         return (Survivors::All(rel.len()), true);
     }
-    if let Some(cols) = base_columnar(input, ctx, rel.len()) {
-        if let Some(kernels) = local.columnar(&cols, ctx.params) {
+    if let Some(cols) = mirror() {
+        if let Some(kernels) = local.columnar(&cols, env.params) {
             return (Survivors::Picked(kernels.select()), true);
         }
     }
@@ -1311,6 +1235,8 @@ struct Link {
 struct Step<'r> {
     rows: &'r [SharedRow],
     survivors: Survivors,
+    /// Pre-selection decided every survivor.
+    settled: bool,
     links: Vec<Link>,
     table: Option<LinkTable>,
 }
@@ -1396,22 +1322,19 @@ impl<S: Sink> Enumeration<'_, '_, S> {
     }
 }
 
-/// The `search` over two or more inputs — select first, then stream.
-/// Each input is pre-selected by its local conjuncts
-/// ([`preselect`]); inputs join left-deep in the order written, a step
-/// probing a [`LinkTable`] over the next input's survivors where an
-/// equality links it, looping over them otherwise; combinations are
-/// enumerated depth-first over one tuple buffer, in the cross product's
-/// row-major order. Each conjunct is decided in one place: a local one at
-/// pre-selection when it decided every survivor, a link at the probe, the
-/// rest on each complete combination. Returns `sink` with the qualifying
-/// rows and the combinations examined: first-input survivors plus
-/// candidates enumerated.
-///
-/// Relative to the cross product with a post-filter an error can only
-/// disappear (a combination that would have raised it is never formed),
-/// never appear.
-fn streamed_join<S: Sink>(
+/// Every `search` — select first, then stream. The conjuncts that read
+/// no input are decided once; each input is pre-selected by its local
+/// conjuncts ([`preselect`]); inputs join left-deep in the order
+/// written, a step probing a [`LinkTable`] over the next input's
+/// survivors where an equality links it, looping over them otherwise;
+/// combinations are enumerated depth-first over one tuple buffer, in the
+/// cross product's row-major order, and checked against the residual
+/// (each conjunct is decided in one place: [`CompiledPred`]). One input
+/// is the case with no step ([`emit_scan`]). Returns `sink` with the
+/// qualifying rows and the combinations examined: first-input survivors
+/// plus candidates enumerated — for one input, its rows, even when a
+/// constant conjunct rejected them all.
+fn streamed_search<S: Sink>(
     inputs: &[&Expr],
     rels: &[Input<'_>],
     cpred: &CompiledPred<'_>,
@@ -1420,27 +1343,43 @@ fn streamed_join<S: Sink>(
     ctx: &Ctx<'_>,
     sink: S,
 ) -> EngineResult<(S, u64)> {
-    let mut selected = Vec::with_capacity(rels.len());
-    let mut settled = Vec::with_capacity(rels.len());
-    for (k, (input, rel)) in inputs.iter().zip(rels).enumerate() {
-        let (survivors, decided) = preselect(input, rel, &cpred.local(k), env, ctx);
-        if survivors.len() == 0 {
-            return Ok((sink, 0));
-        }
-        selected.push(survivors);
-        settled.push(decided);
+    // One input examines its rows, whatever they select.
+    let scanned = match rels {
+        [rel] => rel.len() as u64,
+        _ => 0,
+    };
+    // Constants found TRUE, then links probed on.
+    let mut decided = Vec::new();
+    if !cpred.constants(env, &mut decided) {
+        return Ok((sink, scanned));
     }
-    let mut later = selected.into_iter();
-    let Some(first) = later.next() else {
+    // One input reads its mirror to gather as well as to select; a join
+    // input only to select.
+    let scan_mirror = match rels {
+        [rel] => base_columnar(inputs[0], ctx, rel.len()),
+        _ => None,
+    };
+    let mirror = |k: usize| match &scan_mirror {
+        Some(cols) => Some(Arc::clone(cols)),
+        None if rels.len() > 1 => base_columnar(inputs[k], ctx, rels[k].len()),
+        None => None,
+    };
+    let mut selected = (rels.iter().enumerate())
+        .map(|(k, rel)| preselect(rel, || mirror(k), &cpred.local(k), env));
+    let Some((first, first_settled)) = selected.next().filter(|(s, _)| s.len() > 0) else {
+        return Ok((sink, scanned));
+    };
+    let later = selected.map(|(s, settled)| (s.len() > 0).then_some((s, settled)));
+    let Some(later) = later.collect::<Option<Vec<_>>>() else {
         return Ok((sink, 0));
     };
 
     let hasher = Fold::default();
-    let mut linked = Vec::new();
     let steps: Vec<Step<'_>> = later
+        .into_iter()
         .zip(&rels[1..])
         .zip(1..)
-        .map(|((survivors, rel), k)| {
+        .map(|(((survivors, settled), rel), k)| {
             let links: Vec<Link> = cpred
                 .links()
                 .filter_map(|(at, [a, b])| {
@@ -1455,7 +1394,7 @@ fn streamed_join<S: Sink>(
                         },
                         _ => return None,
                     };
-                    linked.push(at);
+                    decided.push(at);
                     Some(link)
                 })
                 .collect();
@@ -1464,12 +1403,22 @@ fn streamed_join<S: Sink>(
             Step {
                 rows: &rel.rows,
                 survivors,
+                settled,
                 links,
                 table,
             }
         })
         .collect();
-    let residual = cpred.residual(&linked, &settled);
+    let settled = |k: usize| match k {
+        0 => first_settled,
+        _ => steps[k - 1].settled,
+    };
+    let residual = cpred.residual(&decided, settled);
+    if steps.is_empty() {
+        let scan = (&*rels[0], &first, scan_mirror.as_deref());
+        let sink = emit_scan(scan, &residual, cproj, env, sink)?;
+        return Ok((sink, scanned));
+    }
 
     let mut e = Enumeration {
         steps: &steps,
@@ -1487,6 +1436,60 @@ fn streamed_join<S: Sink>(
         e.descend(1)?;
     }
     Ok((e.sink, e.tried))
+}
+
+/// The survivors of a one-input `search`, each a combination of its own,
+/// into `sink`. When nothing is left to check and every target is a slot
+/// copy they are gathered from the mirror, if the input has one;
+/// otherwise each is checked against the residual and, under an identity
+/// target list, passed along by refcount, or built.
+fn emit_scan<S: Sink>(
+    (rel, survivors, mirror): (&Relation, &Survivors, Option<&ColumnarRelation>),
+    residual: &Residual<'_>,
+    cproj: &CompiledTargets,
+    env: &EvalEnv<'_>,
+    mut sink: S,
+) -> EngineResult<S> {
+    let targets = cproj.targets();
+    let arity = rel.schema.arity();
+    let identity =
+        targets.len() == arity && (targets.iter().enumerate()).all(|(i, p)| p.slot0() == Some(i));
+    let columns = mirror.filter(|_| residual.is_empty()).and_then(|cols| {
+        let columns = targets
+            .iter()
+            .map(|p| p.slot0().and_then(|a| cols.column(a)));
+        columns.collect::<Option<Vec<&Column>>>()
+    });
+    if let Some(columns) = columns {
+        let idxs: Cow<'_, [u32]> = match survivors {
+            Survivors::All(n) => Cow::Owned((0..*n as u32).collect()),
+            Survivors::Picked(sel) => Cow::Borrowed(sel),
+        };
+        let from = Gather {
+            rows: &rel.rows,
+            columns,
+            forward: identity,
+        };
+        sink.gather(&from, &idxs);
+        return Ok(sink);
+    }
+    let mut scratch: Row = Vec::with_capacity(targets.len());
+    for j in 0..survivors.len() {
+        let shared = &rel.rows[survivors.row(j)];
+        let row: &[Value] = shared;
+        if !residual.eval_bool(&[row], env)? {
+            continue;
+        }
+        // A short row falls to the targets' programs, which raise the
+        // typed error.
+        if identity && row.len() == arity {
+            sink.forward(shared);
+        } else {
+            cproj.eval_into(&[row], env, &mut scratch)?;
+            sink.keep(&mut scratch);
+        }
+    }
+    Ok(sink)
 }
 
 /// Resolve named field accesses (`PROJECT(e, Name)`) to positional

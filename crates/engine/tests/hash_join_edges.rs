@@ -331,6 +331,46 @@ fn a_parameter_preselects_once_bound_and_errors_unbound() {
     }
 }
 
+/// A conjunct that reads no input (`?0 = 3`) is decided once per
+/// execution: bound TRUE it leaves the check and a join enumerates as it
+/// would without it; bound FALSE or NULL a join examines no combination,
+/// while one input still counts its rows.
+#[test]
+fn a_constant_conjunct_is_decided_once() {
+    let db = abc_db();
+    let constant = Scalar::eq(Scalar::param(0), Scalar::lit(3));
+    let join = |extra: Option<Scalar>| {
+        let mut conjuncts = vec![attr_eq(1, 1, 2, 1)];
+        conjuncts.extend(extra);
+        Expr::search(
+            vec![Expr::base("A"), Expr::base("B")],
+            Scalar::conjoin(conjuncts),
+            vec![Scalar::attr(1, 2), Scalar::attr(2, 2)],
+        )
+    };
+    let scan = Expr::search(
+        vec![Expr::base("A")],
+        Scalar::and(
+            constant.clone(),
+            Scalar::cmp(CmpOp::Lt, Scalar::attr(1, 2), Scalar::lit(5)),
+        ),
+        vec![Scalar::attr(1, 2)],
+    );
+    let (plain, plain_tried) = streams_like_the_oracle(&db, &join(None), &[]);
+    let with_constant = join(Some(constant));
+    let (held, tried) = streams_like_the_oracle(&db, &with_constant, &[3.into()]);
+    assert_eq!((held, tried), (plain, plain_tried));
+    let (rows, tried) = streams_like_the_oracle(&db, &scan, &[3.into()]);
+    assert_eq!((rows, tried), (ints(&[&[0], &[1], &[2], &[3], &[4]]), 40));
+    for rejected in [Value::Int(4), Value::Null] {
+        let binds = std::slice::from_ref(&rejected);
+        let (rows, tried) = streams_like_the_oracle(&db, &with_constant, binds);
+        assert_eq!((rows.len(), tried), (0, 0), "join, ?0 = {rejected:?}");
+        let (rows, tried) = streams_like_the_oracle(&db, &scan, binds);
+        assert_eq!((rows.len(), tried), (0, 40), "one input, ?0 = {rejected:?}");
+    }
+}
+
 /// `FILM(Numf, Score REAL, Seen BOOL, Note)` beside `CAST(Numf, Who)`
 /// with `Who` an object reference: no local conjunct below has a kernel
 /// (REAL and BOOL attributes spill, `Note` holds mixed kinds, a field of
@@ -581,6 +621,54 @@ fn an_error_on_a_dropped_row_disappears_and_none_appears() {
     let kept = search(None);
     assert!(eval_reference(&kept, &db, EvalOptions::default()).is_err());
     assert!(eval_with(&kept, &db, EvalOptions::default()).is_err());
+}
+
+/// The same contract over one input, with the mirror off and on: the
+/// local `K > 0` drops the empty-list row before `CHOICE(Items)` is
+/// evaluated on it, though written after it.
+#[test]
+fn an_error_on_a_dropped_row_disappears_over_one_input() {
+    let mut db = Database::new();
+    db.execute_ddl("TABLE T ( K : INT, Items : NUMERIC ) ;")
+        .unwrap();
+    db.insert("T", vec![0.into(), Value::list(vec![])]).unwrap();
+    db.insert("T", vec![1.into(), Value::list(vec![7.into()])])
+        .unwrap();
+    db.insert("T", vec![2.into(), Value::list(vec![9.into()])])
+        .unwrap();
+    let search = |local: Option<Scalar>| {
+        let first_item = Scalar::call("CHOICE", vec![Scalar::attr(1, 2)]);
+        let mut conjuncts = vec![Scalar::cmp(CmpOp::Gt, first_item, Scalar::lit(5))];
+        conjuncts.extend(local);
+        Expr::search(
+            vec![Expr::base("T")],
+            Scalar::conjoin(conjuncts),
+            vec![Scalar::attr(1, 1)],
+        )
+    };
+    let expr = search(Some(Scalar::cmp(
+        CmpOp::Gt,
+        Scalar::attr(1, 1),
+        Scalar::lit(0),
+    )));
+    let kept = search(None);
+    assert!(eval_reference(&expr, &db, EvalOptions::default()).is_err());
+    assert!(eval_reference(&kept, &db, EvalOptions::default()).is_err());
+    for columnar in [false, true] {
+        let opts = EvalOptions {
+            columnar,
+            ..EvalOptions::default()
+        };
+        let rows = eval_with(&expr, &db, opts)
+            .expect("the failing row was dropped first")
+            .0;
+        assert_eq!(
+            rows.sorted_rows(),
+            ints(&[&[1], &[2]]),
+            "columnar={columnar}"
+        );
+        assert!(eval_with(&kept, &db, opts).is_err(), "columnar={columnar}");
+    }
 }
 
 /// `P(K, Who, N)` over two blocks and a bit, `Who` a `Person` whose

@@ -10,7 +10,7 @@
 //! to an earlier one is charged both sides plus its estimated matches
 //! (build, probe, emit), an unlinked step the product of what reaches it
 //! — `CostModel::search_work`. The estimator prices the executor that
-//! runs, with one exception: a `fix` is priced as `fix_rounds` rounds
+//! runs, with one exception: a `fix` is priced as `FIX_ROUNDS` rounds
 //! of its whole body — the naive iteration, which the engine does not
 //! run (only F9's written-out loop in `eds-bench` does) — while the
 //! engine's fixpoint is semi-naive, which re-evaluates each recursive
@@ -30,16 +30,19 @@ use std::collections::HashMap;
 use crate::expr::Expr;
 use crate::scalar::{CmpOp, Scalar};
 
+/// Cardinality assumed for relations without an estimate.
+const DEFAULT_CARD: f64 = 1000.0;
+
+/// Assumed number of iterations of a fixpoint.
+const FIX_ROUNDS: f64 = 4.0;
+
+/// Assumed growth of a fixpoint relative to its seed.
+const FIX_GROWTH: f64 = 3.0;
+
 /// Cardinality estimates for base relations plus selectivity formulas.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     cards: HashMap<String, f64>,
-    /// Cardinality assumed for relations without an estimate.
-    pub default_card: f64,
-    /// Assumed number of iterations of a fixpoint.
-    pub fix_rounds: f64,
-    /// Assumed growth of a fixpoint relative to its seed.
-    pub fix_growth: f64,
     /// Per-tuple surcharge for each operator node of a qualification
     /// (comparisons, connectives, arithmetic). The classic formulas
     /// charge a flat unit per tuple regardless of predicate complexity;
@@ -54,9 +57,6 @@ impl Default for CostModel {
     fn default() -> Self {
         CostModel {
             cards: HashMap::new(),
-            default_card: 1000.0,
-            fix_rounds: 4.0,
-            fix_growth: 3.0,
             pred_op_weight: 0.0,
         }
     }
@@ -178,7 +178,7 @@ impl CostModel {
                     .get(&key)
                     .copied()
                     .or_else(|| self.cards.get(&key).copied())
-                    .unwrap_or(self.default_card);
+                    .unwrap_or(DEFAULT_CARD);
                 Estimate { cost: card, card }
             }
             Expr::Filter { input, pred } => {
@@ -259,11 +259,11 @@ impl CostModel {
                 locals2.insert(name.to_ascii_uppercase(), 1.0);
                 let seed = self.estimate_with(body, &locals2);
                 // Steady-state round: variable at its grown size.
-                let grown = seed.card * self.fix_growth;
+                let grown = seed.card * FIX_GROWTH;
                 locals2.insert(name.to_ascii_uppercase(), grown.max(1.0));
                 let round = self.estimate_with(body, &locals2);
                 Estimate {
-                    cost: seed.cost + self.fix_rounds * round.cost,
+                    cost: seed.cost + FIX_ROUNDS * round.cost,
                     card: grown,
                 }
             }
